@@ -31,12 +31,10 @@ import (
 	"repro/internal/notebooks"
 	"repro/internal/optimizer"
 	"repro/internal/partition"
-	"repro/internal/posindex"
 	"repro/internal/pycalls"
 	"repro/internal/schema"
 	"repro/internal/session"
 	"repro/internal/sketch"
-	"repro/internal/sparse"
 	"repro/internal/types"
 	"repro/internal/vector"
 	"repro/internal/workload"
@@ -771,76 +769,6 @@ func BenchmarkTable3Probes(b *testing.B) {
 
 // fmt retained for error formatting in closures above.
 var _ = fmt.Sprintf
-
-// BenchmarkSparseTranspose contrasts the Section 5.2.1 sparse key-value
-// representation's O(1) logical transpose against the dense physical one.
-func BenchmarkSparseTranspose(b *testing.B) {
-	m := workload.Matrix(2_000, 50, 5)
-	sp := sparse.FromDense(m)
-	b.Run("sparse-logical", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if !sp.Transpose().Transposed() {
-				b.Fatal("flag should flip")
-			}
-		}
-	})
-	b.Run("dense-physical", func(b *testing.B) {
-		runPlan(b, eager.New(), &algebra.Transpose{Input: &algebra.Source{DF: m}})
-	})
-	// The price of the sparse layout: row reconstruction is a lookup per
-	// column (the MAP access pattern).
-	b.Run("sparse-row-reconstruction", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < 100; r++ {
-				if len(sp.Row(r)) != 50 {
-					b.Fatal("row wrong")
-				}
-			}
-		}
-	})
-	b.Run("dense-row-access", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < 100; r++ {
-				if len(m.Row(r)) != 50 {
-					b.Fatal("row wrong")
-				}
-			}
-		}
-	})
-}
-
-// BenchmarkPositionalIndex contrasts O(log n) treap edits against O(n)
-// slice splicing for maintaining positional notation under point edits
-// (Section 5.2.1).
-func BenchmarkPositionalIndex(b *testing.B) {
-	const n = 50_000
-	b.Run("treap-front-insert", func(b *testing.B) {
-		ix := posindex.New[int]()
-		for i := 0; i < n; i++ {
-			ix.Append(i)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := ix.Insert(0, i); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("slice-front-insert", func(b *testing.B) {
-		s := make([]int, n)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s = append(s, 0)
-			copy(s[1:], s)
-			s[0] = i
-		}
-	})
-}
 
 // BenchmarkHLLSketch measures the distinct-value estimator over a taxi
 // column (the Section 5.2.3 arity estimation primitive).

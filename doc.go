@@ -87,7 +87,9 @@
 // Distributed execution: internal/cluster moves the engine across process
 // boundaries. cmd/dfworker processes execute fused stages and shuffle
 // phases shipped over a length-prefixed columnar wire format serialized
-// straight from internal/vector typed storage, and a coordinator-side
+// straight from internal/vector typed storage; the plan on the wire is the
+// expr spec itself (*expr.Where, expr.GroupBySpec, the Sort order), with
+// scalars in the one binary form internal/types defines. A coordinator-side
 // cluster.Scheduler implements the same engine surface df binds locally —
 // plans whose operators cannot cross a process boundary (opaque Go
 // closures, joins, windows) fall back to an embedded in-process engine

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/core"
@@ -161,17 +164,96 @@ func TestDistributedRenameChain(t *testing.T) {
 	checkSame(t, s, sel)
 }
 
-// Opaque predicates and unsupported operators must fall back to the local
-// engine, transparently.
+// Plans outside the shippable subset — an opaque predicate, a Where operand
+// or an aggregate whose values have no binary form — must decline at
+// extraction and run on the local engine, transparently, under the reason
+// that names the disqualifying operator.
 func TestFallbackForOpaquePlans(t *testing.T) {
 	s, _ := startCluster(t, 2)
 	scan := csvScan(t, genCSV(100), 40)
-	plan := &algebra.Selection{
-		Input: scan,
-		Pred:  func(r expr.Row) bool { return true },
-		Desc:  "opaque",
+	cases := []struct {
+		name   string
+		plan   algebra.Node
+		reason string
+	}{
+		{"opaque predicate", &algebra.Selection{
+			Input: scan,
+			Pred:  func(r expr.Row) bool { return true },
+			Desc:  "opaque",
+		}, "opaque closure"},
+		{"composite operand", &algebra.Selection{
+			Input: scan,
+			Where: expr.WhereCompare("k", vector.CmpNe, types.CompositeValue(&struct{}{})),
+		}, "opaque closure"},
+		// The projection drops the composite column so the frames compare.
+		{"collect aggregate", &algebra.Projection{Cols: []string{"k"}, Input: &algebra.GroupBy{
+			Input: scan,
+			Spec:  expr.GroupBySpec{Keys: []string{"k"}, Aggs: []expr.AggSpec{{Col: "v", Agg: expr.AggCollect}}},
+		}}, "composite aggregate"},
 	}
-	before := s.ClusterStats()
+	for _, tc := range cases {
+		before := s.ClusterStats()
+		got, err := s.Execute(tc.plan)
+		if err != nil {
+			t.Fatalf("%s: execute: %v", tc.name, err)
+		}
+		want, err := modin.New().Execute(tc.plan)
+		if err != nil {
+			t.Fatalf("%s: local: %v", tc.name, err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s: fallback result differs from local", tc.name)
+		}
+		after := s.ClusterStats()
+		if after.Fallback != before.Fallback+1 || after.Distributed != before.Distributed ||
+			after.FallbackReasons[tc.reason] != before.FallbackReasons[tc.reason]+1 {
+			t.Errorf("%s: expected one %q fallback, stats %+v → %+v", tc.name, tc.reason, before, after)
+		}
+	}
+}
+
+// A worker result gob cannot encode (a Composite value among its scalars)
+// must come back in-band as an application error: the coordinator re-runs
+// the query locally and keeps the worker, rather than losing the connection
+// or waiting out the RPC timeout. The stand-in worker answers through the
+// same respond path a real one does.
+func TestWorkerEncodeFailureRerunsLocally(t *testing.T) {
+	ls, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	go func() {
+		for {
+			conn, err := ls.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				for {
+					kind, _, err := readMsg(conn)
+					if err != nil {
+						return
+					}
+					var resp any = emptyResp{OK: true}
+					if kind == mRunBands {
+						bad := [][]types.Value{{types.CompositeValue(&struct{}{})}}
+						resp = &RunBandsResp{Results: []BandResult{{Sort: bad}}}
+					}
+					if respond(conn, resp, nil) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	s, err := Connect([]string{ls.Addr().String()}, WithHeartbeat(0), WithRPCTimeout(10*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	plan := &algebra.Sort{Input: csvScan(t, genCSV(100), 40), Order: expr.SortOrder{{Col: "v"}}}
 	got, err := s.Execute(plan)
 	if err != nil {
 		t.Fatalf("execute: %v", err)
@@ -181,12 +263,54 @@ func TestFallbackForOpaquePlans(t *testing.T) {
 		t.Fatalf("local: %v", err)
 	}
 	if !got.Equal(want) {
-		t.Fatal("fallback result differs from local")
+		t.Fatal("re-run result differs from local")
 	}
-	after := s.ClusterStats()
-	if after.Fallback != before.Fallback+1 || after.Distributed != before.Distributed {
-		t.Fatalf("expected fallback, stats %+v", after)
+	if st := s.ClusterStats(); st.LocalReruns != 1 || st.DeadWorkers != 0 || st.Distributed != 0 {
+		t.Fatalf("expected one local re-run and a live worker, stats %+v", st)
 	}
+}
+
+// The control messages carry the expr specs and modin stats themselves:
+// what a worker decodes must be exactly what the coordinator extracted.
+func TestControlMessagesCarrySpecs(t *testing.T) {
+	roundTrip := func(in, out any) {
+		t.Helper()
+		body, err := encodePayload(in)
+		if err != nil {
+			t.Fatalf("encode %T: %v", in, err)
+		}
+		if err := decodePayload(body, out); err != nil {
+			t.Fatalf("decode %T: %v", in, err)
+		}
+		if !reflect.DeepEqual(in, out) {
+			t.Fatalf("%T changed on the wire:\n sent %+v\n got  %+v", in, in, out)
+		}
+	}
+	where := expr.WhereCompare("v", vector.CmpGe, types.IntValue(20)).
+		And("name", vector.CmpEq, types.CategoryValue("item-3")).
+		And("t", vector.CmpLt, types.DatetimeFromNanos(1e18)).
+		And("k", vector.CmpNe, types.Null())
+	group := PlanSpec{
+		Buckets: 3,
+		Pre:     []OpSpec{{Where: where}, {Where: &expr.Where{}}, {Rename: map[string]string{"v": "value"}}, {Cols: []string{"k", "value"}}},
+		Group: &expr.GroupBySpec{
+			Keys:     []string{"k"},
+			Aggs:     []expr.AggSpec{{Col: "value", Agg: expr.AggSum}, {Col: "value", Agg: expr.AggMean, As: "avg"}},
+			AsLabels: true,
+			Sorted:   true,
+		},
+		Post: []OpSpec{{Where: expr.WhereCompare("avg", vector.CmpGt, types.FloatValue(0.5))}},
+	}
+	roundTrip(&PrepareReq{QID: "q", Plan: group}, &PrepareReq{})
+	sorted := PlanSpec{Sort: &algebra.Sort{Order: expr.SortOrder{{Col: "v", Desc: true}, {Col: "name"}}}}
+	roundTrip(&PrepareReq{QID: "q", Plan: sorted}, &PrepareReq{})
+	roundTrip(&PrepareReq{QID: "q", Plan: PlanSpec{Sort: &algebra.Sort{ByLabels: true}}}, &PrepareReq{})
+	tuples := [][]types.Value{{types.String("a"), types.IntValue(1)}, {types.Null(), types.BoolValue(true)}}
+	roundTrip(&RunBandsResp{Results: []BandResult{
+		{Band: 1, Rows: 9, Group: &modin.GroupBandStat{Hashes: []uint64{7, 1 << 63}, Exemplars: tuples, Counts: []int64{4, 5}}, Sizes: []int64{10, 0, 3}},
+		{Band: 2, Rows: 2, Sort: tuples},
+	}}, &RunBandsResp{})
+	roundTrip(&PartitionReq{QID: "q", Bands: []int{0, 2}, Buckets: 3, Bounds: tuples}, &PartitionReq{})
 }
 
 // A remote application error (unknown sort column reaches execution) must
@@ -353,6 +477,23 @@ func TestSplitCSVMatchesEncodingCSV(t *testing.T) {
 			if total != whole.NRows() {
 				t.Fatalf("case %d bandRows=%d: split covers %d rows, file has %d", ci, bandRows, total, whole.NRows())
 			}
+		}
+	}
+}
+
+// Close used to clear the stop-channel field while the freshly started
+// heartbeat goroutine was still reading it; with the default heartbeat an
+// immediate Close must be race-free (run under -race) and repeatable.
+func TestCloseRacesHeartbeatStart(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		s, workers, err := StartInProcess(2)
+		if err != nil {
+			t.Fatalf("start cluster: %v", err)
+		}
+		s.Close()
+		s.Close()
+		for _, w := range workers {
+			w.Close()
 		}
 	}
 }

@@ -1,13 +1,9 @@
 package cluster
 
 import (
-	"fmt"
-	"sort"
-
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/expr"
-	"repro/internal/vector"
 )
 
 // Plan shipping. Go closures cannot cross a process boundary, so the
@@ -17,11 +13,12 @@ import (
 //	(Scan | Source) → {Selection(Where) | Projection | Rename}* →
 //	  [GroupBy | Sort] → {Selection(Where) | Projection | Rename}*
 //
-// rendered into a PlanSpec of pure data. Everything else — opaque
-// predicates, Map closures, joins, unions, windows, composite aggregates —
-// declines extraction and runs on the coordinator's in-process engine
-// instead (the Scheduler's fallback), which keeps the df surface complete
-// while the hot streaming shapes distribute.
+// carried in a PlanSpec whose operators are the expr specs themselves — the
+// values the local compiler consumes, not copies of them. Everything else —
+// opaque predicates, Map closures, joins, unions, windows, composite
+// aggregates — declines extraction and runs on the coordinator's in-process
+// engine instead (the Scheduler's fallback), which keeps the df surface
+// complete while the hot streaming shapes distribute.
 
 // Source kinds.
 const (
@@ -30,24 +27,19 @@ const (
 	srcFrame                // coordinator ships each band as an inline block
 )
 
-// Op kinds.
-const (
-	opSelect byte = iota
-	opProject
-	opRename
-)
-
 // PlanSpec is a shipped stage plan: one source, a pre-shuffle chain, at
 // most one shuffle, and a post-shuffle chain applied to merged buckets.
 // Buckets is the shuffle's global bucket count (set by the coordinator to
 // the live worker count before Prepare); group bands use it to route
-// themselves by key hash without waiting for any fold.
+// themselves by key hash without waiting for any fold. Sort is the plan's
+// Sort node cut from its input: the shared modin helpers take the node but
+// read only Order and ByLabels.
 type PlanSpec struct {
 	Source  SourceSpec
 	Buckets int
 	Pre     []OpSpec
-	Group   *GroupSpecWire
-	Sort    *SortSpecWire
+	Group   *expr.GroupBySpec
+	Sort    *algebra.Sort
 	Post    []OpSpec
 }
 
@@ -61,57 +53,21 @@ type SourceSpec struct {
 	BandRows int      // scan kinds: morsel size used for splitting
 }
 
-// OpSpec is one closure-free chain operator.
+// OpSpec is one closure-free chain operator: a selection when Where is set,
+// a rename when Rename is non-empty, a projection onto Cols otherwise.
 type OpSpec struct {
-	Kind  byte
-	Terms []TermSpec // opSelect
-	Cols  []string   // opProject
-	From  []string   // opRename, paired with To
-	To    []string
-}
-
-// TermSpec is one structured Where conjunct in wire form.
-type TermSpec struct {
-	Col     string
-	Op      int
-	Operand ValueWire
-}
-
-// GroupSpecWire mirrors expr.GroupBySpec.
-type GroupSpecWire struct {
-	Keys     []string
-	Aggs     []AggWire
-	AsLabels bool
-}
-
-// AggWire mirrors expr.AggSpec.
-type AggWire struct {
-	Col string
-	Agg int
-	As  string
-}
-
-// SortSpecWire mirrors the algebra Sort node's ordering.
-type SortSpecWire struct {
-	Keys     []SortKeyWire
-	ByLabels bool
-}
-
-// SortKeyWire mirrors expr.SortKey.
-type SortKeyWire struct {
-	Col  string
-	Desc bool
+	Where  *expr.Where
+	Rename map[string]string
+	Cols   []string
 }
 
 // planInfo is the coordinator-side result of extraction: the spec plus the
 // typed handles the coordinator itself needs (the scan for splitting, the
-// source frame for banding, the rebuilt shuffle nodes for folding).
+// source frame for banding).
 type planInfo struct {
 	spec   PlanSpec
 	scan   *algebra.Scan
 	source *core.DataFrame
-	group  *expr.GroupBySpec
-	sortN  *algebra.Sort
 }
 
 // extractPlan renders n into a shippable PlanSpec. A non-empty reason means
@@ -127,37 +83,39 @@ walk:
 	for {
 		switch node := cur.(type) {
 		case *algebra.Selection:
-			op, ok := selectOp(node)
-			if !ok {
+			if !shippable(node.Where) {
 				return nil, "opaque closure"
 			}
-			*segment = append(*segment, op)
+			*segment = append(*segment, OpSpec{Where: node.Where})
 			cur = node.Input
 		case *algebra.Projection:
-			*segment = append(*segment, OpSpec{Kind: opProject, Cols: append([]string(nil), node.Cols...)})
+			*segment = append(*segment, OpSpec{Cols: node.Cols})
 			cur = node.Input
 		case *algebra.Rename:
-			*segment = append(*segment, renameOp(node.Mapping))
+			// An empty mapping is the identity, and gob would deliver it as
+			// a nil map — indistinguishable from a projection.
+			if len(node.Mapping) > 0 {
+				*segment = append(*segment, OpSpec{Rename: node.Mapping})
+			}
 			cur = node.Input
 		case *algebra.GroupBy:
 			if segment == &pre { // at most one shuffle, nearest the leaf
 				return nil, "double-shuffle"
 			}
-			gw, ok := groupWire(node.Spec)
-			if !ok {
-				return nil, "composite aggregate"
+			// Collect produces Composite cells, which have no wire form.
+			for _, a := range node.Spec.Aggs {
+				if a.Agg == expr.AggCollect {
+					return nil, "composite aggregate"
+				}
 			}
-			info.spec.Group = gw
-			spec := node.Spec
-			info.group = &spec
+			info.spec.Group = &node.Spec
 			segment = &pre
 			cur = node.Input
 		case *algebra.Sort:
 			if segment == &pre {
 				return nil, "double-shuffle"
 			}
-			info.spec.Sort = sortWire(node)
-			info.sortN = node
+			info.spec.Sort = &algebra.Sort{Order: node.Order, ByLabels: node.ByLabels}
 			segment = &pre
 			cur = node.Input
 		case *algebra.Scan:
@@ -197,57 +155,19 @@ walk:
 	return info, ""
 }
 
-// selectOp renders a structured selection; opaque predicates decline.
-func selectOp(node *algebra.Selection) (OpSpec, bool) {
-	if node.Where == nil {
-		return OpSpec{}, false
+// shippable reports whether a selection can cross the wire: it must be
+// structured (opaque predicates carry no Where) and every operand must have
+// a binary form (Composite operands do not).
+func shippable(w *expr.Where) bool {
+	if w == nil {
+		return false
 	}
-	terms := make([]TermSpec, len(node.Where.Terms))
-	for i, t := range node.Where.Terms {
-		w, err := valueToWire(t.Operand)
-		if err != nil {
-			return OpSpec{}, false
+	for _, t := range w.Terms {
+		if _, err := t.Operand.MarshalBinary(); err != nil {
+			return false
 		}
-		terms[i] = TermSpec{Col: t.Col, Op: int(t.Op), Operand: w}
 	}
-	return OpSpec{Kind: opSelect, Terms: terms}, true
-}
-
-// renameOp renders a rename mapping as sorted pairs, so the spec is
-// deterministic across map iteration orders.
-func renameOp(mapping map[string]string) OpSpec {
-	from := make([]string, 0, len(mapping))
-	for k := range mapping {
-		from = append(from, k)
-	}
-	sort.Strings(from)
-	to := make([]string, len(from))
-	for i, f := range from {
-		to[i] = mapping[f]
-	}
-	return OpSpec{Kind: opRename, From: from, To: to}
-}
-
-// groupWire renders a group spec; composite aggregates (Collect) produce
-// values with no wire form, so they decline.
-func groupWire(spec expr.GroupBySpec) (*GroupSpecWire, bool) {
-	gw := &GroupSpecWire{Keys: append([]string(nil), spec.Keys...), AsLabels: spec.AsLabels}
-	for _, a := range spec.Aggs {
-		if a.Agg == expr.AggCollect {
-			return nil, false
-		}
-		gw.Aggs = append(gw.Aggs, AggWire{Col: a.Col, Agg: int(a.Agg), As: a.As})
-	}
-	return gw, true
-}
-
-// sortWire renders a sort node.
-func sortWire(node *algebra.Sort) *SortSpecWire {
-	sw := &SortSpecWire{ByLabels: node.ByLabels}
-	for _, k := range node.Order {
-		sw.Keys = append(sw.Keys, SortKeyWire{Col: k.Col, Desc: k.Desc})
-	}
-	return sw
+	return true
 }
 
 // scanSource renders a scan leaf. Distributable scans have a re-openable
@@ -281,48 +201,19 @@ func reverseOps(ops []OpSpec) {
 	}
 }
 
-// groupSpec rebuilds the expr form of a shipped group spec (worker side).
-func (g *GroupSpecWire) groupSpec() expr.GroupBySpec {
-	spec := expr.GroupBySpec{Keys: g.Keys, AsLabels: g.AsLabels}
-	for _, a := range g.Aggs {
-		spec.Aggs = append(spec.Aggs, expr.AggSpec{Col: a.Col, Agg: expr.AggKind(a.Agg), As: a.As})
-	}
-	return spec
-}
-
-// sortNode rebuilds the algebra form of a shipped sort (worker side; the
-// shared modin merge helpers take the node).
-func (s *SortSpecWire) sortNode() *algebra.Sort {
-	node := &algebra.Sort{ByLabels: s.ByLabels}
-	for _, k := range s.Keys {
-		node.Order = append(node.Order, expr.SortKey{Col: k.Col, Desc: k.Desc})
-	}
-	return node
-}
-
 // applyOps runs a shipped chain over one frame through the same typed
 // kernels the in-process engine fuses (SelectWhereView keeps selections
 // zero-copy until the stage-exit compaction).
 func applyOps(df *core.DataFrame, ops []OpSpec) (*core.DataFrame, error) {
 	var err error
 	for _, op := range ops {
-		switch op.Kind {
-		case opSelect:
-			w := &expr.Where{Terms: make([]expr.WhereTerm, len(op.Terms))}
-			for i, t := range op.Terms {
-				w.Terms[i] = expr.WhereTerm{Col: t.Col, Op: vector.CmpOp(t.Op), Operand: wireToValue(t.Operand)}
-			}
-			df, err = algebra.SelectWhereView(df, w)
-		case opProject:
-			df, err = algebra.Project(df, op.Cols)
-		case opRename:
-			mapping := make(map[string]string, len(op.From))
-			for i, f := range op.From {
-				mapping[f] = op.To[i]
-			}
-			df, err = algebra.RenameFrame(df, mapping)
+		switch {
+		case op.Where != nil:
+			df, err = algebra.SelectWhereView(df, op.Where)
+		case len(op.Rename) > 0:
+			df, err = algebra.RenameFrame(df, op.Rename)
 		default:
-			return nil, fmt.Errorf("cluster: unknown op kind %d", op.Kind)
+			df, err = algebra.Project(df, op.Cols)
 		}
 		if err != nil {
 			return nil, err

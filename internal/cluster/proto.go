@@ -8,6 +8,9 @@ import (
 	"io"
 	"net"
 	"time"
+
+	"repro/internal/modin"
+	"repro/internal/types"
 )
 
 // Control protocol: length-prefixed frames over TCP. Each message is
@@ -18,7 +21,9 @@ import (
 // coordinator parallelizes across workers, not across messages on one
 // conn; peer fetches open their own connections). Blocks travel inside the
 // gob payloads as []byte fields already rendered through the columnar
-// codec (wire.go), so gob never sees a cell.
+// codec (wire.go), so gob never sees a cell; the scalars it does see (plan
+// operands, key exemplars, sort samples and bounds) are types.Values, which
+// marshal themselves.
 
 // Request kinds.
 const (
@@ -58,14 +63,6 @@ type RunBandsReq struct {
 	Bands []BandTask
 }
 
-// GroupStatWire is a band's group-key stat (modin.GroupBandStat) in
-// gob-safe form.
-type GroupStatWire struct {
-	Hashes    []uint64
-	Exemplars [][]ValueWire
-	Counts    []int64
-}
-
 // BandResult is one band's stage output: the chained block itself for
 // plans without a shuffle, or the band's shuffle summary. Group bands route
 // themselves the moment they run (bucket = key hash % plan.Buckets, a pure
@@ -76,8 +73,8 @@ type BandResult struct {
 	Band  int
 	Rows  int
 	Block []byte
-	Group *GroupStatWire
-	Sort  [][]ValueWire
+	Group *modin.GroupBandStat
+	Sort  [][]types.Value
 	Sizes []int64
 }
 
@@ -93,7 +90,7 @@ type PartitionReq struct {
 	QID     string
 	Bands   []int
 	Buckets int
-	Bounds  [][]ValueWire
+	Bounds  [][]types.Value
 }
 
 // PartitionResp reports per-band, per-bucket routed piece sizes in bytes —
@@ -157,20 +154,52 @@ type fetchErrPayload struct {
 	Msg  string
 }
 
-// writeMsg frames and writes one message.
-func writeMsg(w io.Writer, kind byte, payload any) error {
+// encodePayload gob-encodes a message payload.
+func encodePayload(payload any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
-		return fmt.Errorf("cluster: encode message %d: %w", kind, err)
+		return nil, fmt.Errorf("cluster: encode message: %w", err)
 	}
+	return buf.Bytes(), nil
+}
+
+// writeFrame frames and writes one already-encoded message.
+func writeFrame(w io.Writer, kind byte, body []byte) error {
 	head := make([]byte, 5)
-	binary.LittleEndian.PutUint32(head, uint32(buf.Len()))
+	binary.LittleEndian.PutUint32(head, uint32(len(body)))
 	head[4] = kind
 	if _, err := w.Write(head); err != nil {
 		return err
 	}
-	_, err := w.Write(buf.Bytes())
+	_, err := w.Write(body)
 	return err
+}
+
+// writeMsg encodes, frames and writes one message.
+func writeMsg(w io.Writer, kind byte, payload any) error {
+	body, err := encodePayload(payload)
+	if err != nil {
+		return err
+	}
+	return writeFrame(w, kind, body)
+}
+
+// respond answers one request. Application failures — the handler's error,
+// or a result gob cannot encode (a Composite value among its scalars) — are
+// reported in-band, so the coordinator re-runs the query locally instead of
+// losing the connection; only transport failures return an error.
+func respond(w io.Writer, resp any, err error) error {
+	var body []byte
+	if err == nil {
+		body, err = encodePayload(resp)
+	}
+	if err == nil {
+		return writeFrame(w, stOK, body)
+	}
+	if fe, ok := err.(*fetchError); ok {
+		return writeMsg(w, stFetchErr, fetchErrPayload{Addr: fe.addr, Msg: fe.msg})
+	}
+	return writeMsg(w, stErr, err.Error())
 }
 
 // readMsg reads one framed message, returning its kind and payload bytes.

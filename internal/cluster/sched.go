@@ -28,7 +28,8 @@ type Scheduler struct {
 	retries    int
 	rpcTimeout time.Duration
 	hbEvery    time.Duration
-	hbStop     chan struct{}
+	hbStop     chan struct{} // closed by Close; never reassigned
+	closeOnce  sync.Once
 	qseq       atomic.Int64
 
 	mu      sync.Mutex
@@ -216,6 +217,7 @@ func newScheduler(addrs []string, opts []Option) *Scheduler {
 		retries:    2,
 		rpcTimeout: 120 * time.Second,
 		hbEvery:    2 * time.Second,
+		hbStop:     make(chan struct{}),
 	}
 	for _, addr := range addrs {
 		s.workers = append(s.workers, &workerRef{addr: addr})
@@ -227,19 +229,15 @@ func newScheduler(addrs []string, opts []Option) *Scheduler {
 		s.local = modin.New()
 	}
 	if len(s.workers) > 0 && s.hbEvery > 0 {
-		s.hbStop = make(chan struct{})
-		go s.heartbeat()
+		go s.heartbeat(s.hbStop)
 	}
 	return s
 }
 
 // Close stops the heartbeat and drops worker connections (the workers
-// themselves keep running).
+// themselves keep running). It is idempotent.
 func (s *Scheduler) Close() error {
-	if s.hbStop != nil {
-		close(s.hbStop)
-		s.hbStop = nil
-	}
+	s.closeOnce.Do(func() { close(s.hbStop) })
 	for _, w := range s.workers {
 		w.close()
 	}
@@ -249,11 +247,10 @@ func (s *Scheduler) Close() error {
 // heartbeat probes each live worker on a fresh short-lived connection —
 // independent of the serial RPC conn, so a long merge doesn't read as
 // death — and declares a worker dead after two consecutive failures.
-func (s *Scheduler) heartbeat() {
+func (s *Scheduler) heartbeat(stop <-chan struct{}) {
 	misses := make(map[string]int)
 	t := time.NewTicker(s.hbEvery)
 	defer t.Stop()
-	stop := s.hbStop
 	for {
 		select {
 		case <-stop:
@@ -396,10 +393,9 @@ func (s *Scheduler) tryDistribute(info *planInfo, workers []*workerRef) (*core.D
 	r.blocks = make([]*core.DataFrame, len(bands))
 	r.merged = make([]*core.DataFrame, r.buckets)
 	r.sizes = make([][]int64, len(bands))
-	if info.group != nil {
+	if info.spec.Group != nil {
 		r.stats = make([]*modin.GroupBandStat, len(bands))
-		r.samples = nil
-	} else if info.sortN != nil {
+	} else if info.spec.Sort != nil {
 		r.samples = make([][][]types.Value, len(bands))
 	}
 	df, err := r.drive()
@@ -545,7 +541,7 @@ func (r *run) runPhases() (*core.DataFrame, error) {
 		return nil, err
 	}
 	r.hook("bands")
-	if r.info.group == nil && r.info.sortN == nil {
+	if r.info.spec.Group == nil && r.info.spec.Sort == nil {
 		return r.assembleBlocks()
 	}
 	r.fold()
@@ -557,12 +553,12 @@ func (r *run) runPhases() (*core.DataFrame, error) {
 		return nil, err
 	}
 	r.hook("merged")
-	if r.info.group != nil {
+	if r.info.spec.Group != nil {
 		// Repair global first-appearance order across the hash buckets (the
 		// same k-way rank merge the local restore exchange runs), then apply
 		// the post-shuffle chain the workers deferred — it may drop rows, so
 		// it must run after rows and ranks stop needing to align.
-		out, err := modin.RestoreGroupOrder(r.merged, r.routing.Ranks, r.info.group.AsLabels)
+		out, err := modin.RestoreGroupOrder(r.merged, r.routing.Ranks, r.info.spec.Group.AsLabels)
 		if err != nil {
 			return nil, err
 		}
@@ -685,19 +681,14 @@ func (r *run) runBands() error {
 func (r *run) recordBand(res BandResult) error {
 	b := &r.bands[res.Band]
 	switch {
-	case r.info.group != nil:
+	case r.info.spec.Group != nil:
 		if res.Group == nil {
 			return fmt.Errorf("cluster: band %d returned no group stat", res.Band)
-		}
-		stat := &modin.GroupBandStat{
-			Hashes:    res.Group.Hashes,
-			Exemplars: wireToTuples(res.Group.Exemplars),
-			Counts:    res.Group.Counts,
 		}
 		// After a re-submission the fold is already done; the lineage
 		// re-run reproduces the same summary, so keep the original.
 		if r.stats[res.Band] == nil {
-			r.stats[res.Band] = stat
+			r.stats[res.Band] = res.Group
 		}
 		// The band routed itself on its worker (hash % Buckets) and reported
 		// the per-bucket piece sizes; there is no partition phase to wait
@@ -709,9 +700,9 @@ func (r *run) recordBand(res BandResult) error {
 		}
 		r.sizes[res.Band] = res.Sizes
 		r.partitioned[res.Band] = true
-	case r.info.sortN != nil:
+	case r.info.spec.Sort != nil:
 		if r.samples[res.Band] == nil {
-			r.samples[res.Band] = wireToTuples(res.Sort)
+			r.samples[res.Band] = res.Sort
 		}
 	default:
 		df, rest, err := DecodeFrame(res.Block)
@@ -735,14 +726,14 @@ func (r *run) fold() {
 	if r.foldDone {
 		return
 	}
-	if r.info.group != nil {
+	if r.info.spec.Group != nil {
 		r.routing = modin.PlanGroupRouting(r.stats, r.buckets, true)
 	} else {
 		var all [][]types.Value
 		for _, s := range r.samples {
 			all = append(all, s...)
 		}
-		r.bounds = modin.PlanSortBounds(all, r.buckets, r.info.sortN)
+		r.bounds = modin.PlanSortBounds(all, r.buckets, r.info.spec.Sort)
 	}
 	r.foldDone = true
 }
@@ -751,7 +742,7 @@ func (r *run) fold() {
 // bands partitioned themselves at band time (recordBand observed their
 // sizes), so the phase is a no-op for keyed shuffles.
 func (r *run) partition() error {
-	if r.info.group != nil {
+	if r.info.spec.Group != nil {
 		return nil
 	}
 	var todo []int
@@ -763,12 +754,8 @@ func (r *run) partition() error {
 	if len(todo) == 0 {
 		return nil
 	}
-	boundsWire, err := tuplesToWire(r.bounds)
-	if err != nil {
-		return err
-	}
 	return r.eachOwner(todo, func(w *workerRef, bands []int) error {
-		req := &PartitionReq{QID: r.qid, Bands: bands, Buckets: r.buckets, Bounds: boundsWire}
+		req := &PartitionReq{QID: r.qid, Bands: bands, Buckets: r.buckets, Bounds: r.bounds}
 		var resp PartitionResp
 		if err := w.call(r.s.rpcTimeout, mPartition, req, &resp); err != nil {
 			return r.classify(w, err)
@@ -901,7 +888,7 @@ func (r *run) recover(dead *workerRef) error {
 	if r.attempts > r.s.retries {
 		return fmt.Errorf("cluster: retry budget (%d) exhausted", r.s.retries)
 	}
-	shuffle := r.info.group != nil || r.info.sortN != nil
+	shuffle := r.info.spec.Group != nil || r.info.spec.Sort != nil
 	for i := range r.bands {
 		b := &r.bands[i]
 		if b.owner != dead && !b.owner.dead.Load() {

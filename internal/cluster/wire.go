@@ -8,12 +8,17 @@
 // lost band's lineage when a worker dies. The in-process MODIN engine
 // remains the degenerate backend (Local) and the fallback for plans whose
 // operators cannot cross a process boundary (opaque Go closures).
+//
+// The package owns two wire forms and nothing else: the block format below
+// for dataframes, and gob control messages (proto.go) whose plan is the expr
+// spec the local compiler consumes — *expr.Where, expr.GroupBySpec, the
+// Sort node's order — with scalars in the one binary form internal/types
+// defines (types.Value is a gob BinaryMarshaler).
 package cluster
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/schema"
@@ -27,13 +32,11 @@ import (
 //	u32 ncols
 //	u8  declared domains ×ncols   (types.Domain as stored; Unspecified ok)
 //	row-label vector              (vector wire form)
-//	column labels ×ncols          (scalar value form, below)
+//	column labels ×ncols          (types.Value binary form)
 //	column vectors ×ncols         (vector wire form)
 //
-// Scalar values (column labels here; plan operands, key exemplars and sort
-// bounds in the gob control messages) have no raw buffer of their own:
-// they travel as (domain, null, payload) triples. Composite values cannot
-// cross the wire — plans producing them stay on the in-process backend.
+// Composite values have no binary form, so they cannot cross the wire —
+// plans producing them stay on the in-process backend.
 
 // EncodeFrame serializes df onto buf and returns the extended buffer.
 func EncodeFrame(buf []byte, df *core.DataFrame) ([]byte, error) {
@@ -48,7 +51,7 @@ func EncodeFrame(buf []byte, df *core.DataFrame) ([]byte, error) {
 		return nil, fmt.Errorf("cluster: encode row labels: %w", err)
 	}
 	for j := 0; j < n; j++ {
-		buf, err = appendValue(buf, df.ColLabels()[j])
+		buf, err = df.ColLabels()[j].AppendBinary(buf)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: encode column label %d: %w", j, err)
 		}
@@ -85,7 +88,7 @@ func DecodeFrame(buf []byte) (*core.DataFrame, []byte, error) {
 	}
 	colLab := make([]types.Value, n)
 	for j := 0; j < n; j++ {
-		colLab[j], buf, err = decodeValue(buf)
+		colLab[j], buf, err = types.DecodeValue(buf)
 		if err != nil {
 			return nil, nil, fmt.Errorf("cluster: decode column label %d: %w", j, err)
 		}
@@ -102,171 +105,6 @@ func DecodeFrame(buf []byte) (*core.DataFrame, []byte, error) {
 		return nil, nil, fmt.Errorf("cluster: rebuild frame: %w", err)
 	}
 	return df, buf, nil
-}
-
-// appendValue serializes one scalar: domain byte, null byte, payload.
-func appendValue(buf []byte, v types.Value) ([]byte, error) {
-	d := v.Domain()
-	buf = append(buf, byte(d), boolByte(v.IsNull()))
-	if v.IsNull() {
-		return buf, nil
-	}
-	switch d {
-	case types.Object, types.Category:
-		s := v.Str()
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-		return append(buf, s...), nil
-	case types.Int, types.Datetime:
-		return binary.LittleEndian.AppendUint64(buf, uint64(v.Int())), nil
-	case types.Float:
-		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Float())), nil
-	case types.Bool:
-		return append(buf, boolByte(v.Bool())), nil
-	default:
-		return nil, fmt.Errorf("cluster: no wire form for %v value", d)
-	}
-}
-
-// decodeValue is appendValue's inverse.
-func decodeValue(buf []byte) (types.Value, []byte, error) {
-	if len(buf) < 2 {
-		return types.Value{}, nil, fmt.Errorf("cluster: value truncated")
-	}
-	d, isNull := types.Domain(buf[0]), buf[1] == 1
-	buf = buf[2:]
-	if isNull {
-		return types.NullValue(d), buf, nil
-	}
-	switch d {
-	case types.Object, types.Category:
-		if len(buf) < 4 {
-			return types.Value{}, nil, fmt.Errorf("cluster: value truncated (string length)")
-		}
-		l := int(binary.LittleEndian.Uint32(buf))
-		buf = buf[4:]
-		if len(buf) < l {
-			return types.Value{}, nil, fmt.Errorf("cluster: value truncated (string)")
-		}
-		s := string(buf[:l])
-		if d == types.Category {
-			return types.CategoryValue(s), buf[l:], nil
-		}
-		return types.String(s), buf[l:], nil
-	case types.Int, types.Datetime:
-		if len(buf) < 8 {
-			return types.Value{}, nil, fmt.Errorf("cluster: value truncated (int)")
-		}
-		x := int64(binary.LittleEndian.Uint64(buf))
-		if d == types.Datetime {
-			return types.DatetimeFromNanos(x), buf[8:], nil
-		}
-		return types.IntValue(x), buf[8:], nil
-	case types.Float:
-		if len(buf) < 8 {
-			return types.Value{}, nil, fmt.Errorf("cluster: value truncated (float)")
-		}
-		return types.FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(buf))), buf[8:], nil
-	case types.Bool:
-		if len(buf) < 1 {
-			return types.Value{}, nil, fmt.Errorf("cluster: value truncated (bool)")
-		}
-		return types.BoolValue(buf[0] == 1), buf[1:], nil
-	default:
-		return types.Value{}, nil, fmt.Errorf("cluster: unknown value domain %d", d)
-	}
-}
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// ValueWire is the gob-safe form of a scalar value for control messages
-// (plan operands, group-key exemplars, sort samples and bounds):
-// types.Value keeps its fields unexported, so the control plane converts
-// through this mirror instead of gob-encoding values directly.
-type ValueWire struct {
-	Dom  int
-	Null bool
-	I    int64
-	F    float64
-	B    bool
-	S    string
-}
-
-// valueToWire converts a scalar to its gob-safe mirror; Composite values
-// have no wire form.
-func valueToWire(v types.Value) (ValueWire, error) {
-	d := v.Domain()
-	w := ValueWire{Dom: int(d), Null: v.IsNull()}
-	if w.Null {
-		return w, nil
-	}
-	switch d {
-	case types.Object, types.Category:
-		w.S = v.Str()
-	case types.Int, types.Datetime:
-		w.I = v.Int()
-	case types.Float:
-		w.F = v.Float()
-	case types.Bool:
-		w.B = v.Bool()
-	default:
-		return w, fmt.Errorf("cluster: no wire form for %v value", d)
-	}
-	return w, nil
-}
-
-// wireToValue is valueToWire's inverse.
-func wireToValue(w ValueWire) types.Value {
-	d := types.Domain(w.Dom)
-	if w.Null {
-		return types.NullValue(d)
-	}
-	switch d {
-	case types.Category:
-		return types.CategoryValue(w.S)
-	case types.Int:
-		return types.IntValue(w.I)
-	case types.Datetime:
-		return types.DatetimeFromNanos(w.I)
-	case types.Float:
-		return types.FloatValue(w.F)
-	case types.Bool:
-		return types.BoolValue(w.B)
-	default:
-		return types.String(w.S)
-	}
-}
-
-// tuplesToWire converts a slice of key tuples (exemplars, samples, bounds).
-func tuplesToWire(tuples [][]types.Value) ([][]ValueWire, error) {
-	out := make([][]ValueWire, len(tuples))
-	for i, t := range tuples {
-		out[i] = make([]ValueWire, len(t))
-		for k, v := range t {
-			w, err := valueToWire(v)
-			if err != nil {
-				return nil, err
-			}
-			out[i][k] = w
-		}
-	}
-	return out, nil
-}
-
-// wireToTuples is tuplesToWire's inverse.
-func wireToTuples(ws [][]ValueWire) [][]types.Value {
-	out := make([][]types.Value, len(ws))
-	for i, t := range ws {
-		out[i] = make([]types.Value, len(t))
-		for k, w := range t {
-			out[i][k] = wireToValue(w)
-		}
-	}
-	return out
 }
 
 // frameBytes estimates a frame's wire footprint without encoding it —

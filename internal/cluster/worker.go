@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/modin"
+	"repro/internal/partition"
 	"repro/internal/schema"
 	"repro/internal/vector"
 )
@@ -124,35 +125,14 @@ func (w *Worker) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if err := w.dispatch(conn, kind, payload); err != nil {
+		resp, err := w.handle(kind, payload)
+		if err := respond(conn, resp, err); err != nil {
 			return
 		}
 	}
 }
 
-// dispatch decodes, executes and responds to one request. Application
-// failures are reported in-band; only transport failures return an error
-// (dropping the connection).
-func (w *Worker) dispatch(conn net.Conn, kind byte, payload []byte) error {
-	resp, err := w.handle(kind, payload)
-	if err == nil {
-		return writeMsg(conn, stOK, resp)
-	}
-	var fe *fetchError
-	if asFetchError(err, &fe) {
-		return writeMsg(conn, stFetchErr, fetchErrPayload{Addr: fe.addr, Msg: fe.msg})
-	}
-	return writeMsg(conn, stErr, err.Error())
-}
-
-func asFetchError(err error, out **fetchError) bool {
-	fe, ok := err.(*fetchError)
-	if ok {
-		*out = fe
-	}
-	return ok
-}
-
+// handle decodes and executes one request.
 func (w *Worker) handle(kind byte, payload []byte) (any, error) {
 	switch kind {
 	case mPing:
@@ -281,17 +261,13 @@ func (w *Worker) runBand(q *workerQuery, plan *PlanSpec, task *BandTask) (*BandR
 		if err != nil {
 			return nil, err
 		}
-		stat := modin.GroupStatOf(sum)
-		ex, err := tuplesToWire(stat.Exemplars)
-		if err != nil {
-			return nil, err
-		}
-		res.Group = &GroupStatWire{Hashes: stat.Hashes, Exemplars: ex, Counts: stat.Counts}
+		res.Group = modin.GroupStatOf(sum)
 		// Incremental routing: bucket = key hash % buckets is identical in
 		// every band, so this band partitions from its own summary right here
 		// — no round trip for a routing table, and the band frame (plus its
 		// O(rows) ordinal table) dies at band scope instead of waiting for a
-		// global plan. splitRows takes owned copies, releasing df's storage.
+		// global plan. Compacting the split's views into owned copies is what
+		// releases df's storage.
 		if plan.Buckets <= 0 {
 			return nil, fmt.Errorf("cluster: group plan shipped without a bucket count")
 		}
@@ -299,23 +275,22 @@ func (w *Worker) runBand(q *workerQuery, plan *PlanSpec, task *BandTask) (*BandR
 		for r, d := range sum.Ordinals {
 			assign[r] = int(sum.Hashes[d] % uint64(plan.Buckets))
 		}
-		views, err := splitRows(df, assign, plan.Buckets)
+		views, err := partition.SplitRows(df, assign, plan.Buckets)
 		if err != nil {
 			return nil, err
 		}
 		res.Sizes = make([]int64, plan.Buckets)
+		for b, view := range views {
+			views[b] = view.Compact()
+			res.Sizes[b] = frameBytes(views[b])
+		}
 		q.mu.Lock()
 		for b, piece := range views {
 			q.pieces[[2]int{task.Band, b}] = piece
-			res.Sizes[b] = frameBytes(piece)
 		}
 		q.mu.Unlock()
 	case plan.Sort != nil:
-		samples, err := modin.SampleSortKeys(df, plan.Sort.sortNode())
-		if err != nil {
-			return nil, err
-		}
-		res.Sort, err = tuplesToWire(samples)
+		res.Sort, err = modin.SampleSortKeys(df, plan.Sort)
 		if err != nil {
 			return nil, err
 		}
@@ -428,7 +403,7 @@ func (w *Worker) partition(req *PartitionReq) (any, error) {
 		if plan.Sort == nil {
 			return fmt.Errorf("cluster: plan has no range shuffle to partition")
 		}
-		views, err := modin.PartitionSortedBand(df, plan.Sort.sortNode(), wireToTuples(req.Bounds), req.Buckets)
+		views, err := modin.PartitionSortedBand(df, plan.Sort, req.Bounds, req.Buckets)
 		if err != nil {
 			return err
 		}
@@ -498,9 +473,9 @@ func (w *Worker) merge(req *MergeReq) (any, error) {
 		if req.Heavy {
 			routing.Heavy = []bool{true}
 		}
-		out, err = modin.MergeGroupBucket(w.pool, frames, plan.Group.groupSpec(), routing, 0)
+		out, err = modin.MergeGroupBucket(w.pool, frames, *plan.Group, routing, 0)
 	case plan.Sort != nil:
-		out, err = modin.MergeSortBucket(frames, plan.Sort.sortNode())
+		out, err = modin.MergeSortBucket(frames, plan.Sort)
 	default:
 		return nil, fmt.Errorf("cluster: plan has no shuffle to merge")
 	}
@@ -600,22 +575,4 @@ func (w *Worker) dropPeer(addr string, link *peerLink) {
 		delete(w.peers, addr)
 	}
 	w.mu.Unlock()
-}
-
-// splitRows mirrors partition.SplitRows without importing the partition
-// package (avoiding a cluster→partition coupling for one helper): it
-// splits df's rows into buckets by assignment, preserving order.
-func splitRows(df *core.DataFrame, assign []int, buckets int) ([]*core.DataFrame, error) {
-	idx := make([][]int, buckets)
-	for i, b := range assign {
-		if b < 0 || b >= buckets {
-			return nil, fmt.Errorf("cluster: row %d assigned to bucket %d of %d", i, b, buckets)
-		}
-		idx[b] = append(idx[b], i)
-	}
-	out := make([]*core.DataFrame, buckets)
-	for b := range out {
-		out[b] = df.TakeRows(idx[b])
-	}
-	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -31,47 +32,16 @@ func DefaultCSVOptions() CSVOptions { return CSVOptions{Comma: ',', Header: true
 // reality of csv files — every column starts as raw Σ* with an unspecified
 // domain unless InduceNow is set.
 func ReadCSV(r io.Reader, opts CSVOptions) (*DataFrame, error) {
-	cr := csv.NewReader(r)
-	if opts.Comma != 0 {
-		cr.Comma = opts.Comma
-	}
-	cr.FieldsPerRecord = -1
-	records, err := cr.ReadAll()
+	// The whole file is one band of the streaming cursor, so both ingest
+	// paths share one records→columns transposition.
+	cur, err := NewCSVCursor(r, opts)
 	if err != nil {
-		return nil, fmt.Errorf("core: read csv: %w", err)
+		return nil, err
 	}
-	if len(records) == 0 {
-		return Empty(), nil
-	}
-	var names []string
-	if opts.Header {
-		names = records[0]
-		records = records[1:]
-	} else {
-		names = make([]string, len(records[0]))
-		for j := range names {
-			names[j] = fmt.Sprintf("%d", j)
-		}
-	}
-	n := len(names)
-	colData := make([][]string, n)
-	for j := range colData {
-		colData[j] = make([]string, len(records))
-	}
-	for i, rec := range records {
-		if len(rec) != n {
-			return nil, fmt.Errorf("core: csv row %d has %d fields, want %d", i, len(rec), n)
-		}
-		for j, cell := range rec {
-			colData[j][i] = cell
-		}
-	}
-	cols := make([]vector.Vector, n)
-	for j := range cols {
-		cols[j] = vector.NewObjectFromStrings(colData[j])
-	}
-	df, err := New(names, cols)
-	if err != nil {
+	df, err := cur.NextBand(math.MaxInt)
+	if err == io.EOF {
+		df = cur.Empty() // no data rows: header-only or empty input
+	} else if err != nil {
 		return nil, err
 	}
 	if opts.InduceNow {
