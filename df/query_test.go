@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -138,6 +139,47 @@ GROUPBY strategy=hash-shuffle (groups≈1)
 	}
 	if got != want {
 		t.Errorf("explain drifted:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestExplainGoldenPrunedScan locks in column pruning from a groupby down
+// to a streamed scan: the groupby demands its key and aggregate columns,
+// the filter adds the one it reads, and the physical strategy says how many
+// columns the scan's cursor materializes.
+func TestExplainGoldenPrunedScan(t *testing.T) {
+	q := ScanCSVString("a,w,k,x,v\n1,0,p,0,1.5\n,0,q,0,2.5\n3,0,p,0,4\n").
+		Where(NotNull("a")).
+		GroupBy("k").Sum("v")
+	got := q.Explain()
+	want := `before:
+GROUPBY(keys=[k], aggs=[sum(v)])
+  SELECTION(a not null)
+    SCAN(csv, 5 cols)
+after:
+GROUPBY(keys=[k], aggs=[sum(v)])
+  PROJECTION(k, v)
+    SELECTION(a not null)
+      PROJECTION(a, k, v)
+        SCAN(csv, 5 cols)
+rules fired: prune-groupby-input, push-projection-through-selection
+physical strategy:
+SCAN strategy=stream (band rows=32768, ≈43 bytes, keep 3/5 cols)
+GROUPBY strategy=hash-shuffle (groups≈1)
+`
+	out, err := q.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.EngineName() == "cluster" {
+		// The env-switched cluster harness ships this shape to its workers.
+		want += fmt.Sprintf("cluster: distribute (%s workers)\n", os.Getenv("DF_CLUSTER_WORKERS"))
+	}
+	if got != want {
+		t.Errorf("explain drifted:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	rows, cols := out.Shape()
+	if sum, _ := out.Iloc(0, 1); rows != 1 || cols != 2 || sum.Float() != 5.5 {
+		t.Errorf("pruned scan result:\n%s", out)
 	}
 }
 

@@ -10,9 +10,12 @@
 // ScanCSV*), of which the eager methods are one-step sugar. A terminal verb
 // (Collect/CollectAsync/Explain/Count/First) runs the accumulated plan
 // through the optimizer's rewrite rules (internal/optimizer: MAP fusion,
-// projection pushdown below Map/Selection/Sort/Rename, transpose and
-// induction placement, sorted-groupby, limit-sort→TOPK) exactly once, then
-// hands the optimized plan to an engine:
+// projection pushdown below Map/Selection/Sort/Rename, column pruning of
+// GROUPBY inputs — the projection it creates sinks through structured
+// filters to the leaf, where a streamed scan's cursor materializes only
+// the kept columns — transpose and induction placement, sorted-groupby,
+// limit-sort→TOPK) exactly once, then hands the optimized plan to an
+// engine:
 //
 //	df.Query ──optimizer.Optimize──▶ algebra.Node ──compile──▶ physical DAG ──schedule──▶ exec.Pool
 //	                                       ▲

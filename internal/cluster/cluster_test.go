@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/modin"
+	"repro/internal/optimizer"
 	"repro/internal/types"
 	"repro/internal/vector"
 )
@@ -514,5 +518,134 @@ func TestLocalSchedulerDegenerates(t *testing.T) {
 	}
 	if s.ClusterStats().Fallback != 1 || s.ClusterStats().Distributed != 0 {
 		t.Fatalf("Local() should always fall back, stats %+v", s.ClusterStats())
+	}
+}
+
+// countingProxy forwards TCP connections to target and adds every byte it
+// forwards, in either direction, to total. A scheduler connected through one
+// proxy per worker sees all of a query's traffic counted: control messages,
+// and peer fetches too, since workers dial the addresses the coordinator
+// knows their peers by.
+func countingProxy(t *testing.T, target string, total *atomic.Int64) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	forward := func(dst, src net.Conn) {
+		io.Copy(writerFunc(func(p []byte) (int, error) {
+			total.Add(int64(len(p)))
+			return dst.Write(p)
+		}), src)
+		dst.Close()
+	}
+	go func() {
+		for {
+			down, err := ln.Accept()
+			if err != nil {
+				return // listener closed with the test
+			}
+			up, err := net.Dial("tcp", target)
+			if err != nil {
+				down.Close()
+				continue
+			}
+			go forward(up, down)
+			go forward(down, up)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// TestPrunedGroupByStillDistributes guards the two statement shapes the
+// benchmark ships (scan → [filter] → groupby over a wide file) against the
+// optimizer's column pruning: the optimized plans stay inside the shippable
+// family as [project, select, project] and [project] pre-shuffle chains,
+// nothing falls back, results match the local engine, and the pruned plan
+// moves fewer bytes between coordinator and workers than the same statement
+// unoptimized — a byte count through the proxies, not a timing.
+func TestPrunedGroupByStillDistributes(t *testing.T) {
+	var text strings.Builder
+	text.WriteString("k,f1,f2,a,f3,f4,v,f5,f6\n")
+	for i := 0; i < 1500; i++ {
+		a := fmt.Sprint(i % 5)
+		if i%9 == 0 {
+			a = ""
+		}
+		fmt.Fprintf(&text, "key-%d,filler-%d,%d,%s,2021-03-04 05:06:07,%d.5,%d,x,y\n", i%11, i, i*7, a, i, i%101)
+	}
+	path := filepath.Join(t.TempDir(), "wide.csv")
+	if err := os.WriteFile(path, []byte(text.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	scan := csvScan(t, text.String(), 128)
+	scan.Path, scan.Data = path, nil
+	scan.Open = func() (io.ReadCloser, error) { return os.Open(path) }
+
+	var wire atomic.Int64
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		w, err := NewWorker("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		addrs = append(addrs, countingProxy(t, w.Addr(), &wire))
+	}
+	s, err := Connect(addrs, WithHeartbeat(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+
+	spec := expr.GroupBySpec{Keys: []string{"k"}, Aggs: []expr.AggSpec{{Col: "v", Agg: expr.AggSum}}}
+	notNull := expr.WhereNotNull("a")
+	cases := []struct {
+		name string
+		plan algebra.Node
+		pre  string // the optimized plan's pre-shuffle chain
+	}{
+		{"filter", &algebra.GroupBy{Input: &algebra.Selection{Input: scan, Where: notNull, Pred: notNull.Predicate()}, Spec: spec}, "cols,where,cols"},
+		{"passthrough", &algebra.GroupBy{Input: scan, Spec: spec}, "cols"},
+	}
+	for _, tc := range cases {
+		pruned, fired := optimizer.Optimize(tc.plan, optimizer.Default())
+		info, reason := extractPlan(pruned)
+		if reason != "" {
+			t.Fatalf("%s: optimized plan does not ship (%s), rules %v:\n%s", tc.name, reason, fired, algebra.Render(pruned))
+		}
+		var ops []string
+		for _, op := range info.spec.Pre {
+			switch {
+			case op.Where != nil:
+				ops = append(ops, "where")
+			case len(op.Rename) > 0:
+				ops = append(ops, "rename")
+			default:
+				ops = append(ops, "cols")
+			}
+		}
+		if got := strings.Join(ops, ","); got != tc.pre || info.spec.Group == nil || len(info.spec.Post) != 0 {
+			t.Errorf("%s: shipped chain [%s] group=%v post=%d, want [%s] into a groupby:\n%s", tc.name, got, info.spec.Group != nil, len(info.spec.Post), tc.pre, algebra.Render(pruned))
+		}
+
+		wire.Store(0)
+		checkSame(t, s, tc.plan)
+		wide := wire.Load()
+		wire.Store(0)
+		checkSame(t, s, pruned)
+		narrow := wire.Load()
+		if narrow <= 0 || narrow >= wide {
+			t.Errorf("%s: pruned plan moved %d bytes, unpruned %d; want fewer", tc.name, narrow, wide)
+		}
+		t.Logf("%s: %d wire bytes unpruned, %d pruned", tc.name, wide, narrow)
+	}
+	if st := s.ClusterStats(); st.Fallback != 0 || len(st.FallbackReasons) != 0 || st.LocalReruns != 0 {
+		t.Errorf("a benchmark statement shape fell back: %+v", st)
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 
+	"repro/internal/dferrors"
 	"repro/internal/vector"
 )
 
@@ -20,8 +22,11 @@ import (
 type CSVCursor struct {
 	rc     io.Closer // closes the underlying source; may be nil
 	r      *csv.Reader
-	names  []string
-	row    int // data rows read so far (for error positions)
+	names  []string // the file's columns
+	keep   []string // the labels Keep asked for; empty = every column
+	out    []string // band column labels: keep, or names
+	idx    []int    // out[k] is file column idx[k]; built once names is known
+	row    int      // data rows read so far (for error positions)
 	eof    bool
 	closed bool
 }
@@ -54,26 +59,64 @@ func NewCSVCursor(r io.Reader, opts CSVOptions) (*CSVCursor, error) {
 	return c, nil
 }
 
-// Columns returns the column names, nil until known (headerless input
-// before the first record, or an empty file).
+// Columns returns the file's column names, nil until known (headerless
+// input before the first record, or an empty file). Keep does not change
+// them.
 func (c *CSVCursor) Columns() []string { return c.names }
+
+// Keep restricts every later band (and Empty) to the named columns, in the
+// order given: each band equals the projection of the full band onto cols,
+// a duplicated file label resolving to its first occurrence. Records are
+// still read and width-checked whole, so malformed input fails with the same
+// row and message whatever is kept, and BytesRead is unaffected; only the
+// transposition into columns and their null masks skip the dropped cells. A
+// label the file does not have fails the next read. An empty list keeps
+// every column. Call Keep before the first NextBand; cols must not change
+// afterwards.
+func (c *CSVCursor) Keep(cols []string) {
+	c.keep, c.idx = cols, nil
+}
+
+// resolve maps the band columns onto file columns once the file's names are
+// known: the identity when nothing was kept.
+func (c *CSVCursor) resolve() error {
+	if c.idx != nil || c.names == nil {
+		return nil
+	}
+	if len(c.keep) == 0 {
+		c.out, c.idx = c.names, make([]int, len(c.names))
+		for j := range c.idx {
+			c.idx[j] = j
+		}
+		return nil
+	}
+	idx := make([]int, len(c.keep))
+	for k, name := range c.keep {
+		if idx[k] = slices.Index(c.names, name); idx[k] < 0 {
+			return fmt.Errorf("core: csv keep of %w %q", dferrors.ErrUnknownColumn, name)
+		}
+	}
+	c.out, c.idx = c.keep, idx
+	return nil
+}
 
 // BytesRead returns the input offset consumed so far; scan scheduling uses
 // the first band's byte footprint to estimate the band count of the rest of
 // the file.
 func (c *CSVCursor) BytesRead() int64 { return c.r.InputOffset() }
 
-// Empty returns a zero-row band with the cursor's columns — the shape every
-// band of this scan shares. Before the header is known it is the 0×0 frame.
+// Empty returns a zero-row band with the cursor's band columns — the shape
+// every band of this scan shares. Before the header is known, or when a kept
+// label is not in it, it is the 0×0 frame.
 func (c *CSVCursor) Empty() *DataFrame {
-	if len(c.names) == 0 {
+	if len(c.names) == 0 || c.resolve() != nil {
 		return Empty()
 	}
-	cols := make([]vector.Vector, len(c.names))
-	for j := range cols {
-		cols[j] = vector.NewObjectFromStrings(nil)
+	cols := make([]vector.Vector, len(c.out))
+	for k := range cols {
+		cols[k] = vector.NewObjectFromStrings(nil)
 	}
-	return MustNew(c.names, cols)
+	return MustNew(c.out, cols)
 }
 
 // NextBand reads up to maxRows records and returns them as a band. It
@@ -113,21 +156,23 @@ func (c *CSVCursor) NextBand(maxRows int) (*DataFrame, error) {
 	if len(records) == 0 {
 		return nil, io.EOF
 	}
-	n := len(c.names)
-	colData := make([][]string, n)
-	for j := range colData {
-		colData[j] = make([]string, len(records))
+	if err := c.resolve(); err != nil {
+		return nil, err
+	}
+	colData := make([][]string, len(c.idx))
+	for k := range colData {
+		colData[k] = make([]string, len(records))
 	}
 	for i, rec := range records {
-		for j, cell := range rec {
-			colData[j][i] = cell
+		for k, j := range c.idx {
+			colData[k][i] = rec[j]
 		}
 	}
-	cols := make([]vector.Vector, n)
-	for j := range cols {
-		cols[j] = vector.NewObjectFromStrings(colData[j])
+	cols := make([]vector.Vector, len(colData))
+	for k := range cols {
+		cols[k] = vector.NewObjectFromStrings(colData[k])
 	}
-	return New(c.names, cols)
+	return New(c.out, cols)
 }
 
 // Close releases the underlying source. It is idempotent.

@@ -2,6 +2,7 @@ package modin
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/algebra"
 	"repro/internal/core"
@@ -83,6 +84,56 @@ func (c cachedCursor) NextBand(maxRows int) (*core.DataFrame, error) {
 		return df, err
 	}
 	return df.WithCache(schema.NewCache()), nil
+}
+
+// streamScan lowers a scan leaf to a morsel-driven stream stage: bands parse
+// incrementally on the stage's producer, and (via fuse below) the stage
+// absorbs the downstream kernel chain. A non-nil keep is a PROJECTION
+// directly over the scan, answered by the cursor itself: dropped columns
+// are never transposed into vectors. singleUse lets a downstream
+// spill-aware shuffle release each band once routed.
+func (c *compiler) streamScan(scan *algebra.Scan, keep []string, singleUse bool) *physical.Node {
+	return physical.NewStreamSource(&physical.StreamSource{
+		Name: describeScan(scan, keep),
+		Open: func() (physical.StreamCursor, error) {
+			cur, err := scan.Cursor()
+			if err != nil {
+				return nil, err
+			}
+			cur.Keep(keep)
+			return cachedCursor{cur}, nil
+		},
+		BandRows:  scan.BandRows,
+		SizeHint:  scan.SizeHint,
+		SingleUse: singleUse,
+	})
+}
+
+// prunedScan returns the scan a PROJECTION reads when the scan's cursor can
+// answer the projection: the scan has no other consumer, and every projected
+// label is in its probed header (an unknown label keeps failing in the
+// projection kernel, with that kernel's text). Otherwise nil.
+func prunedScan(p *algebra.Projection, uses map[algebra.Node]int) *algebra.Scan {
+	scan, ok := p.Input.(*algebra.Scan)
+	if !ok || uses[scan] != 1 || len(p.Cols) == 0 {
+		return nil
+	}
+	for _, name := range p.Cols {
+		if !slices.Contains(scan.Columns, name) {
+			return nil
+		}
+	}
+	return scan
+}
+
+// describeScan names a stream stage: the scan, and how many of its columns
+// the cursor materializes when a projection sank into it — so a plan or an
+// error says whether a scan ran wide.
+func describeScan(scan *algebra.Scan, keep []string) string {
+	if keep == nil {
+		return scan.Describe()
+	}
+	return fmt.Sprintf("%s keep %d/%d", scan.Describe(), len(keep), len(scan.Columns))
 }
 
 // describeErr wraps a kernel or exchange failure with the logical
@@ -244,24 +295,7 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 		return physical.NewSource(pf), nil
 
 	case *algebra.Scan:
-		// Morsel-driven scan: bands parse incrementally on the stream
-		// stage's producer, and (via fuse above) a single-use scan absorbs
-		// the downstream kernel chain. SingleUse additionally lets a
-		// downstream spill-aware shuffle release each band once routed.
-		scan := node
-		return physical.NewStreamSource(&physical.StreamSource{
-			Name: scan.Describe(),
-			Open: func() (physical.StreamCursor, error) {
-				cur, err := scan.Cursor()
-				if err != nil {
-					return nil, err
-				}
-				return cachedCursor{cur}, nil
-			},
-			BandRows:  scan.BandRows,
-			SizeHint:  scan.SizeHint,
-			SingleUse: c.uses[node] <= 1,
-		}), nil
+		return c.streamScan(node, nil, c.uses[node] <= 1), nil
 
 	case *algebra.Selection:
 		if node.Where != nil {
@@ -285,6 +319,9 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 		})
 
 	case *algebra.Projection:
+		if scan := prunedScan(node, c.uses); scan != nil {
+			return c.streamScan(scan, node.Cols, c.uses[node] <= 1), nil
+		}
 		cols := node.Cols
 		return c.fuse(node, node.Input, physical.Kernel{
 			Name: "projection",

@@ -22,16 +22,24 @@ func (e *Engine) DescribePhysical(n algebra.Node) string {
 	if !e.statsOn {
 		b.WriteString("statistics: off (zero-stats fallbacks: broadcast joins, even shuffle cuts)\n")
 	}
-	e.describeNode(n, &b)
+	uses := make(map[algebra.Node]int)
+	countUses(n, uses)
+	e.describeNode(n, uses, &b)
 	if b.Len() == 0 {
 		b.WriteString("(no repartition points)\n")
 	}
 	return b.String()
 }
 
-func (e *Engine) describeNode(n algebra.Node, b *strings.Builder) {
+func (e *Engine) describeNode(n algebra.Node, uses map[algebra.Node]int, b *strings.Builder) {
+	var keep []string
+	if p, ok := n.(*algebra.Projection); ok {
+		if scan := prunedScan(p, uses); scan != nil {
+			n, keep = scan, p.Cols
+		}
+	}
 	for _, c := range n.Children() {
-		e.describeNode(c, b)
+		e.describeNode(c, uses, b)
 	}
 	switch node := n.(type) {
 	case *algebra.Join:
@@ -64,6 +72,9 @@ func (e *Engine) describeNode(n algebra.Node, b *strings.Builder) {
 		fmt.Fprintf(b, "SCAN strategy=stream (band rows=%d", rows)
 		if node.SizeHint > 0 {
 			fmt.Fprintf(b, ", ≈%s bytes", approx(float64(node.SizeHint)))
+		}
+		if keep != nil {
+			fmt.Fprintf(b, ", keep %d/%d cols", len(keep), len(node.Columns))
 		}
 		b.WriteString(")\n")
 	}

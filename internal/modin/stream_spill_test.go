@@ -3,6 +3,7 @@ package modin
 import (
 	"bytes"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 
@@ -250,5 +251,45 @@ func TestStreamedScanRaggedRowFails(t *testing.T) {
 	}
 	if _, err := New(WithBands(4)).Execute(bad); err == nil {
 		t.Fatal("expected a parse error from the streamed scan")
+	}
+}
+
+// TestProjectionOverScanSinksIntoCursor checks the lowering of PROJECTION
+// directly over a scan: the stream stage names kept/total columns and has no
+// projection kernel, results match the eager engine in any column order, and
+// the two shapes the cursor cannot answer keep the kernel — an unknown
+// label (same operator-named error) and a scan with a second consumer.
+func TestProjectionOverScanSinksIntoCursor(t *testing.T) {
+	src := testFrame(100)
+	e := New(WithBands(4), WithShuffleSpillBudget(1))
+
+	plan := groupByPlan(&algebra.Projection{Input: scanOver(t, src, 16), Cols: []string{"score", "val", "dept"}})
+	stage, err := e.Compile(plan.(*algebra.GroupBy).Input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := stage.Describe(), "STREAM[SCAN(test, 4 cols) keep 3/4]"; got != want {
+		t.Errorf("stream stage = %s, want %s", got, want)
+	}
+	assertEngineAgreesWithEager(t, e, plan)
+	if e.Stats().StreamReleasedBands.Load() == 0 {
+		t.Error("expected the narrowed scan's bands to be released once routed")
+	}
+
+	ghost := &algebra.Projection{Input: scanOver(t, src, 16), Cols: []string{"dept", "ghost"}}
+	_, eagerErr := eager.New().Execute(ghost)
+	_, modinErr := e.Execute(ghost)
+	if eagerErr == nil || modinErr == nil || !strings.Contains(modinErr.Error(), eagerErr.Error()) {
+		t.Errorf("unknown label: modin error %v, want it to carry the eager engine's %v", modinErr, eagerErr)
+	}
+
+	shared := scanOver(t, src, 16)
+	both := &algebra.Union{
+		Left:  &algebra.Projection{Input: shared, Cols: []string{"dept"}},
+		Right: &algebra.Projection{Input: shared, Cols: []string{"score"}},
+	}
+	assertEngineAgreesWithEager(t, e, both)
+	if desc := e.DescribePhysical(both); strings.Contains(desc, "keep") {
+		t.Errorf("a shared scan must stay wide:\n%s", desc)
 	}
 }

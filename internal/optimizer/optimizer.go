@@ -1,8 +1,9 @@
 // Package optimizer implements the logical rewrite rules the paper's
 // research agenda calls for: transpose pull-up and double-transpose
 // elimination (Section 5.2.2), schema-induction deferral and elision
-// (Section 5.1.1), MAP fusion (Section 5.1.3), projection pushdown, and the
-// sorted-column group-by rewrite behind the pivot plans of Figure 8.
+// (Section 5.1.1), MAP fusion (Section 5.1.3), projection pushdown, column
+// pruning of GROUPBY inputs, and the sorted-column group-by rewrite behind
+// the pivot plans of Figure 8.
 package optimizer
 
 import (
@@ -51,7 +52,11 @@ func Default() []Rule {
 		PushProjectionThroughSort{},
 		PushProjectionThroughRename{},
 		CollapseProjections{},
+		// Before the pruning rule: a projection that cannot sink below the
+		// SORT (a sort key the groupby does not read) would otherwise sit
+		// between the two and hide the match.
 		SortedGroupBy{},
+		PruneGroupByInput{},
 		LimitSortToTopK{},
 	}
 }
@@ -362,17 +367,20 @@ func (PushProjectionThroughMap) Apply(n algebra.Node) (algebra.Node, bool) {
 }
 
 // PushProjectionThroughSelection moves PROJECTION below a structured
-// SELECTION whose predicate only reads projected columns:
-// PROJECT(SELECT_w(x)) → SELECT_w(PROJECT(x)). The selection then filters
-// narrow rows instead of full-width ones. Opaque predicates may read any
-// column (including by position), so only Where-bearing selections qualify,
-// and every Where term's column must survive the projection.
+// SELECTION. When the predicate only reads projected columns the projection
+// sinks whole: PROJECT_c(SELECT_w(x)) → SELECT_w(PROJECT_c(x)), and the
+// selection filters narrow rows instead of full-width ones. When it reads a
+// column the projection drops, the projection stays and a wider copy sinks:
+// PROJECT_c(SELECT_w(x)) → PROJECT_c(SELECT_w(PROJECT_{c ∪ cols(w)}(x))),
+// provided that strictly narrows x (see narrowTo — which is also what stops
+// the rule from firing on its own output). Opaque predicates may read any
+// column (including by position), so only Where-bearing selections qualify.
 type PushProjectionThroughSelection struct{}
 
 // Name identifies the rule.
 func (PushProjectionThroughSelection) Name() string { return "push-projection-through-selection" }
 
-// Apply rewrites PROJECT(SELECT_w(x)) → SELECT_w(PROJECT(x)).
+// Apply rewrites PROJECT(SELECT_w(x)) as described on the type.
 func (PushProjectionThroughSelection) Apply(n algebra.Node) (algebra.Node, bool) {
 	p, ok := n.(*algebra.Projection)
 	if !ok {
@@ -382,18 +390,51 @@ func (PushProjectionThroughSelection) Apply(n algebra.Node) (algebra.Node, bool)
 	if !ok || sel.Where == nil {
 		return n, false
 	}
-	kept := make(map[string]bool, len(p.Cols))
+	need := make(map[string]bool, len(p.Cols)+len(sel.Where.Terms))
 	for _, c := range p.Cols {
-		kept[c] = true
+		need[c] = true
 	}
+	kept := len(need)
 	for _, term := range sel.Where.Terms {
-		if !kept[term.Col] {
-			return n, false
-		}
+		need[term.Col] = true
 	}
 	c := *sel
-	c.Input = &algebra.Projection{Input: sel.Input, Cols: p.Cols}
-	return &c, true
+	if len(need) == kept {
+		c.Input = &algebra.Projection{Input: sel.Input, Cols: p.Cols}
+		return &c, true
+	}
+	cols, ok := narrowTo(sel.Input, need)
+	if !ok {
+		return n, false
+	}
+	c.Input = &algebra.Projection{Input: sel.Input, Cols: cols}
+	return &algebra.Projection{Input: &c, Cols: p.Cols}, true
+}
+
+// narrowTo lists need in x's column order, for rules that insert a
+// PROJECTION the user did not write. It declines unless the projection is
+// provably invisible and useful: x's output labels are statically known and
+// unique (a by-name projection resolves a duplicated label to its first
+// occurrence only), every needed label is among them (a missing column must
+// keep failing in the operator that reads it, with that operator's text),
+// and need is non-empty and leaves at least one column out.
+func narrowTo(x algebra.Node, need map[string]bool) ([]string, bool) {
+	have := algebra.OutputColumns(x)
+	if len(need) == 0 || len(need) >= len(have) {
+		return nil, false
+	}
+	seen := make(map[string]bool, len(have))
+	cols := make([]string, 0, len(need))
+	for _, name := range have {
+		if seen[name] {
+			return nil, false
+		}
+		seen[name] = true
+		if need[name] {
+			cols = append(cols, name)
+		}
+	}
+	return cols, len(cols) == len(need)
 }
 
 // PushProjectionThroughSort moves PROJECTION below a SORT whose keys all
@@ -557,6 +598,49 @@ func (SortedGroupBy) Apply(n algebra.Node) (algebra.Node, bool) {
 	}
 	c := *g
 	c.Spec.Sorted = true
+	return &c, true
+}
+
+// PruneGroupByInput projects a GROUPBY's input onto the columns the spec
+// reads: GROUPBY_spec(x) → GROUPBY_spec(PROJECT_need(x)), need = the keys and
+// the aggregated columns, in x's column order. It is the one rule that
+// creates a projection rather than moving one; the pushdown rules then carry
+// it towards the leaf, so a shuffle partitions, spills and ships the two
+// columns a groupby reads instead of every column of a wide scan. The rule
+// declines when narrowTo does (unknown or duplicated labels, a missing key
+// or aggregate column, nothing to drop — which covers GroupBy().Size() and
+// its own output) and for any aggregate that reads whole rows: COLLECT
+// gathers every non-key column of its group whatever Col says, and an empty
+// Col on anything but SIZE is a whole-row aggregate too.
+type PruneGroupByInput struct{}
+
+// Name identifies the rule.
+func (PruneGroupByInput) Name() string { return "prune-groupby-input" }
+
+// Apply rewrites GROUPBY_spec(x) → GROUPBY_spec(PROJECT_need(x)).
+func (PruneGroupByInput) Apply(n algebra.Node) (algebra.Node, bool) {
+	g, ok := n.(*algebra.GroupBy)
+	if !ok {
+		return n, false
+	}
+	need := make(map[string]bool, len(g.Spec.Keys)+len(g.Spec.Aggs))
+	for _, key := range g.Spec.Keys {
+		need[key] = true
+	}
+	for _, a := range g.Spec.Aggs {
+		switch {
+		case a.Agg == expr.AggCollect, a.Col == "" && a.Agg != expr.AggSize:
+			return n, false
+		case a.Col != "":
+			need[a.Col] = true
+		}
+	}
+	cols, ok := narrowTo(g.Input, need)
+	if !ok {
+		return n, false
+	}
+	c := *g
+	c.Input = &algebra.Projection{Input: g.Input, Cols: cols}
 	return &c, true
 }
 

@@ -87,23 +87,23 @@ func ParseDomain(name string) (Domain, bool) {
 	return Unspecified, false
 }
 
-// nullLiterals are the string spellings recognized as the distinguished null
-// value by every parsing function.
-var nullLiterals = map[string]bool{
-	"":     true,
-	"NA":   true,
-	"N/A":  true,
-	"NaN":  true,
-	"nan":  true,
-	"null": true,
-	"NULL": true,
-	"None": true,
-	"<NA>": true,
-}
-
 // IsNullLiteral reports whether the raw string s spells the distinguished
-// null value.
-func IsNullLiteral(s string) bool { return nullLiterals[s] }
+// null value: one of "", NA, N/A, NaN, nan, null, NULL, None, <NA>. Every
+// parsing function consults it, cell by cell on a CSV scan, so it switches
+// on length before comparing instead of hashing s into a set.
+func IsNullLiteral(s string) bool {
+	switch len(s) {
+	case 0:
+		return true
+	case 2:
+		return s == "NA"
+	case 3:
+		return s == "N/A" || s == "NaN" || s == "nan"
+	case 4:
+		return s == "null" || s == "NULL" || s == "None" || s == "<NA>"
+	}
+	return false
+}
 
 // datetimeLayouts are the timestamp formats the Datetime parsing function
 // accepts, tried in order.

@@ -51,15 +51,24 @@ func TestDomainValid(t *testing.T) {
 	}
 }
 
+// TestNullLiterals holds IsNullLiteral to the answers of the set it
+// replaced, over every spelling and the near misses a length switch could
+// get wrong.
 func TestNullLiterals(t *testing.T) {
-	for _, s := range []string{"", "NA", "NaN", "null", "NULL", "None", "N/A", "<NA>", "nan"} {
-		if !IsNullLiteral(s) {
-			t.Errorf("IsNullLiteral(%q) = false", s)
-		}
+	spellings := map[string]bool{
+		"": true, "NA": true, "N/A": true, "NaN": true, "nan": true,
+		"null": true, "NULL": true, "None": true, "<NA>": true,
 	}
-	for _, s := range []string{"0", "false", "na ", "x"} {
-		if IsNullLiteral(s) {
-			t.Errorf("IsNullLiteral(%q) = true", s)
+	inputs := []string{
+		"Na", "na", "NAN", "Nan", "naN", " NA", "NA ", "na ", "nul", "nulL", "Null", "none", "NONE",
+		"<na>", "<NA", "NA>", "N/a", "n/a", "N\\A", " ", "0", "false", "x", "nulls", "<NA>>",
+	}
+	for s := range spellings {
+		inputs = append(inputs, s)
+	}
+	for _, s := range inputs {
+		if got := IsNullLiteral(s); got != spellings[s] {
+			t.Errorf("IsNullLiteral(%q) = %v, want %v", s, got, spellings[s])
 		}
 	}
 }
