@@ -57,6 +57,12 @@
 // spill through internal/storage and re-resolve lazily inside the merge
 // task that consumes them; cancellation routes through
 // modin.Engine.ReleaseSpill so no spill files outlive a failed query.
+// A raw column is induced and parsed in one pass (internal/schema), once,
+// in the task of the band that first reads it; shuffles resolve their key
+// and aggregate columns on the band and cut pieces from the resolved band
+// (core.DataFrame.Resolved), so merges, spill files and cluster blocks
+// carry typed vectors — in the one block format, core.EncodeFrame, that
+// the wire and the spill store share — and nothing is parsed twice.
 // Stacked SELECTIONs inside a fused chain narrow one shared selection
 // vector and coalesce once at stage exit. Resident memory is therefore
 // bounded by window x band size + distinct keys + spill budget, not

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dferrors"
 	"repro/internal/expr"
-	"repro/internal/schema"
 	"repro/internal/types"
 	"repro/internal/vector"
 )
@@ -335,6 +334,3 @@ func InduceFrame(df *core.DataFrame) *core.DataFrame {
 	}
 	return out
 }
-
-// Induce is re-exported for callers that want the bare induction function.
-var _ = schema.Induce

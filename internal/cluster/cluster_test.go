@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/core"
+	"repro/internal/eager"
 	"repro/internal/expr"
 	"repro/internal/modin"
 	"repro/internal/optimizer"
@@ -647,5 +648,71 @@ func TestPrunedGroupByStillDistributes(t *testing.T) {
 	}
 	if st := s.ClusterStats(); st.Fallback != 0 || len(st.FallbackReasons) != 0 || st.LocalReruns != 0 {
 		t.Errorf("a benchmark statement shape fell back: %+v", st)
+	}
+}
+
+// The typed-routing shapes, distributed: workers route pieces cut from the
+// resolved band (modin.RouteGroupBand), so the columns where a band's
+// induction and a routed piece's used to differ — a value column
+// integer-valued in some bands and fractional in others, a key spelled 1 in
+// one band and 1.0 in another, a string key with too few rows per piece for
+// Category, a value null throughout some bands, timestamps that differ only
+// below the second as keys and as Min/Max inputs — come back cell-identical
+// to the eager engine, from the cluster and not from a fallback.
+func TestDistributedGroupByOnBandSensitiveColumns(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("mixed_v,num_k,str_k,null_v,ts_k,ts_v,f\n")
+	for i := 0; i < 96; i++ {
+		mixed, num, null := fmt.Sprint(i%9), fmt.Sprint(1+i%3), fmt.Sprint(i%11)
+		if i >= 40 {
+			mixed += ".25"
+		}
+		if i >= 48 {
+			num += ".0"
+		}
+		if i >= 64 {
+			null = ""
+		}
+		fmt.Fprintf(&b, "%s,%s,%s,%s,2020-01-02T03:04:05.%09dZ,2021-06-07T08:09:10.%09d+05:30,%d\n",
+			mixed, num, []string{"red", "green", "blue", "cyan", "plum"}[i%5], null, i%4, 1000-i, i)
+	}
+	aggs := func(col string) []expr.AggSpec {
+		return []expr.AggSpec{
+			{Col: col, Agg: expr.AggSum}, {Col: col, Agg: expr.AggMin}, {Col: col, Agg: expr.AggMax},
+			{Col: col, Agg: expr.AggCountDistinct}, {Col: col, Agg: expr.AggFirst},
+		}
+	}
+	specs := []expr.GroupBySpec{
+		{Keys: []string{"str_k"}, Aggs: aggs("mixed_v")},
+		{Keys: []string{"num_k"}, Aggs: aggs("null_v")},
+		{Keys: []string{"ts_k"}, Aggs: append(aggs("ts_v")[1:], expr.AggSpec{Col: "mixed_v", Agg: expr.AggSum})},
+	}
+	s, _ := startCluster(t, 2)
+	for _, bandRows := range []int{1, 7, 64} {
+		for _, spec := range specs {
+			for _, filtered := range []bool{false, true} {
+				var in algebra.Node = csvScan(t, b.String(), bandRows)
+				if filtered {
+					in = &algebra.Selection{Input: in, Where: expr.WhereCompare("f", vector.CmpGe, types.IntValue(7))}
+				}
+				plan := &algebra.GroupBy{Input: in, Spec: spec}
+				checkSame(t, s, plan)
+				got, err := s.Execute(plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := eager.New().Execute(plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(want) {
+					t.Errorf("band %d groupby %v filtered=%v: distributed result differs from eager:\n%s\nwant:\n%s",
+						bandRows, spec.Keys, filtered, got, want)
+				}
+			}
+		}
+	}
+	if st := s.ClusterStats(); st.Fallback != 0 || st.LocalReruns != 0 {
+		t.Errorf("typed routing must stay distributed: %+v", st)
 	}
 }

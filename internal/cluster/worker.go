@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/modin"
-	"repro/internal/partition"
 	"repro/internal/schema"
 	"repro/internal/vector"
 )
@@ -271,11 +270,7 @@ func (w *Worker) runBand(q *workerQuery, plan *PlanSpec, task *BandTask) (*BandR
 		if plan.Buckets <= 0 {
 			return nil, fmt.Errorf("cluster: group plan shipped without a bucket count")
 		}
-		assign := make([]int, len(sum.Ordinals))
-		for r, d := range sum.Ordinals {
-			assign[r] = int(sum.Hashes[d] % uint64(plan.Buckets))
-		}
-		views, err := partition.SplitRows(df, assign, plan.Buckets)
+		views, err := modin.RouteGroupBand(df, sum, *plan.Group, plan.Buckets)
 		if err != nil {
 			return nil, err
 		}

@@ -245,17 +245,61 @@ func (df *DataFrame) Domain(j int) types.Domain {
 
 // TypedCol returns the j'th column parsed into its (induced) domain.
 func (df *DataFrame) TypedCol(j int) vector.Vector {
+	col := df.cols[j]
+	if df.cache == nil && df.DeclaredDomain(j) == types.Unspecified {
+		// No cache to hold the parse for a later call: take it from the
+		// induction's own pass.
+		d, typed := schema.InduceAndParse(col)
+		atomic.StoreInt64(&df.domains[j], int64(d))
+		return typed
+	}
 	d := df.Domain(j)
-	if df.cols[j].Domain() == d {
-		return df.cols[j]
+	if col.Domain() == d {
+		return col
 	}
-	var parsed vector.Vector
 	if df.cache != nil {
-		parsed = df.cache.Parse(df.cols[j], d)
-	} else {
-		parsed = schema.Parse(df.cols[j], d)
+		return df.cache.Parse(col, d)
 	}
-	return parsed
+	return schema.Parse(col, d)
+}
+
+// Resolved returns the frame with every raw column whose typed form is
+// already known — parsed into the frame's cache under the column's declared
+// or induced domain — swapped in for its Σ* storage, and the domain declared
+// with it. It induces and parses nothing, and returns df itself when there
+// is nothing to swap, as for any frame of typed columns. Whatever cuts a
+// band into pieces that outlive it (partition.SplitRows, the sort and join
+// shuffles) cuts the resolved band, so Σ* → typed happens once, on the band,
+// and a piece never re-parses what its band already knew.
+func (df *DataFrame) Resolved() *DataFrame {
+	if df.cache == nil {
+		return df
+	}
+	out := df
+	for j, col := range df.cols {
+		declared := df.DeclaredDomain(j)
+		if col.Domain() != types.Object || declared == types.Object {
+			continue
+		}
+		typed, ok := df.cache.Resolved(col, declared)
+		if !ok {
+			continue
+		}
+		if typed == col {
+			// Induced Σ* itself: memoize, as Domain would.
+			atomic.StoreInt64(&out.domains[j], int64(types.Object))
+			continue
+		}
+		if out == df {
+			cp := *df
+			cp.cols = append([]vector.Vector(nil), df.cols...)
+			cp.domains = cloneDomains(df.domains)
+			out = &cp
+		}
+		out.cols[j] = typed
+		out.domains[j] = int64(typed.Domain())
+	}
+	return out
 }
 
 // Value returns the cell at row i, column j, parsed per the column's

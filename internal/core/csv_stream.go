@@ -31,6 +31,10 @@ type CSVCursor struct {
 	closed bool
 }
 
+// bandCapHint caps the rows a band's columns are sized for up front; a
+// whole-file read (maxRows unbounded) grows past it by appending.
+const bandCapHint = 4096
+
 // NewCSVCursor opens a cursor over r. When opts.Header is set the header
 // record is consumed immediately, so Columns is known before any band is
 // read; headerless input names columns positionally from the first record's
@@ -41,6 +45,7 @@ func NewCSVCursor(r io.Reader, opts CSVOptions) (*CSVCursor, error) {
 		cr.Comma = opts.Comma
 	}
 	cr.FieldsPerRecord = -1
+	cr.ReuseRecord = true
 	c := &CSVCursor{r: cr}
 	if rc, ok := r.(io.Closer); ok {
 		c.rc = rc
@@ -53,7 +58,7 @@ func NewCSVCursor(r io.Reader, opts CSVOptions) (*CSVCursor, error) {
 		case err != nil:
 			return nil, fmt.Errorf("core: read csv: %w", err)
 		default:
-			c.names = rec
+			c.names = slices.Clone(rec) // the reader reuses rec
 		}
 	}
 	return c, nil
@@ -129,8 +134,13 @@ func (c *CSVCursor) NextBand(maxRows int) (*DataFrame, error) {
 	if maxRows <= 0 {
 		return nil, fmt.Errorf("core: csv band size %d, want > 0", maxRows)
 	}
-	var records [][]string
-	for len(records) < maxRows {
+	// Each record is transposed into the kept columns as it is read: the
+	// reader reuses one record slice (only the cell strings are fresh), so
+	// nothing row-shaped outlives the read that filled it.
+	var colData [][]string
+	var keepErr error
+	rows := 0
+	for rows < maxRows {
 		rec, err := c.r.Read()
 		if err == io.EOF {
 			c.eof = true
@@ -150,23 +160,26 @@ func (c *CSVCursor) NextBand(maxRows int) (*DataFrame, error) {
 		if len(rec) != len(c.names) {
 			return nil, fmt.Errorf("core: csv row %d has %d fields, want %d", c.row, len(rec), len(c.names))
 		}
-		records = append(records, rec)
+		if rows == 0 {
+			// A kept label the file lacks fails the read only after its
+			// records passed the width check, whatever is kept.
+			keepErr = c.resolve()
+			colData = make([][]string, len(c.idx))
+			for k := range colData {
+				colData[k] = make([]string, 0, min(maxRows, bandCapHint))
+			}
+		}
+		for k, j := range c.idx {
+			colData[k] = append(colData[k], rec[j])
+		}
 		c.row++
+		rows++
 	}
-	if len(records) == 0 {
+	if rows == 0 {
 		return nil, io.EOF
 	}
-	if err := c.resolve(); err != nil {
-		return nil, err
-	}
-	colData := make([][]string, len(c.idx))
-	for k := range colData {
-		colData[k] = make([]string, len(records))
-	}
-	for i, rec := range records {
-		for k, j := range c.idx {
-			colData[k][i] = rec[j]
-		}
+	if keepErr != nil {
+		return nil, keepErr
 	}
 	cols := make([]vector.Vector, len(colData))
 	for k := range cols {

@@ -12,7 +12,8 @@ import (
 // shuffle's routed runs in particular — still aliases the arrays of the
 // frame it was sliced from, pinning that frame in memory for as long as
 // the slice lives. Spill-aware shuffles detach routed pieces so a streamed
-// band is actually freed once it has been routed.
+// band is actually freed once it has been routed. The band's induction cache
+// is left behind too: its memo holds the band's own raw and typed columns.
 func (df *DataFrame) Detach() *DataFrame {
 	cols := make([]vector.Vector, len(df.cols))
 	for j, c := range df.cols {
@@ -21,6 +22,7 @@ func (df *DataFrame) Detach() *DataFrame {
 	out := *df
 	out.cols = cols
 	out.rowLab = vector.Clone(df.rowLab)
+	out.cache = nil
 	out.domains = make([]int64, len(df.domains))
 	for j := range df.domains {
 		out.domains[j] = atomic.LoadInt64(&df.domains[j])

@@ -1,4 +1,4 @@
-package cluster
+package core_test
 
 import (
 	"bytes"
@@ -113,11 +113,11 @@ func TestFrameWireRoundTripProperty(t *testing.T) {
 			nrows = 0 // empty bands are legal blocks
 		}
 		want := randFrame(r, nrows)
-		enc, err := EncodeFrame(nil, want)
+		enc, err := core.EncodeFrame(nil, want)
 		if err != nil {
 			t.Fatalf("iter %d: encode: %v", iter, err)
 		}
-		got, rest, err := DecodeFrame(enc)
+		got, rest, err := core.DecodeFrame(enc)
 		if err != nil {
 			t.Fatalf("iter %d: decode: %v", iter, err)
 		}
@@ -127,7 +127,7 @@ func TestFrameWireRoundTripProperty(t *testing.T) {
 		// Byte-stability first: Equal induces the lazy schema, which fills
 		// in declared domains — legitimate frame state, but not what the
 		// encoder saw. Stability is a property of the frame as decoded.
-		re, err := EncodeFrame(nil, got)
+		re, err := core.EncodeFrame(nil, got)
 		if err != nil {
 			t.Fatalf("iter %d: re-encode: %v", iter, err)
 		}
@@ -145,7 +145,7 @@ func TestFrameWireRoundTripProperty(t *testing.T) {
 func FuzzDecodeFrame(f *testing.F) {
 	r := rand.New(rand.NewSource(23))
 	for i := 0; i < 6; i++ {
-		enc, err := EncodeFrame(nil, randFrame(r, r.Intn(10)))
+		enc, err := core.EncodeFrame(nil, randFrame(r, r.Intn(10)))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -154,19 +154,19 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		df, _, err := DecodeFrame(data)
+		df, _, err := core.DecodeFrame(data)
 		if err != nil {
 			return
 		}
-		enc, err := EncodeFrame(nil, df)
+		enc, err := core.EncodeFrame(nil, df)
 		if err != nil {
 			t.Fatalf("accepted frame does not re-encode: %v", err)
 		}
-		df2, rest, err := DecodeFrame(enc)
+		df2, rest, err := core.DecodeFrame(enc)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("re-encoded frame does not decode cleanly: err=%v rest=%d", err, len(rest))
 		}
-		re, err := EncodeFrame(nil, df2)
+		re, err := core.EncodeFrame(nil, df2)
 		if err != nil {
 			t.Fatalf("second re-encode: %v", err)
 		}

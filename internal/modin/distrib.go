@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/expr"
+	"repro/internal/partition"
 	"repro/internal/types"
 	"repro/internal/vector"
 )
@@ -37,6 +38,29 @@ func GroupStatOf(sum *algebra.GroupKeySummary) *GroupBandStat {
 		counts[d]++
 	}
 	return &GroupBandStat{Hashes: sum.Hashes, Exemplars: sum.Exemplars, Counts: counts}
+}
+
+// RouteGroupBand is the groupby partition phase both backends run: it cuts a
+// summarized band into one zero-copy piece per hash bucket. bucket = hash %
+// buckets is a pure function of the key, identical in every band, so a band
+// routes from its OWN summary. The aggregate inputs are resolved on the band
+// first (the summary already resolved the keys), so every column the merge
+// reads leaves here typed — by the band's induction, in the band's task —
+// and no piece handed to a merge, a spill or the wire is parsed again.
+func RouteGroupBand(df *core.DataFrame, sum *algebra.GroupKeySummary, spec expr.GroupBySpec, buckets int) ([]*core.DataFrame, error) {
+	for _, a := range spec.Aggs {
+		if a.Col == "" {
+			continue // size counts rows, whatever they hold
+		}
+		if j := df.ColIndex(a.Col); j >= 0 {
+			df.TypedCol(j)
+		}
+	}
+	assign := make([]int, len(sum.Ordinals))
+	for i, d := range sum.Ordinals {
+		assign[i] = int(sum.Hashes[d] % uint64(buckets))
+	}
+	return partition.SplitRows(df, assign, buckets)
 }
 
 // GroupRouting is the finalize state produced by the plan fold. Rows route
@@ -254,7 +278,9 @@ func PlanSortBounds(samples [][]types.Value, buckets int, node *algebra.Sort) []
 // each bound) — the partition phase both backends run.
 func PartitionSortedBand(df *core.DataFrame, node *algebra.Sort, bounds [][]types.Value, buckets int) ([]*core.DataFrame, error) {
 	desc := sortDesc(node)
-	sorted, err := algebra.SortFrame(df, node.Order, node.ByLabels)
+	// The band's sample already resolved the key columns; sorting the
+	// resolved band cuts the runs from their typed form.
+	sorted, err := algebra.SortFrame(df.Resolved(), node.Order, node.ByLabels)
 	if err != nil {
 		return nil, err
 	}

@@ -54,18 +54,19 @@ func (e *Engine) chooseJoinStrategy(node *algebra.Join) joinChoice {
 }
 
 // keyBuckets routes df's rows to hash buckets: bucket index lists in input
-// order, one per bucket.
-func keyBuckets(df *core.DataFrame, on []string, nb int) ([][]int, error) {
+// order, one per bucket, and the band to cut them from — df with the key
+// columns the hash just resolved swapped in typed.
+func keyBuckets(df *core.DataFrame, on []string, nb int) (*core.DataFrame, [][]int, error) {
 	hs, err := algebra.RowKeyHashes(df, on)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	idx := make([][]int, nb)
 	for i, h := range hs {
 		b := int(h % uint64(nb))
 		idx[b] = append(idx[b], i)
 	}
-	return idx, nil
+	return df.Resolved(), idx, nil
 }
 
 // joinBuildShuffle shuffles the build (right) side by join-key hash: band r
@@ -79,7 +80,7 @@ func (e *Engine) joinBuildShuffle(on []string) *physical.Shuffle {
 		Name:    "join-build",
 		Buckets: nb,
 		Partition: func(_ int, df *core.DataFrame, _ any) ([]any, error) {
-			idx, err := keyBuckets(df, on, nb)
+			df, idx, err := keyBuckets(df, on, nb)
 			if err != nil {
 				return nil, err
 			}
@@ -157,7 +158,7 @@ func (e *Engine) joinProbeShuffleKeyed(node *algebra.Join) *physical.Shuffle {
 		},
 		Partition: func(band int, df *core.DataFrame, plan any) ([]any, error) {
 			p := plan.(*joinProbePlan)
-			idx, err := keyBuckets(df, on, nb)
+			df, idx, err := keyBuckets(df, on, nb)
 			if err != nil {
 				return nil, err
 			}

@@ -57,13 +57,12 @@ type groupBandSummary struct {
 func (e *Engine) groupByShuffle(spec expr.GroupBySpec) *physical.Shuffle {
 	spec.Sorted = false // hashing per bucket; sortedness is a single-node optimization
 	nb := e.bands
-	keys := spec.Keys
 	return &physical.Shuffle{
 		Name:        "groupby",
 		Buckets:     nb,
 		BandRouting: true,
 		Summarize: func(_ int, band *core.DataFrame) (any, error) {
-			sum, err := algebra.SummarizeGroupKeys(band, keys)
+			sum, err := algebra.SummarizeGroupKeys(band, spec.Keys)
 			if err != nil {
 				return nil, err
 			}
@@ -91,11 +90,7 @@ func (e *Engine) groupByShuffle(spec expr.GroupBySpec) *physical.Shuffle {
 			gs := plan.(*groupBandSummary)
 			sum := gs.sum
 			gs.sum = nil // free the ordinals; only stat stays live for the plan fold
-			assign := make([]int, len(sum.Ordinals))
-			for i, d := range sum.Ordinals {
-				assign[i] = int(sum.Hashes[d] % uint64(nb))
-			}
-			views, err := partition.SplitRows(df, assign, nb)
+			views, err := RouteGroupBand(df, sum, spec, nb)
 			if err != nil {
 				return nil, err
 			}

@@ -182,8 +182,10 @@ func (e *Engine) resolvePiece(p any) (any, error) {
 // (not Compact) matters for resident pieces: a sort shuffle's routed runs
 // are Slice windows into the sorted band, and Compact leaves slices
 // aliasing the band's arrays — the whole band would stay pinned until the
-// last bucket merged. The spill write renders cells through the Σ*
-// encoding, which severs the ties on that path by itself.
+// last bucket merged. The spill write copies the piece's typed storage into
+// a block (core.EncodeFrame) and the store drops the frame once the block is
+// on disk, which severs the ties on that path by itself; Compact there only
+// flattens selection views so the block is cut from the piece's own rows.
 func (e *Engine) admitFrame(df *core.DataFrame) (any, error) {
 	cells := df.NRows()*df.NCols() + 1
 	e.spillMu.Lock()

@@ -567,6 +567,11 @@ func (f *Frame) Repartition(scheme Scheme, targetBands int) (*Frame, error) {
 // without copying cells — only the per-bucket index vectors are allocated.
 // Buckets receiving no rows come back as empty frames that keep df's
 // columns, so downstream merges see a uniform arity.
+//
+// The views are cut from the resolved band (core.DataFrame.Resolved): a raw
+// column df already induced routes as its typed form, domain declared, so
+// the merge, spill or wire a piece goes to never re-parses — or re-induces
+// over fewer rows — what the band settled.
 func SplitRows(df *core.DataFrame, assign []int, buckets int) ([]*core.DataFrame, error) {
 	if buckets < 1 {
 		return nil, fmt.Errorf("partition: split into %d buckets", buckets)
@@ -574,6 +579,7 @@ func SplitRows(df *core.DataFrame, assign []int, buckets int) ([]*core.DataFrame
 	if len(assign) != df.NRows() {
 		return nil, fmt.Errorf("partition: %d bucket assignments for %d rows", len(assign), df.NRows())
 	}
+	df = df.Resolved()
 	counts := make([]int, buckets)
 	for i, b := range assign {
 		if b < 0 || b >= buckets {

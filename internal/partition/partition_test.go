@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/expr"
+	"repro/internal/schema"
 
 	"repro/internal/types"
 	"repro/internal/vector"
@@ -509,5 +510,50 @@ func TestSplitRowsViewInducesDomains(t *testing.T) {
 		if blk.Value(1, 0).Int() != int64(b+3) {
 			t.Errorf("bucket %d typed value wrong", b)
 		}
+	}
+}
+
+// TestSplitRowsRoutesResolvedColumns: a raw column the band already induced
+// routes as views of its typed form with the domain declared — the band's
+// domain, not whatever the piece's few rows would induce — while a column
+// nobody touched stays raw and lazy. The band's string column induces
+// Category over its 20 rows; a 10-row piece on its own would induce Object.
+func TestSplitRowsRoutesResolvedColumns(t *testing.T) {
+	n, s, untouched := make([]string, 20), make([]string, 20), make([]string, 20)
+	assign := make([]int, 20)
+	for i := range n {
+		n[i], s[i], untouched[i] = fmt.Sprint(i), []string{"a", "b"}[i%2], fmt.Sprint(i)
+		assign[i] = i % 2
+	}
+	n[1] = "0.5" // bucket 1 alone sees the fraction; the band says float for both
+	band := core.MustNew([]string{"n", "s", "untouched"}, []vector.Vector{
+		vector.NewObjectFromStrings(n), vector.NewObjectFromStrings(s), vector.NewObjectFromStrings(untouched),
+	}).WithCache(schema.NewCache())
+	band.TypedCol(0)
+	band.TypedCol(1)
+	_, before := band.Cache().Stats()
+
+	pieces, err := SplitRows(band, assign, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b, p := range pieces {
+		if _, _, _, ok := vector.FloatData(p.Col(0)); !ok || p.DeclaredDomain(0) != types.Float {
+			t.Errorf("bucket %d: n routed as %T declared %v, want float storage", b, p.Col(0), p.DeclaredDomain(0))
+		}
+		if _, _, _, _, ok := vector.DictData(p.Col(1)); !ok || p.DeclaredDomain(1) != types.Category {
+			t.Errorf("bucket %d: s routed as %T declared %v, want the band's dictionary", b, p.Col(1), p.DeclaredDomain(1))
+		}
+		if p.Col(2).Domain() != types.Object || p.DeclaredDomain(2) != types.Unspecified {
+			t.Errorf("bucket %d: the untouched column should stay raw and undeclared", b)
+		}
+		p.TypedCol(0)
+		p.TypedCol(1)
+	}
+	if _, after := band.Cache().Stats(); after != before {
+		t.Errorf("reading the routed columns induced %d more times", after-before)
+	}
+	if pieces[0].Value(0, 0).Float() != 0 || pieces[1].Value(0, 0).Float() != 0.5 {
+		t.Error("routed values wrong")
 	}
 }

@@ -108,13 +108,15 @@ func (s *Scheduler) scheduleStream(n *Node) (*Result, error) {
 			}
 		}
 		out := df.Compact()
-		// Detach any band-local induction cache at stage exit: its memo is
+		// Empty the band-local induction cache at stage exit: its memo is
 		// keyed by the raw band's vectors (and holds their full typed
-		// parses), so a surviving reference would pin every parsed morsel
-		// for the life of the query — the retention the morsel window
-		// exists to prevent.
-		if out.Cache() != nil {
-			out = out.WithCache(nil)
+		// parses), so surviving entries would pin every parsed morsel for
+		// the life of the query — the retention the morsel window exists to
+		// prevent. The cache itself stays on the band: a shuffle downstream
+		// resolves its key and aggregate columns into it once, in its
+		// summarize task, and routes the typed forms (core.Resolved).
+		if c := out.Cache(); c != nil {
+			c.Invalidate()
 		}
 		return out, nil
 	}

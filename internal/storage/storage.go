@@ -6,7 +6,6 @@
 package storage
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -14,7 +13,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/types"
 	"repro/internal/vector"
 )
 
@@ -38,9 +36,10 @@ type Store struct {
 }
 
 type entry struct {
-	frame *core.DataFrame // nil when spilled
-	cells int
-	path  string // spill file, when on disk
+	frame  *core.DataFrame // nil when spilled
+	cells  int
+	path   string // spill file, when on disk
+	pinned bool   // the frame has no block form: it stays resident
 }
 
 // New returns a store with the given resident-cell budget; spill files live
@@ -107,20 +106,12 @@ func (s *Store) Release(key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.entries[key]
-	if !ok || e.frame == nil {
+	if !ok || e.frame == nil || e.pinned {
 		return nil
 	}
-	if e.path == "" {
-		s.seq++
-		path := filepath.Join(s.dir, fmt.Sprintf("%x.gob", s.seq))
-		if err := writeFrame(path, e.frame); err != nil {
-			return fmt.Errorf("storage: release %q: %w", key, err)
-		}
-		e.path = path
+	if err := s.spillLocked(e); err != nil {
+		return fmt.Errorf("storage: release %q: %w", key, err)
 	}
-	e.frame = nil
-	s.resident -= e.cells
-	s.spills++
 	return nil
 }
 
@@ -188,7 +179,7 @@ func (s *Store) enforceBudgetLocked(keep string) error {
 	for s.resident > s.budget {
 		victim := ""
 		for _, k := range s.lru {
-			if k != keep && s.entries[k].frame != nil {
+			if e := s.entries[k]; k != keep && e.frame != nil && !e.pinned {
 				victim = k
 				break
 			}
@@ -196,118 +187,62 @@ func (s *Store) enforceBudgetLocked(keep string) error {
 		if victim == "" {
 			return nil // nothing else to spill; allow overshoot
 		}
-		e := s.entries[victim]
-		if e.path == "" {
-			s.seq++
-			path := filepath.Join(s.dir, fmt.Sprintf("%x.gob", s.seq))
-			if err := writeFrame(path, e.frame); err != nil {
-				return fmt.Errorf("storage: spill %q: %w", victim, err)
-			}
-			e.path = path
+		if err := s.spillLocked(s.entries[victim]); err != nil {
+			return fmt.Errorf("storage: spill %q: %w", victim, err)
 		}
-		e.frame = nil
-		s.resident -= e.cells
-		s.spills++
 	}
 	return nil
 }
 
-// frameDisk is the gob-serializable form of a dataframe: everything goes
-// through the Σ* rendering, with domains recorded so the typed form is
-// recovered on load.
-type frameDisk struct {
-	ColNames  []string
-	Domains   []int
-	RowLabels []string
-	LabelDom  int
-	Cells     [][]string // column-major
-	Nulls     [][]bool
-	LabelNull []bool
+// spillLocked writes e's resident frame to disk, unless an earlier spill
+// already did, and drops the resident copy. A frame with a column the block
+// format cannot carry (Composite cells) is pinned instead: it stays resident
+// and intact, as the overshoot enforceBudgetLocked allows, rather than being
+// flattened to its rendering.
+func (s *Store) spillLocked(e *entry) error {
+	if e.path == "" {
+		s.seq++
+		// The suffix predates the block format; cmd/paperbench sizes spill
+		// traffic by it.
+		path := filepath.Join(s.dir, fmt.Sprintf("%x.gob", s.seq))
+		if err := writeFrame(path, e.frame); err != nil {
+			if errors.Is(err, vector.ErrNoWireForm) {
+				e.pinned = true
+				return nil
+			}
+			return err
+		}
+		e.path = path
+	}
+	e.frame = nil
+	s.resident -= e.cells
+	s.spills++
+	return nil
 }
 
+// A spill file is one frame in the block format the cluster ships
+// (core.EncodeFrame): typed storage byte for byte, so what comes back has the
+// same vectors, null masks, labels and declared domains that went out.
+
 func writeFrame(path string, df *core.DataFrame) error {
-	d := frameDisk{
-		ColNames: df.ColNames(),
-		Domains:  make([]int, df.NCols()),
-		Cells:    make([][]string, df.NCols()),
-		Nulls:    make([][]bool, df.NCols()),
-	}
-	for j := 0; j < df.NCols(); j++ {
-		d.Domains[j] = int(df.DeclaredDomain(j))
-		col := df.Col(j)
-		cells := make([]string, col.Len())
-		nulls := make([]bool, col.Len())
-		for i := 0; i < col.Len(); i++ {
-			v := col.Value(i)
-			nulls[i] = v.IsNull()
-			if !v.IsNull() {
-				cells[i] = v.String()
-			}
-		}
-		d.Cells[j] = cells
-		d.Nulls[j] = nulls
-	}
-	labels := df.RowLabels()
-	d.LabelDom = int(labels.Domain())
-	d.RowLabels = make([]string, labels.Len())
-	d.LabelNull = make([]bool, labels.Len())
-	for i := 0; i < labels.Len(); i++ {
-		v := labels.Value(i)
-		d.LabelNull[i] = v.IsNull()
-		if !v.IsNull() {
-			d.RowLabels[i] = v.String()
-		}
-	}
-	f, err := os.Create(path)
+	buf, err := core.EncodeFrame(nil, df)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return gob.NewEncoder(f).Encode(&d)
+	return os.WriteFile(path, buf, 0o600)
 }
 
 func readFrame(path string) (*core.DataFrame, error) {
-	f, err := os.Open(path)
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	var d frameDisk
-	if err := gob.NewDecoder(f).Decode(&d); err != nil {
+	df, rest, err := core.DecodeFrame(buf)
+	if err != nil {
 		return nil, err
 	}
-	cols := make([]vector.Vector, len(d.ColNames))
-	doms := make([]types.Domain, len(d.ColNames))
-	labels := make([]types.Value, len(d.ColNames))
-	for j := range cols {
-		doms[j] = types.Domain(d.Domains[j])
-		labels[j] = types.String(d.ColNames[j])
-		dom := doms[j]
-		if !dom.Valid() {
-			dom = types.Object
-		}
-		b := vector.NewBuilder(dom, len(d.Cells[j]))
-		for i, cell := range d.Cells[j] {
-			switch {
-			case d.Nulls[j][i]:
-				b.AppendNull()
-			case dom == types.Object:
-				// The null mask is authoritative: a literal "NA"
-				// string cell must stay a string.
-				b.Append(types.String(cell))
-			default:
-				b.AppendString(cell)
-			}
-		}
-		cols[j] = b.Build()
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%d trailing bytes after the frame", len(rest))
 	}
-	lb := vector.NewBuilder(types.Domain(d.LabelDom), len(d.RowLabels))
-	for i, cell := range d.RowLabels {
-		if d.LabelNull[i] {
-			lb.AppendNull()
-		} else {
-			lb.AppendString(cell)
-		}
-	}
-	return core.Build(cols, lb.Build(), labels, doms, nil)
+	return df, nil
 }

@@ -2,9 +2,13 @@ package storage
 
 import (
 	"errors"
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 func frame(t *testing.T, rows int) *core.DataFrame {
@@ -175,5 +179,130 @@ func TestNullMaskAuthoritativeOverLiterals(t *testing.T) {
 	}
 	if !got.Value(1, 0).IsNull() {
 		t.Error("true null lost")
+	}
+}
+
+// A spilled frame comes back as the vectors that went out — not as their
+// renderings. Every column here loses something through Σ*: sub-second
+// timestamps truncate to seconds, a negative zero and the infinities ride on
+// float formatting, a NaN payload has no text, a dictionary re-encodes, and a
+// string cell spelled like a null is one. Row labels are typed too.
+func TestSpillRoundTripKeepsTypedStorage(t *testing.T) {
+	stamp := func(s string) int64 {
+		ns, ok := types.ParseDatetime(s)
+		if !ok {
+			t.Fatalf("bad timestamp %q", s)
+		}
+		return ns
+	}
+	when := []int64{
+		stamp("2020-01-02T03:04:05.123456789+05:30"),
+		stamp("2020-01-02T03:04:05.000000001-08:00"),
+		stamp("1999-12-31 23:59:59.5"),
+		0,
+	}
+	strs := vector.NewObjectBuilder(4)
+	strs.Append(types.String("NA")) // a string, not a null
+	strs.AppendNull()
+	strs.Append(types.String(""))
+	strs.Append(types.String("x"))
+	cols := []vector.Vector{
+		vector.NewDatetime(when, []bool{false, false, false, true}),
+		vector.NewFloat([]float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}, nil),
+		vector.NewDict([]int32{1, 0, 1, 0}, []string{"b", "a"}, []bool{false, false, true, false}),
+		strs.Build(),
+	}
+	labels := []types.Value{types.String("when"), types.IntValue(7), types.String("cat"), types.String("s")}
+	domains := []types.Domain{types.Datetime, types.Float, types.Category, types.Object}
+	rowLab := vector.NewDatetime([]int64{when[1], when[0], when[2], 42}, nil)
+	df := core.MustBuild(cols, rowLab, labels, domains, nil)
+
+	s := newStore(t, 0)
+	if err := s.Put("k", df); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Release("k"); err != nil {
+		t.Fatal(err)
+	}
+	if resident, spills, _ := s.Stats(); resident != 0 || spills != 1 {
+		t.Fatalf("after Release: %d resident cells, %d spills; want 0 and 1", resident, spills)
+	}
+	got, err := s.Get("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(df) {
+		t.Fatalf("spilled frame differs:\n%s\nwant:\n%s", got, df)
+	}
+	if !reflect.DeepEqual(got.Domains(), domains) {
+		t.Errorf("declared domains %v, want %v", got.Domains(), domains)
+	}
+	for j, c := range cols {
+		if reflect.TypeOf(got.Col(j)) != reflect.TypeOf(c) {
+			t.Errorf("column %d came back as %T, went out as %T", j, got.Col(j), c)
+		}
+		for i := 0; i < c.Len(); i++ {
+			if got.Col(j).IsNull(i) != c.IsNull(i) {
+				t.Errorf("column %d row %d: null %v, want %v", j, i, got.Col(j).IsNull(i), c.IsNull(i))
+			}
+		}
+		if !got.ColLabels()[j].Equal(labels[j]) || got.ColLabels()[j].Domain() != labels[j].Domain() {
+			t.Errorf("column label %d = %#v, want %#v", j, got.ColLabels()[j], labels[j])
+		}
+	}
+	if ns := got.Col(0).(*vector.Datetime).RawData(); !reflect.DeepEqual(ns[:3], when[:3]) {
+		t.Errorf("timestamps %v, want %v", ns[:3], when[:3])
+	}
+	if f := got.Col(1).(*vector.Float).RawData(); !math.Signbit(f[0]) || f[0] != 0 || !math.IsNaN(f[3]) {
+		t.Errorf("floats %v: want -0 first and a NaN payload last", f)
+	}
+	if _, dict, _, _, _ := vector.DictData(got.Col(2)); !reflect.DeepEqual(dict, []string{"b", "a"}) {
+		t.Errorf("dictionary %q, want its own order [b a]", dict)
+	}
+	if v := got.Value(0, 3); v.IsNull() || v.Str() != "NA" {
+		t.Errorf("the string NA came back as %#v", v)
+	}
+	if !reflect.DeepEqual(got.RowLabels(), vector.Vector(rowLab)) {
+		t.Errorf("row labels %v, want %v", vector.Strings(got.RowLabels()), vector.Strings(rowLab))
+	}
+}
+
+// A frame holding Composite cells has no block form: under pressure, and
+// under Release, it stays resident and intact instead of being flattened to
+// its rendering — and it does not stop other frames from spilling.
+func TestUnspillableFrameStaysResident(t *testing.T) {
+	sub := frame(t, 3)
+	anyCol := vector.NewAny([]types.Value{types.CompositeValue(sub), types.NullValue(types.Composite)})
+	df := core.MustNew([]string{"k", "sub"}, []vector.Vector{vector.NewInt([]int64{1, 2}, nil), anyCol})
+
+	s := newStore(t, 1)
+	if err := s.Put("composite", df); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("plain", frame(t, 10)); err != nil {
+		t.Fatalf("a pinned frame must not fail the next Put: %v", err)
+	}
+	if err := s.Release("composite"); err != nil {
+		t.Fatalf("Release of an unspillable frame: %v", err)
+	}
+	if err := s.Put("other", frame(t, 10)); err != nil { // pushes "plain" out, past the pinned frame
+		t.Fatal(err)
+	}
+	resident, spills, _ := s.Stats()
+	if spills != 1 {
+		t.Errorf("spills = %d, want 1 (plain only)", spills)
+	}
+	if want := 2*2 + 1 + 10*3 + 1; resident != want {
+		t.Errorf("resident = %d cells, want %d (the composite frame and the newest)", resident, want)
+	}
+	got, err := s.Get("composite")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != df {
+		t.Error("the composite frame should come back as the very frame that was put")
+	}
+	if cell, ok := got.Col(1).Value(0).CompositePayload().(*core.DataFrame); !ok || !cell.Equal(sub) {
+		t.Error("composite cell lost its sub-frame")
 	}
 }

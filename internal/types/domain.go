@@ -117,6 +117,45 @@ var datetimeLayouts = []string{
 	"01/02/2006",
 }
 
+// The unboxed parsing functions p_i. Domain.Parse boxes their results and
+// schema induction calls them directly, so a string is a member of a domain
+// under exactly one definition.
+
+// ParseInt is p_int.
+func ParseInt(s string) (int64, error) {
+	return strconv.ParseInt(strings.TrimSpace(s), 10, 64)
+}
+
+// ParseFloat is p_float. It accepts every spelling strconv does, so a NaN
+// spelled other than as a null literal parses — to the Float null.
+func ParseFloat(s string) (float64, error) {
+	return strconv.ParseFloat(strings.TrimSpace(s), 64)
+}
+
+// ParseBool is p_bool. Only true/false spellings are boolean literals:
+// accepting yes/no or 0/1 would make schema induction mis-type string and
+// integer columns (pandas reads "Yes"/"No" as object and 0/1 as int64).
+func ParseBool(s string) (v, ok bool) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "true", "t":
+		return true, true
+	case "false", "f":
+		return false, true
+	}
+	return false, false
+}
+
+// ParseDatetime is p_datetime, yielding Unix nanoseconds.
+func ParseDatetime(s string) (nanos int64, ok bool) {
+	trimmed := strings.TrimSpace(s)
+	for _, layout := range datetimeLayouts {
+		if t, err := time.Parse(layout, trimmed); err == nil {
+			return t.UnixNano(), true
+		}
+	}
+	return 0, false
+}
+
 // Parse applies the domain's parsing function p_i to the raw string s,
 // yielding a Value in the domain (possibly the distinguished null). Parse
 // returns an error when s is neither null nor a member of the domain.
@@ -130,37 +169,29 @@ func (d Domain) Parse(s string) (Value, error) {
 	case Category:
 		return CategoryValue(s), nil
 	case Int:
-		i, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
+		i, err := ParseInt(s)
 		if err != nil {
 			return NullValue(d), fmt.Errorf("parse %q as int: %w", s, err)
 		}
 		return IntValue(i), nil
 	case Float:
-		f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		f, err := ParseFloat(s)
 		if err != nil {
 			return NullValue(d), fmt.Errorf("parse %q as float: %w", s, err)
 		}
 		return FloatValue(f), nil
 	case Bool:
-		// Only true/false spellings are boolean literals. Accepting
-		// yes/no or 0/1 here would make schema induction mis-type
-		// string and integer columns (pandas reads "Yes"/"No" as
-		// object and 0/1 as int64).
-		switch strings.ToLower(strings.TrimSpace(s)) {
-		case "true", "t":
-			return BoolValue(true), nil
-		case "false", "f":
-			return BoolValue(false), nil
+		b, ok := ParseBool(s)
+		if !ok {
+			return NullValue(d), fmt.Errorf("parse %q as bool: not a boolean literal", s)
 		}
-		return NullValue(d), fmt.Errorf("parse %q as bool: not a boolean literal", s)
+		return BoolValue(b), nil
 	case Datetime:
-		trimmed := strings.TrimSpace(s)
-		for _, layout := range datetimeLayouts {
-			if t, err := time.Parse(layout, trimmed); err == nil {
-				return DatetimeValue(t), nil
-			}
+		ns, ok := ParseDatetime(s)
+		if !ok {
+			return NullValue(d), fmt.Errorf("parse %q as datetime: no known layout", s)
 		}
-		return NullValue(d), fmt.Errorf("parse %q as datetime: no known layout", s)
+		return DatetimeFromNanos(ns), nil
 	case Unspecified:
 		return String(s), nil
 	case Composite:
@@ -168,11 +199,4 @@ func (d Domain) Parse(s string) (Value, error) {
 	default:
 		return Value{}, fmt.Errorf("parse into invalid domain %v", d)
 	}
-}
-
-// CanParse reports whether s is null or parseable as a member of d. It is
-// the membership test used by schema induction.
-func (d Domain) CanParse(s string) bool {
-	_, err := d.Parse(s)
-	return err == nil
 }

@@ -15,6 +15,21 @@ import (
 // storage position i; otherwise entry i reads position idx[i], and idx[i] < 0
 // means null (mirroring Take).
 
+// ObjectData returns the raw Σ* storage behind v when v is an *Object or a
+// view of one, so schema induction reads routed or filtered raw columns
+// without rendering a cell.
+func ObjectData(v Vector) (data []string, nulls []bool, idx []int, ok bool) {
+	switch c := v.(type) {
+	case *Object:
+		return c.data, c.nulls, nil, true
+	case *view:
+		if b, bok := c.base.(*Object); bok {
+			return b.data, b.nulls, c.idx, true
+		}
+	}
+	return nil, nil, nil, false
+}
+
 // IntData returns the int64 storage behind v when v is an *Int or a view of
 // one. The nulls mask (may be nil) indexes the base storage, not the view.
 func IntData(v Vector) (data []int64, nulls []bool, idx []int, ok bool) {

@@ -9,6 +9,7 @@ package vector
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/types"
 )
@@ -97,10 +98,20 @@ func FromValues(d types.Domain, vals []types.Value) Vector {
 
 // Concat concatenates the vectors in order. All inputs must share a domain
 // unless one of them is Object, in which case the result falls back to
-// Object. Concat of zero vectors returns an empty Object vector.
+// Object. An empty input has no say: a shuffle bucket that received no rows
+// hands back untyped empty columns, and letting those drag a Datetime column
+// through its rendering would cut it to whole seconds. Concat of zero
+// vectors returns an empty Object vector.
 func Concat(vs ...Vector) Vector {
 	if len(vs) == 0 {
 		return NewObjectBuilder(0).Build()
+	}
+	empty := func(v Vector) bool { return v.Len() == 0 }
+	if slices.ContainsFunc(vs, empty) {
+		first := vs[0]
+		if vs = slices.DeleteFunc(slices.Clone(vs), empty); len(vs) == 0 {
+			return first
+		}
 	}
 	dom := vs[0].Domain()
 	total := 0

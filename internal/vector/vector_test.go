@@ -280,3 +280,18 @@ func TestTakeViewSharesStorage(t *testing.T) {
 		t.Error("view take should compose selection vectors")
 	}
 }
+
+// An empty input of another domain — an untyped column from a bucket that
+// received no rows — leaves the others' storage alone: no fallback to the
+// Object rendering, which cuts timestamps to whole seconds.
+func TestConcatIgnoresEmptyInputs(t *testing.T) {
+	ts := NewDatetime([]int64{1577934245000000001, 1577934245000000002}, nil)
+	empty := NewObjectFromStrings(nil)
+	got := Concat(empty, ts.Slice(0, 1), empty, ts.Slice(1, 2))
+	if _, ok := got.(*Datetime); !ok || !Equal(got, ts) {
+		t.Errorf("Concat around empty inputs = %T %v, want the nanosecond timestamps", got, Values(got))
+	}
+	if got := Concat(empty, NewInt(nil, nil)); got.Len() != 0 {
+		t.Errorf("Concat of empty inputs has %d rows", got.Len())
+	}
+}

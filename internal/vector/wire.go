@@ -2,6 +2,7 @@ package vector
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -10,8 +11,8 @@ import (
 
 // Columnar wire format: typed storage serialized as length-prefixed raw
 // little-endian buffers, straight from the vectors' backing arrays — no
-// per-cell boxing anywhere. This is the block encoding the cluster layer
-// ships between the coordinator and dfworker processes.
+// per-cell boxing anywhere. core.EncodeFrame builds the frame block on it:
+// what the cluster ships between processes and the storage layer spills.
 //
 // Layout per vector:
 //
@@ -36,9 +37,12 @@ const (
 	wireDict
 )
 
+// ErrNoWireForm reports a vector the wire format cannot carry.
+var ErrNoWireForm = errors.New("vector: no wire form")
+
 // AppendWire serializes v onto buf and returns the extended buffer.
-// Composite (Any) vectors have no raw representation and are rejected —
-// callers keep such frames on the in-process backend.
+// Composite (Any) vectors have no raw representation and are rejected with
+// ErrNoWireForm — callers keep such frames in process and in memory.
 func AppendWire(buf []byte, v Vector) ([]byte, error) {
 	v = Materialize(v)
 	n := v.Len()
@@ -71,7 +75,7 @@ func AppendWire(buf []byte, v Vector) ([]byte, error) {
 		}
 		return appendStringTable(buf, t.dict), nil
 	default:
-		return nil, fmt.Errorf("vector: no wire form for %T (domain %v)", v, v.Domain())
+		return nil, fmt.Errorf("%w for %T (domain %v)", ErrNoWireForm, v, v.Domain())
 	}
 }
 
