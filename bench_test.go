@@ -648,10 +648,10 @@ func BenchmarkPartitioningSchemes(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, err := pf.MapBlocks(exec.Default, func(blk *core.DataFrame) (*core.DataFrame, error) {
+				out := pf.MapBlocksAsync(exec.Default, exec.NewGroup(), func(blk *core.DataFrame) (*core.DataFrame, error) {
 					return algebra.MapFrame(blk, algebra.IsNullFn())
 				})
-				if err != nil {
+				if err := out.Resolve(); err != nil {
 					b.Fatal(err)
 				}
 			}

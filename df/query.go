@@ -175,7 +175,7 @@ func rewriteScans(n algebra.Node, fn func(*algebra.Scan) *algebra.Scan) (algebra
 	if !found {
 		return n, false
 	}
-	return optimizer.WithChildren(n, newKids), true
+	return algebra.WithChildren(n, newKids), true
 }
 
 // WithEngine rebinds the query to a different engine.

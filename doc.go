@@ -139,13 +139,27 @@
 // drove them; modin.WithoutStats() restores the zero-stats plans
 // (broadcast joins, even cuts) exactly.
 //
+// One boundary between the algebra and the execution layer: the per-run
+// physical.Scheduler is the only code that calls a stage's hooks — fused
+// kernels, exchange bodies, and a shuffle's Summarize/Plan/Partition/Merge.
+// Stages carry the logical operator's Describe() text and the scheduler
+// puts it, with the stage's name and phase, in front of a hook's failure.
+// A shuffle's Partition returns frames and its Merge receives
+// physical.Piece handles; when the engine has a spill budget the scheduler
+// admits every routed piece through the engine's piece store (resident
+// under the budget, on disk past it) and releases each streamed input band
+// once it is routed. A stage downstream of an exchange, whose input shape
+// is unknown at schedule time, is wired late: once the input frame lands it
+// gets the same per-band tasks as any other stage, behind one future.
+//
 // Scheduler instrumentation: each run's physical.Scheduler exposes Stats
 // counters — FusedTasks/FusedStages for fused chains,
 // ExchangeTasks/ExchangeStages for gather barriers, and the shuffle-phase
 // counters ShuffleStages, ShuffleSummaryTasks, ShufflePlanTasks,
 // ShufflePartitionTasks (one per input band), ShuffleMergeTasks (one per
 // OUTPUT band; each backs its own block future) and ShuffleFallbacks
-// (shuffles over shape-opaque inputs degraded to a single coordinating
-// task). modin.Engine.Stats() aggregates the same counters across runs.
+// (shuffles wired late over a shape-opaque input: real per-band tasks,
+// but one output future, so still a barrier to their consumer).
+// modin.Engine.Stats() aggregates the counters across runs.
 // See README.md for the full map.
 package repro

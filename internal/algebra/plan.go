@@ -465,3 +465,83 @@ type Engine interface {
 	// Execute evaluates the plan to a materialized dataframe.
 	Execute(Node) (*core.DataFrame, error)
 }
+
+// WithChildren clones the node with new inputs, preserving all other
+// configuration. Node values are small structs, so cloning is cheap.
+func WithChildren(n Node, kids []Node) Node {
+	switch node := n.(type) {
+	case *Source:
+		return node
+	case *Scan:
+		return node
+	case *Selection:
+		c := *node
+		c.Input = kids[0]
+		return &c
+	case *Projection:
+		c := *node
+		c.Input = kids[0]
+		return &c
+	case *Union:
+		c := *node
+		c.Left, c.Right = kids[0], kids[1]
+		return &c
+	case *Difference:
+		c := *node
+		c.Left, c.Right = kids[0], kids[1]
+		return &c
+	case *Join:
+		c := *node
+		c.Left, c.Right = kids[0], kids[1]
+		return &c
+	case *DropDuplicates:
+		c := *node
+		c.Input = kids[0]
+		return &c
+	case *GroupBy:
+		c := *node
+		c.Input = kids[0]
+		return &c
+	case *Sort:
+		c := *node
+		c.Input = kids[0]
+		return &c
+	case *Rename:
+		c := *node
+		c.Input = kids[0]
+		return &c
+	case *Window:
+		c := *node
+		c.Input = kids[0]
+		return &c
+	case *Transpose:
+		c := *node
+		c.Input = kids[0]
+		return &c
+	case *Map:
+		c := *node
+		c.Input = kids[0]
+		return &c
+	case *ToLabels:
+		c := *node
+		c.Input = kids[0]
+		return &c
+	case *FromLabels:
+		c := *node
+		c.Input = kids[0]
+		return &c
+	case *Induce:
+		c := *node
+		c.Input = kids[0]
+		return &c
+	case *Limit:
+		c := *node
+		c.Input = kids[0]
+		return &c
+	case *TopK:
+		c := *node
+		c.Input = kids[0]
+		return &c
+	}
+	panic(fmt.Sprintf("algebra: unknown node %T", n))
+}

@@ -25,7 +25,6 @@ import (
 // errors) cell-identical to a local run by construction.
 type Scheduler struct {
 	local      *modin.Engine
-	retries    int
 	rpcTimeout time.Duration
 	hbEvery    time.Duration
 	hbStop     chan struct{} // closed by Close; never reassigned
@@ -148,8 +147,8 @@ func (w *workerRef) close() {
 // Option configures a Scheduler.
 type Option func(*Scheduler)
 
-// WithRetryBudget bounds lineage re-submission rounds per query (default 2).
-func WithRetryBudget(n int) Option { return func(s *Scheduler) { s.retries = n } }
+// retryBudget bounds lineage re-submission rounds per query.
+const retryBudget = 2
 
 // WithRPCTimeout bounds each worker RPC (default 120s — shuffle merges over
 // big buckets are one RPC).
@@ -214,7 +213,6 @@ func StartInProcess(n int, opts ...Option) (*Scheduler, []*Worker, error) {
 
 func newScheduler(addrs []string, opts []Option) *Scheduler {
 	s := &Scheduler{
-		retries:    2,
 		rpcTimeout: 120 * time.Second,
 		hbEvery:    2 * time.Second,
 		hbStop:     make(chan struct{}),
@@ -885,8 +883,8 @@ func (r *run) recover(dead *workerRef) error {
 		return fmt.Errorf("cluster: all workers lost")
 	}
 	r.attempts++
-	if r.attempts > r.s.retries {
-		return fmt.Errorf("cluster: retry budget (%d) exhausted", r.s.retries)
+	if r.attempts > retryBudget {
+		return fmt.Errorf("cluster: retry budget (%d) exhausted", retryBudget)
 	}
 	shuffle := r.info.spec.Group != nil || r.info.spec.Sort != nil
 	for i := range r.bands {

@@ -136,30 +136,17 @@ func describeScan(scan *algebra.Scan, keep []string) string {
 	return fmt.Sprintf("%s keep %d/%d", scan.Describe(), len(keep), len(scan.Columns))
 }
 
-// describeErr wraps a kernel or exchange failure with the logical
-// operator's description, so a deep chain's error names the operator that
-// failed (the physical layer only adds the kernel's short name).
-func describeErr(desc string, err error) error {
-	return fmt.Errorf("%s: %w", desc, err)
-}
-
 // fuse appends a kernel implementing node n to the compiled input,
 // extending the input's fused stage in place when it is a fused stage with
-// a single consumer, and opening a new fused stage otherwise. The kernel's
-// failures are annotated with n's description.
+// a single consumer, and opening a new fused stage otherwise. The kernel
+// carries n's description, which the scheduler puts in front of its
+// failures (the physical layer itself only knows the kernel's short name).
 func (c *compiler) fuse(n algebra.Node, input algebra.Node, k physical.Kernel) (*physical.Node, error) {
 	in, err := c.compile(input)
 	if err != nil {
 		return nil, err
 	}
-	desc, fn := n.Describe(), k.Fn
-	k.Fn = func(b *core.DataFrame) (*core.DataFrame, error) {
-		out, err := fn(b)
-		if err != nil {
-			return nil, describeErr(desc, err)
-		}
-		return out, nil
-	}
+	k.Desc = n.Describe()
 	if in.Stream != nil && c.uses[input] == 1 {
 		// Kernels over a single-use streamed scan fuse INTO the stream
 		// stage: each band runs scan→filter→... as one task the moment it
@@ -173,9 +160,8 @@ func (c *compiler) fuse(n algebra.Node, input algebra.Node, k physical.Kernel) (
 	return physical.NewFused(in, k), nil
 }
 
-// exchange compiles the inputs and wraps run as a barrier stage
-// implementing node n; failures are annotated with n's description.
-func (c *compiler) exchange(n algebra.Node, name string, run func([]*partition.Frame) (*partition.Frame, error), inputs ...algebra.Node) (*physical.Node, error) {
+// compileAll compiles each input in order.
+func (c *compiler) compileAll(inputs []algebra.Node) ([]*physical.Node, error) {
 	compiled := make([]*physical.Node, len(inputs))
 	for i, in := range inputs {
 		p, err := c.compile(in)
@@ -184,87 +170,36 @@ func (c *compiler) exchange(n algebra.Node, name string, run func([]*partition.F
 		}
 		compiled[i] = p
 	}
-	desc := n.Describe()
-	wrapped := func(in []*partition.Frame) (*partition.Frame, error) {
-		out, err := run(in)
-		if err != nil {
-			return nil, describeErr(desc, err)
-		}
-		return out, nil
-	}
-	return physical.NewExchange(name, wrapped, compiled...), nil
+	return compiled, nil
 }
 
-// shuffleStage compiles the shuffled input (and whole-frame side inputs)
-// and wraps sh as a two-phase shuffle stage implementing node n; every
-// phase hook's failure is annotated with n's description.
-func (c *compiler) shuffleStage(n algebra.Node, sh *physical.Shuffle, input algebra.Node, sides ...algebra.Node) (*physical.Node, error) {
-	in, err := c.compile(input)
+// exchangeStage is physical.NewExchange carrying the logical operator's
+// description.
+func exchangeStage(name, desc string, run func([]*partition.Frame) (*partition.Frame, error), inputs ...*physical.Node) *physical.Node {
+	n := physical.NewExchange(name, run, inputs...)
+	n.Exchange.Desc = desc
+	return n
+}
+
+// exchange compiles the inputs and wraps run as a barrier stage
+// implementing node n.
+func (c *compiler) exchange(n algebra.Node, name string, run func([]*partition.Frame) (*partition.Frame, error), inputs ...algebra.Node) (*physical.Node, error) {
+	compiled, err := c.compileAll(inputs)
 	if err != nil {
 		return nil, err
 	}
-	compiled := make([]*physical.Node, len(sides))
-	for i, side := range sides {
-		p, err := c.compile(side)
-		if err != nil {
-			return nil, err
-		}
-		compiled[i] = p
-	}
-	return physical.NewShuffle(describeShuffle(n.Describe(), c.e.spillShuffle(sh)), in, compiled...), nil
+	return exchangeStage(name, n.Describe(), run, compiled...), nil
 }
 
-// describeShuffle clones the shuffle with each phase hook annotating its
-// failures with the logical operator's description (the physical layer
-// adds only the stage's short name and phase).
-func describeShuffle(desc string, sh *physical.Shuffle) *physical.Shuffle {
-	wrapped := *sh
-	if fn := sh.Summarize; fn != nil {
-		wrapped.Summarize = func(band int, df *core.DataFrame) (any, error) {
-			v, err := fn(band, df)
-			if err != nil {
-				return nil, describeErr(desc, err)
-			}
-			return v, nil
-		}
+// shuffleStage compiles the shuffled input (and whole-frame side inputs)
+// and wraps sh as a two-phase shuffle stage implementing node n.
+func (c *compiler) shuffleStage(n algebra.Node, sh *physical.Shuffle, input algebra.Node, sides ...algebra.Node) (*physical.Node, error) {
+	compiled, err := c.compileAll(append([]algebra.Node{input}, sides...))
+	if err != nil {
+		return nil, err
 	}
-	if fn := sh.Plan; fn != nil {
-		wrapped.Plan = func(summaries []any, sides []*partition.Frame) (any, error) {
-			v, err := fn(summaries, sides)
-			if err != nil {
-				return nil, describeErr(desc, err)
-			}
-			return v, nil
-		}
-	}
-	if fn := sh.PrefixPlan; fn != nil {
-		wrapped.PrefixPlan = func(prefix []any) (any, error) {
-			v, err := fn(prefix)
-			if err != nil {
-				return nil, describeErr(desc, err)
-			}
-			return v, nil
-		}
-	}
-	if fn := sh.Partition; fn != nil {
-		wrapped.Partition = func(band int, df *core.DataFrame, plan any) ([]any, error) {
-			v, err := fn(band, df, plan)
-			if err != nil {
-				return nil, describeErr(desc, err)
-			}
-			return v, nil
-		}
-	}
-	if fn := sh.Merge; fn != nil {
-		wrapped.Merge = func(bucket int, pieces []any, plan any) (*core.DataFrame, error) {
-			out, err := fn(bucket, pieces, plan)
-			if err != nil {
-				return nil, describeErr(desc, err)
-			}
-			return out, nil
-		}
-	}
-	return &wrapped
+	sh.Desc = n.Describe()
+	return physical.NewShuffle(sh, compiled[0], compiled[1:]...), nil
 }
 
 // wholeFrame adapts a gather-then-kernel operator (one that must see the
@@ -374,14 +309,14 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return physical.NewExchange("topk-merge", func(in []*partition.Frame) (*partition.Frame, error) {
+		return exchangeStage("topk-merge", node.Describe(), func(in []*partition.Frame) (*partition.Frame, error) {
 			df, err := gather(in[0])
 			if err != nil {
 				return nil, err
 			}
 			out, err := algebra.TopKFrame(df, order, k)
 			if err != nil {
-				return nil, describeErr(node.Describe(), err)
+				return nil, err
 			}
 			return e.rePartition(out), nil
 		}, partial), nil
@@ -394,7 +329,7 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return e.groupRestoreExchange(node.Spec, node.Describe, shuffled), nil
+		return e.groupRestoreExchange(node, shuffled), nil
 
 	case *algebra.Window:
 		spec := node.Spec
@@ -419,17 +354,15 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 				// shuffle by key hash, each bucket builds once and probes
 				// its slice, and a restore exchange re-establishes left
 				// input order.
-				left, err := c.compile(node.Left)
+				sides, err := c.compileAll([]algebra.Node{node.Left, node.Right})
 				if err != nil {
 					return nil, err
 				}
-				right, err := c.compile(node.Right)
-				if err != nil {
-					return nil, err
-				}
-				built := physical.NewShuffle(describeShuffle(node.Describe(), e.spillShuffle(e.joinBuildShuffle(node.On))), right)
-				probe := physical.NewShuffle(describeShuffle(node.Describe(), e.spillShuffle(e.joinProbeShuffleKeyed(node))), left, built)
-				return e.joinRestoreExchange(node, probe), nil
+				build, probe := e.joinBuildShuffle(node.On), e.joinProbeShuffleKeyed(node)
+				build.Desc = node.Describe()
+				probe.Desc = build.Desc
+				built := physical.NewShuffle(build, sides[1])
+				return e.joinRestoreExchange(probe.Desc, physical.NewShuffle(probe, sides[0], built)), nil
 			}
 			// Anchored broadcast probe: left bands pass through in order,
 			// the right side is built once and broadcast; band b's join
@@ -445,7 +378,9 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 			// sequence; the renumber pass is itself an anchored shuffle
 			// (only band counts cross bands), so the join's output bands
 			// stay independent futures.
-			return physical.NewShuffle(describeShuffle(node.Describe(), e.renumberShuffle()), probe), nil
+			renumber := e.renumberShuffle()
+			renumber.Desc = probe.Shuffle.Desc
+			return physical.NewShuffle(renumber, probe), nil
 		}
 		return c.exchange(node, "join", func(in []*partition.Frame) (*partition.Frame, error) {
 			return e.executeJoinGather(node, in[0], in[1])

@@ -2,6 +2,7 @@ package modin
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/algebra"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/partition"
+	"repro/internal/physical"
 	"repro/internal/types"
 	"repro/internal/vector"
 )
@@ -134,47 +136,19 @@ func PlanGroupRouting(stats []*GroupBandStat, buckets int, skewAware bool) *Grou
 // positionally, so a colliding user column name is harmless.
 const GroupRankCol = "__group_rank__"
 
-// PieceSource defers a routed piece's materialization to the moment a
-// merge consumes it. Band-routed group merges fold pieces sequentially in
-// band order, so a spilled piece behind this interface is resident only
-// while its rows feed the fold — the property that keeps a pass-through
-// groupby's merge phase O(one piece + accumulator state) instead of
-// O(bucket rows).
-type PieceSource interface {
-	Frame() (*core.DataFrame, error)
-}
-
-// pieceFrame materializes one merge input piece.
-func pieceFrame(p any) (*core.DataFrame, error) {
-	switch v := p.(type) {
-	case *core.DataFrame:
-		return v, nil
-	case PieceSource:
-		return v.Frame()
-	default:
-		return nil, fmt.Errorf("modin: unexpected group merge piece %T", p)
-	}
-}
-
 // MergeGroupBucket folds one bucket's routed pieces (in band order) into
 // its merged grouped frame, validates the group count against the plan's
 // rank list, and — when other buckets exist — tags each group with its
 // global rank so the restore pass can interleave buckets back into global
 // first-appearance order. This is the merge phase both backends run.
 func MergeGroupBucket(pool *exec.Pool, frames []*core.DataFrame, spec expr.GroupBySpec, routing *GroupRouting, bucket int) (*core.DataFrame, error) {
-	pieces := make([]any, len(frames))
-	for i, f := range frames {
-		pieces[i] = f
-	}
-	return mergeGroupBucketPieces(pool, pieces, spec, routing, bucket)
+	return mergeGroupBucket(pool, physical.PiecesOf(frames...), spec, routing, bucket)
 }
 
-// mergeGroupBucketPieces is MergeGroupBucket over deferred pieces: each
-// element is a *core.DataFrame or a PieceSource resolved at consumption.
-func mergeGroupBucketPieces(pool *exec.Pool, pieces []any, spec expr.GroupBySpec, routing *GroupRouting, bucket int) (*core.DataFrame, error) {
+// mergeGroupBucket is MergeGroupBucket over the scheduler's piece handles.
+func mergeGroupBucket(pool *exec.Pool, pieces []physical.Piece, spec expr.GroupBySpec, routing *GroupRouting, bucket int) (*core.DataFrame, error) {
 	spec.Sorted = false // hashing per bucket; sortedness is a single-node optimization
-	heavy := routing.Heavy != nil && routing.Heavy[bucket]
-	out, err := mergeGroupPieces(pool, pieces, spec, heavy)
+	out, err := foldGroupPieces(pool, pieces, spec, routing.Heavy != nil && routing.Heavy[bucket])
 	if err != nil {
 		return nil, err
 	}
@@ -192,31 +166,109 @@ func mergeGroupBucketPieces(pool *exec.Pool, pieces []any, spec expr.GroupBySpec
 	return out.AppendColumn(types.String(GroupRankCol), vector.NewInt(ranks, nil), types.Int)
 }
 
-// RestoreGroupOrder interleaves the merged buckets back into global
-// first-appearance group order: each bucket's groups sit in ascending rank
-// order (MergeGroupBucket validated them against the plan), so a k-way
-// ascending-rank merge over the buckets reproduces the exact group order —
-// and, with positional labels reassigned, the exact frame — the single
-// barrier plan produced. asLabels keeps the buckets' key row labels (the
-// AsIndex form); otherwise labels become the global positional sequence.
-func RestoreGroupOrder(frames []*core.DataFrame, ranks [][]int64, asLabels bool) (*core.DataFrame, error) {
+// foldGroupPieces folds one bucket's routed pieces into its grouped frame.
+// When no piece is parked in a spill store, dict-coded keys short-circuit to
+// the typed code-indexed kernel (algebra.DictGroupFrames — the pieces are
+// views over band slices of one shared category table, so the direct-code
+// path applies). Otherwise each piece is taken as the fold consumes it, so
+// a spilled bucket never re-materializes whole — what keeps a pass-through
+// groupby's merge phase O(one piece + accumulator state). A bucket flagged
+// heavy splits its pieces into contiguous chunks, builds a group partial
+// per chunk in parallel, and recombines in chunk order —
+// GroupPartial.Merge appends the right side's new groups after the left's,
+// so the chunked fold reproduces the sequential first-appearance group
+// order exactly.
+func foldGroupPieces(pool *exec.Pool, pieces []physical.Piece, spec expr.GroupBySpec, heavy bool) (*core.DataFrame, error) {
+	if !slices.ContainsFunc(pieces, physical.Piece.Stored) {
+		frames, _ := physical.Frames(pieces) // nothing stored, nothing to fail
+		if out, ok, err := algebra.DictGroupFrames(frames, spec); ok || err != nil {
+			return out, err
+		}
+	}
+	fold := func(pieces []physical.Piece) (*algebra.GroupPartial, error) {
+		g := algebra.NewGroupPartial(spec)
+		for _, p := range pieces {
+			f, err := p.Frame()
+			if err != nil {
+				return nil, err
+			}
+			if err := g.AddFrame(f); err != nil {
+				return nil, err
+			}
+		}
+		return g, nil
+	}
+	if !heavy || len(pieces) < 2 {
+		g, err := fold(pieces)
+		if err != nil {
+			return nil, err
+		}
+		return g.Finalize()
+	}
+	cuts := bandCuts(len(pieces), min(max(pool.Workers(), 2), len(pieces)))
+	partials, err := exec.MapParallel(pool, len(cuts)-1, func(c int) (*algebra.GroupPartial, error) {
+		return fold(pieces[cuts[c]:cuts[c+1]])
+	})
+	if err != nil {
+		return nil, err
+	}
+	g := partials[0]
+	for _, o := range partials[1:] {
+		g.Merge(o)
+	}
+	return g.Finalize()
+}
+
+// splitOrdColumn cuts each band of a shuffle's output into its rows and the
+// ordinals its merge carried out in the last column (group ranks, left-input
+// row ordinals), which the restore consumes positionally.
+func splitOrdColumn(f *partition.Frame) ([]*core.DataFrame, [][]int64, error) {
+	frames := make([]*core.DataFrame, f.RowBands())
+	ords := make([][]int64, len(frames))
+	for b := range frames {
+		df, err := f.RowBand(b)
+		if err != nil {
+			return nil, nil, err
+		}
+		j := df.NCols() - 1
+		ords[b] = ordColumn(df.TypedCol(j))
+		frames[b] = df.DropColumn(j)
+	}
+	return frames, ords, nil
+}
+
+// ordColumn reads a carried ordinal column as typed int64s.
+func ordColumn(v vector.Vector) []int64 {
+	if data, _, idx, ok := vector.IntData(v); ok && idx == nil {
+		return data
+	}
+	out := make([]int64, v.Len())
+	for i := range out {
+		out[i] = v.Value(i).Int()
+	}
+	return out
+}
+
+// restoreOrder stacks the buckets and puts their rows in ascending ordinal
+// order — the k-way merge both restores share. Each bucket's ordinals
+// ascend, and equal ordinals (one left row's join matches) sit contiguously
+// in ONE bucket, so taking the smallest head row by row reproduces the
+// single-node row order exactly.
+func restoreOrder(frames []*core.DataFrame, ords [][]int64) (*core.DataFrame, error) {
 	nb := len(frames)
-	bc := make([]int, 2*nb) // bucket b's stacked-row offset (bc[b]) and fold cursor (bc[nb+b])
+	bc := make([]int, 2*nb) // bucket b's stacked-row offset (bc[b]) and merge cursor (bc[nb+b])
 	base, cur := bc[:nb], bc[nb:]
 	total := 0
-	for b, f := range frames {
-		if f.NRows() != len(ranks[b]) {
-			return nil, fmt.Errorf("modin: group restore bucket %d has %d groups, plan routed %d", b, f.NRows(), len(ranks[b]))
-		}
+	for b, o := range ords {
 		base[b] = total
-		total += f.NRows()
+		total += len(o)
 	}
 	perm := make([]int, 0, total)
 	identity := true
 	for len(perm) < total {
 		min := -1
 		for b := 0; b < nb; b++ {
-			if cur[b] < len(ranks[b]) && (min < 0 || ranks[b][cur[b]] < ranks[min][cur[min]]) {
+			if cur[b] < len(ords[b]) && (min < 0 || ords[b][cur[b]] < ords[min][cur[min]]) {
 				min = b
 			}
 		}
@@ -228,16 +280,30 @@ func RestoreGroupOrder(frames []*core.DataFrame, ranks [][]int64, asLabels bool)
 		cur[min]++
 	}
 	out, err := algebra.VStackFrames(frames...)
-	if err != nil {
-		return nil, err
+	if err != nil || identity {
+		return out, err
 	}
-	if !identity {
-		out = out.TakeRows(perm)
+	return out.TakeRows(perm), nil
+}
+
+// RestoreGroupOrder interleaves the merged buckets back into global
+// first-appearance group order: each bucket's groups sit in ascending rank
+// order (MergeGroupBucket validated them against the plan), so a k-way
+// ascending-rank merge over the buckets reproduces the exact group order —
+// and, with positional labels reassigned, the exact frame — the single
+// barrier plan produced. asLabels keeps the buckets' key row labels (the
+// AsIndex form); otherwise labels become the global positional sequence.
+func RestoreGroupOrder(frames []*core.DataFrame, ranks [][]int64, asLabels bool) (*core.DataFrame, error) {
+	for b, f := range frames {
+		if f.NRows() != len(ranks[b]) {
+			return nil, fmt.Errorf("modin: group restore bucket %d has %d groups, plan routed %d", b, f.NRows(), len(ranks[b]))
+		}
 	}
-	if asLabels {
-		return out, nil
+	out, err := restoreOrder(frames, ranks)
+	if err != nil || asLabels {
+		return out, err
 	}
-	return out.WithRowLabels(vector.Range(0, total))
+	return out.WithRowLabels(vector.Range(0, out.NRows()))
 }
 
 // SampleSortKeys draws a band's bounded key sample for the sort plan.

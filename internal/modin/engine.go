@@ -25,7 +25,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/physical"
 	"repro/internal/stats"
-	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -40,8 +39,8 @@ type Stats struct {
 	FusedTasks    atomic.Int64
 	ExchangeTasks atomic.Int64
 	// ShuffleStages, ShufflePartitionTasks and ShuffleMergeTasks count the
-	// streaming repartition work; ShuffleFallbacks counts shuffles that
-	// degraded to one coordinating task over a shape-opaque input.
+	// streaming repartition work; ShuffleFallbacks counts shuffles wired
+	// late, behind one future, over a shape-opaque input.
 	ShuffleStages         atomic.Int64
 	ShufflePartitionTasks atomic.Int64
 	ShuffleMergeTasks     atomic.Int64
@@ -92,19 +91,9 @@ type Engine struct {
 	statsMu        sync.Mutex
 	statsCache     map[*core.DataFrame]*stats.Table
 
-	// Out-of-core shuffle state (spill.go): routed-but-unmerged shuffle
-	// pieces are accounted against spillBudget resident cells; pieces past
-	// it spill through spillStore (lazily created, freed by ReleaseSpill).
-	// spillGroups tracks the cancellation groups of runs scheduled while the
-	// budget is on, so ReleaseSpill can quiesce their straggler tasks before
-	// closing the store (a cancelled run's partition tasks would otherwise
-	// lazily re-create it and leak their spill files).
-	spillBudget   int
-	spillMu       sync.Mutex
-	spillStore    *storage.Store
-	spillResident int
-	spillSeq      int64
-	spillGroups   []*exec.Group
+	// spill is the out-of-core shuffle ledger (spill.go) every run's
+	// scheduler admits its routed pieces through; nil without a spill budget.
+	spill *spillLedger
 }
 
 // Option configures the engine.
@@ -133,7 +122,14 @@ func WithBroadcastLimit(n int) Option { return func(e *Engine) { e.broadcastLimi
 // with the band release this keeps GROUPBY/SORT/JOIN over a streamed input
 // within a fixed memory ceiling instead of failing. 0 (the default)
 // disables spilling.
-func WithShuffleSpillBudget(cells int) Option { return func(e *Engine) { e.spillBudget = cells } }
+func WithShuffleSpillBudget(cells int) Option {
+	return func(e *Engine) {
+		e.spill = nil
+		if cells > 0 {
+			e.spill = &spillLedger{budget: cells, spilled: &e.stats.SpilledPieces}
+		}
+	}
+}
 
 // New returns a MODIN engine backed by the shared default pool.
 func New(opts ...Option) *Engine {
@@ -167,15 +163,18 @@ func (e *Engine) Stats() *Stats { return &e.stats }
 // exchange and shuffle task counts). The run's tasks are already in flight
 // when Schedule returns; the handle resolves as they land.
 func (e *Engine) Schedule(n algebra.Node) (*physical.Result, *physical.Scheduler, error) {
-	_, res, sched, err := e.schedule(n)
-	return res, sched, err
+	plan, err := e.Compile(n)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e.run(plan)
 }
 
 // Execute evaluates the plan and gathers the result into one dataframe.
 // The gather runs on the calling goroutine (no extra task) since Execute is
 // synchronous anyway.
 func (e *Engine) Execute(n algebra.Node) (*core.DataFrame, error) {
-	_, res, _, err := e.schedule(n)
+	res, _, err := e.Schedule(n)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +189,7 @@ func (e *Engine) Execute(n algebra.Node) (*core.DataFrame, error) {
 // future of the gathered result without waiting for any task — the handle
 // the opportunistic session regime passes back to users (Section 6.1.1).
 func (e *Engine) ExecuteAsync(n algebra.Node) *exec.Future {
-	_, res, sched, err := e.schedule(n)
+	res, sched, err := e.Schedule(n)
 	if err != nil {
 		return exec.Failed(err)
 	}
@@ -204,14 +203,10 @@ func (e *Engine) ExecuteAsync(n algebra.Node) *exec.Future {
 // concurrently, without recompiling. Per-run task counts still accumulate
 // into the engine's cumulative stats.
 func (e *Engine) ExecuteCompiled(plan *physical.Node) (*core.DataFrame, error) {
-	sched := physical.NewScheduler(e.pool)
-	sched.OnBandRelease = func() { e.stats.StreamReleasedBands.Add(1) }
-	e.trackSpillRun(sched)
-	res, err := sched.Run(plan)
+	res, _, err := e.run(plan)
 	if err != nil {
 		return nil, err
 	}
-	e.stats.add(&sched.Stats)
 	pf, err := res.Frame()
 	if err != nil {
 		return nil, err
@@ -228,32 +223,35 @@ func (e *Engine) ExecuteCompiled(plan *physical.Node) (*core.DataFrame, error) {
 // surface at gather time — Resolve, ToFrame, or BlockErr — not from this
 // call.
 func (e *Engine) ExecutePartitioned(n algebra.Node) (*partition.Frame, error) {
-	_, res, _, err := e.schedule(n)
+	res, _, err := e.Schedule(n)
 	if err != nil {
 		return nil, err
 	}
 	return res.Frame()
 }
 
-// schedule compiles the plan and launches its task DAG, returning the
-// physical plan, the root handle, and the scheduler (for stats).
-func (e *Engine) schedule(n algebra.Node) (*physical.Node, *physical.Result, *physical.Scheduler, error) {
-	plan, err := e.Compile(n)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+// run launches a compiled plan's task DAG on a fresh scheduler wired to the
+// engine's spill ledger and cumulative counters.
+func (e *Engine) run(plan *physical.Node) (*physical.Result, *physical.Scheduler, error) {
 	sched := physical.NewScheduler(e.pool)
 	sched.OnBandRelease = func() { e.stats.StreamReleasedBands.Add(1) }
-	e.trackSpillRun(sched)
+	if l := e.spill; l != nil {
+		sched.Pieces = l
+		l.mu.Lock()
+		l.groups = append(l.groups, sched.Group())
+		l.mu.Unlock()
+	}
 	res, err := sched.Run(plan)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	// Wiring-time counters are final once Run returns, so they snapshot
 	// here even though the tasks themselves still run; band releases are
-	// task-time and arrive through OnBandRelease instead.
+	// task-time and arrive through OnBandRelease instead. (The task counts
+	// of a stage wired late, behind an exchange, are in the run's own Stats
+	// only.)
 	e.stats.add(&sched.Stats)
-	return plan, res, sched, nil
+	return res, sched, nil
 }
 
 // --- exchange implementations --------------------------------------------

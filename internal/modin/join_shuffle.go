@@ -79,21 +79,21 @@ func (e *Engine) joinBuildShuffle(on []string) *physical.Shuffle {
 	return &physical.Shuffle{
 		Name:    "join-build",
 		Buckets: nb,
-		Partition: func(_ int, df *core.DataFrame, _ any) ([]any, error) {
+		Partition: func(_ int, df *core.DataFrame, _ any) ([]*core.DataFrame, error) {
 			df, idx, err := keyBuckets(df, on, nb)
 			if err != nil {
 				return nil, err
 			}
-			pieces := make([]any, nb)
+			pieces := make([]*core.DataFrame, nb)
 			for b := range pieces {
 				pieces[b] = df.TakeRows(idx[b])
 			}
 			return pieces, nil
 		},
-		Merge: func(_ int, pieces []any, _ any) (*core.DataFrame, error) {
-			frames := make([]*core.DataFrame, len(pieces))
-			for r, p := range pieces {
-				frames[r] = p.(*core.DataFrame)
+		Merge: func(_ int, pieces []physical.Piece, _ any) (*core.DataFrame, error) {
+			frames, err := physical.Frames(pieces)
+			if err != nil {
+				return nil, err
 			}
 			return algebra.VStackFrames(frames...)
 		},
@@ -108,27 +108,24 @@ type joinProbePlan struct {
 	builds  []*core.DataFrame
 }
 
-// joinPiece is one band's contribution to one probe bucket: the routed rows
-// plus their global left-input ordinals.
-type joinPiece struct {
-	df   *core.DataFrame
-	ords []int64
-}
-
 // joinOrdCol carries the probe rows' left-input ordinals through the
-// shuffle; the restore exchange consumes (and drops) it positionally, so a
+// shuffle, as the last column of every routed piece and merged bucket; the
+// merge and the restore exchange consume (and drop) it positionally, so a
 // colliding user column name is harmless.
 const joinOrdCol = "__join_ord__"
 
 // joinProbeShuffleKeyed shuffles the probe (left) side by the same key hash
 // and joins each bucket against its built right slice: BuildJoinTable once
 // per bucket, typed probe in routed-row order, then the standard join
-// assembly. Every output row is tagged with its left row's global ordinal
-// so the restore exchange can reproduce exact left input order (and with it
-// the broadcast path's output exactly).
+// assembly. Every routed row carries its left row's global ordinal, and every
+// output row inherits it, so the restore exchange can reproduce exact left
+// input order (and with it the broadcast path's output exactly).
 func (e *Engine) joinProbeShuffleKeyed(node *algebra.Join) *physical.Shuffle {
 	nb := e.bands
 	on, kind := node.On, node.Kind
+	withOrds := func(df *core.DataFrame, ords []int64) (*core.DataFrame, error) {
+		return df.AppendColumn(types.String(joinOrdCol), vector.NewInt(ords, nil), types.Int)
+	}
 	return &physical.Shuffle{
 		Name:    "join-probe",
 		Buckets: nb,
@@ -156,44 +153,40 @@ func (e *Engine) joinProbeShuffleKeyed(node *algebra.Join) *physical.Shuffle {
 			}
 			return p, nil
 		},
-		Partition: func(band int, df *core.DataFrame, plan any) ([]any, error) {
-			p := plan.(*joinProbePlan)
+		Partition: func(band int, df *core.DataFrame, plan any) ([]*core.DataFrame, error) {
 			df, idx, err := keyBuckets(df, on, nb)
 			if err != nil {
 				return nil, err
 			}
-			base := int64(p.offsets[band])
-			pieces := make([]any, nb)
+			base := int64(plan.(*joinProbePlan).offsets[band])
+			pieces := make([]*core.DataFrame, nb)
 			for b := range pieces {
 				ords := make([]int64, len(idx[b]))
 				for k, i := range idx[b] {
 					ords[k] = base + int64(i)
 				}
-				pieces[b] = joinPiece{df: df.TakeRows(idx[b]), ords: ords}
+				if pieces[b], err = withOrds(df.TakeRows(idx[b]), ords); err != nil {
+					return nil, err
+				}
 			}
 			return pieces, nil
 		},
-		Merge: func(bucket int, pieces []any, plan any) (*core.DataFrame, error) {
-			p := plan.(*joinProbePlan)
-			frames := make([]*core.DataFrame, len(pieces))
-			total := 0
-			for r, piece := range pieces {
-				jp := piece.(joinPiece)
-				frames[r] = jp.df
-				total += len(jp.ords)
+		Merge: func(bucket int, pieces []physical.Piece, plan any) (*core.DataFrame, error) {
+			frames, err := physical.Frames(pieces)
+			if err != nil {
+				return nil, err
 			}
 			// Bands stack in band order and each band's ordinals ascend, so
 			// the bucket's concatenated ordinals are globally ascending —
 			// the invariant the restore merge relies on.
-			ords := make([]int64, 0, total)
-			for _, piece := range pieces {
-				ords = append(ords, piece.(joinPiece).ords...)
-			}
 			left, err := algebra.VStackFrames(frames...)
 			if err != nil {
 				return nil, err
 			}
-			table, err := algebra.BuildJoinTable(p.builds[bucket], on)
+			j := left.NCols() - 1
+			ords := ordColumn(left.TypedCol(j))
+			left = left.DropColumn(j)
+			table, err := algebra.BuildJoinTable(plan.(*joinProbePlan).builds[bucket], on)
 			if err != nil {
 				return nil, err
 			}
@@ -209,85 +202,30 @@ func (e *Engine) joinProbeShuffleKeyed(node *algebra.Join) *physical.Shuffle {
 			for k, i := range leftIdx {
 				ordOut[k] = ords[i]
 			}
-			return out.AppendColumn(types.String(joinOrdCol), vector.NewInt(ordOut, nil), types.Int)
+			return withOrds(out, ordOut)
 		},
 	}
-}
-
-// ordColumn reads a bucket's carried ordinal column as typed int64s.
-func ordColumn(v vector.Vector) []int64 {
-	if data, _, idx, ok := vector.IntData(v); ok && idx == nil {
-		return data
-	}
-	out := make([]int64, v.Len())
-	for i := range out {
-		out[i] = v.Value(i).Int()
-	}
-	return out
 }
 
 // joinRestoreExchange puts the shuffled probe output back into left input
 // order. Each bucket's rows carry ascending left ordinals, one left row's
 // matches live contiguously in exactly one bucket, and ordinals are unique
-// per left row — so a k-way run merge over the nb buckets reproduces the
-// exact row order (and positional labels) the broadcast path would have
-// produced.
-func (e *Engine) joinRestoreExchange(node *algebra.Join, probe *physical.Node) *physical.Node {
-	desc := node.Describe()
-	run := func(in []*partition.Frame) (*partition.Frame, error) {
-		f := in[0]
-		nb := f.RowBands()
-		bands := make([]*core.DataFrame, nb)
-		ords := make([][]int64, nb)
-		base := make([]int, nb) // bucket b's row offset in the stacked frame
-		total := 0
-		for b := 0; b < nb; b++ {
-			df, err := f.RowBand(b)
-			if err != nil {
-				return nil, err
-			}
-			j := df.NCols() - 1
-			ords[b] = ordColumn(df.TypedCol(j))
-			bands[b] = df.DropColumn(j)
-			base[b] = total
-			total += df.NRows()
-		}
-		perm := make([]int, 0, total)
-		cur := make([]int, nb)
-		for len(perm) < total {
-			min := -1
-			for b := 0; b < nb; b++ {
-				if cur[b] < len(ords[b]) && (min < 0 || ords[b][cur[b]] < ords[min][cur[min]]) {
-					min = b
-				}
-			}
-			if min < 0 {
-				return nil, fmt.Errorf("modin: join restore ran out of rows at %d of %d", len(perm), total)
-			}
-			// Consume the whole run for this left row: its matches are
-			// contiguous in this one bucket.
-			o := ords[min][cur[min]]
-			for cur[min] < len(ords[min]) && ords[min][cur[min]] == o {
-				perm = append(perm, base[min]+cur[min])
-				cur[min]++
-			}
-		}
-		out, err := algebra.VStackFrames(bands...)
+// per left row — so the k-way ordinal merge over the nb buckets
+// (restoreOrder) reproduces the exact row order (and positional labels) the
+// broadcast path would have produced.
+func (e *Engine) joinRestoreExchange(desc string, probe *physical.Node) *physical.Node {
+	return exchangeStage("join-restore", desc, func(in []*partition.Frame) (*partition.Frame, error) {
+		bands, ords, err := splitOrdColumn(in[0])
 		if err != nil {
 			return nil, err
 		}
-		out, err = out.TakeRows(perm).WithRowLabels(vector.Range(0, total))
+		out, err := restoreOrder(bands, ords)
 		if err != nil {
+			return nil, err
+		}
+		if out, err = out.WithRowLabels(vector.Range(0, out.NRows())); err != nil {
 			return nil, err
 		}
 		return e.rePartition(out), nil
-	}
-	wrapped := func(in []*partition.Frame) (*partition.Frame, error) {
-		out, err := run(in)
-		if err != nil {
-			return nil, describeErr(desc, err)
-		}
-		return out, nil
-	}
-	return physical.NewExchange("join-restore", wrapped, probe)
+	}, probe)
 }

@@ -3,7 +3,6 @@ package modin
 import (
 	"repro/internal/algebra"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/partition"
 	"repro/internal/physical"
@@ -84,26 +83,16 @@ func (e *Engine) groupByShuffle(spec expr.GroupBySpec) *physical.Shuffle {
 			}
 			return PlanGroupRouting(stats, nb, e.statsOn), nil
 		},
-		Partition: func(_ int, df *core.DataFrame, plan any) ([]any, error) {
+		Partition: func(_ int, df *core.DataFrame, plan any) ([]*core.DataFrame, error) {
 			// Band routing: plan is this band's own key summary, nothing
 			// global. hash%nb routes a key identically wherever it appears.
 			gs := plan.(*groupBandSummary)
 			sum := gs.sum
 			gs.sum = nil // free the ordinals; only stat stays live for the plan fold
-			views, err := RouteGroupBand(df, sum, spec, nb)
-			if err != nil {
-				return nil, err
-			}
-			pieces := make([]any, nb)
-			for b, v := range views {
-				pieces[b] = v
-			}
-			return pieces, nil
+			return RouteGroupBand(df, sum, spec, nb)
 		},
-		Merge: func(bucket int, pieces []any, plan any) (*core.DataFrame, error) {
-			// Pieces may arrive deferred (PieceSource) under a spill budget;
-			// the fold resolves each one at consumption.
-			return mergeGroupBucketPieces(e.pool, pieces, spec, plan.(*GroupRouting), bucket)
+		Merge: func(bucket int, pieces []physical.Piece, plan any) (*core.DataFrame, error) {
+			return mergeGroupBucket(e.pool, pieces, spec, plan.(*GroupRouting), bucket)
 		},
 	}
 }
@@ -114,28 +103,17 @@ func (e *Engine) groupByShuffle(spec expr.GroupBySpec) *physical.Shuffle {
 // single-bucket shuffle needs no repair and passes through. The k-way rank
 // merge itself is RestoreGroupOrder (distrib.go), shared with the cluster
 // coordinator.
-// desc is resolved lazily — the description string is only rendered when a
-// restore actually fails, not on every compile.
-func (e *Engine) groupRestoreExchange(spec expr.GroupBySpec, desc func() string, shuffled *physical.Node) *physical.Node {
-	asLabels := spec.AsLabels
-	run := func(in []*partition.Frame) (*partition.Frame, error) {
-		f := in[0]
-		nb := f.RowBands()
-		if nb == 1 {
+func (e *Engine) groupRestoreExchange(node *algebra.GroupBy, shuffled *physical.Node) *physical.Node {
+	asLabels := node.Spec.AsLabels
+	return exchangeStage("groupby-restore", shuffled.Shuffle.Desc, func(in []*partition.Frame) (*partition.Frame, error) {
+		if in[0].RowBands() == 1 {
 			// One bucket: MergeGroupBucket already produced final order and
 			// labels, with no rank column to strip.
-			return f, nil
+			return in[0], nil
 		}
-		frames := make([]*core.DataFrame, nb)
-		ranks := make([][]int64, nb)
-		for b := 0; b < nb; b++ {
-			df, err := f.RowBand(b)
-			if err != nil {
-				return nil, err
-			}
-			j := df.NCols() - 1
-			ranks[b] = ordColumn(df.TypedCol(j))
-			frames[b] = df.DropColumn(j)
+		frames, ranks, err := splitOrdColumn(in[0])
+		if err != nil {
+			return nil, err
 		}
 		out, err := RestoreGroupOrder(frames, ranks, asLabels)
 		if err != nil {
@@ -148,90 +126,7 @@ func (e *Engine) groupRestoreExchange(spec expr.GroupBySpec, desc func() string,
 			bands = max
 		}
 		return partition.New(out, partition.Rows, bands), nil
-	}
-	wrapped := func(in []*partition.Frame) (*partition.Frame, error) {
-		out, err := run(in)
-		if err != nil {
-			return nil, describeErr(desc(), err)
-		}
-		return out, nil
-	}
-	return physical.NewExchange("groupby-restore", wrapped, shuffled)
-}
-
-// mergeGroupPieces folds one bucket's routed pieces into its grouped frame.
-// When every piece is already resident, dict-coded keys short-circuit to
-// the typed code-indexed kernel (algebra.DictGroupFrames — the pieces are
-// views over band slices of one shared category table, so the direct-code
-// path applies); deferred (PieceSource) pieces instead resolve one at a
-// time as the fold consumes them, so a spilled bucket never re-materializes
-// whole. A bucket flagged heavy splits its pieces into contiguous chunks,
-// builds a group partial per chunk in parallel, and recombines in chunk
-// order — GroupPartial.Merge appends the right side's new groups after the
-// left's, so the chunked fold reproduces the sequential first-appearance
-// group order exactly.
-func mergeGroupPieces(pool *exec.Pool, pieces []any, spec expr.GroupBySpec, heavy bool) (*core.DataFrame, error) {
-	if frames, eager := eagerFrames(pieces); eager {
-		if out, ok, err := algebra.DictGroupFrames(frames, spec); ok || err != nil {
-			return out, err
-		}
-	}
-	if heavy && len(pieces) > 1 {
-		chunks := pool.Workers()
-		if chunks > len(pieces) {
-			chunks = len(pieces)
-		}
-		if chunks < 2 {
-			chunks = 2
-		}
-		cuts := bandCuts(len(pieces), chunks)
-		partials, err := exec.MapParallel(pool, chunks, func(c int) (*algebra.GroupPartial, error) {
-			g := algebra.NewGroupPartial(spec)
-			for _, p := range pieces[cuts[c]:cuts[c+1]] {
-				f, err := pieceFrame(p)
-				if err != nil {
-					return nil, err
-				}
-				if err := g.AddFrame(f); err != nil {
-					return nil, err
-				}
-			}
-			return g, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		g := partials[0]
-		for _, o := range partials[1:] {
-			g.Merge(o)
-		}
-		return g.Finalize()
-	}
-	g := algebra.NewGroupPartial(spec)
-	for _, p := range pieces {
-		f, err := pieceFrame(p)
-		if err != nil {
-			return nil, err
-		}
-		if err := g.AddFrame(f); err != nil {
-			return nil, err
-		}
-	}
-	return g.Finalize()
-}
-
-// eagerFrames unwraps pieces when every one is already a resident frame —
-// the gate for whole-bucket kernels like the dict short-circuit.
-func eagerFrames(pieces []any) ([]*core.DataFrame, bool) {
-	frames := make([]*core.DataFrame, len(pieces))
-	for i, p := range pieces {
-		f, ok := p.(*core.DataFrame)
-		if !ok {
-			return nil, false
-		}
-		frames[i] = f
-	}
-	return frames, true
+	}, shuffled)
 }
 
 // joinProbeShuffle lowers an inner/left join to an anchored shuffle: the
@@ -246,9 +141,12 @@ func (e *Engine) joinProbeShuffle(node *algebra.Join) *physical.Shuffle {
 		Plan: func(_ []any, sides []*partition.Frame) (any, error) {
 			return sides[0].ToFrame()
 		},
-		Merge: func(_ int, pieces []any, plan any) (*core.DataFrame, error) {
-			return algebra.JoinFrames(pieces[0].(*core.DataFrame), plan.(*core.DataFrame),
-				node.Kind, node.On, node.OnLabels)
+		Merge: func(_ int, pieces []physical.Piece, plan any) (*core.DataFrame, error) {
+			band, err := pieces[0].Frame()
+			if err != nil {
+				return nil, err
+			}
+			return algebra.JoinFrames(band, plan.(*core.DataFrame), node.Kind, node.On, node.OnLabels)
 		},
 	}
 }
@@ -272,8 +170,11 @@ func (e *Engine) renumberShuffle() *physical.Shuffle {
 			}
 			return off, nil
 		},
-		Merge: func(_ int, pieces []any, plan any) (*core.DataFrame, error) {
-			df := pieces[0].(*core.DataFrame)
+		Merge: func(_ int, pieces []physical.Piece, plan any) (*core.DataFrame, error) {
+			df, err := pieces[0].Frame()
+			if err != nil {
+				return nil, err
+			}
 			return df.WithRowLabels(vector.Range(int64(plan.(int)), df.NRows()))
 		},
 	}

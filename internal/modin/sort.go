@@ -126,25 +126,18 @@ func (e *Engine) sortShuffle(node *algebra.Sort) *physical.Shuffle {
 			}
 			return &sortPlan{bounds: PlanSortBounds(all, nb, node)}, nil
 		},
-		Partition: func(_ int, df *core.DataFrame, plan any) ([]any, error) {
+		Partition: func(_ int, df *core.DataFrame, plan any) ([]*core.DataFrame, error) {
 			// The band is sorted, so each bucket's rows are one contiguous
 			// run: binary-search the first row past each bound and slice —
 			// routing moves no cells (PartitionSortedBand, shared with the
 			// cluster workers).
-			runs, err := PartitionSortedBand(df, node, plan.(*sortPlan).bounds, nb)
+			return PartitionSortedBand(df, node, plan.(*sortPlan).bounds, nb)
+		},
+		Merge: func(_ int, pieces []physical.Piece, _ any) (*core.DataFrame, error) {
+			// The k-way run merge needs every run at once.
+			frames, err := physical.Frames(pieces)
 			if err != nil {
 				return nil, err
-			}
-			pieces := make([]any, nb)
-			for b, r := range runs {
-				pieces[b] = r
-			}
-			return pieces, nil
-		},
-		Merge: func(_ int, pieces []any, _ any) (*core.DataFrame, error) {
-			frames := make([]*core.DataFrame, len(pieces))
-			for i, piece := range pieces {
-				frames[i] = piece.(*core.DataFrame)
 			}
 			return MergeSortBucket(frames, node)
 		},

@@ -18,6 +18,24 @@ func mustFrame(t *testing.T, data []int64) *core.DataFrame {
 	return df
 }
 
+// admitResident admits piece through the engine's ledger, requires it to
+// stay in memory, and returns the frame the ledger holds for the merge.
+func admitResident(t *testing.T, e *Engine, piece *core.DataFrame) *core.DataFrame {
+	t.Helper()
+	take, err := e.spill.Admit(piece)
+	if err != nil {
+		t.Fatalf("Admit: %v", err)
+	}
+	if n := e.Stats().SpilledPieces.Load(); n != 0 {
+		t.Fatalf("%d pieces written out under a generous budget", n)
+	}
+	admitted, err := take()
+	if err != nil {
+		t.Fatalf("take: %v", err)
+	}
+	return admitted
+}
+
 // TestResidentPieceDetachesFromBand is the white-box half of the pinning
 // regression: a resident piece admitted from a Slice window must not share
 // storage with the band it was sliced from. Compact would leave the slice
@@ -31,20 +49,13 @@ func TestResidentPieceDetachesFromBand(t *testing.T) {
 	piece := band.SliceRows(16, 32)
 
 	e := New(WithShuffleSpillBudget(1 << 20))
-	admitted, err := e.admitFrame(piece)
-	if err != nil {
-		t.Fatalf("admitFrame: %v", err)
-	}
-	rp, ok := admitted.(residentPiece)
-	if !ok {
-		t.Fatalf("admitted piece is %T, want residentPiece", admitted)
-	}
-	got := rp.df.TypedCol(0).(*vector.Int).RawData()
+	admitted := admitResident(t, e, piece)
+	got := admitted.TypedCol(0).(*vector.Int).RawData()
 	if &got[0] == &data[16] {
 		t.Fatal("resident piece aliases the source band's backing array")
 	}
-	if rp.df.NRows() != 16 {
-		t.Fatalf("piece rows = %d, want 16", rp.df.NRows())
+	if admitted.NRows() != 16 {
+		t.Fatalf("piece rows = %d, want 16", admitted.NRows())
 	}
 	for i, v := range got {
 		if v != int64(16+i) {
@@ -55,7 +66,7 @@ func TestResidentPieceDetachesFromBand(t *testing.T) {
 
 // TestResidentPieceDoesNotPinBand is the HeapAlloc half: admit a tiny slice
 // of a large band as a resident piece, drop the band, and require the heap
-// to shrink back near its pre-band baseline. If admitFrame kept the slice
+// to shrink back near its pre-band baseline. If Admit kept the slice
 // aliased (the pre-Detach behavior), the whole 32 MB band would stay live
 // behind the 16-row piece and the final HeapAlloc would sit a band above
 // the baseline. Thresholds are generous (a quarter band) to stay far from
@@ -69,13 +80,7 @@ func TestResidentPieceDoesNotPinBand(t *testing.T) {
 	baseline := m.HeapAlloc
 
 	e := New(WithShuffleSpillBudget(1 << 20))
-	admitted, err := e.admitFrame(mustFrame(t, make([]int64, bandRows)).SliceRows(0, 16))
-	if err != nil {
-		t.Fatalf("admitFrame: %v", err)
-	}
-	if _, ok := admitted.(residentPiece); !ok {
-		t.Fatalf("admitted piece is %T, want residentPiece", admitted)
-	}
+	admitted := admitResident(t, e, mustFrame(t, make([]int64, bandRows)).SliceRows(0, 16))
 	// The band frame is now unreachable; only the admitted piece survives.
 	runtime.GC()
 	runtime.ReadMemStats(&m)

@@ -74,8 +74,9 @@ func TestSpillSortMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestSpillShuffledJoinMatchesInMemory spills composite joinPieces (frame +
-// ordinals) on both build and probe sides of a keyed shuffled join.
+// TestSpillShuffledJoinMatchesInMemory spills the routed pieces of both
+// sides of a keyed shuffled join — the probe side's carrying their left-input
+// ordinals as a column.
 func TestSpillShuffledJoinMatchesInMemory(t *testing.T) {
 	rows := 120
 	lrec := make([][]any, rows)

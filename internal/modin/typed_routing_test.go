@@ -94,8 +94,6 @@ var routingWhere = expr.WhereCompare("f", vector.CmpGe, types.IntValue(7))
 // Streamed scan → [Where] → GroupBy and scan → SortValues agree with the
 // eager engine cell for cell, at band sizes that put one row, a few rows and
 // most of the file in a band, resident and with every routed piece spilled.
-// (SORT runs without the spill budget: ROADMAP item 1's streamed-sort
-// deadlock is open.)
 func TestStreamedShufflesMatchEagerOnBandSensitiveColumns(t *testing.T) {
 	text := routingCSV()
 	for _, bandRows := range []int{1, 7, 64} {
@@ -120,12 +118,11 @@ func TestStreamedShufflesMatchEagerOnBandSensitiveColumns(t *testing.T) {
 					})
 				}
 			}
-			if budget > 0 {
-				continue
-			}
 			for _, s := range routingSorts {
 				t.Run(fmt.Sprintf("%s sort %v", name, s.order), func(t *testing.T) {
-					assertEngineAgreesWithEager(t, newEngine(), &algebra.Sort{Input: textScan(text, bandRows), Order: s.order})
+					e := newEngine()
+					defer e.ReleaseSpill()
+					assertEngineAgreesWithEager(t, e, &algebra.Sort{Input: textScan(text, bandRows), Order: s.order})
 				})
 			}
 		}
@@ -174,19 +171,18 @@ func misses(frames []*core.DataFrame) int64 {
 }
 
 // runPhases drives one partitioned shuffle by hand — summarize and partition
-// every band, plan, then merge every bucket — through the engine's spill
-// wrapper, so pieces are admitted or spilled exactly as in a run. It returns
-// the merged buckets and how many inductions (cache misses, on the bands'
-// caches and on the caches of pieces read back from disk) ran after the
-// partition phase. reads names the columns the merge reads: a piece must
-// hold each one typed, or declared Σ*.
+// every band, plan, then merge every bucket — passing every routed piece
+// through the engine's spill ledger, so pieces are admitted or spilled
+// exactly as in a run. It returns the merged buckets and how many inductions
+// (cache misses, on the bands' caches and on the caches of pieces read back
+// from disk) ran after the partition phase. reads names the columns the
+// merge reads: a piece must hold each one typed, or declared Σ*.
 func runPhases(t *testing.T, e *Engine, sh *physical.Shuffle, bands []*core.DataFrame, reads []string) ([]*core.DataFrame, int64) {
 	t.Helper()
 	defer e.ReleaseSpill()
-	wrapped := e.spillShuffle(sh)
 	sums := make([]any, len(bands))
 	for r, band := range bands {
-		s, err := wrapped.Summarize(r, band)
+		s, err := sh.Summarize(r, band)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,42 +191,47 @@ func runPhases(t *testing.T, e *Engine, sh *physical.Shuffle, bands []*core.Data
 	var plan any
 	var err error
 	if !sh.BandRouting { // the sort's partition waits for the bounds
-		if plan, err = wrapped.Plan(sums, nil); err != nil {
+		if plan, err = sh.Plan(sums, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	routed := make([][]any, sh.Buckets) // [bucket][band]
+	routed := make([][]func() (*core.DataFrame, error), sh.Buckets) // [bucket][band]
 	for r, band := range bands {
 		bandPlan := plan
 		if sh.BandRouting {
 			bandPlan = sums[r]
 		}
-		pieces, err := wrapped.Partition(r, band, bandPlan)
+		pieces, err := sh.Partition(r, band, bandPlan)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for b, p := range pieces {
-			routed[b] = append(routed[b], p)
+			take := func() (*core.DataFrame, error) { return p, nil }
+			if e.spill != nil {
+				if take, err = e.spill.Admit(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			routed[b] = append(routed[b], take)
 		}
 	}
 	if sh.BandRouting {
-		if plan, err = wrapped.Plan(sums, nil); err != nil {
+		if plan, err = sh.Plan(sums, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// Resolve the pieces the way the wrapped merge would, so the caches of
-	// decoded pieces are in hand, then run the shuffle's own merge on them.
+	// Take the pieces back the way a merge would, so the caches of decoded
+	// pieces are in hand, then run the shuffle's own merge on them.
 	watched := append([]*core.DataFrame(nil), bands...)
-	resolved := make([][]any, sh.Buckets)
+	resolved := make([][]*core.DataFrame, sh.Buckets)
 	raw := map[string]bool{}
 	for b := range routed {
-		for _, p := range routed[b] {
-			v, err := e.resolvePiece(p)
+		for _, take := range routed[b] {
+			piece, err := take()
 			if err != nil {
 				t.Fatal(err)
 			}
-			piece := v.(*core.DataFrame)
 			for _, name := range reads {
 				j := piece.ColIndex(name)
 				if piece.Col(j).Domain() == types.Object && piece.DeclaredDomain(j) != types.Object && !raw[name] {
@@ -245,7 +246,7 @@ func runPhases(t *testing.T, e *Engine, sh *physical.Shuffle, bands []*core.Data
 	before := misses(watched)
 	out := make([]*core.DataFrame, sh.Buckets)
 	for b := range out {
-		if out[b], err = sh.Merge(b, resolved[b], plan); err != nil {
+		if out[b], err = sh.Merge(b, physical.PiecesOf(resolved[b]...), plan); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -7,7 +7,6 @@
 package optimizer
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/algebra"
@@ -72,7 +71,7 @@ func rewriteBottomUp(n algebra.Node, rules []Rule, fired *[]string) (algebra.Nod
 		changed = changed || ch
 	}
 	if changed {
-		n = WithChildren(n, newChildren)
+		n = algebra.WithChildren(n, newChildren)
 	}
 	for _, r := range rules {
 		if out, ok := r.Apply(n); ok {
@@ -81,86 +80,6 @@ func rewriteBottomUp(n algebra.Node, rules []Rule, fired *[]string) (algebra.Nod
 		}
 	}
 	return n, changed
-}
-
-// WithChildren clones the node with new inputs, preserving all other
-// configuration. Node values are small structs, so cloning is cheap.
-func WithChildren(n algebra.Node, kids []algebra.Node) algebra.Node {
-	switch node := n.(type) {
-	case *algebra.Source:
-		return node
-	case *algebra.Scan:
-		return node
-	case *algebra.Selection:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.Projection:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.Union:
-		c := *node
-		c.Left, c.Right = kids[0], kids[1]
-		return &c
-	case *algebra.Difference:
-		c := *node
-		c.Left, c.Right = kids[0], kids[1]
-		return &c
-	case *algebra.Join:
-		c := *node
-		c.Left, c.Right = kids[0], kids[1]
-		return &c
-	case *algebra.DropDuplicates:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.GroupBy:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.Sort:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.Rename:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.Window:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.Transpose:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.Map:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.ToLabels:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.FromLabels:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.Induce:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.Limit:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.TopK:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	}
-	panic(fmt.Sprintf("optimizer: unknown node %T", n))
 }
 
 // DoubleTranspose eliminates TRANSPOSE∘TRANSPOSE. Sound when the inner

@@ -96,8 +96,8 @@ func randPruneFrame(r *rand.Rand) *core.DataFrame {
 
 // randPrunePlan draws [SELECTION(Where)]* → [SORT] → GROUPBY over the named
 // columns and returns it as a function of its leaf, so the same plan runs
-// over an in-memory source and a streamed scan; sorted reports the SORT.
-func randPrunePlan(r *rand.Rand, names []string) (build func(algebra.Node) algebra.Node, sorted bool) {
+// over an in-memory source and a streamed scan.
+func randPrunePlan(r *rand.Rand, names []string) func(algebra.Node) algebra.Node {
 	col := func() string { return names[r.Intn(len(names))] }
 	var wheres []*expr.Where
 	for i := r.Intn(3); i > 0; i-- {
@@ -145,7 +145,7 @@ func randPrunePlan(r *rand.Rand, names []string) (build func(algebra.Node) algeb
 			leaf = &algebra.Sort{Input: leaf, Order: order}
 		}
 		return &algebra.GroupBy{Input: leaf, Spec: spec}
-	}, order != nil
+	}
 }
 
 // sameFrame is DataFrame.Equal that looks inside COLLECT's composite cells
@@ -202,24 +202,14 @@ func scanOf(t *testing.T, df *core.DataFrame, bandRows int) *algebra.Scan {
 // same error) on the eager engine, on MODIN, and on MODIN streaming the
 // same rows from CSV under a spill budget that sends every routed piece to
 // disk. One seed is fixed; one is fresh per run and logged on failure.
-//
-// Plans with a SORT stream without the spill budget: a streamed scan → SORT
-// under one deadlocks once the scan has more bands than the parse-ahead
-// window (the producer waits for a band's release, the sort's partition
-// phase for every band's sample) — at the parent commit too, with or
-// without this rule.
 func TestPruneGroupByInputIsAnIdentity(t *testing.T) {
 	for _, seed := range []int64{15, time.Now().UnixNano()} {
 		r := rand.New(rand.NewSource(seed))
 		pruned := 0
 		for iter := 0; iter < 120; iter++ {
 			frame := randPruneFrame(r)
-			build, sorted := randPrunePlan(r, frame.ColNames())
-			budget := 1
-			if sorted {
-				budget = 0
-			}
-			spilling := modin.New(modin.WithBands(2), modin.WithShuffleSpillBudget(budget))
+			build := randPrunePlan(r, frame.ColNames())
+			spilling := modin.New(modin.WithBands(2), modin.WithShuffleSpillBudget(1))
 			runs := []struct {
 				name   string
 				engine algebra.Engine

@@ -430,36 +430,6 @@ func (f *Frame) ToFrame() (*core.DataFrame, error) {
 	return algebra.VStackFrames(bands...)
 }
 
-// MapBlocks applies fn to every block in parallel and waits for all,
-// producing a materialized frame with the same grid shape. fn must be
-// shape-compatible within bands (same row count across a row band, same
-// column count across a column band). See MapBlocksAsync for the
-// non-blocking variant.
-func (f *Frame) MapBlocks(pool *exec.Pool, fn func(*core.DataFrame) (*core.DataFrame, error)) (*Frame, error) {
-	rb, cb := f.RowBands(), f.ColBands()
-	out := make([][]*core.DataFrame, rb)
-	for r := range out {
-		out[r] = make([]*core.DataFrame, cb)
-	}
-	err := pool.ForEach(rb*cb, func(i int) error {
-		r, c := i/cb, i%cb
-		in, err := f.BlockErr(r, c)
-		if err != nil {
-			return err
-		}
-		blk, err := fn(in)
-		if err != nil {
-			return err
-		}
-		out[r][c] = blk
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return FromGrid(out)
-}
-
 // MapBlocksAsync schedules fn over every block as one task per block,
 // chained on the block's future, and returns the deferred result frame
 // immediately. Errors surface when the result is resolved; a failing block
@@ -482,35 +452,6 @@ func (f *Frame) MapBlocksAsync(pool *exec.Pool, g *exec.Group, fn func(*core.Dat
 		}
 	}
 	return &Frame{grid: out}
-}
-
-// MapRowBands gathers each row band to full width, applies fn to the bands
-// in parallel, and waits for all. Band results may change row counts
-// (selection) but must agree on columns. The result is row-partitioned.
-func (f *Frame) MapRowBands(pool *exec.Pool, fn func(band *core.DataFrame) (*core.DataFrame, error)) (*Frame, error) {
-	rb := f.RowBands()
-	out := make([][]*core.DataFrame, rb)
-	err := pool.ForEach(rb, func(r int) error {
-		band, err := f.RowBand(r)
-		if err != nil {
-			return err
-		}
-		res, err := fn(band)
-		if err != nil {
-			return err
-		}
-		out[r] = []*core.DataFrame{res}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for r := 1; r < rb; r++ {
-		if out[r][0].NCols() != out[0][0].NCols() {
-			return nil, fmt.Errorf("partition: row-band map changed arity: band %d has %d cols, band 0 has %d", r, out[r][0].NCols(), out[0][0].NCols())
-		}
-	}
-	return FromGrid(out)
 }
 
 // Transpose performs MODIN's communication-free transpose (Section 3.1):

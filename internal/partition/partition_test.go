@@ -81,17 +81,14 @@ func TestMoreBandsThanRowsClamps(t *testing.T) {
 	}
 }
 
-func TestMapBlocks(t *testing.T) {
+func TestMapBlocksAsyncOverBlockGrid(t *testing.T) {
 	df := frame(t, 16, 4)
 	pf := New(df, Blocks, 2)
 	pool := exec.NewPool(2)
 	defer pool.Close()
-	out, err := pf.MapBlocks(pool, func(blk *core.DataFrame) (*core.DataFrame, error) {
+	out := pf.MapBlocksAsync(pool, exec.NewGroup(), func(blk *core.DataFrame) (*core.DataFrame, error) {
 		return algebra.MapFrame(blk, algebra.IsNullFn())
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := out.ToFrame()
 	if err != nil {
 		t.Fatal(err)
@@ -101,17 +98,14 @@ func TestMapBlocks(t *testing.T) {
 	}
 }
 
-func TestMapRowBandsSelection(t *testing.T) {
+func TestMapBlocksAsyncRowBandSelection(t *testing.T) {
 	df := frame(t, 30, 3)
 	pf := New(df, Rows, 5)
 	pool := exec.NewPool(4)
 	defer pool.Close()
-	out, err := pf.MapRowBands(pool, func(band *core.DataFrame) (*core.DataFrame, error) {
+	out := pf.MapBlocksAsync(pool, exec.NewGroup(), func(band *core.DataFrame) (*core.DataFrame, error) {
 		return algebra.SelectRows(band, func(r expr.Row) bool { return r.Value(0).Int()%2 == 0 }), nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := out.ToFrame()
 	if err != nil {
 		t.Fatal(err)

@@ -29,6 +29,7 @@ package physical
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -42,6 +43,10 @@ import (
 type Kernel struct {
 	// Name labels the kernel in plan renderings ("selection", "map", ...).
 	Name string
+	// Desc is the logical operator the kernel implements (its Describe()
+	// text); the scheduler puts it in front of the kernel's failures, so a
+	// deep chain's error names the operator that failed.
+	Desc string
 	// Elementwise marks kernels that are partitioning-agnostic (pure
 	// cell-level transforms): they may run per block under any scheme. A
 	// non-elementwise kernel needs full-width row bands.
@@ -56,6 +61,8 @@ type Kernel struct {
 type Exchange struct {
 	// Name labels the exchange in plan renderings ("groupby", "sort", ...).
 	Name string
+	// Desc is the logical operator's description, as on Kernel.
+	Desc string
 	// Run produces the stage's (materialized) output frame.
 	Run func(inputs []*partition.Frame) (*partition.Frame, error)
 }
@@ -76,6 +83,9 @@ type Exchange struct {
 type Shuffle struct {
 	// Name labels the stage in plan renderings ("groupby", "sort", ...).
 	Name string
+	// Desc is the logical operator's description, as on Kernel; it prefixes
+	// the failures of every phase hook.
+	Desc string
 	// Buckets is the number of output bands when Partition is set. When
 	// Partition is nil the shuffle is *anchored*: output band b is produced
 	// from input band b alone (no rows cross bands) and Buckets is ignored.
@@ -106,19 +116,70 @@ type Shuffle struct {
 	BandRouting bool
 	// Partition splits input band `band` into exactly Buckets pieces;
 	// piece b is routed to output band b. Nil marks an anchored shuffle.
-	Partition func(band int, df *core.DataFrame, plan any) ([]any, error)
+	// When the run has a PieceStore the band may be released the moment the
+	// call returns, so a piece may be a view into the band only because the
+	// store detaches or writes out what it admits.
+	Partition func(band int, df *core.DataFrame, plan any) ([]*core.DataFrame, error)
 	// Merge combines the pieces routed to output band `bucket` (one per
 	// input band, in band order) into that band's block. Anchored shuffles
 	// receive the input band itself as the only piece.
-	Merge func(bucket int, pieces []any, plan any) (*core.DataFrame, error)
-	// ReleaseBands drops each input band's block future once that band has
-	// been routed (partitioned, or merged for anchored shuffles), so a
-	// streamed input's raw bands do not accumulate behind the shuffle. Only
-	// honored when the input frame is transient (single-consumer, e.g. a
-	// SingleUse stream stage); the Partition/Merge hooks must then copy or
-	// spill whatever outlives the call instead of retaining views into the
-	// band.
-	ReleaseBands bool
+	Merge func(bucket int, pieces []Piece, plan any) (*core.DataFrame, error)
+}
+
+// Piece is one routed frame on its way from a partition task to the merge
+// that consumes it: in memory, or held by the run's PieceStore.
+type Piece struct {
+	df   *core.DataFrame
+	take func() (*core.DataFrame, error) // set once the run's store admitted the piece
+}
+
+// PiecesOf wraps frames already in memory as pieces.
+func PiecesOf(frames ...*core.DataFrame) []Piece {
+	pieces := make([]Piece, len(frames))
+	for i, df := range frames {
+		pieces[i].df = df
+	}
+	return pieces
+}
+
+// Frame hands the piece's rows to its merge. A stored piece is taken back
+// from the store — its budget refunded, or its file read and deleted — so a
+// merge calls Frame once per piece, and a merge that folds its pieces one at
+// a time holds one spilled piece at a time.
+func (p Piece) Frame() (*core.DataFrame, error) {
+	if p.take != nil {
+		return p.take()
+	}
+	return p.df, nil
+}
+
+// Stored reports whether a PieceStore holds the piece; Frame on a piece
+// that is not stored is free and repeatable.
+func (p Piece) Stored() bool { return p.take != nil }
+
+// Frames resolves every piece, in order.
+func Frames(pieces []Piece) ([]*core.DataFrame, error) {
+	frames := make([]*core.DataFrame, len(pieces))
+	for i, p := range pieces {
+		df, err := p.Frame()
+		if err != nil {
+			return nil, err
+		}
+		frames[i] = df
+	}
+	return frames, nil
+}
+
+// PieceStore bounds what routed pieces hold between the partition task that
+// cuts them and the merge that consumes them. A run that has one
+// (Scheduler.Pieces) admits every routed piece through it and releases each
+// transient input band as soon as the band is routed, so a shuffle over a
+// streamed input degrades to disk instead of accumulating the input.
+type PieceStore interface {
+	// Admit takes over one routed piece — kept in memory, cut loose from
+	// the band it was routed from, or written out — and returns the function
+	// that ends its stay and hands its frame to the merge, called once.
+	Admit(df *core.DataFrame) (take func() (*core.DataFrame, error), err error)
 }
 
 // Node is one stage of a physical plan DAG. Exactly one of Source, Kernels,
@@ -253,21 +314,24 @@ type Stats struct {
 	ShufflePlanTasks      atomic.Int64
 	ShufflePartitionTasks atomic.Int64
 	ShuffleMergeTasks     atomic.Int64
-	// ShuffleFallbacks counts shuffles over shape-opaque inputs that
-	// degraded to a single coordinating task (band-parallel internally but
-	// one output future, like an exchange).
+	// ShuffleFallbacks counts shuffles over shape-opaque inputs (downstream
+	// of an exchange). They are wired late: the same per-band tasks, counted
+	// above once the input frame lands, behind one output future — a
+	// barrier to the consumer, like an exchange.
 	ShuffleFallbacks atomic.Int64
 
 	// StreamStages counts morsel-driven source stages scheduled;
 	// StreamBands counts the bands their output grids were sized to.
-	// StreamReleasedBands counts input bands a shuffle released after
-	// routing them (Shuffle.ReleaseBands over a transient frame).
+	// StreamReleasedBands counts transient input bands a shuffle released
+	// after routing them (runs with a PieceStore only).
 	StreamStages        atomic.Int64
 	StreamBands         atomic.Int64
 	StreamReleasedBands atomic.Int64
 }
 
-// Scheduler lowers physical plans onto a worker pool as a task DAG.
+// Scheduler lowers physical plans onto a worker pool as a task DAG. It is
+// the only caller of a stage's hooks: kernels, exchange bodies and every
+// shuffle phase run from here and nowhere else.
 type Scheduler struct {
 	pool  *exec.Pool
 	group *exec.Group
@@ -276,9 +340,14 @@ type Scheduler struct {
 	// Stats is exported for instrumentation (per-scheduler, i.e. per-run).
 	Stats Stats
 
+	// Pieces, when set before Run, admits every piece a partitioned shuffle
+	// routes, and lets the shuffle release each transient input band once
+	// the band is routed.
+	Pieces PieceStore
+
 	// OnBandRelease, when set before Run, is called each time a shuffle
-	// releases a consumed transient input band. Unlike every other counter
-	// — incremented while Run wires the DAG — band releases happen inside
+	// releases a consumed transient input band. Unlike the counters
+	// incremented while Run wires the DAG, band releases happen inside
 	// partition tasks that typically outlive Run, so a cumulative-stats
 	// owner mirrors them through this hook instead of snapshotting
 	// Stats.StreamReleasedBands at schedule time.
@@ -299,9 +368,10 @@ func NewScheduler(pool *exec.Pool) *Scheduler {
 func (s *Scheduler) Group() *exec.Group { return s.group }
 
 // Result is a scheduled stage's output handle. Stages whose output grid
-// shape is known at schedule time (sources, fused chains over them) carry a
-// deferred frame with one future per block; exchange outputs, whose shape
-// depends on the data, carry a single future resolving to the whole frame.
+// shape is known at schedule time (sources, fused chains and shuffles over
+// them) carry a deferred frame with one future per block; an exchange, whose
+// shape depends on the data, and every stage downstream of one carry a
+// single future resolving to the whole frame.
 type Result struct {
 	frame *partition.Frame // non-nil when the block grid shape is known
 	fut   *exec.Future     // otherwise: resolves to *partition.Frame
@@ -336,9 +406,16 @@ func (r *Result) blockDeps() []*exec.Future {
 	}
 	var deps []*exec.Future
 	for br := 0; br < r.frame.RowBands(); br++ {
-		for bc := 0; bc < r.frame.ColBands(); bc++ {
-			deps = append(deps, r.frame.BlockFuture(br, bc))
-		}
+		deps = append(deps, bandDeps(r.frame, br)...)
+	}
+	return deps
+}
+
+// bandDeps lists the block futures of row band r.
+func bandDeps(f *partition.Frame, r int) []*exec.Future {
+	deps := make([]*exec.Future, f.ColBands())
+	for c := range deps {
+		deps[c] = f.BlockFuture(r, c)
 	}
 	return deps
 }
@@ -370,22 +447,33 @@ func (s *Scheduler) schedule(n *Node) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return s.scheduleFused(in, n.Kernels), nil
+		s.Stats.FusedStages.Add(1)
+		return s.wire(in, func(f *partition.Frame) (*partition.Frame, error) {
+			return s.wireFused(f, n.Kernels)
+		})
 
 	case n.Shuffle != nil:
+		sh := n.Shuffle
+		if err := sh.validate(len(n.Inputs) - 1); err != nil {
+			return nil, err
+		}
 		in, err := s.Run(n.Inputs[0])
 		if err != nil {
 			return nil, err
 		}
 		sides := make([]*Result, len(n.Inputs)-1)
 		for i, child := range n.Inputs[1:] {
-			r, err := s.Run(child)
-			if err != nil {
+			if sides[i], err = s.Run(child); err != nil {
 				return nil, err
 			}
-			sides[i] = r
 		}
-		return s.scheduleShuffle(n.Shuffle, in, sides)
+		s.Stats.ShuffleStages.Add(1)
+		if in.frame == nil {
+			s.Stats.ShuffleFallbacks.Add(1)
+		}
+		return s.wire(in, func(f *partition.Frame) (*partition.Frame, error) {
+			return s.wireShuffle(sh, f, sides)
+		})
 
 	case n.Exchange != nil:
 		inputs := make([]*Result, len(n.Inputs))
@@ -402,17 +490,13 @@ func (s *Scheduler) schedule(n *Node) (*Result, error) {
 		s.Stats.ExchangeTasks.Add(1)
 		ex := n.Exchange
 		fut := s.pool.SubmitIn(s.group, func() (any, error) {
-			frames := make([]*partition.Frame, len(inputs))
-			for i, r := range inputs {
-				f, err := r.Frame()
-				if err != nil {
-					return nil, err
-				}
-				frames[i] = f
+			frames, err := resultFrames(inputs)
+			if err != nil {
+				return nil, err
 			}
 			out, err := ex.Run(frames)
 			if err != nil {
-				return nil, fmt.Errorf("physical: exchange %s: %w", ex.Name, err)
+				return nil, fmt.Errorf("physical: exchange %s: %w", ex.Name, describe(ex.Desc, err))
 			}
 			return out, nil
 		}, deps...)
@@ -421,166 +505,208 @@ func (s *Scheduler) schedule(n *Node) (*Result, error) {
 	return nil, fmt.Errorf("physical: empty stage")
 }
 
-// scheduleFused chains the kernels over the input. When the input's grid
-// shape is known, each band gets exactly one task running the whole kernel
-// chain, chained on the band's block future — the no-barrier fast path.
-// When the input is an exchange (shape unknown until it runs), one
-// continuation task applies the chain band-parallel after the exchange.
-func (s *Scheduler) scheduleFused(in *Result, kernels []Kernel) *Result {
-	s.Stats.FusedStages.Add(1)
-	chain := func(df *core.DataFrame) (*core.DataFrame, error) {
-		var err error
-		for _, k := range kernels {
-			df, err = k.Fn(df)
-			if err != nil {
-				return nil, fmt.Errorf("physical: kernel %s: %w", k.Name, err)
-			}
-		}
-		// Stage exit is the one coalescing point for view-producing kernels
-		// (zero-copy selection chains): materialize once here instead of
-		// per kernel.
-		return df.Compact(), nil
-	}
-	elementwise := true
-	for _, k := range kernels {
-		if !k.Elementwise {
-			elementwise = false
-			break
-		}
-	}
-
-	if in.frame != nil && (elementwise || in.frame.ColBands() == 1) {
-		// Shape known and compatible: one task per block, no barrier.
-		f := in.frame
-		s.Stats.FusedTasks.Add(int64(f.RowBands() * f.ColBands()))
-		return &Result{frame: f.MapBlocksAsync(s.pool, s.group, chain)}
-	}
-
-	// Shape unknown (downstream of an exchange) or needs re-banding: one
-	// continuation task that fans out band-parallel once the input exists.
-	s.Stats.FusedTasks.Add(1)
-	fut := s.pool.SubmitIn(s.group, func() (any, error) {
-		f, err := in.Frame()
+// resultFrames resolves each result's frame; called from tasks that depend
+// on every block of every result, so nothing here waits.
+func resultFrames(results []*Result) ([]*partition.Frame, error) {
+	frames := make([]*partition.Frame, len(results))
+	for i, r := range results {
+		f, err := r.Frame()
 		if err != nil {
 			return nil, err
 		}
-		if elementwise {
-			return f.MapBlocks(s.pool, chain)
-		}
-		full, err := f.EnsureSingleColBand()
-		if err != nil {
-			return nil, err
-		}
-		return full.MapRowBands(s.pool, chain)
-	}, in.blockDeps()...)
-	return &Result{fut: fut}
+		frames[i] = f
+	}
+	return frames, nil
 }
 
-// scheduleShuffle lowers a shuffle onto the task DAG:
+// describe puts the logical operator's description in front of a hook's
+// failure (the scheduler adds the stage's short name and phase around it).
+func describe(desc string, err error) error {
+	if desc == "" {
+		return err
+	}
+	return fmt.Errorf("%s: %w", desc, err)
+}
+
+// wire lowers a stage onto its input's block grid. When the grid is known
+// the per-band tasks are wired now and the result is shape-known. When it
+// is not — the input is downstream of an exchange — the SAME tasks are
+// wired late, by a watcher goroutine, once the input frame has landed; the
+// stage's one future resolves from that watcher when the blocks have landed,
+// so the stage is a barrier to its consumer, and no pool worker ever waits
+// on an unfinished task (exec.SubmitIn's invariant; a one-worker pool hangs
+// the moment it is broken).
+func (s *Scheduler) wire(in *Result, lower func(*partition.Frame) (*partition.Frame, error)) (*Result, error) {
+	if in.frame != nil {
+		out, err := lower(in.frame)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{frame: out}, nil
+	}
+	fut, resolve := exec.NewPromise()
+	// The watcher ends when the input and then the stage's blocks have
+	// resolved, or the run is cancelled — every future of a run resolves.
+	go func() {
+		select {
+		case <-in.fut.Done():
+		case <-s.group.Done():
+			resolve(nil, s.group.Err())
+			return
+		}
+		f, err := in.Frame()
+		if err != nil {
+			resolve(nil, err)
+			return
+		}
+		out, err := lower(f)
+		if err != nil {
+			s.group.Cancel(err)
+			resolve(nil, err)
+			return
+		}
+		for _, blk := range (&Result{frame: out}).blockDeps() {
+			select {
+			case <-blk.Done():
+			case <-s.group.Done():
+			}
+		}
+		// A task of the run's group fails only by cancelling the group.
+		if err := s.group.Err(); err != nil {
+			resolve(nil, err)
+			return
+		}
+		resolve(out, nil)
+	}()
+	return &Result{fut: fut}, nil
+}
+
+// runKernels applies a fused chain to one band (or block). Stage exit is
+// the one coalescing point for view-producing kernels (zero-copy selection
+// chains): the result is materialized once here instead of per kernel.
+func runKernels(kernels []Kernel, df *core.DataFrame) (*core.DataFrame, error) {
+	var err error
+	for _, k := range kernels {
+		df, err = k.Fn(df)
+		if err != nil {
+			return nil, fmt.Errorf("physical: kernel %s: %w", k.Name, describe(k.Desc, err))
+		}
+	}
+	return df.Compact(), nil
+}
+
+// wireFused chains the kernels over the input's grid: one task per block
+// running the whole chain, chained on the block's future — no barrier
+// between operators or bands. Row kernels over a block grid (more than one
+// column band) instead get one task per row band, over the band's blocks
+// stacked to full width.
+func (s *Scheduler) wireFused(f *partition.Frame, kernels []Kernel) (*partition.Frame, error) {
+	chain := func(df *core.DataFrame) (*core.DataFrame, error) { return runKernels(kernels, df) }
+	rowKernel := slices.ContainsFunc(kernels, func(k Kernel) bool { return !k.Elementwise })
+	if !rowKernel || f.ColBands() == 1 {
+		s.Stats.FusedTasks.Add(int64(f.RowBands() * f.ColBands()))
+		return f.MapBlocksAsync(s.pool, s.group, chain), nil
+	}
+	s.Stats.FusedTasks.Add(int64(f.RowBands()))
+	grid := make([][]*exec.Future, f.RowBands())
+	for r := range grid {
+		grid[r] = []*exec.Future{s.pool.SubmitIn(s.group, func() (any, error) {
+			band, err := f.RowBand(r)
+			if err != nil {
+				return nil, err
+			}
+			return chain(band)
+		}, bandDeps(f, r)...)}
+	}
+	return partition.Deferred(grid)
+}
+
+// validate rejects a malformed shuffle before anything is scheduled.
+func (sh *Shuffle) validate(sides int) error {
+	switch {
+	case sh.Merge == nil:
+		return fmt.Errorf("physical: shuffle %s has no merge", sh.Name)
+	case sides > 0 && sh.Plan == nil:
+		return fmt.Errorf("physical: shuffle %s has side inputs but no plan", sh.Name)
+	case sh.Partition != nil && sh.Buckets < 1:
+		return fmt.Errorf("physical: shuffle %s needs at least one bucket", sh.Name)
+	case sh.PrefixPlan != nil && (sh.Plan != nil || sh.Partition != nil || sh.Summarize == nil):
+		return fmt.Errorf("physical: shuffle %s prefix plan requires an anchored shuffle with summaries and no global plan", sh.Name)
+	case sh.BandRouting && (sh.Summarize == nil || sh.Plan == nil || sh.Partition == nil || sh.PrefixPlan != nil):
+		return fmt.Errorf("physical: shuffle %s band routing requires a partitioned shuffle with summaries and a global plan", sh.Name)
+	}
+	return nil
+}
+
+// wireShuffle lowers a shuffle onto the task DAG:
 //
 //	summaries[r] ──┐
 //	input band r ──┼→ plan ──→ partition[r] ──→ merge[b] (one per OUTPUT band)
 //	side inputs  ──┘
 //
 // Every output band's merge is its own task and its own block future, so
-// the result is a shape-known deferred frame (Buckets×1): downstream fused
-// stages chain per band on the merge that feeds them — the no-barrier fast
-// path — instead of waiting for the whole repartition like an exchange.
-func (s *Scheduler) scheduleShuffle(sh *Shuffle, in *Result, sides []*Result) (*Result, error) {
-	if sh.Merge == nil {
-		return nil, fmt.Errorf("physical: shuffle %s has no merge", sh.Name)
-	}
-	if len(sides) > 0 && sh.Plan == nil {
-		return nil, fmt.Errorf("physical: shuffle %s has side inputs but no plan", sh.Name)
-	}
-	if sh.Partition != nil && sh.Buckets < 1 {
-		return nil, fmt.Errorf("physical: shuffle %s needs at least one bucket", sh.Name)
-	}
-	if sh.PrefixPlan != nil && (sh.Plan != nil || sh.Partition != nil || sh.Summarize == nil) {
-		return nil, fmt.Errorf("physical: shuffle %s prefix plan requires an anchored shuffle with summaries and no global plan", sh.Name)
-	}
-	if sh.BandRouting && (sh.Summarize == nil || sh.Plan == nil || sh.Partition == nil || sh.PrefixPlan != nil) {
-		return nil, fmt.Errorf("physical: shuffle %s band routing requires a partitioned shuffle with summaries and a global plan", sh.Name)
-	}
-	s.Stats.ShuffleStages.Add(1)
-	if in.frame == nil {
-		return s.scheduleShuffleFallback(sh, in, sides), nil
-	}
-	f := in.frame
+// the result is a deferred frame (Buckets×1): downstream fused stages chain
+// per band on the merge that feeds them — the no-barrier fast path —
+// instead of waiting for the whole repartition like an exchange.
+func (s *Scheduler) wireShuffle(sh *Shuffle, f *partition.Frame, sides []*Result) (*partition.Frame, error) {
 	rb := f.RowBands()
-	if sh.ReleaseBands && f.Transient() {
-		// Every routed band will be released, so the stream producer may
-		// hold its parse-ahead window against release instead of mere
-		// resolution — backpressure that spans the whole route-and-spill
-		// path, not just the parse.
-		f.MarkReleasing()
-	}
-	release := func(r int) {
-		if sh.ReleaseBands && f.Transient() {
-			f.ReleaseBand(r)
-			s.Stats.StreamReleasedBands.Add(1)
-			if s.OnBandRelease != nil {
-				s.OnBandRelease()
-			}
-		}
-	}
-	bandDeps := func(r int) []*exec.Future {
-		deps := make([]*exec.Future, f.ColBands())
-		for c := range deps {
-			deps[c] = f.BlockFuture(r, c)
-		}
-		return deps
+	submit := func(fn func() (any, error), deps ...*exec.Future) *exec.Future {
+		return s.pool.SubmitIn(s.group, fn, deps...)
 	}
 
 	var sums []*exec.Future
 	if sh.Summarize != nil && (sh.Plan != nil || sh.PrefixPlan != nil) {
 		sums = make([]*exec.Future, rb)
 		s.Stats.ShuffleSummaryTasks.Add(int64(rb))
-		for r := 0; r < rb; r++ {
-			r := r
-			sums[r] = s.pool.SubmitIn(s.group, func() (any, error) {
+		for r := range sums {
+			sums[r] = submit(func() (any, error) {
 				band, err := f.RowBand(r)
 				if err != nil {
 					return nil, err
 				}
-				return sh.Summarize(r, band)
-			}, bandDeps(r)...)
+				v, err := sh.Summarize(r, band)
+				if err != nil {
+					return nil, describe(sh.Desc, err)
+				}
+				return v, nil
+			}, bandDeps(f, r)...)
 		}
+	}
+	// summaries reads the first n band summaries; its callers depend on them.
+	summaries := func(n int) ([]any, error) {
+		out := make([]any, n)
+		if sums == nil {
+			return out, nil
+		}
+		for r := range out {
+			v, err := sums[r].Wait()
+			if err != nil {
+				return nil, err
+			}
+			out[r] = v
+		}
+		return out, nil
 	}
 
 	var planFut *exec.Future
 	if sh.Plan != nil {
-		var planDeps []*exec.Future
-		for _, sf := range sums {
-			planDeps = append(planDeps, sf)
-		}
+		planDeps := append([]*exec.Future(nil), sums...)
 		for _, side := range sides {
 			planDeps = append(planDeps, side.blockDeps()...)
 		}
 		s.Stats.ShufflePlanTasks.Add(1)
-		planFut = s.pool.SubmitIn(s.group, func() (any, error) {
-			summaries := make([]any, rb)
-			for r, sf := range sums {
-				if sf == nil {
-					continue
-				}
-				v, err := sf.Wait()
-				if err != nil {
-					return nil, err
-				}
-				summaries[r] = v
-			}
-			sideFrames := make([]*partition.Frame, len(sides))
-			for i, side := range sides {
-				pf, err := side.Frame()
-				if err != nil {
-					return nil, err
-				}
-				sideFrames[i] = pf
-			}
-			out, err := sh.Plan(summaries, sideFrames)
+		planFut = submit(func() (any, error) {
+			bandSums, err := summaries(rb)
 			if err != nil {
-				return nil, fmt.Errorf("physical: shuffle %s plan: %w", sh.Name, err)
+				return nil, err
+			}
+			sideFrames, err := resultFrames(sides)
+			if err != nil {
+				return nil, err
+			}
+			out, err := sh.Plan(bandSums, sideFrames)
+			if err != nil {
+				return nil, fmt.Errorf("physical: shuffle %s plan: %w", sh.Name, describe(sh.Desc, err))
 			}
 			return out, nil
 		}, planDeps...)
@@ -599,79 +725,72 @@ func (s *Scheduler) scheduleShuffle(sh *Shuffle, in *Result, sides []*Result) (*
 	}
 
 	var mergeFuts []*exec.Future
-	switch {
-	case sh.PrefixPlan != nil:
-		// Anchored with prefix routing state: band b's merge waits on its
-		// own input plus the summaries of EARLIER bands only, so the pass
-		// streams band by band (band 0 needs nothing but itself).
+	if sh.Partition == nil {
+		// Anchored: output band b depends only on input band b plus its
+		// routing state — the global plan, or (prefix plan) the summaries of
+		// EARLIER bands only, so the pass streams band by band and band 0
+		// needs nothing but itself. No rows cross bands, so band b's merge
+		// can land while other bands are still computing their inputs. Bands
+		// are never released here: band b's summary may feed later bands'
+		// prefix plans and may not have run yet.
 		mergeFuts = make([]*exec.Future, rb)
 		s.Stats.ShuffleMergeTasks.Add(int64(rb))
-		for b := 0; b < rb; b++ {
-			b := b
-			deps := append(bandDeps(b), sums[:b]...)
-			mergeFuts[b] = s.pool.SubmitIn(s.group, func() (any, error) {
-				band, err := f.RowBand(b)
-				if err != nil {
-					return nil, err
-				}
-				prefix := make([]any, b)
-				for r := 0; r < b; r++ {
-					v, err := sums[r].Wait()
+		for b := range mergeFuts {
+			deps, bandPlan := withPlan(bandDeps(f, b)), planVal
+			if sh.PrefixPlan != nil {
+				deps = append(deps, sums[:b]...)
+				bandPlan = func() (any, error) {
+					prefix, err := summaries(b)
 					if err != nil {
 						return nil, err
 					}
-					prefix[r] = v
+					plan, err := sh.PrefixPlan(prefix)
+					if err != nil {
+						return nil, fmt.Errorf("physical: shuffle %s prefix plan band %d: %w", sh.Name, b, describe(sh.Desc, err))
+					}
+					return plan, nil
 				}
-				plan, err := sh.PrefixPlan(prefix)
-				if err != nil {
-					return nil, fmt.Errorf("physical: shuffle %s prefix plan band %d: %w", sh.Name, b, err)
-				}
-				// No release(b) here: band b's own summary feeds LATER
-				// bands' prefix plans and may not have run yet.
-				return s.runMerge(sh, b, []any{band}, plan)
-			}, deps...)
-		}
-	case sh.Partition == nil:
-		// Anchored: output band b depends only on input band b (plus the
-		// plan) — no rows cross bands, so band b's merge can land while
-		// other bands are still computing their inputs.
-		mergeFuts = make([]*exec.Future, rb)
-		s.Stats.ShuffleMergeTasks.Add(int64(rb))
-		for b := 0; b < rb; b++ {
-			b := b
-			mergeFuts[b] = s.pool.SubmitIn(s.group, func() (any, error) {
+			}
+			mergeFuts[b] = submit(func() (any, error) {
 				band, err := f.RowBand(b)
 				if err != nil {
 					return nil, err
 				}
-				plan, err := planVal()
+				plan, err := bandPlan()
 				if err != nil {
 					return nil, err
 				}
-				out, err := s.runMerge(sh, b, []any{band}, plan)
-				if err == nil {
-					release(b)
-				}
-				return out, err
-			}, withPlan(bandDeps(b))...)
+				return s.runMerge(sh, b, PiecesOf(band), plan)
+			}, deps...)
 		}
-	default:
+	} else {
+		// A run with a piece store releases each transient band once it is
+		// routed: the store owns what outlives the partition call.
+		release := s.Pieces != nil && f.Transient()
+		if release && (sh.Plan == nil || sh.BandRouting) {
+			// A band's release does not wait on the all-band plan, so the
+			// stream producer may hold its parse-ahead window against
+			// release instead of mere resolution — backpressure that spans
+			// the whole route-and-spill path, not just the parse. A shuffle
+			// that partitions from the global plan (SORT's range bounds)
+			// cannot release any band before every band is summarized, and a
+			// producer waiting on release would deadlock it: a streamed SORT
+			// is bounded by band resolution only.
+			f.MarkReleasing()
+		}
 		nb := sh.Buckets
 		parts := make([]*exec.Future, rb)
 		s.Stats.ShufflePartitionTasks.Add(int64(rb))
-		for r := 0; r < rb; r++ {
-			r := r
-			partDeps := withPlan(bandDeps(r))
-			partPlan := planVal
+		for r := range parts {
+			partDeps, partPlan := withPlan(bandDeps(f, r)), planVal
 			if sh.BandRouting {
 				// Band routing: band r partitions from its OWN summary the
 				// moment both exist — no dependency on the global plan fold,
 				// so a streamed band routes (and releases) as soon as it
 				// parses instead of accumulating behind the slowest band.
-				partDeps = append(bandDeps(r), sums[r])
-				partPlan = sums[r].Wait
+				partDeps, partPlan = append(bandDeps(f, r), sums[r]), sums[r].Wait
 			}
-			parts[r] = s.pool.SubmitIn(s.group, func() (any, error) {
+			parts[r] = submit(func() (any, error) {
 				band, err := f.RowBand(r)
 				if err != nil {
 					return nil, err
@@ -681,11 +800,15 @@ func (s *Scheduler) scheduleShuffle(sh *Shuffle, in *Result, sides []*Result) (*
 					return nil, err
 				}
 				pieces, err := s.runPartition(sh, r, band, plan)
-				if err == nil {
+				if err == nil && release {
 					// This band's summary already ran: it is a dependency of
 					// this partition task, either directly (band routing) or
 					// through the plan task (which waits on all summaries).
-					release(r)
+					f.ReleaseBand(r)
+					s.Stats.StreamReleasedBands.Add(1)
+					if s.OnBandRelease != nil {
+						s.OnBandRelease()
+					}
 				}
 				return pieces, err
 			}, partDeps...)
@@ -695,16 +818,15 @@ func (s *Scheduler) scheduleShuffle(sh *Shuffle, in *Result, sides []*Result) (*
 		// Under band routing the partition tasks no longer imply the plan,
 		// so the merges must gate on it explicitly.
 		mergeDeps := withPlan(parts)
-		for b := 0; b < nb; b++ {
-			b := b
-			mergeFuts[b] = s.pool.SubmitIn(s.group, func() (any, error) {
-				pieces := make([]any, rb)
+		for b := range mergeFuts {
+			mergeFuts[b] = submit(func() (any, error) {
+				pieces := make([]Piece, rb)
 				for r, pf := range parts {
 					v, err := pf.Wait()
 					if err != nil {
 						return nil, err
 					}
-					pieces[r] = v.([]any)[b]
+					pieces[r] = v.([]Piece)[b]
 				}
 				plan, err := planVal()
 				if err != nil {
@@ -718,127 +840,40 @@ func (s *Scheduler) scheduleShuffle(sh *Shuffle, in *Result, sides []*Result) (*
 	for b, mf := range mergeFuts {
 		grid[b] = []*exec.Future{mf}
 	}
-	out, err := partition.Deferred(grid)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{frame: out}, nil
+	return partition.Deferred(grid)
 }
 
-// scheduleShuffleFallback degrades a shuffle over a shape-opaque input
-// (downstream of a gather exchange) to one coordinating task that runs the
-// phases band-parallel internally once the input frame exists.
-func (s *Scheduler) scheduleShuffleFallback(sh *Shuffle, in *Result, sides []*Result) *Result {
-	s.Stats.ShuffleFallbacks.Add(1)
-	deps := in.blockDeps()
-	for _, side := range sides {
-		deps = append(deps, side.blockDeps()...)
+// runPartition routes one band: the shuffle's partition hook, piece-count
+// validation, and admission of every piece through the run's piece store —
+// all under the partition phase's error context.
+func (s *Scheduler) runPartition(sh *Shuffle, r int, band *core.DataFrame, plan any) ([]Piece, error) {
+	wrap := func(err error) error {
+		return fmt.Errorf("physical: shuffle %s partition band %d: %w", sh.Name, r, describe(sh.Desc, err))
 	}
-	fut := s.pool.SubmitIn(s.group, func() (any, error) {
-		f, err := in.Frame()
-		if err != nil {
-			return nil, err
-		}
-		sideFrames := make([]*partition.Frame, len(sides))
-		for i, side := range sides {
-			pf, err := side.Frame()
-			if err != nil {
-				return nil, err
-			}
-			sideFrames[i] = pf
-		}
-		return s.runShuffleSync(sh, f, sideFrames)
-	}, deps...)
-	return &Result{fut: fut}
-}
-
-// runShuffleSync executes the shuffle phases synchronously (band-parallel
-// via the pool) over a materialized input frame.
-func (s *Scheduler) runShuffleSync(sh *Shuffle, f *partition.Frame, sides []*partition.Frame) (*partition.Frame, error) {
-	rb := f.RowBands()
-	bands, err := exec.MapParallel(s.pool, rb, func(r int) (*core.DataFrame, error) {
-		return f.RowBand(r)
-	})
+	frames, err := sh.Partition(r, band, plan)
 	if err != nil {
-		return nil, err
+		return nil, wrap(err)
 	}
-	summaries := make([]any, rb)
-	if sh.Summarize != nil && (sh.Plan != nil || sh.PrefixPlan != nil) {
-		summaries, err = exec.MapParallel(s.pool, rb, func(r int) (any, error) {
-			return sh.Summarize(r, bands[r])
-		})
-		if err != nil {
-			return nil, err
+	if len(frames) != sh.Buckets {
+		return nil, fmt.Errorf("physical: shuffle %s partition band %d returned %d pieces, want %d", sh.Name, r, len(frames), sh.Buckets)
+	}
+	if s.Pieces == nil {
+		return PiecesOf(frames...), nil
+	}
+	pieces := make([]Piece, len(frames))
+	for b, df := range frames {
+		if pieces[b].take, err = s.Pieces.Admit(df); err != nil {
+			return nil, wrap(err)
 		}
-	}
-	var plan any
-	if sh.Plan != nil {
-		plan, err = sh.Plan(summaries, sides)
-		if err != nil {
-			return nil, fmt.Errorf("physical: shuffle %s plan: %w", sh.Name, err)
-		}
-	}
-	var blocks []*core.DataFrame
-	if sh.Partition == nil {
-		blocks, err = exec.MapParallel(s.pool, rb, func(b int) (*core.DataFrame, error) {
-			bandPlan := plan
-			if sh.PrefixPlan != nil {
-				var perr error
-				bandPlan, perr = sh.PrefixPlan(summaries[:b])
-				if perr != nil {
-					return nil, fmt.Errorf("physical: shuffle %s prefix plan band %d: %w", sh.Name, b, perr)
-				}
-			}
-			return s.runMerge(sh, b, []any{bands[b]}, bandPlan)
-		})
-	} else {
-		var parts [][]any
-		parts, err = exec.MapParallel(s.pool, rb, func(r int) ([]any, error) {
-			bandPlan := plan
-			if sh.BandRouting {
-				bandPlan = summaries[r]
-			}
-			return s.runPartition(sh, r, bands[r], bandPlan)
-		})
-		if err != nil {
-			return nil, err
-		}
-		blocks, err = exec.MapParallel(s.pool, sh.Buckets, func(b int) (*core.DataFrame, error) {
-			pieces := make([]any, rb)
-			for r := range parts {
-				pieces[r] = parts[r][b]
-			}
-			return s.runMerge(sh, b, pieces, plan)
-		})
-	}
-	if err != nil {
-		return nil, err
-	}
-	grid := make([][]*core.DataFrame, len(blocks))
-	for b, blk := range blocks {
-		grid[b] = []*core.DataFrame{blk}
-	}
-	return partition.FromGrid(grid)
-}
-
-// runPartition invokes the shuffle's partition hook with error context and
-// piece-count validation.
-func (s *Scheduler) runPartition(sh *Shuffle, r int, band *core.DataFrame, plan any) ([]any, error) {
-	pieces, err := sh.Partition(r, band, plan)
-	if err != nil {
-		return nil, fmt.Errorf("physical: shuffle %s partition band %d: %w", sh.Name, r, err)
-	}
-	if len(pieces) != sh.Buckets {
-		return nil, fmt.Errorf("physical: shuffle %s partition band %d returned %d pieces, want %d", sh.Name, r, len(pieces), sh.Buckets)
 	}
 	return pieces, nil
 }
 
 // runMerge invokes the shuffle's merge hook with error context.
-func (s *Scheduler) runMerge(sh *Shuffle, b int, pieces []any, plan any) (*core.DataFrame, error) {
+func (s *Scheduler) runMerge(sh *Shuffle, b int, pieces []Piece, plan any) (*core.DataFrame, error) {
 	out, err := sh.Merge(b, pieces, plan)
 	if err != nil {
-		return nil, fmt.Errorf("physical: shuffle %s merge band %d: %w", sh.Name, b, err)
+		return nil, fmt.Errorf("physical: shuffle %s merge band %d: %w", sh.Name, b, describe(sh.Desc, err))
 	}
 	return out, nil
 }

@@ -2,7 +2,9 @@ package physical
 
 import (
 	"errors"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -168,10 +170,7 @@ func TestFusedAfterExchangeRuns(t *testing.T) {
 	defer pool.Close()
 	df := testDF(24)
 	src := NewSource(partition.New(df, partition.Rows, 3))
-	identity := NewExchange("identity", func(in []*partition.Frame) (*partition.Frame, error) {
-		return in[0], nil
-	}, src)
-	plan := NewFused(identity, isNull())
+	plan := NewFused(identityExchange(src), isNull())
 
 	s := NewScheduler(pool)
 	res, err := s.Run(plan)
@@ -275,28 +274,20 @@ func modShuffle(buckets int, mergeHook func(bucket int)) *Shuffle {
 	return &Shuffle{
 		Name:    "mod",
 		Buckets: buckets,
-		Partition: func(_ int, df *core.DataFrame, _ any) ([]any, error) {
+		Partition: func(_ int, df *core.DataFrame, _ any) ([]*core.DataFrame, error) {
 			assign := make([]int, df.NRows())
 			for i := range assign {
 				assign[i] = int(df.Value(i, 0).Int()) % buckets
 			}
-			views, err := partition.SplitRows(df, assign, buckets)
-			if err != nil {
-				return nil, err
-			}
-			pieces := make([]any, buckets)
-			for b, v := range views {
-				pieces[b] = v
-			}
-			return pieces, nil
+			return partition.SplitRows(df, assign, buckets)
 		},
-		Merge: func(bucket int, pieces []any, _ any) (*core.DataFrame, error) {
+		Merge: func(bucket int, pieces []Piece, _ any) (*core.DataFrame, error) {
 			if mergeHook != nil {
 				mergeHook(bucket)
 			}
-			frames := make([]*core.DataFrame, len(pieces))
-			for r, piece := range pieces {
-				frames[r] = piece.(*core.DataFrame)
+			frames, err := Frames(pieces)
+			if err != nil {
+				return nil, err
 			}
 			return algebra.VStackFrames(frames...)
 		},
@@ -414,12 +405,11 @@ func TestAnchoredShuffleSummarizePlan(t *testing.T) {
 			}
 			return offsets, nil
 		},
-		Merge: func(band int, pieces []any, plan any) (*core.DataFrame, error) {
-			df := pieces[0].(*core.DataFrame)
+		Merge: func(band int, pieces []Piece, plan any) (*core.DataFrame, error) {
 			if plan.([]int)[band] != band*10 {
 				return nil, errors.New("plan offsets wrong")
 			}
-			return df, nil
+			return pieces[0].Frame()
 		},
 	}
 	src := NewSource(partition.New(testDF(30), partition.Rows, 3))
@@ -449,33 +439,250 @@ func TestAnchoredShuffleSummarizePlan(t *testing.T) {
 	}
 }
 
-// TestShuffleOverOpaqueInputFallsBack: a shuffle whose input shape is
-// unknown at schedule time (downstream of a gather exchange) degrades to
-// one coordinating task but still produces the right rows.
-func TestShuffleOverOpaqueInputFallsBack(t *testing.T) {
+// withDeadline runs fn and fails the test — with every goroutine's stack —
+// if it has not returned within d: a deadlocked DAG otherwise only shows as
+// the package's test timeout.
+func withDeadline(t *testing.T, d time.Duration, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("no result after %v; goroutines:\n%s", d, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+func identityExchange(in *Node) *Node {
+	return NewExchange("identity", func(in []*partition.Frame) (*partition.Frame, error) {
+		return in[0], nil
+	}, in)
+}
+
+// TestShuffleOverOpaqueInputWiresLate: a shuffle whose input shape is
+// unknown at schedule time (downstream of a gather exchange) gets the same
+// per-band tasks as any other, wired once the input lands, behind ONE
+// future — and still counts as a fallback.
+func TestShuffleOverOpaqueInputWiresLate(t *testing.T) {
 	pool := exec.NewPool(2)
 	defer pool.Close()
 	src := NewSource(partition.New(testDF(30), partition.Rows, 3))
-	identity := NewExchange("identity", func(in []*partition.Frame) (*partition.Frame, error) {
-		return in[0], nil
-	}, src)
 	s := NewScheduler(pool)
-	res, err := s.Run(NewShuffle(modShuffle(2, nil), identity))
+	res, err := s.Run(NewShuffle(modShuffle(2, nil), identityExchange(src)))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.frame != nil {
+		t.Error("a late-wired stage must hand its consumer one future, not a block grid")
+	}
+	if got := s.Stats.ShuffleFallbacks.Load(); got != 1 {
+		t.Errorf("fallbacks = %d, want 1", got)
 	}
 	frame, err := res.Frame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Stats.ShuffleFallbacks.Load(); got != 1 {
-		t.Errorf("fallbacks = %d, want 1", got)
+	if got := s.Stats.ShufflePartitionTasks.Load(); got != 3 {
+		t.Errorf("partition tasks = %d, want 3 (one per band of the landed input)", got)
 	}
-	if got := s.Stats.ShuffleMergeTasks.Load(); got != 0 {
-		t.Errorf("merge tasks = %d, want 0 on the fallback path", got)
+	if got := s.Stats.ShuffleMergeTasks.Load(); got != 2 {
+		t.Errorf("merge tasks = %d, want 2 (one per bucket)", got)
 	}
-	if frame.NRows() != 30 {
-		t.Errorf("rows = %d", frame.NRows())
+	if !frame.Ready() {
+		t.Error("the late-wired stage resolved before its blocks landed")
+	}
+	if frame.RowBands() != 2 || frame.NRows() != 30 {
+		t.Errorf("late-wired shuffle output = %d bands, %d rows", frame.RowBands(), frame.NRows())
+	}
+}
+
+// TestLateWiredStageIsABarrier: bucket 0 of a late-wired shuffle merges
+// while bucket 1 is gated, but the stage's future — all its consumer can
+// chain on — stays unresolved until every block has landed.
+func TestLateWiredStageIsABarrier(t *testing.T) {
+	pool := exec.NewPool(4)
+	defer pool.Close()
+	gate := make(chan struct{})
+	merged0 := make(chan struct{})
+	sh := modShuffle(2, func(bucket int) {
+		if bucket == 0 {
+			close(merged0)
+		} else {
+			<-gate
+		}
+	})
+	s := NewScheduler(pool)
+	res, err := s.Run(NewFused(NewShuffle(sh, identityExchange(NewSource(partition.New(testDF(40), partition.Rows, 4)))), isNull()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	withDeadline(t, 10*time.Second, func() { <-merged0 })
+	if !res.Deferred() {
+		t.Error("downstream of a late-wired shuffle finished while bucket 1's merge was gated")
+	}
+	close(gate)
+	withDeadline(t, 10*time.Second, func() {
+		out, err := s.Gather(res).Wait()
+		if err != nil {
+			t.Error(err)
+		} else if out.(*core.DataFrame).NRows() != 40 {
+			t.Errorf("rows = %d", out.(*core.DataFrame).NRows())
+		}
+	})
+	if got := s.Stats.FusedTasks.Load(); got != 2 {
+		t.Errorf("fused tasks = %d, want 2 (one per bucket of the late-wired shuffle)", got)
+	}
+}
+
+// TestLateWiringOnOneWorker: late wiring must never park a pool worker on
+// an unfinished task, and a one-worker pool is where that hangs.
+func TestLateWiringOnOneWorker(t *testing.T) {
+	pool := exec.NewPool(1)
+	defer pool.Close()
+	src := NewSource(partition.New(testDF(60), partition.Rows, 5))
+	plan := NewFused(NewShuffle(modShuffle(3, nil), NewFused(identityExchange(NewFused(src, selectEven())), isNull())), isNull())
+	withDeadline(t, 20*time.Second, func() {
+		s := NewScheduler(pool)
+		res, err := s.Run(plan)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		out, err := s.Gather(res).Wait()
+		if err != nil {
+			t.Error(err)
+		} else if out.(*core.DataFrame).NRows() != 30 {
+			t.Errorf("rows = %d, want 30", out.(*core.DataFrame).NRows())
+		}
+	})
+}
+
+// TestLateWiringSurfacesFailures: a failing input and a failing late-wired
+// task both resolve the stage's future with the failure instead of hanging.
+func TestLateWiringSurfacesFailures(t *testing.T) {
+	pool := exec.NewPool(2)
+	defer pool.Close()
+	sentinel := errors.New("boom")
+	src := NewSource(partition.New(testDF(20), partition.Rows, 2))
+	failing := NewExchange("failing", func([]*partition.Frame) (*partition.Frame, error) { return nil, sentinel }, src)
+	bad := Kernel{Name: "bad", Fn: func(*core.DataFrame) (*core.DataFrame, error) { return nil, sentinel }}
+	for name, plan := range map[string]*Node{
+		"input fails":  NewShuffle(modShuffle(2, nil), failing),
+		"kernel fails": NewFused(identityExchange(src), bad),
+	} {
+		withDeadline(t, 10*time.Second, func() {
+			s := NewScheduler(pool)
+			res, err := s.Run(plan)
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+				return
+			}
+			if _, err := res.Frame(); !errors.Is(err, sentinel) {
+				t.Errorf("%s: err = %v, want the failure", name, err)
+			}
+		})
+	}
+}
+
+// TestRowKernelOverBlockGrid: a row kernel over a grid with several column
+// bands runs once per ROW band, over the band stacked to full width.
+func TestRowKernelOverBlockGrid(t *testing.T) {
+	pool := exec.NewPool(2)
+	defer pool.Close()
+	df := testDF(12)
+	var widths atomic.Int64
+	wide := Kernel{Name: "wide", Fn: func(b *core.DataFrame) (*core.DataFrame, error) {
+		widths.Add(int64(b.NCols()))
+		return b, nil
+	}}
+	s := NewScheduler(pool)
+	res, err := s.Run(NewFused(NewSource(partition.New(df, partition.Blocks, 2)), wide))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := s.Gather(res).Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.(*core.DataFrame).Equal(df) {
+		t.Error("row kernel over a block grid changed the frame")
+	}
+	if got := s.Stats.FusedTasks.Load(); got != 2 {
+		t.Errorf("fused tasks = %d, want 2 (one per row band)", got)
+	}
+	if got := widths.Load(); got != 4 {
+		t.Errorf("kernel saw %d columns over 2 bands, want full width (2) each", got)
+	}
+}
+
+// ledger is a PieceStore that keeps every piece and counts the traffic.
+type ledger struct {
+	mu            sync.Mutex
+	held          map[*core.DataFrame]bool
+	admits, takes int
+}
+
+func (l *ledger) Admit(df *core.DataFrame) (func() (*core.DataFrame, error), error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.admits++
+	df = df.Detach()
+	l.held[df] = true
+	return func() (*core.DataFrame, error) {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		l.takes++
+		if !l.held[df] {
+			return nil, errors.New("piece taken twice")
+		}
+		delete(l.held, df)
+		return df, nil
+	}, nil
+}
+
+// TestPieceStoreAdmitsEveryRoutedPiece: with a piece store on the run, every
+// routed piece is admitted once and taken once, each transient input band
+// is released once routed, and the producer is told it may wait on releases
+// only when a band's release does not wait on the all-band plan.
+func TestPieceStoreAdmitsEveryRoutedPiece(t *testing.T) {
+	pool := exec.NewPool(2)
+	defer pool.Close()
+	for _, planned := range []bool{false, true} {
+		sh := modShuffle(3, nil)
+		if planned { // like SORT: partition waits for the all-band plan
+			sh.Summarize = func(int, *core.DataFrame) (any, error) { return 0, nil }
+			sh.Plan = func([]any, []*partition.Frame) (any, error) { return 0, nil }
+		}
+		in := partition.New(testDF(40), partition.Rows, 4).MarkTransient()
+		store := &ledger{held: map[*core.DataFrame]bool{}}
+		var released atomic.Int64
+		s := NewScheduler(pool)
+		s.Pieces = store
+		s.OnBandRelease = func() { released.Add(1) }
+		res, err := s.Run(NewShuffle(sh, NewSource(in)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := s.Gather(res).Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.(*core.DataFrame).NRows() != 40 {
+			t.Errorf("rows = %d", out.(*core.DataFrame).NRows())
+		}
+		if store.admits != 12 || store.takes != 12 || len(store.held) != 0 {
+			t.Errorf("planned=%v: %d admits, %d takes, %d pieces left; want 12, 12, 0", planned, store.admits, store.takes, len(store.held))
+		}
+		if got := s.Stats.StreamReleasedBands.Load(); got != 4 || released.Load() != 4 {
+			t.Errorf("planned=%v: released %d bands (%d mirrored), want 4", planned, got, released.Load())
+		}
+		if in.Releasing() == planned {
+			t.Errorf("planned=%v: Releasing() = %v", planned, in.Releasing())
+		}
 	}
 }
 
@@ -503,9 +710,9 @@ func TestShuffleSiblingFailureSkipsIndependentMerges(t *testing.T) {
 	var merges atomic.Int64
 	sh := &Shuffle{
 		Name: "anchored",
-		Merge: func(_ int, pieces []any, _ any) (*core.DataFrame, error) {
+		Merge: func(_ int, pieces []Piece, _ any) (*core.DataFrame, error) {
 			merges.Add(1)
-			return pieces[0].(*core.DataFrame), nil
+			return pieces[0].Frame()
 		},
 	}
 	s := NewScheduler(pool)
@@ -561,11 +768,11 @@ func TestPrefixPlanShuffleStreamsBandByBand(t *testing.T) {
 			}
 			return off, nil
 		},
-		Merge: func(_ int, pieces []any, plan any) (*core.DataFrame, error) {
+		Merge: func(_ int, pieces []Piece, plan any) (*core.DataFrame, error) {
 			if plan.(int) < 0 {
 				return nil, errors.New("bad offset")
 			}
-			return pieces[0].(*core.DataFrame), nil
+			return pieces[0].Frame()
 		},
 	}
 	s := NewScheduler(pool)
@@ -605,8 +812,8 @@ func TestShuffleValidation(t *testing.T) {
 	src := NewSource(partition.New(testDF(4), partition.Rows, 1))
 	for name, sh := range map[string]*Shuffle{
 		"no merge":           {Name: "bad"},
-		"no buckets":         {Name: "bad", Partition: func(int, *core.DataFrame, any) ([]any, error) { return nil, nil }, Merge: func(int, []any, any) (*core.DataFrame, error) { return nil, nil }},
-		"sides without plan": {Name: "bad", Merge: func(int, []any, any) (*core.DataFrame, error) { return nil, nil }},
+		"no buckets":         {Name: "bad", Partition: func(int, *core.DataFrame, any) ([]*core.DataFrame, error) { return nil, nil }, Merge: func(int, []Piece, any) (*core.DataFrame, error) { return nil, nil }},
+		"sides without plan": {Name: "bad", Merge: func(int, []Piece, any) (*core.DataFrame, error) { return nil, nil }},
 	} {
 		n := NewShuffle(sh, src)
 		if name == "sides without plan" {
@@ -620,10 +827,10 @@ func TestShuffleValidation(t *testing.T) {
 	bad := &Shuffle{
 		Name:    "bad-pieces",
 		Buckets: 2,
-		Partition: func(int, *core.DataFrame, any) ([]any, error) {
-			return []any{nil}, nil
+		Partition: func(int, *core.DataFrame, any) ([]*core.DataFrame, error) {
+			return []*core.DataFrame{nil}, nil
 		},
-		Merge: func(_ int, pieces []any, _ any) (*core.DataFrame, error) {
+		Merge: func(_ int, pieces []Piece, _ any) (*core.DataFrame, error) {
 			return core.Empty(), nil
 		},
 	}

@@ -100,14 +100,10 @@ func (s *Scheduler) scheduleStream(n *Node) (*Result, error) {
 		bandRows = DefaultStreamBandRows
 	}
 	chain := func(df *core.DataFrame) (*core.DataFrame, error) {
-		var err error
-		for _, k := range st.Kernels {
-			df, err = k.Fn(df)
-			if err != nil {
-				return nil, fmt.Errorf("physical: kernel %s: %w", k.Name, err)
-			}
+		out, err := runKernels(st.Kernels, df)
+		if err != nil {
+			return nil, err
 		}
-		out := df.Compact()
 		// Empty the band-local induction cache at stage exit: its memo is
 		// keyed by the raw band's vectors (and holds their full typed
 		// parses), so surviving entries would pin every parsed morsel for

@@ -79,13 +79,11 @@ type Session struct {
 	closed       bool
 	materialized map[algebra.Node]*exec.Future // completed or in-flight plan results
 	// Spilling state (see spill.go): order of materialization, spilled
-	// plan → store key, the store itself, and the resident budgets (result
-	// count and/or cells; zero disables the respective limit).
+	// plan → store key, the session-owned store itself, and the resident
+	// cell budget (zero disables the limit).
 	residentOrder []algebra.Node
 	spilled       map[algebra.Node]string
 	store         *storage.Store
-	ownedStore    bool
-	maxResident   int
 	maxCells      int
 
 	// lastActive is the wall-clock time of the last statement or
@@ -119,7 +117,7 @@ func (s *Session) Engine() algebra.Engine { return s.engine }
 
 // Close ends the session: subsequent statements and result requests fail
 // with dferrors.ErrSessionClosed, the materialized-intermediate cache is
-// released, and a session-owned spill store is removed. In-flight
+// released, and the spill store is removed. In-flight
 // background work is left to finish (its results are dropped). Closing an
 // already-closed session is a no-op.
 func (s *Session) Close() error {
@@ -132,10 +130,10 @@ func (s *Session) Close() error {
 	s.materialized = make(map[algebra.Node]*exec.Future)
 	s.spilled = make(map[algebra.Node]string)
 	s.residentOrder = nil
-	store, owned := s.store, s.ownedStore
+	store := s.store
 	s.store = nil
 	s.mu.Unlock()
-	if store != nil && owned {
+	if store != nil {
 		return store.Close()
 	}
 	return nil
@@ -335,7 +333,7 @@ func (s *Session) substituteMaterializedLocked(plan algebra.Node) algebra.Node {
 	if !changed {
 		return plan
 	}
-	return cloneWithChildren(plan, newChildren)
+	return algebra.WithChildren(plan, newChildren)
 }
 
 // Collect materializes the handle's full result, waiting for background
@@ -424,84 +422,4 @@ func (h *Handle) Forget() {
 	h.s.mu.Lock()
 	delete(h.s.materialized, h.plan)
 	h.s.mu.Unlock()
-}
-
-// cloneWithChildren mirrors optimizer.WithChildren without importing it (to
-// keep the session layer independent of the optimizer).
-func cloneWithChildren(n algebra.Node, kids []algebra.Node) algebra.Node {
-	switch node := n.(type) {
-	case *algebra.Selection:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.Projection:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.Union:
-		c := *node
-		c.Left, c.Right = kids[0], kids[1]
-		return &c
-	case *algebra.Difference:
-		c := *node
-		c.Left, c.Right = kids[0], kids[1]
-		return &c
-	case *algebra.Join:
-		c := *node
-		c.Left, c.Right = kids[0], kids[1]
-		return &c
-	case *algebra.DropDuplicates:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.GroupBy:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.Sort:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.Rename:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.Window:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.Transpose:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.Map:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.ToLabels:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.FromLabels:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.Induce:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.Limit:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.TopK:
-		c := *node
-		c.Input = kids[0]
-		return &c
-	case *algebra.Source:
-		return node
-	case *algebra.Scan:
-		return node
-	}
-	panic(fmt.Sprintf("session: unknown node %T", n))
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/eager"
 	"repro/internal/expr"
 	"repro/internal/modin"
-	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -253,14 +252,11 @@ func TestStatementCountsAndNames(t *testing.T) {
 }
 
 func TestSpillingEvictsAndReloads(t *testing.T) {
-	store, err := storage.New(0)
-	if err != nil {
+	s := New(eager.New(), Eager, nil)
+	defer s.Close()
+	if err := s.EnableSpillingBudget(100); err != nil { // room for the small results, not the base frame
 		t.Fatal(err)
 	}
-	defer store.Close()
-
-	s := New(eager.New(), Eager, nil)
-	s.EnableSpilling(store, 2) // keep at most 2 results resident
 
 	base := s.Bind("df", frame(200))
 	handles := []*Handle{base}
@@ -288,15 +284,12 @@ func TestSpillingEvictsAndReloads(t *testing.T) {
 }
 
 func TestSpillingPreservesResults(t *testing.T) {
-	store, err := storage.New(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-
 	plain := New(eager.New(), Eager, nil)
 	spilling := New(eager.New(), Eager, nil)
-	spilling.EnableSpilling(store, 1)
+	defer spilling.Close()
+	if err := spilling.EnableSpillingBudget(1); err != nil {
+		t.Fatal(err)
+	}
 
 	build := func(s *Session) *core.DataFrame {
 		h := s.Bind("df", frame(300)).Apply("filtered", filterPlan)

@@ -11,34 +11,22 @@ import (
 
 // Spilling connects the session's materialized-intermediate cache to the
 // storage layer (Section 3.3 + the eviction discussion of Section 6.2.2):
-// when more results are resident than the configured budget allows, the
+// when the resident results hold more cells than the configured budget, the
 // least recently materialized ones move to the store (which itself spills
 // to disk beyond its own cell budget) and reload transparently on reuse.
 
-// EnableSpilling attaches a store and a resident-result budget to the
-// session. Must be called before issuing statements.
-func (s *Session) EnableSpilling(store *storage.Store, maxResident int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.adoptStoreLocked(store, false)
-	s.maxResident = maxResident
-}
-
 // adoptStoreLocked swaps the session's spill store. Results spilled into
-// the outgoing store are reloaded first so they survive the handoff, and an
-// outgoing store the session owned is closed — re-enabling spilling must
-// not leak the previous store's temp directory.
-func (s *Session) adoptStoreLocked(store *storage.Store, owned bool) {
+// the outgoing store are reloaded first so they survive the handoff, and the
+// outgoing store is closed — re-enabling spilling must not leak the previous
+// store's temp directory.
+func (s *Session) adoptStoreLocked(store *storage.Store) {
 	if s.store != nil {
 		for plan := range s.spilled {
 			s.reloadLocked(plan)
 		}
-		if s.ownedStore {
-			s.store.Close()
-		}
+		s.store.Close()
 	}
 	s.store = store
-	s.ownedStore = owned
 }
 
 // EnableSpillingBudget attaches a session-owned spill store with a
@@ -58,7 +46,7 @@ func (s *Session) EnableSpillingBudget(maxCells int) error {
 		store.Close()
 		return errClosed()
 	}
-	s.adoptStoreLocked(store, true)
+	s.adoptStoreLocked(store)
 	s.maxCells = maxCells
 	// Re-enforce immediately: results reloaded from a previous store (or
 	// already resident) spill down to the new budget now, not at the next
@@ -122,27 +110,10 @@ func (s *Session) SpillToFit(maxCells int) int {
 }
 
 // maybeSpillLocked evicts the oldest completed materializations beyond the
-// configured budgets (result count and/or cells) into the store.
+// configured cell budget into the store.
 func (s *Session) maybeSpillLocked() {
-	if s.store == nil {
-		return
-	}
 	if s.maxCells > 0 {
 		s.spillToCellsLocked(s.maxCells)
-	}
-	if s.maxResident <= 0 {
-		return
-	}
-	resident := 0
-	for _, plan := range s.residentOrder {
-		if fut, ok := s.materialized[plan]; ok && fut.Ready() {
-			resident++
-		}
-	}
-	for i := 0; resident > s.maxResident && i < len(s.residentOrder); i++ {
-		if s.spillPlanLocked(s.residentOrder[i]) {
-			resident--
-		}
 	}
 }
 

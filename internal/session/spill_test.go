@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/eager"
-	"repro/internal/storage"
 )
 
 // storeDirs counts the storage layer's temp directories under the
@@ -74,35 +73,5 @@ func TestSpillingBudgetReenableClosesOldStore(t *testing.T) {
 	}
 	if got := storeDirs(t); got != 0 {
 		t.Fatalf("store dirs after Close = %d, want 0", got)
-	}
-}
-
-// TestEnableSpillingDoesNotCloseCallerStore: a caller-provided store (the
-// non-owned path) must stay usable after being replaced — the session never
-// closes what it does not own.
-func TestEnableSpillingDoesNotCloseCallerStore(t *testing.T) {
-	t.Setenv("TMPDIR", t.TempDir())
-
-	store, err := storage.New(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-
-	s := New(eager.New(), Eager, nil)
-	s.EnableSpilling(store, 1)
-	// Swapping to a session-owned store must leave the caller's store open.
-	if err := s.EnableSpillingBudget(10); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Put("probe", frame(5)); err != nil {
-		t.Fatalf("caller store unusable after swap: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Only the caller's store directory remains; the owned one is gone.
-	if got := storeDirs(t); got != 1 {
-		t.Fatalf("store dirs after Close = %d, want 1 (the caller-owned store)", got)
 	}
 }

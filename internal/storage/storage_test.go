@@ -270,7 +270,7 @@ func TestSpillRoundTripKeepsTypedStorage(t *testing.T) {
 // A frame holding Composite cells has no block form: under pressure, and
 // under Release, it stays resident and intact instead of being flattened to
 // its rendering — and it does not stop other frames from spilling.
-func TestUnspillableFrameStaysResident(t *testing.T) {
+func TestFrameWithoutWireFormStaysResident(t *testing.T) {
 	sub := frame(t, 3)
 	anyCol := vector.NewAny([]types.Value{types.CompositeValue(sub), types.NullValue(types.Composite)})
 	df := core.MustNew([]string{"k", "sub"}, []vector.Vector{vector.NewInt([]int64{1, 2}, nil), anyCol})
@@ -283,7 +283,7 @@ func TestUnspillableFrameStaysResident(t *testing.T) {
 		t.Fatalf("a pinned frame must not fail the next Put: %v", err)
 	}
 	if err := s.Release("composite"); err != nil {
-		t.Fatalf("Release of an unspillable frame: %v", err)
+		t.Fatalf("Release of a frame without a wire form: %v", err)
 	}
 	if err := s.Put("other", frame(t, 10)); err != nil { // pushes "plain" out, past the pinned frame
 		t.Fatal(err)
