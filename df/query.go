@@ -628,7 +628,7 @@ type physicalDescriber interface {
 
 // Explain renders the plan before and after optimization, naming the
 // rewrite rules that fired; on engines with a physical planner it appends
-// the statistics-driven strategy chosen for each repartition point.
+// the physical strategy chosen for each repartition point.
 func (q *Query) Explain() string {
 	if q.err != nil {
 		return "error: " + q.err.Error() + "\n"

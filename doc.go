@@ -3,7 +3,7 @@
 // and algebra, a MODIN-style partition-parallel engine with a pandas-profile
 // baseline, and a harness regenerating every table and figure in the
 // paper's evaluation. The public API lives in repro/df; the root package
-// only anchors the module-level benchmark suite (bench_test.go).
+// holds only this overview. The benchmark is cmd/paperbench.
 //
 // Execution architecture: the public surface (repro/df) builds logical
 // plans through one code path — the lazy Query builder ((*DataFrame).Lazy,
@@ -18,9 +18,9 @@
 // engine:
 //
 //	df.Query ──optimizer.Optimize──▶ algebra.Node ──compile──▶ physical DAG ──schedule──▶ exec.Pool
-//	                                       ▲
-//	            internal/stats sketches ───┘ (per-column stats steer the compile step's
-//	                                          broadcast-vs-shuffle and cut decisions)
+//	                                                         ▲
+//	        exact base-frame sizes, band summaries ──────────┘ (broadcast vs key-shuffled
+//	                                                            join, heavy-bucket merges)
 //
 // Logical plans (internal/algebra) are either evaluated bottom-up by the
 // single-threaded baseline (internal/eager) or compiled into a physical
@@ -125,19 +125,15 @@
 // kernels change nothing about ordered-dataframe semantics (group
 // first-appearance order, stable sort ties, nested join order).
 //
-// Statistics-driven strategy: the MODIN engine collects per-column
-// statistics (counts, nulls, min/max, HyperLogLog distinct sketches —
-// internal/sketch, internal/stats) bulk-wise from typed storage at scan
-// boundaries, memoized per base frame and mergeable across partitions.
-// optimizer.Estimator reads them through the SourceStats interface, and
-// the compile step uses the estimates to pick physical strategies: joins
-// whose build side exceeds the broadcast limit become key-shuffled hash
-// joins, dictionary-coded group keys aggregate directly on int32 codes
-// with typed accumulators, and skewed groupby shuffles weigh their cuts
-// by per-key row volume (isolating Zipf-head keys in their own buckets).
-// Query.Explain appends the chosen strategies with the estimates that
-// drove them; modin.WithoutStats() restores the zero-stats plans
-// (broadcast joins, even cuts) exactly.
+// Physical strategy from exact sizes: the compile step picks strategies
+// from facts, not sketches. A join whose build side (a base frame's exact
+// row count, or optimizer.EstimateNode's zero-stats model above one)
+// exceeds the broadcast limit becomes a key-shuffled hash join;
+// dictionary-coded group keys aggregate directly on int32 codes with typed
+// accumulators; and the groupby plan reads exact per-key row counts from
+// the band summaries, flagging buckets that own a hot key so their merges
+// split across parallel partial merges. Query.Explain appends the chosen
+// strategies with the sizes that drove them.
 //
 // One boundary between the algebra and the execution layer: the per-run
 // physical.Scheduler is the only code that calls a stage's hooks — fused

@@ -223,11 +223,7 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 	e := c.e
 	switch node := n.(type) {
 	case *algebra.Source:
-		// Attach whatever statistics the planner collected for this base
-		// frame, so exchanges downstream can merge and re-expose them.
-		pf := partition.New(node.DF, partition.Rows, e.bands)
-		pf.SetStats(e.cachedStats(node.DF))
-		return physical.NewSource(pf), nil
+		return physical.NewSource(partition.New(node.DF, partition.Rows, e.bands)), nil
 
 	case *algebra.Scan:
 		return c.streamScan(node, nil, c.uses[node] <= 1), nil
@@ -349,8 +345,8 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 	case *algebra.Join:
 		if node.Kind == expr.JoinInner || node.Kind == expr.JoinLeft {
 			if c.e.chooseJoinStrategy(node).shuffled {
-				// Key-shuffled hash join (join_shuffle.go): statistics say
-				// the build side is too large to broadcast, so both inputs
+				// Key-shuffled hash join (join_shuffle.go): the build side
+				// is too large to broadcast, so both inputs
 				// shuffle by key hash, each bucket builds once and probes
 				// its slice, and a restore exchange re-establishes left
 				// input order.
@@ -400,9 +396,7 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			// A union of two summarized frames is itself summarized: rows
-			// add, ranges widen, sketches union (partition.MergeStats).
-			return e.rePartition(out).SetStats(partition.MergeStats(in[0], in[1])), nil
+			return e.rePartition(out), nil
 		}, node.Left, node.Right)
 
 	case *algebra.Difference:

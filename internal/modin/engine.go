@@ -15,7 +15,6 @@
 package modin
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/algebra"
@@ -24,7 +23,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/partition"
 	"repro/internal/physical"
-	"repro/internal/stats"
 	"repro/internal/types"
 )
 
@@ -83,13 +81,9 @@ type Engine struct {
 	bands int
 	stats Stats
 
-	// Statistics-driven physical planning (see stats.go): statsOn gates
-	// collection AND every stats-driven strategy, so a stats-less engine
-	// plans exactly as the pre-stats engine did.
-	statsOn        bool
+	// broadcastLimit is defaultBroadcastLimit; in-package tests lower it to
+	// reach the key-shuffled join on small inputs.
 	broadcastLimit int
-	statsMu        sync.Mutex
-	statsCache     map[*core.DataFrame]*stats.Table
 
 	// spill is the out-of-core shuffle ledger (spill.go) every run's
 	// scheduler admits its routed pieces through; nil without a spill budget.
@@ -105,16 +99,6 @@ func WithPool(p *exec.Pool) Option { return func(e *Engine) { e.pool = p } }
 // WithBands overrides the target partition count per axis (default: the
 // pool's worker count).
 func WithBands(n int) Option { return func(e *Engine) { e.bands = n } }
-
-// WithoutStats disables statistics collection and every stats-driven
-// physical decision: joins always broadcast, shuffle buckets cut evenly —
-// exactly the zero-stats plans.
-func WithoutStats() Option { return func(e *Engine) { e.statsOn = false } }
-
-// WithBroadcastLimit overrides the build-side row estimate above which
-// inner/left equi-joins shuffle by key instead of broadcasting (default
-// 65536). Tests force it low to exercise the shuffled path on small data.
-func WithBroadcastLimit(n int) Option { return func(e *Engine) { e.broadcastLimit = n } }
 
 // WithShuffleSpillBudget bounds the cells held by routed-but-not-yet-merged
 // shuffle pieces: pieces admitted past the budget spill to disk through
@@ -133,12 +117,7 @@ func WithShuffleSpillBudget(cells int) Option {
 
 // New returns a MODIN engine backed by the shared default pool.
 func New(opts ...Option) *Engine {
-	e := &Engine{
-		pool:           exec.Default,
-		statsOn:        true,
-		broadcastLimit: defaultBroadcastLimit,
-		statsCache:     make(map[*core.DataFrame]*stats.Table),
-	}
+	e := &Engine{pool: exec.Default, broadcastLimit: defaultBroadcastLimit}
 	for _, o := range opts {
 		o(e)
 	}

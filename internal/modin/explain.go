@@ -14,14 +14,11 @@ import (
 
 // DescribePhysical renders the engine's physical strategy decisions for a
 // logical plan, one line per repartition point in execution (post) order:
-// which join runs key-shuffled vs broadcast and on what estimates, and
+// which join runs key-shuffled vs broadcast and on what build size, and
 // which groupby can take the dictionary code path. The df layer appends
 // this to Query.Explain when the session engine is MODIN.
 func (e *Engine) DescribePhysical(n algebra.Node) string {
 	var b strings.Builder
-	if !e.statsOn {
-		b.WriteString("statistics: off (zero-stats fallbacks: broadcast joins, even shuffle cuts)\n")
-	}
 	uses := make(map[algebra.Node]int)
 	countUses(n, uses)
 	e.describeNode(n, uses, &b)
@@ -52,18 +49,14 @@ func (e *Engine) describeNode(n algebra.Node, uses map[algebra.Node]int, b *stri
 		if choice.shuffled {
 			strategy = "shuffle"
 		}
-		fmt.Fprintf(b, "JOIN strategy=%s (build≈%s rows", strategy, approx(choice.buildRows))
-		if choice.buildNDV > 0 {
-			fmt.Fprintf(b, ", ndv≈%s", approx(choice.buildNDV))
-		}
-		b.WriteString(")\n")
+		fmt.Fprintf(b, "JOIN strategy=%s (build≈%s rows)\n", strategy, approx(choice.buildRows))
 	case *algebra.GroupBy:
-		est := optimizer.Estimator{Stats: e}
+		groups := approx(optimizer.EstimateNode(node).Rows)
 		if algebra.DictGroupSupported(node.Spec) && e.dictKeyed(node.Input, node.Spec.Keys[0]) {
-			fmt.Fprintf(b, "GROUPBY strategy=dict-codes (groups≈%s)\n", approx(est.EstimateNode(node).Rows))
+			fmt.Fprintf(b, "GROUPBY strategy=dict-codes (groups≈%s)\n", groups)
 			return
 		}
-		fmt.Fprintf(b, "GROUPBY strategy=hash-shuffle (groups≈%s)\n", approx(est.EstimateNode(node).Rows))
+		fmt.Fprintf(b, "GROUPBY strategy=hash-shuffle (groups≈%s)\n", groups)
 	case *algebra.Scan:
 		rows := node.BandRows
 		if rows <= 0 {
@@ -107,7 +100,7 @@ func (e *Engine) dictKeyed(n algebra.Node, key string) bool {
 	}
 }
 
-// approx renders a planner estimate at sketch precision: 1234567 → "1.2M",
+// approx renders a planner estimate in short form: 1234567 → "1.2M",
 // 800000 → "800k", 42 → "42".
 func approx(x float64) string {
 	switch {

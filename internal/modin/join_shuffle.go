@@ -14,29 +14,27 @@ import (
 )
 
 // This file lowers inner/left data-column joins to a KEY-SHUFFLED hash join
-// when collected statistics say the build side is too large to broadcast:
-// both inputs shuffle by join-key hash into the same buckets, each bucket
-// builds its slice of the right side exactly once and probes its slice of
-// the left, and a restore exchange puts the probe rows back into left input
-// order. The broadcast probe (shuffle.go) rebuilds the FULL right-side table
-// once per left band; the shuffled form builds each right row into exactly
-// one bucket table, so total build work drops from bands× to 1× — the win
-// the planner is sizing when it compares the build estimate against the
-// broadcast limit.
+// when the build side is too large to broadcast: both inputs shuffle by
+// join-key hash into the same buckets, each bucket builds its slice of the
+// right side exactly once and probes its slice of the left, and a restore
+// exchange puts the probe rows back into left input order. The broadcast
+// probe (shuffle.go) rebuilds the FULL right-side table once per left band;
+// the shuffled form builds each right row into exactly one bucket table, so
+// total build work drops from bands× to 1× — the win the planner is sizing
+// when it compares the build estimate against the broadcast limit.
 
-// joinChoice is one join's physical strategy decision plus the estimates
-// that drove it (Explain renders them).
+// joinChoice is one join's physical strategy decision plus the build-side
+// estimate that drove it (Explain renders it).
 type joinChoice struct {
 	shuffled  bool
 	buildRows float64 // estimated build-side (right) rows
-	buildNDV  float64 // sketched key NDV on the build side; 0 when unknown
 }
 
 // chooseJoinStrategy picks broadcast vs key-shuffled for an inner/left
-// data-column join. Shuffling needs statistics (the zero-stats fallback is
-// always broadcast, preserving the engine's historical plans), at least two
-// bands (one bucket would just be a slower broadcast), and a build-side
-// estimate above the broadcast limit.
+// data-column join. Shuffling needs at least two bands (one bucket would
+// just be a slower broadcast) and a build side above the broadcast limit.
+// The build size is optimizer.EstimateNode's: exact for a base frame, the
+// zero-stats model above one. Both strategies produce the same cells.
 func (e *Engine) chooseJoinStrategy(node *algebra.Join) joinChoice {
 	if node.Kind != expr.JoinInner && node.Kind != expr.JoinLeft {
 		return joinChoice{}
@@ -44,12 +42,8 @@ func (e *Engine) chooseJoinStrategy(node *algebra.Join) joinChoice {
 	if node.OnLabels || len(node.On) == 0 {
 		return joinChoice{}
 	}
-	est := optimizer.Estimator{Stats: e}
-	c := joinChoice{buildRows: est.EstimateNode(node.Right).Rows}
-	if ndv, ok := est.KeyNDV(node.Right, node.On); ok {
-		c.buildNDV = ndv
-	}
-	c.shuffled = e.statsOn && e.bands >= 2 && c.buildRows > float64(e.broadcastLimit)
+	c := joinChoice{buildRows: optimizer.EstimateNode(node.Right).Rows}
+	c.shuffled = e.bands >= 2 && c.buildRows > float64(e.broadcastLimit)
 	return c
 }
 

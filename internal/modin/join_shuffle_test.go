@@ -51,10 +51,14 @@ func skewJoinFrames(t *testing.T, probeRows, buildRows, keys int) (left, right *
 		core.MustFromRecords([]string{"k", "rv"}, rrec)
 }
 
+// withBuildLimit sets the engine's broadcast limit, so a test reaches the
+// key-shuffled join on small inputs (or forces the broadcast on large ones).
+func withBuildLimit(rows int) Option { return func(e *Engine) { e.broadcastLimit = rows } }
+
 // TestShuffledJoinMatchesBroadcastAndEager drives Zipf-skewed inner and
 // left joins through the key-shuffled strategy and requires its output to
-// equal both the eager engine and the stats-disabled broadcast plan,
-// row-for-row and label-for-label.
+// equal both the eager engine and the default broadcast plan, row-for-row
+// and label-for-label.
 func TestShuffledJoinMatchesBroadcastAndEager(t *testing.T) {
 	left, right := skewJoinFrames(t, 700, 600, 40)
 	for _, kind := range []expr.JoinKind{expr.JoinInner, expr.JoinLeft} {
@@ -64,7 +68,7 @@ func TestShuffledJoinMatchesBroadcastAndEager(t *testing.T) {
 			Kind:  kind,
 			On:    []string{"k"},
 		}
-		e := New(WithBands(4), WithBroadcastLimit(100))
+		e := New(WithBands(4), withBuildLimit(100))
 		if !e.chooseJoinStrategy(plan).shuffled {
 			t.Fatalf("kind %v: expected the shuffled strategy to fire", kind)
 		}
@@ -72,7 +76,7 @@ func TestShuffledJoinMatchesBroadcastAndEager(t *testing.T) {
 		if err != nil {
 			t.Fatalf("kind %v shuffled: %v", kind, err)
 		}
-		broadcast, err := New(WithBands(4), WithoutStats()).Execute(plan)
+		broadcast, err := New(WithBands(4)).Execute(plan)
 		if err != nil {
 			t.Fatalf("kind %v broadcast: %v", kind, err)
 		}
@@ -107,7 +111,7 @@ func TestShuffledJoinCompositeKey(t *testing.T) {
 		Kind:  expr.JoinInner,
 		On:    []string{"a", "b"},
 	}
-	e := New(WithBands(3), WithBroadcastLimit(50))
+	e := New(WithBands(3), withBuildLimit(50))
 	if !e.chooseJoinStrategy(plan).shuffled {
 		t.Fatal("expected the shuffled strategy to fire")
 	}
@@ -125,9 +129,8 @@ func TestShuffledJoinCompositeKey(t *testing.T) {
 }
 
 // TestGroupBySkewZipf runs a Zipf-skewed groupby through the skew-aware
-// shuffle planning (weighted cuts + heavy-bucket parallel merges) and
-// requires exact agreement with the eager engine, with statistics on and
-// off.
+// shuffle planning (heavy-bucket parallel merges) and requires exact
+// agreement with the eager engine.
 func TestGroupBySkewZipf(t *testing.T) {
 	rows := 4000
 	ks := zipfKeys(rows, 500, 3)
@@ -153,22 +156,7 @@ func TestGroupBySkewZipf(t *testing.T) {
 			},
 		},
 	}
-	want, err := eager.New().Execute(plan)
-	if err != nil {
-		t.Fatalf("eager: %v", err)
-	}
-	for name, opts := range map[string][]Option{
-		"stats-on":  {WithBands(4)},
-		"stats-off": {WithBands(4), WithoutStats()},
-	} {
-		got, err := New(opts...).Execute(plan)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !want.Equal(got) {
-			t.Fatalf("%s: skewed groupby disagrees with eager", name)
-		}
-	}
+	assertEngineAgreesWithEager(t, New(WithBands(4)), plan)
 }
 
 // TestPlanGroupRoutingSkew pins the hash-routing plan's shape: every group
@@ -210,14 +198,14 @@ func TestPlanGroupRoutingSkew(t *testing.T) {
 			t.Fatalf("uniform counts flagged a heavy bucket")
 		}
 	}
-	// Stats off: no heavy tracking at all.
+	// Skew-unaware: no heavy tracking at all.
 	if PlanGroupRouting(stats, 4, false).Heavy != nil {
 		t.Fatal("skew-unaware plan must not allocate Heavy")
 	}
 }
 
-// TestChooseJoinStrategyFallbacks pins the zero-stats and small-build
-// fallbacks: every gate failure degrades to broadcast.
+// TestChooseJoinStrategyFallbacks pins the broadcast fallbacks: every gate
+// failure degrades to broadcast.
 func TestChooseJoinStrategyFallbacks(t *testing.T) {
 	left, right := skewJoinFrames(t, 300, 300, 20)
 	plan := &algebra.Join{
@@ -226,27 +214,23 @@ func TestChooseJoinStrategyFallbacks(t *testing.T) {
 		Kind:  expr.JoinInner,
 		On:    []string{"k"},
 	}
-	if New(WithBands(4), WithoutStats(), WithBroadcastLimit(10)).chooseJoinStrategy(plan).shuffled {
-		t.Error("stats off must broadcast")
-	}
-	if New(WithBands(1), WithBroadcastLimit(10)).chooseJoinStrategy(plan).shuffled {
+	if New(WithBands(1), withBuildLimit(10)).chooseJoinStrategy(plan).shuffled {
 		t.Error("single band must broadcast")
 	}
 	if New(WithBands(4)).chooseJoinStrategy(plan).shuffled {
 		t.Error("build under the default limit must broadcast")
 	}
 	lab := &algebra.Join{Left: plan.Left, Right: plan.Right, Kind: expr.JoinInner, OnLabels: true}
-	if New(WithBands(4), WithBroadcastLimit(10)).chooseJoinStrategy(lab).shuffled {
+	if New(WithBands(4), withBuildLimit(10)).chooseJoinStrategy(lab).shuffled {
 		t.Error("label join must broadcast")
 	}
-	if c := New(WithBands(4), WithBroadcastLimit(10)).chooseJoinStrategy(plan); !c.shuffled || c.buildRows != 300 {
+	if c := New(WithBands(4), withBuildLimit(10)).chooseJoinStrategy(plan); !c.shuffled || c.buildRows != 300 {
 		t.Errorf("expected shuffled with buildRows=300, got %+v", c)
 	}
 }
 
-// TestExplainPhysicalStrategy checks the strategy rendering: shuffled joins
-// report build-size and NDV estimates, dict-keyed groupbys report the code
-// path, and disabling stats reports the fallback.
+// TestExplainPhysicalStrategy checks the strategy rendering: joins report
+// the build size that decided them, groupbys their strategy.
 func TestExplainPhysicalStrategy(t *testing.T) {
 	rows := 2000
 	rec := make([][]any, rows)
@@ -260,14 +244,12 @@ func TestExplainPhysicalStrategy(t *testing.T) {
 		Kind:  expr.JoinInner,
 		On:    []string{"k"},
 	}
-	e := New(WithBands(4), WithBroadcastLimit(1000))
-	out := e.DescribePhysical(join)
-	if !strings.Contains(out, "JOIN strategy=shuffle (build≈2k rows, ndv≈") {
-		t.Errorf("missing shuffle strategy line:\n%s", out)
+	e := New(WithBands(4), withBuildLimit(1000))
+	if out := e.DescribePhysical(join); out != "JOIN strategy=shuffle (build≈2k rows)\n" {
+		t.Errorf("shuffle strategy line:\n%s", out)
 	}
-	off := New(WithBands(4), WithoutStats()).DescribePhysical(join)
-	if !strings.Contains(off, "JOIN strategy=broadcast") || !strings.Contains(off, "statistics: off") {
-		t.Errorf("missing broadcast fallback lines:\n%s", off)
+	if out := New(WithBands(4)).DescribePhysical(join); out != "JOIN strategy=broadcast (build≈2k rows)\n" {
+		t.Errorf("broadcast strategy line:\n%s", out)
 	}
 	gb := &algebra.GroupBy{
 		Input: &algebra.Source{DF: df},
@@ -276,37 +258,97 @@ func TestExplainPhysicalStrategy(t *testing.T) {
 			Aggs: []expr.AggSpec{{Col: "v", Agg: expr.AggSum, As: "total"}},
 		},
 	}
-	if out := e.DescribePhysical(gb); !strings.Contains(out, "GROUPBY strategy=hash-shuffle (groups≈") {
-		t.Errorf("missing groupby strategy line:\n%s", out)
+	if out := e.DescribePhysical(gb); out != "GROUPBY strategy=hash-shuffle (groups≈200)\n" {
+		t.Errorf("groupby strategy line:\n%s", out)
 	}
 }
 
-// TestKeyNDVSketchCache exercises the engine's SourceStats implementation:
-// sketches collect once per (frame, key), respect the row floor, and stay
-// within a few percent of the true distinct count.
-func TestKeyNDVSketchCache(t *testing.T) {
-	rows, keys := 5000, 1200
+// TestJoinOverGroupedBuildSide covers the one plan shape whose strategy is
+// sized by the zero-stats model rather than a base frame: a build side that
+// is a GROUPBY over a source. Its rows are estimated as a tenth of the
+// source's, so a low limit shuffles by key and a high one broadcasts; both
+// must equal the eager engine, for inner and left joins whose keys repeat
+// on both sides and are null on both sides.
+func TestJoinOverGroupedBuildSide(t *testing.T) {
+	grouped := groupedBuildSide()
+	left, _ := skewJoinFrames(t, 500, 1, 120)
+	for _, kind := range []expr.JoinKind{expr.JoinInner, expr.JoinLeft} {
+		plan := &algebra.Join{Left: &algebra.Source{DF: left}, Right: grouped, Kind: kind, On: []string{"k"}}
+		for _, c := range []struct {
+			limit    int
+			shuffled bool
+		}{{100, true}, {1 << 30, false}} {
+			e := New(WithBands(4), withBuildLimit(c.limit))
+			if got := e.chooseJoinStrategy(plan); got.shuffled != c.shuffled || got.buildRows != 200 {
+				t.Fatalf("kind %v limit %d: strategy %+v, want shuffled=%v over 200 build rows", kind, c.limit, got, c.shuffled)
+			}
+			assertEngineAgreesWithEager(t, e, plan)
+		}
+	}
+}
+
+// groupedBuildSide is a GROUPBY over a 2,000-row source whose key k repeats
+// and is sometimes null: the zero-stats model sizes it at 200 rows.
+func groupedBuildSide() *algebra.GroupBy {
+	rows := 2000
 	rec := make([][]any, rows)
 	for i := range rec {
-		rec[i] = []any{i % keys, i}
+		var k any = i % 90
+		if i%13 == 0 {
+			k = nil
+		}
+		rec[i] = []any{k, i % 3, i}
 	}
-	df := core.MustFromRecords([]string{"k", "v"}, rec)
-	e := New(WithBands(2))
-	ndv, ok := e.KeyNDV(df, []string{"k"})
-	if !ok {
-		t.Fatal("expected a sketch for a frame above the row floor")
+	return &algebra.GroupBy{
+		Input: &algebra.Source{DF: core.MustFromRecords([]string{"k", "g", "v"}, rec)},
+		Spec: expr.GroupBySpec{
+			Keys: []string{"k", "g"},
+			Aggs: []expr.AggSpec{{Col: "v", Agg: expr.AggSum, As: "total"}},
+		},
 	}
-	if ndv < 0.9*float64(keys) || ndv > 1.1*float64(keys) {
-		t.Errorf("ndv = %v, want ≈%d", ndv, keys)
-	}
-	if ndv2, ok2 := e.KeyNDV(df, []string{"k"}); !ok2 || ndv2 != ndv {
-		t.Error("second lookup must serve the memoized sketch")
-	}
-	small := core.MustFromRecords([]string{"k"}, [][]any{{1}, {2}})
-	if _, ok := e.KeyNDV(small, []string{"k"}); ok {
-		t.Error("tiny frames must skip sketching")
-	}
-	if _, ok := New(WithoutStats()).KeyNDV(df, []string{"k"}); ok {
-		t.Error("stats-off engines must report no sketches")
+}
+
+// TestJoinBuildRowsThroughUnaryOperators pins the build size a join is
+// decided on when its build side reaches a GROUPBY through the operators
+// that keep or shrink its rows: the base frame is exact, the GROUPBY a tenth
+// of it, a filter halves it, a sort, projection or schema induction passes
+// it through, and a limit or top-k caps it. Against a limit of 150 each shape lands on its own
+// side, the rendered strategy names that size, and the join equals the
+// eager one either way.
+func TestJoinBuildRowsThroughUnaryOperators(t *testing.T) {
+	grouped := groupedBuildSide()
+	order := expr.SortOrder{{Col: "total", Desc: true}}
+	left, _ := skewJoinFrames(t, 400, 1, 120)
+	for _, c := range []struct {
+		name  string
+		right algebra.Node
+		rows  float64
+	}{
+		{"source", grouped.Input, 2000},
+		{"groupby", grouped, 200},
+		{"selection", &algebra.Selection{Input: grouped, Pred: expr.ColNotNull("k"), Desc: "k not null"}, 100},
+		{"sort", &algebra.Sort{Input: grouped, Order: order}, 200},
+		{"induce", &algebra.Induce{Input: grouped}, 200},
+		{"projection", &algebra.Projection{Input: grouped, Cols: []string{"k", "total"}}, 200},
+		{"limit", &algebra.Limit{Input: grouped, N: 50}, 50},
+		{"topk", &algebra.TopK{Input: grouped, Order: order, N: 50}, 50},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			plan := &algebra.Join{Left: &algebra.Source{DF: left}, Right: c.right, Kind: expr.JoinLeft, On: []string{"k"}}
+			e := New(WithBands(4), withBuildLimit(150))
+			got := e.chooseJoinStrategy(plan)
+			if got.buildRows != c.rows || got.shuffled != (c.rows > 150) {
+				t.Fatalf("strategy %+v, want %v build rows", got, c.rows)
+			}
+			strategy := "broadcast"
+			if got.shuffled {
+				strategy = "shuffle"
+			}
+			want := "JOIN strategy=" + strategy + " (build≈" + approx(c.rows) + " rows)\n"
+			if out := e.DescribePhysical(plan); !strings.HasSuffix(out, want) {
+				t.Errorf("explain does not end in %q:\n%s", want, out)
+			}
+			assertEngineAgreesWithEager(t, e, plan)
+		})
 	}
 }

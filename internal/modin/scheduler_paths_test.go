@@ -77,7 +77,7 @@ func TestLateWiredShufflesMatchEager(t *testing.T) {
 		for _, bands := range []int{1, 2, 7} {
 			for _, pool := range []*exec.Pool{exec.Default, one} {
 				t.Run(fmt.Sprintf("%s bands %d workers %d", name, bands, pool.Workers()), func(t *testing.T) {
-					e := New(WithBands(bands), WithPool(pool), WithBroadcastLimit(10))
+					e := New(WithBands(bands), WithPool(pool), withBuildLimit(10))
 					withDeadline(t, 30*time.Second, func() {
 						stats := assertAgreesWithEager(t, e, c.plan)
 						wantFallbacks, known := int64(1), c.known*int64(bands)
@@ -123,7 +123,7 @@ func TestSpilledKeyedJoinWithDuplicateAndNullKeys(t *testing.T) {
 	t.Setenv("TMPDIR", dir)
 	for _, kind := range []expr.JoinKind{expr.JoinInner, expr.JoinLeft} {
 		plan := &algebra.Join{Left: left, Right: right, Kind: kind, On: []string{"k"}}
-		e := New(WithBands(3), WithBroadcastLimit(10), WithShuffleSpillBudget(1))
+		e := New(WithBands(3), withBuildLimit(10), WithShuffleSpillBudget(1))
 		if !e.chooseJoinStrategy(plan).shuffled {
 			t.Fatal("expected the shuffled join strategy")
 		}
@@ -221,7 +221,7 @@ func TestErrorTextIsPinned(t *testing.T) {
 			// so only its band 0 exists to fail.
 			name:  "keyed join partition",
 			plan:  &algebra.Join{Left: src, Right: &algebra.Source{DF: testFrame(1)}, Kind: expr.JoinInner, On: []string{"ghost"}},
-			opts:  []Option{WithBands(2), WithBroadcastLimit(0)},
+			opts:  []Option{WithBands(2), withBuildLimit(0)},
 			eager: `JOIN(inner, on=ghost): algebra: join key "ghost" missing from left input`,
 			modin: `physical: shuffle join-build partition band 0: JOIN(inner, on=ghost): algebra: key column "ghost" missing`,
 		},

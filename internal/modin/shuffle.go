@@ -81,7 +81,7 @@ func (e *Engine) groupByShuffle(spec expr.GroupBySpec) *physical.Shuffle {
 			for r, s := range summaries {
 				stats[r] = &s.(*groupBandSummary).stat
 			}
-			return PlanGroupRouting(stats, nb, e.statsOn), nil
+			return PlanGroupRouting(stats, nb, true), nil
 		},
 		Partition: func(_ int, df *core.DataFrame, plan any) ([]*core.DataFrame, error) {
 			// Band routing: plan is this band's own key summary, nothing

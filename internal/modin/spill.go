@@ -51,13 +51,7 @@ func (l *spillLedger) Admit(df *core.DataFrame) (func() (*core.DataFrame, error)
 	if l.resident+cells <= l.budget {
 		l.resident += cells
 		l.mu.Unlock()
-		df = df.Detach()
-		return func() (*core.DataFrame, error) {
-			l.mu.Lock()
-			l.resident -= cells
-			l.mu.Unlock()
-			return df, nil
-		}, nil
+		return l.hold(df, cells), nil
 	}
 	if l.store == nil {
 		// Budget 1: the store itself keeps nothing resident — residency is
@@ -79,6 +73,15 @@ func (l *spillLedger) Admit(df *core.DataFrame) (func() (*core.DataFrame, error)
 	if err := store.Release(key); err != nil {
 		return nil, err
 	}
+	if store.Resident(key) {
+		// No block form (a Composite column): the store pinned the piece in
+		// memory, so it is held like any resident piece, not counted spilled.
+		store.Delete(key)
+		l.mu.Lock()
+		l.resident += cells
+		l.mu.Unlock()
+		return l.hold(df, cells), nil
+	}
 	l.spilled.Add(1)
 	return func() (*core.DataFrame, error) {
 		df, err := store.Get(key)
@@ -88,6 +91,18 @@ func (l *spillLedger) Admit(df *core.DataFrame) (func() (*core.DataFrame, error)
 		store.Delete(key)
 		return df, nil
 	}, nil
+}
+
+// hold keeps a piece whose cells the caller booked as resident, and returns
+// the take that gives them back when the piece's merge consumes it.
+func (l *spillLedger) hold(df *core.DataFrame, cells int) func() (*core.DataFrame, error) {
+	df = df.Detach()
+	return func() (*core.DataFrame, error) {
+		l.mu.Lock()
+		l.resident -= cells
+		l.mu.Unlock()
+		return df, nil
+	}
 }
 
 // ReleaseSpill closes the engine's spill store, removing every spill file.

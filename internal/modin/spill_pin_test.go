@@ -4,7 +4,10 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/core"
+	"repro/internal/eager"
+	"repro/internal/expr"
 	"repro/internal/vector"
 )
 
@@ -90,4 +93,95 @@ func TestResidentPieceDoesNotPinBand(t *testing.T) {
 			m.HeapAlloc, baseline, uint64(slack))
 	}
 	runtime.KeepAlive(admitted)
+}
+
+// TestPinnedPiecesAreNotBookedSpilled: a piece with a Composite column has
+// no block form, so the store keeps it in memory. Every routed piece of a
+// SORT over a COLLECT result is such a piece: under a one-cell budget the
+// sort must still match the eager one, and none of its pieces may count as
+// spilled.
+func TestPinnedPiecesAreNotBookedSpilled(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
+	collected, err := eager.New().Execute(&algebra.GroupBy{
+		Input: &algebra.Source{DF: testFrame(120)},
+		Spec:  expr.GroupBySpec{Keys: []string{"val"}, Aggs: []expr.AggSpec{{Col: "id", Agg: expr.AggCollect, As: "ids"}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &algebra.Sort{Input: &algebra.Source{DF: collected}, Order: expr.SortOrder{{Col: "val", Desc: true}}}
+	want, err := eager.New().Execute(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(WithBands(3), WithShuffleSpillBudget(1))
+	defer e.ReleaseSpill()
+	got, err := e.Execute(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Composite cells never compare Equal, not even to themselves; a sort
+	// moves them by reference, so they must come back as the very same
+	// sub-frames.
+	if !want.DropColumn(1).Equal(got.DropColumn(1)) {
+		t.Fatalf("engines disagree:\neager:\n%s\nmodin:\n%s", want, got)
+	}
+	for i := 0; i < want.NRows(); i++ {
+		if want.Value(i, 1).CompositePayload() != got.Value(i, 1).CompositePayload() {
+			t.Fatalf("row %d: collected cell is not the eager sort's", i)
+		}
+	}
+	if n := e.Stats().SpilledPieces.Load(); n != 0 {
+		t.Errorf("%d pinned pieces booked as spilled", n)
+	}
+}
+
+// TestLedgerHoldsPinnedPieceResident is the white-box half of the pinned-piece
+// fix: a piece the store cannot write out is booked as resident until its
+// merge takes it and leaves no entry behind in the store, while a plain piece
+// past the same one-cell budget still goes to disk.
+func TestLedgerHoldsPinnedPieceResident(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
+	pinned, err := eager.New().Execute(&algebra.GroupBy{
+		Input: &algebra.Source{DF: testFrame(30)},
+		Spec:  expr.GroupBySpec{Keys: []string{"dept"}, Aggs: []expr.AggSpec{{Col: "id", Agg: expr.AggCollect, As: "ids"}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(WithShuffleSpillBudget(1))
+	defer e.ReleaseSpill()
+	take, err := e.spill.Admit(pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := pinned.NRows()*pinned.NCols() + 1
+	if e.spill.resident != cells {
+		t.Fatalf("resident = %d cells, want the pinned piece's %d", e.spill.resident, cells)
+	}
+	if e.spill.store.Contains("shuffle-1") {
+		t.Error("the pinned piece was left in the store")
+	}
+	got, err := take()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Value(0, 1).CompositePayload() != pinned.Value(0, 1).CompositePayload() {
+		t.Error("take did not return the admitted piece")
+	}
+	if e.spill.resident != 0 {
+		t.Errorf("resident = %d cells after the take, want 0", e.spill.resident)
+	}
+
+	plain := mustFrame(t, []int64{1, 2, 3})
+	take, err = e.spill.Admit(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Stats().SpilledPieces.Load(); n != 1 || e.spill.resident != 0 {
+		t.Fatalf("plain piece: %d spilled, %d resident cells; want 1 and 0", n, e.spill.resident)
+	}
+	if got, err := take(); err != nil || !got.Equal(plain) {
+		t.Fatalf("plain piece read back as %v, %v", got, err)
+	}
 }

@@ -93,7 +93,7 @@ func TestSpillShuffledJoinMatchesInMemory(t *testing.T) {
 		Kind:  expr.JoinInner,
 		On:    []string{"k"},
 	}
-	e := New(WithBands(3), WithBroadcastLimit(50), WithShuffleSpillBudget(1))
+	e := New(WithBands(3), withBuildLimit(50), WithShuffleSpillBudget(1))
 	if !e.chooseJoinStrategy(plan).shuffled {
 		t.Fatal("expected the shuffled join strategy")
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/algebra"
-	"repro/internal/core"
 	"repro/internal/expr"
 )
 
@@ -20,114 +19,73 @@ type Estimate struct {
 // Cells returns the estimated cell count, the unit of the cost model.
 func (e Estimate) Cells() float64 { return e.Rows * e.Cols }
 
-// Default planner constants, used whenever no statistics reach a decision;
-// deliberately simple, the zero-stats fallback the physical planner degrades
-// to when collection is disabled.
+// Default planner constants: the zero-stats model. Only a base frame's
+// shape is known exactly; every operator above it is sized by these.
 const (
 	selectionSelectivity = 0.5
 	distinctFraction     = 0.1 // distinct keys per input row for GROUPBY arity/cardinality guesses
 )
 
-// SourceStats is how an Estimator reads collected statistics: the engine's
-// sketch cache implements it over base frames. KeyNDV returns the estimated
-// distinct count of the row tuples over cols, and false when no sketch for
-// that frame/key is available — every estimate then falls back to the
-// constants above, so a stats-less engine plans exactly as before.
-type SourceStats interface {
-	KeyNDV(df *core.DataFrame, cols []string) (float64, bool)
-}
-
-// Estimator computes output-shape estimates, consulting collected
-// statistics where they sharpen a decision. The zero Estimator (nil Stats)
-// is the pure constant-based model.
-type Estimator struct {
-	Stats SourceStats
-}
-
-// EstimateNode computes the output shape estimate for every operator with
-// the zero-stats constant model. Statistics-aware callers use an Estimator.
-func EstimateNode(n algebra.Node) Estimate {
-	return (Estimator{}).EstimateNode(n)
-}
-
 // EstimateNode computes the output shape estimate for every operator.
-func (e Estimator) EstimateNode(n algebra.Node) Estimate {
+func EstimateNode(n algebra.Node) Estimate {
 	switch node := n.(type) {
 	case *algebra.Source:
 		return Estimate{Rows: float64(node.DF.NRows()), Cols: float64(node.DF.NCols())}
 	case *algebra.Selection:
-		in := e.EstimateNode(node.Input)
+		in := EstimateNode(node.Input)
 		return Estimate{Rows: in.Rows * selectionSelectivity, Cols: in.Cols}
 	case *algebra.Projection:
-		in := e.EstimateNode(node.Input)
+		in := EstimateNode(node.Input)
 		return Estimate{Rows: in.Rows, Cols: float64(len(node.Cols))}
 	case *algebra.Union:
-		l, r := e.EstimateNode(node.Left), e.EstimateNode(node.Right)
+		l, r := EstimateNode(node.Left), EstimateNode(node.Right)
 		return Estimate{Rows: l.Rows + r.Rows, Cols: math.Max(l.Cols, r.Cols)}
 	case *algebra.Difference:
-		l := e.EstimateNode(node.Left)
+		l := EstimateNode(node.Left)
 		return Estimate{Rows: l.Rows * selectionSelectivity, Cols: l.Cols}
 	case *algebra.Join:
-		l, r := e.EstimateNode(node.Left), e.EstimateNode(node.Right)
+		l, r := EstimateNode(node.Left), EstimateNode(node.Right)
 		if node.Kind == expr.JoinCross {
 			return Estimate{Rows: l.Rows * r.Rows, Cols: l.Cols + r.Cols}
 		}
-		rows := math.Max(l.Rows, r.Rows)
-		if !node.OnLabels && len(node.On) > 0 {
-			// With key sketches on both sides the classic equi-join
-			// estimate applies: |L|·|R| / max(ndv(L), ndv(R)).
-			lNDV, lok := e.KeyNDV(node.Left, node.On)
-			rNDV, rok := e.KeyNDV(node.Right, node.On)
-			if lok && rok {
-				if d := math.Max(lNDV, rNDV); d >= 1 {
-					rows = l.Rows * r.Rows / d
-				}
-			}
-		}
-		return Estimate{Rows: rows, Cols: l.Cols + r.Cols - float64(len(node.On))}
+		return Estimate{Rows: math.Max(l.Rows, r.Rows), Cols: l.Cols + r.Cols - float64(len(node.On))}
 	case *algebra.DropDuplicates:
-		in := e.EstimateNode(node.Input)
+		in := EstimateNode(node.Input)
 		return Estimate{Rows: in.Rows * selectionSelectivity, Cols: in.Cols}
 	case *algebra.GroupBy:
-		in := e.EstimateNode(node.Input)
+		in := EstimateNode(node.Input)
 		groups := math.Max(1, in.Rows*distinctFraction)
-		if ndv, ok := e.KeyNDV(node.Input, node.Spec.Keys); ok {
-			// A grouped output has exactly one row per distinct key; the
-			// sketch estimate replaces the distinctFraction guess, capped
-			// by the (possibly filtered) input cardinality.
-			groups = math.Max(1, math.Min(ndv, in.Rows))
-		}
 		cols := float64(len(node.Spec.Keys) + len(node.Spec.Aggs))
 		if node.Spec.AsLabels {
 			cols = float64(len(node.Spec.Aggs))
 		}
 		return Estimate{Rows: groups, Cols: cols}
 	case *algebra.Sort, *algebra.Rename, *algebra.Window, *algebra.Induce:
-		return e.EstimateNode(n.Children()[0])
+		return EstimateNode(n.Children()[0])
 	case *algebra.Transpose:
-		in := e.EstimateNode(node.Input)
+		in := EstimateNode(node.Input)
 		return Estimate{Rows: in.Cols, Cols: in.Rows} // axes swap exactly
 	case *algebra.Map:
-		in := e.EstimateNode(node.Input)
+		in := EstimateNode(node.Input)
 		if node.Fn.OutCols != nil {
 			return Estimate{Rows: in.Rows, Cols: float64(len(node.Fn.OutCols))}
 		}
 		return in
 	case *algebra.ToLabels:
-		in := e.EstimateNode(node.Input)
+		in := EstimateNode(node.Input)
 		return Estimate{Rows: in.Rows, Cols: in.Cols - 1}
 	case *algebra.FromLabels:
-		in := e.EstimateNode(node.Input)
+		in := EstimateNode(node.Input)
 		return Estimate{Rows: in.Rows, Cols: in.Cols + 1}
 	case *algebra.Limit:
-		in := e.EstimateNode(node.Input)
+		in := EstimateNode(node.Input)
 		k := float64(node.N)
 		if k < 0 {
 			k = -k
 		}
 		return Estimate{Rows: math.Min(in.Rows, k), Cols: in.Cols}
 	case *algebra.TopK:
-		in := e.EstimateNode(node.Input)
+		in := EstimateNode(node.Input)
 		k := float64(node.N)
 		if k < 0 {
 			k = -k
@@ -135,48 +93,4 @@ func (e Estimator) EstimateNode(n algebra.Node) Estimate {
 		return Estimate{Rows: math.Min(in.Rows, k), Cols: in.Cols}
 	}
 	return Estimate{}
-}
-
-// KeyNDV estimates the distinct count of the key columns of n's output by
-// walking down to a base frame whose sketch the stats provider holds. Only
-// operators that pass key columns through unchanged are traversed —
-// Selection, Sort, Limit/TopK and Induce preserve key identity (a filter can
-// only lower the distinct count, so the sketch stays a sound upper estimate,
-// which the callers cap by estimated rows); anything else gives up.
-func (e Estimator) KeyNDV(n algebra.Node, cols []string) (float64, bool) {
-	if e.Stats == nil || len(cols) == 0 {
-		return 0, false
-	}
-	for {
-		switch node := n.(type) {
-		case *algebra.Source:
-			return e.Stats.KeyNDV(node.DF, cols)
-		case *algebra.Selection:
-			n = node.Input
-		case *algebra.Sort:
-			n = node.Input
-		case *algebra.Limit:
-			n = node.Input
-		case *algebra.TopK:
-			n = node.Input
-		case *algebra.Induce:
-			n = node.Input
-		case *algebra.Projection:
-			for _, c := range cols {
-				found := false
-				for _, pc := range node.Cols {
-					if pc == c {
-						found = true
-						break
-					}
-				}
-				if !found {
-					return 0, false
-				}
-			}
-			n = node.Input
-		default:
-			return 0, false
-		}
-	}
 }

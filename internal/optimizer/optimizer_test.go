@@ -335,50 +335,12 @@ func TestEstimates(t *testing.T) {
 		t.Error("tolabels estimate wrong")
 	}
 	gb := &algebra.GroupBy{Input: src, Spec: expr.GroupBySpec{Keys: []string{"k"}, Aggs: []expr.AggSpec{{Col: "v", Agg: expr.AggSum}}}}
-	if e := EstimateNode(gb); e.Cols != 2 {
+	if e := EstimateNode(gb); e.Rows != 1 || e.Cols != 2 {
 		t.Errorf("groupby estimate = %+v", e)
 	}
-}
-
-// fixedStats is a SourceStats stub returning one NDV for every key lookup.
-type fixedStats struct{ ndv float64 }
-
-func (f fixedStats) KeyNDV(df *core.DataFrame, cols []string) (float64, bool) {
-	return f.ndv, true
-}
-
-func TestEstimatorUsesKeySketches(t *testing.T) {
-	src := source(t) // 4x2, key column "k" with 2 distinct values
-	est := Estimator{Stats: fixedStats{ndv: 2}}
-
-	gb := &algebra.GroupBy{Input: src, Spec: expr.GroupBySpec{
-		Keys: []string{"k"},
-		Aggs: []expr.AggSpec{{Col: "v", Agg: expr.AggSum}},
-	}}
-	if e := est.EstimateNode(gb); e.Rows != 2 {
-		t.Errorf("groupby rows with key sketch = %v, want 2", e.Rows)
-	}
-	// Without stats the distinctFraction guess applies unchanged.
-	if e := EstimateNode(gb); e.Rows != 1 {
-		t.Errorf("zero-stats groupby rows = %v, want 1", e.Rows)
-	}
-	// The sketch walks through key-preserving operators but is capped by
-	// the estimated input cardinality.
-	capped := &algebra.GroupBy{Input: &algebra.Limit{Input: src, N: 1}, Spec: gb.Spec}
-	if e := est.EstimateNode(capped); e.Rows != 1 {
-		t.Errorf("groupby rows through limit = %v, want 1", e.Rows)
-	}
-	// Equi-join cardinality: |L|*|R| / max ndv.
-	join := &algebra.Join{Left: src, Right: src, Kind: expr.JoinInner, On: []string{"k"}}
-	if e := est.EstimateNode(join); e.Rows != 8 {
-		t.Errorf("join rows with key sketches = %v, want 8", e.Rows)
-	}
-	if e := EstimateNode(join); e.Rows != 4 {
-		t.Errorf("zero-stats join rows = %v, want 4", e.Rows)
-	}
-	// A non-key-preserving input (the join itself) gives up on sketches.
-	if _, ok := est.KeyNDV(join, []string{"k"}); ok {
-		t.Error("KeyNDV should not claim estimates through a join")
+	inner := &algebra.Join{Left: src, Right: src, Kind: expr.JoinInner, On: []string{"k"}}
+	if e := EstimateNode(inner); e.Rows != 4 || e.Cols != 3 {
+		t.Errorf("equi-join estimate = %+v", e)
 	}
 }
 

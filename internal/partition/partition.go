@@ -18,7 +18,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/stats"
 	"repro/internal/types"
 	"repro/internal/vector"
 )
@@ -57,11 +56,6 @@ func (s Scheme) String() string {
 // apply per block.
 type Frame struct {
 	grid [][]*exec.Future // each resolves to *core.DataFrame
-	// stats optionally summarizes the whole frame (all bands together):
-	// collected at scan boundaries, merged at exchanges, consumed by the
-	// physical planner's strategy decisions. Nil means "no statistics" —
-	// every consumer must degrade to its zero-stats fallback.
-	stats *stats.Table
 	// transient marks a single-consumer frame (a streaming scan's bands):
 	// the one stage that reads a block may ReleaseBand it afterwards so the
 	// band's cells do not stay resident for the life of the query.
@@ -143,31 +137,6 @@ func (f *Frame) relChLocked(r int) chan struct{} {
 		f.relCh[r] = ch
 	}
 	return ch
-}
-
-// Stats returns the frame's statistics table, or nil when none were
-// collected.
-func (f *Frame) Stats() *stats.Table { return f.stats }
-
-// SetStats attaches a statistics table describing the whole frame and
-// returns f for chaining.
-func (f *Frame) SetStats(t *stats.Table) *Frame {
-	f.stats = t
-	return f
-}
-
-// MergeStats combines the statistics of two frames meeting at an exchange:
-// the union's table when both sides carry one, nil otherwise (a one-sided
-// table would misstate the union).
-func MergeStats(a, b *Frame) *stats.Table {
-	if a.stats == nil || b.stats == nil {
-		return nil
-	}
-	merged := a.stats.Clone()
-	if err := merged.Merge(b.stats); err != nil {
-		return nil
-	}
-	return merged
 }
 
 // New partitions df under the given scheme, splitting so that roughly

@@ -13,9 +13,7 @@ import (
 )
 
 // Tenant groups a user's sessions behind one shared engine and one memory
-// budget. Sharing the engine shares its statistics memoization: NDV and
-// row-count sketches computed for one session's plans steer the physical
-// planning of every other session of the tenant. The budget is enforced by
+// budget. The budget is enforced by
 // admission control — a query whose estimated output cannot ever fit is
 // rejected with dferrors.ErrBudgetExceeded; one that merely doesn't fit
 // *now* first triggers spilling of the tenant's coldest resolved session

@@ -155,7 +155,12 @@ func (s *Session) spillPlanLocked(victim algebra.Node) bool {
 	if err := s.store.Put(key, v.(*core.DataFrame)); err != nil {
 		return false // spill failure: keep resident
 	}
-	s.store.Release(key)
+	if err := s.store.Release(key); err != nil || s.store.Resident(key) {
+		// The write failed, or the frame has no block form and the store
+		// pinned it: either way nothing was freed, so keep it resident.
+		s.store.Delete(key)
+		return false
+	}
 	delete(s.materialized, victim)
 	s.spilled[victim] = key
 	s.Stats.Spills.Add(1)

@@ -69,26 +69,6 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Clone returns an independent copy of the sketch (Merge mutates in place,
-// so shared summaries must clone before folding).
-func (h *HLL) Clone() *HLL {
-	return &HLL{precision: h.precision, registers: append([]uint8(nil), h.registers...)}
-}
-
-// Merge combines another sketch of the same precision (register-wise max):
-// the union-cardinality property that lets partitions sketch independently.
-func (h *HLL) Merge(o *HLL) error {
-	if o.precision != h.precision {
-		return fmt.Errorf("sketch: merge precision mismatch %d vs %d", h.precision, o.precision)
-	}
-	for i, r := range o.registers {
-		if r > h.registers[i] {
-			h.registers[i] = r
-		}
-	}
-	return nil
-}
-
 // Estimate returns the estimated distinct count.
 func (h *HLL) Estimate() float64 {
 	m := float64(len(h.registers))
@@ -110,8 +90,7 @@ func (h *HLL) Estimate() float64 {
 }
 
 // SketchColumn builds a sketch over one dataframe column's values (typed
-// through the column's induced domain). It is the per-partition sketching
-// primitive: partitions sketch locally and Merge.
+// through the column's induced domain).
 func SketchColumn(df *core.DataFrame, col string, precision uint8) (*HLL, error) {
 	j := df.ColIndex(col)
 	if j < 0 {

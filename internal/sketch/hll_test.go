@@ -1,7 +1,9 @@
 package sketch
 
 import (
+	"bytes"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -47,33 +49,6 @@ func TestDuplicatesDoNotInflate(t *testing.T) {
 	}
 }
 
-func TestMergeEqualsUnion(t *testing.T) {
-	a, b, whole := MustNew(12), MustNew(12), MustNew(12)
-	for i := 0; i < 5_000; i++ {
-		key := fmt.Sprintf("k%d", i)
-		whole.Add(key)
-		if i%2 == 0 {
-			a.Add(key)
-		} else {
-			b.Add(key)
-		}
-		if i%10 == 0 { // overlap
-			a.Add(key)
-			b.Add(key)
-		}
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(a.Estimate()-whole.Estimate()) > 1e-9 {
-		t.Errorf("merged estimate %.1f != whole %.1f", a.Estimate(), whole.Estimate())
-	}
-	other := MustNew(10)
-	if err := a.Merge(other); err == nil {
-		t.Error("precision mismatch should fail")
-	}
-}
-
 func TestSketchColumnAndArity(t *testing.T) {
 	n := 5000
 	records := make([][]any, n)
@@ -101,5 +76,36 @@ func TestSketchColumnAndArity(t *testing.T) {
 	}
 	if _, err := EstimateArity(df, "ghost"); err == nil {
 		t.Error("unknown column should fail")
+	}
+}
+
+func TestEmptySketchEstimatesZero(t *testing.T) {
+	if e := MustNew(12).Estimate(); e != 0 {
+		t.Errorf("empty sketch estimate = %v", e)
+	}
+}
+
+// TestAddHashIsAddWithoutMixing: Add is AddHash over the mixed FNV-1a hash of
+// the key, so both paths fill identical registers, and repeating a hash
+// changes nothing.
+func TestAddHashIsAddWithoutMixing(t *testing.T) {
+	byKey, byHash := MustNew(10), MustNew(10)
+	for i := 0; i < 500; i++ {
+		key := fmt.Sprintf("k%d", i%300)
+		byKey.Add(key)
+		f := fnv.New64a()
+		f.Write([]byte(key))
+		byHash.AddHash(mix64(f.Sum64()))
+	}
+	if !bytes.Equal(byKey.registers, byHash.registers) {
+		t.Fatal("Add and AddHash filled different registers")
+	}
+	before := byHash.Estimate()
+	byHash.AddHash(mix64(42))
+	byHash.AddHash(mix64(42))
+	once := byHash.Estimate()
+	byHash.AddHash(mix64(42))
+	if byHash.Estimate() != once || once < before {
+		t.Errorf("estimates %v → %v → %v: a repeated hash must not move it", before, once, byHash.Estimate())
 	}
 }

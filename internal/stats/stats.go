@@ -1,16 +1,12 @@
-// Package stats collects the lightweight per-column statistics behind the
-// physical planner's decisions: row count, null count, min/max, and an HLL
-// distinct-value sketch. Everything is computed bulk-wise from the typed
-// storage in internal/vector (one hash pass per column, no boxed values),
-// and every piece is mergeable, so partitions can summarize independently
-// and exchanges combine the results — the same decomposition the paper uses
-// for decomposable aggregates (Section 5.2.3 points at exactly this
-// size-estimation problem for the planner).
+// Package stats collects lightweight per-column statistics: row count, null
+// count, min/max, and an HLL distinct-value sketch. Everything is computed
+// bulk-wise from the typed storage in internal/vector (one hash pass per
+// column, no boxed values) — the size-estimation inputs Section 5.2.3
+// points at for a planner.
 package stats
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/sketch"
@@ -18,16 +14,16 @@ import (
 	"repro/internal/vector"
 )
 
-// DefaultPrecision is the HLL precision for planner sketches: 4 KiB of
+// DefaultPrecision is the HLL precision for column sketches: 4 KiB of
 // registers per column, ~1.6% standard error.
 const DefaultPrecision uint8 = 12
 
-// hashSeed is fixed so sketches built by different partitions (or different
-// processes) observe identical hashes and merge soundly.
+// hashSeed is fixed so every collection of the same values observes
+// identical hashes.
 const hashSeed uint64 = 0x5ad1f1c3a94b62e7
 
-// Col summarizes one column (or one composite key): value counts, the
-// observed value range, and a distinct-count sketch.
+// Col summarizes one column: value counts, the observed value range, and a
+// distinct-count sketch.
 type Col struct {
 	Count int64 // rows observed, nulls included
 	Nulls int64
@@ -36,56 +32,8 @@ type Col struct {
 	NDV   *sketch.HLL // nil when sketching was skipped
 }
 
-// DistinctEstimate returns the sketched distinct-value estimate, clamped to
-// the non-null row count (an HLL can overshoot small exact counts). Zero
-// when no sketch was collected.
-func (c *Col) DistinctEstimate() float64 {
-	if c == nil || c.NDV == nil {
-		return 0
-	}
-	e := c.NDV.Estimate()
-	if nonNull := float64(c.Count - c.Nulls); e > nonNull {
-		e = nonNull
-	}
-	return e
-}
-
-// Clone returns an independent copy (Merge mutates the sketch in place).
-func (c *Col) Clone() *Col {
-	cp := *c
-	if c.NDV != nil {
-		cp.NDV = c.NDV.Clone()
-	}
-	return &cp
-}
-
-// Merge folds another summary of the same column into c: counts add, the
-// range widens, sketches take the register-wise union.
-func (c *Col) Merge(o *Col) error {
-	if o == nil {
-		return nil
-	}
-	c.Count += o.Count
-	c.Nulls += o.Nulls
-	if c.Min.IsNull() || (!o.Min.IsNull() && o.Min.Less(c.Min)) {
-		c.Min = o.Min
-	}
-	if c.Max.IsNull() || (!o.Max.IsNull() && c.Max.Less(o.Max)) {
-		c.Max = o.Max
-	}
-	switch {
-	case c.NDV == nil:
-		c.NDV = o.NDV
-	case o.NDV != nil:
-		if err := c.NDV.Merge(o.NDV); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Table carries the statistics of one frame: total rows plus per-column (and
-// per-composite-key) summaries, keyed by KeyName.
+// Table carries the statistics of one frame: total rows plus per-column
+// summaries, keyed by column name.
 type Table struct {
 	Rows int64
 	Cols map[string]*Col
@@ -94,55 +42,6 @@ type Table struct {
 // New returns an empty table for a frame with the given row count.
 func New(rows int64) *Table {
 	return &Table{Rows: rows, Cols: make(map[string]*Col)}
-}
-
-// Col returns the summary stored under the given columns' key name, or nil.
-func (t *Table) Col(cols ...string) *Col {
-	if t == nil {
-		return nil
-	}
-	return t.Cols[KeyName(cols)]
-}
-
-// Clone returns an independent copy of the table.
-func (t *Table) Clone() *Table {
-	out := New(t.Rows)
-	for name, c := range t.Cols {
-		out.Cols[name] = c.Clone()
-	}
-	return out
-}
-
-// Merge folds another frame's table into t, as when two partitions of the
-// same relation meet at an exchange: rows add, matching column summaries
-// merge, and summaries present on only one side are dropped (a partial
-// summary would under-count the union).
-func (t *Table) Merge(o *Table) error {
-	if o == nil {
-		return nil
-	}
-	t.Rows += o.Rows
-	for name, c := range t.Cols {
-		oc, ok := o.Cols[name]
-		if !ok {
-			delete(t.Cols, name)
-			continue
-		}
-		if err := c.Merge(oc); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// KeyName is the map key for a column set: the single column's name, or the
-// \x1f-joined names of a composite key (unit separator cannot collide with a
-// real label in practice).
-func KeyName(cols []string) string {
-	if len(cols) == 1 {
-		return cols[0]
-	}
-	return strings.Join(cols, "\x1f")
 }
 
 // CollectColumn summarizes one column in a single typed pass: the hash
@@ -186,49 +85,4 @@ func Collect(df *core.DataFrame, cols []string, precision uint8) (*Table, error)
 		t.Cols[name] = c
 	}
 	return t, nil
-}
-
-// CollectKey summarizes a composite key: the distinct count of the row
-// tuples over the given columns (the quantity a groupby output size or a
-// join key cardinality needs), stored under KeyName(cols). Min/Max are only
-// kept for single-column keys; a composite range has no single-column
-// ordering.
-func CollectKey(df *core.DataFrame, cols []string, precision uint8) (*Col, error) {
-	if len(cols) == 1 {
-		j := df.ColIndex(cols[0])
-		if j < 0 {
-			return nil, fmt.Errorf("stats: unknown column %q", cols[0])
-		}
-		return CollectColumn(df.TypedCol(j), precision)
-	}
-	h, err := sketch.New(precision)
-	if err != nil {
-		return nil, err
-	}
-	vs := make([]vector.Vector, len(cols))
-	for k, name := range cols {
-		j := df.ColIndex(name)
-		if j < 0 {
-			return nil, fmt.Errorf("stats: unknown column %q", name)
-		}
-		vs[k] = df.TypedCol(j)
-	}
-	n := df.NRows()
-	hashes := make([]uint64, n)
-	vector.HashRows(vs, hashSeed, hashes)
-	c := &Col{Count: int64(n), NDV: h}
-	for i, x := range hashes {
-		allNull := true
-		for _, v := range vs {
-			if !v.IsNull(i) {
-				allNull = false
-				break
-			}
-		}
-		if allNull {
-			c.Nulls++
-		}
-		h.AddHash(x)
-	}
-	return c, nil
 }

@@ -52,119 +52,53 @@ func TestCollectColumn(t *testing.T) {
 	// Nulled rows remove a few distinct values' only occurrence? No — every
 	// key repeats, so the distinct count stays `distinct`. ~1.6% HLL error
 	// at precision 12; allow 5%.
-	if e := c.DistinctEstimate(); e < 0.95*float64(distinct) || e > 1.05*float64(distinct) {
+	if e := c.NDV.Estimate(); e < 0.95*float64(distinct) || e > 1.05*float64(distinct) {
 		t.Errorf("ndv = %v, want ≈%d", e, distinct)
 	}
 }
 
-// TestMergeMatchesWhole requires partition-wise collection plus Merge to
-// agree with whole-frame collection: same counts, same range, and a sketch
-// estimate within HLL error of the true union.
-func TestMergeMatchesWhole(t *testing.T) {
-	rows, distinct := 6000, 1100
-	df := intFrame(t, rows, distinct)
-	whole, err := CollectColumn(df.TypedCol(0), DefaultPrecision)
+// TestCollectNamesColumns: nil collects every column, a list collects just
+// those, and an unknown name fails without a table.
+func TestCollectNamesColumns(t *testing.T) {
+	df := intFrame(t, 300, 40)
+	all, err := Collect(df, nil, DefaultPrecision)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := CollectColumn(df.TypedCol(0).Slice(0, rows/3), DefaultPrecision)
+	if all.Rows != 300 || len(all.Cols) != 2 || all.Cols["k"] == nil || all.Cols["v"] == nil {
+		t.Errorf("Collect(nil) = %d rows, columns %v", all.Rows, all.Cols)
+	}
+	some, err := Collect(df, []string{"v"}, DefaultPrecision)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CollectColumn(df.TypedCol(0).Slice(rows/3, rows), DefaultPrecision)
-	if err != nil {
-		t.Fatal(err)
+	if len(some.Cols) != 1 || some.Cols["v"] == nil {
+		t.Errorf("Collect([v]) columns = %v", some.Cols)
 	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count != whole.Count || a.Nulls != whole.Nulls {
-		t.Errorf("merged counts %d/%d, whole %d/%d", a.Count, a.Nulls, whole.Count, whole.Nulls)
-	}
-	if !a.Min.Equal(whole.Min) || !a.Max.Equal(whole.Max) {
-		t.Errorf("merged range [%v,%v], whole [%v,%v]", a.Min, a.Max, whole.Min, whole.Max)
-	}
-	// Same fixed seed → identical hashes → the merged registers are the
-	// register-wise max, and the estimate matches the whole-frame sketch
-	// exactly.
-	if a.DistinctEstimate() != whole.DistinctEstimate() {
-		t.Errorf("merged ndv %v != whole ndv %v", a.DistinctEstimate(), whole.DistinctEstimate())
+	if tab, err := Collect(df, []string{"k", "ghost"}, DefaultPrecision); err == nil || tab != nil {
+		t.Errorf("unknown column: table %v, error %v", tab, err)
 	}
 }
 
-func TestTableMergeDropsOneSided(t *testing.T) {
-	df := intFrame(t, 2000, 50)
-	ta, err := Collect(df, []string{"k", "v"}, DefaultPrecision)
+// TestCollectColumnAllNull: a column with no non-null value has a null range
+// and an empty sketch.
+func TestCollectColumnAllNull(t *testing.T) {
+	rows := 50
+	nulls := make([]bool, rows)
+	for i := range nulls {
+		nulls[i] = true
+	}
+	c, err := CollectColumn(vector.NewInt(make([]int64, rows), nulls), DefaultPrecision)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := Collect(df, []string{"k"}, DefaultPrecision)
-	if err != nil {
-		t.Fatal(err)
+	if c.Count != int64(rows) || c.Nulls != int64(rows) {
+		t.Errorf("count/nulls = %d/%d, want %d/%d", c.Count, c.Nulls, rows, rows)
 	}
-	if err := ta.Merge(tb); err != nil {
-		t.Fatal(err)
+	if !c.Min.IsNull() || !c.Max.IsNull() {
+		t.Errorf("range = [%v, %v], want nulls", c.Min, c.Max)
 	}
-	if ta.Rows != 4000 {
-		t.Errorf("rows = %d", ta.Rows)
-	}
-	if ta.Col("k") == nil {
-		t.Error("shared column must survive the merge")
-	}
-	if ta.Col("v") != nil {
-		t.Error("one-sided column must be dropped (it would under-count the union)")
-	}
-}
-
-// TestCloneIsIndependent guards against register aliasing: merging into a
-// clone must not disturb the original sketch.
-func TestCloneIsIndependent(t *testing.T) {
-	df := intFrame(t, 3000, 400)
-	orig, err := Collect(df, []string{"k"}, DefaultPrecision)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := orig.Col("k").DistinctEstimate()
-	cl := orig.Clone()
-	other, err := Collect(intFrame(t, 3000, 2900), []string{"k"}, DefaultPrecision)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Merge(other); err != nil {
-		t.Fatal(err)
-	}
-	if got := orig.Col("k").DistinctEstimate(); got != before {
-		t.Errorf("merge into clone mutated the original: %v -> %v", before, got)
-	}
-	if cl.Col("k").DistinctEstimate() <= before {
-		t.Error("clone must reflect the merged union")
-	}
-}
-
-func TestCollectKeyComposite(t *testing.T) {
-	rows := 3000
-	a := make([]int64, rows)
-	b := make([]int64, rows)
-	for i := range a {
-		a[i] = int64(i % 10)
-		b[i] = int64(i % 70) // lcm(10,70)=70 → 70 distinct pairs
-	}
-	df, err := core.Build(
-		[]vector.Vector{vector.NewInt(a, nil), vector.NewInt(b, nil)},
-		vector.Range(0, rows),
-		[]types.Value{types.String("a"), types.String("b")},
-		nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := CollectKey(df, []string{"a", "b"}, DefaultPrecision)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := c.DistinctEstimate(); e < 60 || e > 80 {
-		t.Errorf("composite ndv = %v, want ≈70", e)
-	}
-	if KeyName([]string{"a", "b"}) == KeyName([]string{"ab"}) {
-		t.Error("composite key names must not collide with single columns")
+	if e := c.NDV.Estimate(); e != 0 {
+		t.Errorf("ndv = %v, want 0", e)
 	}
 }

@@ -99,9 +99,20 @@ func (s *Store) Contains(key string) bool {
 	return ok
 }
 
+// Resident reports whether the frame under key is held in memory: never
+// spilled, loaded back, or pinned because it has no block form (so a
+// Release left it where it was).
+func (s *Store) Resident(key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.entries[key]
+	return ok && e.frame != nil
+}
+
 // Release forces the frame under key to disk immediately, regardless of
 // the budget: spill-to-free-memory callers (session budget enforcement)
-// want the resident cells back now, not at the next budget check.
+// want the resident cells back now, not at the next budget check. A frame
+// with no block form stays resident (see Resident).
 func (s *Store) Release(key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -295,6 +295,9 @@ func TestFrameWithoutWireFormStaysResident(t *testing.T) {
 	if want := 2*2 + 1 + 10*3 + 1; resident != want {
 		t.Errorf("resident = %d cells, want %d (the composite frame and the newest)", resident, want)
 	}
+	if !s.Resident("composite") || s.Resident("plain") || s.Resident("absent") {
+		t.Error("Resident must report the pinned frame, not the spilled one or a missing key")
+	}
 	got, err := s.Get("composite")
 	if err != nil {
 		t.Fatal(err)
@@ -304,5 +307,34 @@ func TestFrameWithoutWireFormStaysResident(t *testing.T) {
 	}
 	if cell, ok := got.Col(1).Value(0).CompositePayload().(*core.DataFrame); !ok || !cell.Equal(sub) {
 		t.Error("composite cell lost its sub-frame")
+	}
+}
+
+// TestResidentFollowsTheFrame: Resident is true while a frame is in memory,
+// false once Release wrote it out, true again after Get loads it back, and
+// false for a deleted or never-stored key.
+func TestResidentFollowsTheFrame(t *testing.T) {
+	s := newStore(t, 0)
+	if err := s.Put("a", frame(t, 20)); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Resident("a") {
+		t.Error("a stored frame must be resident")
+	}
+	if err := s.Release("a"); err != nil {
+		t.Fatal(err)
+	}
+	if s.Resident("a") || !s.Contains("a") {
+		t.Error("a released frame must be stored but not resident")
+	}
+	if _, err := s.Get("a"); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Resident("a") {
+		t.Error("a frame loaded back must be resident")
+	}
+	s.Delete("a")
+	if s.Resident("a") || s.Resident("never") {
+		t.Error("a deleted or absent key must not be resident")
 	}
 }
