@@ -161,18 +161,6 @@ type Handle struct {
 	inner *session.Handle
 }
 
-// Apply issues a new statement composing on this handle's plan. The build
-// function receives the current logical plan and returns the extended one;
-// plan nodes come from the algebra surfaced via the method helpers below.
-//
-// Deprecated: Apply takes an opaque Go function, which a server cannot
-// multiplex (it cannot cross the wire, be fingerprinted for the plan cache,
-// or be admission-controlled by cost). Continue a statement through the
-// typed builder instead: s.Query(name, h.Lazy().Select(...).Where(...)).
-func (h *Handle) Apply(name string, build func(algebra.Node) algebra.Node) *Handle {
-	return &Handle{s: h.s, inner: h.inner.Apply(name, build)}
-}
-
 // Lazy returns the handle's plan as a Query on the session's engine, so a
 // statement can continue through the fluent builder:
 //

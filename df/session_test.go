@@ -5,17 +5,16 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
-	"repro/internal/expr"
 )
 
-func sessionFilter(in algebra.Node) algebra.Node {
-	return &algebra.Selection{
-		Input: in,
-		Pred: func(r expr.Row) bool {
-			return r.ByName("dept").Str() == "eng"
-		},
-		Desc: "dept == eng",
+// engStatement binds the sample and issues one filter statement over it.
+func engStatement(t *testing.T, s *Session) *Handle {
+	t.Helper()
+	h, err := s.Query("eng", s.Bind("people", sample(t)).Lazy().Where(Eq("dept", Str("eng"))))
+	if err != nil {
+		t.Fatal(err)
 	}
+	return h
 }
 
 func TestSessionModes(t *testing.T) {
@@ -26,7 +25,7 @@ func TestSessionModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := NewSession(NewModinEngine(), mode)
-			h := s.Bind("people", sample(t)).Apply("eng", sessionFilter)
+			h := engStatement(t, s)
 			out, err := h.Collect()
 			if err != nil {
 				t.Fatal(err)
@@ -55,7 +54,7 @@ func TestSessionModes(t *testing.T) {
 
 func TestSessionStatsAndPlan(t *testing.T) {
 	s := NewSession(NewBaselineEngine(), ModeLazy)
-	h := s.Bind("people", sample(t)).Apply("eng", sessionFilter)
+	h := engStatement(t, s)
 	statements, full, partial, _, background := s.Stats()
 	if statements != 2 || full != 0 || background != 0 {
 		t.Errorf("lazy pre-collect stats: stmts=%d full=%d bg=%d", statements, full, background)

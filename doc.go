@@ -156,6 +156,6 @@
 // OUTPUT band; each backs its own block future) and ShuffleFallbacks
 // (shuffles wired late over a shape-opaque input: real per-band tasks,
 // but one output future, so still a barrier to their consumer).
-// modin.Engine.Stats() aggregates the counters across runs.
+// modin.Engine.Stats() totals only released stream bands and spilled pieces.
 // See README.md for the full map.
 package repro

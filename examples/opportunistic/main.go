@@ -12,8 +12,6 @@ import (
 
 	"repro/df"
 	"repro/internal/algebra"
-	"repro/internal/expr"
-	"repro/internal/types"
 	"repro/internal/workload"
 )
 
@@ -30,13 +28,10 @@ func main() {
 
 		// Statement 2: filter to card payments.
 		start := time.Now()
-		paid := taxi.Apply("card-payments", func(in algebra.Node) algebra.Node {
-			return &algebra.Selection{
-				Input: in,
-				Pred:  expr.ColEquals("payment_type", types.CategoryValue("card")),
-				Desc:  "payment_type == card",
-			}
-		})
+		paid, err := s.Query("card-payments", taxi.Lazy().Where(df.Eq("payment_type", df.Str("card"))))
+		if err != nil {
+			log.Fatal(err)
+		}
 		issue := time.Since(start)
 
 		// The user thinks; under opportunistic evaluation the system
@@ -54,12 +49,10 @@ func main() {
 
 		// Statement 4: aggregate, building on the filtered intermediate.
 		start = time.Now()
-		grouped := paid.Apply("by-vendor", func(in algebra.Node) algebra.Node {
-			return &algebra.GroupBy{Input: in, Spec: expr.GroupBySpec{
-				Keys: []string{"vendor_id"},
-				Aggs: []expr.AggSpec{{Col: "total_amount", Agg: expr.AggMean, As: "avg_total"}},
-			}}
-		})
+		grouped, err := s.Query("by-vendor", paid.Lazy().GroupBy("vendor_id").Mean("total_amount"))
+		if err != nil {
+			log.Fatal(err)
+		}
 		result, err := grouped.Collect()
 		if err != nil {
 			log.Fatal(err)

@@ -157,58 +157,149 @@ func TestGroupByDictKeys(t *testing.T) {
 	}
 }
 
-// TestJoinAndDedupUnderCollisions runs JOIN, DROP-DUPLICATES and DIFFERENCE
-// with forced collisions and checks against full-width results.
+// TestJoinAndDedupUnderCollisions runs every key-index kernel — JOIN of
+// each kind on key columns and on row labels, DROP-DUPLICATES, DIFFERENCE
+// and a two-band SummarizeGroupKeys → GroupKeyFold fold — with forced
+// collisions and checks each against its full-width result.
 func TestJoinAndDedupUnderCollisions(t *testing.T) {
 	left := hashKeyFrame(t)
 	right := core.MustNew([]string{"k", "tag"}, []vector.Vector{
 		vector.NewObject([]string{"a", "NA", "b"}, []bool{false, true, false}),
 		vector.NewObject([]string{"A", "NULLTAG", "B"}, nil),
 	})
-	joined, err := JoinFrames(left, right, expr.JoinInner, []string{"k"}, false)
+	leftByKey, err := left.WithRowLabels(left.TypedCol(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dedup, err := DropDuplicatesFrame(left, []string{"k"})
+	rightByKey, err := right.WithRowLabels(right.TypedCol(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff, err := DifferenceFrames(left, left.SliceRows(0, 2))
-	if err != nil {
-		t.Fatal(err)
+	kernels := func() map[string]*core.DataFrame {
+		out := map[string]*core.DataFrame{}
+		add := func(name string, df *core.DataFrame, err error) {
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			out[name] = df
+		}
+		for _, kind := range []expr.JoinKind{expr.JoinInner, expr.JoinLeft, expr.JoinRight, expr.JoinOuter} {
+			df, err := JoinFrames(left, right, kind, []string{"k"}, false)
+			add(kind.String()+" join on k", df, err)
+			df, err = JoinFrames(leftByKey, rightByKey, kind, nil, true)
+			add(kind.String()+" join on labels", df, err)
+		}
+		df, err := DropDuplicatesFrame(left, []string{"k"})
+		add("drop-duplicates", df, err)
+		df, err = DifferenceFrames(left, left.SliceRows(0, 2))
+		add("difference", df, err)
+		add("group-key fold", foldBands(t, left.SliceRows(0, 4), left.SliceRows(4, left.NRows())), nil)
+		return out
 	}
+	want := kernels()
 
-	restore := SetRowHashMaskForTesting(0x1)
-	defer restore()
-	joined2, err := JoinFrames(left, right, expr.JoinInner, []string{"k"}, false)
-	if err != nil {
-		t.Fatal(err)
+	// Null keys never match: a, a, a and b, b pair up; the null-keyed rows
+	// of both sides and the left "NA" row do not.
+	for kind, rows := range map[string]int{"inner": 5, "left": 7, "right": 6, "outer": 8} {
+		for _, on := range []string{" join on k", " join on labels"} {
+			if got := want[kind+on].NRows(); got != rows {
+				t.Errorf("%s%s: %d rows, want %d", kind, on, got, rows)
+			}
+		}
 	}
-	if !joined2.Equal(joined) {
-		t.Error("join differs under forced collisions")
-	}
-	// Null keys never match: the null-keyed right row contributes nothing.
+	joined := want["inner join on k"]
 	for i := 0; i < joined.NRows(); i++ {
 		if joined.Value(i, joined.ColIndex("tag")).String() == "NULLTAG" {
 			t.Error("null key must not join")
 		}
 	}
-	dedup2, err := DropDuplicatesFrame(left, []string{"k"})
-	if err != nil {
-		t.Fatal(err)
+	if n := want["drop-duplicates"].NRows(); n != 4 {
+		t.Errorf("dedup should keep a, null, b, \"NA\": got %d rows", n)
 	}
-	if !dedup2.Equal(dedup) {
-		t.Error("drop-duplicates differs under forced collisions")
+	// Global first appearance over both bands: a ×3, null, b ×2, "NA".
+	fold := want["group-key fold"]
+	for g, rows := range []int64{3, 1, 2, 1} {
+		if got := fold.Value(g, 1).Int(); got != rows {
+			t.Errorf("fold key %d: %d rows, want %d", g, got, rows)
+		}
 	}
-	if dedup.NRows() != 4 {
-		t.Errorf("dedup should keep a, null, b, \"NA\": got %d rows", dedup.NRows())
+
+	restore := SetRowHashMaskForTesting(0x1)
+	defer restore()
+	for name, got := range kernels() {
+		if !got.Equal(want[name]) {
+			t.Errorf("%s differs under forced collisions:\ngot:\n%s\nwant:\n%s", name, got, want[name])
+		}
 	}
-	diff2, err := DifferenceFrames(left, left.SliceRows(0, 2))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// foldBands folds the bands' SummarizeGroupKeys summaries over column k,
+// in band order, through a GroupKeyFold and returns its keys in global-id
+// order with their row counts.
+func foldBands(t *testing.T, bands ...*core.DataFrame) *core.DataFrame {
+	t.Helper()
+	fold := NewGroupKeyFold()
+	for _, band := range bands {
+		s, err := SummarizeGroupKeys(band, []string{"k"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := make([]int64, len(s.Hashes))
+		for _, ord := range s.Ordinals {
+			counts[ord]++
+		}
+		fold.AddBand(s.Hashes, s.Exemplars, counts)
 	}
-	if !diff2.Equal(diff) {
-		t.Error("difference differs under forced collisions")
+	keys := make([]types.Value, len(fold.Exemplars))
+	for g, ex := range fold.Exemplars {
+		keys[g] = ex[0]
+	}
+	return core.MustNew([]string{"k", "rows"}, []vector.Vector{buildColumn(keys), vector.NewInt(fold.Counts, nil)})
+}
+
+// TestKeyIndexDenseIDsAcrossGrowth inserts keys whose hashes share two bits,
+// so every probe walks collisions: ids stay dense and in insertion order
+// across several table growths, re-inserting finds the same id, and an
+// absent key misses.
+func TestKeyIndexDenseIDsAcrossGrowth(t *testing.T) {
+	restore := SetRowHashMaskForTesting(0x3)
+	defer restore()
+	var x keyIndex
+	var keys [][]types.Value
+	eq := func(key []types.Value) func(int32) bool {
+		return func(id int32) bool { return tuplesEqual(keys[id], key) }
+	}
+	growths := 0
+	for k := 0; k < 200; k++ {
+		key := []types.Value{types.IntValue(int64(k))}
+		slots := len(x.slots)
+		id, added := x.insert(hashValues(key), eq(key))
+		if !added || id != int32(k) {
+			t.Fatalf("insert %d: id %d added %v, want id %d added", k, id, added, k)
+		}
+		keys = append(keys, key)
+		if len(x.slots) != slots {
+			growths++
+		}
+	}
+	if growths < 5 {
+		t.Fatalf("%d growths, want several", growths)
+	}
+	for k, key := range keys {
+		if id, added := x.insert(hashValues(key), eq(key)); added || id != int32(k) {
+			t.Fatalf("re-insert %d: id %d added %v", k, id, added)
+		}
+		if id := x.find(hashValues(key), eq(key)); id != int32(k) {
+			t.Fatalf("find %d: id %d", k, id)
+		}
+	}
+	absent := []types.Value{types.IntValue(1000)}
+	if id := x.find(hashValues(absent), eq(absent)); id != -1 {
+		t.Fatalf("absent key found as id %d", id)
+	}
+	var empty keyIndex
+	if id := empty.find(hashValues(absent), eq(absent)); id != -1 {
+		t.Fatalf("empty index found id %d", id)
 	}
 }
 

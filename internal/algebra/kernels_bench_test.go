@@ -90,3 +90,56 @@ func BenchmarkHashGroupByKeys(b *testing.B) {
 		}
 	})
 }
+
+// highNDVFrame is a 75,000-row frame over 25,000 distinct int keys, each
+// appearing three times in scattered order, built once.
+var highNDVFrame = sync.OnceValue(func() *core.DataFrame {
+	const rows, keys = 75_000, 25_000
+	k := make([]int64, rows)
+	v := make([]float64, rows)
+	for i := range k {
+		k[i] = int64(i * 7919 % keys)
+		v[i] = float64(i)
+	}
+	return core.MustNew([]string{"k", "v"}, []vector.Vector{vector.NewInt(k, nil), vector.NewFloat(v, nil)})
+})
+
+// BenchmarkHashKernelsHighNDV runs the key-index kernels where the index,
+// not the per-row loop, dominates: one new key every third row.
+func BenchmarkHashKernelsHighNDV(b *testing.B) {
+	df := highNDVFrame()
+	spec := expr.GroupBySpec{Keys: []string{"k"}, Aggs: []expr.AggSpec{{Col: "v", Agg: expr.AggSum, As: "s"}}}
+	kernels := map[string]func() (int, error){
+		"groupby": func() (int, error) {
+			out, err := GroupByFrame(df, spec)
+			if err != nil {
+				return 0, err
+			}
+			return out.NRows(), nil
+		},
+		"summarize": func() (int, error) {
+			s, err := SummarizeGroupKeys(df, []string{"k"})
+			if err != nil {
+				return 0, err
+			}
+			return len(s.Hashes), nil
+		},
+		"dropdup": func() (int, error) {
+			out, err := DropDuplicatesFrame(df, []string{"k"})
+			if err != nil {
+				return 0, err
+			}
+			return out.NRows(), nil
+		},
+	}
+	for _, name := range []string{"groupby", "summarize", "dropdup"} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if n, err := kernels[name](); err != nil || n != 25_000 {
+					b.Fatalf("%d keys, err %v", n, err)
+				}
+			}
+		})
+	}
+}

@@ -10,14 +10,14 @@ import (
 )
 
 // Group identity is hash-based: every row's key columns are bulk-hashed to
-// one 64-bit hash (vector.HashRows, no per-row rendering or boxing), the
-// hash indexes a bucket table, and bucket probes verify true key equality
-// against the group's boxed exemplar tuple — so two distinct keys that
-// collide on the hash still land in distinct groups. The old representation
-// rendered every row's key into a string ("a\x1f5\x1f"), which allocated
-// per row and conflated values whose renderings agree (a null cell and the
-// literal string "NA"); the hash path keeps them distinct because
-// verification uses types.Value.Equal.
+// one 64-bit hash (vector.HashRows, no per-row rendering or boxing), a
+// keyIndex maps the hash to the group's dense id, and the index confirms
+// every hash match by true key equality against the group's boxed exemplar
+// tuple — so two distinct keys that collide on the hash still land in
+// distinct groups. The old representation rendered every row's key into a
+// string ("a\x1f5\x1f"), which allocated per row and conflated values whose
+// renderings agree (a null cell and the literal string "NA"); the hash path
+// keeps them distinct because verification uses types.Value.Equal.
 
 // rowHashSeed is the fixed seed of every row-key hash in the kernels. It
 // must be one process-wide constant: shuffle summaries hash on partition
@@ -83,10 +83,14 @@ func keysMatchRow(exemplar []types.Value, cols []vector.Vector, i int) bool {
 	return true
 }
 
-// tuplesEqual compares two boxed key tuples of equal arity under
-// vector.KeyEqual — the same equivalence the row-level hash probes verify
-// with, so per-row and per-exemplar checks can never disagree.
+// tuplesEqual reports whether two boxed key tuples are the same key under
+// vector.KeyEqual — the same equivalence the row-level checks verify with,
+// so partial merges, the shuffle routing fold and per-row lookups can never
+// disagree on group identity.
 func tuplesEqual(a, b []types.Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
 	for k := range a {
 		if !vector.KeyEqual(a[k], b[k]) {
 			return false
@@ -95,21 +99,8 @@ func tuplesEqual(a, b []types.Value) bool {
 	return true
 }
 
-// KeyTuplesEqual reports whether two boxed key tuples are the same group
-// key under value equality. It is the one collision-verification
-// equivalence shared by the group tables here and the shuffle routing plan
-// that consumes SummarizeGroupKeys — keeping a single definition means
-// routing and aggregation can never disagree on group identity.
-func KeyTuplesEqual(a, b []types.Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	return tuplesEqual(a, b)
-}
-
 // groupEntry is the running state for one group.
 type groupEntry struct {
-	hash      uint64
 	keyVals   []types.Value // exemplar key tuple (verification + finalize)
 	accs      []*expr.Accumulator
 	collected []*core.DataFrame // sub-frames contributed per partition (collect aggs)
@@ -121,14 +112,14 @@ type groupEntry struct {
 // appearance order, preserving the ordered-dataframe semantics.
 type GroupPartial struct {
 	spec    expr.GroupBySpec
-	entries []*groupEntry      // first-appearance order
-	buckets map[uint64][]int32 // row hash → entry indices
+	entries []*groupEntry // by key id: first-appearance order
+	index   keyIndex
 	hasColl bool
 }
 
 // NewGroupPartial returns an empty partial aggregation for the spec.
 func NewGroupPartial(spec expr.GroupBySpec) *GroupPartial {
-	g := &GroupPartial{spec: spec, buckets: make(map[uint64][]int32)}
+	g := &GroupPartial{spec: spec}
 	for _, a := range spec.Aggs {
 		if a.Agg == expr.AggCollect {
 			g.hasColl = true
@@ -140,13 +131,11 @@ func NewGroupPartial(spec expr.GroupBySpec) *GroupPartial {
 // lookup returns the entry index for row i (hash h), creating the group on
 // first appearance.
 func (g *GroupPartial) lookup(h uint64, keyCols []vector.Vector, i int) int32 {
-	for _, ei := range g.buckets[h] {
-		if keysMatchRow(g.entries[ei].keyVals, keyCols, i) {
-			return ei
-		}
+	ei, added := g.index.insert(h, func(ei int32) bool { return keysMatchRow(g.entries[ei].keyVals, keyCols, i) })
+	if !added {
+		return ei
 	}
 	e := &groupEntry{
-		hash:    h,
 		keyVals: make([]types.Value, len(keyCols)),
 		accs:    make([]*expr.Accumulator, len(g.spec.Aggs)),
 	}
@@ -156,9 +145,7 @@ func (g *GroupPartial) lookup(h uint64, keyCols []vector.Vector, i int) int32 {
 	for k, a := range g.spec.Aggs {
 		e.accs[k] = expr.NewAccumulator(a.Agg)
 	}
-	ei := int32(len(g.entries))
 	g.entries = append(g.entries, e)
-	g.buckets[h] = append(g.buckets[h], ei)
 	return ei
 }
 
@@ -313,21 +300,14 @@ func (g *GroupPartial) nonKeyColumns(df *core.DataFrame) []int {
 // Merge folds another partial (same spec) into g, preserving g's group
 // order first, then appending groups first seen in other.
 func (g *GroupPartial) Merge(other *GroupPartial) {
-	for _, oe := range other.entries {
-		found := int32(-1)
-		for _, ei := range g.buckets[oe.hash] {
-			if tuplesEqual(g.entries[ei].keyVals, oe.keyVals) {
-				found = ei
-				break
-			}
-		}
-		if found < 0 {
-			ei := int32(len(g.entries))
+	for oi, oe := range other.entries {
+		h := other.index.hashes[oi]
+		ei, added := g.index.insert(h, func(ei int32) bool { return tuplesEqual(g.entries[ei].keyVals, oe.keyVals) })
+		if added {
 			g.entries = append(g.entries, oe)
-			g.buckets[oe.hash] = append(g.buckets[oe.hash], ei)
 			continue
 		}
-		e := g.entries[found]
+		e := g.entries[ei]
 		for k := range e.accs {
 			e.accs[k].Merge(oe.accs[k])
 		}
@@ -569,28 +549,19 @@ func SummarizeGroupKeys(df *core.DataFrame, keys []string) (*GroupKeySummary, er
 	n := df.NRows()
 	s := &GroupKeySummary{Ordinals: make([]int32, n)}
 	hashes := rowHashes(cols, n)
-	buckets := make(map[uint64][]int32)
+	var index keyIndex
 	for i := 0; i < n; i++ {
-		h := hashes[i]
-		ord := int32(-1)
-		for _, d := range buckets[h] {
-			if keysMatchRow(s.Exemplars[d], cols, i) {
-				ord = d
-				break
-			}
-		}
-		if ord < 0 {
-			ord = int32(len(s.Hashes))
+		ord, added := index.insert(hashes[i], func(d int32) bool { return keysMatchRow(s.Exemplars[d], cols, i) })
+		if added {
 			exemplar := make([]types.Value, len(cols))
 			for k, c := range cols {
 				exemplar[k] = c.Value(i)
 			}
-			s.Hashes = append(s.Hashes, h)
 			s.Exemplars = append(s.Exemplars, exemplar)
-			buckets[h] = append(buckets[h], ord)
 		}
 		s.Ordinals[i] = ord
 	}
+	s.Hashes = index.hashes
 	return s, nil
 }
 
@@ -601,45 +572,36 @@ func SummarizeGroupKeys(df *core.DataFrame, keys []string) (*GroupKeySummary, er
 // group order after the fact. The state after k bands depends only on bands
 // [0, k), so the fold can run incrementally as summaries land rather than
 // barriering on all of them; hash collisions between distinct keys are
-// broken by exemplar verification under KeyTuplesEqual, the same
-// equivalence the per-row summaries use.
+// broken by exemplar verification under tuplesEqual, the same equivalence
+// the per-row summaries use.
 type GroupKeyFold struct {
 	// Exemplars, Hashes and Counts are indexed by global id (= global
 	// first-appearance rank); Counts accumulates each key's total row
-	// volume and Total the fold's overall row count.
+	// volume and Total the fold's overall row count. Hashes is the key
+	// index's own id → hash slice.
 	Exemplars [][]types.Value
 	Hashes    []uint64
 	Counts    []int64
 	Total     int64
 
-	index map[uint64][]int32 // hash → global ids
+	index keyIndex
 }
 
 // NewGroupKeyFold returns an empty fold.
-func NewGroupKeyFold() *GroupKeyFold {
-	return &GroupKeyFold{index: make(map[uint64][]int32)}
-}
+func NewGroupKeyFold() *GroupKeyFold { return &GroupKeyFold{} }
 
 // AddBand folds one band's distinct-key stats (hash, exemplar and row count
 // per key, in the band's first-appearance order). Bands must arrive in band
 // order for global ids to equal global first-appearance ranks.
 func (f *GroupKeyFold) AddBand(hashes []uint64, exemplars [][]types.Value, counts []int64) {
 	for d, h := range hashes {
-		gid := int32(-1)
-		for _, cand := range f.index[h] {
-			if KeyTuplesEqual(f.Exemplars[cand], exemplars[d]) {
-				gid = cand
-				break
-			}
-		}
-		if gid < 0 {
-			gid = int32(len(f.Exemplars))
+		gid, added := f.index.insert(h, func(g int32) bool { return tuplesEqual(f.Exemplars[g], exemplars[d]) })
+		if added {
 			f.Exemplars = append(f.Exemplars, exemplars[d])
-			f.Hashes = append(f.Hashes, h)
 			f.Counts = append(f.Counts, 0)
-			f.index[h] = append(f.index[h], gid)
 		}
 		f.Counts[gid] += counts[d]
 		f.Total += counts[d]
 	}
+	f.Hashes = f.index.hashes
 }

@@ -9,23 +9,15 @@ import (
 	"repro/internal/vector"
 )
 
-// joinGroup is one distinct build-side key: the ordered row positions
-// carrying it, plus an anchor row for collision verification (probes compare
-// typed cells against the anchor instead of rendering keys).
-type joinGroup struct {
-	anchor int
-	rows   []int
-}
-
 // JoinFrames implements JOIN and CROSS-PRODUCT. The result order is nested:
 // left rows in order, each associated in order with its matching right rows
 // (Table 1 †). Unmatched right rows of right/outer joins follow in right
 // order. Column-label collisions outside the join keys get pandas-style
 // "_x"/"_y" suffixes.
 //
-// Key matching is hash-based: both sides' key columns are bulk-hashed, the
-// build side chains distinct keys per hash, and probes verify equality with
-// the typed vector kernels — no per-row string keys, no boxed values.
+// Key matching builds a JoinTable over the right input's key columns (or row
+// labels) and probes it with the left's: bulk hashes, typed-kernel
+// verification, no per-row string keys or boxed values.
 func JoinFrames(left, right *core.DataFrame, kind expr.JoinKind, on []string, onLabels bool) (*core.DataFrame, error) {
 	if kind == expr.JoinCross {
 		return crossProduct(left, right)
@@ -38,66 +30,21 @@ func JoinFrames(left, right *core.DataFrame, kind expr.JoinKind, on []string, on
 	if err != nil {
 		return nil, err
 	}
-
-	// Build side: right key → ordered row positions. Null keys never
-	// match (SQL and pandas semantics).
-	rightHashes := rowHashes(rightKeys, right.NRows())
-	build := make(map[uint64][]joinGroup, right.NRows())
-	for i := 0; i < right.NRows(); i++ {
-		if anyNullAt(rightKeys, i) {
-			continue
-		}
-		h := rightHashes[i]
-		groups := build[h]
-		found := false
-		for gi := range groups {
-			if rowsEqualAt(rightKeys, i, rightKeys, groups[gi].anchor) {
-				groups[gi].rows = append(groups[gi].rows, i)
-				found = true
-				break
-			}
-		}
-		if !found {
-			groups = append(groups, joinGroup{anchor: i, rows: []int{i}})
-		}
-		build[h] = groups
-	}
-
-	leftHashes := rowHashes(leftKeys, left.NRows())
-	var leftIdx, rightIdx []int
-	rightMatched := make([]bool, right.NRows())
-	for i := 0; i < left.NRows(); i++ {
-		var matches []int
-		if !anyNullAt(leftKeys, i) {
-			for _, grp := range build[leftHashes[i]] {
-				if rowsEqualAt(leftKeys, i, rightKeys, grp.anchor) {
-					matches = grp.rows
-					break
-				}
-			}
-		}
-		if len(matches) == 0 {
-			if kind == expr.JoinLeft || kind == expr.JoinOuter {
-				leftIdx = append(leftIdx, i)
-				rightIdx = append(rightIdx, -1)
-			}
-			continue
-		}
-		for _, ri := range matches {
-			leftIdx = append(leftIdx, i)
-			rightIdx = append(rightIdx, ri)
-			rightMatched[ri] = true
-		}
-	}
+	leftIdx, rightIdx := buildJoinTable(right, rightKeys).probe(left.NRows(), leftKeys, kind, nil, nil)
 	if kind == expr.JoinRight || kind == expr.JoinOuter {
-		for i := 0; i < right.NRows(); i++ {
-			if !rightMatched[i] {
+		rightMatched := make([]bool, right.NRows())
+		for _, r := range rightIdx {
+			if r >= 0 {
+				rightMatched[r] = true
+			}
+		}
+		for r, matched := range rightMatched {
+			if !matched {
 				leftIdx = append(leftIdx, -1)
-				rightIdx = append(rightIdx, i)
+				rightIdx = append(rightIdx, r)
 			}
 		}
 	}
-
 	return assembleJoin(left, right, on, onLabels, leftIdx, rightIdx)
 }
 

@@ -8,22 +8,19 @@ import (
 	"repro/internal/vector"
 )
 
-// JoinTable is a typed open-addressing hash table over a build frame's join
-// keys: the probe kernel behind the key-shuffled hash join. Where JoinFrames
-// chains boxed joinGroup slices in a Go map, JoinTable keeps four flat int32
-// arrays (slot → entry, entry → anchor/first row, row → next row with the
-// same key), so a per-bucket build allocates O(rows) once and probes touch
-// cache-resident storage. Row chains preserve build-row order, so match
-// emission order is identical to JoinFrames.
+// JoinTable is the hash index over a build frame's join keys behind every
+// JOIN: JoinFrames builds one over its right input, and the key-shuffled
+// join builds one per bucket. A keyIndex gives each distinct non-null build
+// key a dense id, and flat int32 chains list each key's build rows in build
+// order (id → first row, row → next row with the same key), so a build
+// allocates O(rows) once and probes emit matches in JoinFrames order. A
+// built table is read-only.
 type JoinTable struct {
-	right     *core.DataFrame
-	keys      []vector.Vector
-	mask      uint64
-	slots     []int32 // open addressing: slot → entry index, -1 empty
-	entryHash []uint64
-	entryRow  []int32 // anchor row for collision verification
-	firstRow  []int32 // entry → first build row with this key
-	nextRow   []int32 // build row → next row with the same key, -1 ends
+	right    *core.DataFrame
+	keys     []vector.Vector
+	index    keyIndex
+	firstRow []int32 // key id → first build row with this key (the collision-check anchor)
+	nextRow  []int32 // build row → next row with the same key, -1 ends
 }
 
 // BuildJoinTable indexes the build (right) side of a data join on the given
@@ -37,49 +34,31 @@ func BuildJoinTable(right *core.DataFrame, on []string) (*JoinTable, error) {
 		}
 		keys[k] = right.TypedCol(j)
 	}
+	return buildJoinTable(right, keys), nil
+}
+
+// buildJoinTable is BuildJoinTable over already-resolved build key vectors
+// (columns or row labels).
+func buildJoinTable(right *core.DataFrame, keys []vector.Vector) *JoinTable {
 	n := right.NRows()
-	size := 16
-	for size < 2*n {
-		size <<= 1
-	}
-	t := &JoinTable{
-		right:   right,
-		keys:    keys,
-		mask:    uint64(size - 1),
-		slots:   make([]int32, size),
-		nextRow: make([]int32, n),
-	}
-	for i := range t.slots {
-		t.slots[i] = -1
-	}
+	t := &JoinTable{right: right, keys: keys, nextRow: make([]int32, n)}
 	hashes := rowHashes(keys, n)
-	lastRow := make([]int32, 0, n/2)
+	var lastRow []int32 // key id → last build row seen with this key
 	for i := 0; i < n; i++ {
 		t.nextRow[i] = -1
 		if anyNullAt(keys, i) {
 			continue
 		}
-		h := hashes[i]
-		s := h & t.mask
-		for {
-			e := t.slots[s]
-			if e < 0 {
-				t.slots[s] = int32(len(t.entryRow))
-				t.entryHash = append(t.entryHash, h)
-				t.entryRow = append(t.entryRow, int32(i))
-				t.firstRow = append(t.firstRow, int32(i))
-				lastRow = append(lastRow, int32(i))
-				break
-			}
-			if t.entryHash[e] == h && rowsEqualAt(keys, i, keys, int(t.entryRow[e])) {
-				t.nextRow[lastRow[e]] = int32(i)
-				lastRow[e] = int32(i)
-				break
-			}
-			s = (s + 1) & t.mask
+		e, added := t.index.insert(hashes[i], func(e int32) bool { return rowsEqualAt(keys, i, keys, int(t.firstRow[e])) })
+		if added {
+			t.firstRow = append(t.firstRow, int32(i))
+			lastRow = append(lastRow, int32(i))
+			continue
 		}
+		t.nextRow[lastRow[e]] = int32(i)
+		lastRow[e] = int32(i)
 	}
-	return t, nil
+	return t
 }
 
 // Right returns the build frame the table indexes.
@@ -87,13 +66,11 @@ func (t *JoinTable) Right() *core.DataFrame { return t.right }
 
 // Probe matches every row of left against the table and appends the
 // (leftIdx, rightIdx) pairs in JoinFrames order: left rows in order, each
-// followed by its matching build rows in build order; for left joins an
-// unmatched probe row emits (i, -1). Only inner and left joins are
-// supported — the key-shuffled strategy never lowers other kinds.
+// followed by its matching build rows in build order; for left and outer
+// joins an unmatched probe row emits (i, -1). The unmatched build rows of
+// right and outer joins are the caller's to append — JoinFrames does — since
+// which build rows matched is a property of the join, not of the table.
 func (t *JoinTable) Probe(left *core.DataFrame, on []string, kind expr.JoinKind, leftIdx, rightIdx []int) ([]int, []int, error) {
-	if kind != expr.JoinInner && kind != expr.JoinLeft {
-		return nil, nil, fmt.Errorf("algebra: join table probe supports inner/left, got %s", kind)
-	}
 	keys := make([]vector.Vector, len(on))
 	for k, name := range on {
 		j := left.ColIndex(name)
@@ -102,35 +79,32 @@ func (t *JoinTable) Probe(left *core.DataFrame, on []string, kind expr.JoinKind,
 		}
 		keys[k] = left.TypedCol(j)
 	}
-	n := left.NRows()
+	leftIdx, rightIdx = t.probe(left.NRows(), keys, kind, leftIdx, rightIdx)
+	return leftIdx, rightIdx, nil
+}
+
+// probe is Probe over the n rows of already-resolved probe key vectors.
+func (t *JoinTable) probe(n int, keys []vector.Vector, kind expr.JoinKind, leftIdx, rightIdx []int) ([]int, []int) {
+	keepUnmatched := kind == expr.JoinLeft || kind == expr.JoinOuter
 	hashes := rowHashes(keys, n)
 	for i := 0; i < n; i++ {
-		matched := false
+		e := int32(-1)
 		if !anyNullAt(keys, i) {
-			h := hashes[i]
-			s := h & t.mask
-			for {
-				e := t.slots[s]
-				if e < 0 {
-					break
-				}
-				if t.entryHash[e] == h && rowsEqualAt(keys, i, t.keys, int(t.entryRow[e])) {
-					for r := t.firstRow[e]; r >= 0; r = t.nextRow[r] {
-						leftIdx = append(leftIdx, i)
-						rightIdx = append(rightIdx, int(r))
-					}
-					matched = true
-					break
-				}
-				s = (s + 1) & t.mask
-			}
+			e = t.index.find(hashes[i], func(e int32) bool { return rowsEqualAt(keys, i, t.keys, int(t.firstRow[e])) })
 		}
-		if !matched && kind == expr.JoinLeft {
+		if e < 0 {
+			if keepUnmatched {
+				leftIdx = append(leftIdx, i)
+				rightIdx = append(rightIdx, -1)
+			}
+			continue
+		}
+		for r := t.firstRow[e]; r >= 0; r = t.nextRow[r] {
 			leftIdx = append(leftIdx, i)
-			rightIdx = append(rightIdx, -1)
+			rightIdx = append(rightIdx, int(r))
 		}
 	}
-	return leftIdx, rightIdx, nil
+	return leftIdx, rightIdx
 }
 
 // AssembleJoin exposes the join materialization step for physical

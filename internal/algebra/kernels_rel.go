@@ -142,8 +142,9 @@ func VStackFrames(frames ...*core.DataFrame) (*core.DataFrame, error) {
 
 // DifferenceFrames implements DIFFERENCE: left rows whose full tuple does
 // not appear in right, in left order. Schemas must agree on labels. Tuple
-// membership is hash-based: right rows bulk-hash into an anchor table and
-// left probes verify with the typed equality kernels.
+// membership is hash-based: right rows bulk-hash into a key index over one
+// anchor row per distinct tuple, and left probes verify with the typed
+// equality kernels.
 func DifferenceFrames(left, right *core.DataFrame) (*core.DataFrame, error) {
 	if left.NCols() != right.NCols() {
 		return nil, fmt.Errorf("algebra: difference arity mismatch: %d vs %d", left.NCols(), right.NCols())
@@ -158,18 +159,11 @@ func DifferenceFrames(left, right *core.DataFrame) (*core.DataFrame, error) {
 		rcols[j] = aligned.TypedCol(j)
 	}
 	rh := rowHashes(rcols, aligned.NRows())
-	present := make(map[uint64][]int32, aligned.NRows())
+	var present keyIndex
+	var anchors []int // key id → first right row carrying the tuple
 	for i := 0; i < aligned.NRows(); i++ {
-		h := rh[i]
-		dup := false
-		for _, a := range present[h] {
-			if rowsEqualAt(rcols, i, rcols, int(a)) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			present[h] = append(present[h], int32(i))
+		if _, added := present.insert(rh[i], func(a int32) bool { return rowsEqualAt(rcols, i, rcols, anchors[a]) }); added {
+			anchors = append(anchors, i)
 		}
 	}
 	lcols := make([]vector.Vector, left.NCols())
@@ -179,14 +173,7 @@ func DifferenceFrames(left, right *core.DataFrame) (*core.DataFrame, error) {
 	lh := rowHashes(lcols, left.NRows())
 	keep := make([]int, 0, left.NRows())
 	for i := 0; i < left.NRows(); i++ {
-		found := false
-		for _, a := range present[lh[i]] {
-			if rowsEqualAt(lcols, i, rcols, int(a)) {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if present.find(lh[i], func(a int32) bool { return rowsEqualAt(lcols, i, rcols, anchors[a]) }) < 0 {
 			keep = append(keep, i)
 		}
 	}
@@ -195,8 +182,8 @@ func DifferenceFrames(left, right *core.DataFrame) (*core.DataFrame, error) {
 
 // DropDuplicatesFrame implements DROP-DUPLICATES: first occurrence of each
 // distinct tuple (over subset columns, or all columns when nil), in input
-// order. Distinctness is hash-based with typed-kernel verification, like
-// GROUPBY's key table.
+// order. Distinctness is hash-based with typed-kernel verification, through
+// the same key index as GROUPBY.
 func DropDuplicatesFrame(df *core.DataFrame, subset []string) (*core.DataFrame, error) {
 	var cols []vector.Vector
 	if len(subset) == 0 {
@@ -215,22 +202,12 @@ func DropDuplicatesFrame(df *core.DataFrame, subset []string) (*core.DataFrame, 
 		}
 	}
 	hashes := rowHashes(cols, df.NRows())
-	seen := make(map[uint64][]int32, df.NRows())
-	keep := make([]int, 0, df.NRows())
+	var seen keyIndex
+	keep := make([]int, 0, df.NRows()) // key id → first row carrying the tuple
 	for i := 0; i < df.NRows(); i++ {
-		h := hashes[i]
-		dup := false
-		for _, a := range seen[h] {
-			if rowsEqualAt(cols, i, cols, int(a)) {
-				dup = true
-				break
-			}
+		if _, added := seen.insert(hashes[i], func(a int32) bool { return rowsEqualAt(cols, i, cols, keep[a]) }); added {
+			keep = append(keep, i)
 		}
-		if dup {
-			continue
-		}
-		seen[h] = append(seen[h], int32(i))
-		keep = append(keep, i)
 	}
 	return df.TakeRows(keep), nil
 }

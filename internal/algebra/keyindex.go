@@ -1,0 +1,78 @@
+package algebra
+
+import "math/bits"
+
+// keyIndex is the one hash index behind every key-identity kernel: GROUPBY
+// partials and their merge, shuffle key summaries and their fold, JOIN,
+// DROP-DUPLICATES and DIFFERENCE. It maps a key's 64-bit row hash to a dense
+// id — 0, 1, 2, … in first-insertion order, so callers keep per-key state in
+// plain slices indexed by id — by open addressing with linear probing over
+// the stored hashes. It never sees a key: the caller passes the equality
+// check of its own representation (keysMatchRow, rowsEqualAt or
+// tuplesEqual), which runs only on ids whose stored hash equals the probe's,
+// so distinct keys that collide on the hash keep distinct ids. The slot
+// table doubles, re-placing ids by their stored hashes, before it passes
+// half full. The zero value is an empty index.
+type keyIndex struct {
+	slots  []int32  // slot → id, -1 empty; power-of-two length
+	hashes []uint64 // id → hash
+	shift  uint     // 64 − log2(len(slots))
+}
+
+// find returns the id of the key with hash h that eq accepts, or -1.
+func (x *keyIndex) find(h uint64, eq func(id int32) bool) int32 {
+	if len(x.hashes) == 0 {
+		return -1
+	}
+	_, id := x.probe(h, eq)
+	return id
+}
+
+// insert returns the id of the key with hash h that eq accepts, adding the
+// next dense id when there is none.
+func (x *keyIndex) insert(h uint64, eq func(id int32) bool) (id int32, added bool) {
+	if 2*(len(x.hashes)+1) > len(x.slots) {
+		x.grow()
+	}
+	s, id := x.probe(h, eq)
+	if id >= 0 {
+		return id, false
+	}
+	id = int32(len(x.hashes))
+	x.slots[s] = id
+	x.hashes = append(x.hashes, h)
+	return id, true
+}
+
+// probe walks h's run of slots to the id eq accepts, or to the empty slot
+// that ends the run (id -1).
+func (x *keyIndex) probe(h uint64, eq func(id int32) bool) (slot int, id int32) {
+	mask := len(x.slots) - 1
+	for s := x.home(h); ; s = (s + 1) & mask {
+		if id := x.slots[s]; id < 0 || x.hashes[id] == h && eq(id) {
+			return s, id
+		}
+	}
+}
+
+// home is h's first slot. Fibonacci hashing reads the top bits of h times
+// 2^64/φ, so the keys of one shuffle bucket — whose hashes agree modulo the
+// bucket count — still spread over the whole table.
+func (x *keyIndex) home(h uint64) int { return int(h * 0x9e3779b97f4a7c15 >> x.shift) }
+
+// grow doubles the slot table and re-places every id by its stored hash.
+func (x *keyIndex) grow() {
+	n := max(2*len(x.slots), 8)
+	x.slots = make([]int32, n)
+	for s := range x.slots {
+		x.slots[s] = -1
+	}
+	x.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	for id, h := range x.hashes {
+		s := x.home(h)
+		for x.slots[s] >= 0 {
+			s = (s + 1) & (n - 1)
+		}
+		x.slots[s] = int32(id)
+	}
+}

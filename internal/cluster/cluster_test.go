@@ -312,8 +312,8 @@ func TestControlMessagesCarrySpecs(t *testing.T) {
 	roundTrip(&PrepareReq{QID: "q", Plan: PlanSpec{Sort: &algebra.Sort{ByLabels: true}}}, &PrepareReq{})
 	tuples := [][]types.Value{{types.String("a"), types.IntValue(1)}, {types.Null(), types.BoolValue(true)}}
 	roundTrip(&RunBandsResp{Results: []BandResult{
-		{Band: 1, Rows: 9, Group: &modin.GroupBandStat{Hashes: []uint64{7, 1 << 63}, Exemplars: tuples, Counts: []int64{4, 5}}, Sizes: []int64{10, 0, 3}},
-		{Band: 2, Rows: 2, Sort: tuples},
+		{Band: 1, Group: &modin.GroupBandStat{Hashes: []uint64{7, 1 << 63}, Exemplars: tuples, Counts: []int64{4, 5}}, Sizes: []int64{10, 0, 3}},
+		{Band: 2, Sort: tuples},
 	}}, &RunBandsResp{})
 	roundTrip(&PartitionReq{QID: "q", Bands: []int{0, 2}, Buckets: 3, Bounds: tuples}, &PartitionReq{})
 }

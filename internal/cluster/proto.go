@@ -71,7 +71,6 @@ type RunBandsReq struct {
 // separate partition RPC on the group path.
 type BandResult struct {
 	Band  int
-	Rows  int
 	Block []byte
 	Group *modin.GroupBandStat
 	Sort  [][]types.Value
@@ -123,7 +122,6 @@ type MergeReq struct {
 // MergeResp returns the merged bucket block.
 type MergeResp struct {
 	Block []byte
-	Rows  int
 }
 
 // FetchReq asks a worker for one routed piece (peer-to-peer, during a

@@ -784,7 +784,7 @@ func (r *run) placeMerge(bucket int) *workerRef {
 	for i := range r.bands {
 		held[r.bands[i].owner] += r.sizes[i][bucket]
 	}
-	best := r.workers[bucket%len(r.workers)] // default spreads empty buckets
+	var best *workerRef
 	var bestBytes int64 = -1
 	for _, w := range r.workers {
 		if held[w] > bestBytes {

@@ -253,7 +253,7 @@ func (w *Worker) runBand(q *workerQuery, plan *PlanSpec, task *BandTask) (*BandR
 	// One coalescing copy at stage exit, exactly like the fused local chain,
 	// so summaries and blocks are built over compact storage.
 	df = df.Compact()
-	res := &BandResult{Band: task.Band, Rows: df.NRows()}
+	res := &BandResult{Band: task.Band}
 	switch {
 	case plan.Group != nil:
 		sum, err := algebra.SummarizeGroupKeys(df, plan.Group.Keys)
@@ -490,7 +490,7 @@ func (w *Worker) merge(req *MergeReq) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MergeResp{Block: block, Rows: out.NRows()}, nil
+	return &MergeResp{Block: block}, nil
 }
 
 // fetch serves one resident routed piece to a peer.

@@ -134,12 +134,10 @@ func RunEvaluationModes(rows int, thinkTime time.Duration) ([]EvaluationModesRes
 		s := session.New(modin.New(), mode, nil)
 		start := time.Now()
 		base := s.Bind("taxi", df)
-		filtered := base.Apply("paid", func(in algebra.Node) algebra.Node {
-			return &algebra.Selection{
-				Input: in,
-				Pred:  expr.ColEquals("payment_type", types.CategoryValue("card")),
-				Desc:  "payment_type == card",
-			}
+		filtered := s.Statement("paid", &algebra.Selection{
+			Input: base.Plan(),
+			Pred:  expr.ColEquals("payment_type", types.CategoryValue("card")),
+			Desc:  "payment_type == card",
 		})
 		time.Sleep(thinkTime) // the user thinks; opportunistic mode computes
 		if _, err := filtered.Head(5); err != nil {
@@ -147,12 +145,10 @@ func RunEvaluationModes(rows int, thinkTime time.Duration) ([]EvaluationModesRes
 		}
 		firstView := time.Since(start)
 
-		grouped := filtered.Apply("by-vendor", func(in algebra.Node) algebra.Node {
-			return &algebra.GroupBy{Input: in, Spec: expr.GroupBySpec{
-				Keys: []string{"vendor_id"},
-				Aggs: []expr.AggSpec{{Col: "total_amount", Agg: expr.AggMean, As: "avg_total"}},
-			}}
-		})
+		grouped := s.Statement("by-vendor", &algebra.GroupBy{Input: filtered.Plan(), Spec: expr.GroupBySpec{
+			Keys: []string{"vendor_id"},
+			Aggs: []expr.AggSpec{{Col: "total_amount", Agg: expr.AggMean, As: "avg_total"}},
+		}})
 		if _, err := grouped.Collect(); err != nil {
 			return nil, err
 		}

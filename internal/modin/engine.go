@@ -26,47 +26,15 @@ import (
 	"repro/internal/types"
 )
 
-// Stats aggregates physical-scheduler activity across an engine's runs.
-// Each run's own counts are reachable through Schedule's scheduler; these
-// totals let long-lived sessions observe how much of their work streams
-// through shuffles versus falls back to gather exchanges.
+// Stats holds the engine's cumulative, task-time counters. Each run's
+// fused, exchange and shuffle task counts are in the Stats of the scheduler
+// Schedule returns.
 type Stats struct {
-	// Runs counts scheduled plan executions.
-	Runs atomic.Int64
-	// FusedTasks and ExchangeTasks mirror the physical scheduler counters.
-	FusedTasks    atomic.Int64
-	ExchangeTasks atomic.Int64
-	// ShuffleStages, ShufflePartitionTasks and ShuffleMergeTasks count the
-	// streaming repartition work; ShuffleFallbacks counts shuffles wired
-	// late, behind one future, over a shape-opaque input.
-	ShuffleStages         atomic.Int64
-	ShufflePartitionTasks atomic.Int64
-	ShuffleMergeTasks     atomic.Int64
-	ShuffleFallbacks      atomic.Int64
-	// StreamStages counts morsel-driven scan stages scheduled, StreamBands
-	// the bands their grids were sized to, and StreamReleasedBands how many
-	// input bands a downstream shuffle released after routing them.
-	// SpilledPieces counts routed shuffle pieces written to disk under the
-	// engine's spill budget.
-	StreamStages        atomic.Int64
-	StreamBands         atomic.Int64
+	// StreamReleasedBands counts the input bands a downstream shuffle
+	// released after routing them; SpilledPieces counts routed shuffle pieces
+	// written to disk under the engine's spill budget.
 	StreamReleasedBands atomic.Int64
 	SpilledPieces       atomic.Int64
-}
-
-func (s *Stats) add(run *physical.Stats) {
-	s.Runs.Add(1)
-	s.FusedTasks.Add(run.FusedTasks.Load())
-	s.ExchangeTasks.Add(run.ExchangeTasks.Load())
-	s.ShuffleStages.Add(run.ShuffleStages.Load())
-	s.ShufflePartitionTasks.Add(run.ShufflePartitionTasks.Load())
-	s.ShuffleMergeTasks.Add(run.ShuffleMergeTasks.Load())
-	s.ShuffleFallbacks.Add(run.ShuffleFallbacks.Load())
-	s.StreamStages.Add(run.StreamStages.Load())
-	s.StreamBands.Add(run.StreamBands.Load())
-	// StreamReleasedBands is deliberately absent: releases happen at task
-	// time, after the wiring-time snapshot — the scheduler mirrors them into
-	// the cumulative counter via OnBandRelease as they land.
 }
 
 // defaultBroadcastLimit is the build-side row estimate above which an
@@ -134,7 +102,7 @@ func (e *Engine) Name() string { return "modin" }
 // work on it).
 func (e *Engine) Pool() *exec.Pool { return e.pool }
 
-// Stats exposes the engine's cumulative scheduler counters.
+// Stats exposes the engine's cumulative counters.
 func (e *Engine) Stats() *Stats { return &e.stats }
 
 // Schedule compiles the plan and launches its task DAG, returning the root
@@ -179,8 +147,7 @@ func (e *Engine) ExecuteAsync(n algebra.Node) *exec.Future {
 // scheduler and gathers the result. Compiled DAGs hold no per-run state
 // (the scheduler owns the memo), so a cached *physical.Node — the server's
 // plan cache in particular — can be re-executed any number of times,
-// concurrently, without recompiling. Per-run task counts still accumulate
-// into the engine's cumulative stats.
+// concurrently, without recompiling.
 func (e *Engine) ExecuteCompiled(plan *physical.Node) (*core.DataFrame, error) {
 	res, _, err := e.run(plan)
 	if err != nil {
@@ -224,12 +191,6 @@ func (e *Engine) run(plan *physical.Node) (*physical.Result, *physical.Scheduler
 	if err != nil {
 		return nil, nil, err
 	}
-	// Wiring-time counters are final once Run returns, so they snapshot
-	// here even though the tasks themselves still run; band releases are
-	// task-time and arrive through OnBandRelease instead. (The task counts
-	// of a stage wired late, behind an exchange, are in the run's own Stats
-	// only.)
-	e.stats.add(&sched.Stats)
 	return res, sched, nil
 }
 

@@ -55,6 +55,9 @@ func assertAgreesWithEager(t *testing.T, e *Engine, plan algebra.Node) *physical
 		t.Fatalf("shuffled result differs from eager:\neager:\n%s\nmodin:\n%s", want, got)
 	}
 	return &physicalStats{
+		shuffleStages:  sched.Stats.ShuffleStages.Load(),
+		streamStages:   sched.Stats.StreamStages.Load(),
+		streamBands:    sched.Stats.StreamBands.Load(),
 		partitionTasks: sched.Stats.ShufflePartitionTasks.Load(),
 		mergeTasks:     sched.Stats.ShuffleMergeTasks.Load(),
 		fallbacks:      sched.Stats.ShuffleFallbacks.Load(),
@@ -62,7 +65,8 @@ func assertAgreesWithEager(t *testing.T, e *Engine, plan algebra.Node) *physical
 }
 
 type physicalStats struct {
-	partitionTasks, mergeTasks, fallbacks int64
+	shuffleStages, streamStages, streamBands int64
+	partitionTasks, mergeTasks, fallbacks    int64
 }
 
 // TestGroupByShuffleEmitsPerBandFutures is the engine-level acceptance
@@ -190,24 +194,19 @@ func TestShuffleDownstreamOfExchangeFallsBack(t *testing.T) {
 	}
 }
 
-// TestEngineStatsAccumulate: the engine-level counters sum scheduler
-// activity across runs.
-func TestEngineStatsAccumulate(t *testing.T) {
+// TestRunStatsCountOneRun: each run's scheduler counts its own shuffle
+// work, so a second run of the same plan reports the same counts.
+func TestRunStatsCountOneRun(t *testing.T) {
 	e := New(WithBands(4))
 	src := &algebra.Source{DF: testFrame(80)}
 	for i := 0; i < 2; i++ {
-		if _, err := e.Execute(groupByPlan(src)); err != nil {
-			t.Fatal(err)
+		stats := assertAgreesWithEager(t, e, groupByPlan(src))
+		if stats.shuffleStages != 1 {
+			t.Errorf("run %d: shuffle stages = %d, want 1", i, stats.shuffleStages)
 		}
-	}
-	if got := e.Stats().Runs.Load(); got != 2 {
-		t.Errorf("runs = %d", got)
-	}
-	if got := e.Stats().ShuffleStages.Load(); got != 2 {
-		t.Errorf("shuffle stages = %d", got)
-	}
-	if got := e.Stats().ShuffleMergeTasks.Load(); got != 8 {
-		t.Errorf("merge tasks = %d, want 8 (4 buckets × 2 runs)", got)
+		if stats.mergeTasks != 4 {
+			t.Errorf("run %d: merge tasks = %d, want 4 (one per bucket)", i, stats.mergeTasks)
+		}
 	}
 }
 
@@ -244,8 +243,8 @@ func TestConcurrentGroupBySortSessions(t *testing.T) {
 			defer wg.Done()
 			s := session.New(e, session.Opportunistic, pool)
 			h := s.Bind("shared", df)
-			gb := h.Apply("gb", groupByPlan)
-			st := h.Apply("st", sortTestPlan)
+			gb := s.Statement("gb", groupByPlan(h.Plan()))
+			st := s.Statement("st", sortTestPlan(h.Plan()))
 			got, err := gb.Collect()
 			if err != nil {
 				errs <- fmt.Errorf("session %d groupby: %w", i, err)

@@ -161,14 +161,14 @@ func TestStreamedScanFilterGroupBy(t *testing.T) {
 		Desc:  "dept == eng",
 	})
 	e := New(WithBands(4), WithShuffleSpillBudget(1))
-	assertEngineAgreesWithEager(t, e, plan)
-	st := e.Stats()
-	if st.StreamStages.Load() == 0 {
+	run := assertAgreesWithEager(t, e, plan)
+	if run.streamStages == 0 {
 		t.Error("expected a stream stage")
 	}
-	if got := st.StreamBands.Load(); got < 2 {
-		t.Errorf("stream bands = %d, want >= 2", got)
+	if run.streamBands < 2 {
+		t.Errorf("stream bands = %d, want >= 2", run.streamBands)
 	}
+	st := e.Stats()
 	if st.StreamReleasedBands.Load() == 0 {
 		t.Error("expected consumed scan bands to be released")
 	}

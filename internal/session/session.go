@@ -210,11 +210,6 @@ func (s *Session) Statement(name string, plan algebra.Node) *Handle {
 	return h
 }
 
-// Apply composes a new statement from this handle's plan.
-func (h *Handle) Apply(name string, build func(algebra.Node) algebra.Node) *Handle {
-	return h.s.Statement(name, build(h.plan))
-}
-
 // Plan exposes the handle's logical plan.
 func (h *Handle) Plan() algebra.Node { return h.plan }
 

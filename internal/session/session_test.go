@@ -29,6 +29,11 @@ func filterPlan(in algebra.Node) algebra.Node {
 	}
 }
 
+// extend issues a statement whose plan builds on h's.
+func extend(h *Handle, name string, build func(algebra.Node) algebra.Node) *Handle {
+	return h.s.Statement(name, build(h.Plan()))
+}
+
 func TestModeNames(t *testing.T) {
 	if Eager.String() != "eager" || Lazy.String() != "lazy" || Opportunistic.String() != "opportunistic" {
 		t.Error("mode names wrong")
@@ -37,7 +42,7 @@ func TestModeNames(t *testing.T) {
 
 func TestEagerEvaluatesImmediately(t *testing.T) {
 	s := New(eager.New(), Eager, nil)
-	h := s.Bind("df", frame(50)).Apply("filtered", filterPlan)
+	h := extend(s.Bind("df", frame(50)), "filtered", filterPlan)
 	if !h.Ready() {
 		t.Error("eager statements should be materialized on issue")
 	}
@@ -52,7 +57,7 @@ func TestEagerEvaluatesImmediately(t *testing.T) {
 
 func TestLazyDefersUntilCollect(t *testing.T) {
 	s := New(eager.New(), Lazy, nil)
-	h := s.Bind("df", frame(50)).Apply("filtered", filterPlan)
+	h := extend(s.Bind("df", frame(50)), "filtered", filterPlan)
 	if h.Ready() {
 		t.Error("lazy statements must not evaluate on issue")
 	}
@@ -67,7 +72,7 @@ func TestLazyDefersUntilCollect(t *testing.T) {
 
 func TestOpportunisticBackgroundsWork(t *testing.T) {
 	s := New(modin.New(), Opportunistic, nil)
-	h := s.Bind("df", frame(2000)).Apply("filtered", filterPlan)
+	h := extend(s.Bind("df", frame(2000)), "filtered", filterPlan)
 	// Control returned immediately; background work proceeds.
 	s.ThinkTime()
 	if !h.Ready() {
@@ -84,7 +89,7 @@ func TestOpportunisticBackgroundsWork(t *testing.T) {
 
 func TestLazyHeadComputesOnlyPrefix(t *testing.T) {
 	s := New(eager.New(), Lazy, nil)
-	h := s.Bind("df", frame(1000)).Apply("filtered", filterPlan)
+	h := extend(s.Bind("df", frame(1000)), "filtered", filterPlan)
 	head, err := h.Head(5)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +127,7 @@ func TestTailView(t *testing.T) {
 
 func TestHeadServedFromMaterialized(t *testing.T) {
 	s := New(eager.New(), Eager, nil)
-	h := s.Bind("df", frame(100)).Apply("filtered", filterPlan)
+	h := extend(s.Bind("df", frame(100)), "filtered", filterPlan)
 	partialBefore := s.Stats.PartialEvaluations.Load()
 	head, err := h.Head(4)
 	if err != nil || head.NRows() != 4 {
@@ -136,15 +141,15 @@ func TestHeadServedFromMaterialized(t *testing.T) {
 func TestIntermediateReuse(t *testing.T) {
 	s := New(eager.New(), Eager, nil)
 	base := s.Bind("df", frame(500))
-	filtered := base.Apply("filtered", filterPlan)
+	filtered := extend(base, "filtered", filterPlan)
 	evalsAfterFilter := s.Stats.FullEvaluations.Load()
 
 	// Two downstream statements both build on "filtered": its
 	// materialized result must be reused, not recomputed.
-	a := filtered.Apply("proj-a", func(in algebra.Node) algebra.Node {
+	a := extend(filtered, "proj-a", func(in algebra.Node) algebra.Node {
 		return &algebra.Projection{Input: in, Cols: []string{"id"}}
 	})
-	b := filtered.Apply("proj-b", func(in algebra.Node) algebra.Node {
+	b := extend(filtered, "proj-b", func(in algebra.Node) algebra.Node {
 		return &algebra.Projection{Input: in, Cols: []string{"val"}}
 	})
 	if _, err := a.Collect(); err != nil {
@@ -165,7 +170,7 @@ func TestIntermediateReuse(t *testing.T) {
 
 func TestCollectIsIdempotent(t *testing.T) {
 	s := New(eager.New(), Lazy, nil)
-	h := s.Bind("df", frame(100)).Apply("filtered", filterPlan)
+	h := extend(s.Bind("df", frame(100)), "filtered", filterPlan)
 	first, err := h.Collect()
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +190,7 @@ func TestCollectIsIdempotent(t *testing.T) {
 
 func TestForgetDropsMaterialization(t *testing.T) {
 	s := New(eager.New(), Eager, nil)
-	h := s.Bind("df", frame(50)).Apply("filtered", filterPlan)
+	h := extend(s.Bind("df", frame(50)), "filtered", filterPlan)
 	if !h.Ready() {
 		t.Fatal("should be ready")
 	}
@@ -204,7 +209,7 @@ func TestOpportunisticTimeToFirstView(t *testing.T) {
 	slow := &slowEngine{inner: eager.New(), delay: 50 * time.Millisecond}
 	s := New(slow, Opportunistic, nil)
 	start := time.Now()
-	h := s.Bind("df", frame(100)).Apply("filtered", filterPlan)
+	h := extend(s.Bind("df", frame(100)), "filtered", filterPlan)
 	issueLatency := time.Since(start)
 	if issueLatency > 25*time.Millisecond {
 		t.Errorf("statement blocked for %v; opportunistic must return immediately", issueLatency)
@@ -239,7 +244,7 @@ func TestStatementCountsAndNames(t *testing.T) {
 	if h.Name() != "df" {
 		t.Error("name wrong")
 	}
-	h2 := h.Apply("f", filterPlan)
+	h2 := extend(h, "f", filterPlan)
 	if s.Stats.Statements.Load() != 2 {
 		t.Error("statement count wrong")
 	}
@@ -261,7 +266,7 @@ func TestSpillingEvictsAndReloads(t *testing.T) {
 	base := s.Bind("df", frame(200))
 	handles := []*Handle{base}
 	for i := 0; i < 4; i++ {
-		handles = append(handles, base.Apply("stmt", func(in algebra.Node) algebra.Node {
+		handles = append(handles, extend(base, "stmt", func(in algebra.Node) algebra.Node {
 			return &algebra.Limit{Input: in, N: 10 + i}
 		}))
 	}
@@ -292,7 +297,7 @@ func TestSpillingPreservesResults(t *testing.T) {
 	}
 
 	build := func(s *Session) *core.DataFrame {
-		h := s.Bind("df", frame(300)).Apply("filtered", filterPlan)
+		h := extend(s.Bind("df", frame(300)), "filtered", filterPlan)
 		s.Bind("other", frame(50)) // displaces the filtered result
 		out, err := h.Collect()
 		if err != nil {
@@ -322,7 +327,7 @@ func TestAsyncEngineBackgroundStatementIsDeferred(t *testing.T) {
 		},
 	}
 	s := New(modin.New(), Opportunistic, nil)
-	h := s.Bind("df", frame(40)).Apply("mapped", func(in algebra.Node) algebra.Node {
+	h := extend(s.Bind("df", frame(40)), "mapped", func(in algebra.Node) algebra.Node {
 		return &algebra.Map{Input: in, Fn: slow}
 	})
 	if h.Ready() {
@@ -352,7 +357,7 @@ func TestAsyncEngineErrorSurfacesOnCollect(t *testing.T) {
 		Fn:      func(r expr.Row) []types.Value { panic("udf kaboom") },
 	}
 	s := New(modin.New(), Opportunistic, nil)
-	h := s.Bind("df", frame(20)).Apply("bad", func(in algebra.Node) algebra.Node {
+	h := extend(s.Bind("df", frame(20)), "bad", func(in algebra.Node) algebra.Node {
 		return &algebra.Map{Input: in, Fn: bad}
 	})
 	if _, err := h.Collect(); err == nil {

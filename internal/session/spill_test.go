@@ -42,7 +42,7 @@ func TestSpillingBudgetReenableClosesOldStore(t *testing.T) {
 	handles := []*Handle{base}
 	for i := 0; i < 3; i++ {
 		n := 10 + i
-		handles = append(handles, base.Apply("limit", func(in algebra.Node) algebra.Node {
+		handles = append(handles, extend(base, "limit", func(in algebra.Node) algebra.Node {
 			return &algebra.Limit{Input: in, N: n}
 		}))
 	}
@@ -88,7 +88,7 @@ func TestPinnedResultIsNotBookedSpilled(t *testing.T) {
 	if err := s.EnableSpillingBudget(1); err != nil {
 		t.Fatal(err)
 	}
-	h := s.Bind("df", frame(60)).Apply("collected", func(in algebra.Node) algebra.Node {
+	h := extend(s.Bind("df", frame(60)), "collected", func(in algebra.Node) algebra.Node {
 		return &algebra.GroupBy{Input: in, Spec: expr.GroupBySpec{
 			Keys: []string{"tag"},
 			Aggs: []expr.AggSpec{{Col: "id", Agg: expr.AggCollect, As: "ids"}},
@@ -123,13 +123,13 @@ func TestPinnedResultDoesNotBlockOtherSpills(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := s.Bind("df", frame(60))
-	collected := base.Apply("collected", func(in algebra.Node) algebra.Node {
+	collected := extend(base, "collected", func(in algebra.Node) algebra.Node {
 		return &algebra.GroupBy{Input: in, Spec: expr.GroupBySpec{
 			Keys: []string{"tag"},
 			Aggs: []expr.AggSpec{{Col: "id", Agg: expr.AggCollect, As: "ids"}},
 		}}
 	})
-	limited := base.Apply("limit", func(in algebra.Node) algebra.Node {
+	limited := extend(base, "limit", func(in algebra.Node) algebra.Node {
 		return &algebra.Limit{Input: in, N: 10}
 	})
 	pinned, err := collected.Collect()
