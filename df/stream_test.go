@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/modin"
 )
 
 // streamCSV renders a deterministic multi-band dataset as CSV text.
@@ -68,6 +70,58 @@ func TestStreamedPipelinesMatchInMemory(t *testing.T) {
 			got := mustCollect(t, build(ScanCSVString(text).WithScanBandRows(32)))
 			if !want.Equal(got) {
 				t.Errorf("streamed %s differs from in-memory:\n%s\nvs\n%s", name, got, want)
+			}
+		})
+	}
+}
+
+// TestIsNAAgreesAcrossEngines runs the isnull MAP — bulk on its own, boxed
+// once fused with another elementwise MAP — on the eager engine, MODIN at
+// several band counts and a seven-row streamed scan, and requires the same
+// frame from each.
+func TestIsNAAgreesAcrossEngines(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("id,fare,tag,paid,day\n")
+	for i := 0; i < 40; i++ {
+		fare, tag, paid, day := fmt.Sprintf("%d.5", i), []string{"a", "b", "c"}[i%3], []string{"true", "false"}[i%2], fmt.Sprintf("2020-01-%02d", i%28+1)
+		switch {
+		case i%5 == 0:
+			fare = ""
+		case i%7 == 0:
+			tag, paid = "NA", ""
+		case i%4 == 1:
+			day = ""
+		}
+		fmt.Fprintf(&b, "%d,%s,%s,%s,%s\n", i, fare, tag, paid, day)
+	}
+	text := b.String()
+	negate := func(v Value) Value { return Bool(!v.Bool()) }
+	same := func(v Value) Value { return v }
+	pipelines := map[string]func(*Query) *Query{
+		"isna":            func(q *Query) *Query { return q.IsNA() },
+		"transpose-isna":  func(q *Query) *Query { return q.T().IsNA() },
+		"isna-then-map":   func(q *Query) *Query { return q.IsNA().ApplyMap("not", negate) },
+		"map-then-isna":   func(q *Query) *Query { return q.ApplyMap("same", same).IsNA() },
+		"select-and-isna": func(q *Query) *Query { return q.Select("fare", "day").IsNA() },
+	}
+	engines := map[string]Engine{
+		"modin-1": modin.New(modin.WithBands(1)),
+		"modin-2": modin.New(modin.WithBands(2)),
+		"modin-7": modin.New(modin.WithBands(7)),
+	}
+	for name, build := range pipelines {
+		t.Run(name, func(t *testing.T) {
+			want := mustCollect(t, build(inMemory(t, text).WithEngine(NewBaselineEngine())))
+			if want.Len() == 0 {
+				t.Fatal("empty result")
+			}
+			for ename, e := range engines {
+				if got := mustCollect(t, build(inMemory(t, text).WithEngine(e))); !want.Equal(got) {
+					t.Errorf("%s differs from eager:\n%s\nvs\n%s", ename, got, want)
+				}
+			}
+			if got := mustCollect(t, build(ScanCSVString(text).WithScanBandRows(7))); !want.Equal(got) {
+				t.Errorf("streamed differs from eager:\n%s\nvs\n%s", got, want)
 			}
 		})
 	}

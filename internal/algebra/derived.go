@@ -18,12 +18,14 @@ import (
 
 // IsNullFn is the MAP behind pandas isnull/isna: each cell becomes a
 // boolean. Its output domain is statically known, so engines skip schema
-// induction on the result (the Section 5.1.1 rewrite).
+// induction on the result (the Section 5.1.1 rewrite), and its bulk form
+// reads each column's null mask instead of boxing every cell.
 func IsNullFn() expr.MapFn {
 	return expr.MapFn{
 		Name:        "isnull",
 		OutDoms:     []types.Domain{types.Bool},
 		Elementwise: func(v types.Value) types.Value { return types.BoolValue(v.IsNull()) },
+		Column:      func(v vector.Vector) vector.Vector { return vector.NullFlags(v) },
 	}
 }
 

@@ -48,6 +48,31 @@ func BenchmarkVectorizedFilter(b *testing.B) {
 	})
 }
 
+// BenchmarkMapIsNull contrasts the two elementwise MAP implementations on
+// the Figure 2 map: the boxed path calls Elementwise on a types.Value per
+// cell and rebuilds each column through a Builder; the bulk path copies each
+// column's null mask.
+func BenchmarkMapIsNull(b *testing.B) {
+	taxi := benchTaxi()
+	for _, c := range []struct {
+		name string
+		fn   expr.MapFn
+	}{{"boxed", boxedTwin(IsNullFn())}, {"bulk", IsNullFn()}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := MapFrame(taxi, c.fn)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if out.NRows() != taxi.NRows() {
+					b.Fatal("row count changed")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkHashGroupByKeys contrasts group-key identity computation: the
 // boxed path renders every row's key tuple to a string (one rendered string
 // and 1-2 allocations per row); the kernel path bulk-hashes the typed key

@@ -95,6 +95,9 @@ func MapFrame(df *core.DataFrame, fn expr.MapFn) (*core.DataFrame, error) {
 		outCols = df.ColLabels()
 	}
 	arity := len(outCols)
+	if fn.OutDoms != nil && len(fn.OutDoms) != arity {
+		return nil, fmt.Errorf("algebra: MAP %q declares %d OutDoms for %d output columns", fn.Name, len(fn.OutDoms), arity)
+	}
 
 	rv := newRowView(df)
 	outVals := make([][]types.Value, arity)
@@ -125,31 +128,41 @@ func MapFrame(df *core.DataFrame, fn expr.MapFn) (*core.DataFrame, error) {
 	return core.Build(cols, df.RowLabels(), outCols, doms, df.Cache())
 }
 
-// mapElementwise runs a per-cell MAP columnar, without materializing rows.
+// mapElementwise runs a per-cell MAP columnar, without materializing rows:
+// through the function's typed Column form when it has one, else boxing
+// each cell through Elementwise.
 func mapElementwise(df *core.DataFrame, fn expr.MapFn) (*core.DataFrame, error) {
 	n := df.NCols()
-	cols := make([]vector.Vector, n)
-	doms := make([]types.Domain, n)
-	for j := 0; j < n; j++ {
-		in := df.TypedCol(j)
-		vals := make([]types.Value, in.Len())
-		for i := range vals {
-			vals[i] = fn.Elementwise(in.Value(i))
-		}
-		if fn.OutDoms != nil {
-			doms[j] = fn.OutDoms[0]
-			cols[j] = vector.FromValues(doms[j], vals)
-		} else {
-			cols[j] = buildColumn(vals)
-			doms[j] = types.Unspecified
-		}
-	}
 	labels := fn.OutCols
 	if labels == nil {
 		labels = df.ColLabels()
 	}
 	if len(labels) != n {
 		return nil, fmt.Errorf("algebra: elementwise MAP %q cannot change arity (%d labels for %d columns)", fn.Name, len(labels), n)
+	}
+	declared := len(fn.OutDoms) == 1
+	dom := types.Unspecified
+	if declared {
+		dom = fn.OutDoms[0]
+	}
+	cols := make([]vector.Vector, n)
+	doms := make([]types.Domain, n)
+	for j := 0; j < n; j++ {
+		in := df.TypedCol(j)
+		doms[j] = dom
+		if fn.Column != nil {
+			cols[j] = fn.Column(in)
+			continue
+		}
+		vals := make([]types.Value, in.Len())
+		for i := range vals {
+			vals[i] = fn.Elementwise(in.Value(i))
+		}
+		if declared {
+			cols[j] = vector.FromValues(dom, vals)
+		} else {
+			cols[j] = buildColumn(vals)
+		}
 	}
 	return core.Build(cols, df.RowLabels(), labels, doms, df.Cache())
 }

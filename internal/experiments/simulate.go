@@ -64,10 +64,36 @@ func makespan(tasks []time.Duration, w int) time.Duration {
 	return max
 }
 
+// taskRepeats is how many times measureTasks runs each task, keeping the
+// fastest: a single timing of a microsecond task is at the mercy of one GC
+// pause or preemption, which would then set the whole projected makespan.
+const taskRepeats = 3
+
 // measureTasks decomposes the query the way the MODIN engine does and times
-// every partition task sequentially, returning the task durations and the
-// sequential merge cost.
+// every partition task and the sequential merge, each as the best of
+// taskRepeats runs (the best-of-repeats rule Figure2Config.Repeats applies
+// to whole queries).
 func measureTasks(q Figure2Query, df *core.DataFrame, bands int) (tasks []time.Duration, merge time.Duration, err error) {
+	for rep := 0; rep < taskRepeats; rep++ {
+		t, m, err := measureTasksOnce(q, df, bands)
+		if err != nil {
+			return nil, 0, err
+		}
+		if rep == 0 {
+			tasks, merge = t, m
+			continue
+		}
+		for i := range tasks {
+			tasks[i] = min(tasks[i], t[i])
+		}
+		merge = min(merge, m)
+	}
+	return tasks, merge, nil
+}
+
+// measureTasksOnce times every partition task of one decomposed run
+// sequentially, returning the task durations and the sequential merge cost.
+func measureTasksOnce(q Figure2Query, df *core.DataFrame, bands int) (tasks []time.Duration, merge time.Duration, err error) {
 	pf := partition.New(df, partition.Rows, bands)
 	switch q {
 	case QueryMap:

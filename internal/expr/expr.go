@@ -10,6 +10,7 @@ import (
 	"sort"
 
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // Row is a read-only view of one dataframe row handed to predicates and MAP
@@ -88,14 +89,25 @@ type MapFn struct {
 	Fn func(Row) []types.Value
 	// Elementwise transforms each cell independently (pandas transform /
 	// applymap); engines may run it columnar without materializing rows.
+	// Its OutDoms, when declared, is one domain shared by every column.
 	Elementwise func(types.Value) types.Value
+	// Column is an optional typed bulk form of Elementwise: Elementwise
+	// applied to one whole typed column. It must return exactly what the
+	// per-cell path returns — same length, same cells, and OutDoms[0] as
+	// its domain — so it is valid only beside Elementwise with exactly one
+	// declared OutDoms entry. Rewrites that compose Elementwise (map
+	// fusion) drop it and run the per-cell path.
+	Column func(vector.Vector) vector.Vector
 	// GroupFn flattens a composite (collect) cell into an output row; it
 	// is the "flatten" MAP of the pivot plan in Figure 6. It receives the
 	// row (whose composite columns hold collected sub-frames).
 	GroupFn func(Row) []types.Value
 }
 
-// Validate checks that exactly one function variant is set.
+// Validate checks that exactly one function variant is set and that the
+// declared output domains fit it: at most one for an elementwise MAP, one
+// per output label for a row or group MAP with explicit labels, and exactly
+// one beside a Column form.
 func (m MapFn) Validate() error {
 	n := 0
 	if m.Fn != nil {
@@ -109,6 +121,14 @@ func (m MapFn) Validate() error {
 	}
 	if n != 1 {
 		return fmt.Errorf("expr: MapFn %q must set exactly one of Fn, Elementwise, GroupFn (got %d)", m.Name, n)
+	}
+	switch {
+	case m.Column != nil && (m.Elementwise == nil || len(m.OutDoms) != 1):
+		return fmt.Errorf("expr: MapFn %q sets Column, which needs Elementwise and exactly one OutDoms entry (got %d)", m.Name, len(m.OutDoms))
+	case m.Elementwise != nil && len(m.OutDoms) > 1:
+		return fmt.Errorf("expr: elementwise MapFn %q declares %d OutDoms, want at most 1", m.Name, len(m.OutDoms))
+	case m.Elementwise == nil && m.OutDoms != nil && m.OutCols != nil && len(m.OutDoms) != len(m.OutCols):
+		return fmt.Errorf("expr: MapFn %q declares %d OutDoms for %d OutCols", m.Name, len(m.OutDoms), len(m.OutCols))
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // testFrame builds a deterministic frame large enough to span several
@@ -86,6 +87,56 @@ func TestEnginesAgreeMapRowFn(t *testing.T) {
 	out := bothEngines(t, &algebra.Map{Input: &algebra.Source{DF: df}, Fn: fn})
 	if out.NCols() != 1 || out.Value(3, 0).Float() != 3+3.5 {
 		t.Errorf("row map wrong: %v", out.Value(3, 0))
+	}
+}
+
+// TestMalformedMapFnFailsCleanly requires every MapFn whose declared
+// domains or variants do not fit its output to come back as an error from
+// both engines, never as a panic (the eager engine does not recover one).
+func TestMalformedMapFnFailsCleanly(t *testing.T) {
+	df := testFrame(20) // four columns
+	same := func(v types.Value) types.Value { return v }
+	row := func(n int) func(expr.Row) []types.Value {
+		return func(expr.Row) []types.Value { return make([]types.Value, n) }
+	}
+	bulk := func(v vector.Vector) vector.Vector { return v }
+	labels := []types.Value{types.String("x"), types.String("y")}
+	two := []types.Domain{types.Int, types.Int}
+	cases := map[string]expr.MapFn{
+		"no-function":                    {},
+		"two-functions":                  {Elementwise: same, Fn: row(4)},
+		"elementwise-two-domains":        {Elementwise: same, OutDoms: two},
+		"row-fewer-domains-than-labels":  {Fn: row(2), OutCols: labels, OutDoms: []types.Domain{types.Int}},
+		"group-more-domains-than-labels": {GroupFn: row(2), OutCols: labels[:1], OutDoms: two},
+		"row-domains-not-input-arity":    {Fn: row(4), OutDoms: two},
+		"row-empty-domains":              {Fn: row(4), OutDoms: []types.Domain{}},
+		"column-without-elementwise":     {Fn: row(4), Column: bulk, OutDoms: []types.Domain{types.Int, types.Int, types.Int, types.Int}},
+		"column-without-domain":          {Elementwise: same, Column: bulk},
+		"elementwise-wrong-label-count":  {Elementwise: same, OutCols: labels},
+	}
+	engines := map[string]algebra.Engine{"eager": eager.New(), "modin": New(WithBands(2))}
+	for name, fn := range cases {
+		fn.Name = name
+		for ename, e := range engines {
+			t.Run(name+"/"+ename, func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				if _, err := e.Execute(&algebra.Map{Input: &algebra.Source{DF: df}, Fn: fn}); err == nil {
+					t.Error("malformed MapFn executed without error")
+				}
+			})
+		}
+	}
+
+	// An empty elementwise OutDoms declares nothing: it runs, unpanicked,
+	// exactly like an undeclared one.
+	fn := expr.MapFn{Name: "empty-domains", Elementwise: same, OutDoms: []types.Domain{}}
+	out := bothEngines(t, &algebra.Map{Input: &algebra.Source{DF: df}, Fn: fn})
+	if !out.Equal(df) {
+		t.Error("identity MAP with empty OutDoms changed the frame")
 	}
 }
 

@@ -208,7 +208,7 @@ func (ElideInduceAfterDeclaredMap) Apply(n algebra.Node) (algebra.Node, bool) {
 		return n, false
 	}
 	m, ok := ind.Input.(*algebra.Map)
-	if !ok || m.Fn.OutDoms == nil {
+	if !ok || len(m.Fn.OutDoms) == 0 {
 		return n, false
 	}
 	return m, true

@@ -261,6 +261,22 @@ func FilterNull(v Vector, sel []int) []int {
 	return out
 }
 
+// NullFlags returns a null-free Bool vector whose entry i is v.IsNull(i) —
+// the bulk form of the isnull MAP. Mask-described kinds copy their mask
+// (never alias it: the result is a new column); Float, views and Any go
+// through IsNull.
+func NullFlags(v Vector) *Bool {
+	flags := make([]bool, v.Len())
+	if nulls, ok := nullMask(v); ok {
+		copy(flags, nulls)
+	} else {
+		for i := range flags {
+			flags[i] = v.IsNull(i)
+		}
+	}
+	return NewBool(flags, nil)
+}
+
 // Filter applies a column-op-constant comparison over v, returning the
 // surviving positions among sel (nil = all) and whether a typed kernel
 // applied. ok=false means the caller must use the boxed fallback — the

@@ -341,6 +341,27 @@ func TestNullCountDirect(t *testing.T) {
 	}
 }
 
+// TestNullFlagsCopiesTheMask requires NullFlags to agree with IsNull on
+// every representation, to carry no nulls of its own, and to own its
+// storage: writing through the result must not reach the input's mask.
+func TestNullFlagsCopiesTheMask(t *testing.T) {
+	for name, v := range mixedVectors() {
+		flags := NullFlags(v)
+		if flags.Len() != v.Len() || NullCount(flags) != 0 {
+			t.Fatalf("%s: %d flags with %d nulls for %d entries", name, flags.Len(), NullCount(flags), v.Len())
+		}
+		for i := 0; i < v.Len(); i++ {
+			if flags.Value(i).Bool() != v.IsNull(i) {
+				t.Errorf("%s: flag %d = %v, IsNull %v", name, i, flags.Value(i), v.IsNull(i))
+			}
+		}
+		flags.RawData()[2] = false
+		if !v.IsNull(2) {
+			t.Errorf("%s: writing the result cleared the input's null", name)
+		}
+	}
+}
+
 // TestTakeAllNegative locks the edge case the kernel rewrite must preserve:
 // Take over only -1 positions yields an all-null vector of the same domain
 // (Composite for Any), regardless of representation.
