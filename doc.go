@@ -81,8 +81,8 @@
 //	                                                     │ hit: cached result │ miss: compile+run
 //	                         tenant admission (budget → spill → queue → ErrBudgetExceeded)
 //
-// Post-optimizer plans are canonicalized (names stripped, sources as
-// positional placeholders, literals kept) so fingerprint-equal queries from
+// Plans are keyed by their binary form (algebra.EncodePlan: names stripped,
+// sources as placeholders, literals kept to the bit), so equal queries from
 // different sessions share compiled physical DAGs and — when base-frame
 // versions match — materialized results; per-tenant cell budgets are
 // enforced by admission control backed by the session spill machinery
@@ -96,9 +96,9 @@
 // Distributed execution: internal/cluster moves the engine across process
 // boundaries. cmd/dfworker processes execute fused stages and shuffle
 // phases shipped over a length-prefixed columnar wire format serialized
-// straight from internal/vector typed storage; the plan on the wire is the
-// expr spec itself (*expr.Where, expr.GroupBySpec, the Sort order), with
-// scalars in the one binary form internal/types defines. A coordinator-side
+// straight from internal/vector typed storage; the plan ships as the
+// algebra.EncodePlan bytes the plan cache keys on, and workers run its
+// chains through the compiler's band kernels (modin.BandKernel). A coordinator-side
 // cluster.Scheduler implements the same engine surface df binds locally —
 // plans whose operators cannot cross a process boundary (opaque Go
 // closures, joins, windows) fall back to an embedded in-process engine

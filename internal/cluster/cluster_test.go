@@ -19,6 +19,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/modin"
 	"repro/internal/optimizer"
+	"repro/internal/physical"
 	"repro/internal/types"
 	"repro/internal/vector"
 )
@@ -275,8 +276,9 @@ func TestWorkerEncodeFailureRerunsLocally(t *testing.T) {
 	}
 }
 
-// The control messages carry the expr specs and modin stats themselves:
-// what a worker decodes must be exactly what the coordinator extracted.
+// The control messages carry the plan in its one binary form and the modin
+// stats themselves: the plan a worker decodes must be exactly the plan the
+// coordinator cut, zero-term Where and all.
 func TestControlMessagesCarrySpecs(t *testing.T) {
 	roundTrip := func(in, out any) {
 		t.Helper()
@@ -295,27 +297,162 @@ func TestControlMessagesCarrySpecs(t *testing.T) {
 		And("name", vector.CmpEq, types.CategoryValue("item-3")).
 		And("t", vector.CmpLt, types.DatetimeFromNanos(1e18)).
 		And("k", vector.CmpNe, types.Null())
-	group := PlanSpec{
-		Buckets: 3,
-		Pre:     []OpSpec{{Where: where}, {Where: &expr.Where{}}, {Rename: map[string]string{"v": "value"}}, {Cols: []string{"k", "value"}}},
-		Group: &expr.GroupBySpec{
-			Keys:     []string{"k"},
-			Aggs:     []expr.AggSpec{{Col: "value", Agg: expr.AggSum}, {Col: "value", Agg: expr.AggMean, As: "avg"}},
-			AsLabels: true,
-			Sorted:   true,
-		},
-		Post: []OpSpec{{Where: expr.WhereCompare("avg", vector.CmpGt, types.FloatValue(0.5))}},
+	src := &algebra.Source{DF: core.MustNew([]string{"k"}, []vector.Vector{vector.NewInt([]int64{1}, nil)})}
+	var chain algebra.Node = &algebra.Selection{Input: src, Where: where}
+	chain = &algebra.Selection{Input: chain, Where: &expr.Where{}}
+	chain = &algebra.Rename{Input: chain, Mapping: map[string]string{"v": "value"}}
+	chain = &algebra.Projection{Input: chain, Cols: []string{"k", "value"}}
+	group := &algebra.GroupBy{Input: chain, Spec: expr.GroupBySpec{
+		Keys:     []string{"k"},
+		Aggs:     []expr.AggSpec{{Col: "value", Agg: expr.AggSum}, {Col: "value", Agg: expr.AggMean, As: "avg"}},
+		AsLabels: true,
+		Sorted:   true,
+	}}
+	plans := []algebra.Node{
+		&algebra.Selection{Input: group, Where: expr.WhereCompare("avg", vector.CmpGt, types.FloatValue(0.5))},
+		&algebra.Sort{Input: chain, Order: expr.SortOrder{{Col: "v", Desc: true}, {Col: "name"}}},
+		&algebra.Sort{Input: src, ByLabels: true},
 	}
-	roundTrip(&PrepareReq{QID: "q", Plan: group}, &PrepareReq{})
-	sorted := PlanSpec{Sort: &algebra.Sort{Order: expr.SortOrder{{Col: "v", Desc: true}, {Col: "name"}}}}
-	roundTrip(&PrepareReq{QID: "q", Plan: sorted}, &PrepareReq{})
-	roundTrip(&PrepareReq{QID: "q", Plan: PlanSpec{Sort: &algebra.Sort{ByLabels: true}}}, &PrepareReq{})
+	for _, plan := range plans {
+		data, leaves, err := algebra.EncodePlan(plan)
+		if err != nil {
+			t.Fatalf("encode %s: %v", plan.Describe(), err)
+		}
+		sent := &PrepareReq{QID: "q", Plan: PlanSpec{Source: SourceSpec{Kind: srcFrame}, Buckets: 3, Plan: data}}
+		got := &PrepareReq{}
+		roundTrip(sent, got)
+		decoded, err := algebra.DecodePlan(got.Plan.Plan, leaves)
+		if err != nil {
+			t.Fatalf("decode %s: %v", plan.Describe(), err)
+		}
+		if !reflect.DeepEqual(decoded, plan) {
+			t.Fatalf("plan changed on the wire:\n sent %s\n got  %s", algebra.Render(plan), algebra.Render(decoded))
+		}
+		prepared, err := preparePlan(got.Plan)
+		if err != nil {
+			t.Fatalf("prepare %s: %v", plan.Describe(), err)
+		}
+		want, _ := cutPlan(plan)
+		if kernelNames(prepared.pre) != kernelNames(want.pre) || kernelNames(prepared.post) != kernelNames(want.post) ||
+			!reflect.DeepEqual(prepared.group, want.group) || (prepared.sort == nil) != (want.sort == nil) {
+			t.Fatalf("worker cut differs from the coordinator's for\n%s", algebra.Render(plan))
+		}
+	}
 	tuples := [][]types.Value{{types.String("a"), types.IntValue(1)}, {types.Null(), types.BoolValue(true)}}
 	roundTrip(&RunBandsResp{Results: []BandResult{
 		{Band: 1, Group: &modin.GroupBandStat{Hashes: []uint64{7, 1 << 63}, Exemplars: tuples, Counts: []int64{4, 5}}, Sizes: []int64{10, 0, 3}},
 		{Band: 2, Sort: tuples},
 	}}, &RunBandsResp{})
 	roundTrip(&PartitionReq{QID: "q", Bands: []int{0, 2}, Buckets: 3, Bounds: tuples}, &PartitionReq{})
+}
+
+// kernelNames lists a chain's kernels by name and operator, leaf first.
+func kernelNames(chain []physical.Kernel) string {
+	names := make([]string, len(chain))
+	for i, k := range chain {
+		names[i] = k.Name + ":" + k.Desc
+	}
+	return strings.Join(names, ",")
+}
+
+// A malformed shipped plan is refused in-band: the worker answers Prepare
+// with an error and keeps no state for the query, the coordinator re-runs
+// the query locally, and the worker stays healthy. A proxy in front of a
+// live worker truncates the plan of every Prepare it forwards.
+func TestMalformedPlanRerunsLocally(t *testing.T) {
+	w, err := NewWorker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			down, err := ln.Accept()
+			if err != nil {
+				return // listener closed with the test
+			}
+			go func() {
+				defer down.Close()
+				up, err := net.Dial("tcp", w.Addr())
+				if err != nil {
+					return
+				}
+				defer up.Close()
+				for {
+					kind, payload, err := readMsg(down)
+					if err != nil {
+						return
+					}
+					if kind == mPrepare {
+						var req PrepareReq
+						if decodePayload(payload, &req) != nil {
+							return
+						}
+						req.Plan.Plan = req.Plan.Plan[:len(req.Plan.Plan)/2]
+						if payload, err = encodePayload(&req); err != nil {
+							return
+						}
+					}
+					if writeFrame(up, kind, payload) != nil {
+						return
+					}
+					status, body, err := readMsg(up)
+					if err != nil || writeFrame(down, status, body) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	s, err := Connect([]string{ln.Addr().String()}, WithHeartbeat(0), WithRPCTimeout(10*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+
+	plan := &algebra.GroupBy{Input: csvScan(t, genCSV(300), 50), Spec: expr.GroupBySpec{
+		Keys: []string{"k"}, Aggs: []expr.AggSpec{{Col: "v", Agg: expr.AggSum}},
+	}}
+	got, err := s.Execute(plan)
+	if err != nil {
+		t.Fatalf("execute: %v", err)
+	}
+	want, err := modin.New().Execute(plan)
+	if err != nil {
+		t.Fatalf("local: %v", err)
+	}
+	if !got.Equal(want) {
+		t.Fatal("re-run result differs from local")
+	}
+	if st := s.ClusterStats(); st.LocalReruns != 1 || st.DeadWorkers != 0 || st.Distributed != 0 {
+		t.Fatalf("expected one local re-run and a live worker, stats %+v", st)
+	}
+
+	// Straight to the worker: the error comes back in-band on a connection
+	// that keeps serving, and no query state is left behind.
+	conn, err := net.Dial("tcp", w.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	err = call(conn, 5*time.Second, mPrepare, &PrepareReq{QID: "bad", Plan: PlanSpec{Plan: []byte("not a plan")}}, &emptyResp{})
+	if _, inBand := err.(*remoteError); !inBand {
+		t.Fatalf("malformed plan: got %v, want an in-band error", err)
+	}
+	if err := call(conn, 5*time.Second, mPing, &emptyResp{OK: true}, &emptyResp{}); err != nil {
+		t.Fatalf("worker stopped answering after a malformed plan: %v", err)
+	}
+	w.mu.Lock()
+	left := len(w.queries)
+	w.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("worker kept state for %d queries after refusing their plans", left)
+	}
 }
 
 // A remote application error (unknown sort column reaches execution) must
@@ -611,28 +748,31 @@ func TestPrunedGroupByStillDistributes(t *testing.T) {
 		plan algebra.Node
 		pre  string // the optimized plan's pre-shuffle chain
 	}{
-		{"filter", &algebra.GroupBy{Input: &algebra.Selection{Input: scan, Where: notNull, Pred: notNull.Predicate()}, Spec: spec}, "cols,where,cols"},
-		{"passthrough", &algebra.GroupBy{Input: scan, Spec: spec}, "cols"},
+		{"filter", &algebra.GroupBy{Input: &algebra.Selection{Input: scan, Where: notNull, Pred: notNull.Predicate()}, Spec: spec}, "projection,selection,projection"},
+		{"passthrough", &algebra.GroupBy{Input: scan, Spec: spec}, "projection"},
 	}
 	for _, tc := range cases {
 		pruned, fired := optimizer.Optimize(tc.plan, optimizer.Default())
-		info, reason := extractPlan(pruned)
+		cut, reason := cutPlan(pruned)
 		if reason != "" {
 			t.Fatalf("%s: optimized plan does not ship (%s), rules %v:\n%s", tc.name, reason, fired, algebra.Render(pruned))
 		}
-		var ops []string
-		for _, op := range info.spec.Pre {
-			switch {
-			case op.Where != nil:
-				ops = append(ops, "where")
-			case len(op.Rename) > 0:
-				ops = append(ops, "rename")
-			default:
-				ops = append(ops, "cols")
-			}
+		data, _, err := algebra.EncodePlan(pruned)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", tc.name, err)
 		}
-		if got := strings.Join(ops, ","); got != tc.pre || info.spec.Group == nil || len(info.spec.Post) != 0 {
-			t.Errorf("%s: shipped chain [%s] group=%v post=%d, want [%s] into a groupby:\n%s", tc.name, got, info.spec.Group != nil, len(info.spec.Post), tc.pre, algebra.Render(pruned))
+		shipped, err := preparePlan(PlanSpec{Buckets: 2, Plan: data})
+		if err != nil {
+			t.Fatalf("%s: worker refused the plan: %v", tc.name, err)
+		}
+		for _, p := range []*stagePlan{cut, shipped.stagePlan} {
+			var ops []string
+			for _, k := range p.pre {
+				ops = append(ops, k.Name)
+			}
+			if got := strings.Join(ops, ","); got != tc.pre || p.group == nil || len(p.post) != 0 {
+				t.Errorf("%s: shipped chain [%s] group=%v post=%d, want [%s] into a groupby:\n%s", tc.name, got, p.group != nil, len(p.post), tc.pre, algebra.Render(pruned))
+			}
 		}
 
 		wire.Store(0)

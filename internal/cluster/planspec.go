@@ -1,9 +1,14 @@
 package cluster
 
 import (
+	"fmt"
+	"slices"
+
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/expr"
+	"repro/internal/modin"
+	"repro/internal/physical"
 )
 
 // Plan shipping. Go closures cannot cross a process boundary, so the
@@ -13,12 +18,14 @@ import (
 //	(Scan | Source) → {Selection(Where) | Projection | Rename}* →
 //	  [GroupBy | Sort] → {Selection(Where) | Projection | Rename}*
 //
-// carried in a PlanSpec whose operators are the expr specs themselves — the
-// values the local compiler consumes, not copies of them. Everything else —
+// shipped as the plan itself, in its one binary form (algebra.EncodePlan);
+// a worker binds the plan's one leaf to each band it runs. Coordinator and
+// worker cut the plan with the same cutPlan, and both run its chains through
+// the compiler's own band kernels (modin.BandKernel). Everything else —
 // opaque predicates, Map closures, joins, unions, windows, composite
-// aggregates — declines extraction and runs on the coordinator's in-process
-// engine instead (the Scheduler's fallback), which keeps the df surface
-// complete while the hot streaming shapes distribute.
+// aggregates — runs on the coordinator's in-process engine instead (the
+// Scheduler's fallback), which keeps the df surface complete while the hot
+// streaming shapes distribute.
 
 // Source kinds.
 const (
@@ -27,20 +34,14 @@ const (
 	srcFrame                // coordinator ships each band as an inline block
 )
 
-// PlanSpec is a shipped stage plan: one source, a pre-shuffle chain, at
-// most one shuffle, and a post-shuffle chain applied to merged buckets.
-// Buckets is the shuffle's global bucket count (set by the coordinator to
-// the live worker count before Prepare); group bands use it to route
-// themselves by key hash without waiting for any fold. Sort is the plan's
-// Sort node cut from its input: the shared modin helpers take the node but
-// read only Order and ByLabels.
+// PlanSpec is a shipped plan: where its leaf's rows come from, the
+// shuffle's global bucket count (set by the coordinator to the live worker
+// count before Prepare; group bands use it to route themselves by key hash
+// without waiting for any fold), and the encoded plan.
 type PlanSpec struct {
 	Source  SourceSpec
 	Buckets int
-	Pre     []OpSpec
-	Group   *expr.GroupBySpec
-	Sort    *algebra.Sort
-	Post    []OpSpec
+	Plan    []byte
 }
 
 // SourceSpec describes where a band's rows come from.
@@ -53,53 +54,40 @@ type SourceSpec struct {
 	BandRows int      // scan kinds: morsel size used for splitting
 }
 
-// OpSpec is one closure-free chain operator: a selection when Where is set,
-// a rename when Rename is non-empty, a projection onto Cols otherwise.
-type OpSpec struct {
-	Where  *expr.Where
-	Rename map[string]string
-	Cols   []string
+// stagePlan is a distributable plan cut at its one shuffle: the leaf and
+// the source spec it ships as (on a worker, a placeholder), the per-band
+// chain below the shuffle, the shuffle (at most one of group and sort), and
+// the chain applied to the merged buckets. Without a shuffle the whole
+// chain is the per-band stage. The Sort node is the plan's own; the shared
+// modin helpers read only its Order and ByLabels.
+type stagePlan struct {
+	leaf  algebra.Node // *algebra.Scan or *algebra.Source
+	src   SourceSpec
+	pre   []physical.Kernel
+	group *expr.GroupBySpec
+	sort  *algebra.Sort
+	post  []physical.Kernel
 }
 
-// planInfo is the coordinator-side result of extraction: the spec plus the
-// typed handles the coordinator itself needs (the scan for splitting, the
-// source frame for banding).
-type planInfo struct {
-	spec   PlanSpec
-	scan   *algebra.Scan
-	source *core.DataFrame
-}
-
-// extractPlan renders n into a shippable PlanSpec. A non-empty reason means
-// the plan falls outside the closure-free subset; the reason names the
-// first disqualifying operator (the string the scheduler's fallback stats
-// and Explain surface, so "why didn't this distribute?" has an answer).
-func extractPlan(n algebra.Node) (info *planInfo, reason string) {
-	info = &planInfo{}
-	var post, pre []OpSpec
-	segment := &post
-	cur := n
-walk:
-	for {
+// cutPlan cuts n at its shuffle. A non-empty reason means the plan falls
+// outside the distributable family; the reason names the first
+// disqualifying operator (the string the scheduler's fallback stats and
+// Explain surface, so "why didn't this distribute?" has an answer). The
+// coordinator cuts a query's plan to decide whether it ships; a worker cuts
+// the plan it decoded to run it.
+func cutPlan(n algebra.Node) (*stagePlan, string) {
+	p := &stagePlan{}
+	var chain []physical.Kernel // collected root first
+	for cur := n; p.leaf == nil; {
+		if algebra.Opaque(cur) {
+			return nil, "opaque closure"
+		}
 		switch node := cur.(type) {
-		case *algebra.Selection:
-			if !shippable(node.Where) {
-				return nil, "opaque closure"
-			}
-			*segment = append(*segment, OpSpec{Where: node.Where})
-			cur = node.Input
-		case *algebra.Projection:
-			*segment = append(*segment, OpSpec{Cols: node.Cols})
-			cur = node.Input
-		case *algebra.Rename:
-			// An empty mapping is the identity, and gob would deliver it as
-			// a nil map — indistinguishable from a projection.
-			if len(node.Mapping) > 0 {
-				*segment = append(*segment, OpSpec{Rename: node.Mapping})
-			}
-			cur = node.Input
+		case *algebra.Selection, *algebra.Projection, *algebra.Rename:
+			k, _ := modin.BandKernel(node)
+			chain = append(chain, k)
 		case *algebra.GroupBy:
-			if segment == &pre { // at most one shuffle, nearest the leaf
+			if p.group != nil || p.sort != nil { // at most one shuffle
 				return nil, "double-shuffle"
 			}
 			// Collect produces Composite cells, which have no wire form.
@@ -108,66 +96,64 @@ walk:
 					return nil, "composite aggregate"
 				}
 			}
-			info.spec.Group = &node.Spec
-			segment = &pre
-			cur = node.Input
+			p.group, p.post, chain = &node.Spec, chain, nil
 		case *algebra.Sort:
-			if segment == &pre {
+			if p.group != nil || p.sort != nil {
 				return nil, "double-shuffle"
 			}
-			info.spec.Sort = &algebra.Sort{Order: node.Order, ByLabels: node.ByLabels}
-			segment = &pre
-			cur = node.Input
+			p.sort, p.post, chain = node, chain, nil
 		case *algebra.Scan:
 			src, ok := scanSource(node)
 			if !ok {
 				return nil, "unshippable scan"
 			}
-			info.spec.Source = src
-			info.scan = node
-			break walk
+			p.leaf, p.src = node, src
 		case *algebra.Source:
-			info.spec.Source = SourceSpec{Kind: srcFrame}
-			info.source = node.DF
-			break walk
+			p.leaf, p.src = node, SourceSpec{Kind: srcFrame}
 		case *algebra.Join:
 			return nil, "join"
 		case *algebra.Window:
 			return nil, "window"
-		case *algebra.Map:
-			return nil, "opaque closure"
 		case *algebra.Union:
 			return nil, "union"
 		default:
 			return nil, "unshippable operator"
 		}
-	}
-	// The chains were collected root-first; execution runs leaf-first.
-	reverseOps(pre)
-	reverseOps(post)
-	info.spec.Pre = pre
-	info.spec.Post = post
-	if info.spec.Group == nil && info.spec.Sort == nil {
-		// No shuffle: the whole chain is the per-band stage.
-		info.spec.Pre = post
-		info.spec.Post = nil
-	}
-	return info, ""
-}
-
-// shippable reports whether a selection can cross the wire: it must be
-// structured (opaque predicates carry no Where) and every operand must have
-// a binary form (Composite operands do not).
-func shippable(w *expr.Where) bool {
-	if w == nil {
-		return false
-	}
-	for _, t := range w.Terms {
-		if _, err := t.Operand.MarshalBinary(); err != nil {
-			return false
+		if p.leaf == nil {
+			cur = cur.Children()[0]
 		}
 	}
-	return true
+	// Execution runs leaf first.
+	slices.Reverse(chain)
+	slices.Reverse(p.post)
+	p.pre = chain
+	return p, ""
+}
+
+// workerPlan is a prepared query's plan on a worker: the spec as shipped
+// and its decoded cut.
+type workerPlan struct {
+	PlanSpec
+	*stagePlan
+}
+
+// preparePlan is the worker's decode path: it decodes the shipped plan,
+// binding its leaf to a placeholder (each band replaces it), and cuts it
+// the way the coordinator did. A malformed plan is an error, answered
+// in-band.
+func preparePlan(spec PlanSpec) (*workerPlan, error) {
+	n, err := algebra.DecodePlan(spec.Plan, []algebra.Node{&algebra.Source{DF: core.Empty()}})
+	if err != nil {
+		return nil, err
+	}
+	cut, reason := cutPlan(n)
+	if reason != "" {
+		return nil, fmt.Errorf("cluster: shipped plan does not distribute (%s)", reason)
+	}
+	if cut.group != nil && spec.Buckets <= 0 {
+		return nil, fmt.Errorf("cluster: group plan shipped without a bucket count")
+	}
+	return &workerPlan{spec, cut}, nil
 }
 
 // scanSource renders a scan leaf. Distributable scans have a re-openable
@@ -193,31 +179,4 @@ func scanSource(node *algebra.Scan) (SourceSpec, bool) {
 		return SourceSpec{}, false
 	}
 	return src, true
-}
-
-func reverseOps(ops []OpSpec) {
-	for i, j := 0, len(ops)-1; i < j; i, j = i+1, j-1 {
-		ops[i], ops[j] = ops[j], ops[i]
-	}
-}
-
-// applyOps runs a shipped chain over one frame through the same typed
-// kernels the in-process engine fuses (SelectWhereView keeps selections
-// zero-copy until the stage-exit compaction).
-func applyOps(df *core.DataFrame, ops []OpSpec) (*core.DataFrame, error) {
-	var err error
-	for _, op := range ops {
-		switch {
-		case op.Where != nil:
-			df, err = algebra.SelectWhereView(df, op.Where)
-		case len(op.Rename) > 0:
-			df, err = algebra.RenameFrame(df, op.Rename)
-		default:
-			df, err = algebra.Project(df, op.Cols)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return df, nil
 }

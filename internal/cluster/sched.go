@@ -309,7 +309,7 @@ func (s *Scheduler) ReleaseSpill() error { return s.local.ReleaseSpill() }
 // own placement decision: distribute, or fall back locally and why.
 func (s *Scheduler) DescribePhysical(n algebra.Node) string {
 	desc := s.local.DescribePhysical(n)
-	if _, reason := extractPlan(n); reason != "" {
+	if _, reason := cutPlan(n); reason != "" {
 		return desc + fmt.Sprintf("cluster: local fallback (%s)\n", reason)
 	}
 	if live := len(s.liveWorkers()); live > 0 {
@@ -321,7 +321,7 @@ func (s *Scheduler) DescribePhysical(n algebra.Node) string {
 // Distributes reports whether the plan is inside the shippable family and
 // a live worker exists to take it.
 func (s *Scheduler) Distributes(n algebra.Node) bool {
-	_, reason := extractPlan(n)
+	_, reason := cutPlan(n)
 	return reason == "" && len(s.liveWorkers()) > 0
 }
 
@@ -341,14 +341,14 @@ func (s *Scheduler) ExecuteAsync(n algebra.Node) *exec.Future {
 // application error — re-runs locally, so the caller always sees exactly
 // the local engine's result and error identity.
 func (s *Scheduler) Execute(n algebra.Node) (*core.DataFrame, error) {
-	info, reason := extractPlan(n)
+	cut, reason := cutPlan(n)
 	if reason == "" {
 		workers := s.liveWorkers()
 		switch {
 		case len(workers) == 0:
 			reason = "no live workers"
 		default:
-			df, ok, err := s.tryDistribute(info, workers)
+			df, ok, err := s.tryDistribute(n, cut, workers)
 			if ok && err == nil {
 				s.stats.distributed.Add(1)
 				return df, nil
@@ -364,21 +364,25 @@ func (s *Scheduler) Execute(n algebra.Node) (*core.DataFrame, error) {
 	return s.local.Execute(n)
 }
 
-// tryDistribute attempts a distributed run. ok=false means the plan's
-// source could not be banded and nothing ran; ok=true with err means a
-// distributed attempt failed.
-func (s *Scheduler) tryDistribute(info *planInfo, workers []*workerRef) (*core.DataFrame, bool, error) {
-	bands, ok, err := s.planBands(info, len(workers))
+// tryDistribute attempts a distributed run of plan n, cut as cut. ok=false
+// means the plan's source could not be banded and nothing ran; ok=true with
+// err means a distributed attempt failed.
+func (s *Scheduler) tryDistribute(n algebra.Node, cut *stagePlan, workers []*workerRef) (*core.DataFrame, bool, error) {
+	// The shuffle's bucket count rides inside the shipped plan: group bands
+	// need it to route themselves at band time, before any coordinator fold.
+	spec := PlanSpec{Source: cut.src, Buckets: len(workers)}
+	bands, ok, err := s.planBands(cut, len(workers))
 	if err != nil || !ok {
 		return nil, false, nil
 	}
-	// The shuffle's bucket count rides inside the shipped plan: group bands
-	// need it to route themselves at band time, before any coordinator fold.
-	info.spec.Buckets = len(workers)
+	if spec.Plan, _, err = algebra.EncodePlan(n); err != nil {
+		return nil, true, err
+	}
 	r := &run{
 		s:       s,
 		qid:     fmt.Sprintf("q%d-%d", os.Getpid(), s.qseq.Add(1)),
-		info:    info,
+		spec:    spec,
+		cut:     cut,
 		buckets: len(workers),
 		bands:   bands,
 		workers: workers,
@@ -391,28 +395,28 @@ func (s *Scheduler) tryDistribute(info *planInfo, workers []*workerRef) (*core.D
 	r.blocks = make([]*core.DataFrame, len(bands))
 	r.merged = make([]*core.DataFrame, r.buckets)
 	r.sizes = make([][]int64, len(bands))
-	if info.spec.Group != nil {
+	if cut.group != nil {
 		r.stats = make([]*modin.GroupBandStat, len(bands))
-	} else if info.spec.Sort != nil {
+	} else if cut.sort != nil {
 		r.samples = make([][][]types.Value, len(bands))
 	}
 	df, err := r.drive()
 	return df, true, err
 }
 
-// planBands renders the plan's source into band tasks: deterministic scan
+// planBands renders the plan's leaf into band tasks: deterministic scan
 // byte ranges (the lineage), or inline blocks cut from the source frame.
-func (s *Scheduler) planBands(info *planInfo, workers int) ([]bandState, bool, error) {
-	if info.scan != nil {
-		rows := info.spec.Source.BandRows
+func (s *Scheduler) planBands(cut *stagePlan, workers int) ([]bandState, bool, error) {
+	if scan, ok := cut.leaf.(*algebra.Scan); ok {
+		rows := cut.src.BandRows
 		if rows <= 0 {
 			rows = physical.DefaultStreamBandRows
 		}
-		rc, err := info.scan.Open()
+		rc, err := scan.Open()
 		if err != nil {
 			return nil, false, err
 		}
-		ranges, err := splitCSV(rc, info.spec.Source.Comma, true, rows)
+		ranges, err := splitCSV(rc, cut.src.Comma, true, rows)
 		rc.Close()
 		if err != nil || len(ranges) == 0 {
 			return nil, false, err
@@ -423,7 +427,7 @@ func (s *Scheduler) planBands(info *planInfo, workers int) ([]bandState, bool, e
 		}
 		return bands, true, nil
 	}
-	df := info.source
+	df := cut.leaf.(*algebra.Source).DF
 	n := df.NRows()
 	if n == 0 {
 		return nil, false, nil
@@ -469,7 +473,8 @@ func (e *workerFailure) Error() string {
 type run struct {
 	s       *Scheduler
 	qid     string
-	info    *planInfo
+	spec    PlanSpec
+	cut     *stagePlan
 	buckets int
 	bands   []bandState
 	workers []*workerRef
@@ -539,7 +544,7 @@ func (r *run) runPhases() (*core.DataFrame, error) {
 		return nil, err
 	}
 	r.hook("bands")
-	if r.info.spec.Group == nil && r.info.spec.Sort == nil {
+	if r.cut.group == nil && r.cut.sort == nil {
 		return r.assembleBlocks()
 	}
 	r.fold()
@@ -551,16 +556,16 @@ func (r *run) runPhases() (*core.DataFrame, error) {
 		return nil, err
 	}
 	r.hook("merged")
-	if r.info.spec.Group != nil {
+	if r.cut.group != nil {
 		// Repair global first-appearance order across the hash buckets (the
 		// same k-way rank merge the local restore exchange runs), then apply
 		// the post-shuffle chain the workers deferred — it may drop rows, so
 		// it must run after rows and ranks stop needing to align.
-		out, err := modin.RestoreGroupOrder(r.merged, r.routing.Ranks, r.info.spec.Group.AsLabels)
+		out, err := modin.RestoreGroupOrder(r.merged, r.routing.Ranks, r.cut.group.AsLabels)
 		if err != nil {
 			return nil, err
 		}
-		return applyOps(out, r.info.spec.Post)
+		return physical.RunKernels(r.cut.post, out)
 	}
 	return algebra.VStackFrames(r.merged...)
 }
@@ -628,7 +633,7 @@ func (r *run) ensurePrepared(w *workerRef) error {
 	if r.prepared[w] {
 		return nil
 	}
-	err := w.call(r.s.rpcTimeout, mPrepare, &PrepareReq{QID: r.qid, Plan: r.info.spec}, &emptyResp{})
+	err := w.call(r.s.rpcTimeout, mPrepare, &PrepareReq{QID: r.qid, Plan: r.spec}, &emptyResp{})
 	if err != nil {
 		return r.classify(w, err)
 	}
@@ -679,7 +684,7 @@ func (r *run) runBands() error {
 func (r *run) recordBand(res BandResult) error {
 	b := &r.bands[res.Band]
 	switch {
-	case r.info.spec.Group != nil:
+	case r.cut.group != nil:
 		if res.Group == nil {
 			return fmt.Errorf("cluster: band %d returned no group stat", res.Band)
 		}
@@ -698,7 +703,7 @@ func (r *run) recordBand(res BandResult) error {
 		}
 		r.sizes[res.Band] = res.Sizes
 		r.partitioned[res.Band] = true
-	case r.info.spec.Sort != nil:
+	case r.cut.sort != nil:
 		if r.samples[res.Band] == nil {
 			r.samples[res.Band] = res.Sort
 		}
@@ -724,14 +729,14 @@ func (r *run) fold() {
 	if r.foldDone {
 		return
 	}
-	if r.info.spec.Group != nil {
+	if r.cut.group != nil {
 		r.routing = modin.PlanGroupRouting(r.stats, r.buckets, true)
 	} else {
 		var all [][]types.Value
 		for _, s := range r.samples {
 			all = append(all, s...)
 		}
-		r.bounds = modin.PlanSortBounds(all, r.buckets, r.info.spec.Sort)
+		r.bounds = modin.PlanSortBounds(all, r.buckets, r.cut.sort)
 	}
 	r.foldDone = true
 }
@@ -740,7 +745,7 @@ func (r *run) fold() {
 // bands partitioned themselves at band time (recordBand observed their
 // sizes), so the phase is a no-op for keyed shuffles.
 func (r *run) partition() error {
-	if r.info.spec.Group != nil {
+	if r.cut.group != nil {
 		return nil
 	}
 	var todo []int
@@ -886,7 +891,7 @@ func (r *run) recover(dead *workerRef) error {
 	if r.attempts > retryBudget {
 		return fmt.Errorf("cluster: retry budget (%d) exhausted", retryBudget)
 	}
-	shuffle := r.info.spec.Group != nil || r.info.spec.Sort != nil
+	shuffle := r.cut.group != nil || r.cut.sort != nil
 	for i := range r.bands {
 		b := &r.bands[i]
 		if b.owner != dead && !b.owner.dead.Load() {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/modin"
+	"repro/internal/physical"
 	"repro/internal/schema"
 	"repro/internal/vector"
 )
@@ -40,13 +41,14 @@ type peerLink struct {
 	conn net.Conn
 }
 
-// workerQuery is one query's worker-side state. Sort band frames live here
+// workerQuery is one query's worker-side state, created by a Prepare whose
+// plan decoded; the plan never changes after. Sort band frames live here
 // between RunBands and Partition (group bands route themselves inside
 // RunBands and hold nothing but pieces); routed pieces stay until Release
 // so a retried merge can re-fetch them.
 type workerQuery struct {
+	plan   *workerPlan
 	mu     sync.Mutex
-	plan   *PlanSpec
 	bands  map[int]*core.DataFrame
 	pieces map[[2]int]*core.DataFrame
 }
@@ -180,49 +182,43 @@ func (w *Worker) handle(kind byte, payload []byte) (any, error) {
 	}
 }
 
-// query returns (creating if create) the state for qid.
-func (w *Worker) query(qid string, create bool) (*workerQuery, error) {
+// query returns the prepared state for qid.
+func (w *Worker) query(qid string) (*workerQuery, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	q := w.queries[qid]
-	if q == nil {
-		if !create {
-			return nil, fmt.Errorf("cluster: unknown query %q", qid)
-		}
-		q = &workerQuery{
-			bands:  make(map[int]*core.DataFrame),
-			pieces: make(map[[2]int]*core.DataFrame),
-		}
-		w.queries[qid] = q
+	if q := w.queries[qid]; q != nil {
+		return q, nil
 	}
-	return q, nil
+	return nil, fmt.Errorf("cluster: unknown query %q", qid)
 }
 
+// prepare installs a query's plan. A plan that does not decode is refused
+// in-band and leaves no state behind.
 func (w *Worker) prepare(req *PrepareReq) (any, error) {
-	q, err := w.query(req.QID, true)
+	plan, err := preparePlan(req.Plan)
 	if err != nil {
 		return nil, err
 	}
-	plan := req.Plan
-	q.mu.Lock()
-	q.plan = &plan
-	q.mu.Unlock()
+	w.mu.Lock()
+	if w.queries[req.QID] == nil {
+		w.queries[req.QID] = &workerQuery{
+			plan:   plan,
+			bands:  make(map[int]*core.DataFrame),
+			pieces: make(map[[2]int]*core.DataFrame),
+		}
+	}
+	w.mu.Unlock()
 	return emptyResp{OK: true}, nil
 }
 
 // runBands executes the pre-shuffle stage for the requested bands in
 // parallel on the worker's pool.
 func (w *Worker) runBands(req *RunBandsReq) (any, error) {
-	q, err := w.query(req.QID, false)
+	q, err := w.query(req.QID)
 	if err != nil {
 		return nil, err
 	}
-	q.mu.Lock()
 	plan := q.plan
-	q.mu.Unlock()
-	if plan == nil {
-		return nil, fmt.Errorf("cluster: query %q has no plan", req.QID)
-	}
 	results := make([]BandResult, len(req.Bands))
 	err = w.pool.ForEach(len(req.Bands), func(i int) error {
 		r, err := w.runBand(q, plan, &req.Bands[i])
@@ -241,22 +237,21 @@ func (w *Worker) runBands(req *RunBandsReq) (any, error) {
 // runBand produces one band: materialize its rows with global labels, run
 // the shipped chain, then either return the block (no shuffle) or hold the
 // frame and report its shuffle summary.
-func (w *Worker) runBand(q *workerQuery, plan *PlanSpec, task *BandTask) (*BandResult, error) {
-	df, err := w.buildBand(plan, task)
+func (w *Worker) runBand(q *workerQuery, plan *workerPlan, task *BandTask) (*BandResult, error) {
+	df, err := w.buildBand(&plan.Source, task)
 	if err != nil {
 		return nil, err
 	}
-	df, err = applyOps(df, plan.Pre)
+	// The local fused chain, ending in its one coalescing copy at stage
+	// exit, so summaries and blocks are built over compact storage.
+	df, err = physical.RunKernels(plan.pre, df)
 	if err != nil {
 		return nil, err
 	}
-	// One coalescing copy at stage exit, exactly like the fused local chain,
-	// so summaries and blocks are built over compact storage.
-	df = df.Compact()
 	res := &BandResult{Band: task.Band}
 	switch {
-	case plan.Group != nil:
-		sum, err := algebra.SummarizeGroupKeys(df, plan.Group.Keys)
+	case plan.group != nil:
+		sum, err := algebra.SummarizeGroupKeys(df, plan.group.Keys)
 		if err != nil {
 			return nil, err
 		}
@@ -267,10 +262,7 @@ func (w *Worker) runBand(q *workerQuery, plan *PlanSpec, task *BandTask) (*BandR
 		// O(rows) ordinal table) dies at band scope instead of waiting for a
 		// global plan. Compacting the split's views into owned copies is what
 		// releases df's storage.
-		if plan.Buckets <= 0 {
-			return nil, fmt.Errorf("cluster: group plan shipped without a bucket count")
-		}
-		views, err := modin.RouteGroupBand(df, sum, *plan.Group, plan.Buckets)
+		views, err := modin.RouteGroupBand(df, sum, *plan.group, plan.Buckets)
 		if err != nil {
 			return nil, err
 		}
@@ -284,8 +276,8 @@ func (w *Worker) runBand(q *workerQuery, plan *PlanSpec, task *BandTask) (*BandR
 			q.pieces[[2]int{task.Band, b}] = piece
 		}
 		q.mu.Unlock()
-	case plan.Sort != nil:
-		res.Sort, err = modin.SampleSortKeys(df, plan.Sort)
+	case plan.sort != nil:
+		res.Sort, err = modin.SampleSortKeys(df, plan.sort)
 		if err != nil {
 			return nil, err
 		}
@@ -304,8 +296,7 @@ func (w *Worker) runBand(q *workerQuery, plan *PlanSpec, task *BandTask) (*BandR
 // buildBand materializes one band's rows — re-parsing its scan lineage or
 // decoding its shipped block — and assigns its global row labels before any
 // operator runs, matching the local streaming scan exactly.
-func (w *Worker) buildBand(plan *PlanSpec, task *BandTask) (*core.DataFrame, error) {
-	src := &plan.Source
+func (w *Worker) buildBand(src *SourceSpec, task *BandTask) (*core.DataFrame, error) {
 	if src.Kind == srcFrame {
 		df, rest, err := DecodeFrame(task.Block)
 		if err != nil {
@@ -375,16 +366,11 @@ func openRange(src *SourceSpec, rng BandRange) (io.ReadCloser, error) {
 // retains no dead rows. Group bands never arrive here — they routed
 // themselves in runBand.
 func (w *Worker) partition(req *PartitionReq) (any, error) {
-	q, err := w.query(req.QID, false)
+	q, err := w.query(req.QID)
 	if err != nil {
 		return nil, err
 	}
-	q.mu.Lock()
 	plan := q.plan
-	q.mu.Unlock()
-	if plan == nil {
-		return nil, fmt.Errorf("cluster: query %q has no plan", req.QID)
-	}
 	sizes := make(map[int]map[int]int64, len(req.Bands))
 	var mu sync.Mutex
 	err = w.pool.ForEach(len(req.Bands), func(i int) error {
@@ -395,10 +381,10 @@ func (w *Worker) partition(req *PartitionReq) (any, error) {
 		if df == nil {
 			return fmt.Errorf("cluster: band %d not resident for partition", band)
 		}
-		if plan.Sort == nil {
+		if plan.sort == nil {
 			return fmt.Errorf("cluster: plan has no range shuffle to partition")
 		}
-		views, err := modin.PartitionSortedBand(df, plan.Sort, req.Bounds, req.Buckets)
+		views, err := modin.PartitionSortedBand(df, plan.sort, req.Bounds, req.Buckets)
 		if err != nil {
 			return err
 		}
@@ -425,16 +411,11 @@ func (w *Worker) partition(req *PartitionReq) (any, error) {
 // holders — through the shared modin merge helpers, then applies the
 // post-shuffle chain.
 func (w *Worker) merge(req *MergeReq) (any, error) {
-	q, err := w.query(req.QID, false)
+	q, err := w.query(req.QID)
 	if err != nil {
 		return nil, err
 	}
-	q.mu.Lock()
 	plan := q.plan
-	q.mu.Unlock()
-	if plan == nil {
-		return nil, fmt.Errorf("cluster: query %q has no plan", req.QID)
-	}
 	frames := make([]*core.DataFrame, len(req.Pieces))
 	err = w.pool.ForEach(len(req.Pieces), func(i int) error {
 		ref := req.Pieces[i]
@@ -460,7 +441,7 @@ func (w *Worker) merge(req *MergeReq) (any, error) {
 	}
 	var out *core.DataFrame
 	switch {
-	case plan.Group != nil:
+	case plan.group != nil:
 		// A single-bucket view of the shared merge: this bucket's rank list
 		// validates the group count here, while the coordinator keeps the
 		// full routing for the global order restore.
@@ -468,19 +449,19 @@ func (w *Worker) merge(req *MergeReq) (any, error) {
 		if req.Heavy {
 			routing.Heavy = []bool{true}
 		}
-		out, err = modin.MergeGroupBucket(w.pool, frames, *plan.Group, routing, 0)
-	case plan.Sort != nil:
-		out, err = modin.MergeSortBucket(frames, plan.Sort)
+		out, err = modin.MergeGroupBucket(w.pool, frames, *plan.group, routing, 0)
+	case plan.sort != nil:
+		out, err = modin.MergeSortBucket(frames, plan.sort)
 	default:
 		return nil, fmt.Errorf("cluster: plan has no shuffle to merge")
 	}
 	if err != nil {
 		return nil, err
 	}
-	if plan.Group == nil {
+	if plan.group == nil {
 		// Group buckets keep their rows rank-aligned: the post-shuffle chain
 		// could drop rows, so the coordinator applies it after the restore.
-		out, err = applyOps(out, plan.Post)
+		out, err = physical.RunKernels(plan.post, out)
 		if err != nil {
 			return nil, err
 		}
@@ -495,7 +476,7 @@ func (w *Worker) merge(req *MergeReq) (any, error) {
 
 // fetch serves one resident routed piece to a peer.
 func (w *Worker) fetch(req *FetchReq) (any, error) {
-	q, err := w.query(req.QID, false)
+	q, err := w.query(req.QID)
 	if err != nil {
 		return nil, err
 	}

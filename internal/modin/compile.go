@@ -136,17 +136,14 @@ func describeScan(scan *algebra.Scan, keep []string) string {
 	return fmt.Sprintf("%s keep %d/%d", scan.Describe(), len(keep), len(scan.Columns))
 }
 
-// fuse appends a kernel implementing node n to the compiled input,
-// extending the input's fused stage in place when it is a fused stage with
-// a single consumer, and opening a new fused stage otherwise. The kernel
-// carries n's description, which the scheduler puts in front of its
-// failures (the physical layer itself only knows the kernel's short name).
-func (c *compiler) fuse(n algebra.Node, input algebra.Node, k physical.Kernel) (*physical.Node, error) {
+// fuse appends kernel k to the compiled input, extending the input's fused
+// stage in place when it is a fused stage with a single consumer, and
+// opening a new fused stage otherwise.
+func (c *compiler) fuse(input algebra.Node, k physical.Kernel) (*physical.Node, error) {
 	in, err := c.compile(input)
 	if err != nil {
 		return nil, err
 	}
-	k.Desc = n.Describe()
 	if in.Stream != nil && c.uses[input] == 1 {
 		// Kernels over a single-use streamed scan fuse INTO the stream
 		// stage: each band runs scan→filter→... as one task the moment it
@@ -158,6 +155,60 @@ func (c *compiler) fuse(n algebra.Node, input algebra.Node, k physical.Kernel) (
 		return in.Fuse(k), nil
 	}
 	return physical.NewFused(in, k), nil
+}
+
+// BandKernel returns the per-band kernel implementing n when n is an
+// embarrassingly-parallel unary operator (SELECTION, PROJECTION, MAP,
+// RENAME, TOLABELS). The compiler fuses it into a stage, and a cluster
+// worker runs the same kernel over its bands, so a distributed chain is the
+// local fused chain. The kernel carries n's description, which the
+// scheduler puts in front of its failures (the physical layer itself only
+// knows the kernel's short name).
+func BandKernel(n algebra.Node) (physical.Kernel, bool) {
+	var k physical.Kernel
+	switch node := n.(type) {
+	case *algebra.Selection:
+		where, pred := node.Where, node.Pred
+		k = physical.Kernel{Name: "selection", Fn: func(b *core.DataFrame) (*core.DataFrame, error) {
+			if where == nil {
+				return algebra.SelectRows(b, pred), nil
+			}
+			// View output: consecutive filters in one fused chain narrow a
+			// single selection vector over shared base storage; the stage
+			// exit compacts once.
+			return algebra.SelectWhereView(b, where)
+		}}
+	case *algebra.Projection:
+		cols := node.Cols
+		k = physical.Kernel{Name: "projection", Fn: func(b *core.DataFrame) (*core.DataFrame, error) {
+			return algebra.Project(b, cols)
+		}}
+	case *algebra.Map:
+		fn := node.Fn
+		k = physical.Kernel{
+			Name: "map(" + fn.Name + ")",
+			// Elementwise MAPs are partitioning-agnostic and may run per
+			// block; row UDFs need full-width bands.
+			Elementwise: fn.Elementwise != nil,
+			Fn: func(b *core.DataFrame) (*core.DataFrame, error) {
+				return algebra.MapFrame(b, fn)
+			},
+		}
+	case *algebra.Rename:
+		mapping := node.Mapping
+		k = physical.Kernel{Name: "rename", Fn: func(b *core.DataFrame) (*core.DataFrame, error) {
+			return algebra.RenameFrame(b, mapping)
+		}}
+	case *algebra.ToLabels:
+		col := node.Col
+		k = physical.Kernel{Name: "tolabels", Fn: func(b *core.DataFrame) (*core.DataFrame, error) {
+			return algebra.ToLabelsFrame(b, col)
+		}}
+	default:
+		return physical.Kernel{}, false
+	}
+	k.Desc = n.Describe()
+	return k, true
 }
 
 // compileAll compiles each input in order.
@@ -228,76 +279,23 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 	case *algebra.Scan:
 		return c.streamScan(node, nil, c.uses[node] <= 1), nil
 
-	case *algebra.Selection:
-		if node.Where != nil {
-			where := node.Where
-			return c.fuse(node, node.Input, physical.Kernel{
-				Name: "selection",
-				// View output: consecutive filters in one fused chain
-				// narrow a single selection vector over shared base
-				// storage; the stage exit compacts once.
-				Fn: func(b *core.DataFrame) (*core.DataFrame, error) {
-					return algebra.SelectWhereView(b, where)
-				},
-			})
-		}
-		pred := node.Pred
-		return c.fuse(node, node.Input, physical.Kernel{
-			Name: "selection",
-			Fn: func(b *core.DataFrame) (*core.DataFrame, error) {
-				return algebra.SelectRows(b, pred), nil
-			},
-		})
-
 	case *algebra.Projection:
 		if scan := prunedScan(node, c.uses); scan != nil {
 			return c.streamScan(scan, node.Cols, c.uses[node] <= 1), nil
 		}
-		cols := node.Cols
-		return c.fuse(node, node.Input, physical.Kernel{
-			Name: "projection",
-			Fn: func(b *core.DataFrame) (*core.DataFrame, error) {
-				return algebra.Project(b, cols)
-			},
-		})
-
-	case *algebra.Map:
-		fn := node.Fn
-		return c.fuse(node, node.Input, physical.Kernel{
-			Name: "map(" + fn.Name + ")",
-			// Elementwise MAPs are partitioning-agnostic and may run per
-			// block; row UDFs need full-width bands.
-			Elementwise: fn.Elementwise != nil,
-			Fn: func(b *core.DataFrame) (*core.DataFrame, error) {
-				return algebra.MapFrame(b, fn)
-			},
-		})
-
-	case *algebra.Rename:
-		mapping := node.Mapping
-		return c.fuse(node, node.Input, physical.Kernel{
-			Name: "rename",
-			Fn: func(b *core.DataFrame) (*core.DataFrame, error) {
-				return algebra.RenameFrame(b, mapping)
-			},
-		})
-
-	case *algebra.ToLabels:
-		col := node.Col
-		return c.fuse(node, node.Input, physical.Kernel{
-			Name: "tolabels",
-			Fn: func(b *core.DataFrame) (*core.DataFrame, error) {
-				return algebra.ToLabelsFrame(b, col)
-			},
-		})
-
+	}
+	if k, ok := BandKernel(n); ok {
+		return c.fuse(n.Children()[0], k)
+	}
+	switch node := n.(type) {
 	case *algebra.TopK:
 		// Per-band top-k fuses into the upstream chain: each band keeps at
 		// most |k| rows, so the final exchange touches k×bands rows instead
 		// of the full input.
 		order, k := node.Order, node.N
-		partial, err := c.fuse(node, node.Input, physical.Kernel{
+		partial, err := c.fuse(node.Input, physical.Kernel{
 			Name: "topk-partial",
+			Desc: node.Describe(),
 			Fn: func(b *core.DataFrame) (*core.DataFrame, error) {
 				return algebra.TopKFrame(b, order, k)
 			},

@@ -49,7 +49,7 @@ func bandCuts(n, nb int) []int {
 // pass-through groupby. Partition writes sum, Plan reads stat: disjoint
 // fields, so the concurrent tasks don't race.
 type groupBandSummary struct {
-	stat GroupBandStat
+	stat *GroupBandStat
 	sum  *algebra.GroupKeySummary
 }
 
@@ -65,21 +65,14 @@ func (e *Engine) groupByShuffle(spec expr.GroupBySpec) *physical.Shuffle {
 			if err != nil {
 				return nil, err
 			}
-			counts := make([]int64, len(sum.Hashes))
-			for _, d := range sum.Ordinals {
-				counts[d]++
-			}
-			return &groupBandSummary{
-				stat: GroupBandStat{Hashes: sum.Hashes, Exemplars: sum.Exemplars, Counts: counts},
-				sum:  sum,
-			}, nil
+			return &groupBandSummary{stat: GroupStatOf(sum), sum: sum}, nil
 		},
 		Plan: func(summaries []any, _ []*partition.Frame) (any, error) {
 			// Folding the band summaries in band order reproduces the
 			// single-node scan's first-appearance order.
 			stats := make([]*GroupBandStat, len(summaries))
 			for r, s := range summaries {
-				stats[r] = &s.(*groupBandSummary).stat
+				stats[r] = s.(*groupBandSummary).stat
 			}
 			return PlanGroupRouting(stats, nb, true), nil
 		},

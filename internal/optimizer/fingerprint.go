@@ -2,183 +2,44 @@ package optimizer
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/algebra"
 	"repro/internal/core"
-	"repro/internal/types"
 )
 
 // Plan fingerprinting for the server's query-plan cache: two plans get the
 // same fingerprint exactly when they compute the same result from the same
-// source frames. The canonical rendering keeps operator shapes and literal
-// constants but strips every name the user chose — statement names never
-// reach the plan, and source frames appear as positional placeholders $0,
-// $1, ... in first-reference order (the same *core.DataFrame referenced
-// twice reuses its placeholder, so self-joins fingerprint correctly). Thus
-// Alice's `SELECTION(x > 3)` over a frame and Bob's identical query over
-// the same shared frame collide — which is the point — while a different
-// literal, operator, or column keeps them apart.
+// source frames. The key is the plan's binary form (algebra.EncodePlan),
+// which keeps operator shapes and literal constants but strips every name
+// the user chose — statement names never reach the plan, and source frames
+// are positional placeholders in first-reference order (the same
+// *core.DataFrame referenced twice reuses its placeholder, so self-joins
+// fingerprint correctly). Thus Alice's `SELECTION(x > 3)` over a frame and
+// Bob's identical query over the same shared frame collide — which is the
+// point — while a different literal, operator, or column keeps them apart.
 //
 // Plans carrying opaque Go closures (a Selection with only a Pred, any Map)
-// are not fingerprintable: closures have no canonical form and two
-// distinct functions could render alike. Fingerprint reports ok=false and
-// such plans bypass the cache.
+// have no binary form, and plans reading a Scan have no frame whose identity
+// pins their input: Fingerprint reports ok=false and such plans bypass the
+// cache.
 
 // Fingerprint canonicalizes the plan. It returns the cache key, the source
-// frames in placeholder order ($0 is sources[0], ...), and whether the plan
-// is cacheable at all.
+// frames in placeholder order, and whether the plan is cacheable at all.
 func Fingerprint(n algebra.Node) (key string, sources []*core.DataFrame, ok bool) {
-	fp := &fingerprinter{index: make(map[*core.DataFrame]int), ok: true}
-	fp.walk(n)
-	if !fp.ok {
+	data, leaves, err := algebra.EncodePlan(n)
+	if err != nil {
 		return "", nil, false
 	}
-	return fp.b.String(), fp.sources, true
-}
-
-type fingerprinter struct {
-	b       strings.Builder
-	index   map[*core.DataFrame]int
-	sources []*core.DataFrame
-	ok      bool
-}
-
-func (fp *fingerprinter) walk(n algebra.Node) {
-	if !fp.ok {
-		return
+	sources = make([]*core.DataFrame, len(leaves))
+	for i, leaf := range leaves {
+		src, isFrame := leaf.(*algebra.Source)
+		if !isFrame {
+			return "", nil, false
+		}
+		sources[i] = src.DF
 	}
-	fp.node(n)
-	if !fp.ok {
-		return
-	}
-	children := n.Children()
-	fp.b.WriteByte('[')
-	for _, c := range children {
-		fp.walk(c)
-	}
-	fp.b.WriteByte(']')
-}
-
-// node emits one operator's canonical line. Each case must include every
-// field that affects the result and nothing that doesn't.
-func (fp *fingerprinter) node(n algebra.Node) {
-	switch node := n.(type) {
-	case *algebra.Source:
-		i, seen := fp.index[node.DF]
-		if !seen {
-			i = len(fp.sources)
-			fp.index[node.DF] = i
-			fp.sources = append(fp.sources, node.DF)
-		}
-		fmt.Fprintf(&fp.b, "$%d;", i)
-	case *algebra.Selection:
-		if node.Where == nil {
-			fp.ok = false // opaque predicate: no canonical form
-			return
-		}
-		fp.b.WriteString("sel(")
-		for _, t := range node.Where.Terms {
-			fmt.Fprintf(&fp.b, "%s %v %s,", quote(t.Col), t.Op, literal(t.Operand))
-		}
-		fp.b.WriteString(");")
-	case *algebra.Projection:
-		fp.b.WriteString("proj(")
-		fp.cols(node.Cols)
-		fp.b.WriteString(");")
-	case *algebra.Union:
-		fp.b.WriteString("union;")
-	case *algebra.Difference:
-		fp.b.WriteString("diff;")
-	case *algebra.Join:
-		fmt.Fprintf(&fp.b, "join(%d,labels=%t,", int(node.Kind), node.OnLabels)
-		fp.cols(node.On)
-		fp.b.WriteString(");")
-	case *algebra.DropDuplicates:
-		fp.b.WriteString("dedup(")
-		fp.cols(node.Subset)
-		fp.b.WriteString(");")
-	case *algebra.GroupBy:
-		fmt.Fprintf(&fp.b, "group(aslabels=%t,sorted=%t,", node.Spec.AsLabels, node.Spec.Sorted)
-		fp.cols(node.Spec.Keys)
-		for _, a := range node.Spec.Aggs {
-			// The output name is part of the result's schema, so As
-			// (via OutName) stays in the key.
-			fmt.Fprintf(&fp.b, "%d(%s)as %s,", int(a.Agg), quote(a.Col), quote(a.OutName()))
-		}
-		fp.b.WriteString(");")
-	case *algebra.Sort:
-		fmt.Fprintf(&fp.b, "sort(labels=%t", node.ByLabels)
-		for _, k := range node.Order {
-			fmt.Fprintf(&fp.b, ",%s desc=%t", quote(k.Col), k.Desc)
-		}
-		fp.b.WriteString(");")
-	case *algebra.TopK:
-		fmt.Fprintf(&fp.b, "topk(%d", node.N)
-		for _, k := range node.Order {
-			fmt.Fprintf(&fp.b, ",%s desc=%t", quote(k.Col), k.Desc)
-		}
-		fp.b.WriteString(");")
-	case *algebra.Rename:
-		// Map iteration order is random; sort for a canonical form. The
-		// new names are part of the output schema and stay in the key.
-		froms := make([]string, 0, len(node.Mapping))
-		for from := range node.Mapping {
-			froms = append(froms, from)
-		}
-		sort.Strings(froms)
-		fp.b.WriteString("rename(")
-		for _, from := range froms {
-			fmt.Fprintf(&fp.b, "%s>%s,", quote(from), quote(node.Mapping[from]))
-		}
-		fp.b.WriteString(");")
-	case *algebra.Window:
-		s := node.Spec
-		fmt.Fprintf(&fp.b, "window(%d,size=%d,off=%d,agg=%d,min=%d,rev=%t,",
-			int(s.Kind), s.Size, s.Offset, int(s.Agg), s.MinPeriods, s.Reverse)
-		fp.cols(s.Cols)
-		fp.b.WriteString(");")
-	case *algebra.Transpose:
-		fp.b.WriteString("transpose(")
-		for _, d := range node.Schema {
-			fmt.Fprintf(&fp.b, "%d,", int(d))
-		}
-		fp.b.WriteString(");")
-	case *algebra.ToLabels:
-		fmt.Fprintf(&fp.b, "tolabels(%s);", quote(node.Col))
-	case *algebra.FromLabels:
-		fmt.Fprintf(&fp.b, "fromlabels(%s);", quote(node.Label))
-	case *algebra.Induce:
-		fp.b.WriteString("induce;")
-	case *algebra.Limit:
-		fmt.Fprintf(&fp.b, "limit(%d);", node.N)
-	default:
-		// *algebra.Map and any operator added later: without an explicit
-		// canonical form here, refuse to cache rather than risk collision.
-		fp.ok = false
-	}
-}
-
-// cols emits a delimited column list; quoting keeps ("a,b") and ("a","b")
-// apart.
-func (fp *fingerprinter) cols(cols []string) {
-	for _, c := range cols {
-		fp.b.WriteString(quote(c))
-		fp.b.WriteByte(',')
-	}
-}
-
-func quote(s string) string { return strconv.Quote(s) }
-
-// literal renders a constant with its domain, so Int(1) and String("1")
-// cannot collide.
-func literal(v types.Value) string {
-	if v.IsNull() {
-		return "null"
-	}
-	return fmt.Sprintf("%d:%s", int(v.Domain()), strconv.Quote(v.String()))
+	return string(data), sources, true
 }
 
 // SourceVersion summarizes the identity of a plan's bound sources: two

@@ -57,6 +57,10 @@ func TestFingerprintCollisions(t *testing.T) {
 		&algebra.Selection{Input: src, Where: expr.WhereEquals("v", types.IntValue(2))}, // different op
 		&algebra.Selection{Input: src, Where: expr.WhereEquals("v", types.String("2"))}, // same rendering, different domain
 		&algebra.Limit{Input: selGt(src, "v", 2), N: 5},                                 // extra operator
+		// Datetime literals 1 ns apart (2020-09-13 12:26:40.1): a rendering
+		// to the second would merge them.
+		&algebra.Selection{Input: src, Where: expr.WhereCompare("v", vector.CmpGt, types.DatetimeFromNanos(1_600_000_000_100_000_000))},
+		&algebra.Selection{Input: src, Where: expr.WhereCompare("v", vector.CmpGt, types.DatetimeFromNanos(1_600_000_000_100_000_001))},
 	}
 	seen := map[string]int{base: -1}
 	for i, plan := range distinct {

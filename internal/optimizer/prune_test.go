@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -320,6 +321,8 @@ func TestPruneGroupByInputDeclines(t *testing.T) {
 		{name: "whole-row count", plan: groupBy(src, []string{"k"}, expr.AggSpec{Agg: expr.AggCount})},
 		{name: "input already exactly need", plan: groupBy(&algebra.Projection{Input: src, Cols: []string{"k", "v"}}, []string{"k"}, sum)},
 	}
+	// Which band's task reports a failure first is a race; the failure is not.
+	bandNo := regexp.MustCompile(`band \d+`)
 	for _, tc := range cases {
 		opt, fired := optimizer.Optimize(tc.plan, optimizer.Default())
 		if len(fired) != 0 {
@@ -328,7 +331,7 @@ func TestPruneGroupByInputDeclines(t *testing.T) {
 		for _, engine := range []algebra.Engine{eager.New(), modin.New(modin.WithBands(2))} {
 			_, before := engine.Execute(tc.plan)
 			_, after := engine.Execute(opt)
-			if fmt.Sprint(before) != fmt.Sprint(after) {
+			if bandNo.ReplaceAllString(fmt.Sprint(before), "band N") != bandNo.ReplaceAllString(fmt.Sprint(after), "band N") {
 				t.Errorf("%s on %s: error changed: %v → %v", tc.name, engine.Name(), before, after)
 			}
 			if tc.err != "" && (after == nil || !strings.Contains(after.Error(), tc.err)) {

@@ -581,10 +581,11 @@ func (s *Scheduler) wire(in *Result, lower func(*partition.Frame) (*partition.Fr
 	return &Result{fut: fut}, nil
 }
 
-// runKernels applies a fused chain to one band (or block). Stage exit is
+// RunKernels applies a fused chain to one band (or block). Stage exit is
 // the one coalescing point for view-producing kernels (zero-copy selection
 // chains): the result is materialized once here instead of per kernel.
-func runKernels(kernels []Kernel, df *core.DataFrame) (*core.DataFrame, error) {
+// Cluster workers run their shipped chains through it too.
+func RunKernels(kernels []Kernel, df *core.DataFrame) (*core.DataFrame, error) {
 	var err error
 	for _, k := range kernels {
 		df, err = k.Fn(df)
@@ -601,7 +602,7 @@ func runKernels(kernels []Kernel, df *core.DataFrame) (*core.DataFrame, error) {
 // column band) instead get one task per row band, over the band's blocks
 // stacked to full width.
 func (s *Scheduler) wireFused(f *partition.Frame, kernels []Kernel) (*partition.Frame, error) {
-	chain := func(df *core.DataFrame) (*core.DataFrame, error) { return runKernels(kernels, df) }
+	chain := func(df *core.DataFrame) (*core.DataFrame, error) { return RunKernels(kernels, df) }
 	rowKernel := slices.ContainsFunc(kernels, func(k Kernel) bool { return !k.Elementwise })
 	if !rowKernel || f.ColBands() == 1 {
 		s.Stats.FusedTasks.Add(int64(f.RowBands() * f.ColBands()))

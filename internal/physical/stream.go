@@ -100,7 +100,7 @@ func (s *Scheduler) scheduleStream(n *Node) (*Result, error) {
 		bandRows = DefaultStreamBandRows
 	}
 	chain := func(df *core.DataFrame) (*core.DataFrame, error) {
-		out, err := runKernels(st.Kernels, df)
+		out, err := RunKernels(st.Kernels, df)
 		if err != nil {
 			return nil, err
 		}
