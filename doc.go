@@ -117,7 +117,10 @@
 // them to string keys. Row identity in GROUPBY, JOIN, DROP-DUPLICATES,
 // DIFFERENCE and the shuffle routing plan is a 64-bit hash over the typed
 // key columns (vector.HashRows) with typed-equality verification on
-// collisions; SORT/TOPK compare storage slices via vector.CompareRows; and
+// collisions, and one GROUPBY kernel (algebra.GroupPartial) looks a
+// dictionary-coded key up once per distinct code, by value, and keeps flat
+// typed state for COUNT/SIZE/SUM/MEAN/MIN/MAX; SORT/TOPK compare storage
+// slices via vector.CompareRows; and
 // structured SELECTION predicates (expr.Where, built by df.Where) execute
 // through the typed filter kernels (vector.Filter*). Opaque func(Row) bool
 // predicates keep the row-at-a-time path, and expr.Where.Predicate() is the
@@ -128,12 +131,11 @@
 // Physical strategy from exact sizes: the compile step picks strategies
 // from facts, not sketches. A join whose build side (a base frame's exact
 // row count, or optimizer.EstimateNode's zero-stats model above one)
-// exceeds the broadcast limit becomes a key-shuffled hash join;
-// dictionary-coded group keys aggregate directly on int32 codes with typed
-// accumulators; and the groupby plan reads exact per-key row counts from
-// the band summaries, flagging buckets that own a hot key so their merges
-// split across parallel partial merges. Query.Explain appends the chosen
-// strategies with the sizes that drove them.
+// exceeds the broadcast limit becomes a key-shuffled hash join, and the
+// groupby plan reads exact per-key row counts from the band summaries,
+// flagging buckets that own a hot key so their merges split across
+// parallel partial merges. Query.Explain appends the chosen strategies with
+// the sizes that drove them.
 //
 // One boundary between the algebra and the execution layer: the per-run
 // physical.Scheduler is the only code that calls a stage's hooks — fused

@@ -402,3 +402,49 @@ func TestKeylessCountSizeBulkPath(t *testing.T) {
 		t.Errorf("sum = %v, want 9", got)
 	}
 }
+
+// TestJoinTableMatchesJoinFrames requires the typed open-addressing probe
+// to reproduce JoinFrames exactly for inner and left joins with duplicate
+// and null keys.
+func TestJoinTableMatchesJoinFrames(t *testing.T) {
+	n := 300
+	lrec := make([][]any, n)
+	for i := range lrec {
+		var k any = i % 11
+		if i%23 == 0 {
+			k = nil
+		}
+		lrec[i] = []any{k, i}
+	}
+	rrec := make([][]any, n/2)
+	for i := range rrec {
+		var k any = i % 13
+		if i%19 == 0 {
+			k = nil
+		}
+		rrec[i] = []any{k, i * 2}
+	}
+	left := core.MustFromRecords([]string{"k", "x"}, lrec)
+	right := core.MustFromRecords([]string{"k", "y"}, rrec)
+	for _, kind := range []expr.JoinKind{expr.JoinInner, expr.JoinLeft} {
+		want, err := JoinFrames(left, right, kind, []string{"k"}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		table, err := BuildJoinTable(right, []string{"k"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		li, ri, err := table.Probe(left, []string{"k"}, kind, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AssembleJoin(left, table.Right(), []string{"k"}, false, li, ri)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want.Equal(got) {
+			t.Fatalf("kind %v: join table disagrees with JoinFrames:\nwant:\n%s\ngot:\n%s", kind, want, got)
+		}
+	}
+}

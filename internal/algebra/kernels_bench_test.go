@@ -116,6 +116,53 @@ func BenchmarkHashGroupByKeys(b *testing.B) {
 	})
 }
 
+// BenchmarkGroupByKernels runs GroupPartial over the key shapes the
+// workloads group on: a Dict key whose table every row shares, the same rows
+// as 8 pieces that each induced their own table (a streamed scan's bands),
+// an Int key, and 25,000 distinct Int keys.
+func BenchmarkGroupByKernels(b *testing.B) {
+	taxi := benchTaxi()
+	raw := workload.Taxi(workload.DefaultTaxiOptions(taxi.NRows()))
+	var pieces []*core.DataFrame
+	for p := 0; p < 8; p++ {
+		pieces = append(pieces, InduceFrame(raw.SliceRows(p*raw.NRows()/8, (p+1)*raw.NRows()/8)))
+	}
+	vendorSum := expr.GroupBySpec{Keys: []string{"vendor_id"}, Aggs: []expr.AggSpec{{Col: "total_amount", Agg: expr.AggSum}}}
+	cases := []struct {
+		name   string
+		frames []*core.DataFrame
+		spec   expr.GroupBySpec
+	}{
+		{"dict-shared-sum", []*core.DataFrame{taxi}, vendorSum},
+		{"dict-per-piece-sum", pieces, vendorSum},
+		{"int-size", []*core.DataFrame{taxi}, expr.GroupBySpec{Keys: []string{"passenger_count"}, Aggs: []expr.AggSpec{{Agg: expr.AggSize}}}},
+		{"25k-keys-sum", []*core.DataFrame{highNDVFrame()}, expr.GroupBySpec{Keys: []string{"k"}, Aggs: []expr.AggSpec{{Col: "v", Agg: expr.AggSum}}}},
+	}
+	// One frame is GroupByFrame, several are the shuffle merge's fold.
+	group := func(frames []*core.DataFrame, spec expr.GroupBySpec) (*core.DataFrame, error) {
+		if len(frames) == 1 {
+			return GroupByFrame(frames[0], spec)
+		}
+		g := NewGroupPartial(spec)
+		for _, f := range frames {
+			if err := g.AddFrame(f); err != nil {
+				return nil, err
+			}
+		}
+		return g.Finalize()
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if out, err := group(c.frames, c.spec); err != nil || out.NRows() == 0 {
+					b.Fatalf("%v, err %v", out, err)
+				}
+			}
+		})
+	}
+}
+
 // highNDVFrame is a 75,000-row frame over 25,000 distinct int keys, each
 // appearing three times in scattered order, built once.
 var highNDVFrame = sync.OnceValue(func() *core.DataFrame {

@@ -14,10 +14,14 @@ import (
 // keyIndex maps the hash to the group's dense id, and the index confirms
 // every hash match by true key equality against the group's boxed exemplar
 // tuple — so two distinct keys that collide on the hash still land in
-// distinct groups. The old representation rendered every row's key into a
-// string ("a\x1f5\x1f"), which allocated per row and conflated values whose
-// renderings agree (a null cell and the literal string "NA"); the hash path
-// keeps them distinct because verification uses types.Value.Equal.
+// distinct groups. A single dictionary-coded key column takes the same
+// route once per distinct code instead of once per row: the code's id is
+// looked up by the code's value, so frames whose category tables differ
+// still agree on every group. The old representation rendered every row's
+// key into a string ("a\x1f5\x1f"), which allocated per row and conflated
+// values whose renderings agree (a null cell and the literal string "NA");
+// the hash path keeps them distinct because verification uses
+// types.Value.Equal.
 
 // rowHashSeed is the fixed seed of every row-key hash in the kernels. It
 // must be one process-wide constant: shuffle summaries hash on partition
@@ -99,188 +103,246 @@ func tuplesEqual(a, b []types.Value) bool {
 	return true
 }
 
-// groupEntry is the running state for one group.
-type groupEntry struct {
-	keyVals   []types.Value // exemplar key tuple (verification + finalize)
-	accs      []*expr.Accumulator
-	collected []*core.DataFrame // sub-frames contributed per partition (collect aggs)
+// keyTable gives every distinct group key a dense id in first-appearance
+// order: a keyIndex over the keys' row hashes plus one boxed exemplar tuple
+// per id, against which every hash match is verified. GroupPartial, the
+// shuffle summaries and the shuffle plan fold all assign group identity
+// through it.
+type keyTable struct {
+	index     keyIndex
+	exemplars [][]types.Value // by id
 }
+
+// insertTuple returns the id of the boxed key tuple with hash h, adding it
+// when it is new.
+func (t *keyTable) insertTuple(h uint64, key []types.Value) (id int32, added bool) {
+	id, added = t.index.insert(h, func(id int32) bool { return tuplesEqual(t.exemplars[id], key) })
+	if added {
+		t.exemplars = append(t.exemplars, key)
+	}
+	return id, added
+}
+
+// insertRow returns the id of row i of the key columns (hash h), boxing the
+// row as the exemplar when its key is new.
+func (t *keyTable) insertRow(h uint64, cols []vector.Vector, i int) int32 {
+	id, added := t.index.insert(h, func(id int32) bool { return keysMatchRow(t.exemplars[id], cols, i) })
+	if added {
+		key := make([]types.Value, len(cols))
+		for k, c := range cols {
+			key[k] = c.Value(i)
+		}
+		t.exemplars = append(t.exemplars, key)
+	}
+	return id
+}
+
+// frameKeys is one frame's key columns prepared for keyTable.resolve. A
+// single Dict column keeps its codes and resolves each distinct code once;
+// any other key keeps one row hash per row.
+type frameKeys struct {
+	cols []vector.Vector
+	runs bool // input declared sorted: a row equal to its predecessor reuses its id
+	last int32
+
+	hashes []uint64
+
+	codes  []int32
+	nulls  []bool
+	idx    []int   // selection view over codes; -1 reads as null
+	codeID []int32 // code → id, -1 until seen; the last slot is the null key
+}
+
+func newFrameKeys(cols []vector.Vector, n int, runs bool) *frameKeys {
+	fk := &frameKeys{cols: cols, runs: runs}
+	if len(cols) == 1 {
+		if codes, dict, nulls, idx, ok := vector.DictData(cols[0]); ok {
+			fk.codes, fk.nulls, fk.idx = codes, nulls, idx
+			fk.codeID = make([]int32, len(dict)+1)
+			for c := range fk.codeID {
+				fk.codeID[c] = -1
+			}
+			return fk
+		}
+	}
+	if len(cols) > 0 {
+		fk.hashes = rowHashes(cols, n)
+	}
+	return fk
+}
+
+// resolve writes the group id of rows [lo, lo+len(ids)) into ids, adding
+// the keys the table has not seen. It is the one row → id routine behind
+// every grouping kernel, so they all agree on group identity and order.
+func (t *keyTable) resolve(fk *frameKeys, lo int, ids []int32) {
+	switch {
+	case fk.codeID != nil:
+		null := int32(len(fk.codeID) - 1)
+		for r := range ids {
+			i, j, c := lo+r, lo+r, null
+			if fk.idx != nil {
+				j = fk.idx[i]
+			}
+			if j >= 0 && (fk.nulls == nil || !fk.nulls[j]) {
+				c = fk.codes[j]
+			}
+			id := fk.codeID[c]
+			if id < 0 {
+				id = t.insertRow(hashValues([]types.Value{fk.cols[0].Value(i)}), fk.cols, i)
+				fk.codeID[c] = id
+			}
+			ids[r] = id
+		}
+	case len(fk.cols) == 0: // no keys: every row is the whole-frame group
+		id := t.insertRow(hashValues(nil), nil, lo)
+		for r := range ids {
+			ids[r] = id
+		}
+	default:
+		for r := range ids {
+			i := lo + r
+			if !fk.runs || i == 0 || !rowsEqualAt(fk.cols, i-1, fk.cols, i) {
+				fk.last = t.insertRow(fk.hashes[i], fk.cols, i)
+			}
+			ids[r] = fk.last
+		}
+	}
+}
+
+// groupKeyCols resolves the typed key columns of df.
+func groupKeyCols(df *core.DataFrame, keys []string) ([]vector.Vector, error) {
+	cols := make([]vector.Vector, len(keys))
+	for k, name := range keys {
+		j := df.ColIndex(name)
+		if j < 0 {
+			return nil, fmt.Errorf("algebra: groupby key %q not found", name)
+		}
+		cols[k] = df.TypedCol(j)
+	}
+	return cols, nil
+}
+
+// groupChunk is how many rows AddFrame resolves to group ids at a time, so
+// its id buffer stays small however long the frame.
+const groupChunk = 1024
 
 // GroupPartial is a mergeable partial GROUPBY aggregation. The MODIN engine
 // computes one per partition and merges them; the baseline engine uses a
 // single partial over the whole frame. Groups are emitted in first-
 // appearance order, preserving the ordered-dataframe semantics.
 type GroupPartial struct {
-	spec    expr.GroupBySpec
-	entries []*groupEntry // by key id: first-appearance order
-	index   keyIndex
-	hasColl bool
+	spec      expr.GroupBySpec
+	keys      keyTable
+	aggs      []aggState          // by aggregate
+	collect   bool                // some aggregate is COLLECT
+	collected [][]*core.DataFrame // by group: sub-frames contributed per partition
 }
 
 // NewGroupPartial returns an empty partial aggregation for the spec.
 func NewGroupPartial(spec expr.GroupBySpec) *GroupPartial {
-	g := &GroupPartial{spec: spec}
-	for _, a := range spec.Aggs {
-		if a.Agg == expr.AggCollect {
-			g.hasColl = true
-		}
+	g := &GroupPartial{spec: spec, aggs: make([]aggState, len(spec.Aggs))}
+	for k, a := range spec.Aggs {
+		g.aggs[k].kind = a.Agg
+		g.collect = g.collect || a.Agg == expr.AggCollect
 	}
 	return g
 }
 
-// lookup returns the entry index for row i (hash h), creating the group on
-// first appearance.
-func (g *GroupPartial) lookup(h uint64, keyCols []vector.Vector, i int) int32 {
-	ei, added := g.index.insert(h, func(ei int32) bool { return keysMatchRow(g.entries[ei].keyVals, keyCols, i) })
-	if !added {
-		return ei
+// grow extends every per-group state to the key table's groups.
+func (g *GroupPartial) grow() {
+	n := g.NumGroups()
+	for k := range g.aggs {
+		g.aggs[k].grow(n)
 	}
-	e := &groupEntry{
-		keyVals: make([]types.Value, len(keyCols)),
-		accs:    make([]*expr.Accumulator, len(g.spec.Aggs)),
+	for g.collect && len(g.collected) < n {
+		g.collected = append(g.collected, nil)
 	}
-	for k, c := range keyCols {
-		e.keyVals[k] = c.Value(i)
-	}
-	for k, a := range g.spec.Aggs {
-		e.accs[k] = expr.NewAccumulator(a.Agg)
-	}
-	g.entries = append(g.entries, e)
-	return ei
 }
 
-// keyAggCols resolves the typed key and aggregate columns of df.
-func (g *GroupPartial) keyAggCols(df *core.DataFrame) (keyCols, aggCols []vector.Vector, err error) {
-	keyCols = make([]vector.Vector, len(g.spec.Keys))
-	for k, name := range g.spec.Keys {
-		j := df.ColIndex(name)
-		if j < 0 {
-			return nil, nil, fmt.Errorf("algebra: groupby key %q not found", name)
-		}
-		keyCols[k] = df.TypedCol(j)
+// AddFrame folds every row of df into the partial aggregation.
+func (g *GroupPartial) AddFrame(df *core.DataFrame) error {
+	keyCols, err := groupKeyCols(df, g.spec.Keys)
+	if err != nil {
+		return err
 	}
-	aggCols = make([]vector.Vector, len(g.spec.Aggs))
+	aggCols := make([]vector.Vector, len(g.spec.Aggs))
 	for k, a := range g.spec.Aggs {
 		if a.Col == "" {
 			continue
 		}
 		j := df.ColIndex(a.Col)
 		if j < 0 {
-			return nil, nil, fmt.Errorf("algebra: groupby aggregate column %q not found", a.Col)
+			return fmt.Errorf("algebra: groupby aggregate column %q not found", a.Col)
 		}
 		aggCols[k] = df.TypedCol(j)
-	}
-	return keyCols, aggCols, nil
-}
-
-// AddFrame folds every row of df into the partial aggregation.
-func (g *GroupPartial) AddFrame(df *core.DataFrame) error {
-	keyCols, aggCols, err := g.keyAggCols(df)
-	if err != nil {
-		return err
 	}
 	n := df.NRows()
 	if n == 0 {
 		return nil
 	}
+	fk := newFrameKeys(keyCols, n, g.spec.Sorted)
+	ids := make([]int32, min(n, groupChunk))
 
-	// With no grouping keys there is exactly one group, and COUNT/SIZE
-	// aggregates read straight off the column length and null count — no
-	// per-row accumulation (and no row hashing) at all.
-	bulk := g.bulkAggs()
-	allBulk := bulk != nil && !g.hasColl
-	if bulk != nil {
-		for k := range g.spec.Aggs {
-			if !bulk[k] {
-				allBulk = false
+	// With no grouping keys there is exactly one group, and COUNT/SIZE read
+	// straight off the column length and null count; visit lists the
+	// aggregates that read rows.
+	if len(keyCols) == 0 {
+		g.keys.resolve(fk, 0, ids[:1])
+		g.grow()
+	}
+	var visit []int
+	for k, a := range g.spec.Aggs {
+		counting := a.Agg == expr.AggCount || a.Agg == expr.AggSize
+		switch {
+		case a.Agg == expr.AggCollect:
+		case counting && len(keyCols) == 0:
+			nonNull := n
+			if a.Agg == expr.AggCount && aggCols[k] != nil {
+				nonNull -= vector.NullCount(aggCols[k])
+			}
+			g.aggs[k].count[0] += int64(nonNull)
+		default:
+			if aggCols[k] == nil && !counting {
+				aggCols[k] = vector.Range(0, n) // whole-row aggregates read the row ordinal
+			}
+			visit = append(visit, k)
+		}
+	}
+	if len(keyCols) == 0 && len(visit) == 0 && !g.collect {
+		return nil
+	}
+
+	var members [][]int // by group: this frame's rows, for collect aggregates
+	for lo := 0; lo < n; lo += len(ids) {
+		ids = ids[:min(len(ids), n-lo)]
+		g.keys.resolve(fk, lo, ids)
+		g.grow()
+		for _, k := range visit {
+			g.aggs[k].add(ids, aggCols[k], lo)
+		}
+		if g.collect {
+			for len(members) < g.NumGroups() {
+				members = append(members, nil)
+			}
+			for r, id := range ids {
+				members[id] = append(members[id], lo+r)
 			}
 		}
 	}
-
-	if !allBulk {
-		hashes := rowHashes(keyCols, n)
-		// Row positions per group, gathered only when a collect agg needs
-		// them.
-		var rowsByEntry map[int32][]int
-		if g.hasColl {
-			rowsByEntry = make(map[int32][]int)
-		}
-		for i := 0; i < n; i++ {
-			ei := g.lookup(hashes[i], keyCols, i)
-			e := g.entries[ei]
-			for k, a := range g.spec.Aggs {
-				if a.Agg == expr.AggCollect || (bulk != nil && bulk[k]) {
-					continue
-				}
-				if aggCols[k] != nil {
-					e.accs[k].Add(aggCols[k].Value(i))
-				} else {
-					// Whole-row aggregates (size) count the row itself.
-					e.accs[k].Add(types.IntValue(int64(i)))
-				}
-			}
-			if g.hasColl {
-				rowsByEntry[ei] = append(rowsByEntry[ei], i)
-			}
-		}
-		if g.hasColl {
-			nonKey := g.nonKeyColumns(df)
-			for ei := range g.entries {
-				rows, ok := rowsByEntry[int32(ei)]
-				if !ok {
-					continue
-				}
-				sub := df.TakeRows(rows)
-				if len(nonKey) > 0 {
-					sub = sub.SelectCols(nonKey)
-				}
-				g.entries[ei].collected = append(g.entries[ei].collected, sub)
-			}
-		}
-	} else {
-		// Ensure the single group exists even though no row loop runs;
-		// hashValues(nil) is the same whole-frame hash rowHashes produces
-		// for an empty key list.
-		g.lookup(hashValues(nil), keyCols, 0)
-	}
-
-	if bulk != nil {
-		e := g.entries[len(g.entries)-1]
-		if len(g.entries) != 1 {
-			return fmt.Errorf("algebra: keyless groupby produced %d groups", len(g.entries))
-		}
-		for k := range g.spec.Aggs {
-			if !bulk[k] {
+	if g.collect {
+		nonKey := g.nonKeyColumns(df)
+		for id, rows := range members {
+			if rows == nil {
 				continue
 			}
-			nonNull := int64(n)
-			if aggCols[k] != nil {
-				nonNull -= int64(vector.NullCount(aggCols[k]))
+			sub := df.TakeRows(rows)
+			if len(nonKey) > 0 {
+				sub = sub.SelectCols(nonKey)
 			}
-			e.accs[k].AddCounts(int64(n), nonNull)
+			g.collected[id] = append(g.collected[id], sub)
 		}
 	}
 	return nil
-}
-
-// bulkAggs returns the per-aggregate bulk-eligibility flags for a keyless
-// frame fold, or nil when the bulk path does not apply.
-func (g *GroupPartial) bulkAggs() []bool {
-	if len(g.spec.Keys) != 0 {
-		return nil
-	}
-	bulk := make([]bool, len(g.spec.Aggs))
-	any := false
-	for k, a := range g.spec.Aggs {
-		if a.Agg == expr.AggCount || a.Agg == expr.AggSize {
-			bulk[k] = true
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	return bulk
 }
 
 func (g *GroupPartial) nonKeyColumns(df *core.DataFrame) []int {
@@ -300,68 +362,59 @@ func (g *GroupPartial) nonKeyColumns(df *core.DataFrame) []int {
 // Merge folds another partial (same spec) into g, preserving g's group
 // order first, then appending groups first seen in other.
 func (g *GroupPartial) Merge(other *GroupPartial) {
-	for oi, oe := range other.entries {
-		h := other.index.hashes[oi]
-		ei, added := g.index.insert(h, func(ei int32) bool { return tuplesEqual(g.entries[ei].keyVals, oe.keyVals) })
-		if added {
-			g.entries = append(g.entries, oe)
-			continue
+	to := make([]int32, other.NumGroups())
+	for oi, key := range other.keys.exemplars {
+		to[oi], _ = g.keys.insertTuple(other.keys.index.hashes[oi], key)
+	}
+	g.grow()
+	for k := range g.aggs {
+		for oi, id := range to {
+			g.aggs[k].merge(id, &other.aggs[k], oi)
 		}
-		e := g.entries[ei]
-		for k := range e.accs {
-			e.accs[k].Merge(oe.accs[k])
+	}
+	if g.collect {
+		for oi, id := range to {
+			g.collected[id] = append(g.collected[id], other.collected[oi]...)
 		}
-		e.collected = append(e.collected, oe.collected...)
 	}
 }
 
 // NumGroups returns the number of distinct groups seen so far.
-func (g *GroupPartial) NumGroups() int { return len(g.entries) }
+func (g *GroupPartial) NumGroups() int { return len(g.keys.exemplars) }
 
 // Finalize materializes the grouped result: key columns (or key row labels
 // when AsLabels), then one column per aggregate. Collect aggregates yield
 // Composite cells holding each group's sub-dataframe.
 func (g *GroupPartial) Finalize() (*core.DataFrame, error) {
-	n := len(g.entries)
-	keyVals := make([][]types.Value, len(g.spec.Keys))
-	for k := range keyVals {
-		keyVals[k] = make([]types.Value, 0, n)
-	}
-	aggVals := make([][]types.Value, len(g.spec.Aggs))
-	for k := range aggVals {
-		aggVals[k] = make([]types.Value, 0, n)
-	}
-
-	for _, e := range g.entries {
-		for k := range g.spec.Keys {
-			keyVals[k] = append(keyVals[k], e.keyVals[k])
-		}
-		for k, a := range g.spec.Aggs {
-			if a.Agg == expr.AggCollect {
-				sub, err := unionAll(e.collected)
-				if err != nil {
-					return nil, err
-				}
-				aggVals[k] = append(aggVals[k], types.CompositeValue(sub))
-				continue
-			}
-			aggVals[k] = append(aggVals[k], e.accs[k].Result())
-		}
-	}
-
+	n := g.NumGroups()
 	var cols []vector.Vector
 	var labels []types.Value
 	if !g.spec.AsLabels {
 		for k, name := range g.spec.Keys {
-			cols = append(cols, buildColumn(keyVals[k]))
+			vals := make([]types.Value, n)
+			for id, key := range g.keys.exemplars {
+				vals[id] = key[k]
+			}
+			cols = append(cols, buildColumn(vals))
 			labels = append(labels, types.String(name))
 		}
 	}
 	for k, a := range g.spec.Aggs {
-		if a.Agg == expr.AggCollect {
-			cols = append(cols, vector.NewAny(aggVals[k]))
+		vals := make([]types.Value, n)
+		if a.Agg != expr.AggCollect {
+			for id := range vals {
+				vals[id] = g.aggs[k].result(id)
+			}
+			cols = append(cols, buildColumn(vals))
 		} else {
-			cols = append(cols, buildColumn(aggVals[k]))
+			for id := range vals {
+				sub, err := unionAll(g.collected[id])
+				if err != nil {
+					return nil, err
+				}
+				vals[id] = types.CompositeValue(sub)
+			}
+			cols = append(cols, vector.NewAny(vals))
 		}
 		labels = append(labels, types.String(a.OutName()))
 	}
@@ -371,12 +424,8 @@ func (g *GroupPartial) Finalize() (*core.DataFrame, error) {
 		// Implicit TOLABELS: key values become the row labels
 		// (composite for multiple keys).
 		labs := make([]types.Value, n)
-		for i := range labs {
-			parts := make([]types.Value, len(g.spec.Keys))
-			for k := range g.spec.Keys {
-				parts[k] = keyVals[k][i]
-			}
-			labs[i] = core.CompositeLabel(parts...)
+		for id, key := range g.keys.exemplars {
+			labs[id] = core.CompositeLabel(key...)
 		}
 		rowLab = buildColumn(labs)
 	}
@@ -384,15 +433,12 @@ func (g *GroupPartial) Finalize() (*core.DataFrame, error) {
 }
 
 // GroupByFrame implements GROUPBY over a single frame. When spec.Sorted is
-// set the input is assumed ordered by the keys and a streaming pass is used
-// instead of hashing — the rewrite opportunity of Figure 8(b).
+// set the input is assumed ordered by the keys: a row equal to its
+// predecessor joins its group without a hash probe, so the lookup happens
+// once per run of equal keys — the rewrite opportunity of Figure 8(b).
+// Non-adjacent duplicate keys (input not actually sorted) still merge
+// correctly because run boundaries fall back to the hashed lookup.
 func GroupByFrame(df *core.DataFrame, spec expr.GroupBySpec) (*core.DataFrame, error) {
-	if spec.Sorted {
-		return groupBySorted(df, spec)
-	}
-	if out, ok, err := DictGroupFrames([]*core.DataFrame{df}, spec); ok || err != nil {
-		return out, err
-	}
 	g := NewGroupPartial(spec)
 	if err := g.AddFrame(df); err != nil {
 		return nil, err
@@ -400,77 +446,165 @@ func GroupByFrame(df *core.DataFrame, spec expr.GroupBySpec) (*core.DataFrame, e
 	return g.Finalize()
 }
 
-// groupBySorted performs a streaming group-by over key-sorted input: runs
-// of equal keys become groups in one pass, with one hashed entry lookup per
-// run instead of per row — the advantage the Figure 8(b) pivot rewrite
-// exploits. Non-adjacent duplicate keys (input not actually sorted) still
-// merge correctly because run boundaries fall back to the hashed entry
-// table.
-func groupBySorted(df *core.DataFrame, spec expr.GroupBySpec) (*core.DataFrame, error) {
-	inner := spec
-	inner.Sorted = false
-	g := NewGroupPartial(inner)
-	keyCols, aggCols, err := g.keyAggCols(df)
-	if err != nil {
-		return nil, err
-	}
-	n := df.NRows()
-	if n == 0 {
-		return g.Finalize()
-	}
-	hashes := rowHashes(keyCols, n)
-
-	sameKey := func(a, b int) bool {
-		for _, c := range keyCols {
-			if !vector.EqualRows(c, a, c, b) {
-				return false
-			}
-		}
-		return true
-	}
-
-	var cur *groupEntry
-	for i := 0; i < n; i++ {
-		if cur == nil || !sameKey(i-1, i) {
-			// Run boundary: locate (or create) the group entry. The
-			// hashed lookup happens once per run, not once per row.
-			cur = g.entries[g.lookup(hashes[i], keyCols, i)]
-		}
-		for k, a := range spec.Aggs {
-			if a.Agg == expr.AggCollect {
-				continue
-			}
-			if aggCols[k] != nil {
-				cur.accs[k].Add(aggCols[k].Value(i))
-			} else {
-				cur.accs[k].Add(types.IntValue(int64(i)))
-			}
-		}
-	}
-
-	if g.hasColl {
-		collectRuns(df, g, keyCols, hashes, sameKey)
-	}
-	return g.Finalize()
+// aggState is one aggregate's running state over every group, in flat
+// slices indexed by group id. COUNT, SIZE, SUM, MEAN, MIN and MAX read Int
+// and Float storage directly (other storage through boxed cells) and
+// reproduce expr.Accumulator's Add, Merge and Result exactly; every other
+// kind keeps one Accumulator per group. COLLECT keeps only the group count
+// here: GroupPartial.collected holds its sub-frames.
+type aggState struct {
+	kind  expr.AggKind
+	count []int64       // SIZE: rows; other typed kinds: non-null values. Its length is the group count.
+	sum   []float64     // SUM, MEAN
+	ext   []types.Value // MIN, MAX: the extreme so far
+	accs  []*expr.Accumulator
 }
 
-// collectRuns attaches each run's sub-frame for collect aggregates during a
-// streaming group-by.
-func collectRuns(df *core.DataFrame, g *GroupPartial, keyCols []vector.Vector, hashes []uint64, sameKey func(a, b int) bool) {
-	nonKey := g.nonKeyColumns(df)
-	start := 0
-	for i := 1; i <= df.NRows(); i++ {
-		if i < df.NRows() && sameKey(i-1, i) {
+// typed reports whether the kind keeps flat state.
+func (s *aggState) typed() bool {
+	switch s.kind {
+	case expr.AggCount, expr.AggSize, expr.AggSum, expr.AggMean, expr.AggMin, expr.AggMax:
+		return true
+	}
+	return false
+}
+
+// grow extends the state to n groups.
+func (s *aggState) grow(n int) {
+	for len(s.count) < n {
+		s.count = append(s.count, 0)
+		switch s.kind {
+		case expr.AggSum, expr.AggMean:
+			s.sum = append(s.sum, 0)
+		case expr.AggMin, expr.AggMax:
+			s.ext = append(s.ext, types.Value{})
+		case expr.AggCount, expr.AggSize, expr.AggCollect:
+		default:
+			s.accs = append(s.accs, expr.NewAccumulator(s.kind))
+		}
+	}
+}
+
+// add folds rows [lo, lo+len(ids)) of col into the groups ids names. A nil
+// col is the whole row, which only COUNT and SIZE read.
+func (s *aggState) add(ids []int32, col vector.Vector, lo int) {
+	switch {
+	case s.kind == expr.AggSize || col == nil:
+		for _, g := range ids {
+			s.count[g]++
+		}
+	case !s.typed():
+		for r, g := range ids {
+			s.accs[g].Add(col.Value(lo + r))
+		}
+	default:
+		if data, nulls, idx, ok := vector.IntData(col); ok {
+			addTyped(s, ids, lo, data, nulls, idx, types.IntValue)
+		} else if data, nulls, idx, ok := vector.FloatData(col); ok {
+			addTyped(s, ids, lo, data, nulls, idx, types.FloatValue)
+		} else {
+			for r, g := range ids {
+				s.addValue(g, col.Value(lo+r))
+			}
+		}
+	}
+}
+
+// addTyped is add over Int or Float storage: null, NaN and view-padding
+// cells are skipped, and only MIN/MAX box the values they compare.
+func addTyped[T int64 | float64](s *aggState, ids []int32, lo int, data []T, nulls []bool, idx []int, box func(T) types.Value) {
+	for r, g := range ids {
+		j := lo + r
+		if idx != nil {
+			if j = idx[j]; j < 0 {
+				continue
+			}
+		}
+		x := data[j]
+		if (nulls != nil && nulls[j]) || x != x {
 			continue
 		}
-		e := g.entries[g.lookup(hashes[start], keyCols, start)]
-		sub := df.SliceRows(start, i)
-		if len(nonKey) > 0 {
-			sub = sub.SelectCols(nonKey)
+		switch s.kind {
+		case expr.AggMin, expr.AggMax:
+			s.addValue(g, box(x))
+		case expr.AggSum, expr.AggMean:
+			s.sum[g] += float64(x)
+			s.count[g]++
+		default:
+			s.count[g]++
 		}
-		e.collected = append(e.collected, sub)
-		start = i
 	}
+}
+
+// addValue folds one boxed cell into group g, as Accumulator.Add does.
+func (s *aggState) addValue(g int32, v types.Value) {
+	if v.IsNull() {
+		return
+	}
+	first := s.count[g] == 0
+	s.count[g]++
+	switch s.kind {
+	case expr.AggSum, expr.AggMean:
+		s.sum[g] += v.Float()
+	case expr.AggMin:
+		if first || v.Less(s.ext[g]) {
+			s.ext[g] = v
+		}
+	case expr.AggMax:
+		if first || s.ext[g].Less(v) {
+			s.ext[g] = v
+		}
+	}
+}
+
+// merge folds group o of other into group g, as Accumulator.Merge does.
+func (s *aggState) merge(g int32, other *aggState, o int) {
+	switch {
+	case s.kind == expr.AggCollect:
+		return
+	case !s.typed():
+		s.accs[g].Merge(other.accs[o])
+		return
+	}
+	c := other.count[o]
+	if c == 0 {
+		return
+	}
+	first := s.count[g] == 0
+	s.count[g] += c
+	switch s.kind {
+	case expr.AggSum, expr.AggMean:
+		s.sum[g] += other.sum[o]
+	case expr.AggMin:
+		if first || other.ext[o].Less(s.ext[g]) {
+			s.ext[g] = other.ext[o]
+		}
+	case expr.AggMax:
+		if first || s.ext[g].Less(other.ext[o]) {
+			s.ext[g] = other.ext[o]
+		}
+	}
+}
+
+// result is group g's aggregate, as Accumulator.Result computes it.
+func (s *aggState) result(g int) types.Value {
+	switch s.kind {
+	case expr.AggCount, expr.AggSize:
+		return types.IntValue(s.count[g])
+	case expr.AggSum:
+		return types.FloatValue(s.sum[g])
+	case expr.AggMean:
+		if s.count[g] == 0 {
+			return types.NullValue(types.Float)
+		}
+		return types.FloatValue(s.sum[g] / float64(s.count[g]))
+	case expr.AggMin, expr.AggMax:
+		if s.count[g] == 0 {
+			return types.Null()
+		}
+		return s.ext[g]
+	}
+	return s.accs[g].Result()
 }
 
 // unionAll concatenates frames in order (used to merge collected groups
@@ -535,33 +669,18 @@ type GroupKeySummary struct {
 
 // SummarizeGroupKeys computes the GroupKeySummary of df over the named key
 // columns. Empty keys yield the whole-frame group: every row gets ordinal
-// 0. The hashing and verification match GroupPartial exactly, so routing
-// and aggregation always agree on group identity.
+// 0. The ordinals are GroupPartial's own group ids over the frame, so
+// routing and aggregation always agree on group identity.
 func SummarizeGroupKeys(df *core.DataFrame, keys []string) (*GroupKeySummary, error) {
-	cols := make([]vector.Vector, len(keys))
-	for k, name := range keys {
-		j := df.ColIndex(name)
-		if j < 0 {
-			return nil, fmt.Errorf("algebra: groupby key %q not found", name)
-		}
-		cols[k] = df.TypedCol(j)
+	cols, err := groupKeyCols(df, keys)
+	if err != nil {
+		return nil, err
 	}
 	n := df.NRows()
 	s := &GroupKeySummary{Ordinals: make([]int32, n)}
-	hashes := rowHashes(cols, n)
-	var index keyIndex
-	for i := 0; i < n; i++ {
-		ord, added := index.insert(hashes[i], func(d int32) bool { return keysMatchRow(s.Exemplars[d], cols, i) })
-		if added {
-			exemplar := make([]types.Value, len(cols))
-			for k, c := range cols {
-				exemplar[k] = c.Value(i)
-			}
-			s.Exemplars = append(s.Exemplars, exemplar)
-		}
-		s.Ordinals[i] = ord
-	}
-	s.Hashes = index.hashes
+	var t keyTable
+	t.resolve(newFrameKeys(cols, n, false), 0, s.Ordinals)
+	s.Hashes, s.Exemplars = t.index.hashes, t.exemplars
 	return s, nil
 }
 
@@ -577,14 +696,14 @@ func SummarizeGroupKeys(df *core.DataFrame, keys []string) (*GroupKeySummary, er
 type GroupKeyFold struct {
 	// Exemplars, Hashes and Counts are indexed by global id (= global
 	// first-appearance rank); Counts accumulates each key's total row
-	// volume and Total the fold's overall row count. Hashes is the key
-	// index's own id → hash slice.
+	// volume and Total the fold's overall row count. Exemplars and Hashes
+	// are the key table's own slices.
 	Exemplars [][]types.Value
 	Hashes    []uint64
 	Counts    []int64
 	Total     int64
 
-	index keyIndex
+	keys keyTable
 }
 
 // NewGroupKeyFold returns an empty fold.
@@ -595,13 +714,12 @@ func NewGroupKeyFold() *GroupKeyFold { return &GroupKeyFold{} }
 // order for global ids to equal global first-appearance ranks.
 func (f *GroupKeyFold) AddBand(hashes []uint64, exemplars [][]types.Value, counts []int64) {
 	for d, h := range hashes {
-		gid, added := f.index.insert(h, func(g int32) bool { return tuplesEqual(f.Exemplars[g], exemplars[d]) })
+		gid, added := f.keys.insertTuple(h, exemplars[d])
 		if added {
-			f.Exemplars = append(f.Exemplars, exemplars[d])
 			f.Counts = append(f.Counts, 0)
 		}
 		f.Counts[gid] += counts[d]
 		f.Total += counts[d]
 	}
-	f.Hashes = f.index.hashes
+	f.Exemplars, f.Hashes = f.keys.exemplars, f.keys.index.hashes
 }

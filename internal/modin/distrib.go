@@ -2,7 +2,6 @@ package modin
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/algebra"
@@ -167,24 +166,14 @@ func mergeGroupBucket(pool *exec.Pool, pieces []physical.Piece, spec expr.GroupB
 }
 
 // foldGroupPieces folds one bucket's routed pieces into its grouped frame.
-// When no piece is parked in a spill store, dict-coded keys short-circuit to
-// the typed code-indexed kernel (algebra.DictGroupFrames — the pieces are
-// views over band slices of one shared category table, so the direct-code
-// path applies). Otherwise each piece is taken as the fold consumes it, so
-// a spilled bucket never re-materializes whole — what keeps a pass-through
-// groupby's merge phase O(one piece + accumulator state). A bucket flagged
-// heavy splits its pieces into contiguous chunks, builds a group partial
-// per chunk in parallel, and recombines in chunk order —
-// GroupPartial.Merge appends the right side's new groups after the left's,
-// so the chunked fold reproduces the sequential first-appearance group
-// order exactly.
+// Each piece is taken as the fold consumes it, so a spilled bucket never
+// re-materializes whole — what keeps a pass-through groupby's merge phase
+// O(one piece + accumulator state). A bucket flagged heavy splits its
+// pieces into contiguous chunks, builds a group partial per chunk in
+// parallel, and recombines in chunk order — GroupPartial.Merge appends the
+// right side's new groups after the left's, so the chunked fold reproduces
+// the sequential first-appearance group order exactly.
 func foldGroupPieces(pool *exec.Pool, pieces []physical.Piece, spec expr.GroupBySpec, heavy bool) (*core.DataFrame, error) {
-	if !slices.ContainsFunc(pieces, physical.Piece.Stored) {
-		frames, _ := physical.Frames(pieces) // nothing stored, nothing to fail
-		if out, ok, err := algebra.DictGroupFrames(frames, spec); ok || err != nil {
-			return out, err
-		}
-	}
 	fold := func(pieces []physical.Piece) (*algebra.GroupPartial, error) {
 		g := algebra.NewGroupPartial(spec)
 		for _, p := range pieces {

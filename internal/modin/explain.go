@@ -9,14 +9,13 @@ import (
 	"repro/internal/expr"
 	"repro/internal/optimizer"
 	"repro/internal/physical"
-	"repro/internal/vector"
 )
 
 // DescribePhysical renders the engine's physical strategy decisions for a
 // logical plan, one line per repartition point in execution (post) order:
-// which join runs key-shuffled vs broadcast and on what build size, and
-// which groupby can take the dictionary code path. The df layer appends
-// this to Query.Explain when the session engine is MODIN.
+// which join runs key-shuffled vs broadcast and on what build size, and how
+// many groups each groupby is expected to yield. The df layer appends this
+// to Query.Explain when the session engine is MODIN.
 func (e *Engine) DescribePhysical(n algebra.Node) string {
 	var b strings.Builder
 	uses := make(map[algebra.Node]int)
@@ -51,12 +50,7 @@ func (e *Engine) describeNode(n algebra.Node, uses map[algebra.Node]int, b *stri
 		}
 		fmt.Fprintf(b, "JOIN strategy=%s (build≈%s rows)\n", strategy, approx(choice.buildRows))
 	case *algebra.GroupBy:
-		groups := approx(optimizer.EstimateNode(node).Rows)
-		if algebra.DictGroupSupported(node.Spec) && e.dictKeyed(node.Input, node.Spec.Keys[0]) {
-			fmt.Fprintf(b, "GROUPBY strategy=dict-codes (groups≈%s)\n", groups)
-			return
-		}
-		fmt.Fprintf(b, "GROUPBY strategy=hash-shuffle (groups≈%s)\n", groups)
+		fmt.Fprintf(b, "GROUPBY strategy=hash-shuffle (groups≈%s)\n", approx(optimizer.EstimateNode(node).Rows))
 	case *algebra.Scan:
 		rows := node.BandRows
 		if rows <= 0 {
@@ -70,33 +64,6 @@ func (e *Engine) describeNode(n algebra.Node, uses map[algebra.Node]int, b *stri
 			fmt.Fprintf(b, ", keep %d/%d cols", len(keep), len(node.Columns))
 		}
 		b.WriteString(")\n")
-	}
-}
-
-// dictKeyed reports whether the groupby key column reaches the plan from a
-// base frame with dictionary-coded storage — the precondition for the
-// typed code-indexed aggregation path.
-func (e *Engine) dictKeyed(n algebra.Node, key string) bool {
-	for {
-		switch node := n.(type) {
-		case *algebra.Source:
-			j := node.DF.ColIndex(key)
-			if j < 0 {
-				return false
-			}
-			_, _, _, _, ok := vector.DictData(node.DF.TypedCol(j))
-			return ok
-		case *algebra.Selection:
-			n = node.Input
-		case *algebra.Sort:
-			n = node.Input
-		case *algebra.Limit:
-			n = node.Input
-		case *algebra.Projection:
-			n = node.Input
-		default:
-			return false
-		}
 	}
 }
 

@@ -70,7 +70,19 @@ func aggsOf(col string) []expr.AggSpec {
 	}
 }
 
+// typedAggsOf is every aggregate kind GroupPartial keeps flat state for.
+func typedAggsOf(col string) []expr.AggSpec {
+	var aggs []expr.AggSpec
+	for _, k := range []expr.AggKind{expr.AggCount, expr.AggSize, expr.AggSum, expr.AggMean, expr.AggMin, expr.AggMax} {
+		aggs = append(aggs, expr.AggSpec{Col: col, Agg: k})
+	}
+	return aggs
+}
+
 var routingGroupBys = []expr.GroupBySpec{
+	// str_k is Category in a band of many rows, each band with its own
+	// table, and Σ* in a small one.
+	{Keys: []string{"str_k"}, Aggs: append(typedAggsOf("mixed_v"), typedAggsOf("null_v")...)},
 	{Keys: []string{"str_k"}, Aggs: aggsOf("mixed_v")},
 	{Keys: []string{"num_k"}, Aggs: aggsOf("null_v")},
 	{Keys: []string{"ts_k"}, Aggs: append(aggsOf("ts_v")[1:], expr.AggSpec{Col: "mixed_v", Agg: expr.AggSum})},
@@ -93,37 +105,40 @@ var routingWhere = expr.WhereCompare("f", vector.CmpGe, types.IntValue(7))
 
 // Streamed scan → [Where] → GroupBy and scan → SortValues agree with the
 // eager engine cell for cell, at band sizes that put one row, a few rows and
-// most of the file in a band, resident and with every routed piece spilled.
+// most of the file in a band, on 1, 2 and 7 shuffle buckets, resident and
+// with every routed piece spilled.
 func TestStreamedShufflesMatchEagerOnBandSensitiveColumns(t *testing.T) {
 	text := routingCSV()
 	for _, bandRows := range []int{1, 7, 64} {
 		for _, budget := range []int{0, 1} {
-			name := fmt.Sprintf("band %d budget %d", bandRows, budget)
-			newEngine := func() *Engine {
-				return New(WithBands(4), WithShuffleSpillBudget(budget))
-			}
-			for _, spec := range routingGroupBys {
-				for _, filtered := range []bool{false, true} {
-					var in algebra.Node = textScan(text, bandRows)
-					if filtered {
-						in = &algebra.Selection{Input: in, Where: routingWhere}
+			for _, bands := range []int{1, 2, 7} {
+				name := fmt.Sprintf("band %d budget %d bands %d", bandRows, budget, bands)
+				newEngine := func() *Engine {
+					return New(WithBands(bands), WithShuffleSpillBudget(budget))
+				}
+				for _, spec := range routingGroupBys {
+					for _, filtered := range []bool{false, true} {
+						var in algebra.Node = textScan(text, bandRows)
+						if filtered {
+							in = &algebra.Selection{Input: in, Where: routingWhere}
+						}
+						t.Run(fmt.Sprintf("%s groupby %v filtered=%v", name, spec.Keys, filtered), func(t *testing.T) {
+							e := newEngine()
+							defer e.ReleaseSpill()
+							assertEngineAgreesWithEager(t, e, &algebra.GroupBy{Input: in, Spec: spec})
+							if spilled := e.Stats().SpilledPieces.Load(); (budget > 0) != (spilled > 0) {
+								t.Errorf("%d pieces spilled under budget %d", spilled, budget)
+							}
+						})
 					}
-					t.Run(fmt.Sprintf("%s groupby %v filtered=%v", name, spec.Keys, filtered), func(t *testing.T) {
+				}
+				for _, s := range routingSorts {
+					t.Run(fmt.Sprintf("%s sort %v", name, s.order), func(t *testing.T) {
 						e := newEngine()
 						defer e.ReleaseSpill()
-						assertEngineAgreesWithEager(t, e, &algebra.GroupBy{Input: in, Spec: spec})
-						if spilled := e.Stats().SpilledPieces.Load(); (budget > 0) != (spilled > 0) {
-							t.Errorf("%d pieces spilled under budget %d", spilled, budget)
-						}
+						assertEngineAgreesWithEager(t, e, &algebra.Sort{Input: textScan(text, bandRows), Order: s.order})
 					})
 				}
-			}
-			for _, s := range routingSorts {
-				t.Run(fmt.Sprintf("%s sort %v", name, s.order), func(t *testing.T) {
-					e := newEngine()
-					defer e.ReleaseSpill()
-					assertEngineAgreesWithEager(t, e, &algebra.Sort{Input: textScan(text, bandRows), Order: s.order})
-				})
 			}
 		}
 	}

@@ -153,10 +153,6 @@ func (p Piece) Frame() (*core.DataFrame, error) {
 	return p.df, nil
 }
 
-// Stored reports whether a PieceStore holds the piece; Frame on a piece
-// that is not stored is free and repeatable.
-func (p Piece) Stored() bool { return p.take != nil }
-
 // Frames resolves every piece, in order.
 func Frames(pieces []Piece) ([]*core.DataFrame, error) {
 	frames := make([]*core.DataFrame, len(pieces))

@@ -394,6 +394,8 @@ func (s *Server) Stats() ServerStats {
 //	DELETE /sessions/{id}
 //	POST   /sessions/{id}/query QuerySpec → QueryResult
 //	GET    /stats               → ServerStats
+//
+// Request bodies are bounded by maxBodyBytes and taxi_rows by maxTaxiRows.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/datasets", func(w http.ResponseWriter, r *http.Request) {
@@ -406,12 +408,14 @@ func (s *Server) Handler() http.Handler {
 			TaxiRows int    `json:"taxi_rows"`
 			CSV      string `json:"csv"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Name == "" {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad dataset request: %v", err))
+		if !decodeBody(w, r, &req, "bad dataset request") {
 			return
 		}
 		var d *df.DataFrame
 		switch {
+		case req.Name == "":
+			httpError(w, http.StatusBadRequest, errors.New("bad dataset request: no name"))
+			return
 		case req.CSV != "":
 			got, err := df.ScanCSVString(req.CSV).Collect()
 			if err != nil {
@@ -419,6 +423,9 @@ func (s *Server) Handler() http.Handler {
 				return
 			}
 			d = got
+		case req.TaxiRows > maxTaxiRows:
+			httpError(w, http.StatusBadRequest, fmt.Errorf("bad dataset request: taxi_rows %d over %d", req.TaxiRows, maxTaxiRows))
+			return
 		case req.TaxiRows > 0:
 			d = df.FromFrame(workload.Taxi(workload.DefaultTaxiOptions(req.TaxiRows)))
 		default:
@@ -437,8 +444,11 @@ func (s *Server) Handler() http.Handler {
 			Tenant string `json:"tenant"`
 			Mode   string `json:"mode"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Tenant == "" {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad session request: %v", err))
+		if !decodeBody(w, r, &req, "bad session request") {
+			return
+		}
+		if req.Tenant == "" {
+			httpError(w, http.StatusBadRequest, errors.New("bad session request: no tenant"))
 			return
 		}
 		if req.Mode == "" {
@@ -463,8 +473,7 @@ func (s *Server) Handler() http.Handler {
 			writeJSON(w, map[string]string{"closed": id})
 		case r.Method == http.MethodPost && verb == "query":
 			var spec QuerySpec
-			if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("bad query: %v", err))
+			if !decodeBody(w, r, &spec, "bad query") {
 				return
 			}
 			res, err := s.RunQuery(id, spec)
@@ -485,6 +494,31 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, s.Stats())
 	})
 	return mux
+}
+
+// Request bounds: a body longer than maxBodyBytes is refused with 413, and a
+// generated dataset of more than maxTaxiRows rows with 400.
+const (
+	maxBodyBytes = 8 << 20
+	maxTaxiRows  = 5_000_000
+)
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// When that fails it answers the request itself — 413 for an oversized
+// body, 400 for a malformed one, the message prefixed by what — and
+// reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%s: body over %d bytes", what, maxBodyBytes))
+	case err != nil:
+		httpError(w, http.StatusBadRequest, fmt.Errorf("%s: %v", what, err))
+	default:
+		return true
+	}
+	return false
 }
 
 // statusFor maps the typed sentinel errors onto HTTP statuses — the errors.Is

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -297,5 +298,39 @@ func TestHTTPEndToEnd(t *testing.T) {
 	resp = post("/sessions/"+sess.ID+"/query", bad, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown column status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// Oversized bodies are refused with 413 on every decoding route, and a
+// generated dataset above maxTaxiRows with 400, before anything is built.
+func TestHTTPBoundsRequestInput(t *testing.T) {
+	s := New(Config{})
+	defer s.Shutdown()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	post := func(path string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	huge := []byte(`{"name": "x", "tenant": "x", "csv": "` + strings.Repeat("a", maxBodyBytes) + `"}`)
+	for _, path := range []string{"/datasets", "/sessions", "/sessions/s1/query"} {
+		if got := post(path, huge); got != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413", path, len(huge), got)
+		}
+	}
+
+	big, _ := json.Marshal(map[string]any{"name": "taxi", "taxi_rows": maxTaxiRows + 1})
+	if got := post("/datasets", big); got != http.StatusBadRequest {
+		t.Errorf("taxi_rows %d: status %d, want 400", maxTaxiRows+1, got)
+	}
+	ok, _ := json.Marshal(map[string]any{"name": "taxi", "taxi_rows": 10})
+	if got := post("/datasets", ok); got != http.StatusOK {
+		t.Errorf("taxi_rows 10: status %d, want 200", got)
 	}
 }

@@ -9,8 +9,9 @@ import (
 // This file exposes typed storage through at most one level of selection
 // view. The shuffle partition phase routes rows with zero-copy views
 // (TakeView), which hides the concrete column type from downstream typed
-// kernels — dictionary-aware grouping and the statistics collector need the
-// raw slices back without materializing. Each accessor returns the base
+// kernels — the GROUPBY kernel's key codes and aggregate columns, schema
+// induction and the statistics collector need the raw slices back without
+// materializing. Each accessor returns the base
 // storage plus an optional selection index: idx == nil means entry i reads
 // storage position i; otherwise entry i reads position idx[i], and idx[i] < 0
 // means null (mirroring Take).
@@ -59,9 +60,8 @@ func FloatData(v Vector) (data []float64, nulls []bool, idx []int, ok bool) {
 }
 
 // DictData returns the code and dictionary storage behind v when v is a
-// *Dict or a view of one. The returned dict slice is the shared category
-// table itself — SameDict on two results detects columns that can be grouped
-// or joined directly on int32 codes.
+// *Dict or a view of one. The returned dict slice is the category table
+// itself.
 func DictData(v Vector) (codes []int32, dict []string, nulls []bool, idx []int, ok bool) {
 	switch c := v.(type) {
 	case *Dict:
@@ -74,9 +74,9 @@ func DictData(v Vector) (codes []int32, dict []string, nulls []bool, idx []int, 
 	return nil, nil, nil, nil, false
 }
 
-// SameDict reports whether two category tables are the same backing array,
-// the precondition for grouping on raw codes across columns.
-func SameDict(a, b []string) bool {
+// sameDict reports whether two category tables are the same backing array,
+// the precondition for concatenating codes without re-encoding.
+func sameDict(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
 	}

@@ -206,7 +206,7 @@ func concatTyped(vs []Vector, total int) (Vector, bool) {
 		var nulls []bool
 		for _, v := range vs {
 			c, ok := v.(*Dict)
-			if !ok || !SameDict(first.dict, c.dict) {
+			if !ok || !sameDict(first.dict, c.dict) {
 				return nil, false
 			}
 			nulls = appendMask(nulls, c.nulls, len(codes), c.Len())
