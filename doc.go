@@ -119,8 +119,11 @@
 // key columns (vector.HashRows) with typed-equality verification on
 // collisions, and one GROUPBY kernel (algebra.GroupPartial) looks a
 // dictionary-coded key up once per distinct code, by value, and keeps flat
-// typed state for COUNT/SIZE/SUM/MEAN/MIN/MAX; SORT/TOPK compare storage
-// slices via vector.CompareRows; and
+// typed state for COUNT/SIZE/SUM/MEAN/MIN/MAX; SORT, TOPK and the range
+// shuffle's merge compare order-preserving uint64 words that
+// vector.NewSortKey reads from each key column's storage, falling back to
+// vector.CompareRows only for keys with no word form (Object strings,
+// boxed columns); and
 // structured SELECTION predicates (expr.Where, built by df.Where) execute
 // through the typed filter kernels (vector.Filter*). Opaque func(Row) bool
 // predicates keep the row-at-a-time path, and expr.Where.Predicate() is the

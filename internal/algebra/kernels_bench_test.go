@@ -1,6 +1,8 @@
 package algebra
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -175,6 +177,62 @@ var highNDVFrame = sync.OnceValue(func() *core.DataFrame {
 	}
 	return core.MustNew([]string{"k", "v"}, []vector.Vector{vector.NewInt(k, nil), vector.NewFloat(v, nil)})
 })
+
+// sortBenchFrame is a 75,000-row frame (shuffle_wide's fact size) with one
+// column per key shape the sort benchmarks order by, built once: f Float, i
+// Int with a null every ninth row, d Dict over 300 labels in an unsorted
+// table, s Object strings.
+var sortBenchFrame = sync.OnceValue(func() *core.DataFrame {
+	const rows, labels = 75_000, 300
+	r := rand.New(rand.NewSource(5))
+	f, i, codes, s := make([]float64, rows), make([]int64, rows), make([]int32, rows), make([]string, rows)
+	nulls := make([]bool, rows)
+	table := make([]string, labels)
+	for k := range table {
+		table[k] = fmt.Sprintf("label-%03d", r.Intn(1000))
+	}
+	for k := range f {
+		f[k] = r.NormFloat64() * 100
+		i[k] = r.Int63n(50_000) - 25_000
+		nulls[k] = k%9 == 0
+		codes[k] = int32(r.Intn(labels))
+		s[k] = fmt.Sprintf("s%06d", r.Intn(rows))
+	}
+	return core.MustNew([]string{"f", "i", "d", "s"}, []vector.Vector{
+		vector.NewFloat(f, nil), vector.NewInt(i, nulls), vector.NewDict(codes, table, nil), vector.NewObject(s, nil),
+	})
+})
+
+// BenchmarkSortKernels runs SORT over 75,000 rows by a Float key, an Int key
+// with nulls, a Dict key then a descending Float key, and an Object key (no
+// word form: the cell-comparison path), and TOPK 10 of 1,000 rows by the
+// Float key.
+func BenchmarkSortKernels(b *testing.B) {
+	df := sortBenchFrame()
+	small := df.SliceRows(0, 1_000)
+	cases := []struct {
+		name string
+		run  func() (*core.DataFrame, error)
+	}{
+		{"float", func() (*core.DataFrame, error) { return SortFrame(df, expr.SortOrder{{Col: "f"}}, false) }},
+		{"int-nulls", func() (*core.DataFrame, error) { return SortFrame(df, expr.SortOrder{{Col: "i"}}, false) }},
+		{"dict-asc-float-desc", func() (*core.DataFrame, error) {
+			return SortFrame(df, expr.SortOrder{{Col: "d"}, {Col: "f", Desc: true}}, false)
+		}},
+		{"object", func() (*core.DataFrame, error) { return SortFrame(df, expr.SortOrder{{Col: "s"}}, false) }},
+		{"topk-10-of-1000", func() (*core.DataFrame, error) { return TopKFrame(small, expr.SortOrder{{Col: "f"}}, 10) }},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if out, err := c.run(); err != nil || out.NRows() == 0 {
+					b.Fatalf("%v, err %v", out, err)
+				}
+			}
+		})
+	}
+}
 
 // BenchmarkHashKernelsHighNDV runs the key-index kernels where the index,
 // not the per-row loop, dominates: one new key every third row.

@@ -1,8 +1,9 @@
 package algebra
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dferrors"
@@ -236,41 +237,63 @@ func RenameFrame(df *core.DataFrame, mapping map[string]string) (*core.DataFrame
 // Stability preserves the prior order among ties, which the incremental
 // inspection workflow relies on.
 func SortFrame(df *core.DataFrame, order expr.SortOrder, byLabels bool) (*core.DataFrame, error) {
+	keys, desc := []vector.Vector{df.RowLabels()}, []bool{false}
+	if !byLabels {
+		var err error
+		if keys, desc, err = sortKeys(df, order, "sort"); err != nil {
+			return nil, err
+		}
+	}
 	n := df.NRows()
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	if byLabels {
-		labels := df.RowLabels()
-		sort.SliceStable(idx, func(a, b int) bool {
-			return vector.CompareRows(labels, idx[a], labels, idx[b]) < 0
-		})
-		return df.TakeRows(idx), nil
+	// Each key column is encoded once into order-preserving words and the
+	// sort compares word tuples; row position breaks ties, which makes the
+	// unstable sort produce the stable order.
+	var cmpRows func(a, b int) int
+	if key, ok := vector.NewSortKey(keys, desc); ok {
+		m := key.Width()
+		words := make([]uint64, n*m)
+		key.Fill(words)
+		if m == 1 {
+			// The common single-word key compares words directly, without
+			// slicing tuples.
+			slices.SortFunc(idx, func(a, b int) int {
+				if c := cmp.Compare(words[a], words[b]); c != 0 {
+					return c
+				}
+				return cmp.Compare(a, b)
+			})
+			return df.TakeRows(idx), nil
+		}
+		cmpRows = func(a, b int) int { return slices.Compare(words[a*m:a*m+m], words[b*m:b*m+m]) }
+	} else {
+		cmpRows = vector.RowOrder(keys, desc)
 	}
+	slices.SortFunc(idx, func(a, b int) int {
+		if c := cmpRows(a, b); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return df.TakeRows(idx), nil
+}
+
+// sortKeys resolves an order's typed key columns and direction flags; op
+// names the operator in the unknown-column error.
+func sortKeys(df *core.DataFrame, order expr.SortOrder, op string) ([]vector.Vector, []bool, error) {
 	keys := make([]vector.Vector, len(order))
+	desc := make([]bool, len(order))
 	for k, o := range order {
 		j := df.ColIndex(o.Col)
 		if j < 0 {
-			return nil, fmt.Errorf("algebra: sort on %w %q", dferrors.ErrUnknownColumn, o.Col)
+			return nil, nil, fmt.Errorf("algebra: %s on %w %q", op, dferrors.ErrUnknownColumn, o.Col)
 		}
-		keys[k] = df.TypedCol(j)
+		keys[k], desc[k] = df.TypedCol(j), o.Desc
 	}
-	// The comparator runs on the typed key vectors through the comparison
-	// kernels: no boxed Value per comparison.
-	sort.SliceStable(idx, func(a, b int) bool {
-		for k, o := range order {
-			c := vector.CompareRows(keys[k], idx[a], keys[k], idx[b])
-			if o.Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-	return df.TakeRows(idx), nil
+	return keys, desc, nil
 }
 
 // LimitFrame retains the ordered prefix (n>0) or suffix (n<0).

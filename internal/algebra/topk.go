@@ -1,12 +1,12 @@
 package algebra
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
-	"repro/internal/dferrors"
 	"repro/internal/expr"
 	"repro/internal/vector"
 )
@@ -69,27 +69,24 @@ func TopKFrame(df *core.DataFrame, order expr.SortOrder, n int) (*core.DataFrame
 	if k == 0 {
 		return df.SliceRows(0, 0), nil
 	}
-	keys := make([]vector.Vector, len(order))
-	for i, o := range order {
-		j := df.ColIndex(o.Col)
-		if j < 0 {
-			return nil, fmt.Errorf("algebra: topk on %w %q", dferrors.ErrUnknownColumn, o.Col)
-		}
-		keys[i] = df.TypedCol(j)
+	keys, desc, err := sortKeys(df, order, "topk")
+	if err != nil {
+		return nil, err
 	}
 
 	// less reports whether row a sorts strictly before row b under the
-	// order, with input position breaking ties (stability). Comparisons run
-	// through the typed kernels, not boxed values.
+	// order, with input position breaking ties (stability). Comparisons read
+	// the keys' order-preserving words row by row (cells, for keys with no
+	// word form): the heap sees every row but keeps k, so a word buffer for
+	// every row would cost more than it saves.
+	key, words := vector.NewSortKey(keys, desc)
+	cmpRows := key.Compare
+	if !words {
+		cmpRows = vector.RowOrder(keys, desc)
+	}
 	less := func(a, b int) bool {
-		for i, o := range order {
-			c := vector.CompareRows(keys[i], a, keys[i], b)
-			if o.Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
+		if c := cmpRows(a, b); c != 0 {
+			return c < 0
 		}
 		return a < b
 	}
@@ -102,26 +99,49 @@ func TopKFrame(df *core.DataFrame, order expr.SortOrder, n int) (*core.DataFrame
 	} else {
 		h.worse = func(a, b int) bool { return less(b, a) }
 	}
+	// beats reports whether row i, later than every kept row, displaces the
+	// worst kept row: for a prefix it must sort strictly before it, for a
+	// suffix after it or level with it (the later row sorts after a tie).
+	beats := func(i int) bool {
+		if suffix {
+			return less(h.idx[0], i)
+		}
+		return less(i, h.idx[0])
+	}
+	// With words, the scan reads each row's words once against the worst
+	// kept row's, which are read again only when the worst changes.
+	var top []uint64
+	if words {
+		top = make([]uint64, key.Width())
+		beats = func(i int) bool {
+			for w, t := range top {
+				if x := key.Word(i, w); x != t {
+					return x < t != suffix
+				}
+			}
+			return suffix
+		}
+	}
 	for i := 0; i < df.NRows(); i++ {
-		if h.Len() < k {
+		switch {
+		case h.Len() < k:
 			heap.Push(h, i)
+		case beats(i):
+			h.idx[0] = i
+			heap.Fix(h, 0)
+		default:
 			continue
 		}
-		worst := h.idx[0]
-		if suffix {
-			// Keep i if it sorts after the current worst (larger).
-			if less(worst, i) {
-				h.idx[0] = i
-				heap.Fix(h, 0)
-			}
-		} else {
-			if less(i, worst) {
-				h.idx[0] = i
-				heap.Fix(h, 0)
-			}
+		for w := range top {
+			top[w] = key.Word(h.idx[0], w)
 		}
 	}
 	picked := append([]int(nil), h.idx...)
-	sort.Slice(picked, func(a, b int) bool { return less(picked[a], picked[b]) })
+	slices.SortFunc(picked, func(a, b int) int {
+		if c := cmpRows(a, b); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 	return df.TakeRows(picked), nil
 }

@@ -92,6 +92,43 @@ func TestValueParsesPerColumnDomain(t *testing.T) {
 	}
 }
 
+// TestTypedColOfAViewAgreesAcrossCalls requires the first TypedCol of an
+// undeclared raw column on a frame with no cache (the induction's own parse)
+// and every later one (a parse under the memoized domain) to read the same
+// cells, when the column is a selection view that spells nulls as text,
+// masks others and selects some from nowhere.
+func TestTypedColOfAViewAgreesAcrossCalls(t *testing.T) {
+	const n = 100
+	cats, ints := make([]string, n), make([]string, n)
+	mask := make([]bool, n)
+	idx := make([]int, n)
+	for i := range cats {
+		cats[i] = []string{"red", "blue", "NA", "green", ""}[i%5]
+		ints[i] = []string{"1", "NA", "-3", "", "null"}[i%5]
+		mask[i] = i%9 == 0
+		idx[i] = (i*7)%n - 1 // reads position -1 once
+	}
+	df, err := Build([]vector.Vector{
+		vector.TakeView(vector.NewObject(cats, mask), idx),
+		vector.TakeView(vector.NewObject(ints, mask), idx),
+	}, nil, []types.Value{types.String("cat"), types.String("int")}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, want := range []types.Domain{types.Category, types.Int} {
+		first, later := df.TypedCol(j), df.TypedCol(j)
+		if first.Domain() != want || later.Domain() != want {
+			t.Fatalf("column %d: domains %v then %v, want %v", j, first.Domain(), later.Domain(), want)
+		}
+		for i := 0; i < n; i++ {
+			a, b := first.Value(i), later.Value(i)
+			if a.IsNull() != b.IsNull() || !a.Equal(b) {
+				t.Errorf("column %d row %d: first TypedCol reads %v, later %v", j, i, a, b)
+			}
+		}
+	}
+}
+
 func TestColIndexAndByName(t *testing.T) {
 	df := sampleDF(t)
 	if df.ColIndex("age") != 1 || df.ColIndex("nope") != -1 {

@@ -2,6 +2,8 @@ package modin
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/algebra"
@@ -222,9 +224,102 @@ func TestEnginesAgreeJoin(t *testing.T) {
 	}
 }
 
+// sortKeysFrame is a frame whose sort keys carry what the typed SORT kernel
+// encodes specially: fk is Float with NaN payloads, -0, +0 and masked nulls;
+// ik is Int with nulls; mk holds whole numbers in its first half and
+// fractions after, so a streamed scan induces it Int in early bands and
+// Float in late ones; dept is Object strings, which have no word form.
+func sortKeysFrame(rows int) *core.DataFrame {
+	id, ik := make([]int64, rows), make([]int64, rows)
+	fk, mk := make([]float64, rows), make([]float64, rows)
+	dept := make([]string, rows)
+	fnulls, inulls := make([]bool, rows), make([]bool, rows)
+	for i := range id {
+		id[i], ik[i] = int64(i), int64(i%5-2)
+		fk[i] = []float64{1.5, math.Copysign(0, -1), 0, math.NaN(), -2, 0}[i%6]
+		fnulls[i], inulls[i] = i%7 == 3, i%4 == 1
+		mk[i] = float64(i % 5)
+		if i >= rows/2 {
+			mk[i] += 0.5
+		}
+		dept[i] = []string{"eng", "ops", "sales"}[i%3]
+	}
+	return core.MustNew([]string{"id", "fk", "ik", "mk", "dept"}, []vector.Vector{
+		vector.NewInt(id, nil), vector.NewFloat(fk, fnulls), vector.NewInt(ik, inulls),
+		vector.NewFloat(mk, nil), vector.NewObject(dept, nil),
+	})
+}
+
+// sortKeysOrders are the orders the cross-path SORT tests run over
+// sortKeysFrame.
+var sortKeysOrders = []expr.SortOrder{
+	{{Col: "fk"}},
+	{{Col: "ik", Desc: true}, {Col: "fk"}},
+	{{Col: "mk"}, {Col: "id", Desc: true}},
+	{{Col: "dept"}, {Col: "fk", Desc: true}},
+}
+
+// assertSortMatchesOracle runs the SORT plan on e and requires the frame the
+// definition gives: the plan's input, executed eagerly, stably sorted by
+// vector.CompareRows key by key. The eager engine runs the same SORT kernel
+// as MODIN's bands, so it cannot be the reference for it.
+func assertSortMatchesOracle(t *testing.T, e *Engine, plan *algebra.Sort) {
+	t.Helper()
+	in, err := eager.New().Execute(plan.Input)
+	if err != nil {
+		t.Fatalf("eager input: %v", err)
+	}
+	keys := make([]vector.Vector, len(plan.Order))
+	for k, o := range plan.Order {
+		keys[k] = in.TypedCol(in.ColIndex(o.Col))
+	}
+	idx := make([]int, in.NRows())
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		for k, o := range plan.Order {
+			c := vector.CompareRows(keys[k], idx[a], keys[k], idx[b])
+			if o.Desc {
+				c = -c
+			}
+			if c != 0 {
+				return c < 0
+			}
+		}
+		return false
+	})
+	want := in.TakeRows(idx)
+	got, err := e.Execute(plan)
+	if err != nil {
+		t.Fatalf("modin: %v", err)
+	}
+	if !want.Equal(got) {
+		t.Fatalf("SORT%v differs from the oracle:\noracle:\n%s\nmodin:\n%s", plan.Order, want, got)
+	}
+}
+
 func TestEnginesAgreeSortUnionDiffDropdup(t *testing.T) {
 	df := testFrame(70)
-	bothEngines(t, &algebra.Sort{Input: &algebra.Source{DF: df}, Order: expr.SortOrder{{Col: "dept"}, {Col: "id", Desc: true}}})
+	for _, in := range []*core.DataFrame{df, sortKeysFrame(90)} {
+		orders := sortKeysOrders
+		if in == df {
+			orders = []expr.SortOrder{{{Col: "dept"}, {Col: "id", Desc: true}}}
+		}
+		for _, order := range orders {
+			for _, bands := range []int{1, 2, 7} {
+				for _, spill := range []bool{false, true} {
+					opts := []Option{WithBands(bands)}
+					if spill {
+						opts = append(opts, WithShuffleSpillBudget(1))
+					}
+					t.Run(fmt.Sprintf("%v/bands=%d/spill=%v", order, bands, spill), func(t *testing.T) {
+						assertSortMatchesOracle(t, New(opts...), &algebra.Sort{Input: &algebra.Source{DF: in}, Order: order})
+					})
+				}
+			}
+		}
+	}
 	bothEngines(t, &algebra.Union{Left: &algebra.Source{DF: df.SliceRows(0, 30)}, Right: &algebra.Source{DF: df.SliceRows(30, 70)}})
 	bothEngines(t, &algebra.Difference{Left: &algebra.Source{DF: df}, Right: &algebra.Source{DF: df.SliceRows(0, 35)}})
 	bothEngines(t, &algebra.DropDuplicates{Input: &algebra.Source{DF: df}, Subset: []string{"dept", "val"}})

@@ -160,18 +160,14 @@ func mergeSortedRuns(runs []*core.DataFrame, node *algebra.Sort) (*core.DataFram
 	if err != nil {
 		return nil, err
 	}
-	// less orders global positions over the concatenated runs through the
-	// typed comparison kernels; ties resolve to the earlier position, which
-	// is the earlier run.
+	// less orders global positions over the concatenated runs by the keys'
+	// order-preserving words, read row by row as the heap asks (cells, for
+	// keys with no word form); ties resolve to the earlier position, which is
+	// the earlier run.
+	cmpRows := vector.RowOrder(keys, desc)
 	less := func(a, b int) bool {
-		for k := range keys {
-			c := vector.CompareRows(keys[k], a, keys[k], b)
-			if desc[k] {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
+		if c := cmpRows(a, b); c != 0 {
+			return c < 0
 		}
 		return a < b
 	}

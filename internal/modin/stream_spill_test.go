@@ -2,6 +2,7 @@ package modin
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -179,10 +180,23 @@ func TestStreamedScanFilterGroupBy(t *testing.T) {
 
 // TestStreamedScanSort runs the order-preserving shuffle over a streamed
 // scan: sort bounds are sampled from band summaries while late bands are
-// still parsing.
+// still parsing. Bands induce their own key columns, so mk reaches the
+// merge Int from early bands and Float from late ones.
 func TestStreamedScanSort(t *testing.T) {
-	plan := sortTestPlan(scanOver(t, testFrame(300), 64))
-	assertEngineAgreesWithEager(t, New(WithBands(4)), plan)
+	src := sortKeysFrame(150)
+	for _, bandRows := range []int{1, 7, 64} {
+		for _, order := range sortKeysOrders {
+			for _, spill := range []bool{false, true} {
+				opts := []Option{WithBands(4)}
+				if spill {
+					opts = append(opts, WithShuffleSpillBudget(1))
+				}
+				t.Run(fmt.Sprintf("band=%d/%v/spill=%v", bandRows, order, spill), func(t *testing.T) {
+					assertSortMatchesOracle(t, New(opts...), &algebra.Sort{Input: scanOver(t, src, bandRows), Order: order})
+				})
+			}
+		}
+	}
 }
 
 // TestStreamedScanReusable executes the same Scan plan twice on one engine:

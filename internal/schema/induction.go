@@ -222,23 +222,29 @@ func Parse(v vector.Vector, d types.Domain) vector.Vector {
 	if v.Domain() == d {
 		return v
 	}
-	obj, ok := v.(*vector.Object)
+	b := vector.NewBuilder(d, v.Len())
+	// A raw column, or a selection view of one, is read as the induction
+	// reads it — null literals are null — so a declared parse and an induced
+	// one agree cell for cell.
+	data, nulls, idx, ok := vector.ObjectData(v)
+	if !ok && v.Domain() == types.Object {
+		data, nulls, idx, ok = vector.ObjectData(vector.Materialize(v))
+	}
 	if !ok {
 		// Re-render through Σ* then parse: TRANSPOSE of heterogeneous
 		// data goes through this path.
-		b := vector.NewBuilder(d, v.Len())
 		for i := 0; i < v.Len(); i++ {
 			b.Append(v.Value(i))
 		}
 		return b.Build()
 	}
-	b := vector.NewBuilder(d, obj.Len())
-	for i, s := range obj.RawData() {
-		if obj.IsNull(i) {
+	c := &cells{data: data, nulls: nulls, idx: idx, n: v.Len()}
+	for i := 0; i < c.n; i++ {
+		if s, null := c.at(i); null {
 			b.AppendNull()
-			continue
+		} else {
+			b.AppendString(s)
 		}
-		b.AppendString(s)
 	}
 	return b.Build()
 }

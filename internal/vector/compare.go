@@ -6,11 +6,12 @@ import (
 	"repro/internal/types"
 )
 
-// Comparison kernels for SORT, TOPK and range-shuffle routing: ordering two
-// cells without boxing them into types.Value. All three functions implement
-// exactly the ordering of types.Value.Compare — nulls first, numerics by
-// magnitude across domains, strings lexicographically — so switching a sort
-// from Value(i).Compare to these kernels cannot reorder anything.
+// Cell comparison kernels for range-shuffle routing and for sort keys with no
+// word form (sortkey.go): ordering two cells without boxing them into
+// types.Value. Both functions implement exactly the ordering of
+// types.Value.Compare — nulls first, numerics by magnitude across domains,
+// strings lexicographically — so switching a sort from Value(i).Compare to
+// these kernels cannot reorder anything.
 
 func cmpInt64(a, b int64) int {
 	switch {
@@ -146,13 +147,4 @@ func CompareRowValue(v Vector, i int, val types.Value) int {
 		}
 	}
 	return v.Value(i).Compare(val)
-}
-
-// CompareAsc writes sign(compare(a[i], b[i])) into dst for every position:
-// the bulk elementwise comparison kernel. dst must have the vectors' shared
-// length.
-func CompareAsc(dst []int8, a, b Vector) {
-	for i := range dst {
-		dst[i] = int8(CompareRows(a, i, b, i))
-	}
 }

@@ -2,6 +2,7 @@ package vector
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -145,15 +146,65 @@ func TestCompareRowValueAgreesWithValueCompare(t *testing.T) {
 	}
 }
 
-func TestCompareAsc(t *testing.T) {
-	a := NewInt([]int64{1, 5, 3, 0}, []bool{false, false, false, true})
-	b := NewFloat([]float64{2, 5, 1, 9}, nil)
-	dst := make([]int8, 4)
-	CompareAsc(dst, a, b)
-	want := []int8{-1, 0, 1, -1} // null sorts first
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Errorf("dst[%d] = %d, want %d", i, dst[i], want[i])
+// TestSortKeyMatchesCompareRows requires every pair of rows to compare by
+// words, ascending and descending, exactly as CompareRows compares their
+// cells, over each kind's extreme values, nulls and a view reading -1; and
+// the kinds without a word form to report so.
+func TestSortKeyMatchesCompareRows(t *testing.T) {
+	negZero, nan := math.Copysign(0, -1), math.NaN()
+	nulls := func(n int, at ...int) []bool {
+		m := make([]bool, n)
+		for _, i := range at {
+			m[i] = true
+		}
+		return m
+	}
+	ints := []int64{math.MinInt64, -1, 0, 1, math.MaxInt64, 0, 7}
+	floats := []float64{math.Inf(-1), -math.MaxFloat64, -1, -5e-324, negZero, 0, 5e-324, 1, math.MaxFloat64, math.Inf(1), nan, 3}
+	keys := map[string]Vector{
+		"int":          NewInt(ints, nil),
+		"int-nulls":    NewInt(ints, nulls(len(ints), 5)),
+		"datetime":     NewDatetime(ints, nulls(len(ints), 6)),
+		"float":        NewFloat(floats, nulls(len(floats), 11)),
+		"bool":         NewBool([]bool{true, false, true, false}, nulls(4, 2)),
+		"dict":         NewDict([]int32{0, 1, 2, 3, 1, 0}, []string{"pear", "apple", "fig", "apple"}, nulls(6, 5)),
+		"view-int":     TakeView(NewInt(ints, nil), []int{4, -1, 0, 2, 0, -1}),
+		"view-float":   TakeView(NewFloat(floats, nil), []int{10, 4, 5, -1, 0, 9}),
+		"view-dict":    TakeView(NewDict([]int32{2, 0, 1}, []string{"b", "c", "a"}, nil), []int{0, 1, -1, 2, 0}),
+		"sliced-float": NewFloat(floats, nil).Slice(3, 9),
+	}
+	for name, v := range keys {
+		for _, desc := range []bool{false, true} {
+			k, ok := NewSortKey([]Vector{v}, []bool{desc})
+			if !ok {
+				t.Fatalf("%s: no word form", name)
+			}
+			words := make([]uint64, v.Len()*k.Width())
+			k.Fill(words)
+			for i := 0; i < v.Len(); i++ {
+				for j := 0; j < v.Len(); j++ {
+					want := CompareRows(v, i, v, j)
+					if desc {
+						want = -want
+					}
+					m := k.Width()
+					if got := k.Compare(i, j); got != want {
+						t.Errorf("%s desc=%v: Compare(%d, %d) = %d, CompareRows says %d", name, desc, i, j, got, want)
+					}
+					if got := slices.Compare(words[i*m:i*m+m], words[j*m:j*m+m]); got != want {
+						t.Errorf("%s desc=%v: filled words of %d, %d compare %d, CompareRows says %d", name, desc, i, j, got, want)
+					}
+				}
+			}
+		}
+	}
+	for name, v := range map[string]Vector{
+		"object":       NewObject([]string{"b", "a"}, nil),
+		"boxed":        NewAny([]types.Value{types.IntValue(1), types.FloatValue(0.5)}),
+		"view-of-view": TakeView(TakeView(NewInt([]int64{1, 2}, nil), []int{1, 0}), []int{0}),
+	} {
+		if _, ok := NewSortKey([]Vector{NewInt([]int64{1, 2}, nil), v}, []bool{false, false}); ok {
+			t.Errorf("%s: reported a word form", name)
 		}
 	}
 }
