@@ -23,14 +23,17 @@
 //	                                                            join, heavy-bucket merges)
 //
 // Logical plans (internal/algebra) are either evaluated bottom-up by the
-// single-threaded baseline (internal/eager) or compiled into a physical
-// stage DAG (internal/physical) by the MODIN engine (internal/modin) — embarrassingly-parallel operator chains fuse
+// single-threaded baseline (internal/eager), which applies algebra.Eval —
+// every operator's single-node meaning, stated once — to each node, or
+// compiled into a physical stage DAG (internal/physical) by the MODIN
+// engine (internal/modin) — embarrassingly-parallel operator chains fuse
 // into one task per partition band; the hot repartition points (GROUPBY,
 // SORT, inner/left JOIN) lower to two-phase shuffles
 // (summarize→plan→partition→merge; groupby partitions route from their
 // band's own summary without waiting for the plan) emitting one
-// independent future per output band; shape-opaque operators keep
-// gather-exchange barriers — and
+// independent future per output band; every shape-opaque operator without
+// a partitioned lowering is one gather exchange that calls the same
+// algebra.Eval on its gathered inputs — and
 // scheduled asynchronously on the task-parallel execution layer
 // (internal/exec). Partitioned frames (internal/partition) hold
 // future-valued blocks, so results stay deferred until gathered; the

@@ -49,16 +49,6 @@ func Project(df *core.DataFrame, cols []string) (*core.DataFrame, error) {
 	return df.SelectCols(idx), nil
 }
 
-// ProjectPositions implements positional PROJECTION.
-func ProjectPositions(df *core.DataFrame, positions []int) (*core.DataFrame, error) {
-	for _, p := range positions {
-		if p < 0 || p >= df.NCols() {
-			return nil, fmt.Errorf("algebra: column position %d out of range [0, %d)", p, df.NCols())
-		}
-	}
-	return df.SelectCols(positions), nil
-}
-
 // UnionFrames implements UNION: ordered concatenation, left rows first.
 // Columns are aligned by label; the output schema is the left schema
 // extended with right-only columns (an "outer" union), with missing cells

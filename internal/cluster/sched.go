@@ -318,13 +318,6 @@ func (s *Scheduler) DescribePhysical(n algebra.Node) string {
 	return desc + "cluster: local fallback (no live workers)\n"
 }
 
-// Distributes reports whether the plan is inside the shippable family and
-// a live worker exists to take it.
-func (s *Scheduler) Distributes(n algebra.Node) bool {
-	_, reason := cutPlan(n)
-	return reason == "" && len(s.liveWorkers()) > 0
-}
-
 // ExecuteAsync evaluates the plan in the background.
 func (s *Scheduler) ExecuteAsync(n algebra.Node) *exec.Future {
 	fut, resolve := exec.NewPromise()

@@ -41,190 +41,42 @@ func New() *Engine { return &Engine{} }
 // Name identifies the engine.
 func (e *Engine) Name() string { return "pandas-baseline" }
 
-// wrapNode annotates a kernel failure with the failing operator's
-// description, so a chained plan's error names where in the chain it arose
-// instead of surfacing a bare kernel message. Child errors pass through
-// already annotated, so each failure carries exactly one operator prefix.
-func wrapNode(n algebra.Node, out *core.DataFrame, err error) (*core.DataFrame, error) {
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", n.Describe(), err)
-	}
-	return out, nil
-}
-
-// Execute evaluates the plan bottom-up, materializing every intermediate.
+// Execute evaluates the plan bottom-up, materializing every intermediate:
+// an operator's inputs run first, left to right (the baseline has no
+// parallelism to exploit), then the operator itself through algebra.Eval.
 func (e *Engine) Execute(n algebra.Node) (*core.DataFrame, error) {
+	if n == nil {
+		return nil, errors.New("eager: nil plan")
+	}
+	kids := n.Children()
+	in := make([]*core.DataFrame, len(kids))
+	for i, kid := range kids {
+		df, err := e.Execute(kid)
+		if err != nil {
+			return nil, err
+		}
+		in[i] = df
+	}
 	switch node := n.(type) {
-	case *algebra.Source:
-		return node.DF, nil
-
-	case *algebra.Scan:
-		// The eager baseline has no streaming: read the scan whole.
-		out, err := node.ReadAll()
-		return wrapNode(node, out, err)
-
-	case *algebra.Selection:
-		in, err := e.Execute(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		if node.Where != nil {
-			out, err := algebra.SelectWhere(in, node.Where)
-			return wrapNode(node, out, err)
-		}
-		return algebra.SelectRows(in, node.Pred), nil
-
-	case *algebra.Projection:
-		in, err := e.Execute(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		out, err := algebra.Project(in, node.Cols)
-		return wrapNode(node, out, err)
-
-	case *algebra.Union:
-		left, right, err := e.executeBinary(node.Left, node.Right)
-		if err != nil {
-			return nil, err
-		}
-		out, err := algebra.UnionFrames(left, right)
-		return wrapNode(node, out, err)
-
-	case *algebra.Difference:
-		left, right, err := e.executeBinary(node.Left, node.Right)
-		if err != nil {
-			return nil, err
-		}
-		out, err := algebra.DifferenceFrames(left, right)
-		return wrapNode(node, out, err)
-
 	case *algebra.Join:
-		left, right, err := e.executeBinary(node.Left, node.Right)
-		if err != nil {
-			return nil, err
-		}
 		if node.Kind == expr.JoinCross {
-			if err := e.checkBudget(left.NRows()*right.NRows(), left.NCols()+right.NCols(), false); err != nil {
+			if err := e.checkBudget(in[0].NRows()*in[1].NRows(), in[0].NCols()+in[1].NCols(), false); err != nil {
 				return nil, err
 			}
 		}
-		out, err := algebra.JoinFrames(left, right, node.Kind, node.On, node.OnLabels)
-		return wrapNode(node, out, err)
-
-	case *algebra.DropDuplicates:
-		in, err := e.Execute(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		out, err := algebra.DropDuplicatesFrame(in, node.Subset)
-		return wrapNode(node, out, err)
-
-	case *algebra.GroupBy:
-		in, err := e.Execute(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		out, err := algebra.GroupByFrame(in, node.Spec)
-		return wrapNode(node, out, err)
-
-	case *algebra.Sort:
-		in, err := e.Execute(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		out, err := algebra.SortFrame(in, node.Order, node.ByLabels)
-		return wrapNode(node, out, err)
-
-	case *algebra.Rename:
-		in, err := e.Execute(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		out, err := algebra.RenameFrame(in, node.Mapping)
-		return wrapNode(node, out, err)
-
-	case *algebra.Window:
-		in, err := e.Execute(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		out, err := algebra.WindowFrame(in, node.Spec)
-		return wrapNode(node, out, err)
-
 	case *algebra.Transpose:
-		in, err := e.Execute(node.Input)
-		if err != nil {
-			return nil, err
+		if err := e.checkBudget(in[0].NRows(), in[0].NCols(), true); err != nil {
+			return nil, fmt.Errorf("transpose of %dx%d: %w", in[0].NRows(), in[0].NCols(), err)
 		}
-		if err := e.checkBudget(in.NRows(), in.NCols(), true); err != nil {
-			return nil, fmt.Errorf("transpose of %dx%d: %w", in.NRows(), in.NCols(), err)
-		}
-		out, err := algebra.TransposeFrame(in, node.Schema)
-		return wrapNode(node, out, err)
-
-	case *algebra.Map:
-		in, err := e.Execute(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		out, err := algebra.MapFrame(in, node.Fn)
-		return wrapNode(node, out, err)
-
-	case *algebra.ToLabels:
-		in, err := e.Execute(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		out, err := algebra.ToLabelsFrame(in, node.Col)
-		return wrapNode(node, out, err)
-
-	case *algebra.FromLabels:
-		in, err := e.Execute(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		out, err := algebra.FromLabelsFrame(in, node.Label)
-		return wrapNode(node, out, err)
-
-	case *algebra.Induce:
-		in, err := e.Execute(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.InduceFrame(in), nil
-
-	case *algebra.TopK:
-		in, err := e.Execute(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		out, err := algebra.TopKFrame(in, node.Order, node.N)
-		return wrapNode(node, out, err)
-
-	case *algebra.Limit:
-		in, err := e.Execute(node.Input)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.LimitFrame(in, node.N), nil
-
-	default:
-		return nil, fmt.Errorf("eager: unknown plan node %T", n)
 	}
-}
-
-// executeBinary evaluates both inputs sequentially (the baseline has no
-// parallelism to exploit).
-func (e *Engine) executeBinary(l, r algebra.Node) (*core.DataFrame, *core.DataFrame, error) {
-	left, err := e.Execute(l)
+	out, err := algebra.Eval(n, in...)
 	if err != nil {
-		return nil, nil, err
+		// Name the failing operator, so a chained plan's error says where in
+		// the chain it arose. Child errors returned above are already
+		// annotated, so each failure carries exactly one operator prefix.
+		return nil, fmt.Errorf("%s: %w", n.Describe(), err)
 	}
-	right, err := e.Execute(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	return left, right, nil
+	return out, nil
 }
 
 func (e *Engine) checkBudget(rows, cols int, transpose bool) error {

@@ -87,15 +87,6 @@ type Figure2Config struct {
 	Queries []Figure2Query
 }
 
-// DefaultFigure2Config is the laptop-scale sweep.
-func DefaultFigure2Config() Figure2Config {
-	return Figure2Config{
-		RowCounts:               []int{20_000, 50_000, 100_000, 200_000},
-		Repeats:                 3,
-		BaselineTransposeBudget: 9 * 60_000, // baseline transposes DNF above 60k rows
-	}
-}
-
 // RunFigure2 executes the sweep and returns one result per (query, size).
 func RunFigure2(cfg Figure2Config) ([]Figure2Result, error) {
 	queries := cfg.Queries

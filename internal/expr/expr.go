@@ -284,16 +284,6 @@ func (a *Accumulator) Add(v types.Value) {
 	}
 }
 
-// AddCounts bulk-records size rows of which nonNull are non-null, without
-// feeding individual values. It is the vectorized fast path for AggCount
-// and AggSize accumulators, whose results depend only on these counters
-// (derived from the column length and its null count); feeding other kinds
-// through it would corrupt their state.
-func (a *Accumulator) AddCounts(size, nonNull int64) {
-	a.size += size
-	a.count += nonNull
-}
-
 // Merge combines another accumulator of the same kind into a (partial
 // aggregation for decomposable kinds).
 func (a *Accumulator) Merge(b *Accumulator) {

@@ -23,9 +23,14 @@ import (
 //     shuffle stages: a two-phase partition→route→merge lowering where each
 //     output band is its own future, so downstream fused stages start as
 //     soon as the band that feeds them lands (shuffle.go, sort.go).
-//   - Shape-opaque repartition points (TRANSPOSE, WINDOW, UNION,
-//     DIFFERENCE, outer JOIN, ...) stay exchange stages: explicit DAG
-//     dependencies on every input block, one coordinating task.
+//   - TRANSPOSE (block transpose), bounded WINDOWs (boundary-row exchange)
+//     and LIMIT (boundary bands only) are exchange stages with partitioned
+//     bodies: explicit DAG dependencies on every input block, one
+//     coordinating task.
+//   - Every other operator (UNION, DIFFERENCE, outer and cross JOIN,
+//     DROP-DUPLICATES, FROMLABELS, INDUCE, expanding WINDOW, TOPK's merge)
+//     is one gather exchange: gather the inputs, apply algebra.Eval — the
+//     eager engine's evaluator — and re-partition the result.
 //
 // Shared sub-plans (a statement referencing an earlier handle twice)
 // compile to shared physical nodes, scheduled once; fusion never crosses a
@@ -253,21 +258,26 @@ func (c *compiler) shuffleStage(n algebra.Node, sh *physical.Shuffle, input alge
 	return physical.NewShuffle(sh, compiled[0], compiled[1:]...), nil
 }
 
-// wholeFrame adapts a gather-then-kernel operator (one that must see the
-// full dataframe) into an exchange, re-partitioning its result.
-func (c *compiler) wholeFrame(n algebra.Node, name string, fn func(*core.DataFrame) (*core.DataFrame, error), input algebra.Node) (*physical.Node, error) {
+// gatherStage lowers n to one gather exchange over its compiled inputs: it
+// gathers each input whole, applies the operator's single-node meaning
+// (algebra.Eval) and re-partitions the result.
+func (c *compiler) gatherStage(n algebra.Node, name string, inputs ...*physical.Node) *physical.Node {
 	e := c.e
-	return c.exchange(n, name, func(in []*partition.Frame) (*partition.Frame, error) {
-		df, err := gather(in[0])
-		if err != nil {
-			return nil, err
+	return exchangeStage(name, n.Describe(), func(in []*partition.Frame) (*partition.Frame, error) {
+		dfs := make([]*core.DataFrame, len(in))
+		for i, f := range in {
+			df, err := f.ToFrame()
+			if err != nil {
+				return nil, err
+			}
+			dfs[i] = df
 		}
-		out, err := fn(df)
+		out, err := algebra.Eval(n, dfs...)
 		if err != nil {
 			return nil, err
 		}
 		return e.rePartition(out), nil
-	}, input)
+	}, inputs...)
 }
 
 func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
@@ -287,6 +297,9 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 	if k, ok := BandKernel(n); ok {
 		return c.fuse(n.Children()[0], k)
 	}
+	// name is set by the operators MODIN runs whole: after the switch they
+	// lower to one gather exchange under that name.
+	var name string
 	switch node := n.(type) {
 	case *algebra.TopK:
 		// Per-band top-k fuses into the upstream chain: each band keeps at
@@ -303,17 +316,7 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return exchangeStage("topk-merge", node.Describe(), func(in []*partition.Frame) (*partition.Frame, error) {
-			df, err := gather(in[0])
-			if err != nil {
-				return nil, err
-			}
-			out, err := algebra.TopKFrame(df, order, k)
-			if err != nil {
-				return nil, err
-			}
-			return e.rePartition(out), nil
-		}, partial), nil
+		return c.gatherStage(node, "topk-merge", partial), nil
 
 	case *algebra.GroupBy:
 		// Band-routed key shuffle (each band partitions from its own
@@ -327,9 +330,13 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 
 	case *algebra.Window:
 		spec := node.Spec
-		return c.exchange(node, "window", func(in []*partition.Frame) (*partition.Frame, error) {
-			return e.executeWindow(spec, in[0])
-		}, node.Input)
+		if spec.Kind != expr.WindowExpanding {
+			return c.exchange(node, "window", func(in []*partition.Frame) (*partition.Frame, error) {
+				return e.executeWindow(spec, in[0])
+			}, node.Input)
+		}
+		// Every row of an expanding window reads all rows before it.
+		name = "window"
 
 	case *algebra.Sort:
 		return c.shuffleStage(node, e.sortShuffle(node), node.Input)
@@ -376,64 +383,9 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 			renumber.Desc = probe.Shuffle.Desc
 			return physical.NewShuffle(renumber, probe), nil
 		}
-		return c.exchange(node, "join", func(in []*partition.Frame) (*partition.Frame, error) {
-			return e.executeJoinGather(node, in[0], in[1])
-		}, node.Left, node.Right)
-
-	case *algebra.Union:
-		return c.exchange(node, "union", func(in []*partition.Frame) (*partition.Frame, error) {
-			left, err := gather(in[0])
-			if err != nil {
-				return nil, err
-			}
-			right, err := gather(in[1])
-			if err != nil {
-				return nil, err
-			}
-			out, err := algebra.UnionFrames(left, right)
-			if err != nil {
-				return nil, err
-			}
-			return e.rePartition(out), nil
-		}, node.Left, node.Right)
-
-	case *algebra.Difference:
-		return c.exchange(node, "difference", func(in []*partition.Frame) (*partition.Frame, error) {
-			left, err := gather(in[0])
-			if err != nil {
-				return nil, err
-			}
-			right, err := gather(in[1])
-			if err != nil {
-				return nil, err
-			}
-			out, err := algebra.DifferenceFrames(left, right)
-			if err != nil {
-				return nil, err
-			}
-			return e.rePartition(out), nil
-		}, node.Left, node.Right)
-
-	case *algebra.FromLabels:
-		// FROMLABELS resets row labels to global positional notation,
-		// which spans partitions; run on the gathered frame.
-		label := node.Label
-		return c.wholeFrame(node, "fromlabels", func(df *core.DataFrame) (*core.DataFrame, error) {
-			return algebra.FromLabelsFrame(df, label)
-		}, node.Input)
-
-	case *algebra.DropDuplicates:
-		subset := node.Subset
-		return c.wholeFrame(node, "dropduplicates", func(df *core.DataFrame) (*core.DataFrame, error) {
-			return algebra.DropDuplicatesFrame(df, subset)
-		}, node.Input)
-
-	case *algebra.Induce:
-		// Induction over blocks would mis-type columns that only full
-		// data determines; gather first.
-		return c.wholeFrame(node, "induce", func(df *core.DataFrame) (*core.DataFrame, error) {
-			return algebra.InduceFrame(df), nil
-		}, node.Input)
+		// Outer and right joins mix both inputs' rows into one order, and a
+		// cross product pairs every row with every other.
+		name = "join"
 
 	case *algebra.Limit:
 		// Prefix/suffix views only need the boundary partitions
@@ -443,7 +395,27 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 			return e.limitPartitioned(in[0], k)
 		}, node.Input)
 
+	case *algebra.Union:
+		name = "union"
+	case *algebra.Difference:
+		name = "difference"
+	case *algebra.FromLabels:
+		// FROMLABELS resets row labels to global positional notation,
+		// which spans partitions.
+		name = "fromlabels"
+	case *algebra.DropDuplicates:
+		name = "dropduplicates"
+	case *algebra.Induce:
+		// Induction over blocks would mis-type columns that only full
+		// data determines.
+		name = "induce"
+
 	default:
 		return nil, fmt.Errorf("modin: unknown plan node %T", n)
 	}
+	inputs, err := c.compileAll(n.Children())
+	if err != nil {
+		return nil, err
+	}
+	return c.gatherStage(n, name, inputs...), nil
 }

@@ -154,6 +154,56 @@ func TestCompileSharedSubplanNotFusedTwice(t *testing.T) {
 	bothEngines(t, plan)
 }
 
+// TestGatheredOperatorsRender pins the physical form of every operator MODIN
+// runs whole: one gather exchange under the operator's own name, carrying
+// its description, over the compiled inputs — and the same frame the eager
+// engine computes.
+func TestGatheredOperatorsRender(t *testing.T) {
+	src := &algebra.Source{DF: testFrame(30), Name: "t"}
+	even := &algebra.Selection{Input: src, Pred: evenPred(), Desc: "even"}
+	depts := &algebra.Rename{Input: &algebra.Limit{Input: src, N: 3}, Mapping: map[string]string{"id": "id2", "val": "val2", "score": "score2"}}
+	scores := &algebra.Rename{Input: &algebra.Limit{Input: &algebra.Projection{Input: src, Cols: []string{"score"}}, N: 2}, Mapping: map[string]string{"score": "s2"}}
+	const source = "SOURCE[4x1 bands]\n"
+	for _, c := range []struct {
+		name string
+		plan algebra.Node
+		want string
+	}{
+		{"union", &algebra.Union{Left: src, Right: even},
+			"EXCHANGE[union]\n  " + source + "  FUSED[selection]\n    " + source},
+		{"difference", &algebra.Difference{Left: src, Right: even},
+			"EXCHANGE[difference]\n  " + source + "  FUSED[selection]\n    " + source},
+		{"fromlabels", &algebra.FromLabels{Input: &algebra.ToLabels{Input: src, Col: "id"}, Label: "idx"},
+			"EXCHANGE[fromlabels]\n  FUSED[tolabels]\n    " + source},
+		{"dropduplicates", &algebra.DropDuplicates{Input: src, Subset: []string{"dept"}},
+			"EXCHANGE[dropduplicates]\n  " + source},
+		{"induce", &algebra.Induce{Input: src},
+			"EXCHANGE[induce]\n  " + source},
+		{"outer join", &algebra.Join{Left: src, Right: depts, Kind: expr.JoinOuter, On: []string{"dept"}},
+			"EXCHANGE[join]\n  " + source + "  FUSED[rename]\n    EXCHANGE[limit]\n      " + source},
+		{"cross join", &algebra.Join{Left: src, Right: scores, Kind: expr.JoinCross},
+			"EXCHANGE[join]\n  " + source + "  FUSED[rename]\n    EXCHANGE[limit]\n      FUSED[projection]\n        " + source},
+		{"topk", &algebra.TopK{Input: src, Order: expr.SortOrder{{Col: "score", Desc: true}, {Col: "id"}}, N: 5},
+			"EXCHANGE[topk-merge]\n  FUSED[topk-partial]\n    " + source},
+		{"expanding window", &algebra.Window{Input: src, Spec: expr.WindowSpec{Kind: expr.WindowExpanding, Agg: expr.AggMax, Cols: []string{"val"}}},
+			"EXCHANGE[window]\n  " + source},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			phys, err := New(WithBands(4)).Compile(c.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := physical.Render(phys); got != c.want {
+				t.Errorf("rendered\n%s\nwant\n%s", got, c.want)
+			}
+			if phys.Exchange == nil || phys.Exchange.Desc != c.plan.Describe() {
+				t.Errorf("root stage does not carry %q", c.plan.Describe())
+			}
+			bothEngines(t, c.plan)
+		})
+	}
+}
+
 func TestExecuteAsyncReturnsUnresolvedFuture(t *testing.T) {
 	pool := exec.NewPool(2)
 	defer pool.Close()

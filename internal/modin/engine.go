@@ -8,8 +8,9 @@
 // operators fuse into one task per band, the hot repartition points
 // (groupby, sort, inner/left join) become two-phase shuffles with one
 // independent future per output band (shuffle.go, sort.go), and
-// shape-opaque operators (transpose, window, union, ...) keep the gather
-// exchange barrier; the physical scheduler then drains the DAG
+// shape-opaque operators are exchange barriers — partitioned bodies for
+// transpose, bounded windows and limit, otherwise one gather exchange that
+// calls algebra.Eval; the physical scheduler then drains the DAG
 // asynchronously on the worker pool, handing back deferred partition frames
 // and futures (internal/physical).
 package modin
@@ -200,10 +201,6 @@ func (e *Engine) run(plan *physical.Node) (*physical.Result, *physical.Scheduler
 // partition frames; the physical scheduler guarantees every input block
 // exists before Run is called.
 
-// gather resolves a frame into one dataframe (inputs to whole-frame
-// kernels).
-func gather(in *partition.Frame) (*core.DataFrame, error) { return in.ToFrame() }
-
 // rePartition splits a kernel result back into row bands.
 func (e *Engine) rePartition(df *core.DataFrame) *partition.Frame {
 	return partition.New(df, partition.Rows, e.bands)
@@ -225,16 +222,6 @@ func (e *Engine) executeWindow(spec expr.WindowSpec, in *partition.Frame) (*part
 		}
 	case expr.WindowRolling:
 		boundary = spec.Size - 1
-	case expr.WindowExpanding:
-		df, err := gather(in)
-		if err != nil {
-			return nil, err
-		}
-		out, err := algebra.WindowFrame(df, spec)
-		if err != nil {
-			return nil, err
-		}
-		return e.rePartition(out), nil
 	}
 
 	full, err := in.EnsureSingleColBand()
@@ -293,25 +280,6 @@ func (e *Engine) executeWindow(spec expr.WindowSpec, in *partition.Frame) (*part
 		grid[r] = []*core.DataFrame{results[r]}
 	}
 	return partition.FromGrid(grid)
-}
-
-// executeJoinGather handles the join kinds the shuffle path does not cover
-// (outer joins, whose row order mixes both inputs): gather both sides and
-// join whole.
-func (e *Engine) executeJoinGather(node *algebra.Join, left, right *partition.Frame) (*partition.Frame, error) {
-	rightDF, err := gather(right)
-	if err != nil {
-		return nil, err
-	}
-	leftDF, err := gather(left)
-	if err != nil {
-		return nil, err
-	}
-	out, err := algebra.JoinFrames(leftDF, rightDF, node.Kind, node.On, node.OnLabels)
-	if err != nil {
-		return nil, err
-	}
-	return e.rePartition(out), nil
 }
 
 // executeTranspose repartitions to a block grid and transposes blocks in

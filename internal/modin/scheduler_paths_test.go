@@ -205,6 +205,12 @@ func TestErrorTextIsPinned(t *testing.T) {
 			modin: `physical: exchange window: WINDOW(rolling 0, count): algebra: window over "id": rolling window requires positive size, got 0`,
 		},
 		{
+			name:  "gather exchange",
+			plan:  &algebra.DropDuplicates{Input: src, Subset: []string{"dept", "ghost"}},
+			eager: `DROP-DUPLICATES(dept, ghost): algebra: drop-duplicates on unknown column "ghost"`,
+			modin: `physical: exchange dropduplicates: DROP-DUPLICATES(dept, ghost): algebra: drop-duplicates on unknown column "ghost"`,
+		},
+		{
 			name:  "groupby summarize",
 			plan:  &algebra.GroupBy{Input: src, Spec: expr.GroupBySpec{Keys: []string{"ghost"}, Aggs: sum("val")}},
 			eager: `GROUPBY(keys=[ghost], aggs=[sum(val)]): algebra: groupby key "ghost" not found`,

@@ -9,6 +9,7 @@ package session
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,13 +140,6 @@ func (s *Session) Close() error {
 	return nil
 }
 
-// Closed reports whether the session has been closed.
-func (s *Session) Closed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
 // errClosed wraps the sentinel with session context.
 func errClosed() error { return fmt.Errorf("session: %w", dferrors.ErrSessionClosed) }
 
@@ -243,22 +237,32 @@ func (s *Session) futureFor(plan algebra.Node, background bool) *exec.Future {
 		return fut
 	}
 	if fut, ok := s.reloadLocked(plan); ok {
+		// The reloaded result is the newest resident one: older ones make
+		// room for it.
+		s.maybeSpillLocked(plan)
 		s.mu.Unlock()
 		s.Stats.ReuseHits.Add(1)
 		return fut
 	}
 	rewritten := s.substituteMaterializedLocked(plan)
-	record := func(out any, err error) (any, error) {
+	// record books a successful evaluation before its future resolves: the
+	// result becomes a resolved materialization at once, so the cell budget
+	// counts it now rather than at the next statement (residentCellsLocked
+	// skips unresolved futures). pending is the promise this evaluation
+	// registered, nil for a synchronous one; a plan forgotten or taken over
+	// by another evaluation meanwhile is not booked.
+	record := func(pending *exec.Future, out any, err error) {
 		s.Stats.FullEvaluations.Add(1)
-		if err == nil {
-			s.mu.Lock()
-			if !s.closed {
-				s.residentOrder = append(s.residentOrder, plan)
-				s.maybeSpillLocked()
-			}
-			s.mu.Unlock()
+		if err != nil {
+			return
 		}
-		return out, err
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if !s.closed && s.materialized[plan] == pending {
+			s.materialized[plan] = exec.Resolved(out)
+			s.residentOrder = append(s.residentOrder, plan)
+			s.maybeSpillLocked(plan)
+		}
 	}
 	if background {
 		s.Stats.BackgroundTasks.Add(1)
@@ -280,18 +284,22 @@ func (s *Session) futureFor(plan algebra.Node, background bool) *exec.Future {
 				return s.engine.Execute(rewritten)
 			})
 		}
-		go func() { resolve(record(inner.Wait())) }()
+		go func() {
+			out, err := inner.Wait()
+			record(fut, out, err)
+			resolve(out, err)
+		}()
 		return fut
 	}
 	// Synchronous evaluation runs outside the lock: record re-enters the
 	// session for spill bookkeeping.
 	s.mu.Unlock()
-	var fut *exec.Future
-	if v, err := record(s.engine.Execute(rewritten)); err != nil {
-		fut = exec.Failed(err)
-	} else {
-		fut = exec.Resolved(v)
+	df, err := s.engine.Execute(rewritten)
+	record(nil, df, err)
+	if err == nil {
+		return exec.Resolved(df)
 	}
+	fut := exec.Failed(err)
 	s.mu.Lock()
 	if !s.closed {
 		s.materialized[plan] = fut
@@ -413,8 +421,16 @@ func (s *Session) ThinkTime() {
 
 // Forget drops the handle's materialized result (the eviction decision of
 // Section 6.2.2's materialization-management discussion).
+// A spilled copy is deleted too, and the plan leaves the spill order, so
+// nothing in the session pins the plan or the frames it references.
 func (h *Handle) Forget() {
-	h.s.mu.Lock()
-	delete(h.s.materialized, h.plan)
-	h.s.mu.Unlock()
+	s := h.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.materialized, h.plan)
+	if key, ok := s.spilled[h.plan]; ok {
+		delete(s.spilled, h.plan)
+		s.store.Delete(key)
+	}
+	s.residentOrder = slices.DeleteFunc(s.residentOrder, func(p algebra.Node) bool { return p == h.plan })
 }

@@ -2,6 +2,7 @@ package session
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/algebra"
 	"repro/internal/core"
@@ -32,7 +33,9 @@ func (s *Session) adoptStoreLocked(store *storage.Store) {
 // EnableSpillingBudget attaches a session-owned spill store with a
 // resident-cell budget: whenever the materialized intermediates exceed
 // maxCells cells, the coldest (least recently materialized) resolved
-// results move to disk and reload transparently on reuse. The store is
+// results move to disk and reload transparently on reuse. The budget is
+// enforced as each result is materialized or reloaded; that newest result
+// itself stays resident even when it alone exceeds maxCells. The store is
 // removed by Close. This is the per-tenant memory-governance hook the
 // server's admission control drives.
 func (s *Session) EnableSpillingBudget(maxCells int) error {
@@ -51,7 +54,7 @@ func (s *Session) EnableSpillingBudget(maxCells int) error {
 	// Re-enforce immediately: results reloaded from a previous store (or
 	// already resident) spill down to the new budget now, not at the next
 	// statement.
-	s.maybeSpillLocked()
+	s.maybeSpillLocked(nil)
 	return nil
 }
 
@@ -105,21 +108,22 @@ func (s *Session) SpillToFit(maxCells int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	before := s.Stats.Spills.Load()
-	s.spillToCellsLocked(maxCells)
+	s.spillToCellsLocked(maxCells, nil)
 	return int(s.Stats.Spills.Load() - before)
 }
 
 // maybeSpillLocked evicts the oldest completed materializations beyond the
-// configured cell budget into the store.
-func (s *Session) maybeSpillLocked() {
+// configured cell budget into the store. newest, the result just booked or
+// reloaded for a caller, stays resident even when it alone is over budget.
+func (s *Session) maybeSpillLocked(newest algebra.Node) {
 	if s.maxCells > 0 {
-		s.spillToCellsLocked(s.maxCells)
+		s.spillToCellsLocked(s.maxCells, newest)
 	}
 }
 
-// spillToCellsLocked moves cold resolved results to the store until the
-// resident cells fit maxCells.
-func (s *Session) spillToCellsLocked(maxCells int) {
+// spillToCellsLocked moves cold resolved results other than keep to the
+// store until the resident cells fit maxCells.
+func (s *Session) spillToCellsLocked(maxCells int, keep algebra.Node) {
 	if s.store == nil {
 		return
 	}
@@ -127,7 +131,7 @@ func (s *Session) spillToCellsLocked(maxCells int) {
 	for i := 0; resident > maxCells && i < len(s.residentOrder); i++ {
 		victim := s.residentOrder[i]
 		fut, ok := s.materialized[victim]
-		if !ok || !fut.Ready() {
+		if victim == keep || !ok || !fut.Ready() {
 			continue
 		}
 		v, err := fut.Wait()
@@ -138,6 +142,11 @@ func (s *Session) spillToCellsLocked(maxCells int) {
 			resident -= frameCells(v.(*core.DataFrame))
 		}
 	}
+	// Spilled plans leave the order; a reload appends them again.
+	s.residentOrder = slices.DeleteFunc(s.residentOrder, func(p algebra.Node) bool {
+		_, ok := s.materialized[p]
+		return !ok
+	})
 }
 
 // spillPlanLocked moves one resolved result into the store, reporting
@@ -177,6 +186,9 @@ func (s *Session) reloadLocked(plan algebra.Node) (*exec.Future, bool) {
 	if err != nil {
 		return nil, false
 	}
+	// The result is resident in the session again: the store's copy goes,
+	// or MemoryCells would count it twice.
+	s.store.Delete(key)
 	fut := exec.Resolved(df)
 	s.materialized[plan] = fut
 	delete(s.spilled, plan)

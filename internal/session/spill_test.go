@@ -157,3 +157,88 @@ func TestPinnedResultDoesNotBlockOtherSpills(t *testing.T) {
 		t.Errorf("SpillReloads = %d, want 1", n)
 	}
 }
+
+// limitTo extends h with a LIMIT of n rows.
+func limitTo(h *Handle, n int) *Handle {
+	return extend(h, "head", func(in algebra.Node) algebra.Node { return &algebra.Limit{Input: in, N: n} })
+}
+
+// TestBudgetHoldsAfterEveryStatement: the cell budget holds when each
+// statement returns, not one statement later, and a reloaded result is
+// counted once — MemoryCells, which tenant admission sums, agrees with
+// ResidentCells when the store keeps nothing in memory.
+func TestBudgetHoldsAfterEveryStatement(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
+	s := New(eager.New(), Eager, nil)
+	defer s.Close()
+	const budget = 350
+	if err := s.EnableSpillingBudget(budget); err != nil {
+		t.Fatal(err)
+	}
+	base := s.Bind("df", frame(100)) // 301 cells: fits alone
+	for _, n := range []int{40, 20} {
+		limitTo(base, n)
+		if got := s.ResidentCells(); got > budget {
+			t.Errorf("after LIMIT(%d): %d resident cells over a %d-cell budget", n, got, budget)
+		}
+	}
+	if s.Stats.Spills.Load() == 0 {
+		t.Fatal("expected the base frame to spill")
+	}
+	if _, err := base.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Stats.SpillReloads.Load() != 1 {
+		t.Fatalf("SpillReloads = %d, want the base frame's one", s.Stats.SpillReloads.Load())
+	}
+	if got := s.ResidentCells(); got > budget {
+		t.Errorf("after the reload: %d resident cells over a %d-cell budget", got, budget)
+	}
+	if mem, res := s.MemoryCells(), s.ResidentCells(); mem != res {
+		t.Errorf("MemoryCells = %d, ResidentCells = %d: the reloaded result is counted twice", mem, res)
+	}
+}
+
+// TestSpillOrderHoldsOnlyResidentResults: the spill order lists each
+// resident result once. A reload does not append a second entry, and a
+// forgotten plan leaves the order and the store, so the session pins no plan
+// (and no frame a plan references) it has dropped.
+func TestSpillOrderHoldsOnlyResidentResults(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
+	s := New(eager.New(), Eager, nil)
+	defer s.Close()
+	if err := s.EnableSpillingBudget(350); err != nil {
+		t.Fatal(err)
+	}
+	base := s.Bind("df", frame(100))
+	a, b := limitTo(base, 40), limitTo(base, 20)
+	for i := 0; i < 3; i++ {
+		for _, h := range []*Handle{base, a, b} {
+			if _, err := h.Collect(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if s.Stats.SpillReloads.Load() == 0 {
+		t.Fatal("expected reloads")
+	}
+	a.Forget()
+	b.Forget()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	seen := make(map[algebra.Node]bool)
+	for _, p := range s.residentOrder {
+		if _, ok := s.materialized[p]; !ok || seen[p] {
+			t.Errorf("order holds %s (resident %v, repeated %v)", p.Describe(), ok, seen[p])
+		}
+		seen[p] = true
+	}
+	if len(seen) != len(s.residentOrder) || len(s.residentOrder) > 1 {
+		t.Errorf("order has %d entries, want at most the base frame", len(s.residentOrder))
+	}
+	for _, h := range []*Handle{a, b} {
+		if key, ok := s.spilled[h.plan]; ok || s.store.Contains(spillKey(h.plan)) {
+			t.Errorf("forgotten %s still spilled under %q", h.plan.Describe(), key)
+		}
+	}
+}

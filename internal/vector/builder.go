@@ -194,9 +194,6 @@ func (b *Builder) AppendInt(i int64) { b.appendInt(i) }
 // AppendFloat appends a float64 directly (Float builders).
 func (b *Builder) AppendFloat(f float64) { b.appendFloat(f) }
 
-// AppendBool appends a bool directly (Bool builders).
-func (b *Builder) AppendBool(v bool) { b.appendBool(v) }
-
 func (b *Builder) appendStr(s string) {
 	b.strs = append(b.strs, s)
 	b.nulls = append(b.nulls, false)

@@ -2,7 +2,6 @@ package vector
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/types"
 )
@@ -229,15 +228,6 @@ type Datetime struct {
 // NewDatetime wraps Unix-nanosecond data (and optional null mask) as a
 // Datetime vector.
 func NewDatetime(data []int64, nulls []bool) *Datetime { return &Datetime{data: data, nulls: nulls} }
-
-// NewDatetimeFromTimes builds a Datetime vector from time.Time values.
-func NewDatetimeFromTimes(ts []time.Time) *Datetime {
-	data := make([]int64, len(ts))
-	for i, t := range ts {
-		data[i] = t.UnixNano()
-	}
-	return &Datetime{data: data}
-}
 
 // Len returns the number of entries.
 func (v *Datetime) Len() int { return len(v.data) }
