@@ -103,19 +103,19 @@ func NewSession(engine Engine, mode Mode) *Session {
 func (s *Session) Close() error { return s.inner.Close() }
 
 // EnableSpillingBudget caps the session's in-memory materialized results at
-// maxCells cells (one cell per value): beyond the budget, the coldest
-// resolved results spill to a session-owned disk store and reload
-// transparently on reuse. Call before issuing statements.
+// maxCells cells (one cell per value; <=0: unlimited): beyond the budget,
+// the least recently used resolved results spill to a session-owned disk
+// store and reload transparently on reuse. The budget holds at once; the
+// newest result and results with COLLECT cells stay resident.
 func (s *Session) EnableSpillingBudget(maxCells int) error {
 	return s.inner.EnableSpillingBudget(maxCells)
 }
 
-// MemoryCells reports the session's accountable memory in cells: resident
-// materialized results plus transient spill-store residency. Per-tenant
-// admission control sums this across sessions.
+// MemoryCells reports the cells of the session's materialized results held
+// in memory. Per-tenant admission control sums this across sessions.
 func (s *Session) MemoryCells() int { return s.inner.MemoryCells() }
 
-// SpillToFit spills cold resolved results (oldest first) until at most
+// SpillToFit spills the least recently used resolved results until at most
 // maxCells cells remain resident, reporting how many results moved to disk.
 func (s *Session) SpillToFit(maxCells int) int { return s.inner.SpillToFit(maxCells) }
 

@@ -86,10 +86,10 @@
 //
 // Plans are keyed by their binary form (algebra.EncodePlan: names stripped,
 // sources as placeholders, literals kept to the bit), so equal queries from
-// different sessions share compiled physical DAGs and — when base-frame
-// versions match — materialized results; per-tenant cell budgets are
-// enforced by admission control backed by the session spill machinery
-// (internal/storage), and a think-time scheduler drains idle sessions'
+// different sessions share materialized results when base-frame versions
+// match; per-tenant cell budgets are enforced by admission control backed
+// by each session's internal/storage store (an LRU cell budget over its
+// resolved results), and a think-time scheduler drains idle sessions'
 // opportunistic DAGs before admitting new heavy work. Failures classify
 // via the typed sentinels (df.ErrBudgetExceeded, df.ErrSessionClosed,
 // df.ErrUnknownColumn, ...) with errors.Is. cmd/dfreplay replays a

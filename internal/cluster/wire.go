@@ -1,5 +1,5 @@
-// Package cluster is the distributed execution backend (ROADMAP item 1,
-// the paper's Section 3.3 claim taken out of one process): dfworker
+// Package cluster is the distributed execution backend (the paper's
+// Section 3.3 claim taken out of one process): dfworker
 // processes execute fused stages and shuffle phases shipped over a
 // length-prefixed columnar wire format serialized straight from
 // internal/vector typed storage, while a coordinator-side Scheduler
@@ -11,10 +11,11 @@
 //
 // The package speaks two wire forms and owns one: dataframes travel in the
 // block format internal/core defines (the spill format too); control
-// messages are the package's own gob forms (proto.go), whose plan is the expr
-// spec the local compiler consumes — *expr.Where, expr.GroupBySpec, the
-// Sort node's order — with scalars in the one binary form internal/types
-// defines (types.Value is a gob BinaryMarshaler).
+// messages are the package's own gob forms (proto.go), whose plan is
+// algebra.EncodePlan bytes — the same encoding optimizer.Fingerprint keys
+// the plan cache on — decoded once per Prepare and run through the
+// compiler's own band kernels, with scalars in the one binary form
+// internal/types defines (types.Value is a gob BinaryMarshaler).
 package cluster
 
 import (

@@ -144,23 +144,6 @@ func (e *Engine) ExecuteAsync(n algebra.Node) *exec.Future {
 	return sched.Gather(res)
 }
 
-// ExecuteCompiled runs an already-compiled physical plan on a fresh
-// scheduler and gathers the result. Compiled DAGs hold no per-run state
-// (the scheduler owns the memo), so a cached *physical.Node — the server's
-// plan cache in particular — can be re-executed any number of times,
-// concurrently, without recompiling.
-func (e *Engine) ExecuteCompiled(plan *physical.Node) (*core.DataFrame, error) {
-	res, _, err := e.run(plan)
-	if err != nil {
-		return nil, err
-	}
-	pf, err := res.Frame()
-	if err != nil {
-		return nil, err
-	}
-	return pf.ToFrame()
-}
-
 // ExecutePartitioned evaluates the plan, leaving the result partitioned so
 // downstream operators (or head/tail views) can consume blocks lazily. The
 // returned frame may be deferred (blocks still computing) when the plan's

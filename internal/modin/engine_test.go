@@ -184,6 +184,35 @@ func TestEnginesAgreeTranspose(t *testing.T) {
 	bothEngines(t, &algebra.Transpose{Input: &algebra.Source{DF: df}})
 }
 
+// TestEnginesAgreeTransposeDeclaredSchema: a declared schema types each
+// output column from the input row it came from, whichever row band held
+// that row — including domains induction would not pick (digits declared
+// float and object).
+func TestEnginesAgreeTransposeDeclaredSchema(t *testing.T) {
+	df := core.MustFromRecords([]string{"a", "b", "c"}, [][]any{
+		{"1", "2", "3"}, {"4", "5", "6"}, {"7", "8", "9"}, {"x", "y", "z"},
+	})
+	schema := []types.Domain{types.Float, types.Object, types.Int, types.Object}
+	plan := &algebra.Transpose{Input: &algebra.Source{DF: df}, Schema: schema}
+	want, err := eager.New().Execute(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bands := range []int{1, 2, 7} {
+		got, err := New(WithBands(bands)).Execute(plan)
+		if err != nil {
+			t.Fatalf("%d bands: %v", bands, err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%d bands: engines disagree:\neager %v:\n%s\nmodin %v:\n%s", bands, want.Domains(), want, got.Domains(), got)
+		}
+	}
+	short := &algebra.Transpose{Input: &algebra.Source{DF: df}, Schema: schema[:2]}
+	if _, err := New(WithBands(2)).Execute(short); err == nil {
+		t.Error("a schema shorter than the input's rows should fail")
+	}
+}
+
 func TestEnginesAgreeDoubleTranspose(t *testing.T) {
 	df := testFrame(30)
 	out := bothEngines(t, &algebra.Transpose{Input: &algebra.Transpose{Input: &algebra.Source{DF: df}}})

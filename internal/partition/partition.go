@@ -425,9 +425,22 @@ func (f *Frame) MapBlocksAsync(pool *exec.Pool, g *exec.Group, fn func(*core.Dat
 
 // Transpose performs MODIN's communication-free transpose (Section 3.1):
 // each block is transposed independently in parallel, and the grid metadata
-// swaps block coordinates. No data moves between partitions.
+// swaps block coordinates. No data moves between partitions. A declared
+// schema has one domain per input row; block (r, c) declares the slice for
+// row band r's rows, which become its output columns.
 func (f *Frame) Transpose(pool *exec.Pool, declared []types.Domain) (*Frame, error) {
 	rb, cb := f.RowBands(), f.ColBands()
+	first := make([]int, rb+1) // first[r]: row band r's first row
+	for r := 0; r < rb; r++ {
+		blk, err := f.BlockErr(r, 0)
+		if err != nil {
+			return nil, err
+		}
+		first[r+1] = first[r] + blk.NRows()
+	}
+	if declared != nil && len(declared) != first[rb] {
+		return nil, fmt.Errorf("partition: transpose declared schema has %d domains, want %d", len(declared), first[rb])
+	}
 	out := make([][]*core.DataFrame, cb)
 	for c := range out {
 		out[c] = make([]*core.DataFrame, rb)
@@ -438,7 +451,11 @@ func (f *Frame) Transpose(pool *exec.Pool, declared []types.Domain) (*Frame, err
 		if err != nil {
 			return err
 		}
-		t, err := algebra.TransposeFrame(blk, nil)
+		var schema []types.Domain
+		if declared != nil {
+			schema = declared[first[r]:first[r+1]]
+		}
+		t, err := algebra.TransposeFrame(blk, schema)
 		if err != nil {
 			return err
 		}
@@ -448,17 +465,7 @@ func (f *Frame) Transpose(pool *exec.Pool, declared []types.Domain) (*Frame, err
 	if err != nil {
 		return nil, err
 	}
-	pf, err := FromGrid(out)
-	if err != nil {
-		return nil, err
-	}
-	if declared != nil {
-		// A declared schema applies to the gathered result's columns;
-		// blocks keep lazily-induced domains and the declaration is
-		// honored on gather by the caller.
-		return pf, nil
-	}
-	return pf, nil
+	return FromGrid(out)
 }
 
 // Repartition re-splits the gathered frame under a new scheme.

@@ -11,17 +11,12 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/physical"
 )
 
-// PlanCache caches work across sessions at two levels, keyed on the
+// PlanCache caches materialized results across sessions, keyed on the
 // canonical plan fingerprint (optimizer.Fingerprint) plus the bound source
-// frames' version (optimizer.SourceVersion):
-//
-//   - compiled physical DAGs, skipping logical optimization and physical
-//     compilation on every repeat of a plan shape;
-//   - materialized results, skipping execution entirely when the same
-//     normalized plan runs again over version-identical base frames.
+// frames' version (optimizer.SourceVersion): the same normalized plan run
+// again over version-identical base frames skips execution entirely.
 //
 // Because the version is part of the key, rebinding a base frame (a new
 // *core.DataFrame pointer) invalidates implicitly: the stale entry simply
@@ -34,13 +29,12 @@ type PlanCache struct {
 	lru      []string // keys, least recently used first
 	resident int      // cells held by cached results
 
-	hits, misses, compiledHits atomic.Int64
+	hits, misses atomic.Int64
 }
 
 type cacheEntry struct {
-	compiled *physical.Node
-	result   *core.DataFrame // nil until a result lands
-	cells    int
+	result *core.DataFrame
+	cells  int
 }
 
 // NewPlanCache returns a cache holding at most maxCells result cells
@@ -51,39 +45,19 @@ func NewPlanCache(maxCells int) *PlanCache {
 
 func cacheKey(fingerprint, version string) string { return version + "\x00" + fingerprint }
 
-// Lookup returns the cached result and/or compiled DAG for the plan. A
-// non-nil result counts as a cache hit; a compiled DAG alone counts as a
-// compiled-plan hit (the result must still be computed); neither is a miss.
-func (c *PlanCache) Lookup(fingerprint, version string) (*core.DataFrame, *physical.Node) {
+// Lookup returns the cached result for the plan, nil on a miss.
+func (c *PlanCache) Lookup(fingerprint, version string) *core.DataFrame {
 	key := cacheKey(fingerprint, version)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok {
 		c.misses.Add(1)
-		return nil, nil
+		return nil
 	}
 	c.touchLocked(key)
-	if e.result != nil {
-		c.hits.Add(1)
-		return e.result, e.compiled
-	}
-	if e.compiled != nil {
-		c.compiledHits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return nil, e.compiled
-}
-
-// StoreCompiled records the plan's compiled physical DAG.
-func (c *PlanCache) StoreCompiled(fingerprint, version string, plan *physical.Node) {
-	key := cacheKey(fingerprint, version)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.entryLocked(key)
-	e.compiled = plan
-	c.touchLocked(key)
+	c.hits.Add(1)
+	return e.result
 }
 
 // StoreResult records the plan's materialized result, evicting the least
@@ -93,24 +67,13 @@ func (c *PlanCache) StoreResult(fingerprint, version string, df *core.DataFrame)
 	cells := df.NRows()*df.NCols() + 1
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.entryLocked(key)
-	if e.result != nil {
-		c.resident -= e.cells
+	if old, ok := c.entries[key]; ok {
+		c.resident -= old.cells
 	}
-	e.result = df
-	e.cells = cells
+	c.entries[key] = &cacheEntry{result: df, cells: cells}
 	c.resident += cells
 	c.touchLocked(key)
 	c.evictLocked(key)
-}
-
-func (c *PlanCache) entryLocked(key string) *cacheEntry {
-	e, ok := c.entries[key]
-	if !ok {
-		e = &cacheEntry{}
-		c.entries[key] = e
-	}
-	return e
 }
 
 func (c *PlanCache) touchLocked(key string) {
@@ -140,9 +103,7 @@ func (c *PlanCache) evictLocked(keep string) {
 		if victim == "" {
 			return // only the just-stored entry remains; allow overshoot
 		}
-		if e := c.entries[victim]; e.result != nil {
-			c.resident -= e.cells
-		}
+		c.resident -= c.entries[victim].cells
 		delete(c.entries, victim)
 		c.touchLocked(victim)
 		c.lru = c.lru[:len(c.lru)-1]
@@ -151,8 +112,7 @@ func (c *PlanCache) evictLocked(keep string) {
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.
 type CacheStats struct {
-	Hits          int64 `json:"hits"`          // served a materialized result
-	CompiledHits  int64 `json:"compiled_hits"` // reused a compiled DAG, re-executed
+	Hits          int64 `json:"hits"` // served a materialized result
 	Misses        int64 `json:"misses"`
 	Entries       int   `json:"entries"`
 	ResidentCells int   `json:"resident_cells"`
@@ -160,7 +120,7 @@ type CacheStats struct {
 
 // HitRate is hits over all lookups.
 func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.CompiledHits + s.Misses
+	total := s.Hits + s.Misses
 	if total == 0 {
 		return 0
 	}
@@ -174,7 +134,6 @@ func (c *PlanCache) Stats() CacheStats {
 	c.mu.Unlock()
 	return CacheStats{
 		Hits:          c.hits.Load(),
-		CompiledHits:  c.compiledHits.Load(),
 		Misses:        c.misses.Load(),
 		Entries:       entries,
 		ResidentCells: resident,

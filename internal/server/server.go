@@ -234,7 +234,7 @@ func (s *Server) dataset(name string) (*df.DataFrame, error) {
 type QueryResult struct {
 	Rows    int        `json:"rows"`
 	Cols    []string   `json:"cols"`
-	Cache   string     `json:"cache"` // "hit", "compiled", "miss", "uncacheable", "off"
+	Cache   string     `json:"cache"` // "hit", "miss", "uncacheable", "off"
 	Elapsed float64    `json:"elapsed_us"`
 	Preview [][]string `json:"preview,omitempty"`
 }
@@ -269,33 +269,15 @@ func (s *Server) RunQuery(sessionID string, spec QuerySpec) (*QueryResult, error
 
 	if cacheable && !s.cfg.CacheOff {
 		version := optimizer.SourceVersion(sources)
-		if cached, compiled := s.cache.Lookup(fingerprint, version); cached != nil {
+		if cached := s.cache.Lookup(fingerprint, version); cached != nil {
 			return s.result(cached, "hit", start), nil
-		} else if compiled != nil {
-			// Compiled-DAG hit: skip compilation, pay only execution.
-			release, err := t.admit(planEstimate(plan))
-			if err != nil {
-				return nil, err
-			}
-			defer release()
-			out, err := t.engine.ExecuteCompiled(compiled)
-			if err != nil {
-				return nil, err
-			}
-			s.cache.StoreResult(fingerprint, version, out)
-			return s.result(out, "compiled", start), nil
 		}
 		release, err := t.admit(planEstimate(plan))
 		if err != nil {
 			return nil, err
 		}
 		defer release()
-		compiled, err := t.engine.Compile(plan)
-		if err != nil {
-			return nil, err
-		}
-		s.cache.StoreCompiled(fingerprint, version, compiled)
-		out, err := t.engine.ExecuteCompiled(compiled)
+		out, err := t.engine.Execute(plan)
 		if err != nil {
 			return nil, err
 		}

@@ -9,7 +9,6 @@ package session
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,16 +75,18 @@ type Session struct {
 	mode   Mode
 	pool   *exec.Pool
 
-	mu           sync.Mutex
-	closed       bool
-	materialized map[algebra.Node]*exec.Future // completed or in-flight plan results
-	// Spilling state (see spill.go): order of materialization, spilled
-	// plan → store key, the session-owned store itself, and the resident
-	// cell budget (zero disables the limit).
-	residentOrder []algebra.Node
-	spilled       map[algebra.Node]string
-	store         *storage.Store
-	maxCells      int
+	mu     sync.Mutex
+	closed bool
+	// pending holds in-flight and failed evaluations. A success leaves it
+	// for the store before its future resolves, so a settled pending
+	// evaluation is a failed one.
+	pending map[algebra.Node]*exec.Future
+	// stored marks the plans whose results are in store, under
+	// spillKey(plan); holding the plan keeps its address, which names the
+	// key, from passing to a new plan. The store's LRU budget decides which
+	// results stay in memory (see spill.go).
+	stored map[algebra.Node]bool
+	store  *storage.Store
 
 	// lastActive is the wall-clock time of the last statement or
 	// inspection, for idle detection by think-time schedulers (unix nanos).
@@ -101,12 +102,14 @@ func New(engine algebra.Engine, mode Mode, pool *exec.Pool) *Session {
 	if pool == nil {
 		pool = exec.Default
 	}
+	store, _ := storage.New(0) // never fails: the first spill makes the directory
 	return &Session{
-		engine:       engine,
-		mode:         mode,
-		pool:         pool,
-		materialized: make(map[algebra.Node]*exec.Future),
-		spilled:      make(map[algebra.Node]string),
+		engine:  engine,
+		mode:    mode,
+		pool:    pool,
+		pending: make(map[algebra.Node]*exec.Future),
+		stored:  make(map[algebra.Node]bool),
+		store:   store,
 	}
 }
 
@@ -123,21 +126,14 @@ func (s *Session) Engine() algebra.Engine { return s.engine }
 // already-closed session is a no-op.
 func (s *Session) Close() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
-	s.materialized = make(map[algebra.Node]*exec.Future)
-	s.spilled = make(map[algebra.Node]string)
-	s.residentOrder = nil
-	store := s.store
-	s.store = nil
-	s.mu.Unlock()
-	if store != nil {
-		return store.Close()
-	}
-	return nil
+	clear(s.pending)
+	clear(s.stored)
+	return s.store.Close()
 }
 
 // errClosed wraps the sentinel with session context.
@@ -162,7 +158,7 @@ func (s *Session) PendingBackground() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for _, f := range s.materialized {
+	for _, f := range s.pending {
 		if !f.Ready() {
 			n++
 		}
@@ -231,26 +227,22 @@ func (s *Session) futureFor(plan algebra.Node, background bool) *exec.Future {
 		s.mu.Unlock()
 		return exec.Failed(errClosed())
 	}
-	if fut, ok := s.materialized[plan]; ok {
+	if fut, ok := s.pending[plan]; ok {
 		s.mu.Unlock()
 		s.Stats.ReuseHits.Add(1)
 		return fut
 	}
-	if fut, ok := s.reloadLocked(plan); ok {
-		// The reloaded result is the newest resident one: older ones make
-		// room for it.
-		s.maybeSpillLocked(plan)
+	if df, ok := s.loadLocked(plan); ok {
 		s.mu.Unlock()
 		s.Stats.ReuseHits.Add(1)
-		return fut
+		return exec.Resolved(df)
 	}
 	rewritten := s.substituteMaterializedLocked(plan)
-	// record books a successful evaluation before its future resolves: the
-	// result becomes a resolved materialization at once, so the cell budget
-	// counts it now rather than at the next statement (residentCellsLocked
-	// skips unresolved futures). pending is the promise this evaluation
-	// registered, nil for a synchronous one; a plan forgotten or taken over
-	// by another evaluation meanwhile is not booked.
+	// record books a successful evaluation in the store before its future
+	// resolves, so the cell budget counts it now rather than at the next
+	// statement. pending is the promise this evaluation registered, nil for
+	// a synchronous one; a plan forgotten or taken over by another
+	// evaluation meanwhile is not booked.
 	record := func(pending *exec.Future, out any, err error) {
 		s.Stats.FullEvaluations.Add(1)
 		if err != nil {
@@ -258,10 +250,9 @@ func (s *Session) futureFor(plan algebra.Node, background bool) *exec.Future {
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if !s.closed && s.materialized[plan] == pending {
-			s.materialized[plan] = exec.Resolved(out)
-			s.residentOrder = append(s.residentOrder, plan)
-			s.maybeSpillLocked(plan)
+		if !s.closed && s.pending[plan] == pending {
+			delete(s.pending, plan)
+			s.putLocked(plan, out.(*core.DataFrame))
 		}
 	}
 	if background {
@@ -271,7 +262,7 @@ func (s *Session) futureFor(plan algebra.Node, background bool) *exec.Future {
 		// may run the task inline when its queue is full, and the task's
 		// bookkeeping re-enters the session lock.
 		fut, resolve := exec.NewPromise()
-		s.materialized[plan] = fut
+		s.pending[plan] = fut
 		s.mu.Unlock()
 		var inner *exec.Future
 		if ae, ok := s.engine.(AsyncEngine); ok {
@@ -292,7 +283,7 @@ func (s *Session) futureFor(plan algebra.Node, background bool) *exec.Future {
 		return fut
 	}
 	// Synchronous evaluation runs outside the lock: record re-enters the
-	// session for spill bookkeeping.
+	// session to book the result.
 	s.mu.Unlock()
 	df, err := s.engine.Execute(rewritten)
 	record(nil, df, err)
@@ -302,7 +293,7 @@ func (s *Session) futureFor(plan algebra.Node, background bool) *exec.Future {
 	fut := exec.Failed(err)
 	s.mu.Lock()
 	if !s.closed {
-		s.materialized[plan] = fut
+		s.pending[plan] = fut
 	}
 	s.mu.Unlock()
 	return fut
@@ -319,13 +310,11 @@ func (s *Session) substituteMaterializedLocked(plan algebra.Node) algebra.Node {
 	newChildren := make([]algebra.Node, len(children))
 	changed := false
 	for i, c := range children {
-		if fut, ok := s.materialized[c]; ok && fut.Ready() {
-			if v, err := fut.Wait(); err == nil {
-				s.Stats.ReuseHits.Add(1)
-				newChildren[i] = &algebra.Source{DF: v.(*core.DataFrame), Name: "materialized"}
-				changed = true
-				continue
-			}
+		if df, ok := s.residentLocked(c); ok {
+			s.Stats.ReuseHits.Add(1)
+			newChildren[i] = &algebra.Source{DF: df, Name: "materialized"}
+			changed = true
+			continue
 		}
 		nc := s.substituteMaterializedLocked(c)
 		if nc != c {
@@ -368,37 +357,36 @@ func (h *Handle) view(n int) (*core.DataFrame, error) {
 		s.mu.Unlock()
 		return nil, errClosed()
 	}
-	fut, inFlight := s.materialized[h.plan]
-	s.mu.Unlock()
-	if inFlight && fut.Ready() {
-		v, err := fut.Wait()
-		if err != nil {
-			return nil, err
-		}
-		return algebra.LimitFrame(v.(*core.DataFrame), n), nil
+	if df, ok := s.residentLocked(h.plan); ok {
+		s.mu.Unlock()
+		return algebra.LimitFrame(df, n), nil
 	}
-	// Not (yet) materialized: evaluate only the prefix/suffix now.
+	if fut, ok := s.pending[h.plan]; ok && fut.Ready() {
+		s.mu.Unlock()
+		_, err := fut.Wait() // settled yet pending: the evaluation failed
+		return nil, err
+	}
+	// Not (yet) materialized, or spilled: evaluate only the prefix/suffix now.
 	s.Stats.PartialEvaluations.Add(1)
-	limited := &algebra.Limit{Input: h.plan, N: n}
-	s.mu.Lock()
-	rewritten := s.substituteMaterializedLocked(limited)
+	rewritten := s.substituteMaterializedLocked(&algebra.Limit{Input: h.plan, N: n})
 	s.mu.Unlock()
 	return s.engine.Execute(rewritten)
 }
 
-// Ready reports whether the handle's full result is materialized.
+// Ready reports whether the handle's full result is materialized (in memory
+// or spilled) or its evaluation failed.
 func (h *Handle) Ready() bool {
 	h.s.mu.Lock()
-	fut, ok := h.s.materialized[h.plan]
-	h.s.mu.Unlock()
-	return ok && fut.Ready()
+	defer h.s.mu.Unlock()
+	fut, ok := h.s.pending[h.plan]
+	return h.s.stored[h.plan] || ok && fut.Ready()
 }
 
 // Wait blocks until any background materialization of this handle finishes
 // (no-op if none was scheduled).
 func (h *Handle) Wait() {
 	h.s.mu.Lock()
-	fut, ok := h.s.materialized[h.plan]
+	fut, ok := h.s.pending[h.plan]
 	h.s.mu.Unlock()
 	if ok {
 		fut.Wait()
@@ -409,8 +397,8 @@ func (h *Handle) Wait() {
 // in-flight background work completes, as a user pause would allow.
 func (s *Session) ThinkTime() {
 	s.mu.Lock()
-	futs := make([]*exec.Future, 0, len(s.materialized))
-	for _, f := range s.materialized {
+	futs := make([]*exec.Future, 0, len(s.pending))
+	for _, f := range s.pending {
 		futs = append(futs, f)
 	}
 	s.mu.Unlock()
@@ -420,17 +408,16 @@ func (s *Session) ThinkTime() {
 }
 
 // Forget drops the handle's materialized result (the eviction decision of
-// Section 6.2.2's materialization-management discussion).
-// A spilled copy is deleted too, and the plan leaves the spill order, so
-// nothing in the session pins the plan or the frames it references.
+// Section 6.2.2's materialization-management discussion), in memory or
+// spilled, so nothing in the session pins the plan or the frames it
+// references.
 func (h *Handle) Forget() {
 	s := h.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.materialized, h.plan)
-	if key, ok := s.spilled[h.plan]; ok {
-		delete(s.spilled, h.plan)
-		s.store.Delete(key)
+	delete(s.pending, h.plan)
+	if s.stored[h.plan] {
+		delete(s.stored, h.plan)
+		s.store.Delete(spillKey(h.plan))
 	}
-	s.residentOrder = slices.DeleteFunc(s.residentOrder, func(p algebra.Node) bool { return p == h.plan })
 }

@@ -19,14 +19,15 @@ import (
 // ErrNotFound reports a key with no stored frame.
 var ErrNotFound = errors.New("storage: frame not found")
 
-// Store keeps dataframes under string keys, holding up to MemoryBudget
+// Store keeps dataframes under string keys, holding up to its budget of
 // cells in memory and spilling the least-recently-used frames to disk
 // beyond that.
 type Store struct {
 	mu sync.Mutex
 
-	budget   int // max resident cells; <=0 means unlimited
-	dir      string
+	budget   int    // max resident cells; <=0 means unlimited
+	dir      string // spill directory, made by the first spill
+	closed   bool
 	entries  map[string]*entry
 	lru      []string // keys, least recently used first
 	resident int
@@ -42,14 +43,30 @@ type entry struct {
 	pinned bool   // the frame has no block form: it stays resident
 }
 
-// New returns a store with the given resident-cell budget; spill files live
-// in a fresh temporary directory.
+// New returns a store with the given resident-cell budget. Spill files live
+// in a fresh temporary directory made by the first spill, so a store that
+// never spills touches no disk; the error is always nil.
 func New(budget int) (*Store, error) {
-	dir, err := os.MkdirTemp("", "dfstore-*")
-	if err != nil {
-		return nil, fmt.Errorf("storage: create spill dir: %w", err)
-	}
-	return &Store{budget: budget, dir: dir, entries: make(map[string]*entry)}, nil
+	return &Store{budget: budget, entries: make(map[string]*entry)}, nil
+}
+
+// SetBudget replaces the resident-cell budget (<=0: unlimited) and enforces
+// it at once, spilling least-recently-used frames.
+func (s *Store) SetBudget(budget int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.budget = budget
+	return s.enforceBudgetLocked("")
+}
+
+// SpillTo spills least-recently-used frames until at most cells stay
+// resident, reporting how many frames went to disk. Frames without a block
+// form stay resident and are not counted; a failed write stops early.
+func (s *Store) SpillTo(cells int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n, _ := s.spillToLocked(cells, "")
+	return n
 }
 
 // Put stores df under key, spilling older frames if the budget is exceeded.
@@ -143,14 +160,19 @@ func (s *Store) Stats() (residentCells, spills, loads int) {
 	return s.resident, s.spills, s.loads
 }
 
-// Close removes every spill file; stored frames become unreachable. It
-// mirrors the session-scoped lifetime of MODIN's persistent partitions.
+// Close removes every spill file; stored frames become unreachable and
+// later spills fail. It mirrors the session-scoped lifetime of MODIN's
+// persistent partitions.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.entries = make(map[string]*entry)
 	s.lru = nil
 	s.resident = 0
+	s.closed = true
+	if s.dir == "" {
+		return nil
+	}
 	return os.RemoveAll(s.dir)
 }
 
@@ -187,7 +209,16 @@ func (s *Store) enforceBudgetLocked(keep string) error {
 	if s.budget <= 0 {
 		return nil
 	}
-	for s.resident > s.budget {
+	_, err := s.spillToLocked(s.budget, keep)
+	return err
+}
+
+// spillToLocked spills least-recently-used resident frames other than keep
+// until at most cells stay resident, reporting how many it spilled. When
+// nothing else can spill it stops short: the overshoot is allowed.
+func (s *Store) spillToLocked(cells int, keep string) (int, error) {
+	before := s.spills
+	for s.resident > cells {
 		victim := ""
 		for _, k := range s.lru {
 			if e := s.entries[k]; k != keep && e.frame != nil && !e.pinned {
@@ -196,13 +227,13 @@ func (s *Store) enforceBudgetLocked(keep string) error {
 			}
 		}
 		if victim == "" {
-			return nil // nothing else to spill; allow overshoot
+			break
 		}
 		if err := s.spillLocked(s.entries[victim]); err != nil {
-			return fmt.Errorf("storage: spill %q: %w", victim, err)
+			return s.spills - before, fmt.Errorf("storage: spill %q: %w", victim, err)
 		}
 	}
-	return nil
+	return s.spills - before, nil
 }
 
 // spillLocked writes e's resident frame to disk, unless an earlier spill
@@ -212,15 +243,22 @@ func (s *Store) enforceBudgetLocked(keep string) error {
 // flattened to its rendering.
 func (s *Store) spillLocked(e *entry) error {
 	if e.path == "" {
+		buf, err := core.EncodeFrame(nil, e.frame)
+		if errors.Is(err, vector.ErrNoWireForm) {
+			e.pinned = true
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := s.makeDirLocked(); err != nil {
+			return err
+		}
 		s.seq++
 		// The suffix predates the block format; cmd/paperbench sizes spill
 		// traffic by it.
 		path := filepath.Join(s.dir, fmt.Sprintf("%x.gob", s.seq))
-		if err := writeFrame(path, e.frame); err != nil {
-			if errors.Is(err, vector.ErrNoWireForm) {
-				e.pinned = true
-				return nil
-			}
+		if err := os.WriteFile(path, buf, 0o600); err != nil {
 			return err
 		}
 		e.path = path
@@ -231,17 +269,25 @@ func (s *Store) spillLocked(e *entry) error {
 	return nil
 }
 
+// makeDirLocked creates the spill directory on the first spill.
+func (s *Store) makeDirLocked() error {
+	if s.closed {
+		return errors.New("storage: store is closed")
+	}
+	if s.dir != "" {
+		return nil
+	}
+	dir, err := os.MkdirTemp("", "dfstore-*")
+	if err != nil {
+		return fmt.Errorf("storage: create spill dir: %w", err)
+	}
+	s.dir = dir
+	return nil
+}
+
 // A spill file is one frame in the block format the cluster ships
 // (core.EncodeFrame): typed storage byte for byte, so what comes back has the
 // same vectors, null masks, labels and declared domains that went out.
-
-func writeFrame(path string, df *core.DataFrame) error {
-	buf, err := core.EncodeFrame(nil, df)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, buf, 0o600)
-}
 
 func readFrame(path string) (*core.DataFrame, error) {
 	buf, err := os.ReadFile(path)

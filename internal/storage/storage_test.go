@@ -3,6 +3,8 @@ package storage
 import (
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -336,5 +338,57 @@ func TestResidentFollowsTheFrame(t *testing.T) {
 	s.Delete("a")
 	if s.Resident("a") || s.Resident("never") {
 		t.Error("a deleted or absent key must not be resident")
+	}
+}
+
+// TestBudgetSetterAndSpillTo: a store makes its spill directory on the first
+// spill, not before; SetBudget enforces a new budget at once; SpillTo
+// spills least recently used frames down to its target and counts them; and
+// a closed store removes the directory and refuses to spill again.
+func TestBudgetSetterAndSpillTo(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
+	dirs := func() int {
+		m, err := filepath.Glob(filepath.Join(os.TempDir(), "dfstore-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(m)
+	}
+	s, _ := New(0)
+	for _, k := range []string{"a", "b", "c"} {
+		if err := s.Put(k, frame(t, 20)); err != nil { // 61 cells each
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Get("a"); err != nil { // a is now the most recently used
+		t.Fatal(err)
+	}
+	if dirs() != 0 {
+		t.Fatal("a store that never spilled made a directory")
+	}
+	if err := s.SetBudget(130); err != nil {
+		t.Fatal(err)
+	}
+	if resident, spills, _ := s.Stats(); resident != 122 || spills != 1 || s.Resident("b") {
+		t.Errorf("after SetBudget(130): %d resident cells, %d spills, b resident %v; want 122, 1, false", resident, spills, s.Resident("b"))
+	}
+	if dirs() != 1 {
+		t.Fatalf("store dirs after the first spill = %d, want 1", dirs())
+	}
+	if n := s.SpillTo(61); n != 1 || s.Resident("c") || !s.Resident("a") {
+		t.Errorf("SpillTo(61) spilled %d, c resident %v, a resident %v; want 1, false, true", n, s.Resident("c"), s.Resident("a"))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if dirs() != 0 {
+		t.Error("Close left the spill directory")
+	}
+	s.Put("late", frame(t, 5))
+	if err := s.Release("late"); err == nil {
+		t.Error("a closed store spilled")
+	}
+	if dirs() != 0 {
+		t.Error("a spill after Close made a directory")
 	}
 }
