@@ -19,8 +19,8 @@
 //
 //	df.Query ──optimizer.Optimize──▶ algebra.Node ──compile──▶ physical DAG ──schedule──▶ exec.Pool
 //	                                                         ▲
-//	        exact base-frame sizes, band summaries ──────────┘ (broadcast vs key-shuffled
-//	                                                            join, heavy-bucket merges)
+//	        exact base-frame sizes, groupby specs ───────────┘ (broadcast vs key-shuffled
+//	                                                            join, states vs rows)
 //
 // Logical plans (internal/algebra) are either evaluated bottom-up by the
 // single-threaded baseline (internal/eager), which applies algebra.Eval —
@@ -49,9 +49,9 @@
 // future. Groupby shuffles route incrementally: each band partitions
 // from its own key summary the moment it parses (bucket = stable key
 // hash, identical in every band), the global plan — exact
-// first-appearance group order, heavy-bucket flags — gates only the
-// merges, and routed pieces carry a rank column that a restore exchange
-// folds back into exact single-node row order. Single-consumer scan
+// first-appearance group order — gates only the merges, and merged
+// buckets carry a rank column that a restore exchange folds back into
+// exact single-node row order. Single-consumer scan
 // bands are released as soon as a shuffle has routed them, and on such
 // scans the producer holds its parse-ahead window against band RELEASE
 // (routed, and past the budget spilled) rather than task completion, so
@@ -137,11 +137,13 @@
 // Physical strategy from exact sizes: the compile step picks strategies
 // from facts, not sketches. A join whose build side (a base frame's exact
 // row count, or optimizer.EstimateNode's zero-stats model above one)
-// exceeds the broadcast limit becomes a key-shuffled hash join, and the
-// groupby plan reads exact per-key row counts from the band summaries,
-// flagging buckets that own a hot key so their merges split across
-// parallel partial merges. Query.Explain appends the chosen strategies with
-// the sizes that drove them.
+// exceeds the broadcast limit becomes a key-shuffled hash join. A groupby
+// whose aggregates all combine exactly (COUNT, SIZE, MIN, MAX) folds each
+// band into one algebra.GroupPartial and routes one state row per group;
+// any other groupby routes rows, because a float SUM or MEAN added up from
+// band partials is reassociated. Each bucket merges as one fold in band
+// order. Query.Explain appends the chosen strategies with the sizes that
+// drove them.
 //
 // One boundary between the algebra and the execution layer: the per-run
 // physical.Scheduler is the only code that calls a stage's hooks — fused

@@ -111,6 +111,7 @@ func tuplesEqual(a, b []types.Value) bool {
 type keyTable struct {
 	index     keyIndex
 	exemplars [][]types.Value // by id
+	rows      []int32         // by id: the frame row that inserted the key (insertRow only)
 }
 
 // insertTuple returns the id of the boxed key tuple with hash h, adding it
@@ -133,6 +134,7 @@ func (t *keyTable) insertRow(h uint64, cols []vector.Vector, i int) int32 {
 			key[k] = c.Value(i)
 		}
 		t.exemplars = append(t.exemplars, key)
+		t.rows = append(t.rows, int32(i))
 	}
 	return id
 }
@@ -446,6 +448,163 @@ func GroupByFrame(df *core.DataFrame, spec expr.GroupBySpec) (*core.DataFrame, e
 	return g.Finalize()
 }
 
+// ExactCombine reports whether a GROUPBY's band partials combine into the
+// very cells one row-by-row fold produces: every aggregate is COUNT or
+// SIZE (integer counts add) or a column's MIN or MAX (the first extreme
+// wins in either order of folding). SUM and MEAN do not: adding band sums
+// reassociates a float sum. COLLECT and the accumulator kinds keep states
+// that are not columns. Only these specs have state frames.
+func ExactCombine(spec expr.GroupBySpec) bool {
+	if len(spec.Aggs) == 0 {
+		return false
+	}
+	for _, a := range spec.Aggs {
+		switch a.Agg {
+		case expr.AggCount, expr.AggSize:
+		case expr.AggMin, expr.AggMax:
+			if a.Col == "" {
+				return false // a whole-row extreme reads frame-local row ordinals
+			}
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// GroupStateCol labels every aggregate column of a state frame, so a merge
+// tells the states a band routed from the rows a band routed; the state
+// columns are read positionally, so a user column of that name is harmless.
+const GroupStateCol = "__group_state__"
+
+// KeyStats returns the partial's distinct keys in first-appearance order:
+// each key's row hash and boxed exemplar tuple, the stats a shuffle's plan
+// fold reads. The slices are the partial's own and must not be modified.
+func (g *GroupPartial) KeyStats() (hashes []uint64, exemplars [][]types.Value) {
+	return g.keys.index.hashes, g.keys.exemplars
+}
+
+// StateFrames cuts a partial that one AddFrame built over df into one state
+// frame per hash bucket, routing each group as its rows would route: bucket
+// = key hash % buckets. A state frame holds one row per group, in
+// first-appearance order: the key columns taken at the group's first row of
+// df, so they keep df's storage exactly, then one GroupStateCol column per
+// aggregate — COUNT and SIZE as Int counts, MIN and MAX as the extreme in
+// the input column's domain, null where the group had no value. AddState
+// folds them back; only ExactCombine specs have them.
+func (g *GroupPartial) StateFrames(df *core.DataFrame, buckets int) ([]*core.DataFrame, error) {
+	n := g.NumGroups()
+	if !ExactCombine(g.spec) || len(g.keys.rows) != n {
+		return nil, fmt.Errorf("algebra: groupby has no state frames")
+	}
+	// Order the groups by bucket, stably, so one take per column serves
+	// every bucket and each bucket's states are a slice of it.
+	hashes := g.keys.index.hashes
+	ends := make([]int, buckets)
+	for _, h := range hashes {
+		ends[h%uint64(buckets)]++
+	}
+	for b := 1; b < buckets; b++ {
+		ends[b] += ends[b-1]
+	}
+	perm := make([]int, n)
+	for id := n - 1; id >= 0; id-- {
+		b := hashes[id] % uint64(buckets)
+		ends[b]--
+		perm[ends[b]] = id
+	}
+	nk, na := len(g.spec.Keys), len(g.spec.Aggs)
+	cols, labels, domains := make([]vector.Vector, 0, nk+na), make([]types.Value, 0, nk+na), make([]types.Domain, 0, nk+na)
+	add := func(c vector.Vector, label string) {
+		cols, labels, domains = append(cols, c), append(labels, types.String(label)), append(domains, c.Domain())
+	}
+	keyCols, err := groupKeyCols(df, g.spec.Keys)
+	if err != nil {
+		return nil, err
+	}
+	first := make([]int, n)
+	for i, id := range perm {
+		first[i] = int(g.keys.rows[id])
+	}
+	for k, c := range keyCols {
+		add(c.Take(first), g.spec.Keys[k])
+	}
+	for k, a := range g.spec.Aggs {
+		s := &g.aggs[k]
+		if a.Agg == expr.AggCount || a.Agg == expr.AggSize {
+			counts := make([]int64, n)
+			for i, id := range perm {
+				counts[i] = s.count[id]
+			}
+			add(vector.NewInt(counts, nil), GroupStateCol)
+			continue
+		}
+		j := df.ColIndex(a.Col)
+		if j < 0 {
+			return nil, fmt.Errorf("algebra: groupby aggregate column %q not found", a.Col)
+		}
+		vals := make([]types.Value, n)
+		for i, id := range perm {
+			vals[i] = s.result(id)
+		}
+		add(vector.FromValues(df.TypedCol(j).Domain(), vals), GroupStateCol)
+	}
+	all, err := core.Build(cols, nil, labels, domains, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*core.DataFrame, buckets)
+	for b := range out {
+		hi := n
+		if b+1 < buckets {
+			hi = ends[b+1]
+		}
+		out[b] = all.SliceRows(ends[b], hi)
+	}
+	return out, nil
+}
+
+// IsGroupState reports whether df is one of spec's state frames: its key
+// columns, then one GroupStateCol column per aggregate.
+func IsGroupState(df *core.DataFrame, spec expr.GroupBySpec) bool {
+	nk := len(spec.Keys)
+	if !ExactCombine(spec) || df.NCols() != nk+len(spec.Aggs) {
+		return false
+	}
+	for j := nk; j < df.NCols(); j++ {
+		if df.ColName(j) != GroupStateCol {
+			return false
+		}
+	}
+	return true
+}
+
+// AddState folds one state frame (StateFrames) into the partial as Merge
+// folds the partial it was cut from: a key new to g joins after g's groups,
+// counts add, and an extreme replaces g's only when strictly beyond it. So
+// folding the bands' states in band order gives the cells, group order
+// included, of folding the bands' rows in band order.
+func (g *GroupPartial) AddState(df *core.DataFrame) error {
+	if !IsGroupState(df, g.spec) {
+		return fmt.Errorf("algebra: frame is not a groupby state frame")
+	}
+	n, nk := df.NRows(), len(g.spec.Keys)
+	if n == 0 {
+		return nil
+	}
+	keyCols := make([]vector.Vector, nk)
+	for k := range keyCols {
+		keyCols[k] = df.TypedCol(k)
+	}
+	ids := make([]int32, n)
+	g.keys.resolve(newFrameKeys(keyCols, n, false), 0, ids)
+	g.grow()
+	for k := range g.aggs {
+		g.aggs[k].addState(ids, df.TypedCol(nk+k))
+	}
+	return nil
+}
+
 // aggState is one aggregate's running state over every group, in flat
 // slices indexed by group id. COUNT, SIZE, SUM, MEAN, MIN and MAX read Int
 // and Float storage directly (other storage through boxed cells) and
@@ -586,6 +745,18 @@ func (s *aggState) merge(g int32, other *aggState, o int) {
 	}
 }
 
+// addState folds a state column (StateFrames) into the groups ids names:
+// a count adds, an extreme folds like one cell, a null extreme is no value.
+func (s *aggState) addState(ids []int32, col vector.Vector) {
+	for r, g := range ids {
+		if s.kind == expr.AggCount || s.kind == expr.AggSize {
+			s.count[g] += col.Value(r).Int()
+		} else {
+			s.addValue(g, col.Value(r))
+		}
+	}
+}
+
 // result is group g's aggregate, as Accumulator.Result computes it.
 func (s *aggState) result(g int) types.Value {
 	switch s.kind {
@@ -653,13 +824,14 @@ func buildColumn(vals []types.Value) vector.Vector {
 	return vector.FromValues(dom, vals)
 }
 
-// GroupKeySummary is the routing form of a frame's group keys, shipped from
-// shuffle summarize tasks to the plan task: one small ordinal per row
-// (which of the frame's distinct keys the row carries, in first-appearance
-// order) plus, per distinct key, its 64-bit hash and a boxed exemplar tuple
-// for collision verification. Nothing is rendered to strings.
+// GroupKeySummary is the routing form of a frame's group keys for a shuffle
+// that routes rows (a spec that is not ExactCombine): one small ordinal per
+// row (which of the frame's distinct keys the row carries, in
+// first-appearance order) plus, per distinct key, its 64-bit hash and a
+// boxed exemplar tuple for collision verification. Nothing is rendered to
+// strings.
 type GroupKeySummary struct {
-	// Ordinals holds, per row, the index of the row's key in Distinct.
+	// Ordinals holds, per row, the index of the row's key in Hashes.
 	Ordinals []int32
 	// Hashes holds the row hash of each distinct key.
 	Hashes []uint64
@@ -694,14 +866,10 @@ func SummarizeGroupKeys(df *core.DataFrame, keys []string) (*GroupKeySummary, er
 // broken by exemplar verification under tuplesEqual, the same equivalence
 // the per-row summaries use.
 type GroupKeyFold struct {
-	// Exemplars, Hashes and Counts are indexed by global id (= global
-	// first-appearance rank); Counts accumulates each key's total row
-	// volume and Total the fold's overall row count. Exemplars and Hashes
-	// are the key table's own slices.
+	// Exemplars and Hashes are indexed by global id (= global
+	// first-appearance rank); they are the key table's own slices.
 	Exemplars [][]types.Value
 	Hashes    []uint64
-	Counts    []int64
-	Total     int64
 
 	keys keyTable
 }
@@ -709,17 +877,12 @@ type GroupKeyFold struct {
 // NewGroupKeyFold returns an empty fold.
 func NewGroupKeyFold() *GroupKeyFold { return &GroupKeyFold{} }
 
-// AddBand folds one band's distinct-key stats (hash, exemplar and row count
-// per key, in the band's first-appearance order). Bands must arrive in band
-// order for global ids to equal global first-appearance ranks.
-func (f *GroupKeyFold) AddBand(hashes []uint64, exemplars [][]types.Value, counts []int64) {
+// AddBand folds one band's distinct-key stats (hash and exemplar per key,
+// in the band's first-appearance order). Bands must arrive in band order
+// for global ids to equal global first-appearance ranks.
+func (f *GroupKeyFold) AddBand(hashes []uint64, exemplars [][]types.Value) {
 	for d, h := range hashes {
-		gid, added := f.keys.insertTuple(h, exemplars[d])
-		if added {
-			f.Counts = append(f.Counts, 0)
-		}
-		f.Counts[gid] += counts[d]
-		f.Total += counts[d]
+		f.keys.insertTuple(h, exemplars[d])
 	}
 	f.Exemplars, f.Hashes = f.keys.exemplars, f.keys.index.hashes
 }

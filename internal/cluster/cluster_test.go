@@ -134,6 +134,48 @@ func TestDistributedGroupByAsLabels(t *testing.T) {
 	checkSame(t, s, plan)
 }
 
+// A COUNT/SIZE/MIN/MAX groupby routes one state row per group from each
+// band: on two workers it stays distributed and comes back cell-identical
+// to the local engine and to eager — keyless, keyed, on two keys and as
+// labels, at band sizes of a few rows and of many.
+func TestDistributedStateGroupByMatchesLocal(t *testing.T) {
+	s, _ := startCluster(t, 2)
+	aggs := []expr.AggSpec{
+		{Agg: expr.AggSize}, {Col: "v", Agg: expr.AggCount},
+		{Col: "v", Agg: expr.AggMin}, {Col: "v", Agg: expr.AggMax},
+		{Col: "name", Agg: expr.AggMin}, {Col: "name", Agg: expr.AggMax},
+	}
+	specs := []expr.GroupBySpec{
+		{Aggs: aggs},
+		{Keys: []string{"k"}, Aggs: aggs},
+		{Keys: []string{"name", "k"}, Aggs: aggs},
+		{Keys: []string{"name"}, Aggs: aggs, AsLabels: true},
+	}
+	for _, bandRows := range []int{7, 64} {
+		for _, spec := range specs {
+			if !algebra.ExactCombine(spec) {
+				t.Fatalf("%v does not take the state path", spec.Aggs)
+			}
+			plan := &algebra.GroupBy{Input: csvScan(t, genCSV(700), bandRows), Spec: spec}
+			checkSame(t, s, plan)
+			got, err := s.Execute(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := eager.New().Execute(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Errorf("band %d groupby %v: distributed result differs from eager:\n%s\nwant:\n%s", bandRows, spec.Keys, got, want)
+			}
+		}
+	}
+	if st := s.ClusterStats(); st.Fallback != 0 || st.LocalReruns != 0 {
+		t.Errorf("state groupbys must stay distributed: %+v", st)
+	}
+}
+
 func TestDistributedSortMatchesLocal(t *testing.T) {
 	s, _ := startCluster(t, 3)
 	scan := csvScan(t, genCSV(800), 110)
@@ -340,7 +382,7 @@ func TestControlMessagesCarrySpecs(t *testing.T) {
 	}
 	tuples := [][]types.Value{{types.String("a"), types.IntValue(1)}, {types.Null(), types.BoolValue(true)}}
 	roundTrip(&RunBandsResp{Results: []BandResult{
-		{Band: 1, Group: &modin.GroupBandStat{Hashes: []uint64{7, 1 << 63}, Exemplars: tuples, Counts: []int64{4, 5}}, Sizes: []int64{10, 0, 3}},
+		{Band: 1, Group: &modin.GroupBandStat{Hashes: []uint64{7, 1 << 63}, Exemplars: tuples}, Sizes: []int64{10, 0, 3}},
 		{Band: 2, Sort: tuples},
 	}}, &RunBandsResp{})
 	roundTrip(&PartitionReq{QID: "q", Bands: []int{0, 2}, Buckets: 3, Bounds: tuples}, &PartitionReq{})
@@ -792,7 +834,7 @@ func TestPrunedGroupByStillDistributes(t *testing.T) {
 }
 
 // The typed-routing shapes, distributed: workers route pieces cut from the
-// resolved band (modin.RouteGroupBand), so the columns where a band's
+// resolved band (modin.GroupBand.Route), so the columns where a band's
 // induction and a routed piece's used to differ — a value column
 // integer-valued in some bands and fractional in others, a key spelled 1 in
 // one band and 1.0 in another, a string key with too few rows per piece for

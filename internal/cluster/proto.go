@@ -110,13 +110,12 @@ type PieceRef struct {
 // coordinator, which applies it after the global order restore). Ranks
 // carries the group routing fold's ascending global first-appearance ranks
 // for this bucket — count validation on the worker, order repair at the
-// coordinator — and Heavy requests the parallel heavy-bucket merge.
+// coordinator.
 type MergeReq struct {
 	QID    string
 	Bucket int
 	Pieces []PieceRef
 	Ranks  []int64
-	Heavy  bool
 }
 
 // MergeResp returns the merged bucket block.

@@ -723,7 +723,7 @@ func (r *run) fold() {
 		return
 	}
 	if r.cut.group != nil {
-		r.routing = modin.PlanGroupRouting(r.stats, r.buckets, true)
+		r.routing = modin.PlanGroupRouting(r.stats, r.buckets, false)
 	} else {
 		var all [][]types.Value
 		for _, s := range r.samples {
@@ -840,7 +840,6 @@ func (r *run) mergeBucket(b int) (*core.DataFrame, error) {
 	}
 	if r.routing != nil {
 		req.Ranks = r.routing.Ranks[b]
-		req.Heavy = r.routing.Heavy != nil && r.routing.Heavy[b]
 	}
 	var resp MergeResp
 	if err := target.call(r.s.rpcTimeout, mMerge, req, &resp); err != nil {

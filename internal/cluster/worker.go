@@ -8,7 +8,6 @@ import (
 	"os"
 	"sync"
 
-	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/modin"
@@ -251,18 +250,18 @@ func (w *Worker) runBand(q *workerQuery, plan *workerPlan, task *BandTask) (*Ban
 	res := &BandResult{Band: task.Band}
 	switch {
 	case plan.group != nil:
-		sum, err := algebra.SummarizeGroupKeys(df, plan.group.Keys)
+		band, err := modin.SummarizeGroupBand(df, *plan.group)
 		if err != nil {
 			return nil, err
 		}
-		res.Group = modin.GroupStatOf(sum)
+		res.Group = band.Stat
 		// Incremental routing: bucket = key hash % buckets is identical in
 		// every band, so this band partitions from its own summary right here
-		// — no round trip for a routing table, and the band frame (plus its
-		// O(rows) ordinal table) dies at band scope instead of waiting for a
-		// global plan. Compacting the split's views into owned copies is what
-		// releases df's storage.
-		views, err := modin.RouteGroupBand(df, sum, *plan.group, plan.Buckets)
+		// — no round trip for a routing table, and the band frame (plus what
+		// its summary keeps for routing) dies at band scope instead of
+		// waiting for a global plan. Compacting the pieces into owned copies
+		// is what releases df's storage.
+		views, err := band.Route(df, plan.Buckets)
 		if err != nil {
 			return nil, err
 		}
@@ -446,9 +445,6 @@ func (w *Worker) merge(req *MergeReq) (any, error) {
 		// validates the group count here, while the coordinator keeps the
 		// full routing for the global order restore.
 		routing := &modin.GroupRouting{Ranks: [][]int64{req.Ranks}}
-		if req.Heavy {
-			routing.Heavy = []bool{true}
-		}
 		out, err = modin.MergeGroupBucket(w.pool, frames, *plan.group, routing, 0)
 	case plan.sort != nil:
 		out, err = modin.MergeSortBucket(frames, plan.sort)

@@ -21,35 +21,74 @@ import (
 // only DATA — band statistics up to the coordinator, routing tables back
 // down — and both sides call into these functions, which is what keeps a
 // distributed run cell-identical to the local one.
+//
+// A GROUPBY band routes one of two payloads. When every aggregate combines
+// exactly (algebra.ExactCombine: COUNT, SIZE, MIN, MAX) the band folds into
+// one GroupPartial, whose key table is also its plan stat, and routes one
+// state row per group. Otherwise it routes its rows: a float SUM or MEAN
+// combined from band partials is reassociated, so it would not be
+// cell-identical to the single-node fold. Either way a bucket's merge folds
+// its pieces in band order, so the plan's ranks and the order restore are
+// the same for both.
 
 // GroupBandStat is the coordinator-visible part of one band's group-key
 // summary: per distinct key (in band first-appearance order) its 64-bit
-// hash, exemplar tuple, and row count. The per-row ordinal table stays with
-// the band's worker — it is O(rows), everything here is O(distinct).
+// hash and exemplar tuple. Whatever the band routes stays with the band's
+// worker — everything here is O(distinct).
 type GroupBandStat struct {
 	Hashes    []uint64
 	Exemplars [][]types.Value
-	Counts    []int64
 }
 
 // GroupStatOf extracts a band's wire-safe stat from its key summary.
 func GroupStatOf(sum *algebra.GroupKeySummary) *GroupBandStat {
-	counts := make([]int64, len(sum.Hashes))
-	for _, d := range sum.Ordinals {
-		counts[d]++
-	}
-	return &GroupBandStat{Hashes: sum.Hashes, Exemplars: sum.Exemplars, Counts: counts}
+	return &GroupBandStat{Hashes: sum.Hashes, Exemplars: sum.Exemplars}
 }
 
-// RouteGroupBand is the groupby partition phase both backends run: it cuts a
-// summarized band into one zero-copy piece per hash bucket. bucket = hash %
-// buckets is a pure function of the key, identical in every band, so a band
-// routes from its OWN summary. The aggregate inputs are resolved on the band
-// first (the summary already resolved the keys), so every column the merge
-// reads leaves here typed — by the band's induction, in the band's task —
-// and no piece handed to a merge, a spill or the wire is parsed again.
-func RouteGroupBand(df *core.DataFrame, sum *algebra.GroupKeySummary, spec expr.GroupBySpec, buckets int) ([]*core.DataFrame, error) {
-	for _, a := range spec.Aggs {
+// GroupBand is one band's summarize phase, the same on both backends: Stat
+// feeds the plan fold, and the band keeps what its own Route call needs —
+// its folded partial (state path, O(distinct)) or its per-row key ordinals
+// (row path, O(rows), dropped once the band is routed so they do not stay
+// pinned behind the plan until end of scan).
+type GroupBand struct {
+	Stat *GroupBandStat
+
+	spec    expr.GroupBySpec
+	partial *algebra.GroupPartial
+	sum     *algebra.GroupKeySummary
+}
+
+// SummarizeGroupBand summarizes one band of a GROUPBY shuffle.
+func SummarizeGroupBand(df *core.DataFrame, spec expr.GroupBySpec) (*GroupBand, error) {
+	if algebra.ExactCombine(spec) {
+		g := algebra.NewGroupPartial(spec)
+		if err := g.AddFrame(df); err != nil {
+			return nil, err
+		}
+		hashes, exemplars := g.KeyStats()
+		return &GroupBand{Stat: &GroupBandStat{Hashes: hashes, Exemplars: exemplars}, spec: spec, partial: g}, nil
+	}
+	sum, err := algebra.SummarizeGroupKeys(df, spec.Keys)
+	if err != nil {
+		return nil, err
+	}
+	return &GroupBand{Stat: GroupStatOf(sum), spec: spec, sum: sum}, nil
+}
+
+// Route is the groupby partition phase: it cuts the summarized band df into
+// one piece per hash bucket — the partial's state frames, or zero-copy row
+// pieces. bucket = hash % buckets is a pure function of the key, identical
+// in every band, so a band routes from its OWN summary. Row pieces leave
+// with the aggregate inputs resolved on the band (the summary already
+// resolved the keys), so every column the merge reads leaves here typed —
+// by the band's induction, in the band's task — and no piece handed to a
+// merge, a spill or the wire is parsed again. Route writes only unexported
+// fields, so it may run while the plan fold reads Stat.
+func (b *GroupBand) Route(df *core.DataFrame, buckets int) ([]*core.DataFrame, error) {
+	if b.partial != nil {
+		return b.partial.StateFrames(df, buckets)
+	}
+	for _, a := range b.spec.Aggs {
 		if a.Col == "" {
 			continue // size counts rows, whatever they hold
 		}
@@ -57,6 +96,8 @@ func RouteGroupBand(df *core.DataFrame, sum *algebra.GroupKeySummary, spec expr.
 			df.TypedCol(j)
 		}
 	}
+	sum := b.sum
+	b.sum = nil
 	assign := make([]int, len(sum.Ordinals))
 	for i, d := range sum.Ordinals {
 		assign[i] = int(sum.Hashes[d] % uint64(buckets))
@@ -64,33 +105,33 @@ func RouteGroupBand(df *core.DataFrame, sum *algebra.GroupKeySummary, spec expr.
 	return partition.SplitRows(df, assign, buckets)
 }
 
-// GroupRouting is the finalize state produced by the plan fold. Rows route
-// incrementally by stable key hash — bucket = hash % buckets, a pure
-// function of the key, so every band assigns identically without seeing any
-// other band — and the fold's job shrinks to repairing global order:
-// Ranks[b] lists bucket b's groups' global first-appearance ranks in
-// ascending order (folding a bucket's pieces in band order yields exactly
-// these groups in exactly this rank order). Heavy flags buckets owning a
-// key above the fair row share (nil when skew-aware planning is off).
+// GroupRouting is the finalize state produced by the plan fold. Bands route
+// by stable key hash — bucket = hash % buckets, a pure function of the key,
+// so every band assigns identically without seeing any other band — and the
+// fold's job shrinks to repairing global order: Ranks[b] lists bucket b's
+// groups' global first-appearance ranks in ascending order (folding a
+// bucket's pieces in band order yields exactly these groups in exactly this
+// rank order).
 type GroupRouting struct {
 	Ranks [][]int64
-	Heavy []bool
 }
 
 // PlanGroupRouting folds per-band key stats — in band order, reproducing
 // the single-node scan's first-appearance order — into each hash bucket's
 // ascending global rank list. Global ids are assigned in fold order, so a
 // key's id IS its first-appearance rank; hash collisions between distinct
-// keys are broken by exemplar verification. Unlike the routing fold this
-// replaced, nothing here gates partitioning: bands route themselves by
-// hash%buckets, and this plan only tells each merge which ranks it owns.
+// keys are broken by exemplar verification. Nothing here gates
+// partitioning: bands route themselves by hash%buckets, and this plan only
+// tells each merge which ranks it owns. skewAware is ignored: a bucket's
+// merge is one fold in band order whatever its volume, since splitting it
+// into partials merged afterwards would reassociate float sums.
 func PlanGroupRouting(stats []*GroupBandStat, buckets int, skewAware bool) *GroupRouting {
 	fold := algebra.NewGroupKeyFold()
 	for _, st := range stats {
 		if st == nil {
 			continue
 		}
-		fold.AddBand(st.Hashes, st.Exemplars, st.Counts)
+		fold.AddBand(st.Hashes, st.Exemplars)
 	}
 	r := &GroupRouting{Ranks: make([][]int64, buckets)}
 	sizes := make([]int, buckets)
@@ -109,24 +150,6 @@ func PlanGroupRouting(stats []*GroupBandStat, buckets int, skewAware bool) *Grou
 		b := int(h % uint64(buckets))
 		r.Ranks[b] = append(r.Ranks[b], int64(gid))
 	}
-	if skewAware {
-		// Hash routing can't isolate a hot key into its own bucket the way
-		// the old volume-weighted cuts did, but the stats still carry exact
-		// per-key volumes: flag buckets owning a key above the fair share so
-		// their merges split across parallel partial-merge chunks.
-		fair := fold.Total / int64(buckets)
-		for b, ranks := range r.Ranks {
-			for _, g := range ranks {
-				if fold.Counts[g] > fair {
-					if r.Heavy == nil {
-						r.Heavy = make([]bool, buckets)
-					}
-					r.Heavy[b] = true
-					break
-				}
-			}
-		}
-	}
 	return r
 }
 
@@ -139,15 +162,17 @@ const GroupRankCol = "__group_rank__"
 // its merged grouped frame, validates the group count against the plan's
 // rank list, and — when other buckets exist — tags each group with its
 // global rank so the restore pass can interleave buckets back into global
-// first-appearance order. This is the merge phase both backends run.
+// first-appearance order. This is the merge phase both backends run. A
+// piece is either routed rows or a state frame (algebra.IsGroupState); pool
+// is unused, kept for callers that still pass it.
 func MergeGroupBucket(pool *exec.Pool, frames []*core.DataFrame, spec expr.GroupBySpec, routing *GroupRouting, bucket int) (*core.DataFrame, error) {
-	return mergeGroupBucket(pool, physical.PiecesOf(frames...), spec, routing, bucket)
+	return mergeGroupBucket(physical.PiecesOf(frames...), spec, routing, bucket)
 }
 
 // mergeGroupBucket is MergeGroupBucket over the scheduler's piece handles.
-func mergeGroupBucket(pool *exec.Pool, pieces []physical.Piece, spec expr.GroupBySpec, routing *GroupRouting, bucket int) (*core.DataFrame, error) {
+func mergeGroupBucket(pieces []physical.Piece, spec expr.GroupBySpec, routing *GroupRouting, bucket int) (*core.DataFrame, error) {
 	spec.Sorted = false // hashing per bucket; sortedness is a single-node optimization
-	out, err := foldGroupPieces(pool, pieces, spec, routing.Heavy != nil && routing.Heavy[bucket])
+	out, err := foldGroupPieces(pieces, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -165,45 +190,27 @@ func mergeGroupBucket(pool *exec.Pool, pieces []physical.Piece, spec expr.GroupB
 	return out.AppendColumn(types.String(GroupRankCol), vector.NewInt(ranks, nil), types.Int)
 }
 
-// foldGroupPieces folds one bucket's routed pieces into its grouped frame.
-// Each piece is taken as the fold consumes it, so a spilled bucket never
-// re-materializes whole — what keeps a pass-through groupby's merge phase
-// O(one piece + accumulator state). A bucket flagged heavy splits its
-// pieces into contiguous chunks, builds a group partial per chunk in
-// parallel, and recombines in chunk order — GroupPartial.Merge appends the
-// right side's new groups after the left's, so the chunked fold reproduces
-// the sequential first-appearance group order exactly.
-func foldGroupPieces(pool *exec.Pool, pieces []physical.Piece, spec expr.GroupBySpec, heavy bool) (*core.DataFrame, error) {
-	fold := func(pieces []physical.Piece) (*algebra.GroupPartial, error) {
-		g := algebra.NewGroupPartial(spec)
-		for _, p := range pieces {
-			f, err := p.Frame()
-			if err != nil {
-				return nil, err
-			}
-			if err := g.AddFrame(f); err != nil {
-				return nil, err
-			}
-		}
-		return g, nil
-	}
-	if !heavy || len(pieces) < 2 {
-		g, err := fold(pieces)
+// foldGroupPieces folds one bucket's routed pieces, in band order, into one
+// GroupPartial: a state frame through AddState, routed rows through
+// AddFrame — one sequential fold either way, which is what keeps float sums
+// bit-identical to the single-node fold. Each piece is taken as the fold
+// consumes it, so a spilled bucket never re-materializes whole — what keeps
+// a pass-through groupby's merge phase O(one piece + accumulator state).
+func foldGroupPieces(pieces []physical.Piece, spec expr.GroupBySpec) (*core.DataFrame, error) {
+	g := algebra.NewGroupPartial(spec)
+	for _, p := range pieces {
+		f, err := p.Frame()
 		if err != nil {
 			return nil, err
 		}
-		return g.Finalize()
-	}
-	cuts := bandCuts(len(pieces), min(max(pool.Workers(), 2), len(pieces)))
-	partials, err := exec.MapParallel(pool, len(cuts)-1, func(c int) (*algebra.GroupPartial, error) {
-		return fold(pieces[cuts[c]:cuts[c+1]])
-	})
-	if err != nil {
-		return nil, err
-	}
-	g := partials[0]
-	for _, o := range partials[1:] {
-		g.Merge(o)
+		if algebra.IsGroupState(f, spec) {
+			err = g.AddState(f)
+		} else {
+			err = g.AddFrame(f)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	return g.Finalize()
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/eager"
 	"repro/internal/expr"
-	"repro/internal/types"
 )
 
 // zipfKeys draws n keys from a Zipf distribution over [0, keys): heavy head
@@ -157,51 +156,6 @@ func TestGroupBySkewZipf(t *testing.T) {
 		},
 	}
 	assertEngineAgreesWithEager(t, New(WithBands(4)), plan)
-}
-
-// TestPlanGroupRoutingSkew pins the hash-routing plan's shape: every group
-// lands in exactly one bucket (hash%buckets), each bucket's rank list is
-// ascending, and a hot key flags its bucket heavy so the merge chunks it
-// across parallel partials.
-func TestPlanGroupRoutingSkew(t *testing.T) {
-	// Key 0 owns 90 of 100 rows; with 4 buckets its bucket must flag heavy.
-	stats := []*GroupBandStat{{
-		Hashes:    []uint64{40, 41, 42, 43, 44},
-		Exemplars: [][]types.Value{{types.IntValue(0)}, {types.IntValue(1)}, {types.IntValue(2)}, {types.IntValue(3)}, {types.IntValue(4)}},
-		Counts:    []int64{90, 2, 3, 2, 3},
-	}}
-	r := PlanGroupRouting(stats, 4, true)
-	seen := 0
-	for b, ranks := range r.Ranks {
-		for i, g := range ranks {
-			if i > 0 && ranks[i-1] >= g {
-				t.Fatalf("bucket %d ranks not ascending: %v", b, ranks)
-			}
-		}
-		seen += len(ranks)
-	}
-	if seen != 5 {
-		t.Fatalf("routed %d groups, want 5", seen)
-	}
-	hot := int(40 % uint64(4))
-	if !r.Heavy[hot] {
-		t.Fatalf("hot key's bucket %d not flagged heavy: %v", hot, r.Heavy)
-	}
-	// Uniform counts flag nothing.
-	uniform := []*GroupBandStat{{
-		Hashes:    stats[0].Hashes,
-		Exemplars: stats[0].Exemplars,
-		Counts:    []int64{5, 5, 5, 5, 5},
-	}}
-	for _, heavy := range PlanGroupRouting(uniform, 4, true).Heavy {
-		if heavy {
-			t.Fatalf("uniform counts flagged a heavy bucket")
-		}
-	}
-	// Skew-unaware: no heavy tracking at all.
-	if PlanGroupRouting(stats, 4, false).Heavy != nil {
-		t.Fatal("skew-unaware plan must not allocate Heavy")
-	}
 }
 
 // TestChooseJoinStrategyFallbacks pins the broadcast fallbacks: every gate

@@ -19,40 +19,20 @@ import (
 // downstream task: outputs smaller than this per band stay in fewer bands.
 const restoreMinBandRows = 256
 
-// bandCuts splits n items into nb roughly-equal contiguous ranges
-// (mirroring the partition layer's band boundaries).
-func bandCuts(n, nb int) []int {
-	out := make([]int, nb+1)
-	for i := 0; i <= nb; i++ {
-		out[i] = i * n / nb
-	}
-	return out
-}
-
-// groupByShuffle lowers GROUPBY to a band-routed key shuffle. Routing
-// hashes the typed key columns (vector.HashRows — no per-row rendering) and
-// assigns bucket hash%buckets — a pure function of the key, identical in
-// every band — so each band partitions from its OWN summary the moment it
-// parses, with no all-band barrier (physical.Shuffle.BandRouting). The
-// global plan fold (PlanGroupRouting, shared with the cluster coordinator)
-// runs concurrently and gates only the merges: it hands each bucket its
-// groups' ascending global first-appearance ranks, which MergeGroupBucket
-// validates and tags onto the merged groups for the downstream restore pass
+// groupByShuffle lowers GROUPBY to a band-routed key shuffle. Each band is
+// summarized once (SummarizeGroupBand): a spec whose aggregates combine
+// exactly folds the band into one GroupPartial and routes one state row per
+// group; any other spec hashes the band's typed key columns (vector.HashRows
+// — no per-row rendering) and routes its rows. Either way a key goes to
+// bucket hash%buckets — a pure function of the key, identical in every band
+// — so each band partitions from its OWN summary the moment it parses, with
+// no all-band barrier (physical.Shuffle.BandRouting). The global plan fold
+// (PlanGroupRouting, shared with the cluster coordinator) runs concurrently
+// and gates only the merges: it hands each bucket its groups' ascending
+// global first-appearance ranks, which MergeGroupBucket validates and tags
+// onto the merged groups for the downstream restore pass
 // (groupRestoreExchange) to interleave back into exact single-node order —
 // same group order, same positional row labels.
-// groupBandSummary splits a band's key summary for the two consumers of
-// the summarize phase: the O(rows) ordinal table (sum) feeds only the
-// band's own Partition call, while the O(distinct) stat half feeds the
-// global plan fold. Partition drops sum once the band is routed — without
-// the split, every band's ordinals stay pinned behind the plan future
-// until end-of-scan, which alone is O(input rows) of heap on a streamed
-// pass-through groupby. Partition writes sum, Plan reads stat: disjoint
-// fields, so the concurrent tasks don't race.
-type groupBandSummary struct {
-	stat *GroupBandStat
-	sum  *algebra.GroupKeySummary
-}
-
 func (e *Engine) groupByShuffle(spec expr.GroupBySpec) *physical.Shuffle {
 	spec.Sorted = false // hashing per bucket; sortedness is a single-node optimization
 	nb := e.bands
@@ -61,31 +41,23 @@ func (e *Engine) groupByShuffle(spec expr.GroupBySpec) *physical.Shuffle {
 		Buckets:     nb,
 		BandRouting: true,
 		Summarize: func(_ int, band *core.DataFrame) (any, error) {
-			sum, err := algebra.SummarizeGroupKeys(band, spec.Keys)
-			if err != nil {
-				return nil, err
-			}
-			return &groupBandSummary{stat: GroupStatOf(sum), sum: sum}, nil
+			return SummarizeGroupBand(band, spec)
 		},
 		Plan: func(summaries []any, _ []*partition.Frame) (any, error) {
 			// Folding the band summaries in band order reproduces the
 			// single-node scan's first-appearance order.
 			stats := make([]*GroupBandStat, len(summaries))
 			for r, s := range summaries {
-				stats[r] = s.(*groupBandSummary).stat
+				stats[r] = s.(*GroupBand).Stat
 			}
-			return PlanGroupRouting(stats, nb, true), nil
+			return PlanGroupRouting(stats, nb, false), nil
 		},
 		Partition: func(_ int, df *core.DataFrame, plan any) ([]*core.DataFrame, error) {
-			// Band routing: plan is this band's own key summary, nothing
-			// global. hash%nb routes a key identically wherever it appears.
-			gs := plan.(*groupBandSummary)
-			sum := gs.sum
-			gs.sum = nil // free the ordinals; only stat stays live for the plan fold
-			return RouteGroupBand(df, sum, spec, nb)
+			// Band routing: plan is this band's own summary, nothing global.
+			return plan.(*GroupBand).Route(df, nb)
 		},
 		Merge: func(bucket int, pieces []physical.Piece, plan any) (*core.DataFrame, error) {
-			return mergeGroupBucket(e.pool, pieces, spec, plan.(*GroupRouting), bucket)
+			return mergeGroupBucket(pieces, spec, plan.(*GroupRouting), bucket)
 		},
 	}
 }

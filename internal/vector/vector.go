@@ -98,10 +98,10 @@ func FromValues(d types.Domain, vals []types.Value) Vector {
 
 // Concat concatenates the vectors in order. All inputs must share a domain
 // unless one of them is Object, in which case the result falls back to
-// Object. An empty input has no say: a shuffle bucket that received no rows
-// hands back untyped empty columns, and letting those drag a Datetime column
-// through its rendering would cut it to whole seconds. Concat of zero
-// vectors returns an empty Object vector.
+// Object. An empty or all-null input has no say: a shuffle bucket that
+// received no rows hands back untyped empty columns, and letting those drag
+// a Datetime column through its rendering would cut it to whole seconds.
+// Concat of zero vectors returns an empty Object vector.
 func Concat(vs ...Vector) Vector {
 	if len(vs) == 0 {
 		return NewObjectBuilder(0).Build()
@@ -113,13 +113,22 @@ func Concat(vs ...Vector) Vector {
 			return first
 		}
 	}
-	dom := vs[0].Domain()
+	// An input of nulls only has no say either: a bucket whose one group
+	// has a null key finalizes that key as an untyped null.
+	dom := types.Unspecified
 	total := 0
 	for _, v := range vs {
 		total += v.Len()
-		if v.Domain() != dom {
+		switch {
+		case NullCount(v) == v.Len():
+		case dom == types.Unspecified:
+			dom = v.Domain()
+		case v.Domain() != dom:
 			dom = types.Object
 		}
+	}
+	if dom == types.Unspecified {
+		dom = vs[0].Domain()
 	}
 	if out, ok := concatTyped(vs, total); ok {
 		return out
