@@ -1,7 +1,6 @@
 package df
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -66,49 +65,39 @@ func ScanCSVString(s string) *Query { return scanBytes([]byte(s)) }
 // through a fused filter→groupby chain under a fixed ceiling (see
 // WithScanBandRows and WithSpillBudget) instead of being materialized.
 // Open and header-parse errors are sticky, wrap ErrScanSource, and carry
-// the file path.
+// the file path; a file gone by the time the query runs fails its terminal
+// verb the same way.
 func ScanCSVFile(path string) *Query {
 	info, err := os.Stat(path)
 	if err != nil {
 		return &Query{engine: newEngine(), err: scanErr(path, err)}
 	}
 	return scanQuery(&algebra.Scan{
-		Name: "csv",
-		Path: path,
-		Open: func() (io.ReadCloser, error) {
-			f, err := os.Open(path)
-			if err != nil {
-				return nil, scanErr(path, err)
-			}
-			return f, nil
-		},
+		Name:     "csv",
+		Path:     path,
 		Options:  core.DefaultCSVOptions(),
 		SizeHint: info.Size(),
-	}, path)
+	})
 }
 
 func scanBytes(data []byte) *Query {
 	return scanQuery(&algebra.Scan{
-		Name: "csv",
-		Data: data,
-		Open: func() (io.ReadCloser, error) {
-			return io.NopCloser(bytes.NewReader(data)), nil
-		},
+		Name:     "csv",
+		Data:     data,
 		Options:  core.DefaultCSVOptions(),
 		SizeHint: int64(len(data)),
-	}, "")
+	})
 }
 
 // scanQuery probes the scan's header once at build time: open/parse errors
 // become sticky query errors (wrapping ErrScanSource), and the probed
 // column names power static schema inference (Drop, MapCol, DropNA).
-func scanQuery(scan *algebra.Scan, path string) *Query {
-	cur, err := scan.Cursor()
+func scanQuery(scan *algebra.Scan) *Query {
+	cols, err := scan.Probe()
 	if err != nil {
-		return &Query{engine: newEngine(), err: scanErr(path, err)}
+		return &Query{engine: newEngine(), err: err}
 	}
-	scan.Columns = cur.Columns()
-	cur.Close()
+	scan.Columns = cols
 	return &Query{plan: scan, engine: newEngine()}
 }
 
@@ -121,11 +110,15 @@ func scanErr(path string, err error) error {
 	return fmt.Errorf("df: scan csv %q: %w: %w", path, dferrors.ErrScanSource, err)
 }
 
-// WithScanBandRows sets the morsel size (rows per parsed band) of every
-// streaming scan in the plan. Smaller bands lower the peak memory of a
-// streamed pipeline and the first-band latency; larger bands amortize
-// per-band overhead. n must be positive, and the plan must contain a
-// streaming scan (a Lazy() query over an in-memory frame has none).
+// WithScanBandRows sets the morsel size (records per band) of every
+// streaming scan in the plan: each run cuts the whole input into exact
+// byte ranges of n records, and the bands parse in parallel, each in its
+// own task, under the parse-ahead window. Smaller bands lower the peak
+// memory of a streamed pipeline and the band-parse share of first-band
+// latency (the other share is the boundary pass over the whole input);
+// larger bands amortize per-band overhead. n must be positive, and the
+// plan must contain a streaming scan (a Lazy() query over an in-memory
+// frame has none).
 func (q *Query) WithScanBandRows(n int) *Query {
 	if q.err != nil {
 		return q

@@ -172,6 +172,27 @@ func TestScanCSVFileMissingWrapsSentinel(t *testing.T) {
 	}
 }
 
+// TestScanCSVFileRemovedBeforeCollect: a file that was there when the query
+// was built but is gone when it runs fails at execution, still typed and
+// still naming the path.
+func TestScanCSVFileRemovedBeforeCollect(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gone.csv")
+	if err := os.WriteFile(path, []byte(streamCSV(20)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q := ScanCSVFile(path)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	_, err := q.Collect()
+	if !errors.Is(err, ErrScanSource) {
+		t.Errorf("error does not wrap ErrScanSource: %v", err)
+	}
+	if err == nil || !strings.Contains(err.Error(), path) {
+		t.Errorf("error does not carry the path: %v", err)
+	}
+}
+
 // TestScanCSVReaderErrors: a failing reader surfaces as a sticky typed
 // error too.
 func TestScanCSVReaderErrors(t *testing.T) {

@@ -41,21 +41,22 @@
 // opportunistic evaluation regime.
 //
 // Out-of-core streaming: the ScanCSV* sources lower to morsel-driven
-// leaf stages (physical.StreamSource) instead of materialized frames. A
-// producer goroutine parses the input band-by-band under a bounded
-// parse-ahead window (the first band synchronously, so first-band
-// latency is independent of input size), each band runs the stage's
-// fused kernel chain as its own task and resolves a promise-backed block
-// future. Groupby shuffles route incrementally: each band partitions
-// from its own key summary the moment it parses (bucket = stable key
-// hash, identical in every band), the global plan — exact
-// first-appearance group order — gates only the merges, and merged
-// buckets carry a rank column that a restore exchange folds back into
-// exact single-node row order. Single-consumer scan
-// bands are released as soon as a shuffle has routed them, and on such
-// scans the producer holds its parse-ahead window against band RELEASE
-// (routed, and past the budget spilled) rather than task completion, so
-// slow routing stalls the parser instead of accumulating bands.
+// leaf stages (physical.StreamSource) instead of materialized frames. One
+// boundary pass (core.CSVInput.FindBands) cuts the whole input into exact
+// byte-range bands; each band parses from its own range and runs the
+// stage's fused kernel chain as its own task, in parallel under a bounded
+// parse-ahead window, and resolves a promise-backed block future.
+// First-band latency is the boundary pass plus one band's parse. The
+// cluster coordinator cuts a file with the same pass. Groupby shuffles
+// route incrementally: each band partitions from its own key summary the
+// moment it parses (bucket = stable key hash, identical in every band),
+// the global plan — exact first-appearance group order — gates only the
+// merges, and merged buckets carry a rank column that a restore exchange
+// folds back into exact single-node row order. Single-consumer scan bands
+// are released as soon as a shuffle has routed them, and on such scans
+// the producer holds its parse-ahead window against band RELEASE (routed,
+// and past the budget spilled) rather than task completion, so slow
+// routing stalls the parsers instead of accumulating bands.
 // Routed-but-unmerged shuffle pieces past modin.WithShuffleSpillBudget
 // spill through internal/storage and re-resolve lazily inside the merge
 // task that consumes them; cancellation routes through

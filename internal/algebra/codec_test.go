@@ -3,7 +3,6 @@ package algebra_test
 import (
 	"bytes"
 	"encoding/gob"
-	"io"
 	"testing"
 
 	"repro/internal/algebra"
@@ -41,7 +40,6 @@ func codecCases() []codecCase {
 		Name:    "csv",
 		Columns: []string{"k", "v"},
 		Data:    data,
-		Open:    func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(data)), nil },
 		Options: core.DefaultCSVOptions(),
 	}
 	where := expr.WhereCompare("t", vector.CmpGt, types.DatetimeFromNanos(1_600_000_000_100_000_000)).

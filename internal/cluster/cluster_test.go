@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -30,21 +29,17 @@ func csvScan(t *testing.T, text string, bandRows int) *algebra.Scan {
 	t.Helper()
 	data := []byte(text)
 	s := &algebra.Scan{
-		Name: "csv",
-		Data: data,
-		Open: func() (io.ReadCloser, error) {
-			return io.NopCloser(bytes.NewReader(data)), nil
-		},
+		Name:     "csv",
+		Data:     data,
 		Options:  core.DefaultCSVOptions(),
 		SizeHint: int64(len(data)),
 		BandRows: bandRows,
 	}
-	cur, err := s.Cursor()
+	cols, err := s.Probe()
 	if err != nil {
-		t.Fatalf("cursor: %v", err)
+		t.Fatalf("probe: %v", err)
 	}
-	s.Columns = cur.Columns()
-	cur.Close()
+	s.Columns = cols
 	return s
 }
 
@@ -618,53 +613,6 @@ func TestMergePlacementFollowsBytes(t *testing.T) {
 	}
 }
 
-// splitCSV must cut bands exactly at the record boundaries encoding/csv
-// sees — quoted newlines, escaped quotes, blank lines, \r\n — so that
-// re-parsing the concatenated ranges reproduces the whole-file parse.
-func TestSplitCSVMatchesEncodingCSV(t *testing.T) {
-	cases := []string{
-		"a,b\n1,2\n3,4\n5,6\n",
-		"a,b\n\"x\ny\",2\n\"he said \"\"hi\"\"\",4\n",
-		"a,b\r\n1,2\r\n\r\n3,4\r\n",
-		"a,b\n1,2\n\n\n3,4\n5,6", // blank lines + unterminated final record
-		"a,b\n\"q,uo\",\"\"\n,\n",
-	}
-	for ci, text := range cases {
-		for _, bandRows := range []int{1, 2, 100} {
-			ranges, err := splitCSV(strings.NewReader(text), ',', true, bandRows)
-			if err != nil {
-				t.Fatalf("case %d: split: %v", ci, err)
-			}
-			whole, err := core.ReadCSVString(text, core.DefaultCSVOptions())
-			if err != nil {
-				t.Fatalf("case %d: read: %v", ci, err)
-			}
-			total := 0
-			for _, rng := range ranges {
-				sub := text[rng.Offset : rng.Offset+rng.Length]
-				cur, err := core.NewCSVCursor(strings.NewReader(sub), core.CSVOptions{Comma: ',', Header: false})
-				if err != nil {
-					t.Fatalf("case %d: cursor: %v", ci, err)
-				}
-				band, err := cur.NextBand(rng.Rows + 1)
-				if err != nil {
-					t.Fatalf("case %d: parse range: %v", ci, err)
-				}
-				if band.NRows() != rng.Rows {
-					t.Fatalf("case %d: range parsed %d rows, split planned %d", ci, band.NRows(), rng.Rows)
-				}
-				if int64(total) != rng.Row {
-					t.Fatalf("case %d: range starts at row %d, want %d", ci, rng.Row, total)
-				}
-				total += rng.Rows
-			}
-			if total != whole.NRows() {
-				t.Fatalf("case %d bandRows=%d: split covers %d rows, file has %d", ci, bandRows, total, whole.NRows())
-			}
-		}
-	}
-}
-
 // Close used to clear the stop-channel field while the freshly started
 // heartbeat goroutine was still reading it; with the default heartbeat an
 // immediate Close must be race-free (run under -race) and repeatable.
@@ -765,7 +713,6 @@ func TestPrunedGroupByStillDistributes(t *testing.T) {
 	}
 	scan := csvScan(t, text.String(), 128)
 	scan.Path, scan.Data = path, nil
-	scan.Open = func() (io.ReadCloser, error) { return os.Open(path) }
 
 	var wire atomic.Int64
 	var addrs []string

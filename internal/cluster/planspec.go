@@ -29,9 +29,8 @@ import (
 
 // Source kinds.
 const (
-	srcScanPath byte = iota // worker re-opens Path and section-reads its band
-	srcScanData             // coordinator ships the input bytes in Prepare
-	srcFrame                // coordinator ships each band as an inline block
+	srcScan  byte = iota // worker section-reads its band of the file at Path, or of Data
+	srcFrame             // coordinator ships each band as an inline block
 )
 
 // PlanSpec is a shipped plan: where its leaf's rows come from, the
@@ -46,12 +45,11 @@ type PlanSpec struct {
 
 // SourceSpec describes where a band's rows come from.
 type SourceSpec struct {
-	Kind     byte
-	Path     string   // srcScanPath
-	Data     []byte   // srcScanData
-	Comma    byte     // scan kinds: single-byte field delimiter
-	Columns  []string // scan kinds: header column labels (nil = positional)
-	BandRows int      // scan kinds: morsel size used for splitting
+	Kind    byte
+	Path    string   // srcScan: the file, re-opened by the worker
+	Data    []byte   // srcScan: the input bytes, shipped in Prepare
+	Comma   byte     // srcScan: single-byte field delimiter
+	Columns []string // srcScan: header column labels
 }
 
 // stagePlan is a distributable plan cut at its one shuffle: the leaf and
@@ -160,23 +158,15 @@ func preparePlan(spec PlanSpec) (*workerPlan, error) {
 // path or inline bytes, a single-byte delimiter, and a probed header (the
 // worker names parsed columns from the shipped labels).
 func scanSource(node *algebra.Scan) (SourceSpec, bool) {
-	if node.Options.Comma >= 0x80 || node.Options.InduceNow || !node.Options.Header || len(node.Columns) == 0 {
+	if node.Options.Comma >= 0x80 || node.Options.InduceNow || !node.Options.Header || len(node.Columns) == 0 ||
+		node.Path == "" && node.Data == nil {
 		return SourceSpec{}, false
 	}
-	src := SourceSpec{
-		Comma:    byte(node.Options.Comma),
-		Columns:  append([]string(nil), node.Columns...),
-		BandRows: node.BandRows,
-	}
-	switch {
-	case node.Path != "":
-		src.Kind = srcScanPath
-		src.Path = node.Path
-	case node.Data != nil:
-		src.Kind = srcScanData
-		src.Data = node.Data
-	default:
-		return SourceSpec{}, false
-	}
-	return src, true
+	return SourceSpec{
+		Kind:    srcScan,
+		Path:    node.Path,
+		Data:    node.Data,
+		Comma:   byte(node.Options.Comma),
+		Columns: append([]string(nil), node.Columns...),
+	}, true
 }

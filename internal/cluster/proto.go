@@ -9,6 +9,7 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/modin"
 	"repro/internal/types"
 )
@@ -53,7 +54,7 @@ type PrepareReq struct {
 // plan's scan source, or an inline block for frame sources.
 type BandTask struct {
 	Band  int
-	Range BandRange
+	Range core.BandRange
 	Block []byte
 }
 

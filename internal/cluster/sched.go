@@ -401,18 +401,13 @@ func (s *Scheduler) tryDistribute(n algebra.Node, cut *stagePlan, workers []*wor
 // byte ranges (the lineage), or inline blocks cut from the source frame.
 func (s *Scheduler) planBands(cut *stagePlan, workers int) ([]bandState, bool, error) {
 	if scan, ok := cut.leaf.(*algebra.Scan); ok {
-		rows := cut.src.BandRows
-		if rows <= 0 {
-			rows = physical.DefaultStreamBandRows
-		}
-		rc, err := scan.Open()
+		in, ranges, err := scan.Bands()
 		if err != nil {
 			return nil, false, err
 		}
-		ranges, err := splitCSV(rc, cut.src.Comma, true, rows)
-		rc.Close()
-		if err != nil || len(ranges) == 0 {
-			return nil, false, err
+		in.Close()
+		if len(ranges) == 0 {
+			return nil, false, nil
 		}
 		bands := make([]bandState, len(ranges))
 		for i, rng := range ranges {

@@ -5,7 +5,11 @@
 // internal/vector typed storage, while a coordinator-side Scheduler
 // implements the df-facing engine surface, assigns band tasks round-robin,
 // places shuffle merges where their bucket's bytes landed, and re-submits a
-// lost band's lineage when a worker dies. The in-process MODIN engine
+// lost band's lineage when a worker dies. A scan band's lineage is a
+// core.BandRange: the coordinator cuts the input with the same boundary
+// pass a local stream runs (core.CSVInput.FindBands), and a worker parses
+// its range with the same ranged reader (core.CSVInput.ReadBand), so a band
+// holds the same rows, labels and error text wherever it runs. The in-process MODIN engine
 // remains the degenerate backend (Local) and the fallback for plans whose
 // operators cannot cross a process boundary (opaque Go closures).
 //

@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"net"
-	"os"
 	"sync"
 
 	"repro/internal/core"
@@ -13,7 +10,6 @@ import (
 	"repro/internal/modin"
 	"repro/internal/physical"
 	"repro/internal/schema"
-	"repro/internal/vector"
 )
 
 // Worker executes shipped stage plans: it parses or decodes bands, runs the
@@ -306,57 +302,18 @@ func (w *Worker) buildBand(src *SourceSpec, task *BandTask) (*core.DataFrame, er
 		}
 		return df, nil
 	}
-	r, err := openRange(src, task.Range)
+	// The split ships byte ranges without headers; ReadBand names the
+	// parsed columns from the probed header labels.
+	in, err := core.OpenCSVInput(src.Path, src.Data)
 	if err != nil {
 		return nil, err
 	}
-	defer r.Close()
-	cur, err := core.NewCSVCursor(r, core.CSVOptions{Comma: rune(src.Comma), Header: false})
-	if err != nil {
-		return nil, err
-	}
-	band, err := cur.NextBand(task.Range.Rows)
-	if err == io.EOF || (err == nil && band.NRows() != task.Range.Rows) {
-		return nil, fmt.Errorf("cluster: band lineage yielded fewer rows than split planned")
-	}
-	if err != nil {
-		return nil, err
-	}
-	if src.Columns != nil {
-		// The split ships byte ranges without headers; name the parsed
-		// columns from the probed header labels.
-		band, err = core.New(src.Columns, band.Columns())
-		if err != nil {
-			return nil, err
-		}
-	}
-	band, err = band.WithRowLabels(vector.Range(task.Range.Row, band.NRows()))
+	defer in.Close()
+	band, err := in.ReadBand(task.Range, core.CSVOptions{Comma: rune(src.Comma)}, src.Columns, nil)
 	if err != nil {
 		return nil, err
 	}
 	return band.WithCache(schema.NewCache()), nil
-}
-
-// openRange opens one scan band's byte range.
-func openRange(src *SourceSpec, rng BandRange) (io.ReadCloser, error) {
-	switch src.Kind {
-	case srcScanData:
-		if rng.Offset+rng.Length > int64(len(src.Data)) {
-			return nil, fmt.Errorf("cluster: band range beyond shipped input")
-		}
-		return io.NopCloser(bytes.NewReader(src.Data[rng.Offset : rng.Offset+rng.Length])), nil
-	case srcScanPath:
-		f, err := os.Open(src.Path)
-		if err != nil {
-			return nil, err
-		}
-		return struct {
-			io.Reader
-			io.Closer
-		}{io.NewSectionReader(f, rng.Offset, rng.Length), f}, nil
-	default:
-		return nil, fmt.Errorf("cluster: source kind %d has no byte ranges", src.Kind)
-	}
 }
 
 // partition routes the listed sort bands into buckets by the folded range

@@ -1,10 +1,13 @@
 package core_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -49,7 +52,9 @@ var (
 )
 
 // csvCases are the inputs every reading of one file must agree on: quoting,
-// line endings, header handling, and the two malformed-record errors.
+// line endings, blank lines, header handling, and malformed records — two
+// of them in different bands when the bands are small, where the first
+// must be the one reported.
 var csvCases = []struct {
 	name       string
 	text       string
@@ -71,6 +76,14 @@ var csvCases = []struct {
 	{name: "ragged past the first bands", text: "a,b\n" + strings.Repeat("1,2\n", 9) + "3,4,5\n6,7\n", opts: withHeader, err: "core: csv row 9 has 3 fields, want 2"},
 	{name: "ragged headerless", text: "1,2,3\n4,5\n", opts: headerless, err: "core: csv row 1 has 2 fields, want 3"},
 	{name: "bare quote", text: "a,b\n1,x\"y\n", opts: withHeader, err: `core: read csv: parse error on line 2, column 4: bare " in non-quoted-field`},
+	{name: "unterminated quote", text: "a,b\n1,2\n3,\"x\n4,5\n6,7\n", opts: withHeader, err: `core: read csv: record on line 3; parse error on line 5, column 5: extraneous or missing " in quoted-field`},
+	{name: "ragged in two bands", text: "a,b\n1,2\n3\n" + strings.Repeat("4,5\n", 8) + "6,7,8\n9,10\n", opts: withHeader, err: "core: csv row 1 has 1 fields, want 2"},
+	{name: "bare quotes in two bands", text: "a,b\n" + strings.Repeat("1,2\n", 8) + "3,x\"y\n" + strings.Repeat("4,5\n", 8) + "6,\"z\"w\n", opts: withHeader, err: `core: read csv: parse error on line 10, column 4: bare " in non-quoted-field`},
+	{name: "blank line in a quoted field", text: "a,b\n1,\"x\n\ny\"\n\n2,\"\r\n\r\nz\"\r\n", opts: withHeader, rows: 2, cols: 2},
+	{name: "plain", text: "a,b\n1,2\n3,4\n5,6\n", opts: withHeader, rows: 3, cols: 2},
+	{name: "quoted newline and escapes", text: "a,b\n\"x\ny\",2\n\"he said \"\"hi\"\"\",4\n", opts: withHeader, rows: 2, cols: 2},
+	{name: "crlf blank line", text: "a,b\r\n1,2\r\n\r\n3,4\r\n", opts: withHeader, rows: 2, cols: 2},
+	{name: "quoted comma, empty quoted, empty fields", text: "a,b\n\"q,uo\",\"\"\n,\n", opts: withHeader, rows: 2, cols: 2},
 }
 
 // ReadCSV is the cursor's one-band case, so the whole-file read and every
@@ -88,30 +101,107 @@ func TestReadCSVMatchesBandedCursor(t *testing.T) {
 		} else if whole.NRows() != tc.rows || whole.NCols() != tc.cols {
 			t.Errorf("%s: ReadCSV shape %dx%d, want %dx%d", tc.name, whole.NRows(), whole.NCols(), tc.rows, tc.cols)
 		}
+		path := filepath.Join(t.TempDir(), "in.csv")
+		if err := os.WriteFile(path, []byte(tc.text), 0o644); err != nil {
+			t.Fatal(err)
+		}
 		for _, k := range []int{1, 7, math.MaxInt} {
-			banded, err := readBanded(tc.text, tc.opts, k)
-			if tc.err != "" {
-				if err == nil || err.Error() != wholeErr.Error() {
-					t.Errorf("%s k=%d: banded error = %v, want %v", tc.name, k, err, wholeErr)
+			reads := map[string]func() (*core.DataFrame, error){
+				"cursor":          func() (*core.DataFrame, error) { return readBanded(tc.text, tc.opts, k) },
+				"ranged in place": func() (*core.DataFrame, error) { return readRanged("", []byte(tc.text), tc.opts, k) },
+				"ranged file":     func() (*core.DataFrame, error) { return readRanged(path, nil, tc.opts, k) },
+			}
+			for how, read := range reads {
+				banded, err := read()
+				if tc.err != "" {
+					if err == nil || err.Error() != wholeErr.Error() {
+						t.Errorf("%s k=%d %s: error = %v, want %v", tc.name, k, how, err, wholeErr)
+					}
+					continue
 				}
-				continue
-			}
-			if err != nil {
-				t.Errorf("%s k=%d: banded read: %v", tc.name, k, err)
-				continue
-			}
-			if !whole.Equal(banded) {
-				t.Errorf("%s k=%d: banded read differs from ReadCSV:\nwhole:\n%s\nbanded:\n%s", tc.name, k, whole, banded)
+				if err != nil {
+					t.Errorf("%s k=%d %s: %v", tc.name, k, how, err)
+					continue
+				}
+				if !whole.Equal(banded) {
+					t.Errorf("%s k=%d %s: differs from ReadCSV:\nwhole:\n%s\nbanded:\n%s", tc.name, k, how, whole, banded)
+				}
 			}
 		}
 	}
+}
+
+// readRanged reads an input the way a parallel scan does: the header (or a
+// headerless file's first record) probed once for the column names, the
+// input cut into bands of k records by FindBands, and every band parsed on
+// its own by ReadBand — last band first, so no parse can lean on state an
+// earlier one left. The first band in file order that fails decides the
+// error, as it does in a streamed scan.
+func readRanged(path string, data []byte, opts core.CSVOptions, k int) (*core.DataFrame, error) {
+	cols, err := probeColumns(path, data, opts)
+	if err != nil {
+		return nil, err
+	}
+	in, err := core.OpenCSVInput(path, data)
+	if err != nil {
+		return nil, err
+	}
+	defer in.Close()
+	ranges, err := in.FindBands(opts.Header, k)
+	if err != nil {
+		return nil, err
+	}
+	if data != nil {
+		// The file pass reads through a fixed buffer: every chunk size must
+		// cut the same bands as the in-place pass.
+		for _, chunk := range []int{1, 2, 3, 5} {
+			chunked, err := core.FindBandsChunked(data, opts.Header, k, chunk)
+			if err != nil || !slices.Equal(chunked, ranges) {
+				return nil, fmt.Errorf("%d-byte chunks cut %v (%v), in place %v", chunk, chunked, err, ranges)
+			}
+		}
+	}
+	if len(ranges) == 0 {
+		ranges = []core.BandRange{{}}
+	}
+	bands := make([]*core.DataFrame, len(ranges))
+	errs := make([]error, len(ranges))
+	for i := len(ranges) - 1; i >= 0; i-- {
+		bands[i], errs[i] = in.ReadBand(ranges[i], opts, cols, nil)
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return algebra.VStackFrames(bands...)
+}
+
+// probeColumns reads what a scan's build-time probe reads: the header, or
+// a headerless file's first record.
+func probeColumns(path string, data []byte, opts core.CSVOptions) ([]string, error) {
+	in, err := core.OpenCSVInput(path, data)
+	if err != nil {
+		return nil, err
+	}
+	cur, err := in.Cursor(opts)
+	if err != nil {
+		return nil, err
+	}
+	defer cur.Close()
+	if !opts.Header {
+		if _, err := cur.NextBand(1); err != nil && err != io.EOF {
+			return nil, err
+		}
+	}
+	return cur.Columns(), nil
 }
 
 // checkKeep reads text twice in lockstep, k rows at a time — every column,
 // and only keep — and reports the first disagreement: each kept band must
 // Equal the projection of the full band, a failing read must fail both ways
 // with one message, and the two cursors must have consumed the same bytes
-// (scan scheduling sizes its band grid from BytesRead).
+// (BytesRead).
 func checkKeep(text string, opts core.CSVOptions, k int, keep []string) error {
 	full, err := core.NewCSVCursor(strings.NewReader(text), opts)
 	if err != nil {
@@ -262,6 +352,47 @@ func FuzzCursorKeep(f *testing.F) {
 		}
 		if err := checkKeep(text, opts, k, keep); err != nil {
 			t.Errorf("header=%v k=%d keep=%q: %v", header, k, keep, err)
+		}
+	})
+}
+
+// FuzzRangedReadMatchesWholeRead holds a parallel scan's reading to ReadCSV
+// — the input cut by FindBands, every band parsed alone by ReadBand — over
+// inputs made of the bytes CSV structure is built from, at any band size:
+// cells, labels and error text must all be identical.
+func FuzzRangedReadMatchesWholeRead(f *testing.F) {
+	for _, tc := range csvCases {
+		f.Add([]byte(tc.text), tc.opts.Header, uint8(1))
+		f.Add([]byte(tc.text), tc.opts.Header, uint8(7))
+	}
+	const fold = "\",\n\rxy"
+	f.Fuzz(func(t *testing.T, raw []byte, header bool, k uint8) {
+		// Bytes outside quotes, delimiters, line ends and letters fold
+		// into them, so the seeds survive and mutations stay structural.
+		text := make([]byte, len(raw))
+		for i, c := range raw {
+			switch {
+			case c == '"', c == ',', c == '\n', c == '\r', c == ' ', 'a' <= c && c <= 'z', '0' <= c && c <= '9':
+				text[i] = c
+			default:
+				text[i] = fold[int(c)%len(fold)]
+			}
+		}
+		rows := int(k)
+		if rows == 0 {
+			rows = math.MaxInt
+		}
+		opts := core.CSVOptions{Comma: ',', Header: header}
+		whole, wholeErr := core.ReadCSV(bytes.NewReader(text), opts)
+		ranged, err := readRanged("", text, opts, rows)
+		if wholeErr != nil || err != nil {
+			if fmt.Sprint(err) != fmt.Sprint(wholeErr) {
+				t.Errorf("%q k=%d: ranged error %v, ReadCSV %v", text, rows, err, wholeErr)
+			}
+			return
+		}
+		if !whole.Equal(ranged) {
+			t.Errorf("%q k=%d: ranged read differs:\n%s\nReadCSV:\n%s", text, rows, ranged, whole)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -27,6 +28,7 @@ type CSVCursor struct {
 	out    []string // band column labels: keep, or names
 	idx    []int    // out[k] is file column idx[k]; built once names is known
 	row    int      // data rows read so far (for error positions)
+	lines  int      // input lines before the cursor's first byte (for error positions)
 	eof    bool
 	closed bool
 }
@@ -105,9 +107,7 @@ func (c *CSVCursor) resolve() error {
 	return nil
 }
 
-// BytesRead returns the input offset consumed so far; scan scheduling uses
-// the first band's byte footprint to estimate the band count of the rest of
-// the file.
+// BytesRead returns the input offset consumed so far.
 func (c *CSVCursor) BytesRead() int64 { return c.r.InputOffset() }
 
 // Empty returns a zero-row band with the cursor's band columns — the shape
@@ -147,7 +147,7 @@ func (c *CSVCursor) NextBand(maxRows int) (*DataFrame, error) {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("core: read csv: %w", err)
+			return nil, fmt.Errorf("core: read csv: %w", c.shift(err))
 		}
 		if c.names == nil {
 			// Headerless input: columns are named positionally from the
@@ -186,6 +186,19 @@ func (c *CSVCursor) NextBand(maxRows int) (*DataFrame, error) {
 		cols[k] = vector.NewObjectFromStrings(colData[k])
 	}
 	return New(c.out, cols)
+}
+
+// shift moves a *csv.ParseError's line numbers from the cursor's input to
+// the whole file's, for a cursor that starts past the file's first line.
+func (c *CSVCursor) shift(err error) error {
+	var pe *csv.ParseError
+	if c.lines == 0 || !errors.As(err, &pe) {
+		return err
+	}
+	moved := *pe
+	moved.StartLine += c.lines
+	moved.Line += c.lines
+	return &moved
 }
 
 // Close releases the underlying source. It is idempotent.

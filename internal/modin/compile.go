@@ -2,6 +2,7 @@ package modin
 
 import (
 	"fmt"
+	"io"
 	"slices"
 
 	"repro/internal/algebra"
@@ -78,40 +79,51 @@ func (c *compiler) compile(n algebra.Node) (*physical.Node, error) {
 	return p, nil
 }
 
-// cachedCursor attaches a fresh schema cache to every parsed band, so the
-// band's fused kernel chain memoizes lazy type induction the same way a
-// whole-frame scan did.
-type cachedCursor struct{ *core.CSVCursor }
-
-func (c cachedCursor) NextBand(maxRows int) (*core.DataFrame, error) {
-	df, err := c.CSVCursor.NextBand(maxRows)
-	if err != nil {
-		return df, err
-	}
-	return df.WithCache(schema.NewCache()), nil
-}
-
-// streamScan lowers a scan leaf to a morsel-driven stream stage: bands parse
-// incrementally on the stage's producer, and (via fuse below) the stage
-// absorbs the downstream kernel chain. A non-nil keep is a PROJECTION
-// directly over the scan, answered by the cursor itself: dropped columns
-// are never transposed into vectors. singleUse lets a downstream
-// spill-aware shuffle release each band once routed.
+// streamScan lowers a scan leaf to a morsel-driven stream stage: the input
+// is cut into exact bands when the stage is scheduled, each band parses in
+// its own task, and (via fuse below) the stage absorbs the downstream
+// kernel chain. A non-nil keep is a PROJECTION directly over the scan,
+// answered by the band reader itself: dropped columns are never transposed
+// into vectors. singleUse lets a downstream spill-aware shuffle release each
+// band once routed.
 func (c *compiler) streamScan(scan *algebra.Scan, keep []string, singleUse bool) *physical.Node {
 	return physical.NewStreamSource(&physical.StreamSource{
-		Name: describeScan(scan, keep),
-		Open: func() (physical.StreamCursor, error) {
-			cur, err := scan.Cursor()
+		Name:      describeScan(scan, keep),
+		Open:      func() ([]physical.Band, io.Closer, error) { return scanBands(scan, keep) },
+		SingleUse: singleUse,
+	})
+}
+
+// scanBands opens the scan's input once and cuts it into its bands; each
+// band reads its own byte range, with a fresh schema cache so the band's
+// fused kernel chain memoizes lazy type induction. An input without
+// records is one band, the zero-row band.
+func scanBands(scan *algebra.Scan, keep []string) ([]physical.Band, io.Closer, error) {
+	cols := scan.Columns
+	if cols == nil {
+		var err error
+		if cols, err = scan.Probe(); err != nil {
+			return nil, nil, err
+		}
+	}
+	in, ranges, err := scan.Bands()
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(ranges) == 0 {
+		ranges = []core.BandRange{{}}
+	}
+	bands := make([]physical.Band, len(ranges))
+	for i, rng := range ranges {
+		bands[i] = func() (*core.DataFrame, error) {
+			band, err := in.ReadBand(rng, scan.Options, cols, keep)
 			if err != nil {
 				return nil, err
 			}
-			cur.Keep(keep)
-			return cachedCursor{cur}, nil
-		},
-		BandRows:  scan.BandRows,
-		SizeHint:  scan.SizeHint,
-		SingleUse: singleUse,
-	})
+			return band.WithCache(schema.NewCache()), nil
+		}
+	}
+	return bands, in, nil
 }
 
 // prunedScan returns the scan a PROJECTION reads when the scan's cursor can

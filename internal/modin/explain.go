@@ -8,7 +8,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/expr"
 	"repro/internal/optimizer"
-	"repro/internal/physical"
 )
 
 // DescribePhysical renders the engine's physical strategy decisions for a
@@ -52,11 +51,7 @@ func (e *Engine) describeNode(n algebra.Node, uses map[algebra.Node]int, b *stri
 	case *algebra.GroupBy:
 		fmt.Fprintf(b, "GROUPBY strategy=hash-shuffle (groups≈%s)\n", approx(optimizer.EstimateNode(node).Rows))
 	case *algebra.Scan:
-		rows := node.BandRows
-		if rows <= 0 {
-			rows = physical.DefaultStreamBandRows
-		}
-		fmt.Fprintf(b, "SCAN strategy=stream (band rows=%d", rows)
+		fmt.Fprintf(b, "SCAN strategy=stream (band rows=%d", node.BandSize())
 		if node.SizeHint > 0 {
 			fmt.Fprintf(b, ", ≈%s bytes", approx(float64(node.SizeHint)))
 		}

@@ -3,14 +3,15 @@ package modin
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/eager"
+	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/types"
 )
@@ -25,11 +26,9 @@ func scanOver(t *testing.T, df *core.DataFrame, bandRows int) *algebra.Scan {
 	}
 	data := buf.Bytes()
 	return &algebra.Scan{
-		Name:    "test",
-		Columns: df.ColNames(),
-		Open: func() (io.ReadCloser, error) {
-			return io.NopCloser(bytes.NewReader(data)), nil
-		},
+		Name:     "test",
+		Columns:  df.ColNames(),
+		Data:     data,
 		Options:  core.DefaultCSVOptions(),
 		SizeHint: int64(len(data)),
 		BandRows: bandRows,
@@ -199,8 +198,33 @@ func TestStreamedScanSort(t *testing.T) {
 	}
 }
 
+// TestStreamedScanMatchesWholeRead holds a streamed scan — the input cut into
+// exact byte-range bands, each parsed in its own task — to the whole-file
+// read the eager engine makes, over band sizes, band counts and spill
+// budgets: the bare scan gathered, and a filter→groupby over it.
+func TestStreamedScanMatchesWholeRead(t *testing.T) {
+	src := testFrame(150)
+	for _, bandRows := range []int{1, 7, 64} {
+		for _, bands := range []int{1, 2, 7} {
+			for _, budget := range []int{0, 1} {
+				t.Run(fmt.Sprintf("rows=%d/bands=%d/budget=%d", bandRows, bands, budget), func(t *testing.T) {
+					e := New(WithBands(bands), WithShuffleSpillBudget(budget))
+					defer e.ReleaseSpill()
+					scan := scanOver(t, src, bandRows)
+					assertEngineAgreesWithEager(t, e, scan)
+					assertEngineAgreesWithEager(t, e, groupByPlan(&algebra.Selection{
+						Input: scan,
+						Pred:  expr.ColEquals("dept", types.String("eng")),
+						Desc:  "dept == eng",
+					}))
+				})
+			}
+		}
+	}
+}
+
 // TestStreamedScanReusable executes the same Scan plan twice on one engine:
-// Open must hand back a fresh reader each run.
+// each run must re-read the input from its start.
 func TestStreamedScanReusable(t *testing.T) {
 	plan := groupByPlan(scanOver(t, testFrame(120), 32))
 	e := New(WithBands(4))
@@ -219,15 +243,10 @@ func TestStreamedScanReusable(t *testing.T) {
 
 // TestStreamedScanEmptyAndHeaderOnly covers degenerate sources end to end.
 func TestStreamedScanEmptyAndHeaderOnly(t *testing.T) {
-	open := func(text string) func() (io.ReadCloser, error) {
-		return func() (io.ReadCloser, error) {
-			return io.NopCloser(bytes.NewReader([]byte(text))), nil
-		}
-	}
 	headerOnly := &algebra.Scan{
 		Name:    "header-only",
 		Columns: []string{"a", "b"},
-		Open:    open("a,b\n"),
+		Data:    []byte("a,b\n"),
 		Options: core.DefaultCSVOptions(),
 	}
 	out, err := New(WithBands(4)).Execute(headerOnly)
@@ -240,7 +259,7 @@ func TestStreamedScanEmptyAndHeaderOnly(t *testing.T) {
 
 	empty := &algebra.Scan{
 		Name:    "empty",
-		Open:    open(""),
+		Data:    []byte{},
 		Options: core.DefaultCSVOptions(),
 	}
 	out, err = New(WithBands(4)).Execute(empty)
@@ -252,20 +271,38 @@ func TestStreamedScanEmptyAndHeaderOnly(t *testing.T) {
 	}
 }
 
-// TestStreamedScanRaggedRowFails propagates a mid-stream parse error out of
-// the band pipeline as a query error instead of a hang or partial result.
+// TestStreamedScanRaggedRowFails propagates a parse error out of the band
+// pipeline as a query error instead of a hang or partial result — and, with
+// bands parsing in parallel, always the first malformed record's error. The
+// input has two ragged records in different bands at both band sizes; the
+// first is wide, so its band parses slowly and the second band's error is
+// ready first. Were a failed band to cancel the query as soon as it parsed,
+// that later error would win most runs on more than one worker.
 func TestStreamedScanRaggedRowFails(t *testing.T) {
-	bad := &algebra.Scan{
-		Name:    "ragged",
-		Columns: []string{"a", "b"},
-		Open: func() (io.ReadCloser, error) {
-			return io.NopCloser(bytes.NewReader([]byte("a,b\n1,2\n3\n4,5\n"))), nil
-		},
-		Options:  core.DefaultCSVOptions(),
-		BandRows: 1,
-	}
-	if _, err := New(WithBands(4)).Execute(bad); err == nil {
-		t.Fatal("expected a parse error from the streamed scan")
+	text := "a,b\n" + strings.Repeat("1,2\n", 6) + strings.Repeat("x", 1<<18) + ",3,4\n5\n6,7\n"
+	const want = "physical: stream SCAN(ragged, 2 cols): core: csv row 6 has 3 fields, want 2"
+	for _, bandRows := range []int{1, 7} {
+		for _, workers := range []int{1, 2, 4} {
+			bad := &algebra.Scan{
+				Name:     "ragged",
+				Columns:  []string{"a", "b"},
+				Data:     []byte(text),
+				Options:  core.DefaultCSVOptions(),
+				BandRows: bandRows,
+			}
+			pool := exec.NewPool(workers)
+			e := New(WithPool(pool), WithBands(4))
+			withDeadline(t, 30*time.Second, func() {
+				for run := 0; run < 50; run++ {
+					_, err := e.Execute(bad)
+					if got := rootCause(err); got != want {
+						t.Errorf("rows=%d workers=%d run %d: error %q, want %q", bandRows, workers, run, got, want)
+						return
+					}
+				}
+			})
+			pool.Close()
+		}
 	}
 }
 

@@ -1,9 +1,7 @@
 package modin
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 
@@ -56,7 +54,6 @@ func textScan(text string, bandRows int) *algebra.Scan {
 		Name:     "csv",
 		Columns:  strings.Split(header, ","),
 		Data:     data,
-		Open:     func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(data)), nil },
 		Options:  core.DefaultCSVOptions(),
 		SizeHint: int64(len(data)),
 		BandRows: bandRows,

@@ -3,7 +3,6 @@ package optimizer_test
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"regexp"
 	"slices"
@@ -190,7 +189,6 @@ func scanOf(t *testing.T, df *core.DataFrame, bandRows int) *algebra.Scan {
 		Name:     "csv",
 		Data:     data,
 		Columns:  df.ColNames(),
-		Open:     func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(data)), nil },
 		Options:  core.DefaultCSVOptions(),
 		SizeHint: int64(len(data)),
 		BandRows: bandRows,

@@ -13,54 +13,43 @@ import (
 	"repro/internal/exec"
 )
 
-// fakeCursor serves pre-split bands, optionally failing at a given band —
-// a StreamCursor with fully controlled pacing and error injection.
-type fakeCursor struct {
-	bands        []*core.DataFrame
-	names        []string
-	i            int
-	bytesPerBand int64
-	failAt       int // NextBand errors when asked for this band; -1 = never
-	closed       atomic.Bool
+// fakeSource serves pre-split bands as a stream's band list — an input with
+// fully controlled contents, pacing and error injection.
+type fakeSource struct {
+	bands  []*core.DataFrame
+	failAt []int // these bands' parses fail
+	slow   int   // this band's parse sleeps first; -1 = none
+	closed atomic.Bool
 }
 
-func (c *fakeCursor) NextBand(maxRows int) (*core.DataFrame, error) {
-	if maxRows <= 0 {
-		return nil, fmt.Errorf("bad band size %d", maxRows)
+func (f *fakeSource) open() ([]Band, io.Closer, error) {
+	bands := make([]Band, len(f.bands))
+	for i, b := range f.bands {
+		bands[i] = func() (*core.DataFrame, error) {
+			if i == f.slow {
+				time.Sleep(20 * time.Millisecond)
+			}
+			for _, bad := range f.failAt {
+				if i == bad {
+					return nil, fmt.Errorf("synthetic parse failure in band %d", i)
+				}
+			}
+			return b, nil
+		}
 	}
-	if c.i == c.failAt {
-		return nil, errors.New("synthetic parse failure")
-	}
-	if c.i >= len(c.bands) {
-		return nil, io.EOF
-	}
-	b := c.bands[c.i]
-	c.i++
-	return b, nil
+	return bands, f, nil
 }
 
-func (c *fakeCursor) BytesRead() int64 { return int64(c.i) * c.bytesPerBand }
-
-func (c *fakeCursor) Empty() *core.DataFrame {
-	cols := make([]string, len(c.names))
-	copy(cols, c.names)
-	e, err := core.FromRecords(cols, nil)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-func (c *fakeCursor) Close() error {
-	c.closed.Store(true)
+func (f *fakeSource) Close() error {
+	f.closed.Store(true)
 	return nil
 }
 
 // waitClosed waits out the producer goroutine's deferred Close — the gather
 // error can surface a beat before the producer unwinds.
-func (c *fakeCursor) waitClosed() bool {
+func (f *fakeSource) waitClosed() bool {
 	for i := 0; i < 100; i++ {
-		if c.closed.Load() {
+		if f.closed.Load() {
 			return true
 		}
 		time.Sleep(time.Millisecond)
@@ -68,28 +57,18 @@ func (c *fakeCursor) waitClosed() bool {
 	return false
 }
 
-// splitDF slices df into rows-sized raw bands (no labels: the stream stage
-// assigns global labels itself).
+// splitDF slices df into rows-sized bands; each keeps its global row labels,
+// as a band read from its byte range does.
 func splitDF(df *core.DataFrame, rows int) []*core.DataFrame {
 	var bands []*core.DataFrame
 	for lo := 0; lo < df.NRows(); lo += rows {
-		hi := lo + rows
-		if hi > df.NRows() {
-			hi = df.NRows()
-		}
-		bands = append(bands, df.SliceRows(lo, hi))
+		bands = append(bands, df.SliceRows(lo, min(lo+rows, df.NRows())))
 	}
 	return bands
 }
 
-func streamNode(cur *fakeCursor, sizeHint int64, kernels ...Kernel) *Node {
-	return NewStreamSource(&StreamSource{
-		Name:     "fake",
-		Open:     func() (StreamCursor, error) { return cur, nil },
-		BandRows: 10,
-		SizeHint: sizeHint,
-		Kernels:  kernels,
-	})
+func streamNode(src *fakeSource, kernels ...Kernel) *Node {
+	return NewStreamSource(&StreamSource{Name: "fake", Open: src.open, Kernels: kernels})
 }
 
 func runStream(t *testing.T, n *Node) (*core.DataFrame, *Scheduler, error) {
@@ -109,26 +88,26 @@ func runStream(t *testing.T, n *Node) (*core.DataFrame, *Scheduler, error) {
 	return out, s, err
 }
 
-// TestStreamMatchesWholeRead: an accurately-hinted stream gathers to the
-// exact source frame — bands, labels and all.
+// TestStreamMatchesWholeRead: a stream gathers to the exact source frame —
+// one block per listed band, labels and all — and closes its input.
 func TestStreamMatchesWholeRead(t *testing.T) {
 	df := testDF(100)
-	cur := &fakeCursor{bands: splitDF(df, 10), names: df.ColNames(), bytesPerBand: 100, failAt: -1}
-	out, s, err := runStream(t, streamNode(cur, 100*10))
+	src := &fakeSource{bands: splitDF(df, 10), slow: -1}
+	out, s, err := runStream(t, streamNode(src))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !df.Equal(out) {
 		t.Fatalf("streamed gather differs from source:\n%s\nvs\n%s", out, df)
 	}
-	if !cur.waitClosed() {
-		t.Error("cursor not closed after drain")
+	if !src.waitClosed() {
+		t.Error("input not closed after drain")
 	}
 	if got := s.Stats.StreamStages.Load(); got != 1 {
 		t.Errorf("stream stages = %d", got)
 	}
-	if got := s.Stats.StreamBands.Load(); got < 2 {
-		t.Errorf("stream bands = %d, want >= 2", got)
+	if got := s.Stats.StreamBands.Load(); got != 10 {
+		t.Errorf("stream bands = %d, want 10", got)
 	}
 }
 
@@ -136,8 +115,7 @@ func TestStreamMatchesWholeRead(t *testing.T) {
 // result equals the kernel applied to the whole frame.
 func TestStreamFusedKernels(t *testing.T) {
 	df := testDF(100)
-	cur := &fakeCursor{bands: splitDF(df, 10), names: df.ColNames(), bytesPerBand: 100, failAt: -1}
-	out, _, err := runStream(t, streamNode(cur, 100*10, selectEven()))
+	out, _, err := runStream(t, streamNode(&fakeSource{bands: splitDF(df, 10), slow: -1}, selectEven()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,66 +128,30 @@ func TestStreamFusedKernels(t *testing.T) {
 	}
 }
 
-// TestStreamOverflowWhenSizeHintLies: a hint 10x too small still gathers the
-// full input — excess morsels concatenate into the final band.
-func TestStreamOverflowWhenSizeHintLies(t *testing.T) {
-	df := testDF(200)
-	cur := &fakeCursor{bands: splitDF(df, 10), names: df.ColNames(), bytesPerBand: 100, failAt: -1}
-	out, s, err := runStream(t, streamNode(cur, 200)) // ~2 bands' worth of hint for 20 bands
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !df.Equal(out) {
-		t.Fatal("overflow path lost or reordered rows")
-	}
-	if got := s.Stats.StreamBands.Load(); got >= 20 {
-		t.Errorf("band grid = %d, want < 20 (overflow should have absorbed the tail)", got)
-	}
-}
-
-// TestStreamUnknownSize: with no hint the grid is worker-derived and unused
-// tail bands resolve empty.
-func TestStreamUnknownSize(t *testing.T) {
-	df := testDF(30)
-	cur := &fakeCursor{bands: splitDF(df, 10), names: df.ColNames(), bytesPerBand: 100, failAt: -1}
-	out, s, err := runStream(t, streamNode(cur, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !df.Equal(out) {
-		t.Fatal("unknown-size stream differs from source")
-	}
-	if got := s.Stats.StreamBands.Load(); got < 3 {
-		t.Errorf("band grid = %d, want >= 3 (4x workers)", got)
-	}
-}
-
-// TestStreamMidErrorPropagates: a parse failure after the first band turns
-// into a query error on gather (never a hang), carrying the stream name.
+// TestStreamMidErrorPropagates: a band's parse failure — the first band
+// included, which parses as a task like every other — turns into a query
+// error on gather (never a hang), carrying the stream name; the input is
+// closed. With two failing bands, the earlier one's error wins even when
+// its parse finishes last.
 func TestStreamMidErrorPropagates(t *testing.T) {
 	df := testDF(100)
-	cur := &fakeCursor{bands: splitDF(df, 10), names: df.ColNames(), bytesPerBand: 100, failAt: 4}
-	_, _, err := runStream(t, streamNode(cur, 100*10))
-	if err == nil {
-		t.Fatal("expected a mid-stream error")
-	}
-	if !strings.Contains(err.Error(), "fake") {
-		t.Errorf("error should name the stream: %v", err)
-	}
-	if !cur.waitClosed() {
-		t.Error("cursor not closed after failure")
-	}
-}
-
-// TestStreamFirstBandErrorIsSynchronous: a failure on the very first band
-// surfaces from Run itself, before any tasks are scheduled.
-func TestStreamFirstBandErrorIsSynchronous(t *testing.T) {
-	cur := &fakeCursor{names: []string{"id"}, failAt: 0}
-	pool := exec.NewPool(2)
-	defer pool.Close()
-	s := NewScheduler(pool)
-	if _, err := s.Run(streamNode(cur, 0)); err == nil {
-		t.Fatal("expected a synchronous first-band error")
+	for _, tc := range []struct {
+		failAt []int
+		slow   int
+	}{
+		{failAt: []int{0}, slow: -1},
+		{failAt: []int{4}, slow: -1},
+		{failAt: []int{4, 5}, slow: 4},
+	} {
+		src := &fakeSource{bands: splitDF(df, 10), failAt: tc.failAt, slow: tc.slow}
+		_, _, err := runStream(t, streamNode(src))
+		want := fmt.Sprintf("physical: stream fake: synthetic parse failure in band %d", tc.failAt[0])
+		if err == nil || !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("failAt=%v: error %v, want it to end in %q", tc.failAt, err, want)
+		}
+		if !src.waitClosed() {
+			t.Errorf("failAt=%v: input not closed after failure", tc.failAt)
+		}
 	}
 }
 
@@ -217,7 +159,7 @@ func TestStreamFirstBandErrorIsSynchronous(t *testing.T) {
 func TestStreamOpenErrorIsSynchronous(t *testing.T) {
 	n := NewStreamSource(&StreamSource{
 		Name: "broken",
-		Open: func() (StreamCursor, error) { return nil, errors.New("no such file") },
+		Open: func() ([]Band, io.Closer, error) { return nil, nil, errors.New("no such file") },
 	})
 	pool := exec.NewPool(2)
 	defer pool.Close()
@@ -233,8 +175,7 @@ func TestStreamOpenErrorIsSynchronous(t *testing.T) {
 func TestStreamSingleUseMarksTransient(t *testing.T) {
 	df := testDF(20)
 	for _, single := range []bool{true, false} {
-		cur := &fakeCursor{bands: splitDF(df, 10), names: df.ColNames(), bytesPerBand: 100, failAt: -1}
-		n := streamNode(cur, 0)
+		n := streamNode(&fakeSource{bands: splitDF(df, 10), slow: -1})
 		n.Stream.SingleUse = single
 		pool := exec.NewPool(2)
 		s := NewScheduler(pool)
