@@ -108,13 +108,15 @@
 // closures, joins, windows) fall back to an embedded in-process engine
 // — each fallback's reason is tallied in cluster Stats and reported by
 // Query.Explain — and remote application errors re-run locally so
-// callers always see the local results and error chains. Band tasks are assigned round-robin;
-// shuffle merges are placed on the worker holding the most bytes of their
-// bucket; a dead worker's bands are re-submitted as deterministic lineage
-// (scan byte ranges + stage descriptors) to the survivors under a retry
-// budget. The df layer selects the backend from the environment
-// (DF_CLUSTER_WORKERS=n for in-process workers, DF_CLUSTER_ADDRS=a,b for
-// external dfworker processes), so the whole suite runs both ways.
+// callers always see the local results and error chains. Each query runs as
+// self-contained attempts: an attempt deals the bands round-robin to the
+// live workers and places each shuffle merge on the band owner holding the
+// most bytes of its bucket; a worker lost mid-attempt is marked dead and
+// the whole attempt re-runs its deterministic lineage (scan byte ranges +
+// stage descriptors) on the survivors under a retry budget. The df layer
+// selects the backend from the environment (DF_CLUSTER_WORKERS=n for
+// in-process workers, DF_CLUSTER_ADDRS=a,b for external dfworker
+// processes), so the whole suite runs both ways.
 //
 // Vectorized kernels: the operator inner loops run on typed bulk kernels
 // (internal/vector) rather than boxing cells into types.Value or rendering

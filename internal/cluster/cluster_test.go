@@ -313,9 +313,10 @@ func TestWorkerEncodeFailureRerunsLocally(t *testing.T) {
 	}
 }
 
-// The control messages carry the plan in its one binary form and the modin
-// stats themselves: the plan a worker decodes must be exactly the plan the
-// coordinator cut, zero-term Where and all.
+// The control messages carry the plan in its one binary form, its scan leaf
+// and the modin stats themselves: the plan a worker decodes from a RunBands
+// request must be exactly the plan the coordinator cut, zero-term Where and
+// all.
 func TestControlMessagesCarrySpecs(t *testing.T) {
 	roundTrip := func(in, out any) {
 		t.Helper()
@@ -349,14 +350,17 @@ func TestControlMessagesCarrySpecs(t *testing.T) {
 		&algebra.Selection{Input: group, Where: expr.WhereCompare("avg", vector.CmpGt, types.FloatValue(0.5))},
 		&algebra.Sort{Input: chain, Order: expr.SortOrder{{Col: "v", Desc: true}, {Col: "name"}}},
 		&algebra.Sort{Input: src, ByLabels: true},
+		&algebra.Sort{Input: csvScan(t, genCSV(20), 8), Order: expr.SortOrder{{Col: "name"}}},
 	}
 	for _, plan := range plans {
 		data, leaves, err := algebra.EncodePlan(plan)
 		if err != nil {
 			t.Fatalf("encode %s: %v", plan.Describe(), err)
 		}
-		sent := &PrepareReq{QID: "q", Plan: PlanSpec{Source: SourceSpec{Kind: srcFrame}, Buckets: 3, Plan: data}}
-		got := &PrepareReq{}
+		scan, _ := leaves[0].(*algebra.Scan)
+		sent := &RunBandsReq{QID: "q", Plan: PlanSpec{Scan: scan, Buckets: 3, Plan: data},
+			Bands: []BandTask{{Band: 1, Range: core.BandRange{Offset: 9, Length: 40, Row: 2, Line: 3, Rows: 2}}, {Band: 2, Block: []byte{1, 2}}}}
+		got := &RunBandsReq{}
 		roundTrip(sent, got)
 		decoded, err := algebra.DecodePlan(got.Plan.Plan, leaves)
 		if err != nil {
@@ -377,10 +381,10 @@ func TestControlMessagesCarrySpecs(t *testing.T) {
 	}
 	tuples := [][]types.Value{{types.String("a"), types.IntValue(1)}, {types.Null(), types.BoolValue(true)}}
 	roundTrip(&RunBandsResp{Results: []BandResult{
-		{Band: 1, Group: &modin.GroupBandStat{Hashes: []uint64{7, 1 << 63}, Exemplars: tuples}, Sizes: []int64{10, 0, 3}},
-		{Band: 2, Sort: tuples},
+		{Group: &modin.GroupBandStat{Hashes: []uint64{7, 1 << 63}, Exemplars: tuples}, Sizes: []int64{10, 0, 3}},
+		{Sort: tuples},
 	}}, &RunBandsResp{})
-	roundTrip(&PartitionReq{QID: "q", Bands: []int{0, 2}, Buckets: 3, Bounds: tuples}, &PartitionReq{})
+	roundTrip(&PartitionReq{QID: "q", Bands: []int{0, 2}, Bounds: tuples}, &PartitionReq{})
 }
 
 // kernelNames lists a chain's kernels by name and operator, leaf first.
@@ -392,10 +396,10 @@ func kernelNames(chain []physical.Kernel) string {
 	return strings.Join(names, ",")
 }
 
-// A malformed shipped plan is refused in-band: the worker answers Prepare
+// A malformed shipped plan is refused in-band: the worker answers RunBands
 // with an error and keeps no state for the query, the coordinator re-runs
 // the query locally, and the worker stays healthy. A proxy in front of a
-// live worker truncates the plan of every Prepare it forwards.
+// live worker truncates the plan of every RunBands it forwards.
 func TestMalformedPlanRerunsLocally(t *testing.T) {
 	w, err := NewWorker("127.0.0.1:0")
 	if err != nil {
@@ -425,8 +429,8 @@ func TestMalformedPlanRerunsLocally(t *testing.T) {
 					if err != nil {
 						return
 					}
-					if kind == mPrepare {
-						var req PrepareReq
+					if kind == mRunBands {
+						var req RunBandsReq
 						if decodePayload(payload, &req) != nil {
 							return
 						}
@@ -477,7 +481,7 @@ func TestMalformedPlanRerunsLocally(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	err = call(conn, 5*time.Second, mPrepare, &PrepareReq{QID: "bad", Plan: PlanSpec{Plan: []byte("not a plan")}}, &emptyResp{})
+	err = call(conn, 5*time.Second, mRunBands, &RunBandsReq{QID: "bad", Plan: PlanSpec{Plan: []byte("not a plan")}, Bands: []BandTask{{Band: 0}}}, &RunBandsResp{})
 	if _, inBand := err.(*remoteError); !inBand {
 		t.Fatalf("malformed plan: got %v, want an in-band error", err)
 	}
@@ -589,26 +593,72 @@ func TestAllWorkersLostFallsBack(t *testing.T) {
 	}
 }
 
+// Every query id a worker sees is released again, whatever the run's
+// outcome: after a distributed query, a query whose remote error re-runs it
+// locally, and a query whose first attempt loses a worker and is retried
+// on the survivors, no live worker holds any query state.
+func TestWorkersReleaseEveryQuery(t *testing.T) {
+	s, workers := startCluster(t, 3)
+	scan := csvScan(t, genCSV(900), 60)
+	group := &algebra.GroupBy{Input: scan, Spec: expr.GroupBySpec{
+		Keys: []string{"k"}, Aggs: []expr.AggSpec{{Col: "v", Agg: expr.AggSum}},
+	}}
+	checkSame(t, s, group)
+	if _, err := s.Execute(&algebra.Sort{Input: scan, Order: expr.SortOrder{{Col: "nope"}}}); err == nil {
+		t.Fatal("sort on an unknown column succeeded")
+	}
+	killed := false
+	s.OnPhase = func(phase string) {
+		if phase == "bands" && !killed {
+			killed = true
+			workers[2].Close()
+		}
+	}
+	checkSame(t, s, &algebra.Sort{Input: scan, Order: expr.SortOrder{{Col: "v"}, {Col: "name"}}})
+	st := s.ClusterStats()
+	if st.LocalReruns != 1 || st.DeadWorkers != 1 || st.ResubmittedBands == 0 {
+		t.Fatalf("want one local re-run and one retried attempt, stats %+v", st)
+	}
+	for _, w := range workers[:2] {
+		w.mu.Lock()
+		left := len(w.queries)
+		w.mu.Unlock()
+		if left != 0 {
+			t.Errorf("worker %s still holds state for %d queries", w.Addr(), left)
+		}
+	}
+}
+
+// A scan of one band on three workers: the band has one owner, every merge
+// is placed on it, and group and sort still come back cell-identical to the
+// local engine without a local re-run.
+func TestOneBandOnThreeWorkers(t *testing.T) {
+	s, _ := startCluster(t, 3)
+	scan := csvScan(t, genCSV(200), 1000)
+	checkSame(t, s, &algebra.GroupBy{Input: scan, Spec: expr.GroupBySpec{
+		Keys: []string{"name"}, Aggs: []expr.AggSpec{{Col: "v", Agg: expr.AggSum}, {Col: "k", Agg: expr.AggMax}},
+	}})
+	checkSame(t, s, &algebra.Sort{Input: scan, Order: expr.SortOrder{{Col: "v", Desc: true}, {Col: "k"}}})
+	if st := s.ClusterStats(); st.LocalReruns != 0 {
+		t.Fatalf("a one-band query re-ran locally: %+v", st)
+	}
+}
+
 // Merge placement must follow the reported piece bytes: the worker holding
 // the most bytes of a bucket hosts its merge.
 func TestMergePlacementFollowsBytes(t *testing.T) {
 	wa := &workerRef{addr: "a"}
 	wb := &workerRef{addr: "b"}
-	r := &run{
-		workers: []*workerRef{wa, wb},
-		bands: []bandState{
-			{owner: wa}, {owner: wb}, {owner: wa},
-		},
-		sizes: [][]int64{
-			{100, 5},  // band 0 on a
-			{10, 900}, // band 1 on b
-			{50, 10},  // band 2 on a
-		},
+	owners := []*workerRef{wa, wb}
+	sizes := [][]int64{
+		{100, 5},  // band 0 on a
+		{10, 900}, // band 1 on b
+		{50, 10},  // band 2 on a
 	}
-	if got := r.placeMerge(0); got != wa {
+	if got := placeMerge(owners, sizes, 0); got != wa {
 		t.Fatalf("bucket 0 placed on %s, want a (150 bytes vs 10)", got.addr)
 	}
-	if got := r.placeMerge(1); got != wb {
+	if got := placeMerge(owners, sizes, 1); got != wb {
 		t.Fatalf("bucket 1 placed on %s, want b (900 bytes vs 15)", got.addr)
 	}
 }

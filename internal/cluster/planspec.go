@@ -27,40 +27,24 @@ import (
 // Scheduler's fallback), which keeps the df surface complete while the hot
 // streaming shapes distribute.
 
-// Source kinds.
-const (
-	srcScan  byte = iota // worker section-reads its band of the file at Path, or of Data
-	srcFrame             // coordinator ships each band as an inline block
-)
-
-// PlanSpec is a shipped plan: where its leaf's rows come from, the
-// shuffle's global bucket count (set by the coordinator to the live worker
-// count before Prepare; group bands use it to route themselves by key hash
-// without waiting for any fold), and the encoded plan.
+// PlanSpec is a shipped plan: the plan's scan leaf (nil for frame sources,
+// whose bands ship as blocks), the shuffle's global bucket count (one per
+// worker of the attempt; group bands use it to route themselves by key hash
+// without waiting for any fold), and the encoded plan. It rides each band
+// owner's RunBands request.
 type PlanSpec struct {
-	Source  SourceSpec
+	Scan    *algebra.Scan
 	Buckets int
 	Plan    []byte
 }
 
-// SourceSpec describes where a band's rows come from.
-type SourceSpec struct {
-	Kind    byte
-	Path    string   // srcScan: the file, re-opened by the worker
-	Data    []byte   // srcScan: the input bytes, shipped in Prepare
-	Comma   byte     // srcScan: single-byte field delimiter
-	Columns []string // srcScan: header column labels
-}
-
-// stagePlan is a distributable plan cut at its one shuffle: the leaf and
-// the source spec it ships as (on a worker, a placeholder), the per-band
-// chain below the shuffle, the shuffle (at most one of group and sort), and
-// the chain applied to the merged buckets. Without a shuffle the whole
-// chain is the per-band stage. The Sort node is the plan's own; the shared
+// stagePlan is a distributable plan cut at its one shuffle: the leaf (on a
+// worker, a placeholder), the per-band chain below the shuffle, the shuffle
+// (at most one of group and sort), and the chain applied to the merged
+// buckets. Without a shuffle the whole chain is the per-band stage. The Sort node is the plan's own; the shared
 // modin helpers read only its Order and ByLabels.
 type stagePlan struct {
 	leaf  algebra.Node // *algebra.Scan or *algebra.Source
-	src   SourceSpec
 	pre   []physical.Kernel
 	group *expr.GroupBySpec
 	sort  *algebra.Sort
@@ -101,13 +85,12 @@ func cutPlan(n algebra.Node) (*stagePlan, string) {
 			}
 			p.sort, p.post, chain = node, chain, nil
 		case *algebra.Scan:
-			src, ok := scanSource(node)
-			if !ok {
+			if !shippableScan(node) {
 				return nil, "unshippable scan"
 			}
-			p.leaf, p.src = node, src
+			p.leaf = node
 		case *algebra.Source:
-			p.leaf, p.src = node, SourceSpec{Kind: srcFrame}
+			p.leaf = node
 		case *algebra.Join:
 			return nil, "join"
 		case *algebra.Window:
@@ -128,8 +111,8 @@ func cutPlan(n algebra.Node) (*stagePlan, string) {
 	return p, ""
 }
 
-// workerPlan is a prepared query's plan on a worker: the spec as shipped
-// and its decoded cut.
+// workerPlan is a query's plan on a worker: the spec as shipped and its
+// decoded cut.
 type workerPlan struct {
 	PlanSpec
 	*stagePlan
@@ -148,25 +131,16 @@ func preparePlan(spec PlanSpec) (*workerPlan, error) {
 	if reason != "" {
 		return nil, fmt.Errorf("cluster: shipped plan does not distribute (%s)", reason)
 	}
-	if cut.group != nil && spec.Buckets <= 0 {
-		return nil, fmt.Errorf("cluster: group plan shipped without a bucket count")
+	if (cut.group != nil || cut.sort != nil) && spec.Buckets <= 0 {
+		return nil, fmt.Errorf("cluster: shuffle plan shipped without a bucket count")
 	}
 	return &workerPlan{spec, cut}, nil
 }
 
-// scanSource renders a scan leaf. Distributable scans have a re-openable
+// shippableScan reports whether a scan leaf can ship: it has a re-openable
 // path or inline bytes, a single-byte delimiter, and a probed header (the
 // worker names parsed columns from the shipped labels).
-func scanSource(node *algebra.Scan) (SourceSpec, bool) {
-	if node.Options.Comma >= 0x80 || node.Options.InduceNow || !node.Options.Header || len(node.Columns) == 0 ||
-		node.Path == "" && node.Data == nil {
-		return SourceSpec{}, false
-	}
-	return SourceSpec{
-		Kind:    srcScan,
-		Path:    node.Path,
-		Data:    node.Data,
-		Comma:   byte(node.Options.Comma),
-		Columns: append([]string(nil), node.Columns...),
-	}, true
+func shippableScan(node *algebra.Scan) bool {
+	return node.Options.Comma < 0x80 && !node.Options.InduceNow && node.Options.Header && len(node.Columns) > 0 &&
+		(node.Path != "" || node.Data != nil)
 }

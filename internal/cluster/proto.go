@@ -25,11 +25,20 @@ import (
 // codec (wire.go), so gob never sees a cell; the scalars it does see (plan
 // operands, key exemplars, sort samples and bounds) are types.Values, which
 // marshal themselves.
+//
+// One distributed attempt is, under one query id:
+//
+//	RunBands (one per band owner; carries the plan, so the first request
+//	          for a query id installs the worker's state)
+//	Partition (sort plans only) · Merge (one per bucket, on a band owner;
+//	          peers serve it pieces through Fetch) · Release (every worker)
+//
+// A worker that fails mid-attempt loses the whole attempt: the coordinator
+// re-runs it under a fresh query id on the survivors.
 
 // Request kinds.
 const (
 	mPing byte = iota
-	mPrepare
 	mRunBands
 	mPartition
 	mMerge
@@ -44,12 +53,6 @@ const (
 	stFetchErr // a merge could not fetch a peer's piece; payload names the peer
 )
 
-// PrepareReq installs a query's plan on a worker.
-type PrepareReq struct {
-	QID  string
-	Plan PlanSpec
-}
-
 // BandTask names one band a worker must produce: a byte range of the
 // plan's scan source, or an inline block for frame sources.
 type BandTask struct {
@@ -58,9 +61,12 @@ type BandTask struct {
 	Block []byte
 }
 
-// RunBandsReq runs the plan's pre-shuffle stage for the listed bands.
+// RunBandsReq runs the plan's pre-shuffle stage for the listed bands. It
+// carries the plan: a worker installs the query on the first request for
+// its id and refuses a malformed plan in-band, keeping no state.
 type RunBandsReq struct {
 	QID   string
+	Plan  PlanSpec
 	Bands []BandTask
 }
 
@@ -71,32 +77,31 @@ type RunBandsReq struct {
 // piece sizes the coordinator needs for merge placement — there is no
 // separate partition RPC on the group path.
 type BandResult struct {
-	Band  int
 	Block []byte
 	Group *modin.GroupBandStat
 	Sort  [][]types.Value
 	Sizes []int64
 }
 
-// RunBandsResp returns the bands' results.
+// RunBandsResp returns the bands' results, in request order.
 type RunBandsResp struct {
 	Results []BandResult
 }
 
-// PartitionReq routes the listed (already-run) sort bands into buckets by
-// the folded range bounds. Group bands never see this request — they route
-// incrementally at band time by stable key hash.
+// PartitionReq routes the listed (already-run) sort bands into the plan's
+// buckets by the folded range bounds. Group bands never see this request —
+// they route incrementally at band time by stable key hash.
 type PartitionReq struct {
-	QID     string
-	Bands   []int
-	Buckets int
-	Bounds  [][]types.Value
+	QID    string
+	Bands  []int
+	Bounds [][]types.Value
 }
 
-// PartitionResp reports per-band, per-bucket routed piece sizes in bytes —
-// the signal the coordinator uses for locality-aware merge placement.
+// PartitionResp reports each requested band's per-bucket routed piece
+// sizes in bytes, in request order — the signal the coordinator uses for
+// locality-aware merge placement.
 type PartitionResp struct {
-	Sizes map[int]map[int]int64
+	Sizes [][]int64
 }
 
 // PieceRef locates one routed piece: band it came from and the address of

@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"os"
 	"sync"
@@ -34,32 +37,12 @@ type Scheduler struct {
 	mu      sync.Mutex
 	workers []*workerRef
 
-	stats clusterStats
+	stats Stats // guarded by mu
 
-	// OnPhase, when set, is called at run phase boundaries ("bands",
-	// "partitioned", "merged") — the deterministic hook fault-injection
-	// tests use to kill a worker mid-query.
+	// OnPhase, when set, is called at each attempt's phase boundaries
+	// ("bands", "partitioned", "merged") — the deterministic hook
+	// fault-injection tests use to kill a worker mid-query.
 	OnPhase func(phase string)
-}
-
-// clusterStats counts scheduler outcomes.
-type clusterStats struct {
-	distributed, fallback, reruns atomic.Int64
-	resubmitted, deadWorkers      atomic.Int64
-
-	mu      sync.Mutex
-	reasons map[string]int64
-}
-
-// recordFallback counts one local fallback under its reason.
-func (c *clusterStats) recordFallback(reason string) {
-	c.fallback.Add(1)
-	c.mu.Lock()
-	if c.reasons == nil {
-		c.reasons = make(map[string]int64)
-	}
-	c.reasons[reason]++
-	c.mu.Unlock()
 }
 
 // Stats reports cumulative scheduler counters.
@@ -73,11 +56,11 @@ type Stats struct {
 	// ("join", "window", "opaque closure", "double-shuffle", ...), so a
 	// cluster deployment can see WHY plans stayed local, not just how many.
 	FallbackReasons map[string]int64
-	// LocalReruns counts distributed attempts that failed past the retry
-	// budget and were re-run locally.
+	// LocalReruns counts distributed runs that failed past the retry
+	// budget, or with an application error, and were re-run locally.
 	LocalReruns int64
 	// ResubmittedBands counts band lineages re-submitted after a worker
-	// loss.
+	// loss: the bands the lost worker owned in the failed attempt.
 	ResubmittedBands int64
 	// DeadWorkers counts workers declared lost.
 	DeadWorkers int64
@@ -85,22 +68,25 @@ type Stats struct {
 
 // ClusterStats returns a snapshot of the scheduler's counters.
 func (s *Scheduler) ClusterStats() Stats {
-	st := Stats{
-		Distributed:      s.stats.distributed.Load(),
-		Fallback:         s.stats.fallback.Load(),
-		LocalReruns:      s.stats.reruns.Load(),
-		ResubmittedBands: s.stats.resubmitted.Load(),
-		DeadWorkers:      s.stats.deadWorkers.Load(),
-	}
-	s.stats.mu.Lock()
-	if len(s.stats.reasons) > 0 {
-		st.FallbackReasons = make(map[string]int64, len(s.stats.reasons))
-		for k, v := range s.stats.reasons {
-			st.FallbackReasons[k] = v
-		}
-	}
-	s.stats.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.stats
+	st.FallbackReasons = maps.Clone(st.FallbackReasons)
 	return st
+}
+
+// count updates the scheduler's counters under its mutex.
+func (s *Scheduler) count(f func(st *Stats)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f(&s.stats)
+}
+
+// markDead declares w lost, counting each worker once.
+func (s *Scheduler) markDead(w *workerRef) {
+	if !w.dead.Swap(true) {
+		s.count(func(st *Stats) { st.DeadWorkers++ })
+	}
 }
 
 // workerRef is the coordinator's handle on one worker: its address, a lazy
@@ -147,7 +133,7 @@ func (w *workerRef) close() {
 // Option configures a Scheduler.
 type Option func(*Scheduler)
 
-// retryBudget bounds lineage re-submission rounds per query.
+// retryBudget bounds the attempts re-run on survivors per query.
 const retryBudget = 2
 
 // WithRPCTimeout bounds each worker RPC (default 120s — shuffle merges over
@@ -172,8 +158,7 @@ func Connect(addrs []string, opts ...Option) (*Scheduler, error) {
 	live := 0
 	for _, w := range s.workers {
 		if err := w.call(5*time.Second, mPing, &emptyResp{OK: true}, &emptyResp{}); err != nil {
-			w.dead.Store(true)
-			s.stats.deadWorkers.Add(1)
+			s.markDead(w)
 		} else {
 			live++
 		}
@@ -264,8 +249,8 @@ func (s *Scheduler) heartbeat(stop <-chan struct{}) {
 				continue
 			}
 			misses[w.addr]++
-			if misses[w.addr] >= 2 && !w.dead.Swap(true) {
-				s.stats.deadWorkers.Add(1)
+			if misses[w.addr] >= 2 {
+				s.markDead(w)
 			}
 		}
 	}
@@ -330,7 +315,7 @@ func (s *Scheduler) ExecuteAsync(n algebra.Node) *exec.Future {
 
 // Execute evaluates the plan: distributable plans ship to the workers, the
 // rest run locally (recording WHY under the fallback stats). A distributed
-// attempt that fails — worker loss past the retry budget, or any remote
+// run that fails — worker loss past the retry budget, or any remote
 // application error — re-runs locally, so the caller always sees exactly
 // the local engine's result and error identity.
 func (s *Scheduler) Execute(n algebra.Node) (*core.DataFrame, error) {
@@ -343,106 +328,98 @@ func (s *Scheduler) Execute(n algebra.Node) (*core.DataFrame, error) {
 		default:
 			df, ok, err := s.tryDistribute(n, cut, workers)
 			if ok && err == nil {
-				s.stats.distributed.Add(1)
+				s.count(func(st *Stats) { st.Distributed++ })
 				return df, nil
 			}
 			if ok {
-				s.stats.reruns.Add(1)
+				s.count(func(st *Stats) { st.LocalReruns++ })
 				return s.local.Execute(n)
 			}
 			reason = "unshippable source"
 		}
 	}
-	s.stats.recordFallback(reason)
+	s.count(func(st *Stats) {
+		st.Fallback++
+		if st.FallbackReasons == nil {
+			st.FallbackReasons = make(map[string]int64)
+		}
+		st.FallbackReasons[reason]++
+	})
 	return s.local.Execute(n)
 }
 
-// tryDistribute attempts a distributed run of plan n, cut as cut. ok=false
-// means the plan's source could not be banded and nothing ran; ok=true with
-// err means a distributed attempt failed.
+// tryDistribute runs plan n, cut as cut, on the workers. ok=false means the
+// plan's source could not be banded and nothing ran; ok=true with err means
+// the distributed run failed. The band list is cut once — it is the query's
+// lineage — and every attempt deals all of it to the workers alive when the
+// attempt starts. A worker lost mid-attempt is marked dead and the whole
+// attempt re-runs on the survivors: bands are deterministic and the fold is
+// a pure function of their summaries, so a retry returns the same cells.
 func (s *Scheduler) tryDistribute(n algebra.Node, cut *stagePlan, workers []*workerRef) (*core.DataFrame, bool, error) {
-	// The shuffle's bucket count rides inside the shipped plan: group bands
-	// need it to route themselves at band time, before any coordinator fold.
-	spec := PlanSpec{Source: cut.src, Buckets: len(workers)}
-	bands, ok, err := s.planBands(cut, len(workers))
-	if err != nil || !ok {
+	tasks, ok := planBands(cut, len(workers))
+	if !ok {
 		return nil, false, nil
 	}
-	if spec.Plan, _, err = algebra.EncodePlan(n); err != nil {
+	plan, _, err := algebra.EncodePlan(n)
+	if err != nil {
 		return nil, true, err
 	}
-	r := &run{
-		s:       s,
-		qid:     fmt.Sprintf("q%d-%d", os.Getpid(), s.qseq.Add(1)),
-		spec:    spec,
-		cut:     cut,
-		buckets: len(workers),
-		bands:   bands,
-		workers: workers,
+	scan, _ := cut.leaf.(*algebra.Scan)
+	for retries := 0; ; retries++ {
+		a := &attempt{
+			s:       s,
+			qid:     fmt.Sprintf("q%d-%d", os.Getpid(), s.qseq.Add(1)),
+			spec:    PlanSpec{Scan: scan, Buckets: len(workers), Plan: plan},
+			cut:     cut,
+			tasks:   tasks,
+			workers: workers,
+		}
+		df, err := a.run()
+		var wf *workerFailure
+		if errors.As(err, &wf) {
+			s.markDead(wf.w)
+		}
+		a.release()
+		if wf == nil {
+			return df, true, err
+		}
+		s.count(func(st *Stats) { st.ResubmittedBands += int64(len(a.bandsOf(wf.w))) })
+		if workers = s.liveWorkers(); len(workers) == 0 {
+			return nil, true, fmt.Errorf("cluster: all workers lost (after %v)", wf.cause)
+		}
+		if retries == retryBudget {
+			return nil, true, fmt.Errorf("cluster: retry budget (%d) exhausted (after %v)", retryBudget, wf.cause)
+		}
 	}
-	// Round-robin initial assignment: band i on worker i mod n.
-	for i := range r.bands {
-		r.bands[i].owner = r.workers[i%len(r.workers)]
-	}
-	r.partitioned = make([]bool, len(bands))
-	r.blocks = make([]*core.DataFrame, len(bands))
-	r.merged = make([]*core.DataFrame, r.buckets)
-	r.sizes = make([][]int64, len(bands))
-	if cut.group != nil {
-		r.stats = make([]*modin.GroupBandStat, len(bands))
-	} else if cut.sort != nil {
-		r.samples = make([][][]types.Value, len(bands))
-	}
-	df, err := r.drive()
-	return df, true, err
 }
 
 // planBands renders the plan's leaf into band tasks: deterministic scan
 // byte ranges (the lineage), or inline blocks cut from the source frame.
-func (s *Scheduler) planBands(cut *stagePlan, workers int) ([]bandState, bool, error) {
+func planBands(cut *stagePlan, workers int) ([]BandTask, bool) {
 	if scan, ok := cut.leaf.(*algebra.Scan); ok {
 		in, ranges, err := scan.Bands()
 		if err != nil {
-			return nil, false, err
+			return nil, false
 		}
 		in.Close()
-		if len(ranges) == 0 {
-			return nil, false, nil
-		}
-		bands := make([]bandState, len(ranges))
+		tasks := make([]BandTask, len(ranges))
 		for i, rng := range ranges {
-			bands[i].task = BandTask{Band: i, Range: rng}
+			tasks[i] = BandTask{Band: i, Range: rng}
 		}
-		return bands, true, nil
+		return tasks, len(tasks) > 0
 	}
 	df := cut.leaf.(*algebra.Source).DF
 	n := df.NRows()
-	if n == 0 {
-		return nil, false, nil
-	}
-	nb := workers
-	if n < nb {
-		nb = n
-	}
-	bands := make([]bandState, nb)
-	for b := 0; b < nb; b++ {
-		lo, hi := b*n/nb, (b+1)*n/nb
-		block, err := EncodeFrame(nil, df.SliceRows(lo, hi))
+	nb := min(workers, n)
+	tasks := make([]BandTask, nb)
+	for b := range tasks {
+		block, err := EncodeFrame(nil, df.SliceRows(b*n/nb, (b+1)*n/nb))
 		if err != nil {
-			return nil, false, nil // e.g. composite cells: not shippable
+			return nil, false // e.g. composite cells: not shippable
 		}
-		bands[b] = bandState{task: BandTask{Band: b, Block: block}}
+		tasks[b] = BandTask{Band: b, Block: block}
 	}
-	return bands, true, nil
-}
-
-// bandState tracks one band through the run.
-type bandState struct {
-	task    BandTask
-	owner   *workerRef
-	ran     bool
-	stat    *modin.GroupBandStat
-	samples [][]types.Value
+	return tasks, nb > 0
 }
 
 // workerFailure marks an RPC outcome attributable to a worker's death
@@ -456,154 +433,117 @@ func (e *workerFailure) Error() string {
 	return fmt.Sprintf("cluster: worker %s failed: %v", e.w.addr, e.cause)
 }
 
-// run is one distributed query execution: an idempotent phase state machine
-// whose recovery loop re-submits lost lineage and re-runs only what died.
-type run struct {
+// attempt is one self-contained distributed run of a query under its own
+// query id: band i runs on owners[i % len(owners)], the first workers of
+// the attempt, and the shuffle has one bucket per worker. Nothing in it
+// outlives the attempt; a retry builds a new one.
+type attempt struct {
 	s       *Scheduler
 	qid     string
 	spec    PlanSpec
 	cut     *stagePlan
-	buckets int
-	bands   []bandState
+	tasks   []BandTask
 	workers []*workerRef
-	rr      int // round-robin cursor for reassignment
 
-	prepared    map[*workerRef]bool
-	foldDone    bool
-	routing     *modin.GroupRouting
-	stats       []*modin.GroupBandStat
-	samples     [][][]types.Value
-	bounds      [][]types.Value
-	partitioned []bool
-	sizes       [][]int64
-	merged      []*core.DataFrame
-	blocks      []*core.DataFrame
-	attempts    int
+	stats   []*modin.GroupBandStat // group: per band
+	samples [][][]types.Value      // sort: per band
+	blocks  []*core.DataFrame      // no shuffle: per band
+	sizes   [][]int64              // shuffle: per band, routed bytes per bucket
 }
 
-// drive loops phases until the query completes, recovering from worker
-// failures by re-submitting the lost bands' lineage — bounded by the retry
-// budget.
-func (r *run) drive() (*core.DataFrame, error) {
-	r.prepared = make(map[*workerRef]bool)
-	for {
-		df, err := r.runPhases()
-		if err == nil {
-			r.release()
-			return df, nil
-		}
-		var wf *workerFailure
-		if !asWorkerFailure(err, &wf) {
-			r.release()
-			return nil, err
-		}
-		if rerr := r.recover(wf.w); rerr != nil {
-			r.release()
-			return nil, fmt.Errorf("%w (after %v)", rerr, wf.cause)
-		}
-	}
-}
+// owners returns the attempt's band owners: every worker, or the first
+// len(tasks) when there are fewer bands than workers.
+func (a *attempt) owners() []*workerRef { return a.workers[:min(len(a.workers), len(a.tasks))] }
 
-func asWorkerFailure(err error, out **workerFailure) bool {
-	for err != nil {
-		if wf, ok := err.(*workerFailure); ok {
-			*out = wf
-			return true
+// bandsOf lists the bands w owns in this attempt.
+func (a *attempt) bandsOf(w *workerRef) []int {
+	owners := a.owners()
+	var bands []int
+	for i := range a.tasks {
+		if owners[i%len(owners)] == w {
+			bands = append(bands, i)
 		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
 	}
-	return false
+	return bands
 }
 
 // hook fires the test phase hook.
-func (r *run) hook(phase string) {
-	if r.s.OnPhase != nil {
-		r.s.OnPhase(phase)
+func (a *attempt) hook(phase string) {
+	if a.s.OnPhase != nil {
+		a.s.OnPhase(phase)
 	}
 }
 
-// runPhases advances every phase, skipping completed units.
-func (r *run) runPhases() (*core.DataFrame, error) {
-	if err := r.runBands(); err != nil {
+// run executes the attempt straight through: bands → fold → (sort)
+// partition → merge → restore or stack.
+func (a *attempt) run() (*core.DataFrame, error) {
+	n := len(a.tasks)
+	a.stats, a.samples = make([]*modin.GroupBandStat, n), make([][][]types.Value, n)
+	a.blocks, a.sizes = make([]*core.DataFrame, n), make([][]int64, n)
+	if err := a.runBands(); err != nil {
 		return nil, err
 	}
-	r.hook("bands")
-	if r.cut.group == nil && r.cut.sort == nil {
-		return r.assembleBlocks()
+	a.hook("bands")
+	if a.cut.group == nil && a.cut.sort == nil {
+		return algebra.VStackFrames(a.blocks...)
 	}
-	r.fold()
-	if err := r.partition(); err != nil {
+	// The fold: the same PlanGroupRouting/PlanSortBounds the local engine
+	// runs, over the same band-ordered summaries, which is what makes the
+	// distributed result cell-identical.
+	var ranks [][]int64
+	if a.cut.group != nil {
+		ranks = modin.PlanGroupRouting(a.stats, a.spec.Buckets, false).Ranks
+	} else if err := a.partition(); err != nil {
 		return nil, err
 	}
-	r.hook("partitioned")
-	if err := r.merge(); err != nil {
+	a.hook("partitioned")
+	merged, err := a.merge(ranks)
+	if err != nil {
 		return nil, err
 	}
-	r.hook("merged")
-	if r.cut.group != nil {
-		// Repair global first-appearance order across the hash buckets (the
-		// same k-way rank merge the local restore exchange runs), then apply
-		// the post-shuffle chain the workers deferred — it may drop rows, so
-		// it must run after rows and ranks stop needing to align.
-		out, err := modin.RestoreGroupOrder(r.merged, r.routing.Ranks, r.cut.group.AsLabels)
-		if err != nil {
-			return nil, err
-		}
-		return physical.RunKernels(r.cut.post, out)
+	a.hook("merged")
+	if a.cut.group == nil {
+		return algebra.VStackFrames(merged...)
 	}
-	return algebra.VStackFrames(r.merged...)
+	// Repair global first-appearance order across the hash buckets (the same
+	// k-way rank merge the local restore exchange runs), then apply the
+	// post-shuffle chain the workers deferred — it may drop rows, so it must
+	// run after rows and ranks stop needing to align.
+	out, err := modin.RestoreGroupOrder(merged, ranks, a.cut.group.AsLabels)
+	if err != nil {
+		return nil, err
+	}
+	return physical.RunKernels(a.cut.post, out)
 }
 
-// eachOwner groups the listed band indices by owner and runs fn per owner
-// in parallel, returning the highest-priority failure (worker failures
-// first — they are recoverable).
-func (r *run) eachOwner(bandIdx []int, fn func(w *workerRef, bands []int) error) error {
-	byOwner := make(map[*workerRef][]int)
-	for _, i := range bandIdx {
-		byOwner[r.bands[i].owner] = append(byOwner[r.bands[i].owner], i)
-	}
+// fanOut runs fn(0), …, fn(n-1) in parallel and returns the first worker
+// failure among their errors — the one a retry on the survivors can cure —
+// or else the first other error.
+func fanOut(n int, fn func(i int) error) error {
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var wfErr, appErr error
-	for w, bands := range byOwner {
+	for i := range errs {
 		wg.Add(1)
-		go func(w *workerRef, bands []int) {
+		go func() {
 			defer wg.Done()
-			err := fn(w, bands)
-			if err == nil {
-				return
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			var wf *workerFailure
-			if asWorkerFailure(err, &wf) {
-				if wfErr == nil {
-					wfErr = err
-				}
-			} else if appErr == nil {
-				appErr = err
-			}
-		}(w, bands)
+			errs[i] = fn(i)
+		}()
 	}
 	wg.Wait()
-	if wfErr != nil {
-		return wfErr
+	var wf *workerFailure
+	for _, err := range errs {
+		if errors.As(err, &wf) {
+			return err
+		}
 	}
-	return appErr
+	return cmp.Or(errs...)
 }
 
 // classify maps an RPC error to a worker failure unless it is an in-band
 // application error. Fetch errors indict the piece holder, not the callee.
-func (r *run) classify(w *workerRef, err error) error {
-	if err == nil {
-		return nil
-	}
+func (a *attempt) classify(w *workerRef, err error) error {
 	if fe, ok := err.(*fetchError); ok {
-		for _, cand := range r.workers {
+		for _, cand := range a.owners() {
 			if cand.addr == fe.addr {
 				return &workerFailure{w: cand, cause: err}
 			}
@@ -616,51 +556,25 @@ func (r *run) classify(w *workerRef, err error) error {
 	return &workerFailure{w: w, cause: err}
 }
 
-// ensurePrepared installs the plan on a worker once.
-func (r *run) ensurePrepared(w *workerRef) error {
-	if r.prepared[w] {
-		return nil
-	}
-	err := w.call(r.s.rpcTimeout, mPrepare, &PrepareReq{QID: r.qid, Plan: r.spec}, &emptyResp{})
-	if err != nil {
-		return r.classify(w, err)
-	}
-	r.prepared[w] = true
-	return nil
-}
-
-// runBands executes the pre-shuffle stage for every band not yet run.
-func (r *run) runBands() error {
-	var todo []int
-	for i := range r.bands {
-		if !r.bands[i].ran {
-			todo = append(todo, i)
-		}
-	}
-	if len(todo) == 0 {
-		return nil
-	}
-	var mu sync.Mutex
-	return r.eachOwner(todo, func(w *workerRef, bands []int) error {
-		mu.Lock()
-		err := r.ensurePrepared(w)
-		mu.Unlock()
-		if err != nil {
-			return err
-		}
-		req := &RunBandsReq{QID: r.qid}
+// runBands sends each owner one RunBands request carrying the plan and its
+// bands, and records the bands' stage outputs.
+func (a *attempt) runBands() error {
+	owners := a.owners()
+	return fanOut(len(owners), func(j int) error {
+		w, bands := owners[j], a.bandsOf(owners[j])
+		req := &RunBandsReq{QID: a.qid, Plan: a.spec}
 		for _, i := range bands {
-			req.Bands = append(req.Bands, r.bands[i].task)
+			req.Bands = append(req.Bands, a.tasks[i])
 		}
 		var resp RunBandsResp
-		if err := w.call(r.s.rpcTimeout, mRunBands, req, &resp); err != nil {
-			return r.classify(w, err)
+		if err := w.call(a.s.rpcTimeout, mRunBands, req, &resp); err != nil {
+			return a.classify(w, err)
 		}
 		if len(resp.Results) != len(bands) {
 			return fmt.Errorf("cluster: worker %s returned %d band results, want %d", w.addr, len(resp.Results), len(bands))
 		}
-		for _, res := range resp.Results {
-			if err := r.recordBand(res); err != nil {
+		for k, res := range resp.Results {
+			if err := a.record(bands[k], res); err != nil {
 				return err
 			}
 		}
@@ -668,250 +582,112 @@ func (r *run) runBands() error {
 	})
 }
 
-// recordBand stores one band's stage output coordinator-side.
-func (r *run) recordBand(res BandResult) error {
-	b := &r.bands[res.Band]
+// record stores band i's stage output coordinator-side.
+func (a *attempt) record(i int, res BandResult) error {
 	switch {
-	case r.cut.group != nil:
+	case a.cut.group != nil:
 		if res.Group == nil {
-			return fmt.Errorf("cluster: band %d returned no group stat", res.Band)
-		}
-		// After a re-submission the fold is already done; the lineage
-		// re-run reproduces the same summary, so keep the original.
-		if r.stats[res.Band] == nil {
-			r.stats[res.Band] = res.Group
+			return fmt.Errorf("cluster: band %d returned no group stat", i)
 		}
 		// The band routed itself on its worker (hash % Buckets) and reported
-		// the per-bucket piece sizes; there is no partition phase to wait
-		// for. A re-run after worker loss re-creates identical pieces — the
-		// routing is a pure function of the keys — so overwriting sizes is
-		// idempotent.
-		if len(res.Sizes) != r.buckets {
-			return fmt.Errorf("cluster: band %d reported %d piece sizes, want %d buckets", res.Band, len(res.Sizes), r.buckets)
+		// the per-bucket piece sizes; there is no partition phase to wait for.
+		if len(res.Sizes) != a.spec.Buckets {
+			return fmt.Errorf("cluster: band %d reported %d piece sizes, want %d buckets", i, len(res.Sizes), a.spec.Buckets)
 		}
-		r.sizes[res.Band] = res.Sizes
-		r.partitioned[res.Band] = true
-	case r.cut.sort != nil:
-		if r.samples[res.Band] == nil {
-			r.samples[res.Band] = res.Sort
-		}
+		a.stats[i], a.sizes[i] = res.Group, res.Sizes
+	case a.cut.sort != nil:
+		a.samples[i] = res.Sort
 	default:
-		df, rest, err := DecodeFrame(res.Block)
+		df, err := decodeBlock(res.Block, "band")
 		if err != nil {
 			return err
 		}
-		if len(rest) != 0 {
-			return fmt.Errorf("cluster: %d trailing bytes after band block", len(rest))
-		}
-		r.blocks[res.Band] = df
+		a.blocks[i] = df
 	}
-	b.ran = true
 	return nil
 }
 
-// fold computes the shuffle routing once, after all band summaries exist —
-// the same PlanGroupRouting/PlanSortBounds fold the local engine runs, over
-// the same band-ordered stats, which is what makes the distributed result
-// cell-identical.
-func (r *run) fold() {
-	if r.foldDone {
-		return
+// partition folds the sort samples into range bounds and has every owner
+// route its sort bands by them. Group bands routed themselves at band time.
+func (a *attempt) partition() error {
+	var all [][]types.Value
+	for _, s := range a.samples {
+		all = append(all, s...)
 	}
-	if r.cut.group != nil {
-		r.routing = modin.PlanGroupRouting(r.stats, r.buckets, false)
-	} else {
-		var all [][]types.Value
-		for _, s := range r.samples {
-			all = append(all, s...)
-		}
-		r.bounds = modin.PlanSortBounds(all, r.buckets, r.cut.sort)
-	}
-	r.foldDone = true
-}
-
-// partition routes every sort band not yet partitioned on its owner. Group
-// bands partitioned themselves at band time (recordBand observed their
-// sizes), so the phase is a no-op for keyed shuffles.
-func (r *run) partition() error {
-	if r.cut.group != nil {
-		return nil
-	}
-	var todo []int
-	for i := range r.bands {
-		if !r.partitioned[i] {
-			todo = append(todo, i)
-		}
-	}
-	if len(todo) == 0 {
-		return nil
-	}
-	return r.eachOwner(todo, func(w *workerRef, bands []int) error {
-		req := &PartitionReq{QID: r.qid, Bands: bands, Buckets: r.buckets, Bounds: r.bounds}
+	bounds := modin.PlanSortBounds(all, a.spec.Buckets, a.cut.sort)
+	owners := a.owners()
+	return fanOut(len(owners), func(j int) error {
+		w := owners[j]
+		req := &PartitionReq{QID: a.qid, Bands: a.bandsOf(w), Bounds: bounds}
 		var resp PartitionResp
-		if err := w.call(r.s.rpcTimeout, mPartition, req, &resp); err != nil {
-			return r.classify(w, err)
+		if err := w.call(a.s.rpcTimeout, mPartition, req, &resp); err != nil {
+			return a.classify(w, err)
 		}
-		for _, i := range bands {
-			bandSizes, ok := resp.Sizes[i]
-			if !ok {
-				return fmt.Errorf("cluster: worker %s reported no sizes for band %d", w.addr, i)
+		if len(resp.Sizes) != len(req.Bands) {
+			return fmt.Errorf("cluster: worker %s reported sizes for %d bands, want %d", w.addr, len(resp.Sizes), len(req.Bands))
+		}
+		for k, i := range req.Bands {
+			if len(resp.Sizes[k]) != a.spec.Buckets {
+				return fmt.Errorf("cluster: band %d reported %d piece sizes, want %d buckets", i, len(resp.Sizes[k]), a.spec.Buckets)
 			}
-			sizes := make([]int64, r.buckets)
-			for b, n := range bandSizes {
-				if b >= 0 && b < r.buckets {
-					sizes[b] = n
-				}
-			}
-			r.sizes[i] = sizes
-			r.partitioned[i] = true
+			a.sizes[i] = resp.Sizes[k]
 		}
 		return nil
 	})
 }
 
-// placeMerge picks the worker holding the most bytes of the bucket's routed
-// pieces (ties to the earlier worker in the run's ordering, so placement is
-// deterministic).
-func (r *run) placeMerge(bucket int) *workerRef {
-	held := make(map[*workerRef]int64)
-	for i := range r.bands {
-		held[r.bands[i].owner] += r.sizes[i][bucket]
+// placeMerge picks the band owner holding the most bytes of the bucket's
+// routed pieces (band i lives on owners[i % len(owners)]; ties go to the
+// earlier owner, so placement is deterministic).
+func placeMerge(owners []*workerRef, sizes [][]int64, bucket int) *workerRef {
+	held := make([]int64, len(owners))
+	for i, s := range sizes {
+		held[i%len(owners)] += s[bucket]
 	}
-	var best *workerRef
-	var bestBytes int64 = -1
-	for _, w := range r.workers {
-		if held[w] > bestBytes {
-			best, bestBytes = w, held[w]
+	best := 0
+	for j := range held {
+		if held[j] > held[best] {
+			best = j
 		}
 	}
-	return best
+	return owners[best]
 }
 
-// merge runs every bucket not yet merged on its placed worker, in parallel.
-func (r *run) merge() error {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var wfErr, appErr error
-	for b := 0; b < r.buckets; b++ {
-		if r.merged[b] != nil {
-			continue
-		}
-		wg.Add(1)
-		go func(b int) {
-			defer wg.Done()
-			df, err := r.mergeBucket(b)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				var wf *workerFailure
-				if asWorkerFailure(err, &wf) {
-					if wfErr == nil {
-						wfErr = err
-					}
-				} else if appErr == nil {
-					appErr = err
-				}
-				return
+// merge runs every bucket's merge on its placed owner, in parallel, and
+// returns the merged buckets.
+func (a *attempt) merge(ranks [][]int64) ([]*core.DataFrame, error) {
+	owners := a.owners()
+	merged := make([]*core.DataFrame, a.spec.Buckets)
+	err := fanOut(len(merged), func(b int) error {
+		target := placeMerge(owners, a.sizes, b)
+		req := &MergeReq{QID: a.qid, Bucket: b}
+		for i := range a.tasks {
+			ref := PieceRef{Band: i}
+			if holder := owners[i%len(owners)]; holder != target {
+				ref.Addr = holder.addr
 			}
-			r.merged[b] = df
-		}(b)
-	}
-	wg.Wait()
-	if wfErr != nil {
-		return wfErr
-	}
-	return appErr
+			req.Pieces = append(req.Pieces, ref)
+		}
+		if ranks != nil {
+			req.Ranks = ranks[b]
+		}
+		var resp MergeResp
+		if err := target.call(a.s.rpcTimeout, mMerge, req, &resp); err != nil {
+			return a.classify(target, err)
+		}
+		df, err := decodeBlock(resp.Block, "bucket")
+		merged[b] = df
+		return err
+	})
+	return merged, err
 }
 
-func (r *run) mergeBucket(b int) (*core.DataFrame, error) {
-	target := r.placeMerge(b)
-	req := &MergeReq{QID: r.qid, Bucket: b}
-	for i := range r.bands {
-		addr := r.bands[i].owner.addr
-		if r.bands[i].owner == target {
-			addr = ""
+// release drops the attempt's query state on every live worker of the
+// attempt, best-effort.
+func (a *attempt) release() {
+	for _, w := range a.workers {
+		if !w.dead.Load() {
+			w.call(5*time.Second, mRelease, &ReleaseReq{QID: a.qid}, &emptyResp{})
 		}
-		req.Pieces = append(req.Pieces, PieceRef{Band: i, Addr: addr})
-	}
-	if r.routing != nil {
-		req.Ranks = r.routing.Ranks[b]
-	}
-	var resp MergeResp
-	if err := target.call(r.s.rpcTimeout, mMerge, req, &resp); err != nil {
-		return nil, r.classify(target, err)
-	}
-	df, rest, err := DecodeFrame(resp.Block)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("cluster: %d trailing bytes after bucket block", len(rest))
-	}
-	return df, nil
-}
-
-// assembleBlocks concatenates the no-shuffle band results in band order —
-// the distributed analog of the local gather.
-func (r *run) assembleBlocks() (*core.DataFrame, error) {
-	return algebra.VStackFrames(r.blocks...)
-}
-
-// recover handles one worker's death: reassign its bands to survivors and
-// re-submit their lineage (scan ranges or inline blocks are still at the
-// coordinator; summaries are kept so the routing fold never re-runs).
-func (r *run) recover(dead *workerRef) error {
-	if !dead.dead.Swap(true) {
-		r.s.stats.deadWorkers.Add(1)
-	}
-	delete(r.prepared, dead)
-	live := r.workers[:0:0]
-	for _, w := range r.workers {
-		if w != dead && !w.dead.Load() {
-			live = append(live, w)
-		}
-	}
-	r.workers = live
-	if len(r.workers) == 0 {
-		return fmt.Errorf("cluster: all workers lost")
-	}
-	r.attempts++
-	if r.attempts > retryBudget {
-		return fmt.Errorf("cluster: retry budget (%d) exhausted", retryBudget)
-	}
-	shuffle := r.cut.group != nil || r.cut.sort != nil
-	for i := range r.bands {
-		b := &r.bands[i]
-		if b.owner != dead && !b.owner.dead.Load() {
-			continue
-		}
-		b.owner = r.workers[r.rr%len(r.workers)]
-		r.rr++
-		// A no-shuffle band whose block already landed is safe at the
-		// coordinator; shuffle bands lost their worker-side frame, ordinals
-		// and pieces, so their lineage re-runs (the kept summary makes the
-		// re-run's stat a no-op).
-		if shuffle {
-			if b.ran {
-				r.s.stats.resubmitted.Add(1)
-			}
-			b.ran = false
-			r.partitioned[i] = false
-		} else if r.blocks[i] == nil {
-			if b.ran {
-				r.s.stats.resubmitted.Add(1)
-			}
-			b.ran = false
-		}
-	}
-	return nil
-}
-
-// release drops the query's state on every live worker, best-effort.
-func (r *run) release() {
-	for _, w := range r.workers {
-		if w.dead.Load() {
-			continue
-		}
-		w.call(5*time.Second, mRelease, &ReleaseReq{QID: r.qid}, &emptyResp{})
 	}
 }

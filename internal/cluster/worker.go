@@ -5,6 +5,7 @@ import (
 	"net"
 	"sync"
 
+	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/modin"
@@ -36,11 +37,11 @@ type peerLink struct {
 	conn net.Conn
 }
 
-// workerQuery is one query's worker-side state, created by a Prepare whose
-// plan decoded; the plan never changes after. Sort band frames live here
-// between RunBands and Partition (group bands route themselves inside
-// RunBands and hold nothing but pieces); routed pieces stay until Release
-// so a retried merge can re-fetch them.
+// workerQuery is one query attempt's worker-side state, installed by the
+// first RunBands for its id whose plan decoded; the plan never changes
+// after. Sort band frames live here between RunBands and Partition (group
+// bands route themselves inside RunBands and hold nothing but pieces);
+// routed pieces stay until Release, for the merges that fetch them.
 type workerQuery struct {
 	plan   *workerPlan
 	mu     sync.Mutex
@@ -133,12 +134,6 @@ func (w *Worker) handle(kind byte, payload []byte) (any, error) {
 	switch kind {
 	case mPing:
 		return emptyResp{OK: true}, nil
-	case mPrepare:
-		var req PrepareReq
-		if err := decodePayload(payload, &req); err != nil {
-			return nil, err
-		}
-		return w.prepare(&req)
 	case mRunBands:
 		var req RunBandsReq
 		if err := decodePayload(payload, &req); err != nil {
@@ -177,7 +172,7 @@ func (w *Worker) handle(kind byte, payload []byte) (any, error) {
 	}
 }
 
-// query returns the prepared state for qid.
+// query returns the installed state for qid.
 func (w *Worker) query(qid string) (*workerQuery, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -187,36 +182,29 @@ func (w *Worker) query(qid string) (*workerQuery, error) {
 	return nil, fmt.Errorf("cluster: unknown query %q", qid)
 }
 
-// prepare installs a query's plan. A plan that does not decode is refused
-// in-band and leaves no state behind.
-func (w *Worker) prepare(req *PrepareReq) (any, error) {
+// runBands installs the query on the first request for its id, then
+// executes the pre-shuffle stage for the requested bands in parallel on the
+// worker's pool. A plan that does not decode is refused in-band and leaves
+// no state behind.
+func (w *Worker) runBands(req *RunBandsReq) (any, error) {
 	plan, err := preparePlan(req.Plan)
 	if err != nil {
 		return nil, err
 	}
 	w.mu.Lock()
-	if w.queries[req.QID] == nil {
-		w.queries[req.QID] = &workerQuery{
+	q := w.queries[req.QID]
+	if q == nil {
+		q = &workerQuery{
 			plan:   plan,
 			bands:  make(map[int]*core.DataFrame),
 			pieces: make(map[[2]int]*core.DataFrame),
 		}
+		w.queries[req.QID] = q
 	}
 	w.mu.Unlock()
-	return emptyResp{OK: true}, nil
-}
-
-// runBands executes the pre-shuffle stage for the requested bands in
-// parallel on the worker's pool.
-func (w *Worker) runBands(req *RunBandsReq) (any, error) {
-	q, err := w.query(req.QID)
-	if err != nil {
-		return nil, err
-	}
-	plan := q.plan
 	results := make([]BandResult, len(req.Bands))
 	err = w.pool.ForEach(len(req.Bands), func(i int) error {
-		r, err := w.runBand(q, plan, &req.Bands[i])
+		r, err := w.runBand(q, &req.Bands[i])
 		if err != nil {
 			return fmt.Errorf("cluster: band %d: %w", req.Bands[i].Band, err)
 		}
@@ -232,8 +220,9 @@ func (w *Worker) runBands(req *RunBandsReq) (any, error) {
 // runBand produces one band: materialize its rows with global labels, run
 // the shipped chain, then either return the block (no shuffle) or hold the
 // frame and report its shuffle summary.
-func (w *Worker) runBand(q *workerQuery, plan *workerPlan, task *BandTask) (*BandResult, error) {
-	df, err := w.buildBand(&plan.Source, task)
+func (w *Worker) runBand(q *workerQuery, task *BandTask) (*BandResult, error) {
+	plan := q.plan
+	df, err := buildBand(plan.Scan, task)
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +232,7 @@ func (w *Worker) runBand(q *workerQuery, plan *workerPlan, task *BandTask) (*Ban
 	if err != nil {
 		return nil, err
 	}
-	res := &BandResult{Band: task.Band}
+	res := &BandResult{}
 	switch {
 	case plan.group != nil:
 		band, err := modin.SummarizeGroupBand(df, *plan.group)
@@ -288,28 +277,22 @@ func (w *Worker) runBand(q *workerQuery, plan *workerPlan, task *BandTask) (*Ban
 	return res, nil
 }
 
-// buildBand materializes one band's rows — re-parsing its scan lineage or
-// decoding its shipped block — and assigns its global row labels before any
-// operator runs, matching the local streaming scan exactly.
-func (w *Worker) buildBand(src *SourceSpec, task *BandTask) (*core.DataFrame, error) {
-	if src.Kind == srcFrame {
-		df, rest, err := DecodeFrame(task.Block)
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("cluster: %d trailing bytes after band block", len(rest))
-		}
-		return df, nil
+// buildBand materializes one band's rows — re-parsing its range of the
+// plan's scan or decoding its shipped block (scan is nil) — and assigns its
+// global row labels before any operator runs, matching the local streaming
+// scan exactly.
+func buildBand(scan *algebra.Scan, task *BandTask) (*core.DataFrame, error) {
+	if scan == nil {
+		return decodeBlock(task.Block, "band")
 	}
 	// The split ships byte ranges without headers; ReadBand names the
 	// parsed columns from the probed header labels.
-	in, err := core.OpenCSVInput(src.Path, src.Data)
+	in, err := core.OpenCSVInput(scan.Path, scan.Data)
 	if err != nil {
 		return nil, err
 	}
 	defer in.Close()
-	band, err := in.ReadBand(task.Range, core.CSVOptions{Comma: rune(src.Comma)}, src.Columns, nil)
+	band, err := in.ReadBand(task.Range, scan.Options, scan.Columns, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -327,8 +310,7 @@ func (w *Worker) partition(req *PartitionReq) (any, error) {
 		return nil, err
 	}
 	plan := q.plan
-	sizes := make(map[int]map[int]int64, len(req.Bands))
-	var mu sync.Mutex
+	sizes := make([][]int64, len(req.Bands))
 	err = w.pool.ForEach(len(req.Bands), func(i int) error {
 		band := req.Bands[i]
 		q.mu.Lock()
@@ -340,21 +322,18 @@ func (w *Worker) partition(req *PartitionReq) (any, error) {
 		if plan.sort == nil {
 			return fmt.Errorf("cluster: plan has no range shuffle to partition")
 		}
-		views, err := modin.PartitionSortedBand(df, plan.sort, req.Bounds, req.Buckets)
+		views, err := modin.PartitionSortedBand(df, plan.sort, req.Bounds, plan.Buckets)
 		if err != nil {
 			return err
 		}
-		bandSizes := make(map[int]int64, req.Buckets)
+		sizes[i] = make([]int64, len(views))
 		q.mu.Lock()
 		for b, piece := range views {
 			q.pieces[[2]int{band, b}] = piece
-			bandSizes[b] = frameBytes(piece)
+			sizes[i][b] = frameBytes(piece)
 		}
 		delete(q.bands, band)
 		q.mu.Unlock()
-		mu.Lock()
-		sizes[band] = bandSizes
-		mu.Unlock()
 		return nil
 	})
 	if err != nil {
@@ -465,14 +444,7 @@ func (w *Worker) fetchPeer(addr, qid string, band, bucket int) (*core.DataFrame,
 		}
 		return nil, &fetchError{addr: addr, msg: err.Error()}
 	}
-	df, rest, err := DecodeFrame(resp.Block)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("cluster: %d trailing bytes after piece block", len(rest))
-	}
-	return df, nil
+	return decodeBlock(resp.Block, "piece")
 }
 
 // peerLink returns a cached connection to a peer worker, dialing on first
