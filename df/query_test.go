@@ -86,6 +86,7 @@ MAP(inc∘dbl)
 rules fired: map-fusion, push-projection-through-map, push-projection-through-selection
 physical strategy:
 (no repartition points)
+inline: sources total ≤ 4096 rows, one tree walk on the caller
 `
 	if d.EngineName() == "cluster" {
 		// Map closures cannot cross a process boundary; the env-switched
@@ -131,6 +132,7 @@ GROUPBY(keys=[a], aggs=[sum(b)])
 rules fired: push-projection-through-selection, sorted-groupby
 physical strategy:
 GROUPBY strategy=hash-shuffle (groups≈1)
+inline: sources total ≤ 4096 rows, one tree walk on the caller
 `
 	if d.EngineName() == "cluster" {
 		// sort→groupby is two shuffles; the shippable family carries at

@@ -22,10 +22,13 @@
 //	        exact base-frame sizes, groupby specs ───────────┘ (broadcast vs key-shuffled
 //	                                                            join, states vs rows)
 //
-// Logical plans (internal/algebra) are either evaluated bottom-up by the
-// single-threaded baseline (internal/eager), which applies algebra.Eval —
-// every operator's single-node meaning, stated once — to each node, or
-// compiled into a physical stage DAG (internal/physical) by the MODIN
+// Logical plans (internal/algebra) are either evaluated bottom-up by one
+// tree walk, algebra.EvalPlan, which applies algebra.Eval — every
+// operator's single-node meaning, stated once — to each node and evaluates
+// a shared sub-plan once (the single-threaded baseline, internal/eager, is
+// that walk under a cell budget; MODIN runs it on the caller when its
+// sources are in-memory frames of at most 4,096 rows in total and its bands
+// are the default), or compiled into a physical stage DAG (internal/physical) by the MODIN
 // engine (internal/modin) — embarrassingly-parallel operator chains fuse
 // into one task per partition band; the hot repartition points (GROUPBY,
 // SORT, inner/left JOIN) lower to two-phase shuffles

@@ -198,6 +198,42 @@ func TestDistributedSourceFrameGroupBy(t *testing.T) {
 	checkSame(t, s, plan)
 }
 
+// A distributable plan over a small in-memory frame ships to the workers,
+// so its description must not carry the local engine's inline line; a plan
+// that falls back runs on the local engine, inline, and says so.
+func TestExplainInlineOnlyWhenLocal(t *testing.T) {
+	s, _ := startCluster(t, 2)
+	src := &algebra.Source{DF: core.MustFromRecords([]string{"k", "v"}, [][]any{
+		{"a", int64(1)}, {"b", int64(2)}, {"a", int64(3)},
+	})}
+	distributed := &algebra.GroupBy{Input: src, Spec: expr.GroupBySpec{
+		Keys: []string{"k"}, Aggs: []expr.AggSpec{{Col: "v", Agg: expr.AggSum}},
+	}}
+	fallback := &algebra.Selection{Input: src, Pred: func(expr.Row) bool { return true }, Desc: "opaque"}
+	for _, c := range []struct {
+		name, plan string
+		node       algebra.Node
+		inline     bool
+	}{
+		{"distribute", "cluster: distribute (2 workers)\n", distributed, false},
+		{"fallback", "cluster: local fallback (opaque closure)\n", fallback, true},
+	} {
+		desc := s.DescribePhysical(c.node)
+		if !strings.HasSuffix(desc, c.plan) {
+			t.Errorf("%s: description does not end with %q:\n%s", c.name, c.plan, desc)
+		}
+		if got := strings.Contains(desc, "inline:"); got != c.inline {
+			t.Errorf("%s: inline line present = %v, want %v:\n%s", c.name, got, c.inline, desc)
+		}
+	}
+	if _, err := s.Execute(distributed); err != nil {
+		t.Fatal(err)
+	}
+	if s.ClusterStats().Distributed != 1 {
+		t.Errorf("the small source plan did not distribute (stats %+v)", s.ClusterStats())
+	}
+}
+
 func TestDistributedRenameChain(t *testing.T) {
 	s, _ := startCluster(t, 2)
 	scan := csvScan(t, genCSV(300), 50)

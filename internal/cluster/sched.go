@@ -288,19 +288,20 @@ func (s *Scheduler) Pool() *exec.Pool { return s.local.Pool() }
 // locally-executed queries).
 func (s *Scheduler) ReleaseSpill() error { return s.local.ReleaseSpill() }
 
-// DescribePhysical renders the local engine's physical plan — the
+// DescribePhysical renders the local engine's physical strategy — the
 // distributed phases mirror the local shuffle phases one-to-one, so the
 // local rendering describes both backends — then appends the scheduler's
-// own placement decision: distribute, or fall back locally and why.
+// own placement decision: distribute, or fall back locally and why. Only a
+// plan that falls back runs on the local engine, so only its description
+// carries the local engine's inline line.
 func (s *Scheduler) DescribePhysical(n algebra.Node) string {
-	desc := s.local.DescribePhysical(n)
 	if _, reason := cutPlan(n); reason != "" {
-		return desc + fmt.Sprintf("cluster: local fallback (%s)\n", reason)
+		return s.local.DescribePhysical(n) + fmt.Sprintf("cluster: local fallback (%s)\n", reason)
 	}
 	if live := len(s.liveWorkers()); live > 0 {
-		return desc + fmt.Sprintf("cluster: distribute (%d workers)\n", live)
+		return s.local.DescribeStrategy(n) + fmt.Sprintf("cluster: distribute (%d workers)\n", live)
 	}
-	return desc + "cluster: local fallback (no live workers)\n"
+	return s.local.DescribePhysical(n) + "cluster: local fallback (no live workers)\n"
 }
 
 // ExecuteAsync evaluates the plan in the background.

@@ -41,42 +41,27 @@ func New() *Engine { return &Engine{} }
 // Name identifies the engine.
 func (e *Engine) Name() string { return "pandas-baseline" }
 
-// Execute evaluates the plan bottom-up, materializing every intermediate:
-// an operator's inputs run first, left to right (the baseline has no
-// parallelism to exploit), then the operator itself through algebra.Eval.
+// Execute evaluates the plan bottom-up on the calling goroutine through
+// algebra.EvalPlan, materializing every intermediate (the baseline has no
+// parallelism to exploit); the walk's check enforces the cell budget before
+// a cross join or a transpose materializes.
 func (e *Engine) Execute(n algebra.Node) (*core.DataFrame, error) {
-	if n == nil {
-		return nil, errors.New("eager: nil plan")
-	}
-	kids := n.Children()
-	in := make([]*core.DataFrame, len(kids))
-	for i, kid := range kids {
-		df, err := e.Execute(kid)
-		if err != nil {
-			return nil, err
-		}
-		in[i] = df
-	}
+	return algebra.EvalPlan(n, e.check)
+}
+
+// check gates the operators whose output can dwarf their inputs.
+func (e *Engine) check(n algebra.Node, in []*core.DataFrame) error {
 	switch node := n.(type) {
 	case *algebra.Join:
 		if node.Kind == expr.JoinCross {
-			if err := e.checkBudget(in[0].NRows()*in[1].NRows(), in[0].NCols()+in[1].NCols(), false); err != nil {
-				return nil, err
-			}
+			return e.checkBudget(in[0].NRows()*in[1].NRows(), in[0].NCols()+in[1].NCols(), false)
 		}
 	case *algebra.Transpose:
 		if err := e.checkBudget(in[0].NRows(), in[0].NCols(), true); err != nil {
-			return nil, fmt.Errorf("transpose of %dx%d: %w", in[0].NRows(), in[0].NCols(), err)
+			return fmt.Errorf("transpose of %dx%d: %w", in[0].NRows(), in[0].NCols(), err)
 		}
 	}
-	out, err := algebra.Eval(n, in...)
-	if err != nil {
-		// Name the failing operator, so a chained plan's error says where in
-		// the chain it arose. Child errors returned above are already
-		// annotated, so each failure carries exactly one operator prefix.
-		return nil, fmt.Errorf("%s: %w", n.Describe(), err)
-	}
-	return out, nil
+	return nil
 }
 
 func (e *Engine) checkBudget(rows, cols int, transpose bool) error {

@@ -37,32 +37,21 @@ import (
 // compile to shared physical nodes, scheduled once; fusion never crosses a
 // shared edge, so no kernel runs twice.
 func (e *Engine) Compile(n algebra.Node) (*physical.Node, error) {
-	c := &compiler{
-		e:    e,
-		uses: make(map[algebra.Node]int),
-		memo: make(map[algebra.Node]*physical.Node),
-	}
 	if n == nil {
 		return nil, fmt.Errorf("modin: nil plan")
 	}
-	countUses(n, c.uses)
+	c := &compiler{
+		e:    e,
+		uses: algebra.Uses(n),
+		memo: make(map[algebra.Node]*physical.Node),
+	}
 	return c.compile(n)
 }
 
-// countUses tallies how many parents reference each sub-plan; fusion onto a
-// stage is only legal when its algebra node has exactly one consumer.
-func countUses(n algebra.Node, uses map[algebra.Node]int) {
-	uses[n]++
-	if uses[n] > 1 {
-		return // children already counted via the first visit
-	}
-	for _, child := range n.Children() {
-		countUses(child, uses)
-	}
-}
-
 type compiler struct {
-	e    *Engine
+	e *Engine
+	// uses counts each sub-plan's parents: fusion onto a stage is only
+	// legal when its algebra node has exactly one consumer.
 	uses map[algebra.Node]int
 	memo map[algebra.Node]*physical.Node
 }

@@ -13,9 +13,16 @@
 // calls algebra.Eval; the physical scheduler then drains the DAG
 // asynchronously on the worker pool, handing back deferred partition frames
 // and futures (internal/physical).
+//
+// A plan whose leaves are all in-memory sources holding at most inlineRows
+// rows between them, on an engine with the default band count, skips both
+// steps: it runs as one algebra.EvalPlan tree walk on the caller. Below that
+// size BenchmarkInlineCrossover measured the walk beating the task DAG,
+// whose tasks, shuffles and gather cost more than the parallelism earns.
 package modin
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"repro/internal/algebra"
@@ -50,6 +57,10 @@ type Engine struct {
 	bands int
 	stats Stats
 
+	// fixedBands is set by WithBands: every plan then runs the task DAG at
+	// that band count, however small its inputs.
+	fixedBands bool
+
 	// broadcastLimit is defaultBroadcastLimit; in-package tests lower it to
 	// reach the key-shuffled join on small inputs.
 	broadcastLimit int
@@ -66,7 +77,9 @@ type Option func(*Engine)
 func WithPool(p *exec.Pool) Option { return func(e *Engine) { e.pool = p } }
 
 // WithBands overrides the target partition count per axis (default: the
-// pool's worker count).
+// pool's worker count). A positive count also keeps every plan on the task
+// DAG: plans over small in-memory frames no longer run inline, so the
+// partitioned paths stay reachable on small inputs.
 func WithBands(n int) Option { return func(e *Engine) { e.bands = n } }
 
 // WithShuffleSpillBudget bounds the cells held by routed-but-not-yet-merged
@@ -90,7 +103,8 @@ func New(opts ...Option) *Engine {
 	for _, o := range opts {
 		o(e)
 	}
-	if e.bands <= 0 {
+	e.fixedBands = e.bands > 0
+	if !e.fixedBands {
 		e.bands = e.pool.Workers()
 	}
 	return e
@@ -109,8 +123,20 @@ func (e *Engine) Stats() *Stats { return &e.stats }
 // Schedule compiles the plan and launches its task DAG, returning the root
 // handle and the run's scheduler (whose Stats expose per-run fused,
 // exchange and shuffle task counts). The run's tasks are already in flight
-// when Schedule returns; the handle resolves as they land.
+// when Schedule returns; the handle resolves as they land. A plan that runs
+// inline (sources ≤ inlineRows rows in total, default bands) is instead
+// walked to completion on the caller: the handle is its resolved one-band
+// result and the scheduler a fresh one whose Stats are all zero.
 func (e *Engine) Schedule(n algebra.Node) (*physical.Result, *physical.Scheduler, error) {
+	if e.inline(n) {
+		out, err := walk(n)
+		if err != nil {
+			return nil, nil, err
+		}
+		sched := physical.NewScheduler(e.pool)
+		res, err := sched.Run(physical.NewSource(partition.New(out, partition.Rows, 1)))
+		return res, sched, err
+	}
 	plan, err := e.Compile(n)
 	if err != nil {
 		return nil, nil, err
@@ -135,8 +161,19 @@ func (e *Engine) Execute(n algebra.Node) (*core.DataFrame, error) {
 
 // ExecuteAsync compiles the plan, schedules its task DAG, and returns a
 // future of the gathered result without waiting for any task — the handle
-// the opportunistic session regime passes back to users (Section 6.1.1).
+// the opportunistic session regime passes back to users (Section 6.1.1). A
+// plan that runs inline is one pool task running the whole walk, so the
+// caller still never blocks.
 func (e *Engine) ExecuteAsync(n algebra.Node) *exec.Future {
+	if e.inline(n) {
+		return e.pool.Submit(func() (any, error) {
+			out, err := walk(n)
+			if err != nil {
+				return nil, err
+			}
+			return out, nil
+		})
+	}
 	res, sched, err := e.Schedule(n)
 	if err != nil {
 		return exec.Failed(err)
@@ -158,6 +195,45 @@ func (e *Engine) ExecutePartitioned(n algebra.Node) (*partition.Frame, error) {
 		return nil, err
 	}
 	return res.Frame()
+}
+
+// inlineRows is the most in-memory source rows, summed over a plan's
+// distinct sources, that the plan may read and still run as one tree walk
+// on the caller. It is the largest power of two at which the walk beat the
+// task DAG on every BenchmarkInlineCrossover statement shape, single- and
+// two-source, on one core and on two.
+const inlineRows = 4096
+
+// inline reports whether plan n runs as one algebra.EvalPlan walk on the
+// caller: the band count is the engine's default, every leaf is an
+// in-memory Source, and those sources hold at most inlineRows rows between
+// them (a shared source counts once). A Scan keeps its streamed stage.
+func (e *Engine) inline(n algebra.Node) bool {
+	if e.fixedBands || n == nil {
+		return false
+	}
+	rows := 0
+	for node := range algebra.Uses(n) {
+		switch leaf := node.(type) {
+		case *algebra.Scan:
+			return false
+		case *algebra.Source:
+			rows += leaf.DF.NRows()
+		}
+	}
+	return rows <= inlineRows
+}
+
+// walk evaluates plan n with algebra.EvalPlan on the calling goroutine. A
+// panic in an operator (a user's UDF) fails the plan, as it fails a pool
+// task on the DAG.
+func walk(n algebra.Node) (out *core.DataFrame, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = nil, fmt.Errorf("exec: task panic: %v", r)
+		}
+	}()
+	return algebra.EvalPlan(n, nil)
 }
 
 // run launches a compiled plan's task DAG on a fresh scheduler wired to the

@@ -13,13 +13,23 @@ import (
 // DescribePhysical renders the engine's physical strategy decisions for a
 // logical plan, one line per repartition point in execution (post) order:
 // which join runs key-shuffled vs broadcast and on what build size, and how
-// many groups each groupby is expected to yield. The df layer appends this
-// to Query.Explain when the session engine is MODIN.
+// many groups each groupby is expected to yield. A last line says when the
+// plan runs inline, as one tree walk on the caller, instead. The df layer
+// appends this to Query.Explain when the session engine is MODIN.
 func (e *Engine) DescribePhysical(n algebra.Node) string {
+	desc := e.DescribeStrategy(n)
+	if e.inline(n) {
+		desc += fmt.Sprintf("inline: sources total ≤ %d rows, one tree walk on the caller\n", inlineRows)
+	}
+	return desc
+}
+
+// DescribeStrategy renders DescribePhysical's strategy lines alone, without
+// the inline line: the description for a caller that runs the plan's
+// partitioned phases itself rather than through Execute.
+func (e *Engine) DescribeStrategy(n algebra.Node) string {
 	var b strings.Builder
-	uses := make(map[algebra.Node]int)
-	countUses(n, uses)
-	e.describeNode(n, uses, &b)
+	e.describeNode(n, algebra.Uses(n), &b)
 	if b.Len() == 0 {
 		b.WriteString("(no repartition points)\n")
 	}
