@@ -56,7 +56,9 @@
 // the global plan — exact first-appearance group order — gates only the
 // merges, and merged buckets carry a rank column that a restore exchange
 // folds back into exact single-node row order. Single-consumer scan bands
-// are released as soon as a shuffle has routed them, and on such scans
+// are released as soon as a shuffle has routed them (a key-shuffled join's
+// inputs are not single-consumer: its assembly reads them again), and on
+// such scans
 // the producer holds its parse-ahead window against band RELEASE (routed,
 // and past the budget spilled) rather than task completion, so slow
 // routing stalls the parsers instead of accumulating bands.
@@ -143,7 +145,10 @@
 // Physical strategy from exact sizes: the compile step picks strategies
 // from facts, not sketches. A join whose build side (a base frame's exact
 // row count, or optimizer.EstimateNode's zero-stats model above one)
-// exceeds the broadcast limit becomes a key-shuffled hash join. A groupby
+// exceeds the broadcast limit becomes a key-shuffled hash join: only key
+// columns and row positions route by hash, each bucket emits (left
+// ordinal, right position) pairs, and output band b is assembled once from
+// left band b and its ordinal-merged pairs. A groupby
 // whose aggregates all combine exactly (COUNT, SIZE, MIN, MAX) folds each
 // band into one algebra.GroupPartial and routes one state row per group;
 // any other groupby routes rows, because a float SUM or MEAN added up from

@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/expr"
@@ -119,17 +120,20 @@ func assembleJoin(left, right *core.DataFrame, on []string, onLabels bool, leftI
 
 	for j := 0; j < left.NCols(); j++ {
 		name := left.ColName(j)
-		col := left.Col(j).Take(leftIdx)
-		if onSet[name] {
+		var col vector.Vector
+		if rj := right.ColIndex(name); onSet[name] && rj >= 0 {
 			// Join keys appear once; fill left-null slots (unmatched
 			// right rows of outer joins) from the right side.
-			if rj := right.ColIndex(name); rj >= 0 {
-				col = coalesceTake(left.Col(j), right.Col(rj), leftIdx, rightIdx)
-			}
-			labels = append(labels, types.String(name))
-		} else if right.ColIndex(name) >= 0 {
-			labels = append(labels, types.String(name+"_x"))
+			col = coalesceTake(left.Col(j), right.Col(rj), leftIdx, rightIdx)
 		} else {
+			col = left.Col(j).Take(leftIdx)
+		}
+		switch {
+		case onSet[name]:
+			labels = append(labels, types.String(name))
+		case right.ColIndex(name) >= 0:
+			labels = append(labels, types.String(name+"_x"))
+		default:
 			labels = append(labels, types.String(name))
 		}
 		cols = append(cols, col)
@@ -159,10 +163,16 @@ func assembleJoin(left, right *core.DataFrame, on []string, onLabels bool, leftI
 }
 
 // coalesceTake takes from primary at pIdx, falling back to secondary at
-// sIdx where pIdx is -1.
+// sIdx where pIdx is -1. When no pIdx is -1 (inner and left joins) and both
+// sides share a domain, that is primary's own typed Take. Otherwise the
+// cells are boxed, and sides whose domains differ (Int against Float keys)
+// come out Object.
 func coalesceTake(primary, secondary vector.Vector, pIdx, sIdx []int) vector.Vector {
-	vals := make([]types.Value, len(pIdx))
 	dom := primary.Domain()
+	if dom == secondary.Domain() && !slices.Contains(pIdx, -1) {
+		return primary.Take(pIdx)
+	}
+	vals := make([]types.Value, len(pIdx))
 	for k := range pIdx {
 		switch {
 		case pIdx[k] >= 0:

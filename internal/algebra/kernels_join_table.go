@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/expr"
@@ -21,6 +22,7 @@ type JoinTable struct {
 	index    keyIndex
 	firstRow []int32 // key id → first build row with this key (the collision-check anchor)
 	nextRow  []int32 // build row → next row with the same key, -1 ends
+	unique   bool    // every non-null build row is its own key: a probe row matches at most once
 }
 
 // BuildJoinTable indexes the build (right) side of a data join on the given
@@ -44,11 +46,13 @@ func buildJoinTable(right *core.DataFrame, keys []vector.Vector) *JoinTable {
 	t := &JoinTable{right: right, keys: keys, nextRow: make([]int32, n)}
 	hashes := rowHashes(keys, n)
 	var lastRow []int32 // key id → last build row seen with this key
+	nonNull := 0
 	for i := 0; i < n; i++ {
 		t.nextRow[i] = -1
 		if anyNullAt(keys, i) {
 			continue
 		}
+		nonNull++
 		e, added := t.index.insert(hashes[i], func(e int32) bool { return rowsEqualAt(keys, i, keys, int(t.firstRow[e])) })
 		if added {
 			t.firstRow = append(t.firstRow, int32(i))
@@ -58,6 +62,7 @@ func buildJoinTable(right *core.DataFrame, keys []vector.Vector) *JoinTable {
 		t.nextRow[lastRow[e]] = int32(i)
 		lastRow[e] = int32(i)
 	}
+	t.unique = len(t.firstRow) == nonNull
 	return t
 }
 
@@ -86,6 +91,10 @@ func (t *JoinTable) Probe(left *core.DataFrame, on []string, kind expr.JoinKind,
 // probe is Probe over the n rows of already-resolved probe key vectors.
 func (t *JoinTable) probe(n int, keys []vector.Vector, kind expr.JoinKind, leftIdx, rightIdx []int) ([]int, []int) {
 	keepUnmatched := kind == expr.JoinLeft || kind == expr.JoinOuter
+	if t.unique {
+		// At most one pair per probe row: size the output once.
+		leftIdx, rightIdx = slices.Grow(leftIdx, n), slices.Grow(rightIdx, n)
+	}
 	hashes := rowHashes(keys, n)
 	for i := 0; i < n; i++ {
 		e := int32(-1)

@@ -352,19 +352,15 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 		if node.Kind == expr.JoinInner || node.Kind == expr.JoinLeft {
 			if c.e.chooseJoinStrategy(node).shuffled {
 				// Key-shuffled hash join (join_shuffle.go): the build side
-				// is too large to broadcast, so both inputs
-				// shuffle by key hash, each bucket builds once and probes
-				// its slice, and a restore exchange re-establishes left
-				// input order.
+				// is too large to broadcast, so both inputs route their
+				// keys and row positions by hash, each bucket builds once
+				// and probes its slice, and an anchored stage assembles
+				// each left band's output rows once, in left input order.
 				sides, err := c.compileAll([]algebra.Node{node.Left, node.Right})
 				if err != nil {
 					return nil, err
 				}
-				build, probe := e.joinBuildShuffle(node.On), e.joinProbeShuffleKeyed(node)
-				build.Desc = node.Describe()
-				probe.Desc = build.Desc
-				built := physical.NewShuffle(build, sides[1])
-				return e.joinRestoreExchange(probe.Desc, physical.NewShuffle(probe, sides[0], built)), nil
+				return e.keyShuffledJoin(node, sides[0], sides[1]), nil
 			}
 			// Anchored broadcast probe: left bands pass through in order,
 			// the right side is built once and broadcast; band b's join

@@ -2,6 +2,7 @@ package modin
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/algebra"
@@ -215,9 +216,9 @@ func foldGroupPieces(pieces []physical.Piece, spec expr.GroupBySpec) (*core.Data
 	return g.Finalize()
 }
 
-// splitOrdColumn cuts each band of a shuffle's output into its rows and the
-// ordinals its merge carried out in the last column (group ranks, left-input
-// row ordinals), which the restore consumes positionally.
+// splitOrdColumn cuts each merged groupby bucket into its groups and the
+// global group ranks its merge tagged onto them as the last column
+// (GroupRankCol), which the restore consumes positionally.
 func splitOrdColumn(f *partition.Frame) ([]*core.DataFrame, [][]int64, error) {
 	frames := make([]*core.DataFrame, f.RowBands())
 	ords := make([][]int64, len(frames))
@@ -233,7 +234,8 @@ func splitOrdColumn(f *partition.Frame) ([]*core.DataFrame, [][]int64, error) {
 	return frames, ords, nil
 }
 
-// ordColumn reads a carried ordinal column as typed int64s.
+// ordColumn reads a carried ordinal column (group ranks, join positions) as
+// typed int64s.
 func ordColumn(v vector.Vector) []int64 {
 	if data, _, idx, ok := vector.IntData(v); ok && idx == nil {
 		return data
@@ -245,41 +247,40 @@ func ordColumn(v vector.Vector) []int64 {
 	return out
 }
 
-// restoreOrder stacks the buckets and puts their rows in ascending ordinal
-// order — the k-way merge both restores share. Each bucket's ordinals
-// ascend, and equal ordinals (one left row's join matches) sit contiguously
-// in ONE bucket, so taking the smallest head row by row reproduces the
-// single-node row order exactly.
-func restoreOrder(frames []*core.DataFrame, ords [][]int64) (*core.DataFrame, error) {
-	nb := len(frames)
-	bc := make([]int, 2*nb) // bucket b's stacked-row offset (bc[b]) and merge cursor (bc[nb+b])
-	base, cur := bc[:nb], bc[nb:]
-	total := 0
-	for b, o := range ords {
-		base[b] = total
-		total += len(o)
-	}
-	perm := make([]int, 0, total)
-	identity := true
-	for len(perm) < total {
-		min := -1
-		for b := 0; b < nb; b++ {
-			if cur[b] < len(ords[b]) && (min < 0 || ords[b][cur[b]] < ords[min][cur[min]]) {
-				min = b
+// mergeOrdinals visits the rows of several ascending ordinal runs in
+// ascending ordinal order: visit(r, from, to) hands over rows [from, to) of
+// run r, each stretch as long as no other run's head comes before its end.
+// It is the k-way merge behind the groupby restore and the key-shuffled
+// join's assembly; equal ordinals in different runs go in run order.
+func mergeOrdinals(runs [][]int64, visit func(r, from, to int)) {
+	cur := make([]int, len(runs))
+	for {
+		min, next := -1, int64(math.MaxInt64) // the smallest head, and the next smallest
+		for r, run := range runs {
+			if cur[r] == len(run) {
+				continue
+			}
+			switch h := run[cur[r]]; {
+			case min < 0:
+				min = r
+			case h < runs[min][cur[min]]:
+				// Every other head seen is at or above the old minimum.
+				next, min = runs[min][cur[min]], r
+			case h < next:
+				next = h
 			}
 		}
-		next := base[min] + cur[min]
-		if next != len(perm) {
-			identity = false
+		if min < 0 {
+			return
 		}
-		perm = append(perm, next)
-		cur[min]++
+		run, from := runs[min], cur[min]
+		to := from + 1
+		for to < len(run) && run[to] < next {
+			to++
+		}
+		visit(min, from, to)
+		cur[min] = to
 	}
-	out, err := algebra.VStackFrames(frames...)
-	if err != nil || identity {
-		return out, err
-	}
-	return out.TakeRows(perm), nil
 }
 
 // RestoreGroupOrder interleaves the merged buckets back into global
@@ -290,14 +291,33 @@ func restoreOrder(frames []*core.DataFrame, ords [][]int64) (*core.DataFrame, er
 // barrier plan produced. asLabels keeps the buckets' key row labels (the
 // AsIndex form); otherwise labels become the global positional sequence.
 func RestoreGroupOrder(frames []*core.DataFrame, ranks [][]int64, asLabels bool) (*core.DataFrame, error) {
+	base := make([]int, len(frames)) // bucket b's first row in the stacked buckets
+	total := 0
 	for b, f := range frames {
 		if f.NRows() != len(ranks[b]) {
 			return nil, fmt.Errorf("modin: group restore bucket %d has %d groups, plan routed %d", b, f.NRows(), len(ranks[b]))
 		}
+		base[b] = total
+		total += f.NRows()
 	}
-	out, err := restoreOrder(frames, ranks)
-	if err != nil || asLabels {
-		return out, err
+	perm := make([]int, 0, total)
+	mergeOrdinals(ranks, func(b, from, to int) {
+		for i := from; i < to; i++ {
+			perm = append(perm, base[b]+i)
+		}
+	})
+	out, err := algebra.VStackFrames(frames...)
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range perm {
+		if i != p {
+			out = out.TakeRows(perm)
+			break
+		}
+	}
+	if asLabels {
+		return out, nil
 	}
 	return out.WithRowLabels(vector.Range(0, out.NRows()))
 }

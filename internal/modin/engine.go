@@ -48,7 +48,8 @@ type Stats struct {
 // defaultBroadcastLimit is the build-side row estimate above which an
 // inner/left equi-join switches from the broadcast probe to the key-shuffled
 // hash join. Below it, rebuilding a small hash table per band is cheaper
-// than routing both inputs and restoring the probe order.
+// than routing both inputs' keys and merging the matched pairs back into
+// left order.
 const defaultBroadcastLimit = 65536
 
 // Engine executes algebra plans in parallel over partitions.
@@ -85,9 +86,11 @@ func WithBands(n int) Option { return func(e *Engine) { e.bands = n } }
 // WithShuffleSpillBudget bounds the cells held by routed-but-not-yet-merged
 // shuffle pieces: pieces admitted past the budget spill to disk through
 // internal/storage and are re-read lazily when their merge runs. Together
-// with the band release this keeps GROUPBY/SORT/JOIN over a streamed input
-// within a fixed memory ceiling instead of failing. 0 (the default)
-// disables spilling.
+// with the band release this keeps GROUPBY and SORT over a streamed input
+// within a fixed memory ceiling instead of failing. A key-shuffled JOIN
+// spills its routed key pieces too, but keeps its input bands resident
+// until it assembles its output from them. 0 (the default) disables
+// spilling.
 func WithShuffleSpillBudget(cells int) Option {
 	return func(e *Engine) {
 		e.spill = nil

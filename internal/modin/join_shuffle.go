@@ -2,6 +2,7 @@ package modin
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/algebra"
 	"repro/internal/core"
@@ -14,14 +15,26 @@ import (
 )
 
 // This file lowers inner/left data-column joins to a KEY-SHUFFLED hash join
-// when the build side is too large to broadcast: both inputs shuffle by
-// join-key hash into the same buckets, each bucket builds its slice of the
-// right side exactly once and probes its slice of the left, and a restore
-// exchange puts the probe rows back into left input order. The broadcast
-// probe (shuffle.go) rebuilds the FULL right-side table once per left band;
-// the shuffled form builds each right row into exactly one bucket table, so
-// total build work drops from bands× to 1× — the win the planner is sizing
-// when it compares the build estimate against the broadcast limit.
+// when the build side is too large to broadcast. Only keys and row
+// positions cross bands; each output row is materialized once:
+//
+//   - join-build: right band r routes its key columns to bucket hash%nb,
+//     each routed row labelled with its global right position;
+//   - join-probe: left band r routes its key columns the same way, labelled
+//     with global left ordinals; bucket b builds one JoinTable over its
+//     build keys, probes it with its left keys, and emits (left ordinal,
+//     right position) pairs in ascending ordinal order;
+//   - join-assemble: an anchored stage over the left bands, with the pair
+//     buckets and the right input as side inputs. Band b merges its
+//     ordinal run out of every bucket and calls AssembleJoin once over
+//     left band b and the right input, so output band b lines up with left
+//     band b and the bands assemble in parallel.
+//
+// The broadcast probe (shuffle.go) rebuilds the FULL right-side table once
+// per left band; the shuffled form builds each right key into exactly one
+// bucket table, so total build work drops from bands× to 1× — the win the
+// planner is sizing when it compares the build estimate against the
+// broadcast limit. Both produce the same cells, labels and domains.
 
 // joinChoice is one join's physical strategy decision plus the build-side
 // estimate that drove it (Explain renders it).
@@ -47,42 +60,109 @@ func (e *Engine) chooseJoinStrategy(node *algebra.Join) joinChoice {
 	return c
 }
 
-// keyBuckets routes df's rows to hash buckets: bucket index lists in input
-// order, one per bucket, and the band to cut them from — df with the key
-// columns the hash just resolved swapped in typed.
-func keyBuckets(df *core.DataFrame, on []string, nb int) (*core.DataFrame, [][]int, error) {
-	hs, err := algebra.RowKeyHashes(df, on)
-	if err != nil {
-		return nil, nil, err
-	}
-	idx := make([][]int, nb)
-	for i, h := range hs {
-		b := int(h % uint64(nb))
-		idx[b] = append(idx[b], i)
-	}
-	return df.Resolved(), idx, nil
+// keyShuffledJoin wires the three stages over the compiled inputs. Both
+// inputs are read twice — routed by key, then assembled from — so neither
+// may be a single-use stream whose bands are released once routed.
+func (e *Engine) keyShuffledJoin(node *algebra.Join, left, right *physical.Node) *physical.Node {
+	desc := node.Describe()
+	build := e.joinBuildShuffle(node.On)
+	probe := e.joinPairShuffle(node)
+	assemble := e.joinAssembly(node)
+	build.Desc, probe.Desc, assemble.Desc = desc, desc, desc
+	left, right = sharedInput(left), sharedInput(right)
+	built := physical.NewShuffle(build, right)
+	pairs := physical.NewShuffle(probe, left, built)
+	return physical.NewShuffle(assemble, left, pairs, right)
 }
 
-// joinBuildShuffle shuffles the build (right) side by join-key hash: band r
-// routes each row to bucket hash%nb, and bucket b's merge stacks its pieces
-// into the one frame the probe stage will build a hash table over. Pieces
-// are materialized with TakeRows (not views) so the merge concatenation and
-// the downstream table build stay on typed storage.
+// sharedInput returns a compiled join input whose bands outlive their first
+// consumer: a single-use stream is re-marked shared, as a scan read by two
+// operators is, so its bands stay resident until the assembly reads them.
+func sharedInput(n *physical.Node) *physical.Node {
+	if n.Stream == nil || !n.Stream.SingleUse {
+		return n
+	}
+	st := *n.Stream
+	st.SingleUse = false
+	return physical.NewStreamSource(&st)
+}
+
+// bandOffsets folds per-band row-count summaries into each band's first
+// global row.
+func bandOffsets(summaries []any) []int {
+	offsets := make([]int, len(summaries))
+	off := 0
+	for r, s := range summaries {
+		offsets[r] = off
+		off += s.(int)
+	}
+	return offsets
+}
+
+// bandRows is the row-count summary behind bandOffsets and the renumber
+// pass.
+func bandRows(_ int, band *core.DataFrame) (any, error) { return band.NRows(), nil }
+
+// routeKeys cuts band's key columns into nb hash-bucket pieces, in band row
+// order. A piece's row labels are its rows' global positions in their input
+// (base plus the band row), so the rest of the row never travels.
+func routeKeys(band *core.DataFrame, on []string, nb, base int) ([]*core.DataFrame, error) {
+	hs, err := algebra.RowKeyHashes(band, on)
+	if err != nil {
+		return nil, err
+	}
+	counts := make([]int, nb)
+	for i, h := range hs {
+		hs[i] = h % uint64(nb) // the row's bucket, from here on
+		counts[hs[i]]++
+	}
+	idx := make([][]int, nb) // one backing array, cut to the bucket sizes
+	backing := make([]int, len(hs))
+	for b := range idx {
+		idx[b], backing = backing[:0:counts[b]], backing[counts[b]:]
+	}
+	for i, b := range hs {
+		idx[b] = append(idx[b], i)
+	}
+	keys := make([]vector.Vector, len(on))
+	labels := make([]types.Value, len(on))
+	domains := make([]types.Domain, len(on))
+	for k, name := range on {
+		j := band.ColIndex(name) // RowKeyHashes found every key
+		keys[k], labels[k], domains[k] = band.TypedCol(j), types.String(name), band.Domain(j)
+	}
+	pieces := make([]*core.DataFrame, nb)
+	for b, rows := range idx {
+		cols := make([]vector.Vector, len(keys))
+		for k, key := range keys {
+			cols[k] = key.Take(rows)
+		}
+		pos := make([]int64, len(rows))
+		for k, i := range rows {
+			pos[k] = int64(base + i)
+		}
+		if pieces[b], err = core.Build(cols, vector.NewInt(pos, nil), labels, domains, nil); err != nil {
+			return nil, err
+		}
+	}
+	return pieces, nil
+}
+
+// joinBuildShuffle routes the build (right) side's keys by hash: bucket b's
+// merge stacks its pieces, in band order, into the key frame the probe
+// builds its table over — positions ascending, so a key's build rows chain
+// in right input order.
 func (e *Engine) joinBuildShuffle(on []string) *physical.Shuffle {
 	nb := e.bands
 	return &physical.Shuffle{
-		Name:    "join-build",
-		Buckets: nb,
-		Partition: func(_ int, df *core.DataFrame, _ any) ([]*core.DataFrame, error) {
-			df, idx, err := keyBuckets(df, on, nb)
-			if err != nil {
-				return nil, err
-			}
-			pieces := make([]*core.DataFrame, nb)
-			for b := range pieces {
-				pieces[b] = df.TakeRows(idx[b])
-			}
-			return pieces, nil
+		Name:      "join-build",
+		Buckets:   nb,
+		Summarize: bandRows,
+		Plan: func(summaries []any, _ []*partition.Frame) (any, error) {
+			return bandOffsets(summaries), nil
+		},
+		Partition: func(band int, df *core.DataFrame, plan any) ([]*core.DataFrame, error) {
+			return routeKeys(df, on, nb, plan.([]int)[band])
 		},
 		Merge: func(_ int, pieces []physical.Piece, _ any) (*core.DataFrame, error) {
 			frames, err := physical.Frames(pieces)
@@ -94,50 +174,32 @@ func (e *Engine) joinBuildShuffle(on []string) *physical.Shuffle {
 	}
 }
 
-// joinProbePlan is the probe shuffle's routing state: each probe band's
-// global row offset (for order-restoring ordinals) and each bucket's built
-// right-side frame.
+// joinProbePlan is the probe shuffle's routing state: each left band's
+// global row offset and each bucket's build keys.
 type joinProbePlan struct {
 	offsets []int
 	builds  []*core.DataFrame
 }
 
-// joinOrdCol carries the probe rows' left-input ordinals through the
-// shuffle, as the last column of every routed piece and merged bucket; the
-// merge and the restore exchange consume (and drop) it positionally, so a
-// colliding user column name is harmless.
-const joinOrdCol = "__join_ord__"
-
-// joinProbeShuffleKeyed shuffles the probe (left) side by the same key hash
-// and joins each bucket against its built right slice: BuildJoinTable once
-// per bucket, typed probe in routed-row order, then the standard join
-// assembly. Every routed row carries its left row's global ordinal, and every
-// output row inherits it, so the restore exchange can reproduce exact left
-// input order (and with it the broadcast path's output exactly).
-func (e *Engine) joinProbeShuffleKeyed(node *algebra.Join) *physical.Shuffle {
+// joinPairShuffle routes the probe (left) side's keys by the same hash and
+// joins each bucket's keys against its build keys. Its output band b is
+// bucket b's pairs: one Int column of right positions (-1 for an unmatched
+// left-join row), labelled with the left ordinals. Bands stack in band
+// order and each band's ordinals ascend, so a bucket's ordinals ascend, and
+// a left row's matches sit together, in right input order.
+func (e *Engine) joinPairShuffle(node *algebra.Join) *physical.Shuffle {
 	nb := e.bands
 	on, kind := node.On, node.Kind
-	withOrds := func(df *core.DataFrame, ords []int64) (*core.DataFrame, error) {
-		return df.AppendColumn(types.String(joinOrdCol), vector.NewInt(ords, nil), types.Int)
-	}
 	return &physical.Shuffle{
-		Name:    "join-probe",
-		Buckets: nb,
-		Summarize: func(_ int, band *core.DataFrame) (any, error) {
-			return band.NRows(), nil
-		},
+		Name:      "join-probe",
+		Buckets:   nb,
+		Summarize: bandRows,
 		Plan: func(summaries []any, sides []*partition.Frame) (any, error) {
-			p := &joinProbePlan{offsets: make([]int, len(summaries))}
-			off := 0
-			for r, s := range summaries {
-				p.offsets[r] = off
-				off += s.(int)
-			}
 			built := sides[0]
 			if built.RowBands() != nb {
 				return nil, fmt.Errorf("modin: join build produced %d buckets, want %d", built.RowBands(), nb)
 			}
-			p.builds = make([]*core.DataFrame, nb)
+			p := &joinProbePlan{offsets: bandOffsets(summaries), builds: make([]*core.DataFrame, nb)}
 			for b := range p.builds {
 				df, err := built.RowBand(b)
 				if err != nil {
@@ -148,39 +210,19 @@ func (e *Engine) joinProbeShuffleKeyed(node *algebra.Join) *physical.Shuffle {
 			return p, nil
 		},
 		Partition: func(band int, df *core.DataFrame, plan any) ([]*core.DataFrame, error) {
-			df, idx, err := keyBuckets(df, on, nb)
-			if err != nil {
-				return nil, err
-			}
-			base := int64(plan.(*joinProbePlan).offsets[band])
-			pieces := make([]*core.DataFrame, nb)
-			for b := range pieces {
-				ords := make([]int64, len(idx[b]))
-				for k, i := range idx[b] {
-					ords[k] = base + int64(i)
-				}
-				if pieces[b], err = withOrds(df.TakeRows(idx[b]), ords); err != nil {
-					return nil, err
-				}
-			}
-			return pieces, nil
+			return routeKeys(df, on, nb, plan.(*joinProbePlan).offsets[band])
 		},
 		Merge: func(bucket int, pieces []physical.Piece, plan any) (*core.DataFrame, error) {
 			frames, err := physical.Frames(pieces)
 			if err != nil {
 				return nil, err
 			}
-			// Bands stack in band order and each band's ordinals ascend, so
-			// the bucket's concatenated ordinals are globally ascending —
-			// the invariant the restore merge relies on.
 			left, err := algebra.VStackFrames(frames...)
 			if err != nil {
 				return nil, err
 			}
-			j := left.NCols() - 1
-			ords := ordColumn(left.TypedCol(j))
-			left = left.DropColumn(j)
-			table, err := algebra.BuildJoinTable(plan.(*joinProbePlan).builds[bucket], on)
+			build := plan.(*joinProbePlan).builds[bucket]
+			table, err := algebra.BuildJoinTable(build, on)
 			if err != nil {
 				return nil, err
 			}
@@ -188,38 +230,91 @@ func (e *Engine) joinProbeShuffleKeyed(node *algebra.Join) *physical.Shuffle {
 			if err != nil {
 				return nil, err
 			}
-			out, err := algebra.AssembleJoin(left, table.Right(), on, false, leftIdx, rightIdx)
-			if err != nil {
-				return nil, err
-			}
-			ordOut := make([]int64, len(leftIdx))
+			lord, rpos := ordColumn(left.RowLabels()), ordColumn(build.RowLabels())
+			ords := make([]int64, len(leftIdx))
+			pos := make([]int64, len(leftIdx))
 			for k, i := range leftIdx {
-				ordOut[k] = ords[i]
+				ords[k], pos[k] = lord[i], -1
+				if r := rightIdx[k]; r >= 0 {
+					pos[k] = rpos[r]
+				}
 			}
-			return withOrds(out, ordOut)
+			return core.Build([]vector.Vector{vector.NewInt(pos, nil)}, vector.NewInt(ords, nil),
+				[]types.Value{types.String("right")}, []types.Domain{types.Int}, nil)
 		},
 	}
 }
 
-// joinRestoreExchange puts the shuffled probe output back into left input
-// order. Each bucket's rows carry ascending left ordinals, one left row's
-// matches live contiguously in exactly one bucket, and ordinals are unique
-// per left row — so the k-way ordinal merge over the nb buckets
-// (restoreOrder) reproduces the exact row order (and positional labels) the
-// broadcast path would have produced.
-func (e *Engine) joinRestoreExchange(desc string, probe *physical.Node) *physical.Node {
-	return exchangeStage("join-restore", desc, func(in []*partition.Frame) (*partition.Frame, error) {
-		bands, ords, err := splitOrdColumn(in[0])
-		if err != nil {
-			return nil, err
-		}
-		out, err := restoreOrder(bands, ords)
-		if err != nil {
-			return nil, err
-		}
-		if out, err = out.WithRowLabels(vector.Range(0, out.NRows())); err != nil {
-			return nil, err
-		}
-		return e.rePartition(out), nil
-	}, probe)
+// joinAssemblyPlan is the assembly's shared state: each left band's global
+// row offset, every bucket's pairs, and the right input, gathered once.
+type joinAssemblyPlan struct {
+	offsets []int
+	ords    [][]int64 // bucket → ascending left ordinals
+	pos     [][]int64 // bucket → right positions, -1 for none
+	right   *core.DataFrame
+}
+
+// joinAssembly is the anchored stage that materializes the join. Output
+// band b takes, from every bucket, the run of pairs whose left ordinals
+// fall in left band b (a binary search, since a bucket's ordinals ascend),
+// merges the runs by ordinal into left input order, and assembles the band
+// with one AssembleJoin call. Its row labels start at the number of pairs
+// before band b — the positional labels the broadcast plan's renumber pass
+// gives.
+func (e *Engine) joinAssembly(node *algebra.Join) *physical.Shuffle {
+	on := node.On
+	return &physical.Shuffle{
+		Name:      "join-assemble",
+		Summarize: bandRows,
+		Plan: func(summaries []any, sides []*partition.Frame) (any, error) {
+			pairs := sides[0]
+			p := &joinAssemblyPlan{
+				offsets: bandOffsets(summaries),
+				ords:    make([][]int64, pairs.RowBands()),
+				pos:     make([][]int64, pairs.RowBands()),
+			}
+			for b := range p.ords {
+				df, err := pairs.RowBand(b)
+				if err != nil {
+					return nil, err
+				}
+				p.ords[b], p.pos[b] = ordColumn(df.RowLabels()), ordColumn(df.Col(0))
+			}
+			var err error
+			p.right, err = sides[1].ToFrame()
+			return p, err
+		},
+		Merge: func(band int, pieces []physical.Piece, plan any) (*core.DataFrame, error) {
+			left, err := pieces[0].Frame()
+			if err != nil {
+				return nil, err
+			}
+			p := plan.(*joinAssemblyPlan)
+			lo := int64(p.offsets[band])
+			hi := lo + int64(left.NRows())
+			runs := make([][]int64, len(p.ords))
+			pos := make([][]int64, len(p.ords))
+			before, n := 0, 0
+			for b, ords := range p.ords {
+				i, _ := slices.BinarySearch(ords, lo)
+				j, _ := slices.BinarySearch(ords[i:], hi)
+				runs[b], pos[b] = ords[i:i+j], p.pos[b][i:i+j]
+				before += i
+				n += j
+			}
+			leftIdx := make([]int, 0, n)
+			rightIdx := make([]int, 0, n)
+			mergeOrdinals(runs, func(b, from, to int) {
+				for i := from; i < to; i++ {
+					leftIdx = append(leftIdx, int(runs[b][i]-lo))
+					rightIdx = append(rightIdx, int(pos[b][i]))
+				}
+			})
+			out, err := algebra.AssembleJoin(left, p.right, on, false, leftIdx, rightIdx)
+			if err != nil {
+				return nil, err
+			}
+			return out.WithRowLabels(vector.Range(int64(before), out.NRows()))
+		},
+	}
 }

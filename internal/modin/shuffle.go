@@ -124,10 +124,8 @@ func (e *Engine) joinProbeShuffle(node *algebra.Join) *physical.Shuffle {
 // barriering on its slowest band.
 func (e *Engine) renumberShuffle() *physical.Shuffle {
 	return &physical.Shuffle{
-		Name: "renumber",
-		Summarize: func(_ int, band *core.DataFrame) (any, error) {
-			return band.NRows(), nil
-		},
+		Name:      "renumber",
+		Summarize: bandRows,
 		PrefixPlan: func(prefix []any) (any, error) {
 			off := 0
 			for _, s := range prefix {

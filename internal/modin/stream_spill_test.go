@@ -74,9 +74,9 @@ func TestSpillSortMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestSpillShuffledJoinMatchesInMemory spills the routed pieces of both
-// sides of a keyed shuffled join — the probe side's carrying their left-input
-// ordinals as a column.
+// TestSpillShuffledJoinMatchesInMemory spills the routed key pieces of both
+// sides of a keyed shuffled join, each carrying its rows' input positions as
+// its row labels.
 func TestSpillShuffledJoinMatchesInMemory(t *testing.T) {
 	rows := 120
 	lrec := make([][]any, rows)
