@@ -48,7 +48,10 @@
 // boundary pass (core.CSVInput.FindBands) cuts the whole input into exact
 // byte-range bands; each band parses from its own range and runs the
 // stage's fused kernel chain as its own task, in parallel under a bounded
-// parse-ahead window, and resolves a promise-backed block future.
+// parse-ahead window, and resolves a promise-backed block future. Every
+// CSV read (a band, a cursor, a whole-file ReadCSV) runs one scanner in
+// internal/core with encoding/csv's grammar and error texts; it copies out
+// only the fields a band keeps, and encoding/csv is its test oracle.
 // First-band latency is the boundary pass plus one band's parse. The
 // cluster coordinator cuts a file with the same pass. Groupby shuffles
 // route incrementally: each band partitions from its own key summary the

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -779,7 +780,8 @@ func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 // TestPrunedGroupByStillDistributes guards the two statement shapes the
 // benchmark ships (scan → [filter] → groupby over a wide file) against the
 // optimizer's column pruning: the optimized plans stay inside the shippable
-// family as [project, select, project] and [project] pre-shuffle chains,
+// family, their projection on the scan sinking into the band reader and
+// leaving [select, project] and empty pre-shuffle chains,
 // nothing falls back, results match the local engine, and the pruned plan
 // moves fewer bytes between coordinator and workers than the same statement
 // unoptimized — a byte count through the proxies, not a timing.
@@ -821,10 +823,11 @@ func TestPrunedGroupByStillDistributes(t *testing.T) {
 	cases := []struct {
 		name string
 		plan algebra.Node
-		pre  string // the optimized plan's pre-shuffle chain
+		keep []string // the columns the band reader parses
+		pre  string   // the optimized plan's pre-shuffle chain
 	}{
-		{"filter", &algebra.GroupBy{Input: &algebra.Selection{Input: scan, Where: notNull, Pred: notNull.Predicate()}, Spec: spec}, "projection,selection,projection"},
-		{"passthrough", &algebra.GroupBy{Input: scan, Spec: spec}, "projection"},
+		{"filter", &algebra.GroupBy{Input: &algebra.Selection{Input: scan, Where: notNull, Pred: notNull.Predicate()}, Spec: spec}, []string{"k", "a", "v"}, "selection,projection"},
+		{"passthrough", &algebra.GroupBy{Input: scan, Spec: spec}, []string{"k", "v"}, ""},
 	}
 	for _, tc := range cases {
 		pruned, fired := optimizer.Optimize(tc.plan, optimizer.Default())
@@ -832,11 +835,11 @@ func TestPrunedGroupByStillDistributes(t *testing.T) {
 		if reason != "" {
 			t.Fatalf("%s: optimized plan does not ship (%s), rules %v:\n%s", tc.name, reason, fired, algebra.Render(pruned))
 		}
-		data, _, err := algebra.EncodePlan(pruned)
+		data, leaves, err := algebra.EncodePlan(pruned)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", tc.name, err)
 		}
-		shipped, err := preparePlan(PlanSpec{Buckets: 2, Plan: data})
+		shipped, err := preparePlan(PlanSpec{Scan: leaves[0].(*algebra.Scan), Buckets: 2, Plan: data})
 		if err != nil {
 			t.Fatalf("%s: worker refused the plan: %v", tc.name, err)
 		}
@@ -845,8 +848,8 @@ func TestPrunedGroupByStillDistributes(t *testing.T) {
 			for _, k := range p.pre {
 				ops = append(ops, k.Name)
 			}
-			if got := strings.Join(ops, ","); got != tc.pre || p.group == nil || len(p.post) != 0 {
-				t.Errorf("%s: shipped chain [%s] group=%v post=%d, want [%s] into a groupby:\n%s", tc.name, got, p.group != nil, len(p.post), tc.pre, algebra.Render(pruned))
+			if got := strings.Join(ops, ","); got != tc.pre || !slices.Equal(p.keep, tc.keep) || p.group == nil || len(p.post) != 0 {
+				t.Errorf("%s: shipped keep %v chain [%s] group=%v post=%d, want keep %v [%s] into a groupby:\n%s", tc.name, p.keep, got, p.group != nil, len(p.post), tc.keep, tc.pre, algebra.Render(pruned))
 			}
 		}
 
@@ -929,5 +932,62 @@ func TestDistributedGroupByOnBandSensitiveColumns(t *testing.T) {
 	}
 	if st := s.ClusterStats(); st.Fallback != 0 || st.LocalReruns != 0 {
 		t.Errorf("typed routing must stay distributed: %+v", st)
+	}
+}
+
+// A projection directly on the scan is answered by the worker's band
+// reader, as the local stream answers it: the worker's cut keeps the
+// projected columns and drops the projection kernel, a band parses to just
+// those columns, and the result is cell-identical to the local run with and
+// without the projection. A projection naming a column the file lacks is not
+// sunk, and fails with the projection kernel's text.
+func TestWorkersParseOnlyProjectedColumns(t *testing.T) {
+	s, _ := startCluster(t, 2)
+	scan := csvScan(t, genCSV(700), 64)
+	spec := expr.GroupBySpec{Keys: []string{"k"}, Aggs: []expr.AggSpec{{Col: "v", Agg: expr.AggSum}}}
+	project := &algebra.Projection{Input: scan, Cols: []string{"v", "k"}}
+	for _, tc := range []struct {
+		name string
+		plan algebra.Node
+		keep []string
+	}{
+		{"projected", &algebra.GroupBy{Input: project, Spec: spec}, []string{"v", "k"}},
+		{"projected chain", &algebra.Selection{Input: project, Where: expr.WhereCompare("v", vector.CmpGe, types.IntValue(50))}, []string{"v", "k"}},
+		{"unprojected", &algebra.GroupBy{Input: scan, Spec: spec}, nil},
+	} {
+		data, leaves, err := algebra.EncodePlan(tc.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shipped, err := preparePlan(PlanSpec{Scan: leaves[0].(*algebra.Scan), Buckets: 2, Plan: data})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !slices.Equal(shipped.keep, tc.keep) || strings.Contains(kernelNames(shipped.pre), "projection") {
+			t.Errorf("%s: worker keeps %v with chain %q, want %v and no projection kernel", tc.name, shipped.keep, kernelNames(shipped.pre), tc.keep)
+		}
+		in, ranges, err := scan.Bands()
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Close()
+		band, err := buildBand(shipped.Scan, shipped.keep, &BandTask{Range: ranges[1]})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if want := scan.Columns; tc.keep != nil && !slices.Equal(band.ColNames(), tc.keep) || tc.keep == nil && !slices.Equal(band.ColNames(), want) {
+			t.Errorf("%s: a band parses columns %v", tc.name, band.ColNames())
+		}
+		checkSame(t, s, tc.plan)
+	}
+
+	ghost := &algebra.GroupBy{Input: &algebra.Projection{Input: scan, Cols: []string{"k", "ghost"}}, Spec: spec}
+	if cut, _ := cutPlan(ghost); cut == nil || cut.keep != nil {
+		t.Fatalf("a projection of an unknown column sank into the reader")
+	}
+	_, errCluster := s.Execute(ghost)
+	_, errLocal := modin.New().Execute(ghost)
+	if errCluster == nil || errLocal == nil || errCluster.Error() != errLocal.Error() || !strings.Contains(errCluster.Error(), "PROJECTION(") {
+		t.Fatalf("unknown column: cluster error %v, local %v; want the projection kernel's", errCluster, errLocal)
 	}
 }

@@ -45,6 +45,7 @@ type PlanSpec struct {
 // modin helpers read only its Order and ByLabels.
 type stagePlan struct {
 	leaf  algebra.Node // *algebra.Scan or *algebra.Source
+	keep  []string     // a projection on the scan, answered by the band reader
 	pre   []physical.Kernel
 	group *expr.GroupBySpec
 	sort  *algebra.Sort
@@ -60,6 +61,7 @@ type stagePlan struct {
 func cutPlan(n algebra.Node) (*stagePlan, string) {
 	p := &stagePlan{}
 	var chain []physical.Kernel // collected root first
+	var above algebra.Node      // cur's consumer
 	for cur := n; p.leaf == nil; {
 		if algebra.Opaque(cur) {
 			return nil, "opaque closure"
@@ -89,6 +91,12 @@ func cutPlan(n algebra.Node) (*stagePlan, string) {
 				return nil, "unshippable scan"
 			}
 			p.leaf = node
+			// A projection the local stream would sink into the scan's
+			// reader sinks into the worker's: its kernel, the last one
+			// collected, is dropped for the kept columns.
+			if proj, ok := above.(*algebra.Projection); ok && modin.PrunedScan(proj, algebra.Uses(n)) != nil {
+				p.keep, chain = proj.Cols, chain[:len(chain)-1]
+			}
 		case *algebra.Source:
 			p.leaf = node
 		case *algebra.Join:
@@ -101,7 +109,7 @@ func cutPlan(n algebra.Node) (*stagePlan, string) {
 			return nil, "unshippable operator"
 		}
 		if p.leaf == nil {
-			cur = cur.Children()[0]
+			above, cur = cur, cur.Children()[0]
 		}
 	}
 	// Execution runs leaf first.
@@ -119,11 +127,15 @@ type workerPlan struct {
 }
 
 // preparePlan is the worker's decode path: it decodes the shipped plan,
-// binding its leaf to a placeholder (each band replaces it), and cuts it
-// the way the coordinator did. A malformed plan is an error, answered
-// in-band.
+// binding its leaf to the shipped scan, or for a frame source to a
+// placeholder (each band replaces it), and cuts it the way the coordinator
+// did. A malformed plan is an error, answered in-band.
 func preparePlan(spec PlanSpec) (*workerPlan, error) {
-	n, err := algebra.DecodePlan(spec.Plan, []algebra.Node{&algebra.Source{DF: core.Empty()}})
+	var leaf algebra.Node = &algebra.Source{DF: core.Empty()}
+	if spec.Scan != nil {
+		leaf = spec.Scan
+	}
+	n, err := algebra.DecodePlan(spec.Plan, []algebra.Node{leaf})
 	if err != nil {
 		return nil, err
 	}

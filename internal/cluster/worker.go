@@ -222,7 +222,7 @@ func (w *Worker) runBands(req *RunBandsReq) (any, error) {
 // frame and report its shuffle summary.
 func (w *Worker) runBand(q *workerQuery, task *BandTask) (*BandResult, error) {
 	plan := q.plan
-	df, err := buildBand(plan.Scan, task)
+	df, err := buildBand(plan.Scan, plan.keep, task)
 	if err != nil {
 		return nil, err
 	}
@@ -278,10 +278,10 @@ func (w *Worker) runBand(q *workerQuery, task *BandTask) (*BandResult, error) {
 }
 
 // buildBand materializes one band's rows — re-parsing its range of the
-// plan's scan or decoding its shipped block (scan is nil) — and assigns its
-// global row labels before any operator runs, matching the local streaming
-// scan exactly.
-func buildBand(scan *algebra.Scan, task *BandTask) (*core.DataFrame, error) {
+// plan's scan, only the kept columns when keep is non-nil, or decoding its
+// shipped block (scan is nil) — and assigns its global row labels before any
+// operator runs, matching the local streaming scan exactly.
+func buildBand(scan *algebra.Scan, keep []string, task *BandTask) (*core.DataFrame, error) {
 	if scan == nil {
 		return decodeBlock(task.Block, "band")
 	}
@@ -292,7 +292,7 @@ func buildBand(scan *algebra.Scan, task *BandTask) (*core.DataFrame, error) {
 		return nil, err
 	}
 	defer in.Close()
-	band, err := in.ReadBand(task.Range, scan.Options, scan.Columns, nil)
+	band, err := in.ReadBand(task.Range, scan.Options, scan.Columns, keep)
 	if err != nil {
 		return nil, err
 	}

@@ -66,14 +66,14 @@ func (in *CSVInput) Cursor(opts CSVOptions) (*CSVCursor, error) {
 }
 
 // FindBands cuts the input into bands of bandRows records, the last holding
-// the rest; a header record belongs to no band. Records are counted as
-// encoding/csv reads them, with no delimiter and no field parsed: a '\n'
+// the rest; a header record belongs to no band. Records are counted as the
+// CSV scanner reads them, with no delimiter and no field parsed: a '\n'
 // ends a record unless an odd number of '"' precede it in the record, and a
 // record of only "\n" or "\r\n" (at EOF, "" or "\r") is a skipped blank
 // line. Malformed input is no error here: every boundary before its first
-// malformed record is exact, so that record's band fails its parse with
-// encoding/csv's own message, and an unterminated quote runs the last band
-// to EOF. A file is read through one 64 KiB buffer, memory in place.
+// malformed record is exact, so that record's band fails its parse with the
+// scanner's *csv.ParseError text, and an unterminated quote runs the last
+// band to EOF. A file is read through one 64 KiB buffer, memory in place.
 func (in *CSVInput) FindBands(header bool, bandRows int) ([]BandRange, error) {
 	if bandRows <= 0 {
 		return nil, fmt.Errorf("core: csv band size %d, want > 0", bandRows)
@@ -181,13 +181,18 @@ func (f *bandFinder) endRecord(body int64) {
 
 // ReadBand parses one band as a frame with global row labels, its columns
 // named cols (the scan's probed header or positional names) and kept as
-// CSVCursor.Keep keeps them. Errors count rows and lines from the range's
-// Row and Line, so a malformed record fails with the text a whole-input
-// ReadCSV reports. The zero BandRange reads as the zero-row band. Only
-// opts.Comma applies.
+// CSVCursor.Keep keeps them. It is a headerless cursor over the band's
+// bytes whose line count starts at the range's Line and row count at its
+// Row, so a malformed record fails with the text a whole-input ReadCSV
+// reports. The zero BandRange reads as the zero-row band. Only opts.Comma
+// applies.
 func (in *CSVInput) ReadBand(rng BandRange, opts CSVOptions, cols, keep []string) (*DataFrame, error) {
-	cur, _ := NewCSVCursor(io.NewSectionReader(in.at, rng.Offset, rng.Length), CSVOptions{Comma: opts.Comma}) // headerless: cannot fail
-	cur.names, cur.row, cur.lines = cols, int(rng.Row), int(rng.Line)
+	cur := &CSVCursor{
+		s:        newCSVScanner(io.NewSectionReader(in.at, rng.Offset, rng.Length), opts.Comma, int(rng.Line)),
+		names:    cols,
+		row:      int(rng.Row),
+		bandRows: rng.Rows,
+	}
 	cur.Keep(keep)
 	var band *DataFrame
 	var err error

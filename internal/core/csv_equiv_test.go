@@ -359,7 +359,8 @@ func FuzzCursorKeep(f *testing.F) {
 // FuzzRangedReadMatchesWholeRead holds a parallel scan's reading to ReadCSV
 // — the input cut by FindBands, every band parsed alone by ReadBand — over
 // inputs made of the bytes CSV structure is built from, at any band size:
-// cells, labels and error text must all be identical.
+// cells, labels and error text must all be identical. The whole read is
+// held to encoding/csv's reading, so the two cannot agree on a wrong one.
 func FuzzRangedReadMatchesWholeRead(f *testing.F) {
 	for _, tc := range csvCases {
 		f.Add([]byte(tc.text), tc.opts.Header, uint8(1))
@@ -384,6 +385,10 @@ func FuzzRangedReadMatchesWholeRead(f *testing.F) {
 		}
 		opts := core.CSVOptions{Comma: ',', Header: header}
 		whole, wholeErr := core.ReadCSV(bytes.NewReader(text), opts)
+		want, wantErr := oracleRead(text, opts)
+		if d := sameResult(whole, wholeErr, want, wantErr); d != "" {
+			t.Errorf("%q: ReadCSV %s", text, d)
+		}
 		ranged, err := readRanged("", text, opts, rows)
 		if wholeErr != nil || err != nil {
 			if fmt.Sprint(err) != fmt.Sprint(wholeErr) {

@@ -115,11 +115,12 @@ func scanBands(scan *algebra.Scan, keep []string) ([]physical.Band, io.Closer, e
 	return bands, in, nil
 }
 
-// prunedScan returns the scan a PROJECTION reads when the scan's cursor can
-// answer the projection: the scan has no other consumer, and every projected
-// label is in its probed header (an unknown label keeps failing in the
-// projection kernel, with that kernel's text). Otherwise nil.
-func prunedScan(p *algebra.Projection, uses map[algebra.Node]int) *algebra.Scan {
+// PrunedScan returns the scan a PROJECTION reads when the scan's band
+// reader can answer the projection: the scan has no other consumer, and
+// every projected label is in its probed header (an unknown label keeps
+// failing in the projection kernel, with that kernel's text). Otherwise nil.
+// The local stream and a cluster worker both prune by it.
+func PrunedScan(p *algebra.Projection, uses map[algebra.Node]int) *algebra.Scan {
 	scan, ok := p.Input.(*algebra.Scan)
 	if !ok || uses[scan] != 1 || len(p.Cols) == 0 {
 		return nil
@@ -291,7 +292,7 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 		return c.streamScan(node, nil, c.uses[node] <= 1), nil
 
 	case *algebra.Projection:
-		if scan := prunedScan(node, c.uses); scan != nil {
+		if scan := PrunedScan(node, c.uses); scan != nil {
 			return c.streamScan(scan, node.Cols, c.uses[node] <= 1), nil
 		}
 	}

@@ -39,7 +39,7 @@ func (e *Engine) DescribeStrategy(n algebra.Node) string {
 func (e *Engine) describeNode(n algebra.Node, uses map[algebra.Node]int, b *strings.Builder) {
 	var keep []string
 	if p, ok := n.(*algebra.Projection); ok {
-		if scan := prunedScan(p, uses); scan != nil {
+		if scan := PrunedScan(p, uses); scan != nil {
 			n, keep = scan, p.Cols
 		}
 	}
