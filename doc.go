@@ -32,8 +32,8 @@
 // engine (internal/modin) — embarrassingly-parallel operator chains fuse
 // into one task per partition band; the hot repartition points (GROUPBY,
 // SORT, inner/left JOIN) lower to two-phase shuffles
-// (summarize→plan→partition→merge; groupby partitions route from their
-// band's own summary without waiting for the plan) emitting one
+// (summarize→plan→partition→merge; a groupby has no summary or plan: each
+// band routes by key hash alone) emitting one
 // independent future per output band; every shape-opaque operator without
 // a partitioned lowering is one gather exchange that calls the same
 // algebra.Eval on its gathered inputs — and
@@ -54,11 +54,12 @@
 // only the fields a band keeps, and encoding/csv is its test oracle.
 // First-band latency is the boundary pass plus one band's parse. The
 // cluster coordinator cuts a file with the same pass. Groupby shuffles
-// route incrementally: each band partitions from its own key summary the
-// moment it parses (bucket = stable key hash, identical in every band),
-// the global plan — exact first-appearance group order — gates only the
-// merges, and merged buckets carry a rank column that a restore exchange
-// folds back into exact single-node row order. Single-consumer scan bands
+// route incrementally: each band partitions the moment it parses (bucket =
+// stable key hash, identical in every band) and labels what it routes with
+// its row positions (band<<32 | row); each bucket's merge records every
+// group's first position, and a restore exchange interleaves the buckets
+// by those positions into exact single-node group order. No band summary
+// and no serial plan fold stand in between. Single-consumer scan bands
 // are released as soon as a shuffle has routed them (a key-shuffled join's
 // inputs are not single-consumer: its assembly reads them again), and on
 // such scans
@@ -156,8 +157,11 @@
 // band into one algebra.GroupPartial and routes one state row per group;
 // any other groupby routes rows, because a float SUM or MEAN added up from
 // band partials is reassociated. Each bucket merges as one fold in band
-// order. Query.Explain appends the chosen strategies with the sizes that
-// drove them.
+// order, so its groups appear in ascending first position and the restore
+// needs nothing else; the cluster runs the same partition, merge and
+// restore (workers route under the global band index, the coordinator
+// restores). Query.Explain appends the chosen strategies with the sizes
+// that drove them.
 //
 // One boundary between the algebra and the execution layer: the per-run
 // physical.Scheduler is the only code that calls a stage's hooks — fused

@@ -73,7 +73,7 @@ func checkStatesMatchRows(t *testing.T, bands []*core.DataFrame, spec expr.Group
 		if err := g.AddFrame(band); err != nil {
 			t.Fatal(err)
 		}
-		cut, err := g.StateFrames(band, buckets)
+		cut, err := g.StateFrames(band, r, buckets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestStateFramesRoundTripTheWire(t *testing.T) {
 		if err := g.AddFrame(bands[0]); err != nil {
 			t.Fatal(err)
 		}
-		cut, err := g.StateFrames(bands[0], 2)
+		cut, err := g.StateFrames(bands[0], 0, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

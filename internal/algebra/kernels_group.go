@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/expr"
@@ -24,8 +25,8 @@ import (
 // types.Value.Equal.
 
 // rowHashSeed is the fixed seed of every row-key hash in the kernels. It
-// must be one process-wide constant: shuffle summaries hash on partition
-// tasks and compare on plan tasks.
+// must be one process-wide constant: a shuffle routes rows by hash on one
+// task (or worker) and a bucket merge groups them by hash on another.
 const rowHashSeed uint64 = 0x7f4a7c159e3779b9
 
 // rowHashMask narrows row hashes; all-ones in production. Tests shrink it
@@ -34,7 +35,7 @@ var rowHashMask = ^uint64(0)
 
 // SetRowHashMaskForTesting narrows every row-key hash to the given mask so
 // tests can force 64-bit hash collisions through the collision-verification
-// paths (group tables, join probes, shuffle routing plans). It returns the
+// paths (group tables, join probes, shuffle routing). It returns the
 // restore function. Not for production use.
 func SetRowHashMaskForTesting(mask uint64) (restore func()) {
 	old := rowHashMask
@@ -45,13 +46,19 @@ func SetRowHashMaskForTesting(mask uint64) (restore func()) {
 // rowHashes bulk-hashes the rows of the key columns.
 func rowHashes(cols []vector.Vector, n int) []uint64 {
 	dst := make([]uint64, n)
+	hashRowsInto(cols, dst)
+	return dst
+}
+
+// hashRowsInto writes the row hashes of the key columns into dst, which
+// has their length.
+func hashRowsInto(cols []vector.Vector, dst []uint64) {
 	vector.HashRows(cols, rowHashSeed, dst)
 	if rowHashMask != ^uint64(0) {
 		for i := range dst {
 			dst[i] &= rowHashMask
 		}
 	}
-	return dst
 }
 
 // RowKeyHashes bulk-hashes df's rows over the named key columns under the
@@ -105,13 +112,13 @@ func tuplesEqual(a, b []types.Value) bool {
 
 // keyTable gives every distinct group key a dense id in first-appearance
 // order: a keyIndex over the keys' row hashes plus one boxed exemplar tuple
-// per id, against which every hash match is verified. GroupPartial, the
-// shuffle summaries and the shuffle plan fold all assign group identity
-// through it.
+// per id, against which every hash match is verified. GroupPartial and the
+// replay's key summaries and plan fold all assign group identity through
+// it.
 type keyTable struct {
 	index     keyIndex
 	exemplars [][]types.Value // by id
-	rows      []int32         // by id: the frame row that inserted the key (insertRow only)
+	rows      []int32         // by id: the frame row that inserted the key, -1 for a tuple
 }
 
 // insertTuple returns the id of the boxed key tuple with hash h, adding it
@@ -120,6 +127,7 @@ func (t *keyTable) insertTuple(h uint64, key []types.Value) (id int32, added boo
 	id, added = t.index.insert(h, func(id int32) bool { return tuplesEqual(t.exemplars[id], key) })
 	if added {
 		t.exemplars = append(t.exemplars, key)
+		t.rows = append(t.rows, -1)
 	}
 	return id, added
 }
@@ -242,10 +250,9 @@ type GroupPartial struct {
 
 // NewGroupPartial returns an empty partial aggregation for the spec.
 func NewGroupPartial(spec expr.GroupBySpec) *GroupPartial {
-	g := &GroupPartial{spec: spec, aggs: make([]aggState, len(spec.Aggs))}
+	g := &GroupPartial{spec: spec, aggs: make([]aggState, len(spec.Aggs)), collect: collects(spec)}
 	for k, a := range spec.Aggs {
 		g.aggs[k].kind = a.Agg
-		g.collect = g.collect || a.Agg == expr.AggCollect
 	}
 	return g
 }
@@ -384,6 +391,11 @@ func (g *GroupPartial) Merge(other *GroupPartial) {
 // NumGroups returns the number of distinct groups seen so far.
 func (g *GroupPartial) NumGroups() int { return len(g.keys.exemplars) }
 
+// FirstRow returns the row that inserted group id, a row of the frame
+// whose AddFrame or AddState call added the group, or -1 for a group Merge
+// added. A shuffle's bucket merge reads that row's label: its position.
+func (g *GroupPartial) FirstRow(id int) int { return int(g.keys.rows[id]) }
+
 // Finalize materializes the grouped result: key columns (or key row labels
 // when AsLabels), then one column per aggregate. Collect aggregates yield
 // Composite cells holding each group's sub-dataframe.
@@ -477,24 +489,19 @@ func ExactCombine(spec expr.GroupBySpec) bool {
 // columns are read positionally, so a user column of that name is harmless.
 const GroupStateCol = "__group_state__"
 
-// KeyStats returns the partial's distinct keys in first-appearance order:
-// each key's row hash and boxed exemplar tuple, the stats a shuffle's plan
-// fold reads. The slices are the partial's own and must not be modified.
-func (g *GroupPartial) KeyStats() (hashes []uint64, exemplars [][]types.Value) {
-	return g.keys.index.hashes, g.keys.exemplars
-}
-
-// StateFrames cuts a partial that one AddFrame built over df into one state
-// frame per hash bucket, routing each group as its rows would route: bucket
-// = key hash % buckets. A state frame holds one row per group, in
-// first-appearance order: the key columns taken at the group's first row of
-// df, so they keep df's storage exactly, then one GroupStateCol column per
-// aggregate — COUNT and SIZE as Int counts, MIN and MAX as the extreme in
-// the input column's domain, null where the group had no value. AddState
-// folds them back; only ExactCombine specs have them.
-func (g *GroupPartial) StateFrames(df *core.DataFrame, buckets int) ([]*core.DataFrame, error) {
+// StateFrames cuts a partial that one AddFrame built over df, band `band`
+// of a shuffle's input, into one state frame per hash bucket, routing each
+// group as its rows would route: bucket = key hash % buckets. A state frame
+// holds one row per group, in first-appearance order: the key columns taken
+// at the group's first row of df, so they keep df's storage exactly, then
+// one GroupStateCol column per aggregate — COUNT and SIZE as Int counts,
+// MIN and MAX as the extreme in the input column's domain, null where the
+// group had no value. Its row labels are the positions of those first rows,
+// band<<32 | row, as RouteGroupRows labels routed rows. AddState folds them
+// back; only ExactCombine specs have them.
+func (g *GroupPartial) StateFrames(df *core.DataFrame, band, buckets int) ([]*core.DataFrame, error) {
 	n := g.NumGroups()
-	if !ExactCombine(g.spec) || len(g.keys.rows) != n {
+	if !ExactCombine(g.spec) || slices.Contains(g.keys.rows, -1) {
 		return nil, fmt.Errorf("algebra: groupby has no state frames")
 	}
 	// Order the groups by bucket, stably, so one take per column serves
@@ -522,9 +529,10 @@ func (g *GroupPartial) StateFrames(df *core.DataFrame, buckets int) ([]*core.Dat
 	if err != nil {
 		return nil, err
 	}
-	first := make([]int, n)
+	first, pos := make([]int, n), make([]int64, n)
 	for i, id := range perm {
 		first[i] = int(g.keys.rows[id])
+		pos[i] = int64(band)<<32 | int64(first[i])
 	}
 	for k, c := range keyCols {
 		add(c.Take(first), g.spec.Keys[k])
@@ -549,7 +557,7 @@ func (g *GroupPartial) StateFrames(df *core.DataFrame, buckets int) ([]*core.Dat
 		}
 		add(vector.FromValues(df.TypedCol(j).Domain(), vals), GroupStateCol)
 	}
-	all, err := core.Build(cols, nil, labels, domains, nil)
+	all, err := core.Build(cols, vector.NewInt(pos, nil), labels, domains, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -603,6 +611,165 @@ func (g *GroupPartial) AddState(df *core.DataFrame) error {
 		g.aggs[k].addState(ids, df.TypedCol(nk+k))
 	}
 	return nil
+}
+
+// GroupLabelCol carries a routed row's own row label when the spec has a
+// COLLECT aggregate, whose sub-frames keep the input's labels: routing
+// relabels rows with their positions. It is always the last column, read
+// and dropped positionally, so a user column of that name is harmless.
+const GroupLabelCol = "__group_label__"
+
+// collects reports whether some aggregate of the spec is COLLECT.
+func collects(spec expr.GroupBySpec) bool {
+	return slices.ContainsFunc(spec.Aggs, func(a expr.AggSpec) bool { return a.Agg == expr.AggCollect })
+}
+
+// RouteGroupRows is the partition phase of a GROUPBY shuffle that routes
+// rows: it cuts df, band `band` of the shuffle's input, into one piece per
+// hash bucket, row i going to bucket (key hash of row i) % buckets, the
+// bucket StateFrames routes the key's state to. Each piece holds its rows
+// in band-row order as zero-copy views, labelled with their band positions
+// band<<32 | i, from which the merge takes each group's first position; a
+// spec with a COLLECT aggregate also carries df's own labels as a trailing
+// GroupLabelCol column (RoutedRows restores them). The key and aggregate
+// columns leave typed, so no merge, spill or wire parses them again.
+//
+// Nothing per row outlives the call but the pieces' indexes and labels: a
+// single Dict key is hashed once per code, any other key in groupChunk-row
+// pieces.
+func RouteGroupRows(df *core.DataFrame, spec expr.GroupBySpec, band, buckets int) ([]*core.DataFrame, error) {
+	if buckets < 1 {
+		return nil, fmt.Errorf("algebra: groupby routes into %d buckets", buckets)
+	}
+	keyCols, err := groupKeyCols(df, spec.Keys)
+	if err != nil {
+		return nil, err
+	}
+	for _, a := range spec.Aggs {
+		if j := df.ColIndex(a.Col); a.Col != "" && j >= 0 {
+			df.TypedCol(j)
+		}
+	}
+	df = df.Resolved()
+	n, base := df.NRows(), int64(band)<<32
+	if buckets == 1 {
+		piece, err := routedPiece(df, spec, nil, vector.Range(base, n))
+		return []*core.DataFrame{piece}, err
+	}
+
+	into := make([]int32, n) // row → bucket
+	counts := make([]int, buckets)
+	nb := uint64(buckets)
+	if codes, dict, nulls, idx, ok := singleDictKey(keyCols); ok {
+		codeBucket := make([]int32, len(dict)+1) // -1 until seen; the last slot is the null key
+		for c := range codeBucket {
+			codeBucket[c] = -1
+		}
+		null := int32(len(dict))
+		for i := range into {
+			j, c := i, null
+			if idx != nil {
+				j = idx[i]
+			}
+			if j >= 0 && (nulls == nil || !nulls[j]) {
+				c = codes[j]
+			}
+			if codeBucket[c] < 0 {
+				codeBucket[c] = int32(hashValues([]types.Value{keyCols[0].Value(i)}) % nb)
+			}
+			into[i] = codeBucket[c]
+			counts[into[i]]++
+		}
+	} else {
+		// Each chunk's hash of a Dict column hashes its whole table: a chunk
+		// at least that long keeps the table's share of the work bounded.
+		chunk := groupChunk
+		for _, c := range keyCols {
+			if _, dict, _, _, ok := vector.DictData(c); ok {
+				chunk = max(chunk, len(dict))
+			}
+		}
+		hashes := make([]uint64, min(n, chunk))
+		sliced := make([]vector.Vector, len(keyCols))
+		for lo := 0; lo < n; lo += len(hashes) {
+			hashes = hashes[:min(len(hashes), n-lo)]
+			for k, c := range keyCols {
+				sliced[k] = c.Slice(lo, lo+len(hashes))
+			}
+			hashRowsInto(sliced, hashes)
+			for r, h := range hashes {
+				into[lo+r] = int32(h % nb)
+				counts[into[lo+r]]++
+			}
+		}
+	}
+
+	// One pass lays out every bucket's take index and its positions.
+	rows, pos := make([][]int, buckets), make([][]int64, buckets)
+	rowBacking, posBacking := make([]int, n), make([]int64, n)
+	for b, c := range counts {
+		rows[b], rowBacking = rowBacking[:0:c], rowBacking[c:]
+		pos[b], posBacking = posBacking[:0:c], posBacking[c:]
+	}
+	for i, b := range into {
+		rows[b] = append(rows[b], i)
+		pos[b] = append(pos[b], base|int64(i))
+	}
+	out := make([]*core.DataFrame, buckets)
+	for b := range out {
+		if out[b], err = routedPiece(df, spec, rows[b], vector.NewInt(pos[b], nil)); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// singleDictKey unwraps a key that is one dictionary-coded column.
+func singleDictKey(cols []vector.Vector) (codes []int32, dict []string, nulls []bool, idx []int, ok bool) {
+	if len(cols) != 1 {
+		return nil, nil, nil, nil, false
+	}
+	return vector.DictData(cols[0])
+}
+
+// routedPiece is the view of df's rows (all of them when rows is nil)
+// labelled with their positions, plus the GroupLabelCol column when the spec
+// collects.
+func routedPiece(df *core.DataFrame, spec expr.GroupBySpec, rows []int, positions vector.Vector) (*core.DataFrame, error) {
+	take := func(v vector.Vector) vector.Vector {
+		if rows == nil {
+			return v
+		}
+		return vector.TakeView(v, rows)
+	}
+	nc := df.NCols()
+	cols, labels, domains := make([]vector.Vector, nc, nc+1), df.ColLabels(), df.Domains() // Domains copies
+	for j := range cols {
+		cols[j] = take(df.Col(j))
+	}
+	if collects(spec) {
+		own := df.RowLabels()
+		cols = append(cols, take(own))
+		labels = append(labels[:nc:nc], types.String(GroupLabelCol))
+		domains = append(domains, own.Domain())
+	}
+	return core.Build(cols, positions, labels, domains, df.Cache())
+}
+
+// RoutedRows splits a piece RouteGroupRows cut into the rows a GroupPartial
+// folds, with the input's own labels back when the spec collects, and the
+// rows' positions.
+func RoutedRows(piece *core.DataFrame, spec expr.GroupBySpec) (*core.DataFrame, vector.Vector, error) {
+	positions := piece.RowLabels()
+	if !collects(spec) {
+		return piece, positions, nil
+	}
+	j := piece.NCols() - 1
+	if j < 0 || piece.ColName(j) != GroupLabelCol {
+		return nil, nil, fmt.Errorf("algebra: routed groupby piece has no %s column", GroupLabelCol)
+	}
+	rows, err := piece.DropColumn(j).WithRowLabels(piece.Col(j))
+	return rows, positions, err
 }
 
 // aggState is one aggregate's running state over every group, in flat
@@ -824,12 +991,12 @@ func buildColumn(vals []types.Value) vector.Vector {
 	return vector.FromValues(dom, vals)
 }
 
-// GroupKeySummary is the routing form of a frame's group keys for a shuffle
-// that routes rows (a spec that is not ExactCombine): one small ordinal per
-// row (which of the frame's distinct keys the row carries, in
-// first-appearance order) plus, per distinct key, its 64-bit hash and a
-// boxed exemplar tuple for collision verification. Nothing is rendered to
-// strings.
+// GroupKeySummary is a frame's group keys in the form the groupby shuffle
+// routed by before it routed by position: one small ordinal per row (which
+// of the frame's distinct keys the row carries, in first-appearance order)
+// plus, per distinct key, its 64-bit hash and a boxed exemplar tuple for
+// collision verification. Only paperbench's replay calls it; ROADMAP item
+// 3's benchmark follow-up deletes it.
 type GroupKeySummary struct {
 	// Ordinals holds, per row, the index of the row's key in Hashes.
 	Ordinals []int32
@@ -841,8 +1008,9 @@ type GroupKeySummary struct {
 
 // SummarizeGroupKeys computes the GroupKeySummary of df over the named key
 // columns. Empty keys yield the whole-frame group: every row gets ordinal
-// 0. The ordinals are GroupPartial's own group ids over the frame, so
-// routing and aggregation always agree on group identity.
+// 0. The ordinals are GroupPartial's own group ids over the frame. Only
+// paperbench's replay calls it; ROADMAP item 3's benchmark follow-up
+// deletes it.
 func SummarizeGroupKeys(df *core.DataFrame, keys []string) (*GroupKeySummary, error) {
 	cols, err := groupKeyCols(df, keys)
 	if err != nil {
@@ -859,12 +1027,10 @@ func SummarizeGroupKeys(df *core.DataFrame, keys []string) (*GroupKeySummary, er
 // GroupKeyFold is the prefix-foldable global form of band key summaries:
 // feed it each band's distinct-key stats IN BAND ORDER and it assigns every
 // key a global id equal to its first-appearance rank under the single-node
-// scan order — the invariant that lets a hash-routed shuffle repair global
-// group order after the fact. The state after k bands depends only on bands
-// [0, k), so the fold can run incrementally as summaries land rather than
-// barriering on all of them; hash collisions between distinct keys are
-// broken by exemplar verification under tuplesEqual, the same equivalence
-// the per-row summaries use.
+// scan order. Hash collisions between distinct keys are broken by exemplar
+// verification under tuplesEqual, the same equivalence the per-row
+// summaries use. Only paperbench's replay reaches it (through
+// modin.PlanGroupRouting); ROADMAP item 3's benchmark follow-up deletes it.
 type GroupKeyFold struct {
 	// Exemplars and Hashes are indexed by global id (= global
 	// first-appearance rank); they are the key table's own slices.

@@ -3,7 +3,7 @@ package algebra
 import "math/bits"
 
 // keyIndex is the one hash index behind every key-identity kernel: GROUPBY
-// partials and their merge, shuffle key summaries and their fold, JOIN,
+// partials and their merge, the replay's key summaries and their fold, JOIN,
 // DROP-DUPLICATES and DIFFERENCE. It maps a key's 64-bit row hash to a dense
 // id — 0, 1, 2, … in first-insertion order, so callers keep per-key state in
 // plain slices indexed by id — by open addressing with linear probing over

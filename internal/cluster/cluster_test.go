@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -169,6 +170,80 @@ func TestDistributedStateGroupByMatchesLocal(t *testing.T) {
 	}
 	if st := s.ClusterStats(); st.Fallback != 0 || st.LocalReruns != 0 {
 		t.Errorf("state groupbys must stay distributed: %+v", st)
+	}
+}
+
+// sameBits reports whether two results are Equal with every float cell
+// bit for bit the same.
+func sameBits(a, b *core.DataFrame) bool {
+	if !a.Equal(b) {
+		return false
+	}
+	for j := 0; j < a.NCols(); j++ {
+		for i := 0; i < a.NRows(); i++ {
+			if x, y := a.Value(i, j), b.Value(i, j); x.Domain() == types.Float && !x.IsNull() &&
+				math.Float64bits(x.Float()) != math.Float64bits(y.Float()) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Workers label what they route with positions under the global band
+// index, and the coordinator restores group order from the first positions
+// the merges tag. Over a high-cardinality key whose groups first appear in
+// every band, float SUM and MEAN, the state path and AsLabels come back
+// bit-identical to the local engine and to eager on three workers — and
+// still so when a worker is killed after the band stage or before the
+// merges fetch its pieces, and the attempt re-runs on the survivors (the
+// later statements then run on two workers).
+func TestDistributedGroupOrderFromPositions(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("k,amount,tag\n")
+	for i := 0; i < 1500; i++ {
+		fmt.Fprintf(&b, "%d,%g,t%d\n", (i*7919)%613, float64(i%97)*0.1+1e-9*float64(i), i%5)
+	}
+	text := b.String()
+	specs := []expr.GroupBySpec{
+		{Keys: []string{"k"}, Aggs: []expr.AggSpec{{Col: "amount", Agg: expr.AggSum}, {Col: "amount", Agg: expr.AggMean, As: "avg"}}},
+		{Keys: []string{"tag", "k"}, Aggs: []expr.AggSpec{{Agg: expr.AggSize}, {Col: "amount", Agg: expr.AggMax}}},
+		{Keys: []string{"k"}, Aggs: []expr.AggSpec{{Col: "amount", Agg: expr.AggSum}}, AsLabels: true},
+	}
+	for _, kill := range []string{"", "bands", "partitioned"} {
+		s, workers := startCluster(t, 3)
+		killed := false
+		s.OnPhase = func(phase string) {
+			if phase == kill && !killed {
+				killed = true
+				workers[1].Close()
+			}
+		}
+		for _, spec := range specs {
+			plan := &algebra.GroupBy{Input: csvScan(t, text, 41), Spec: spec}
+			got, err := s.Execute(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			local, err := modin.New().Execute(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := eager.New().Execute(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(got, local) || !sameBits(got, want) {
+				t.Fatalf("kill at %q, groupby %v: distributed result differs:\n%s\nwant:\n%s", kill, spec.Keys, got, want)
+			}
+		}
+		st := s.ClusterStats()
+		if st.Distributed != int64(len(specs)) || st.LocalReruns != 0 {
+			t.Errorf("kill at %q: %+v, want every groupby distributed", kill, st)
+		}
+		if kill != "" && st.ResubmittedBands == 0 {
+			t.Errorf("kill at %q: no band was resubmitted: %+v", kill, st)
+		}
 	}
 }
 
@@ -418,7 +493,7 @@ func TestControlMessagesCarrySpecs(t *testing.T) {
 	}
 	tuples := [][]types.Value{{types.String("a"), types.IntValue(1)}, {types.Null(), types.BoolValue(true)}}
 	roundTrip(&RunBandsResp{Results: []BandResult{
-		{Group: &modin.GroupBandStat{Hashes: []uint64{7, 1 << 63}, Exemplars: tuples}, Sizes: []int64{10, 0, 3}},
+		{Sizes: []int64{10, 0, 3}},
 		{Sort: tuples},
 	}}, &RunBandsResp{})
 	roundTrip(&PartitionReq{QID: "q", Bands: []int{0, 2}, Bounds: tuples}, &PartitionReq{})
@@ -870,7 +945,7 @@ func TestPrunedGroupByStillDistributes(t *testing.T) {
 }
 
 // The typed-routing shapes, distributed: workers route pieces cut from the
-// resolved band (modin.GroupBand.Route), so the columns where a band's
+// resolved band (modin.PartitionGroupBand), so the columns where a band's
 // induction and a routed piece's used to differ — a value column
 // integer-valued in some bands and fractional in others, a key spelled 1 in
 // one band and 1.0 in another, a string key with too few rows per piece for

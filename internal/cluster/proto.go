@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/modin"
 	"repro/internal/types"
 )
 
@@ -23,8 +22,8 @@ import (
 // conn; peer fetches open their own connections). Blocks travel inside the
 // gob payloads as []byte fields already rendered through the columnar
 // codec (wire.go), so gob never sees a cell; the scalars it does see (plan
-// operands, key exemplars, sort samples and bounds) are types.Values, which
-// marshal themselves.
+// operands, sort samples and bounds) are types.Values, which marshal
+// themselves.
 //
 // One distributed attempt is, under one query id:
 //
@@ -71,14 +70,13 @@ type RunBandsReq struct {
 }
 
 // BandResult is one band's stage output: the chained block itself for
-// plans without a shuffle, or the band's shuffle summary. Group bands route
+// plans without a shuffle, or the band's sort sample. Group bands route
 // themselves the moment they run (bucket = key hash % plan.Buckets, a pure
-// function of the key), so their result also reports the per-bucket routed
-// piece sizes the coordinator needs for merge placement — there is no
+// function of the key) and report only the per-bucket routed piece sizes
+// the coordinator needs for merge placement — there is no summary and no
 // separate partition RPC on the group path.
 type BandResult struct {
 	Block []byte
-	Group *modin.GroupBandStat
 	Sort  [][]types.Value
 	Sizes []int64
 }
@@ -112,16 +110,13 @@ type PieceRef struct {
 }
 
 // MergeReq merges one bucket's routed pieces (in band order); sort merges
-// also apply the plan's post-shuffle chain (group merges leave it to the
-// coordinator, which applies it after the global order restore). Ranks
-// carries the group routing fold's ascending global first-appearance ranks
-// for this bucket — count validation on the worker, order repair at the
-// coordinator.
+// also apply the plan's post-shuffle chain (group merges tag each group
+// with its first position and leave the chain to the coordinator, which
+// applies it after the global order restore).
 type MergeReq struct {
 	QID    string
 	Bucket int
 	Pieces []PieceRef
-	Ranks  []int64
 }
 
 // MergeResp returns the merged bucket block.

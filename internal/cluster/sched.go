@@ -354,8 +354,8 @@ func (s *Scheduler) Execute(n algebra.Node) (*core.DataFrame, error) {
 // the distributed run failed. The band list is cut once — it is the query's
 // lineage — and every attempt deals all of it to the workers alive when the
 // attempt starts. A worker lost mid-attempt is marked dead and the whole
-// attempt re-runs on the survivors: bands are deterministic and the fold is
-// a pure function of their summaries, so a retry returns the same cells.
+// attempt re-runs on the survivors: bands, their routing and their
+// positions are deterministic, so a retry returns the same cells.
 func (s *Scheduler) tryDistribute(n algebra.Node, cut *stagePlan, workers []*workerRef) (*core.DataFrame, bool, error) {
 	tasks, ok := planBands(cut, len(workers))
 	if !ok {
@@ -446,10 +446,9 @@ type attempt struct {
 	tasks   []BandTask
 	workers []*workerRef
 
-	stats   []*modin.GroupBandStat // group: per band
-	samples [][][]types.Value      // sort: per band
-	blocks  []*core.DataFrame      // no shuffle: per band
-	sizes   [][]int64              // shuffle: per band, routed bytes per bucket
+	samples [][][]types.Value // sort: per band
+	blocks  []*core.DataFrame // no shuffle: per band
+	sizes   [][]int64         // shuffle: per band, routed bytes per bucket
 }
 
 // owners returns the attempt's band owners: every worker, or the first
@@ -475,12 +474,11 @@ func (a *attempt) hook(phase string) {
 	}
 }
 
-// run executes the attempt straight through: bands → fold → (sort)
+// run executes the attempt straight through: bands → (sort) fold and
 // partition → merge → restore or stack.
 func (a *attempt) run() (*core.DataFrame, error) {
 	n := len(a.tasks)
-	a.stats, a.samples = make([]*modin.GroupBandStat, n), make([][][]types.Value, n)
-	a.blocks, a.sizes = make([]*core.DataFrame, n), make([][]int64, n)
+	a.samples, a.blocks, a.sizes = make([][][]types.Value, n), make([]*core.DataFrame, n), make([][]int64, n)
 	if err := a.runBands(); err != nil {
 		return nil, err
 	}
@@ -488,17 +486,16 @@ func (a *attempt) run() (*core.DataFrame, error) {
 	if a.cut.group == nil && a.cut.sort == nil {
 		return algebra.VStackFrames(a.blocks...)
 	}
-	// The fold: the same PlanGroupRouting/PlanSortBounds the local engine
-	// runs, over the same band-ordered summaries, which is what makes the
-	// distributed result cell-identical.
-	var ranks [][]int64
-	if a.cut.group != nil {
-		ranks = modin.PlanGroupRouting(a.stats, a.spec.Buckets, false).Ranks
-	} else if err := a.partition(); err != nil {
-		return nil, err
+	// Group bands routed themselves; a sort folds its samples into the same
+	// range bounds the local engine picks, over the same band-ordered
+	// samples, which is what makes the distributed result cell-identical.
+	if a.cut.sort != nil {
+		if err := a.partition(); err != nil {
+			return nil, err
+		}
 	}
 	a.hook("partitioned")
-	merged, err := a.merge(ranks)
+	merged, err := a.merge()
 	if err != nil {
 		return nil, err
 	}
@@ -506,11 +503,12 @@ func (a *attempt) run() (*core.DataFrame, error) {
 	if a.cut.group == nil {
 		return algebra.VStackFrames(merged...)
 	}
-	// Repair global first-appearance order across the hash buckets (the same
-	// k-way rank merge the local restore exchange runs), then apply the
-	// post-shuffle chain the workers deferred — it may drop rows, so it must
-	// run after rows and ranks stop needing to align.
-	out, err := modin.RestoreGroupOrder(merged, ranks, a.cut.group.AsLabels)
+	// Repair global first-appearance order across the hash buckets from the
+	// first positions the merges tagged (the same k-way merge the local
+	// restore exchange runs), then apply the post-shuffle chain the workers
+	// deferred — it may drop rows, so it must run after rows and positions
+	// stop needing to align.
+	out, err := modin.RestoreGroupBuckets(merged, a.cut.group.AsLabels)
 	if err != nil {
 		return nil, err
 	}
@@ -587,15 +585,12 @@ func (a *attempt) runBands() error {
 func (a *attempt) record(i int, res BandResult) error {
 	switch {
 	case a.cut.group != nil:
-		if res.Group == nil {
-			return fmt.Errorf("cluster: band %d returned no group stat", i)
-		}
 		// The band routed itself on its worker (hash % Buckets) and reported
 		// the per-bucket piece sizes; there is no partition phase to wait for.
 		if len(res.Sizes) != a.spec.Buckets {
 			return fmt.Errorf("cluster: band %d reported %d piece sizes, want %d buckets", i, len(res.Sizes), a.spec.Buckets)
 		}
-		a.stats[i], a.sizes[i] = res.Group, res.Sizes
+		a.sizes[i] = res.Sizes
 	case a.cut.sort != nil:
 		a.samples[i] = res.Sort
 	default:
@@ -656,7 +651,7 @@ func placeMerge(owners []*workerRef, sizes [][]int64, bucket int) *workerRef {
 
 // merge runs every bucket's merge on its placed owner, in parallel, and
 // returns the merged buckets.
-func (a *attempt) merge(ranks [][]int64) ([]*core.DataFrame, error) {
+func (a *attempt) merge() ([]*core.DataFrame, error) {
 	owners := a.owners()
 	merged := make([]*core.DataFrame, a.spec.Buckets)
 	err := fanOut(len(merged), func(b int) error {
@@ -668,9 +663,6 @@ func (a *attempt) merge(ranks [][]int64) ([]*core.DataFrame, error) {
 				ref.Addr = holder.addr
 			}
 			req.Pieces = append(req.Pieces, ref)
-		}
-		if ranks != nil {
-			req.Ranks = ranks[b]
 		}
 		var resp MergeResp
 		if err := target.call(a.s.rpcTimeout, mMerge, req, &resp); err != nil {

@@ -218,8 +218,9 @@ func (w *Worker) runBands(req *RunBandsReq) (any, error) {
 }
 
 // runBand produces one band: materialize its rows with global labels, run
-// the shipped chain, then either return the block (no shuffle) or hold the
-// frame and report its shuffle summary.
+// the shipped chain, then return the block (no shuffle), route the band
+// and report its piece sizes (group), or hold the frame and report its key
+// sample (sort).
 func (w *Worker) runBand(q *workerQuery, task *BandTask) (*BandResult, error) {
 	plan := q.plan
 	df, err := buildBand(plan.Scan, plan.keep, task)
@@ -227,7 +228,7 @@ func (w *Worker) runBand(q *workerQuery, task *BandTask) (*BandResult, error) {
 		return nil, err
 	}
 	// The local fused chain, ending in its one coalescing copy at stage
-	// exit, so summaries and blocks are built over compact storage.
+	// exit, so pieces, samples and blocks are cut from compact storage.
 	df, err = physical.RunKernels(plan.pre, df)
 	if err != nil {
 		return nil, err
@@ -235,18 +236,13 @@ func (w *Worker) runBand(q *workerQuery, task *BandTask) (*BandResult, error) {
 	res := &BandResult{}
 	switch {
 	case plan.group != nil:
-		band, err := modin.SummarizeGroupBand(df, *plan.group)
-		if err != nil {
-			return nil, err
-		}
-		res.Group = band.Stat
-		// Incremental routing: bucket = key hash % buckets is identical in
-		// every band, so this band partitions from its own summary right here
-		// — no round trip for a routing table, and the band frame (plus what
-		// its summary keeps for routing) dies at band scope instead of
-		// waiting for a global plan. Compacting the pieces into owned copies
-		// is what releases df's storage.
-		views, err := band.Route(df, plan.Buckets)
+		// Routing needs nothing global: bucket = key hash % buckets is the
+		// same in every band, and each routed row or state is labelled with
+		// its position under the band's global index. So this band partitions
+		// right here — no round trip, and the band frame dies at band scope.
+		// Compacting the pieces into owned copies is what releases df's
+		// storage.
+		views, err := modin.PartitionGroupBand(df, *plan.group, task.Band, plan.Buckets)
 		if err != nil {
 			return nil, err
 		}
@@ -377,11 +373,9 @@ func (w *Worker) merge(req *MergeReq) (any, error) {
 	var out *core.DataFrame
 	switch {
 	case plan.group != nil:
-		// A single-bucket view of the shared merge: this bucket's rank list
-		// validates the group count here, while the coordinator keeps the
-		// full routing for the global order restore.
-		routing := &modin.GroupRouting{Ranks: [][]int64{req.Ranks}}
-		out, err = modin.MergeGroupBucket(w.pool, frames, *plan.group, routing, 0)
+		// The shared merge, tagging each group with its first position for
+		// the coordinator's global order restore.
+		out, err = modin.MergeGroupPieces(frames, *plan.group)
 	case plan.sort != nil:
 		out, err = modin.MergeSortBucket(frames, plan.sort)
 	default:
@@ -391,8 +385,9 @@ func (w *Worker) merge(req *MergeReq) (any, error) {
 		return nil, err
 	}
 	if plan.group == nil {
-		// Group buckets keep their rows rank-aligned: the post-shuffle chain
-		// could drop rows, so the coordinator applies it after the restore.
+		// Group buckets keep their rows position-aligned: the post-shuffle
+		// chain could drop rows, so the coordinator applies it after the
+		// restore.
 		out, err = physical.RunKernels(plan.post, out)
 		if err != nil {
 			return nil, err

@@ -9,233 +9,140 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/expr"
-	"repro/internal/partition"
 	"repro/internal/physical"
 	"repro/internal/types"
 	"repro/internal/vector"
 )
 
-// Exported shuffle-phase helpers: the summarize→plan→partition→merge
-// protocol of the GROUPBY and SORT shuffles, factored so the in-process
-// shuffles (shuffle.go, sort.go) and the cluster coordinator/worker
-// (internal/cluster) run the exact same fold. The distributed backend ships
-// only DATA — band statistics up to the coordinator, routing tables back
-// down — and both sides call into these functions, which is what keeps a
-// distributed run cell-identical to the local one.
+// Exported shuffle-phase helpers: the partition→merge→restore protocol of
+// the GROUPBY shuffle and the summarize→plan→partition→merge protocol of
+// the SORT shuffle, factored so the in-process shuffles (shuffle.go,
+// sort.go) and the cluster coordinator/worker (internal/cluster) run the
+// exact same code. The distributed backend ships only DATA — routed pieces
+// between workers, merged buckets and sort samples to the coordinator,
+// range bounds back down — and both sides call into these functions, which
+// is what keeps a distributed run cell-identical to the local one.
 //
-// A GROUPBY band routes one of two payloads. When every aggregate combines
-// exactly (algebra.ExactCombine: COUNT, SIZE, MIN, MAX) the band folds into
-// one GroupPartial, whose key table is also its plan stat, and routes one
-// state row per group. Otherwise it routes its rows: a float SUM or MEAN
-// combined from band partials is reassociated, so it would not be
-// cell-identical to the single-node fold. Either way a bucket's merge folds
-// its pieces in band order, so the plan's ranks and the order restore are
-// the same for both.
+// A GROUPBY band routes one of two payloads (PartitionGroupBand). When
+// every aggregate combines exactly (algebra.ExactCombine: COUNT, SIZE, MIN,
+// MAX) the band folds into one GroupPartial and routes one state row per
+// group; otherwise it routes its rows, since a float SUM or MEAN combined
+// from band partials is reassociated and would not be cell-identical to the
+// single-node fold. Either way a key goes to bucket hash % buckets, a pure
+// function of the key, and every routed row or state is labelled with its
+// position, band<<32 | row of its (first) row. A bucket folds its pieces in
+// band order, and a piece lists its rows in band-row order, so the groups
+// of one bucket appear in strictly ascending first position; restoring the
+// buckets by first position (RestoreGroupOrder) is global first-appearance
+// order. No band summary, no plan fold: a band routes and is released the
+// moment it is computed.
 
-// GroupBandStat is the coordinator-visible part of one band's group-key
-// summary: per distinct key (in band first-appearance order) its 64-bit
-// hash and exemplar tuple. Whatever the band routes stays with the band's
-// worker — everything here is O(distinct).
-type GroupBandStat struct {
-	Hashes    []uint64
-	Exemplars [][]types.Value
-}
-
-// GroupStatOf extracts a band's wire-safe stat from its key summary.
-func GroupStatOf(sum *algebra.GroupKeySummary) *GroupBandStat {
-	return &GroupBandStat{Hashes: sum.Hashes, Exemplars: sum.Exemplars}
-}
-
-// GroupBand is one band's summarize phase, the same on both backends: Stat
-// feeds the plan fold, and the band keeps what its own Route call needs —
-// its folded partial (state path, O(distinct)) or its per-row key ordinals
-// (row path, O(rows), dropped once the band is routed so they do not stay
-// pinned behind the plan until end of scan).
-type GroupBand struct {
-	Stat *GroupBandStat
-
-	spec    expr.GroupBySpec
-	partial *algebra.GroupPartial
-	sum     *algebra.GroupKeySummary
-}
-
-// SummarizeGroupBand summarizes one band of a GROUPBY shuffle.
-func SummarizeGroupBand(df *core.DataFrame, spec expr.GroupBySpec) (*GroupBand, error) {
-	if algebra.ExactCombine(spec) {
-		g := algebra.NewGroupPartial(spec)
-		if err := g.AddFrame(df); err != nil {
-			return nil, err
-		}
-		hashes, exemplars := g.KeyStats()
-		return &GroupBand{Stat: &GroupBandStat{Hashes: hashes, Exemplars: exemplars}, spec: spec, partial: g}, nil
+// PartitionGroupBand is the groupby partition phase both backends run: it
+// cuts band `band` of the shuffle's input into one piece per hash bucket —
+// the band partial's state frames, or the band's rows (algebra.
+// RouteGroupRows) — each labelled with its rows' positions.
+func PartitionGroupBand(df *core.DataFrame, spec expr.GroupBySpec, band, buckets int) ([]*core.DataFrame, error) {
+	if !algebra.ExactCombine(spec) {
+		return algebra.RouteGroupRows(df, spec, band, buckets)
 	}
-	sum, err := algebra.SummarizeGroupKeys(df, spec.Keys)
-	if err != nil {
-		return nil, err
-	}
-	return &GroupBand{Stat: GroupStatOf(sum), spec: spec, sum: sum}, nil
-}
-
-// Route is the groupby partition phase: it cuts the summarized band df into
-// one piece per hash bucket — the partial's state frames, or zero-copy row
-// pieces. bucket = hash % buckets is a pure function of the key, identical
-// in every band, so a band routes from its OWN summary. Row pieces leave
-// with the aggregate inputs resolved on the band (the summary already
-// resolved the keys), so every column the merge reads leaves here typed —
-// by the band's induction, in the band's task — and no piece handed to a
-// merge, a spill or the wire is parsed again. Route writes only unexported
-// fields, so it may run while the plan fold reads Stat.
-func (b *GroupBand) Route(df *core.DataFrame, buckets int) ([]*core.DataFrame, error) {
-	if b.partial != nil {
-		return b.partial.StateFrames(df, buckets)
-	}
-	for _, a := range b.spec.Aggs {
-		if a.Col == "" {
-			continue // size counts rows, whatever they hold
-		}
-		if j := df.ColIndex(a.Col); j >= 0 {
-			df.TypedCol(j)
-		}
-	}
-	sum := b.sum
-	b.sum = nil
-	assign := make([]int, len(sum.Ordinals))
-	for i, d := range sum.Ordinals {
-		assign[i] = int(sum.Hashes[d] % uint64(buckets))
-	}
-	return partition.SplitRows(df, assign, buckets)
-}
-
-// GroupRouting is the finalize state produced by the plan fold. Bands route
-// by stable key hash — bucket = hash % buckets, a pure function of the key,
-// so every band assigns identically without seeing any other band — and the
-// fold's job shrinks to repairing global order: Ranks[b] lists bucket b's
-// groups' global first-appearance ranks in ascending order (folding a
-// bucket's pieces in band order yields exactly these groups in exactly this
-// rank order).
-type GroupRouting struct {
-	Ranks [][]int64
-}
-
-// PlanGroupRouting folds per-band key stats — in band order, reproducing
-// the single-node scan's first-appearance order — into each hash bucket's
-// ascending global rank list. Global ids are assigned in fold order, so a
-// key's id IS its first-appearance rank; hash collisions between distinct
-// keys are broken by exemplar verification. Nothing here gates
-// partitioning: bands route themselves by hash%buckets, and this plan only
-// tells each merge which ranks it owns. skewAware is ignored: a bucket's
-// merge is one fold in band order whatever its volume, since splitting it
-// into partials merged afterwards would reassociate float sums.
-func PlanGroupRouting(stats []*GroupBandStat, buckets int, skewAware bool) *GroupRouting {
-	fold := algebra.NewGroupKeyFold()
-	for _, st := range stats {
-		if st == nil {
-			continue
-		}
-		fold.AddBand(st.Hashes, st.Exemplars)
-	}
-	r := &GroupRouting{Ranks: make([][]int64, buckets)}
-	sizes := make([]int, buckets)
-	for _, h := range fold.Hashes {
-		sizes[int(h%uint64(buckets))]++
-	}
-	backing := make([]int64, len(fold.Hashes))
-	for b := range r.Ranks {
-		r.Ranks[b] = backing[:0:sizes[b]]
-		backing = backing[sizes[b]:]
-	}
-	// Appending in gid order keeps each bucket's rank list ascending — the
-	// invariant MergeGroupBucket validates against and the restore merge
-	// relies on.
-	for gid, h := range fold.Hashes {
-		b := int(h % uint64(buckets))
-		r.Ranks[b] = append(r.Ranks[b], int64(gid))
-	}
-	return r
-}
-
-// GroupRankCol carries each merged group's global first-appearance rank out
-// of a multi-bucket merge; the restore pass consumes (and drops) it
-// positionally, so a colliding user column name is harmless.
-const GroupRankCol = "__group_rank__"
-
-// MergeGroupBucket folds one bucket's routed pieces (in band order) into
-// its merged grouped frame, validates the group count against the plan's
-// rank list, and — when other buckets exist — tags each group with its
-// global rank so the restore pass can interleave buckets back into global
-// first-appearance order. This is the merge phase both backends run. A
-// piece is either routed rows or a state frame (algebra.IsGroupState); pool
-// is unused, kept for callers that still pass it.
-func MergeGroupBucket(pool *exec.Pool, frames []*core.DataFrame, spec expr.GroupBySpec, routing *GroupRouting, bucket int) (*core.DataFrame, error) {
-	return mergeGroupBucket(physical.PiecesOf(frames...), spec, routing, bucket)
-}
-
-// mergeGroupBucket is MergeGroupBucket over the scheduler's piece handles.
-func mergeGroupBucket(pieces []physical.Piece, spec expr.GroupBySpec, routing *GroupRouting, bucket int) (*core.DataFrame, error) {
-	spec.Sorted = false // hashing per bucket; sortedness is a single-node optimization
-	out, err := foldGroupPieces(pieces, spec)
-	if err != nil {
-		return nil, err
-	}
-	ranks := routing.Ranks[bucket]
-	if out.NRows() != len(ranks) {
-		return nil, fmt.Errorf("modin: groupby bucket %d produced %d groups, plan routed %d", bucket, out.NRows(), len(ranks))
-	}
-	if len(routing.Ranks) == 1 {
-		// Single bucket: its ranks are already 0..n-1, no restore follows.
-		if spec.AsLabels {
-			return out, nil
-		}
-		return out.WithRowLabels(vector.Range(0, out.NRows()))
-	}
-	return out.AppendColumn(types.String(GroupRankCol), vector.NewInt(ranks, nil), types.Int)
-}
-
-// foldGroupPieces folds one bucket's routed pieces, in band order, into one
-// GroupPartial: a state frame through AddState, routed rows through
-// AddFrame — one sequential fold either way, which is what keeps float sums
-// bit-identical to the single-node fold. Each piece is taken as the fold
-// consumes it, so a spilled bucket never re-materializes whole — what keeps
-// a pass-through groupby's merge phase O(one piece + accumulator state).
-func foldGroupPieces(pieces []physical.Piece, spec expr.GroupBySpec) (*core.DataFrame, error) {
 	g := algebra.NewGroupPartial(spec)
+	if err := g.AddFrame(df); err != nil {
+		return nil, err
+	}
+	return g.StateFrames(df, band, buckets)
+}
+
+// GroupPosCol carries each merged group's first position out of a bucket
+// merge that other buckets follow; the restore consumes (and drops) it
+// positionally, so a colliding user column name is harmless.
+const GroupPosCol = "__group_pos__"
+
+// MergeGroupPieces is the groupby merge a cluster worker runs on one
+// bucket: it folds the bucket's routed pieces (in band order) and tags each
+// group with its first position (GroupPosCol, the last column), from which
+// the coordinator restores global order (RestoreGroupBuckets).
+func MergeGroupPieces(frames []*core.DataFrame, spec expr.GroupBySpec) (*core.DataFrame, error) {
+	return mergeGroupBucket(physical.PiecesOf(frames...), spec, true)
+}
+
+// mergeGroupBucket folds one bucket's routed pieces. tag appends each
+// group's first position as GroupPosCol for the restore that follows;
+// otherwise the bucket is the whole result, its labels the keys (AsLabels)
+// or positional.
+func mergeGroupBucket(pieces []physical.Piece, spec expr.GroupBySpec, tag bool) (*core.DataFrame, error) {
+	spec.Sorted = false // hashing per bucket; sortedness is a single-node optimization
+	out, first, err := foldGroupPieces(pieces, spec, true)
+	if err != nil {
+		return nil, err
+	}
+	if tag {
+		return out.AppendColumn(types.String(GroupPosCol), vector.NewInt(first, nil), types.Int)
+	}
+	if spec.AsLabels {
+		return out, nil
+	}
+	return out.WithRowLabels(vector.Range(0, out.NRows()))
+}
+
+// foldGroupPieces folds one bucket's pieces, in band order, into one
+// GroupPartial: a state frame through AddState, rows through AddFrame — one
+// sequential fold either way, which is what keeps float sums bit-identical
+// to the single-node fold. Each piece is taken as the fold consumes it, so
+// a spilled bucket never re-materializes whole — what keeps a pass-through
+// groupby's merge phase O(one piece + accumulator state). routed pieces
+// come from PartitionGroupBand: the fold restores a collecting spec's input
+// labels and returns each group's first position, the row label of the
+// row or state that added the group.
+func foldGroupPieces(pieces []physical.Piece, spec expr.GroupBySpec, routed bool) (*core.DataFrame, []int64, error) {
+	g := algebra.NewGroupPartial(spec)
+	var first []int64
 	for _, p := range pieces {
 		f, err := p.Frame()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+		var positions vector.Vector
+		seen := g.NumGroups()
 		if algebra.IsGroupState(f, spec) {
-			err = g.AddState(f)
-		} else {
+			positions, err = f.RowLabels(), g.AddState(f)
+		} else if !routed {
+			err = g.AddFrame(f)
+		} else if f, positions, err = algebra.RoutedRows(f, spec); err == nil {
 			err = g.AddFrame(f)
 		}
 		if err != nil {
-			return nil, err
-		}
-	}
-	return g.Finalize()
-}
-
-// splitOrdColumn cuts each merged groupby bucket into its groups and the
-// global group ranks its merge tagged onto them as the last column
-// (GroupRankCol), which the restore consumes positionally.
-func splitOrdColumn(f *partition.Frame) ([]*core.DataFrame, [][]int64, error) {
-	frames := make([]*core.DataFrame, f.RowBands())
-	ords := make([][]int64, len(frames))
-	for b := range frames {
-		df, err := f.RowBand(b)
-		if err != nil {
 			return nil, nil, err
 		}
-		j := df.NCols() - 1
-		ords[b] = ordColumn(df.TypedCol(j))
-		frames[b] = df.DropColumn(j)
+		if routed && g.NumGroups() > seen {
+			pos := ordColumn(positions)
+			for id := seen; id < g.NumGroups(); id++ {
+				first = append(first, pos[g.FirstRow(id)])
+			}
+		}
 	}
-	return frames, ords, nil
+	out, err := g.Finalize()
+	return out, first, err
 }
 
-// ordColumn reads a carried ordinal column (group ranks, join positions) as
-// typed int64s.
+// RestoreGroupBuckets restores global first-appearance order over merged
+// buckets that MergeGroupPieces tagged: it strips each bucket's GroupPosCol
+// and interleaves the buckets by it (RestoreGroupOrder).
+func RestoreGroupBuckets(merged []*core.DataFrame, asLabels bool) (*core.DataFrame, error) {
+	frames := make([]*core.DataFrame, len(merged))
+	positions := make([][]int64, len(merged))
+	for b, df := range merged {
+		j := df.NCols() - 1
+		if j < 0 {
+			return nil, fmt.Errorf("modin: group restore bucket %d has no position column", b)
+		}
+		positions[b] = ordColumn(df.TypedCol(j))
+		frames[b] = df.DropColumn(j)
+	}
+	return RestoreGroupOrder(frames, positions, asLabels)
+}
+
+// ordColumn reads a carried ordinal column (group positions, join
+// positions) as typed int64s.
 func ordColumn(v vector.Vector) []int64 {
 	if data, _, idx, ok := vector.IntData(v); ok && idx == nil {
 		return data
@@ -283,25 +190,33 @@ func mergeOrdinals(runs [][]int64, visit func(r, from, to int)) {
 	}
 }
 
-// RestoreGroupOrder interleaves the merged buckets back into global
-// first-appearance group order: each bucket's groups sit in ascending rank
-// order (MergeGroupBucket validated them against the plan), so a k-way
-// ascending-rank merge over the buckets reproduces the exact group order —
-// and, with positional labels reassigned, the exact frame — the single
-// barrier plan produced. asLabels keeps the buckets' key row labels (the
-// AsIndex form); otherwise labels become the global positional sequence.
-func RestoreGroupOrder(frames []*core.DataFrame, ranks [][]int64, asLabels bool) (*core.DataFrame, error) {
+// RestoreGroupOrder interleaves merged buckets back into global
+// first-appearance group order. positions[b] holds bucket b's groups' first
+// positions, which a bucket's band-order fold leaves strictly ascending (a
+// run that is not is refused, naming its bucket), so a k-way ascending merge
+// over the buckets reproduces the exact group order — and, with positional
+// labels reassigned, the exact frame — a single-node fold produces. Global
+// first-appearance ranks, as PlanGroupRouting hands them out, order the
+// same way. asLabels keeps the buckets' key row labels (the AsIndex form);
+// otherwise labels become the global positional sequence.
+func RestoreGroupOrder(frames []*core.DataFrame, positions [][]int64, asLabels bool) (*core.DataFrame, error) {
 	base := make([]int, len(frames)) // bucket b's first row in the stacked buckets
 	total := 0
 	for b, f := range frames {
-		if f.NRows() != len(ranks[b]) {
-			return nil, fmt.Errorf("modin: group restore bucket %d has %d groups, plan routed %d", b, f.NRows(), len(ranks[b]))
+		run := positions[b]
+		if f.NRows() != len(run) {
+			return nil, fmt.Errorf("modin: group restore bucket %d has %d groups and %d positions", b, f.NRows(), len(run))
+		}
+		for i := 1; i < len(run); i++ {
+			if run[i] <= run[i-1] {
+				return nil, fmt.Errorf("modin: group restore bucket %d: position %d of group %d does not follow %d", b, run[i], i, run[i-1])
+			}
 		}
 		base[b] = total
 		total += f.NRows()
 	}
 	perm := make([]int, 0, total)
-	mergeOrdinals(ranks, func(b, from, to int) {
+	mergeOrdinals(positions, func(b, from, to int) {
 		for i := from; i < to; i++ {
 			perm = append(perm, base[b]+i)
 		}
@@ -320,6 +235,90 @@ func RestoreGroupOrder(frames []*core.DataFrame, ranks [][]int64, asLabels bool)
 		return out, nil
 	}
 	return out.WithRowLabels(vector.Range(0, out.NRows()))
+}
+
+// The replay's group protocol. cmd/paperbench's replay times the groupby
+// shuffle the engine ran before it routed by position: per-band key
+// summaries, a serial plan fold into global first-appearance ranks, merges
+// that check their group counts against the plan. Only the replay calls
+// GroupBandStat, GroupStatOf, GroupRouting, PlanGroupRouting and
+// MergeGroupBucket; ROADMAP item 3's benchmark follow-up deletes them.
+
+// GroupBandStat is one band's group-key summary: per distinct key (in band
+// first-appearance order) its 64-bit hash and exemplar tuple. Only the
+// replay calls it; ROADMAP item 3's benchmark follow-up deletes it.
+type GroupBandStat struct {
+	Hashes    []uint64
+	Exemplars [][]types.Value
+}
+
+// GroupStatOf extracts a band's stat from its key summary. Only the replay
+// calls it; ROADMAP item 3's benchmark follow-up deletes it.
+func GroupStatOf(sum *algebra.GroupKeySummary) *GroupBandStat {
+	return &GroupBandStat{Hashes: sum.Hashes, Exemplars: sum.Exemplars}
+}
+
+// GroupRouting is the plan fold's result: Ranks[b] lists bucket b's groups'
+// global first-appearance ranks in ascending order. Only the replay calls
+// it; ROADMAP item 3's benchmark follow-up deletes it.
+type GroupRouting struct {
+	Ranks [][]int64
+}
+
+// PlanGroupRouting folds per-band key stats — in band order, reproducing
+// the single-node scan's first-appearance order — into each hash bucket's
+// ascending global rank list. Global ids are assigned in fold order, so a
+// key's id IS its first-appearance rank; hash collisions between distinct
+// keys are broken by exemplar verification. skewAware is ignored. Only the
+// replay calls it; ROADMAP item 3's benchmark follow-up deletes it.
+func PlanGroupRouting(stats []*GroupBandStat, buckets int, skewAware bool) *GroupRouting {
+	fold := algebra.NewGroupKeyFold()
+	for _, st := range stats {
+		if st == nil {
+			continue
+		}
+		fold.AddBand(st.Hashes, st.Exemplars)
+	}
+	r := &GroupRouting{Ranks: make([][]int64, buckets)}
+	sizes := make([]int, buckets)
+	for _, h := range fold.Hashes {
+		sizes[int(h%uint64(buckets))]++
+	}
+	backing := make([]int64, len(fold.Hashes))
+	for b := range r.Ranks {
+		r.Ranks[b] = backing[:0:sizes[b]]
+		backing = backing[sizes[b]:]
+	}
+	// Appending in gid order keeps each bucket's rank list ascending.
+	for gid, h := range fold.Hashes {
+		b := int(h % uint64(buckets))
+		r.Ranks[b] = append(r.Ranks[b], int64(gid))
+	}
+	return r
+}
+
+// MergeGroupBucket folds one bucket's pieces (in band order) with the
+// engine's fold, checks the group count against the plan's rank list, and —
+// when other buckets exist — appends each group's global rank as the last
+// column. pool is unused. Only the replay calls it; ROADMAP item 3's
+// benchmark follow-up deletes it.
+func MergeGroupBucket(pool *exec.Pool, frames []*core.DataFrame, spec expr.GroupBySpec, routing *GroupRouting, bucket int) (*core.DataFrame, error) {
+	spec.Sorted = false
+	out, _, err := foldGroupPieces(physical.PiecesOf(frames...), spec, false)
+	if err != nil {
+		return nil, err
+	}
+	ranks := routing.Ranks[bucket]
+	if out.NRows() != len(ranks) {
+		return nil, fmt.Errorf("modin: groupby bucket %d produced %d groups, plan routed %d", bucket, out.NRows(), len(ranks))
+	}
+	if len(routing.Ranks) == 1 {
+		if spec.AsLabels {
+			return out, nil
+		}
+		return out.WithRowLabels(vector.Range(0, out.NRows()))
+	}
+	return out.AppendColumn(types.String(GroupPosCol), vector.NewInt(ranks, nil), types.Int)
 }
 
 // SampleSortKeys draws a band's bounded key sample for the sort plan.

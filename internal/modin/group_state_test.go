@@ -161,11 +161,11 @@ func TestStreamedStatePathMatchesEager(t *testing.T) {
 func TestGroupBandRoutesStatesOrRows(t *testing.T) {
 	df := stateFrame(300)
 	exact := expr.GroupBySpec{Keys: []string{"ik", "ok"}, Aggs: stateAggs}
-	band, err := SummarizeGroupBand(df, exact)
+	pieces, err := PartitionGroupBand(df, exact, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pieces, err := band.Route(df, 3)
+	whole, err := algebra.GroupByFrame(df, exact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,16 +176,12 @@ func TestGroupBandRoutesStatesOrRows(t *testing.T) {
 		}
 		groups += p.NRows()
 	}
-	if groups != len(band.Stat.Hashes) {
-		t.Errorf("routed %d states for %d groups", groups, len(band.Stat.Hashes))
+	if groups != whole.NRows() {
+		t.Errorf("routed %d states for %d groups", groups, whole.NRows())
 	}
 
 	summed := expr.GroupBySpec{Keys: exact.Keys, Aggs: append([]expr.AggSpec{{Col: "fv", Agg: expr.AggSum}}, stateAggs...)}
-	band, err = SummarizeGroupBand(df, summed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pieces, err = band.Route(df, 3); err != nil {
+	if pieces, err = PartitionGroupBand(df, summed, 0, 3); err != nil {
 		t.Fatal(err)
 	}
 	rows := 0
@@ -207,11 +203,7 @@ func TestGroupBandRoutesStatesOrRows(t *testing.T) {
 func TestStateFramesSpillBitExact(t *testing.T) {
 	df := stateFrame(300)
 	spec := expr.GroupBySpec{Keys: []string{"dk", "tk"}, Aggs: stateAggs}
-	band, err := SummarizeGroupBand(df, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pieces, err := band.Route(df, 3)
+	pieces, err := PartitionGroupBand(df, spec, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,11 +238,11 @@ func TestStateFramesSpillBitExact(t *testing.T) {
 	if e.Stats().SpilledPieces.Load() != int64(len(pieces)) {
 		t.Errorf("%d of %d state pieces spilled", e.Stats().SpilledPieces.Load(), len(pieces))
 	}
-	want, err := foldGroupPieces(physical.PiecesOf(pieces...), spec)
+	want, _, err := foldGroupPieces(physical.PiecesOf(pieces...), spec, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := foldGroupPieces(physical.PiecesOf(taken...), spec)
+	got, _, err := foldGroupPieces(physical.PiecesOf(taken...), spec, true)
 	if err != nil {
 		t.Fatal(err)
 	}

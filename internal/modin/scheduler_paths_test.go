@@ -218,10 +218,10 @@ func TestErrorTextIsPinned(t *testing.T) {
 			modin: `physical: exchange dropduplicates: DROP-DUPLICATES(dept, ghost): algebra: drop-duplicates on unknown column "ghost"`,
 		},
 		{
-			name:  "groupby summarize",
+			name:  "groupby partition",
 			plan:  &algebra.GroupBy{Input: src, Spec: expr.GroupBySpec{Keys: []string{"ghost"}, Aggs: sum("val")}},
 			eager: `GROUPBY(keys=[ghost], aggs=[sum(val)]): algebra: groupby key "ghost" not found`,
-			modin: `GROUPBY(keys=[ghost], aggs=[sum(val)]): algebra: groupby key "ghost" not found`,
+			modin: `physical: shuffle groupby partition band 0: GROUPBY(keys=[ghost], aggs=[sum(val)]): algebra: groupby key "ghost" not found`,
 		},
 		{
 			name:  "sort summarize",

@@ -10,77 +10,65 @@ import (
 )
 
 // This file builds the engine's shuffle stages: the two-phase
-// partition→route→merge lowerings of GROUPBY (key shuffle), JOIN (anchored
-// broadcast probe + renumber), and — in sort.go — SORT (range shuffle).
-// Each produces one independent output-band future per bucket, so
-// downstream fused stages start as soon as the band that feeds them lands.
+// partition→route→merge lowerings of GROUPBY (key shuffle, routed by key
+// hash with no summary or plan, its order restored from row positions),
+// JOIN (anchored broadcast probe + renumber), and — in sort.go — SORT
+// (range shuffle). Each produces one independent output-band future per
+// bucket, so downstream fused stages start as soon as the band that feeds
+// them lands.
 
 // restoreMinBandRows is the smallest restored-groupby band worth its own
 // downstream task: outputs smaller than this per band stay in fewer bands.
 const restoreMinBandRows = 256
 
-// groupByShuffle lowers GROUPBY to a band-routed key shuffle. Each band is
-// summarized once (SummarizeGroupBand): a spec whose aggregates combine
-// exactly folds the band into one GroupPartial and routes one state row per
-// group; any other spec hashes the band's typed key columns (vector.HashRows
-// — no per-row rendering) and routes its rows. Either way a key goes to
-// bucket hash%buckets — a pure function of the key, identical in every band
-// — so each band partitions from its OWN summary the moment it parses, with
-// no all-band barrier (physical.Shuffle.BandRouting). The global plan fold
-// (PlanGroupRouting, shared with the cluster coordinator) runs concurrently
-// and gates only the merges: it hands each bucket its groups' ascending
-// global first-appearance ranks, which MergeGroupBucket validates and tags
-// onto the merged groups for the downstream restore pass
-// (groupRestoreExchange) to interleave back into exact single-node order —
-// same group order, same positional row labels.
+// groupByShuffle lowers GROUPBY to a band-routed key shuffle with no
+// summary and no plan: each band routes itself (PartitionGroupBand) — one
+// state row per group when the aggregates combine exactly, its rows
+// otherwise — to bucket hash%buckets, a pure function of the key, and
+// labels what it routes with its positions, band<<32 | row. So a band
+// partitions (and, streamed, is released) the moment it is computed, and
+// no serial fold gates the merges. Each merge folds its pieces in band
+// order and, when other buckets follow, tags every group with its first
+// position; the restore pass (groupRestoreExchange) interleaves the buckets
+// by those positions back into exact single-node order — same group order,
+// same positional row labels.
 func (e *Engine) groupByShuffle(spec expr.GroupBySpec) *physical.Shuffle {
 	spec.Sorted = false // hashing per bucket; sortedness is a single-node optimization
 	nb := e.bands
 	return &physical.Shuffle{
-		Name:        "groupby",
-		Buckets:     nb,
-		BandRouting: true,
-		Summarize: func(_ int, band *core.DataFrame) (any, error) {
-			return SummarizeGroupBand(band, spec)
+		Name:    "groupby",
+		Buckets: nb,
+		Partition: func(band int, df *core.DataFrame, _ any) ([]*core.DataFrame, error) {
+			return PartitionGroupBand(df, spec, band, nb)
 		},
-		Plan: func(summaries []any, _ []*partition.Frame) (any, error) {
-			// Folding the band summaries in band order reproduces the
-			// single-node scan's first-appearance order.
-			stats := make([]*GroupBandStat, len(summaries))
-			for r, s := range summaries {
-				stats[r] = s.(*GroupBand).Stat
-			}
-			return PlanGroupRouting(stats, nb, false), nil
-		},
-		Partition: func(_ int, df *core.DataFrame, plan any) ([]*core.DataFrame, error) {
-			// Band routing: plan is this band's own summary, nothing global.
-			return plan.(*GroupBand).Route(df, nb)
-		},
-		Merge: func(bucket int, pieces []physical.Piece, plan any) (*core.DataFrame, error) {
-			return mergeGroupBucket(pieces, spec, plan.(*GroupRouting), bucket)
+		Merge: func(_ int, pieces []physical.Piece, _ any) (*core.DataFrame, error) {
+			return mergeGroupBucket(pieces, spec, nb > 1)
 		},
 	}
 }
 
 // groupRestoreExchange interleaves the merged groupby buckets back into
 // global first-appearance group order. Each multi-bucket merge tagged its
-// groups with their global ranks (GroupRankCol, always the last column); a
-// single-bucket shuffle needs no repair and passes through. The k-way rank
-// merge itself is RestoreGroupOrder (distrib.go), shared with the cluster
+// groups with their first positions (GroupPosCol, always the last column);
+// a single-bucket shuffle needs no repair and passes through. The k-way
+// merge itself is RestoreGroupBuckets (distrib.go), shared with the cluster
 // coordinator.
 func (e *Engine) groupRestoreExchange(node *algebra.GroupBy, shuffled *physical.Node) *physical.Node {
 	asLabels := node.Spec.AsLabels
 	return exchangeStage("groupby-restore", shuffled.Shuffle.Desc, func(in []*partition.Frame) (*partition.Frame, error) {
 		if in[0].RowBands() == 1 {
-			// One bucket: MergeGroupBucket already produced final order and
-			// labels, with no rank column to strip.
+			// One bucket: its merge already produced final order and labels,
+			// with no position column to strip.
 			return in[0], nil
 		}
-		frames, ranks, err := splitOrdColumn(in[0])
-		if err != nil {
-			return nil, err
+		merged := make([]*core.DataFrame, in[0].RowBands())
+		for b := range merged {
+			var err error
+			if merged[b], err = in[0].RowBand(b); err != nil {
+				return nil, err
+			}
 		}
-		out, err := RestoreGroupOrder(frames, ranks, asLabels)
+		out, err := RestoreGroupBuckets(merged, asLabels)
 		if err != nil {
 			return nil, err
 		}

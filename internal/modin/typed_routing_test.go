@@ -182,18 +182,22 @@ func misses(frames []*core.DataFrame) int64 {
 	return total
 }
 
-// runPhases drives one partitioned shuffle by hand — summarize and partition
-// every band, plan, then merge every bucket — passing every routed piece
-// through the engine's spill ledger, so pieces are admitted or spilled
-// exactly as in a run. It returns the merged buckets and how many inductions
-// (cache misses, on the bands' caches and on the caches of pieces read back
-// from disk) ran after the partition phase. reads names the columns the
-// merge reads: a piece must hold each one typed, or declared Σ*.
+// runPhases drives one partitioned shuffle by hand — summarize every band
+// and plan when the shuffle has those phases, partition every band, then
+// merge every bucket — passing every routed piece through the engine's
+// spill ledger, so pieces are admitted or spilled exactly as in a run. It
+// returns the merged buckets and how many inductions (cache misses, on the
+// bands' caches and on the caches of pieces read back from disk) ran after
+// the partition phase. reads names the columns the merge reads: a piece
+// must hold each one typed, or declared Σ*.
 func runPhases(t *testing.T, e *Engine, sh *physical.Shuffle, bands []*core.DataFrame, reads []string) ([]*core.DataFrame, int64) {
 	t.Helper()
 	defer e.ReleaseSpill()
 	sums := make([]any, len(bands))
 	for r, band := range bands {
+		if sh.Summarize == nil {
+			break
+		}
 		s, err := sh.Summarize(r, band)
 		if err != nil {
 			t.Fatal(err)
@@ -202,18 +206,14 @@ func runPhases(t *testing.T, e *Engine, sh *physical.Shuffle, bands []*core.Data
 	}
 	var plan any
 	var err error
-	if !sh.BandRouting { // the sort's partition waits for the bounds
+	if sh.Plan != nil { // the sort's partition waits for the bounds
 		if plan, err = sh.Plan(sums, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	routed := make([][]func() (*core.DataFrame, error), sh.Buckets) // [bucket][band]
 	for r, band := range bands {
-		bandPlan := plan
-		if sh.BandRouting {
-			bandPlan = sums[r]
-		}
-		pieces, err := sh.Partition(r, band, bandPlan)
+		pieces, err := sh.Partition(r, band, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,11 +225,6 @@ func runPhases(t *testing.T, e *Engine, sh *physical.Shuffle, bands []*core.Data
 				}
 			}
 			routed[b] = append(routed[b], take)
-		}
-	}
-	if sh.BandRouting {
-		if plan, err = sh.Plan(sums, nil); err != nil {
-			t.Fatal(err)
 		}
 	}
 

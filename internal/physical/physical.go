@@ -76,10 +76,12 @@ type Exchange struct {
 // through one coordinating task: the fallback for shape-opaque operators.)
 //
 // An optional summarize→plan pre-phase computes shared routing state from
-// small per-band summaries (sampled range bounds for SORT, the global
-// first-appearance key order for GROUPBY, band row counts for relabeling);
-// side inputs (e.g. a join's build side) are resolved whole and handed to
-// Plan.
+// small per-band summaries (sampled range bounds for SORT, band row counts
+// for relabeling and the join's global offsets); side inputs (e.g. a join's
+// build side) are resolved whole and handed to Plan. A shuffle without a
+// plan — GROUPBY's, which routes by key hash alone — partitions each band
+// the moment it exists, and a run with a piece store releases it as soon
+// as it is routed.
 type Shuffle struct {
 	// Name labels the stage in plan renderings ("groupby", "sort", ...).
 	Name string
@@ -103,17 +105,6 @@ type Shuffle struct {
 	// later ones, so prefix-planned passes keep streaming band by band
 	// instead of barriering on the slowest band.
 	PrefixPlan func(prefix []any) (any, error)
-	// BandRouting (partitioned shuffles only, requires Summarize, Plan and
-	// Partition; mutually exclusive with PrefixPlan) routes each band from
-	// its OWN summary instead of the global plan: band r's Partition call
-	// receives summaries[r] as its plan argument and depends only on band r
-	// plus its summary — NOT on the all-band plan fold. The global Plan
-	// still runs, but gates only the merges. This is the keyed analogue of
-	// PrefixPlan: routing must then be a pure function of the band itself
-	// (e.g. stable key hashes), with Plan repairing any global ordering at
-	// merge time. It removes the one barrier that made streamed inputs
-	// accumulate every routed-but-unplanned band.
-	BandRouting bool
 	// Partition splits input band `band` into exactly Buckets pieces;
 	// piece b is routed to output band b. Nil marks an anchored shuffle.
 	// When the run has a PieceStore the band may be released the moment the
@@ -629,8 +620,6 @@ func (sh *Shuffle) validate(sides int) error {
 		return fmt.Errorf("physical: shuffle %s needs at least one bucket", sh.Name)
 	case sh.PrefixPlan != nil && (sh.Plan != nil || sh.Partition != nil || sh.Summarize == nil):
 		return fmt.Errorf("physical: shuffle %s prefix plan requires an anchored shuffle with summaries and no global plan", sh.Name)
-	case sh.BandRouting && (sh.Summarize == nil || sh.Plan == nil || sh.Partition == nil || sh.PrefixPlan != nil):
-		return fmt.Errorf("physical: shuffle %s band routing requires a partitioned shuffle with summaries and a global plan", sh.Name)
 	}
 	return nil
 }
@@ -764,7 +753,7 @@ func (s *Scheduler) wireShuffle(sh *Shuffle, f *partition.Frame, sides []*Result
 		// A run with a piece store releases each transient band once it is
 		// routed: the store owns what outlives the partition call.
 		release := s.Pieces != nil && f.Transient()
-		if release && (sh.Plan == nil || sh.BandRouting) {
+		if release && sh.Plan == nil {
 			// A band's release does not wait on the all-band plan, so the
 			// stream producer may hold its parse-ahead window against
 			// release instead of mere resolution — backpressure that spans
@@ -779,28 +768,19 @@ func (s *Scheduler) wireShuffle(sh *Shuffle, f *partition.Frame, sides []*Result
 		parts := make([]*exec.Future, rb)
 		s.Stats.ShufflePartitionTasks.Add(int64(rb))
 		for r := range parts {
-			partDeps, partPlan := withPlan(bandDeps(f, r)), planVal
-			if sh.BandRouting {
-				// Band routing: band r partitions from its OWN summary the
-				// moment both exist — no dependency on the global plan fold,
-				// so a streamed band routes (and releases) as soon as it
-				// parses instead of accumulating behind the slowest band.
-				partDeps, partPlan = append(bandDeps(f, r), sums[r]), sums[r].Wait
-			}
 			parts[r] = submit(func() (any, error) {
 				band, err := f.RowBand(r)
 				if err != nil {
 					return nil, err
 				}
-				plan, err := partPlan()
+				plan, err := planVal()
 				if err != nil {
 					return nil, err
 				}
 				pieces, err := s.runPartition(sh, r, band, plan)
 				if err == nil && release {
-					// This band's summary already ran: it is a dependency of
-					// this partition task, either directly (band routing) or
-					// through the plan task (which waits on all summaries).
+					// Any summary of this band already ran: the plan task, a
+					// dependency of this partition task, waits on them all.
 					f.ReleaseBand(r)
 					s.Stats.StreamReleasedBands.Add(1)
 					if s.OnBandRelease != nil {
@@ -808,13 +788,10 @@ func (s *Scheduler) wireShuffle(sh *Shuffle, f *partition.Frame, sides []*Result
 					}
 				}
 				return pieces, err
-			}, partDeps...)
+			}, withPlan(bandDeps(f, r))...)
 		}
 		mergeFuts = make([]*exec.Future, nb)
 		s.Stats.ShuffleMergeTasks.Add(int64(nb))
-		// Under band routing the partition tasks no longer imply the plan,
-		// so the merges must gate on it explicitly.
-		mergeDeps := withPlan(parts)
 		for b := range mergeFuts {
 			mergeFuts[b] = submit(func() (any, error) {
 				pieces := make([]Piece, rb)
@@ -830,7 +807,7 @@ func (s *Scheduler) wireShuffle(sh *Shuffle, f *partition.Frame, sides []*Result
 					return nil, err
 				}
 				return s.runMerge(sh, b, pieces, plan)
-			}, mergeDeps...)
+			}, parts...)
 		}
 	}
 	grid := make([][]*exec.Future, len(mergeFuts))
