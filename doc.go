@@ -150,9 +150,10 @@
 // from facts, not sketches. A join whose build side (a base frame's exact
 // row count, or optimizer.EstimateNode's zero-stats model above one)
 // exceeds the broadcast limit becomes a key-shuffled hash join: only key
-// columns and row positions route by hash, each bucket emits (left
-// ordinal, right position) pairs, and output band b is assembled once from
-// left band b and its ordinal-merged pairs. A groupby
+// columns and band positions (band<<32 | row) route, through the
+// groupby's router (algebra.HashRoute), each bucket emits (left position,
+// right position) pairs, and output band b is assembled once from left
+// band b and its position-merged pairs; no stage counts rows. A groupby
 // whose aggregates all combine exactly (COUNT, SIZE, MIN, MAX) folds each
 // band into one algebra.GroupPartial and routes one state row per group;
 // any other groupby routes rows, because a float SUM or MEAN added up from

@@ -61,19 +61,27 @@ func hashRowsInto(cols []vector.Vector, dst []uint64) {
 	}
 }
 
-// RowKeyHashes bulk-hashes df's rows over the named key columns under the
-// process-wide row-hash seed (and test mask). Shuffle stages use it to route
-// rows: two rows with equal key tuples hash identically on any partition, so
-// hash-mod bucket assignment is consistent across bands and across the build
-// and probe sides of a key-shuffled join.
-func RowKeyHashes(df *core.DataFrame, cols []string) ([]uint64, error) {
-	ks := make([]vector.Vector, len(cols))
-	for k, name := range cols {
+// KeyColumns resolves df's named key columns, typed, for HashRoute.
+func KeyColumns(df *core.DataFrame, names []string) ([]vector.Vector, error) {
+	ks := make([]vector.Vector, len(names))
+	for k, name := range names {
 		j := df.ColIndex(name)
 		if j < 0 {
 			return nil, fmt.Errorf("algebra: key column %q missing", name)
 		}
 		ks[k] = df.TypedCol(j)
+	}
+	return ks, nil
+}
+
+// RowKeyHashes bulk-hashes df's rows over the named key columns under the
+// process-wide row-hash seed (and test mask): the hash HashRoute routes by.
+// The engine never calls it; it survives for paperbench's replay, whose
+// join routing times a whole-band hash pass.
+func RowKeyHashes(df *core.DataFrame, cols []string) ([]uint64, error) {
+	ks, err := KeyColumns(df, cols)
+	if err != nil {
+		return nil, err
 	}
 	return rowHashes(ks, df.NRows()), nil
 }
@@ -626,17 +634,13 @@ func collects(spec expr.GroupBySpec) bool {
 
 // RouteGroupRows is the partition phase of a GROUPBY shuffle that routes
 // rows: it cuts df, band `band` of the shuffle's input, into one piece per
-// hash bucket, row i going to bucket (key hash of row i) % buckets, the
-// bucket StateFrames routes the key's state to. Each piece holds its rows
-// in band-row order as zero-copy views, labelled with their band positions
-// band<<32 | i, from which the merge takes each group's first position; a
-// spec with a COLLECT aggregate also carries df's own labels as a trailing
-// GroupLabelCol column (RoutedRows restores them). The key and aggregate
-// columns leave typed, so no merge, spill or wire parses them again.
-//
-// Nothing per row outlives the call but the pieces' indexes and labels: a
-// single Dict key is hashed once per code, any other key in groupChunk-row
-// pieces.
+// hash bucket as HashRoute assigns them, the bucket StateFrames routes the
+// key's state to. Each piece holds its rows in band-row order as zero-copy
+// views, labelled with their band positions, from which the merge takes
+// each group's first position; a spec with a COLLECT aggregate also carries
+// df's own labels as a trailing GroupLabelCol column (RoutedRows restores
+// them). The key and aggregate columns leave typed, so no merge, spill or
+// wire parses them again.
 func RouteGroupRows(df *core.DataFrame, spec expr.GroupBySpec, band, buckets int) ([]*core.DataFrame, error) {
 	if buckets < 1 {
 		return nil, fmt.Errorf("algebra: groupby routes into %d buckets", buckets)
@@ -651,16 +655,36 @@ func RouteGroupRows(df *core.DataFrame, spec expr.GroupBySpec, band, buckets int
 		}
 	}
 	df = df.Resolved()
-	n, base := df.NRows(), int64(band)<<32
+	n := df.NRows()
 	if buckets == 1 {
-		piece, err := routedPiece(df, spec, nil, vector.Range(base, n))
+		piece, err := routedPiece(df, spec, nil, vector.Range(int64(band)<<32, n))
 		return []*core.DataFrame{piece}, err
 	}
+	rows, pos := HashRoute(keyCols, n, band, buckets)
+	out := make([]*core.DataFrame, buckets)
+	for b := range out {
+		if out[b], err = routedPiece(df, spec, rows[b], vector.NewInt(pos[b], nil)); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
 
+// HashRoute is the one hash router of every key shuffle (the groupby's
+// rows, both sides of the key-shuffled join). It sends row i of the n-row
+// key columns, band `band` of a shuffle's input, to bucket
+// (key hash of row i) % buckets — RowKeyHashes' hash — and lays out, in one
+// pass, each bucket's take index and its rows' positions band<<32 | i, both
+// in band-row order. Callers resolve their own key columns, so each keeps
+// its own error text.
+//
+// Nothing per row outlives the call but the indexes and positions: a single
+// Dict key is hashed once per code, any other key in groupChunk-row pieces.
+func HashRoute(keys []vector.Vector, n, band, buckets int) (rows [][]int, pos [][]int64) {
 	into := make([]int32, n) // row → bucket
 	counts := make([]int, buckets)
 	nb := uint64(buckets)
-	if codes, dict, nulls, idx, ok := singleDictKey(keyCols); ok {
+	if codes, dict, nulls, idx, ok := singleDictKey(keys); ok {
 		codeBucket := make([]int32, len(dict)+1) // -1 until seen; the last slot is the null key
 		for c := range codeBucket {
 			codeBucket[c] = -1
@@ -675,7 +699,7 @@ func RouteGroupRows(df *core.DataFrame, spec expr.GroupBySpec, band, buckets int
 				c = codes[j]
 			}
 			if codeBucket[c] < 0 {
-				codeBucket[c] = int32(hashValues([]types.Value{keyCols[0].Value(i)}) % nb)
+				codeBucket[c] = int32(hashValues([]types.Value{keys[0].Value(i)}) % nb)
 			}
 			into[i] = codeBucket[c]
 			counts[into[i]]++
@@ -684,16 +708,16 @@ func RouteGroupRows(df *core.DataFrame, spec expr.GroupBySpec, band, buckets int
 		// Each chunk's hash of a Dict column hashes its whole table: a chunk
 		// at least that long keeps the table's share of the work bounded.
 		chunk := groupChunk
-		for _, c := range keyCols {
+		for _, c := range keys {
 			if _, dict, _, _, ok := vector.DictData(c); ok {
 				chunk = max(chunk, len(dict))
 			}
 		}
 		hashes := make([]uint64, min(n, chunk))
-		sliced := make([]vector.Vector, len(keyCols))
+		sliced := make([]vector.Vector, len(keys))
 		for lo := 0; lo < n; lo += len(hashes) {
 			hashes = hashes[:min(len(hashes), n-lo)]
-			for k, c := range keyCols {
+			for k, c := range keys {
 				sliced[k] = c.Slice(lo, lo+len(hashes))
 			}
 			hashRowsInto(sliced, hashes)
@@ -704,24 +728,18 @@ func RouteGroupRows(df *core.DataFrame, spec expr.GroupBySpec, band, buckets int
 		}
 	}
 
-	// One pass lays out every bucket's take index and its positions.
-	rows, pos := make([][]int, buckets), make([][]int64, buckets)
+	rows, pos = make([][]int, buckets), make([][]int64, buckets)
 	rowBacking, posBacking := make([]int, n), make([]int64, n)
 	for b, c := range counts {
 		rows[b], rowBacking = rowBacking[:0:c], rowBacking[c:]
 		pos[b], posBacking = posBacking[:0:c], posBacking[c:]
 	}
+	base := int64(band) << 32
 	for i, b := range into {
 		rows[b] = append(rows[b], i)
 		pos[b] = append(pos[b], base|int64(i))
 	}
-	out := make([]*core.DataFrame, buckets)
-	for b := range out {
-		if out[b], err = routedPiece(df, spec, rows[b], vector.NewInt(pos[b], nil)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return rows, pos
 }
 
 // singleDictKey unwraps a key that is one dictionary-coded column.

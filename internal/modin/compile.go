@@ -321,9 +321,10 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 		return c.gatherStage(node, "topk-merge", partial), nil
 
 	case *algebra.GroupBy:
-		// Band-routed key shuffle (each band partitions from its own
-		// summary, no all-band barrier) plus a restore pass that interleaves
-		// the merged buckets back into global first-appearance order.
+		// Band-routed key shuffle (each band partitions the moment it
+		// exists, labelling its rows with their positions; no all-band
+		// barrier) plus a restore pass that interleaves the merged buckets
+		// back into global first-appearance order.
 		shuffled, err := c.shuffleStage(node, e.groupByShuffle(node.Spec), node.Input)
 		if err != nil {
 			return nil, err

@@ -11,10 +11,10 @@ import (
 )
 
 // TestShuffleRoutingUnderForcedCollisions narrows every row-key hash to a
-// single bit, so the groupby shuffle's plan task sees constant hash
-// collisions between distinct keys across bands: the exemplar verification
-// must still assign every key its own global rank and both engines must
-// agree exactly (group order, aggregates, row labels).
+// single bit, so the groupby shuffle's merges and the key-shuffled join's
+// bucket tables see constant hash collisions between distinct keys: the
+// exemplar verification must still keep every key apart and both engines
+// must agree exactly (group order, aggregates, row labels).
 func TestShuffleRoutingUnderForcedCollisions(t *testing.T) {
 	restore := algebra.SetRowHashMaskForTesting(0x1)
 	defer restore()
@@ -29,12 +29,22 @@ func TestShuffleRoutingUnderForcedCollisions(t *testing.T) {
 			},
 		},
 	})
-	bothEngines(t, &algebra.Join{
+	join := &algebra.Join{
 		Left:  &algebra.Source{DF: df},
 		Right: &algebra.Source{DF: testFrame(40).SliceRows(0, 9)},
 		Kind:  expr.JoinInner,
 		On:    []string{"dept"},
-	})
+	}
+	bothEngines(t, join)
+	// The 9-row build side broadcasts above; a zero limit routes both
+	// sides' keys through the collided hash instead.
+	for _, bands := range []int{2, 7} {
+		e := New(WithBands(bands), withBuildLimit(0))
+		if !e.chooseJoinStrategy(join).shuffled {
+			t.Fatalf("bands %d: expected the key-shuffled join", bands)
+		}
+		assertEngineAgreesWithEager(t, e, join)
+	}
 }
 
 // TestShuffleGroupByNullVsNAKey routes a band-spanning frame whose key

@@ -17,8 +17,12 @@ import (
 // joined on "key" to a 70,000-row dimension holding every key once, in
 // shuffled order. The dimension is above the default broadcast limit, so on
 // two or more bands the join is key-shuffled.
-func shuffledJoinPlan() *algebra.Join {
-	const factRows, keySpace, dimRows = 75_000, 26_500, 70_000
+func shuffledJoinPlan() *algebra.Join { return factDimJoin(70_000) }
+
+// factDimJoin is shuffledJoinPlan's join against a dimension of dimRows
+// rows, keys 0 to dimRows-1 in shuffled order.
+func factDimJoin(dimRows int) *algebra.Join {
+	const factRows, keySpace = 75_000, 26_500
 	rng := rand.New(rand.NewSource(7))
 	key := make([]int64, factRows)
 	amount := make([]float64, factRows)
@@ -66,28 +70,36 @@ func shuffledJoinPlan() *algebra.Join {
 
 // BenchmarkShuffledJoin times the key-shuffled join at shuffle_wide's shape
 // on the default pool (at least two bands), on a one-worker pool at two
-// bands — whose time over eager's is the join's work ratio — and eager:
+// bands — whose time over eager's is the join's work ratio — and eager. The
+// dim1k cases join the same fact frame to a 1,000-row dimension, under the
+// broadcast limit, by both strategies on the default pool: the gap between
+// them is why the engine keeps the broadcast join.
 //
 //	go test -run '^$' -bench ShuffledJoin -benchmem ./internal/modin
 func BenchmarkShuffledJoin(b *testing.B) {
-	plan := shuffledJoinPlan()
+	plan, small := shuffledJoinPlan(), factDimJoin(1_000)
 	one := exec.NewPool(1)
 	defer one.Close()
+	bands := max(2, exec.Default.Workers())
 	for _, c := range []struct {
-		name string
-		e    algebra.Engine
+		name     string
+		plan     *algebra.Join
+		e        algebra.Engine
+		shuffled bool
 	}{
-		{"shuffled", New(WithBands(max(2, exec.Default.Workers())))},
-		{"shuffled-1worker", New(WithPool(one), WithBands(2))},
-		{"eager", eager.New()},
+		{"shuffled", plan, New(WithBands(bands)), true},
+		{"shuffled-1worker", plan, New(WithPool(one), WithBands(2)), true},
+		{"eager", plan, eager.New(), false},
+		{"dim1k-broadcast", small, New(WithBands(bands)), false},
+		{"dim1k-shuffled", small, New(WithBands(bands), withBuildLimit(0)), true},
 	} {
-		if m, ok := c.e.(*Engine); ok && !m.chooseJoinStrategy(plan).shuffled {
-			b.Fatalf("%s: the join is not key-shuffled", c.name)
+		if m, ok := c.e.(*Engine); ok && m.chooseJoinStrategy(c.plan).shuffled != c.shuffled {
+			b.Fatalf("%s: key-shuffled = %v, want %v", c.name, !c.shuffled, c.shuffled)
 		}
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := c.e.Execute(plan); err != nil {
+				if _, err := c.e.Execute(c.plan); err != nil {
 					b.Fatal(err)
 				}
 			}

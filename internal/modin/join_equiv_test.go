@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/eager"
 	"repro/internal/exec"
 	"repro/internal/expr"
+	"repro/internal/vector"
 )
 
 // assertIdentical requires a join result to equal eager's cell for cell:
@@ -62,6 +64,34 @@ func joinEquivFrames() (left, right, rightFloat *core.DataFrame) {
 		core.MustFromRecords(cols, rrec), core.MustFromRecords(cols, frec)
 }
 
+// stringKeyed is df with its column b recoded with a declared domain: as
+// Dict codes over a table that also holds an unused string, or as Object
+// strings, null every nulls-th row either way. A Dict b joined to an Object
+// b routes one side per code and the other in row chunks.
+func stringKeyed(t *testing.T, df *core.DataFrame, dict bool, nulls int) *core.DataFrame {
+	t.Helper()
+	j := df.ColIndex("b")
+	n := df.NRows()
+	data, null := make([]string, n), make([]bool, n)
+	for i := range data {
+		data[i], null[i] = df.Value(i, j).Str(), i%nulls == 0
+	}
+	var col vector.Vector = vector.NewObject(data, null)
+	if dict {
+		table := []string{"unused", "p", "q", "r", "s"}
+		codes := make([]int32, n)
+		for i, v := range data {
+			codes[i] = int32(slices.Index(table, v))
+		}
+		col = vector.NewDict(codes, table, null)
+	}
+	out, err := df.WithColumn(j, col, col.Domain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestShuffledJoinMatchesBroadcastAndEagerCellForCell runs every inner and
 // left join shape through the key-shuffled plan and the broadcast plan on
 // every engine shape — bands 1, 2 and 7, a one-worker pool, and a one-cell
@@ -79,6 +109,14 @@ func TestShuffledJoinMatchesBroadcastAndEagerCellForCell(t *testing.T) {
 	gated := &algebra.Selection{Input: left, Pred: expr.ColNotNull("gate"), Desc: "gate not null"}
 	noLeft := &algebra.Selection{Input: left, Pred: none, Desc: "none"}
 	noRight := &algebra.Selection{Input: right, Pred: none, Desc: "none"}
+	// Right rows 0-4 and 55-59 only: at three or more bands the bands
+	// between them are empty, so band first rows repeat.
+	ends := &algebra.Selection{Input: right, Desc: "v < 50 or v >= 550", Pred: func(r expr.Row) bool {
+		v := r.ByName("v").Int()
+		return v < 50 || v >= 550
+	}}
+	dictLeft := &algebra.Source{DF: stringKeyed(t, lf, true, 13), Name: "ld"}
+	objectRight := &algebra.Source{DF: stringKeyed(t, rf, false, 11), Name: "ro"}
 	shapes := []struct {
 		name        string
 		left, right algebra.Node
@@ -90,6 +128,8 @@ func TestShuffledJoinMatchesBroadcastAndEagerCellForCell(t *testing.T) {
 		{"empty bands", gated, right, []string{"k"}},
 		{"empty left", noLeft, right, []string{"k"}},
 		{"empty right", left, noRight, []string{"k"}},
+		{"dict vs object key", dictLeft, objectRight, []string{"b"}},
+		{"empty right bands between full ones", left, ends, []string{"k"}},
 	}
 	engines := []struct {
 		name string

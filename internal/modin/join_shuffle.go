@@ -16,19 +16,22 @@ import (
 
 // This file lowers inner/left data-column joins to a KEY-SHUFFLED hash join
 // when the build side is too large to broadcast. Only keys and row
-// positions cross bands; each output row is materialized once:
+// positions cross bands; each output row is materialized once. A position
+// is band<<32 | row, as the groupby labels its routed rows, and both sides
+// route through the groupby's router (algebra.HashRoute), so no stage needs
+// a row count:
 //
 //   - join-build: right band r routes its key columns to bucket hash%nb,
-//     each routed row labelled with its global right position;
+//     each routed row labelled with its right position;
 //   - join-probe: left band r routes its key columns the same way, labelled
-//     with global left ordinals; bucket b builds one JoinTable over its
-//     build keys, probes it with its left keys, and emits (left ordinal,
-//     right position) pairs in ascending ordinal order;
+//     with left positions; bucket b builds one JoinTable over its build
+//     keys, probes it with its left keys, and emits (left position, right
+//     position) pairs in ascending left position order;
 //   - join-assemble: an anchored stage over the left bands, with the pair
-//     buckets and the right input as side inputs. Band b merges its
-//     ordinal run out of every bucket and calls AssembleJoin once over
-//     left band b and the right input, so output band b lines up with left
-//     band b and the bands assemble in parallel.
+//     buckets and the right input as side inputs. Band b merges the pairs
+//     whose left positions fall in band b out of every bucket and calls
+//     AssembleJoin once over left band b and the right input, so output
+//     band b lines up with left band b and the bands assemble in parallel.
 //
 // The broadcast probe (shuffle.go) rebuilds the FULL right-side table once
 // per left band; the shuffled form builds each right key into exactly one
@@ -87,61 +90,28 @@ func sharedInput(n *physical.Node) *physical.Node {
 	return physical.NewStreamSource(&st)
 }
 
-// bandOffsets folds per-band row-count summaries into each band's first
-// global row.
-func bandOffsets(summaries []any) []int {
-	offsets := make([]int, len(summaries))
-	off := 0
-	for r, s := range summaries {
-		offsets[r] = off
-		off += s.(int)
-	}
-	return offsets
-}
-
-// bandRows is the row-count summary behind bandOffsets and the renumber
-// pass.
-func bandRows(_ int, band *core.DataFrame) (any, error) { return band.NRows(), nil }
-
 // routeKeys cuts band's key columns into nb hash-bucket pieces, in band row
-// order. A piece's row labels are its rows' global positions in their input
-// (base plus the band row), so the rest of the row never travels.
-func routeKeys(band *core.DataFrame, on []string, nb, base int) ([]*core.DataFrame, error) {
-	hs, err := algebra.RowKeyHashes(band, on)
+// order, as algebra.HashRoute assigns them. A piece's row labels are its
+// rows' positions, so the rest of the row never travels. The keys are
+// taken, not viewed: a bucket's build table hashes its keys in bulk.
+func routeKeys(band *core.DataFrame, on []string, nb, index int) ([]*core.DataFrame, error) {
+	keys, err := algebra.KeyColumns(band, on)
 	if err != nil {
 		return nil, err
 	}
-	counts := make([]int, nb)
-	for i, h := range hs {
-		hs[i] = h % uint64(nb) // the row's bucket, from here on
-		counts[hs[i]]++
-	}
-	idx := make([][]int, nb) // one backing array, cut to the bucket sizes
-	backing := make([]int, len(hs))
-	for b := range idx {
-		idx[b], backing = backing[:0:counts[b]], backing[counts[b]:]
-	}
-	for i, b := range hs {
-		idx[b] = append(idx[b], i)
-	}
-	keys := make([]vector.Vector, len(on))
+	rows, pos := algebra.HashRoute(keys, band.NRows(), index, nb)
 	labels := make([]types.Value, len(on))
 	domains := make([]types.Domain, len(on))
 	for k, name := range on {
-		j := band.ColIndex(name) // RowKeyHashes found every key
-		keys[k], labels[k], domains[k] = band.TypedCol(j), types.String(name), band.Domain(j)
+		labels[k], domains[k] = types.String(name), band.Domain(band.ColIndex(name))
 	}
 	pieces := make([]*core.DataFrame, nb)
-	for b, rows := range idx {
+	for b := range pieces {
 		cols := make([]vector.Vector, len(keys))
 		for k, key := range keys {
-			cols[k] = key.Take(rows)
+			cols[k] = key.Take(rows[b])
 		}
-		pos := make([]int64, len(rows))
-		for k, i := range rows {
-			pos[k] = int64(base + i)
-		}
-		if pieces[b], err = core.Build(cols, vector.NewInt(pos, nil), labels, domains, nil); err != nil {
+		if pieces[b], err = core.Build(cols, vector.NewInt(pos[b], nil), labels, domains, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -155,14 +125,10 @@ func routeKeys(band *core.DataFrame, on []string, nb, base int) ([]*core.DataFra
 func (e *Engine) joinBuildShuffle(on []string) *physical.Shuffle {
 	nb := e.bands
 	return &physical.Shuffle{
-		Name:      "join-build",
-		Buckets:   nb,
-		Summarize: bandRows,
-		Plan: func(summaries []any, _ []*partition.Frame) (any, error) {
-			return bandOffsets(summaries), nil
-		},
-		Partition: func(band int, df *core.DataFrame, plan any) ([]*core.DataFrame, error) {
-			return routeKeys(df, on, nb, plan.([]int)[band])
+		Name:    "join-build",
+		Buckets: nb,
+		Partition: func(band int, df *core.DataFrame, _ any) ([]*core.DataFrame, error) {
+			return routeKeys(df, on, nb, band)
 		},
 		Merge: func(_ int, pieces []physical.Piece, _ any) (*core.DataFrame, error) {
 			frames, err := physical.Frames(pieces)
@@ -174,43 +140,35 @@ func (e *Engine) joinBuildShuffle(on []string) *physical.Shuffle {
 	}
 }
 
-// joinProbePlan is the probe shuffle's routing state: each left band's
-// global row offset and each bucket's build keys.
-type joinProbePlan struct {
-	offsets []int
-	builds  []*core.DataFrame
-}
-
 // joinPairShuffle routes the probe (left) side's keys by the same hash and
 // joins each bucket's keys against its build keys. Its output band b is
 // bucket b's pairs: one Int column of right positions (-1 for an unmatched
-// left-join row), labelled with the left ordinals. Bands stack in band
-// order and each band's ordinals ascend, so a bucket's ordinals ascend, and
-// a left row's matches sit together, in right input order.
+// left-join row), labelled with the left positions. Bands stack in band
+// order and each band's positions ascend, so a bucket's left positions
+// ascend, and a left row's matches sit together, in right input order.
 func (e *Engine) joinPairShuffle(node *algebra.Join) *physical.Shuffle {
 	nb := e.bands
 	on, kind := node.On, node.Kind
 	return &physical.Shuffle{
-		Name:      "join-probe",
-		Buckets:   nb,
-		Summarize: bandRows,
-		Plan: func(summaries []any, sides []*partition.Frame) (any, error) {
+		Name:    "join-probe",
+		Buckets: nb,
+		Plan: func(_ []any, sides []*partition.Frame) (any, error) {
 			built := sides[0]
 			if built.RowBands() != nb {
 				return nil, fmt.Errorf("modin: join build produced %d buckets, want %d", built.RowBands(), nb)
 			}
-			p := &joinProbePlan{offsets: bandOffsets(summaries), builds: make([]*core.DataFrame, nb)}
-			for b := range p.builds {
+			builds := make([]*core.DataFrame, nb)
+			for b := range builds {
 				df, err := built.RowBand(b)
 				if err != nil {
 					return nil, err
 				}
-				p.builds[b] = df
+				builds[b] = df
 			}
-			return p, nil
+			return builds, nil
 		},
-		Partition: func(band int, df *core.DataFrame, plan any) ([]*core.DataFrame, error) {
-			return routeKeys(df, on, nb, plan.(*joinProbePlan).offsets[band])
+		Partition: func(band int, df *core.DataFrame, _ any) ([]*core.DataFrame, error) {
+			return routeKeys(df, on, nb, band)
 		},
 		Merge: func(bucket int, pieces []physical.Piece, plan any) (*core.DataFrame, error) {
 			frames, err := physical.Frames(pieces)
@@ -221,7 +179,7 @@ func (e *Engine) joinPairShuffle(node *algebra.Join) *physical.Shuffle {
 			if err != nil {
 				return nil, err
 			}
-			build := plan.(*joinProbePlan).builds[bucket]
+			build := plan.([]*core.DataFrame)[bucket]
 			table, err := algebra.BuildJoinTable(build, on)
 			if err != nil {
 				return nil, err
@@ -230,11 +188,11 @@ func (e *Engine) joinPairShuffle(node *algebra.Join) *physical.Shuffle {
 			if err != nil {
 				return nil, err
 			}
-			lord, rpos := ordColumn(left.RowLabels()), ordColumn(build.RowLabels())
+			lpos, rpos := ordColumn(left.RowLabels()), ordColumn(build.RowLabels())
 			ords := make([]int64, len(leftIdx))
 			pos := make([]int64, len(leftIdx))
 			for k, i := range leftIdx {
-				ords[k], pos[k] = lord[i], -1
+				ords[k], pos[k] = lpos[i], -1
 				if r := rightIdx[k]; r >= 0 {
 					pos[k] = rpos[r]
 				}
@@ -245,33 +203,33 @@ func (e *Engine) joinPairShuffle(node *algebra.Join) *physical.Shuffle {
 	}
 }
 
-// joinAssemblyPlan is the assembly's shared state: each left band's global
-// row offset, every bucket's pairs, and the right input, gathered once.
+// joinAssemblyPlan is the assembly's shared state: every bucket's pairs,
+// the right input, gathered once, and each right band's first row in it.
 type joinAssemblyPlan struct {
-	offsets []int
-	ords    [][]int64 // bucket → ascending left ordinals
-	pos     [][]int64 // bucket → right positions, -1 for none
-	right   *core.DataFrame
+	ords   [][]int64 // bucket → ascending left positions
+	pos    [][]int64 // bucket → right positions, -1 for none
+	right  *core.DataFrame
+	starts []int64 // right band → its first row in right
 }
 
 // joinAssembly is the anchored stage that materializes the join. Output
-// band b takes, from every bucket, the run of pairs whose left ordinals
-// fall in left band b (a binary search, since a bucket's ordinals ascend),
-// merges the runs by ordinal into left input order, and assembles the band
-// with one AssembleJoin call. Its row labels start at the number of pairs
-// before band b — the positional labels the broadcast plan's renumber pass
-// gives.
+// band b takes, from every bucket, the run of pairs whose left positions
+// fall in band b, [b<<32, (b+1)<<32) (a binary search, since a bucket's
+// left positions ascend), merges the runs into left input order, and
+// assembles the band with one AssembleJoin call; a right position indexes
+// the gathered right input through its band's first row. The band's row
+// labels start at the number of pairs before band b — the positional
+// labels the broadcast plan's renumber pass gives.
 func (e *Engine) joinAssembly(node *algebra.Join) *physical.Shuffle {
 	on := node.On
 	return &physical.Shuffle{
-		Name:      "join-assemble",
-		Summarize: bandRows,
-		Plan: func(summaries []any, sides []*partition.Frame) (any, error) {
-			pairs := sides[0]
+		Name: "join-assemble",
+		Plan: func(_ []any, sides []*partition.Frame) (any, error) {
+			pairs, right := sides[0], sides[1]
 			p := &joinAssemblyPlan{
-				offsets: bandOffsets(summaries),
-				ords:    make([][]int64, pairs.RowBands()),
-				pos:     make([][]int64, pairs.RowBands()),
+				ords:   make([][]int64, pairs.RowBands()),
+				pos:    make([][]int64, pairs.RowBands()),
+				starts: make([]int64, right.RowBands()),
 			}
 			for b := range p.ords {
 				df, err := pairs.RowBand(b)
@@ -281,8 +239,13 @@ func (e *Engine) joinAssembly(node *algebra.Join) *physical.Shuffle {
 				p.ords[b], p.pos[b] = ordColumn(df.RowLabels()), ordColumn(df.Col(0))
 			}
 			var err error
-			p.right, err = sides[1].ToFrame()
-			return p, err
+			if p.right, err = right.ToFrame(); err != nil {
+				return nil, err
+			}
+			for r := 1; r < len(p.starts); r++ {
+				p.starts[r] = p.starts[r-1] + int64(right.Block(r-1, 0).NRows())
+			}
+			return p, nil
 		},
 		Merge: func(band int, pieces []physical.Piece, plan any) (*core.DataFrame, error) {
 			left, err := pieces[0].Frame()
@@ -290,14 +253,13 @@ func (e *Engine) joinAssembly(node *algebra.Join) *physical.Shuffle {
 				return nil, err
 			}
 			p := plan.(*joinAssemblyPlan)
-			lo := int64(p.offsets[band])
-			hi := lo + int64(left.NRows())
+			lo := int64(band) << 32
 			runs := make([][]int64, len(p.ords))
 			pos := make([][]int64, len(p.ords))
 			before, n := 0, 0
 			for b, ords := range p.ords {
 				i, _ := slices.BinarySearch(ords, lo)
-				j, _ := slices.BinarySearch(ords[i:], hi)
+				j, _ := slices.BinarySearch(ords[i:], lo+1<<32)
 				runs[b], pos[b] = ords[i:i+j], p.pos[b][i:i+j]
 				before += i
 				n += j
@@ -307,7 +269,11 @@ func (e *Engine) joinAssembly(node *algebra.Join) *physical.Shuffle {
 			mergeOrdinals(runs, func(b, from, to int) {
 				for i := from; i < to; i++ {
 					leftIdx = append(leftIdx, int(runs[b][i]-lo))
-					rightIdx = append(rightIdx, int(pos[b][i]))
+					r := pos[b][i]
+					if r >= 0 {
+						r = p.starts[r>>32] + r&(1<<32-1)
+					}
+					rightIdx = append(rightIdx, int(r))
 				}
 			})
 			out, err := algebra.AssembleJoin(left, p.right, on, false, leftIdx, rightIdx)

@@ -306,3 +306,41 @@ func TestJoinBuildRowsThroughUnaryOperators(t *testing.T) {
 		})
 	}
 }
+
+// TestKeyShuffledJoinCountsNoRows pins the key-shuffled join's schedule:
+// both sides route by band position, so at two bands the join runs no
+// row-count summary task and two plan tasks, the probe's and the
+// assembly's, whose side inputs they gather.
+func TestKeyShuffledJoinCountsNoRows(t *testing.T) {
+	left, right := skewJoinFrames(t, 300, 200, 20)
+	plan := &algebra.Join{Left: &algebra.Source{DF: left}, Right: &algebra.Source{DF: right}, Kind: expr.JoinInner, On: []string{"k"}}
+	e := New(WithBands(2), withBuildLimit(10))
+	if !e.chooseJoinStrategy(plan).shuffled {
+		t.Fatal("expected the key-shuffled join")
+	}
+	res, sched, err := e.Schedule(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := res.Frame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := pf.ToFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eager.New().Execute(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameFrame(want, got) {
+		t.Fatalf("key-shuffled join differs from eager:\neager:\n%s\nmodin:\n%s", want, got)
+	}
+	if n := sched.Stats.ShuffleSummaryTasks.Load(); n != 0 {
+		t.Errorf("%d summary tasks, want 0", n)
+	}
+	if n := sched.Stats.ShufflePlanTasks.Load(); n != 2 {
+		t.Errorf("%d plan tasks, want 2", n)
+	}
+}

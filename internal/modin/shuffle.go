@@ -104,6 +104,9 @@ func (e *Engine) joinProbeShuffle(node *algebra.Join) *physical.Shuffle {
 	}
 }
 
+// bandRows is the renumber pass's per-band summary: the band's row count.
+func bandRows(_ int, band *core.DataFrame) (any, error) { return band.NRows(), nil }
+
 // renumberShuffle resets row labels to one global positional sequence. It
 // is an anchored shuffle with a PREFIX plan: band b's offset is the sum of
 // the row counts of bands [0, b), so band b's relabel waits only on

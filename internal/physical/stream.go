@@ -94,7 +94,7 @@ func runBand(st *StreamSource, band Band) (*core.DataFrame, error) {
 	// surviving entries would pin every parsed morsel for the life of the
 	// query — the retention the morsel window exists to prevent. The cache
 	// itself stays on the band: a shuffle downstream resolves its key and
-	// aggregate columns into it once, in its summarize task, and routes the
+	// aggregate columns into it once, in its partition task, and routes the
 	// typed forms (core.Resolved).
 	if c := out.Cache(); c != nil {
 		c.Invalidate()
