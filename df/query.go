@@ -613,8 +613,8 @@ func (q *Query) CollectAsync() *Future {
 }
 
 // physicalDescriber matches engines (MODIN) that expose their physical
-// strategy decisions — broadcast vs key-shuffled joins, dictionary vs hash
-// groupby — for a logical plan.
+// strategy decisions — each join's build size, each groupby's group
+// estimate — for a logical plan.
 type physicalDescriber interface {
 	DescribePhysical(algebra.Node) string
 }

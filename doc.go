@@ -19,8 +19,8 @@
 //
 //	df.Query ──optimizer.Optimize──▶ algebra.Node ──compile──▶ physical DAG ──schedule──▶ exec.Pool
 //	                                                         ▲
-//	        exact base-frame sizes, groupby specs ───────────┘ (broadcast vs key-shuffled
-//	                                                            join, states vs rows)
+//	        exact base-frame sizes, groupby specs ───────────┘ (one build per join,
+//	                                                            states vs rows)
 //
 // Logical plans (internal/algebra) are either evaluated bottom-up by one
 // tree walk, algebra.EvalPlan, which applies algebra.Eval — every
@@ -60,12 +60,12 @@
 // group's first position, and a restore exchange interleaves the buckets
 // by those positions into exact single-node group order. No band summary
 // and no serial plan fold stand in between. Single-consumer scan bands
-// are released as soon as a shuffle has routed them (a key-shuffled join's
-// inputs are not single-consumer: its assembly reads them again), and on
-// such scans
-// the producer holds its parse-ahead window against band RELEASE (routed,
-// and past the budget spilled) rather than task completion, so slow
-// routing stalls the parsers instead of accumulating bands.
+// are released as soon as a shuffle has routed them (a join routes no
+// band: its left bands pass through its probe, its right side is gathered
+// whole), and on such scans the producer holds its parse-ahead window
+// against band RELEASE (routed, and past the budget spilled) rather than
+// task completion, so slow routing stalls the parsers instead of
+// accumulating bands.
 // Routed-but-unmerged shuffle pieces past modin.WithShuffleSpillBudget
 // spill through internal/storage and re-resolve lazily inside the merge
 // task that consumes them; cancellation routes through
@@ -147,13 +147,14 @@
 // first-appearance order, stable sort ties, nested join order).
 //
 // Physical strategy from exact sizes: the compile step picks strategies
-// from facts, not sketches. A join whose build side (a base frame's exact
-// row count, or optimizer.EstimateNode's zero-stats model above one)
-// exceeds the broadcast limit becomes a key-shuffled hash join: only key
-// columns and band positions (band<<32 | row) route, through the
-// groupby's router (algebra.HashRoute), each bucket emits (left position,
-// right position) pairs, and output band b is assembled once from left
-// band b and its position-merged pairs; no stage counts rows. A groupby
+// from facts, not sketches. Every inner/left join, on columns or labels,
+// is one anchored probe: its plan task gathers the right side and builds
+// one algebra.JoinTable over it, presized for its rows, and each left
+// band's merge joins against that shared, read-only table with the call
+// the eager engine's JoinFrames makes, so output band b lines up with left
+// band b and no row is routed; its explain line reports the build size (a
+// base frame's exact row count, or optimizer.EstimateNode's zero-stats
+// model above one). A groupby
 // whose aggregates all combine exactly (COUNT, SIZE, MIN, MAX) folds each
 // band into one algebra.GroupPartial and routes one state row per group;
 // any other groupby routes rows, because a float SUM or MEAN added up from

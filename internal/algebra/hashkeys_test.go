@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -302,6 +303,51 @@ func TestKeyIndexDenseIDsAcrossGrowth(t *testing.T) {
 	}
 }
 
+// TestKeyIndexReserveNeverGrows reserves room for n keys, then inserts n
+// keys whose hashes share two bits: neither the slot table nor the hash
+// slice is reallocated, the table stays under half full, ids stay dense,
+// and every key is found. Reserving again for more keys re-places the ids
+// already held without renumbering them.
+func TestKeyIndexReserveNeverGrows(t *testing.T) {
+	restore := SetRowHashMaskForTesting(0x3)
+	defer restore()
+	const n = 300
+	var x keyIndex
+	x.reserve(0)
+	if len(x.slots) != 0 || cap(x.hashes) != 0 {
+		t.Fatalf("reserve(0) sized the index: %d slots, hash cap %d", len(x.slots), cap(x.hashes))
+	}
+	x.reserve(n)
+	slots, hashCap := len(x.slots), cap(x.hashes)
+	if slots < 2*n || hashCap < n {
+		t.Fatalf("reserve(%d): %d slots, hash cap %d", n, slots, hashCap)
+	}
+	var keys [][]types.Value
+	eq := func(key []types.Value) func(int32) bool {
+		return func(id int32) bool { return tuplesEqual(keys[id], key) }
+	}
+	for k := 0; k < n; k++ {
+		key := []types.Value{types.IntValue(int64(k))}
+		id, added := x.insert(hashValues(key), eq(key))
+		if !added || id != int32(k) {
+			t.Fatalf("insert %d: id %d added %v, want id %d added", k, id, added, k)
+		}
+		keys = append(keys, key)
+		if len(x.slots) != slots || cap(x.hashes) != hashCap {
+			t.Fatalf("insert %d grew the index: %d → %d slots, hash cap %d → %d", k, slots, len(x.slots), hashCap, cap(x.hashes))
+		}
+	}
+	x.reserve(4 * n)
+	if len(x.slots) <= slots {
+		t.Fatalf("reserve(%d) kept %d slots", 4*n, len(x.slots))
+	}
+	for k, key := range keys {
+		if id := x.find(hashValues(key), eq(key)); id != int32(k) {
+			t.Fatalf("find %d after re-reserve: id %d", k, id)
+		}
+	}
+}
+
 // TestSelectWhereMatchesSelectRows checks the kernel filter against the
 // row-at-a-time path across representations and operators.
 func TestSelectWhereMatchesSelectRows(t *testing.T) {
@@ -402,9 +448,11 @@ func TestKeylessCountSizeBulkPath(t *testing.T) {
 	}
 }
 
-// TestJoinTableMatchesJoinFrames requires the typed open-addressing probe
-// to reproduce JoinFrames exactly for inner and left joins with duplicate
-// and null keys.
+// TestJoinTableMatchesJoinFrames builds one table over the right input and
+// joins three left bands against it at once, as MODIN's probe bands do:
+// stacked, with data joins' positional labels renumbered, the bands must
+// equal JoinFrames over the whole left input for inner and left joins on
+// duplicate and null keys, and on row labels.
 func TestJoinTableMatchesJoinFrames(t *testing.T) {
 	n := 300
 	lrec := make([][]any, n)
@@ -425,25 +473,46 @@ func TestJoinTableMatchesJoinFrames(t *testing.T) {
 	}
 	left := core.MustFromRecords([]string{"k", "x"}, lrec)
 	right := core.MustFromRecords([]string{"k", "y"}, rrec)
-	for _, kind := range []expr.JoinKind{expr.JoinInner, expr.JoinLeft} {
-		want, err := JoinFrames(left, right, kind, []string{"k"}, false)
-		if err != nil {
-			t.Fatal(err)
+	bands := []*core.DataFrame{left.SliceRows(0, 90), left.SliceRows(90, 90), left.SliceRows(90, n)}
+	for _, onLabels := range []bool{false, true} {
+		on := []string{"k"}
+		if onLabels {
+			on = nil
 		}
-		table, err := BuildJoinTable(right, []string{"k"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		li, ri, err := table.Probe(left, []string{"k"}, kind, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := AssembleJoin(left, table.Right(), []string{"k"}, false, li, ri)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !want.Equal(got) {
-			t.Fatalf("kind %v: join table disagrees with JoinFrames:\nwant:\n%s\ngot:\n%s", kind, want, got)
+		table := BuildJoinTable(right, on, onLabels)
+		for _, kind := range []expr.JoinKind{expr.JoinInner, expr.JoinLeft} {
+			want, err := JoinFrames(left, right, kind, on, onLabels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts := make([]*core.DataFrame, len(bands))
+			errs := make([]error, len(bands))
+			var wg sync.WaitGroup
+			for b, band := range bands {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					parts[b], errs[b] = table.Join(band, kind)
+				}()
+			}
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := VStackFrames(parts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !onLabels {
+				if got, err = got.WithRowLabels(vector.Range(0, got.NRows())); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !want.Equal(got) {
+				t.Fatalf("labels %v kind %v: banded joins disagree with JoinFrames:\nwant:\n%s\ngot:\n%s", onLabels, kind, want, got)
+			}
 		}
 	}
 }

@@ -92,17 +92,15 @@ func TestJoinKeyColumnMatchesBoxedCoalesce(t *testing.T) {
 func TestProbeOfUniqueBuildKeysEmitsOnePairPerRow(t *testing.T) {
 	right := core.MustNew([]string{"k"}, []vector.Vector{vector.NewInt([]int64{4, 0, 2, 0, 9}, []bool{false, true, false, true, false})})
 	left := core.MustNew([]string{"k"}, []vector.Vector{vector.NewInt([]int64{2, 3, 4, 4, 0}, []bool{false, false, false, false, true})})
-	table, err := BuildJoinTable(right, []string{"k"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	table := BuildJoinTable(right, []string{"k"}, false)
 	if !table.unique {
 		t.Fatal("distinct non-null build keys must mark the table unique")
 	}
-	li, ri, err := table.Probe(left, []string{"k"}, expr.JoinLeft, nil, nil)
+	keys, err := joinKeys(left, []string{"k"}, false, "left")
 	if err != nil {
 		t.Fatal(err)
 	}
+	li, ri := table.probe(left.NRows(), keys, expr.JoinLeft)
 	wantL, wantR := []int{0, 1, 2, 3, 4}, []int{2, -1, 0, 0, -1}
 	if len(li) != len(wantL) || len(ri) != len(wantR) {
 		t.Fatalf("pairs %v %v, want %v %v", li, ri, wantL, wantR)
@@ -113,7 +111,7 @@ func TestProbeOfUniqueBuildKeysEmitsOnePairPerRow(t *testing.T) {
 		}
 	}
 	dup := core.MustNew([]string{"k"}, []vector.Vector{vector.NewInt([]int64{4, 4}, nil)})
-	if table, _ := BuildJoinTable(dup, []string{"k"}); table.unique {
+	if BuildJoinTable(dup, []string{"k"}, false).unique {
 		t.Error("a repeated build key must not mark the table unique")
 	}
 }

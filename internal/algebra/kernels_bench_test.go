@@ -273,3 +273,35 @@ func BenchmarkHashKernelsHighNDV(b *testing.B) {
 		})
 	}
 }
+
+// joinBuildFrame is a join's right input of rows rows over keys distinct Int
+// keys, in shuffled order.
+func joinBuildFrame(rows, keys int) *core.DataFrame {
+	k := make([]int64, rows)
+	v := make([]float64, rows)
+	for i, p := range rand.New(rand.NewSource(11)).Perm(rows) {
+		k[i], v[i] = int64(p%keys), float64(i)
+	}
+	return core.MustNew([]string{"key", "v"}, []vector.Vector{vector.NewInt(k, nil), vector.NewFloat(v, nil)})
+}
+
+// BenchmarkJoinTableBuild times one JoinTable build at the two shapes its
+// presizing trades between: a unique-key build (shuffle_wide's 70,000-row
+// dimension), where reserving every row's key slot skips the appends' regrowth,
+// and a 1,000,000-row build over 10 keys, which reserves slots it never fills.
+//
+//	go test -run '^$' -bench JoinTableBuild -benchmem ./internal/algebra
+func BenchmarkJoinTableBuild(b *testing.B) {
+	for _, c := range []struct {
+		name       string
+		rows, keys int
+	}{{"70k-unique", 70_000, 70_000}, {"1m-10keys", 1_000_000, 10}} {
+		right := joinBuildFrame(c.rows, c.keys)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				BuildJoinTable(right, []string{"key"}, false)
+			}
+		})
+	}
+}

@@ -61,27 +61,18 @@ func hashRowsInto(cols []vector.Vector, dst []uint64) {
 	}
 }
 
-// KeyColumns resolves df's named key columns, typed, for HashRoute.
-func KeyColumns(df *core.DataFrame, names []string) ([]vector.Vector, error) {
-	ks := make([]vector.Vector, len(names))
-	for k, name := range names {
-		j := df.ColIndex(name)
-		if j < 0 {
-			return nil, fmt.Errorf("algebra: key column %q missing", name)
-		}
-		ks[k] = df.TypedCol(j)
-	}
-	return ks, nil
-}
-
 // RowKeyHashes bulk-hashes df's rows over the named key columns under the
 // process-wide row-hash seed (and test mask): the hash HashRoute routes by.
 // The engine never calls it; it survives for paperbench's replay, whose
 // join routing times a whole-band hash pass.
 func RowKeyHashes(df *core.DataFrame, cols []string) ([]uint64, error) {
-	ks, err := KeyColumns(df, cols)
-	if err != nil {
-		return nil, err
+	ks := make([]vector.Vector, len(cols))
+	for k, name := range cols {
+		j := df.ColIndex(name)
+		if j < 0 {
+			return nil, fmt.Errorf("algebra: key column %q missing", name)
+		}
+		ks[k] = df.TypedCol(j)
 	}
 	return rowHashes(ks, df.NRows()), nil
 }
@@ -670,8 +661,8 @@ func RouteGroupRows(df *core.DataFrame, spec expr.GroupBySpec, band, buckets int
 	return out, nil
 }
 
-// HashRoute is the one hash router of every key shuffle (the groupby's
-// rows, both sides of the key-shuffled join). It sends row i of the n-row
+// HashRoute is the one hash router of every key shuffle: the groupby's
+// routed rows and states (a join routes nothing). It sends row i of the n-row
 // key columns, band `band` of a shuffle's input, to bucket
 // (key hash of row i) % buckets — RowKeyHashes' hash — and lays out, in one
 // pass, each bucket's take index and its rows' positions band<<32 | i, both

@@ -1,7 +1,6 @@
 package algebra
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/core"
@@ -16,37 +15,15 @@ import (
 // order. Column-label collisions outside the join keys get pandas-style
 // "_x"/"_y" suffixes.
 //
-// Key matching builds a JoinTable over the right input's key columns (or row
-// labels) and probes it with the left's: bulk hashes, typed-kernel
-// verification, no per-row string keys or boxed values.
+// A keyed join builds a JoinTable over the right input's key columns (or
+// row labels) and joins the left against it: bulk hashes, typed-kernel
+// verification, no per-row string keys or boxed values. MODIN runs the
+// same two calls, building once and joining every left band.
 func JoinFrames(left, right *core.DataFrame, kind expr.JoinKind, on []string, onLabels bool) (*core.DataFrame, error) {
 	if kind == expr.JoinCross {
 		return crossProduct(left, right)
 	}
-	if !onLabels && len(on) == 0 {
-		return nil, fmt.Errorf("algebra: %s join requires key columns or onLabels", kind)
-	}
-
-	leftKeys, rightKeys, err := joinKeyColumns(left, right, on, onLabels)
-	if err != nil {
-		return nil, err
-	}
-	leftIdx, rightIdx := buildJoinTable(right, rightKeys).probe(left.NRows(), leftKeys, kind, nil, nil)
-	if kind == expr.JoinRight || kind == expr.JoinOuter {
-		rightMatched := make([]bool, right.NRows())
-		for _, r := range rightIdx {
-			if r >= 0 {
-				rightMatched[r] = true
-			}
-		}
-		for r, matched := range rightMatched {
-			if !matched {
-				leftIdx = append(leftIdx, -1)
-				rightIdx = append(rightIdx, r)
-			}
-		}
-	}
-	return assembleJoin(left, right, on, onLabels, leftIdx, rightIdx)
+	return BuildJoinTable(right, on, onLabels).Join(left, kind)
 }
 
 // rowsEqualAt verifies column-wise key equality between row i of cols a and
@@ -73,25 +50,6 @@ func crossProduct(left, right *core.DataFrame) (*core.DataFrame, error) {
 		}
 	}
 	return assembleJoin(left, right, nil, false, leftIdx, rightIdx)
-}
-
-// joinKeyColumns resolves the typed key vectors for both sides.
-func joinKeyColumns(left, right *core.DataFrame, on []string, onLabels bool) (lk, rk []vector.Vector, err error) {
-	if onLabels {
-		return []vector.Vector{left.RowLabels()}, []vector.Vector{right.RowLabels()}, nil
-	}
-	for _, name := range on {
-		lj, rj := left.ColIndex(name), right.ColIndex(name)
-		if lj < 0 {
-			return nil, nil, fmt.Errorf("algebra: join key %q missing from left input", name)
-		}
-		if rj < 0 {
-			return nil, nil, fmt.Errorf("algebra: join key %q missing from right input", name)
-		}
-		lk = append(lk, left.TypedCol(lj))
-		rk = append(rk, right.TypedCol(rj))
-	}
-	return lk, rk, nil
 }
 
 func anyNullAt(cols []vector.Vector, i int) bool {

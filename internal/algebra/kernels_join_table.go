@@ -2,98 +2,112 @@ package algebra
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/vector"
 )
 
-// JoinTable is the hash index over a build frame's join keys behind every
-// JOIN: JoinFrames builds one over its right input, and the key-shuffled
-// join builds one per bucket. A keyIndex gives each distinct non-null build
-// key a dense id, and flat int32 chains list each key's build rows in build
-// order (id → first row, row → next row with the same key), so a build
-// allocates O(rows) once and probes emit matches in JoinFrames order. A
-// built table is read-only.
+// JoinTable is the hash index over a join's right input behind every
+// keyed JOIN: JoinFrames builds one and probes it with its left input, and
+// MODIN builds one per inner/left join, once, and probes it from every left
+// band. A keyIndex gives each distinct non-null right key a dense id, and
+// flat int32 chains list each key's right rows in right order (id → first
+// row, row → next row with the same key), so a build allocates O(rows) once
+// and a probe emits matches in JoinFrames order. A built table is read-only:
+// any number of goroutines may Join against it at once.
 type JoinTable struct {
 	right    *core.DataFrame
+	on       []string
+	onLabels bool
 	keys     []vector.Vector
+	err      error // the right input lacks a key column: every Join fails
 	index    keyIndex
-	firstRow []int32 // key id → first build row with this key (the collision-check anchor)
-	nextRow  []int32 // build row → next row with the same key, -1 ends
-	unique   bool    // every non-null build row is its own key: a probe row matches at most once
+	firstRow []int32 // key id → first right row with this key (the collision-check anchor)
+	nextRow  []int32 // right row → next row with the same key, -1 ends
+	unique   bool    // every non-null right row is its own key: a probe row matches at most once
 }
 
-// BuildJoinTable indexes the build (right) side of a data join on the given
-// key columns. Null-keyed build rows are skipped: they can never match.
-func BuildJoinTable(right *core.DataFrame, on []string) (*JoinTable, error) {
-	keys := make([]vector.Vector, len(on))
-	for k, name := range on {
-		j := right.ColIndex(name)
-		if j < 0 {
-			return nil, fmt.Errorf("algebra: join key %q missing from build input", name)
-		}
-		keys[k] = right.TypedCol(j)
+// BuildJoinTable indexes the right input of a join on its key columns on,
+// or on its row labels when onLabels is set. Null-keyed rows are skipped:
+// they can never match. A right input that lacks a key column yields a
+// table whose every Join fails, after the left input's keys are checked, so
+// a join names a key missing from both inputs as missing from the left.
+func BuildJoinTable(right *core.DataFrame, on []string, onLabels bool) *JoinTable {
+	t := &JoinTable{right: right, on: on, onLabels: onLabels}
+	if t.keys, t.err = joinKeys(right, on, onLabels, "right"); t.err != nil || len(t.keys) == 0 {
+		return t
 	}
-	return buildJoinTable(right, keys), nil
-}
-
-// buildJoinTable is BuildJoinTable over already-resolved build key vectors
-// (columns or row labels).
-func buildJoinTable(right *core.DataFrame, keys []vector.Vector) *JoinTable {
 	n := right.NRows()
-	t := &JoinTable{right: right, keys: keys, nextRow: make([]int32, n)}
-	hashes := rowHashes(keys, n)
-	var lastRow []int32 // key id → last build row seen with this key
+	// A build of n rows holds at most n keys: size the index and the key
+	// slice for that once, instead of growing them by appends.
+	t.index.reserve(n)
+	t.firstRow = make([]int32, 0, n)
+	t.nextRow = make([]int32, n)
+	hashes := rowHashes(t.keys, n)
 	nonNull := 0
-	for i := 0; i < n; i++ {
+	// Rows go in last to first, each pushed onto its key's chain, so every
+	// chain ends up in right order with no per-key tail to track.
+	for i := n - 1; i >= 0; i-- {
 		t.nextRow[i] = -1
-		if anyNullAt(keys, i) {
+		if anyNullAt(t.keys, i) {
 			continue
 		}
 		nonNull++
-		e, added := t.index.insert(hashes[i], func(e int32) bool { return rowsEqualAt(keys, i, keys, int(t.firstRow[e])) })
+		e, added := t.index.insert(hashes[i], func(e int32) bool { return rowsEqualAt(t.keys, i, t.keys, int(t.firstRow[e])) })
 		if added {
 			t.firstRow = append(t.firstRow, int32(i))
-			lastRow = append(lastRow, int32(i))
 			continue
 		}
-		t.nextRow[lastRow[e]] = int32(i)
-		lastRow[e] = int32(i)
+		t.nextRow[i], t.firstRow[e] = t.firstRow[e], int32(i)
 	}
 	t.unique = len(t.firstRow) == nonNull
 	return t
 }
 
-// Right returns the build frame the table indexes.
-func (t *JoinTable) Right() *core.DataFrame { return t.right }
-
-// Probe matches every row of left against the table and appends the
-// (leftIdx, rightIdx) pairs in JoinFrames order: left rows in order, each
-// followed by its matching build rows in build order; for left and outer
-// joins an unmatched probe row emits (i, -1). The unmatched build rows of
-// right and outer joins are the caller's to append — JoinFrames does — since
-// which build rows matched is a property of the join, not of the table.
-func (t *JoinTable) Probe(left *core.DataFrame, on []string, kind expr.JoinKind, leftIdx, rightIdx []int) ([]int, []int, error) {
-	keys := make([]vector.Vector, len(on))
-	for k, name := range on {
-		j := left.ColIndex(name)
-		if j < 0 {
-			return nil, nil, fmt.Errorf("algebra: join key %q missing from probe input", name)
-		}
-		keys[k] = left.TypedCol(j)
+// Join probes the table with every row of left and assembles the joined
+// frame in JoinFrames order: left rows in order, each followed by its
+// matching right rows in right order; an unmatched left row of a left or
+// outer join is null-extended, and the unmatched right rows of a right or
+// outer join follow in right order. Keys are checked left input first.
+func (t *JoinTable) Join(left *core.DataFrame, kind expr.JoinKind) (*core.DataFrame, error) {
+	if !t.onLabels && len(t.on) == 0 {
+		return nil, fmt.Errorf("algebra: %s join requires key columns or onLabels", kind)
 	}
-	leftIdx, rightIdx = t.probe(left.NRows(), keys, kind, leftIdx, rightIdx)
-	return leftIdx, rightIdx, nil
+	keys, err := joinKeys(left, t.on, t.onLabels, "left")
+	if err != nil {
+		return nil, err
+	}
+	if t.err != nil {
+		return nil, t.err
+	}
+	leftIdx, rightIdx := t.probe(left.NRows(), keys, kind)
+	if kind == expr.JoinRight || kind == expr.JoinOuter {
+		rightMatched := make([]bool, t.right.NRows())
+		for _, r := range rightIdx {
+			if r >= 0 {
+				rightMatched[r] = true
+			}
+		}
+		for r, matched := range rightMatched {
+			if !matched {
+				leftIdx = append(leftIdx, -1)
+				rightIdx = append(rightIdx, r)
+			}
+		}
+	}
+	return assembleJoin(left, t.right, t.on, t.onLabels, leftIdx, rightIdx)
 }
 
-// probe is Probe over the n rows of already-resolved probe key vectors.
-func (t *JoinTable) probe(n int, keys []vector.Vector, kind expr.JoinKind, leftIdx, rightIdx []int) ([]int, []int) {
+// probe matches the n rows of the resolved probe key vectors against the
+// table and returns the (leftIdx, rightIdx) pairs: each probe row followed
+// by its matching right rows in right order; for left and outer joins an
+// unmatched probe row emits (i, -1).
+func (t *JoinTable) probe(n int, keys []vector.Vector, kind expr.JoinKind) (leftIdx, rightIdx []int) {
 	keepUnmatched := kind == expr.JoinLeft || kind == expr.JoinOuter
 	if t.unique {
 		// At most one pair per probe row: size the output once.
-		leftIdx, rightIdx = slices.Grow(leftIdx, n), slices.Grow(rightIdx, n)
+		leftIdx, rightIdx = make([]int, 0, n), make([]int, 0, n)
 	}
 	hashes := rowHashes(keys, n)
 	for i := 0; i < n; i++ {
@@ -116,10 +130,20 @@ func (t *JoinTable) probe(n int, keys []vector.Vector, kind expr.JoinKind, leftI
 	return leftIdx, rightIdx
 }
 
-// AssembleJoin exposes the join materialization step for physical
-// strategies that compute match indices elsewhere: the key-shuffled join
-// probes per bucket and assembles each bucket's slice with the same
-// suffixing, key-coalescing and label rules as JoinFrames.
-func AssembleJoin(left, right *core.DataFrame, on []string, onLabels bool, leftIdx, rightIdx []int) (*core.DataFrame, error) {
-	return assembleJoin(left, right, on, onLabels, leftIdx, rightIdx)
+// joinKeys resolves df's typed join key vectors — its row labels, or its
+// key columns by name — naming df as the join's side input when one is
+// missing.
+func joinKeys(df *core.DataFrame, on []string, onLabels bool, side string) ([]vector.Vector, error) {
+	if onLabels {
+		return []vector.Vector{df.RowLabels()}, nil
+	}
+	keys := make([]vector.Vector, len(on))
+	for k, name := range on {
+		j := df.ColIndex(name)
+		if j < 0 {
+			return nil, fmt.Errorf("algebra: join key %q missing from %s input", name, side)
+		}
+		keys[k] = df.TypedCol(j)
+	}
+	return keys, nil
 }

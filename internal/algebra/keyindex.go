@@ -1,18 +1,23 @@
 package algebra
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // keyIndex is the one hash index behind every key-identity kernel: GROUPBY
-// partials and their merge, the replay's key summaries and their fold, JOIN,
-// DROP-DUPLICATES and DIFFERENCE. It maps a key's 64-bit row hash to a dense
-// id — 0, 1, 2, … in first-insertion order, so callers keep per-key state in
-// plain slices indexed by id — by open addressing with linear probing over
-// the stored hashes. It never sees a key: the caller passes the equality
-// check of its own representation (keysMatchRow, rowsEqualAt or
-// tuplesEqual), which runs only on ids whose stored hash equals the probe's,
-// so distinct keys that collide on the hash keep distinct ids. The slot
-// table doubles, re-placing ids by their stored hashes, before it passes
-// half full. The zero value is an empty index.
+// partials and their merge, the replay's key summaries and their fold, the
+// one JoinTable a join builds over its right input, DROP-DUPLICATES and
+// DIFFERENCE. It maps a key's 64-bit row hash to a dense id — 0, 1, 2, …
+// in first-insertion order, so callers keep per-key state in plain slices
+// indexed by id — by open addressing with linear probing over the stored
+// hashes. It never sees a key: the caller passes the equality check of its
+// own representation (keysMatchRow, rowsEqualAt or tuplesEqual), which runs
+// only on ids whose stored hash equals the probe's, so distinct keys that
+// collide on the hash keep distinct ids. The slot table doubles, re-placing
+// ids by their stored hashes, before it passes half full; a caller that
+// knows a bound on its key count (a join build of n rows holds at most n
+// keys) reserves it up front instead. The zero value is an empty index.
 type keyIndex struct {
 	slots  []int32  // slot → id, -1 empty; power-of-two length
 	hashes []uint64 // id → hash
@@ -60,9 +65,24 @@ func (x *keyIndex) probe(h uint64, eq func(id int32) bool) (slot int, id int32) 
 // bucket count — still spread over the whole table.
 func (x *keyIndex) home(h uint64) int { return int(h * 0x9e3779b97f4a7c15 >> x.shift) }
 
-// grow doubles the slot table and re-places every id by its stored hash.
-func (x *keyIndex) grow() {
-	n := max(2*len(x.slots), 8)
+// reserve sizes the index for n keys: no insert grows it before it holds
+// n ids.
+func (x *keyIndex) reserve(n int) {
+	if n <= 0 {
+		return
+	}
+	x.hashes = slices.Grow(x.hashes, n-len(x.hashes))
+	if slots := 1 << bits.Len(uint(2*n-1)); slots > len(x.slots) {
+		x.resize(slots)
+	}
+}
+
+// grow doubles the slot table.
+func (x *keyIndex) grow() { x.resize(max(2*len(x.slots), 8)) }
+
+// resize makes a slot table of n slots, a power of two, and re-places every
+// id by its stored hash.
+func (x *keyIndex) resize(n int) {
 	x.slots = make([]int32, n)
 	for s := range x.slots {
 		x.slots[s] = -1

@@ -352,21 +352,9 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 
 	case *algebra.Join:
 		if node.Kind == expr.JoinInner || node.Kind == expr.JoinLeft {
-			if c.e.chooseJoinStrategy(node).shuffled {
-				// Key-shuffled hash join (join_shuffle.go): the build side
-				// is too large to broadcast, so both inputs route their
-				// keys and row positions by hash, each bucket builds once
-				// and probes its slice, and an anchored stage assembles
-				// each left band's output rows once, in left input order.
-				sides, err := c.compileAll([]algebra.Node{node.Left, node.Right})
-				if err != nil {
-					return nil, err
-				}
-				return e.keyShuffledJoin(node, sides[0], sides[1]), nil
-			}
-			// Anchored broadcast probe: left bands pass through in order,
-			// the right side is built once and broadcast; band b's join
-			// lands independently of the other bands.
+			// Anchored probe: left bands pass through in order, the plan
+			// task builds one hash table over the right side, and band b
+			// probes it and lands independently of the other bands.
 			probe, err := c.shuffleStage(node, e.joinProbeShuffle(node), node.Left, node.Right)
 			if err != nil {
 				return nil, err

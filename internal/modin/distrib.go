@@ -141,8 +141,8 @@ func RestoreGroupBuckets(merged []*core.DataFrame, asLabels bool) (*core.DataFra
 	return RestoreGroupOrder(frames, positions, asLabels)
 }
 
-// ordColumn reads a carried ordinal column (group positions, join
-// positions) as typed int64s.
+// ordColumn reads a carried ordinal column (group positions) as typed
+// int64s.
 func ordColumn(v vector.Vector) []int64 {
 	if data, _, idx, ok := vector.IntData(v); ok && idx == nil {
 		return data
@@ -157,8 +157,8 @@ func ordColumn(v vector.Vector) []int64 {
 // mergeOrdinals visits the rows of several ascending ordinal runs in
 // ascending ordinal order: visit(r, from, to) hands over rows [from, to) of
 // run r, each stretch as long as no other run's head comes before its end.
-// It is the k-way merge behind the groupby restore and the key-shuffled
-// join's assembly; equal ordinals in different runs go in run order.
+// It is the k-way merge behind the groupby restore; equal ordinals in
+// different runs go in run order.
 func mergeOrdinals(runs [][]int64, visit func(r, from, to int)) {
 	cur := make([]int, len(runs))
 	for {

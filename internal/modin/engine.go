@@ -45,16 +45,6 @@ type Stats struct {
 	SpilledPieces       atomic.Int64
 }
 
-// defaultBroadcastLimit is the build-side row estimate above which an
-// inner/left equi-join switches from the broadcast probe to the key-shuffled
-// hash join. Below it, rebuilding a small hash table per band is cheaper
-// than routing both inputs' keys and merging the matched pairs back into
-// left order: BenchmarkShuffledJoin's 75,000-row fact joined to a
-// 1,000-row dimension at 2 bands takes 3.0–3.3 ms broadcast and 4.5–5.4 ms
-// key-shuffled (8 runs each, 2-core Xeon), which is why both strategies
-// stay.
-const defaultBroadcastLimit = 65536
-
 // Engine executes algebra plans in parallel over partitions.
 type Engine struct {
 	pool  *exec.Pool
@@ -64,10 +54,6 @@ type Engine struct {
 	// fixedBands is set by WithBands: every plan then runs the task DAG at
 	// that band count, however small its inputs.
 	fixedBands bool
-
-	// broadcastLimit is defaultBroadcastLimit; in-package tests lower it to
-	// reach the key-shuffled join on small inputs.
-	broadcastLimit int
 
 	// spill is the out-of-core shuffle ledger (spill.go) every run's
 	// scheduler admits its routed pieces through; nil without a spill budget.
@@ -90,10 +76,10 @@ func WithBands(n int) Option { return func(e *Engine) { e.bands = n } }
 // shuffle pieces: pieces admitted past the budget spill to disk through
 // internal/storage and are re-read lazily when their merge runs. Together
 // with the band release this keeps GROUPBY and SORT over a streamed input
-// within a fixed memory ceiling instead of failing. A key-shuffled JOIN
-// spills its routed key pieces too, but keeps its input bands resident
-// until it assembles its output from them. 0 (the default) disables
-// spilling.
+// within a fixed memory ceiling instead of failing. An inner/left JOIN
+// routes no pieces: its left bands pass through and its right side is
+// gathered whole, so the budget does not bound it. 0 (the default)
+// disables spilling.
 func WithShuffleSpillBudget(cells int) Option {
 	return func(e *Engine) {
 		e.spill = nil
@@ -105,7 +91,7 @@ func WithShuffleSpillBudget(cells int) Option {
 
 // New returns a MODIN engine backed by the shared default pool.
 func New(opts ...Option) *Engine {
-	e := &Engine{pool: exec.Default, broadcastLimit: defaultBroadcastLimit}
+	e := &Engine{pool: exec.Default}
 	for _, o := range opts {
 		o(e)
 	}

@@ -12,9 +12,10 @@ import (
 
 // DescribePhysical renders the engine's physical strategy decisions for a
 // logical plan, one line per repartition point in execution (post) order:
-// which join runs key-shuffled vs broadcast and on what build size, and how
-// many groups each groupby is expected to yield. A last line says when the
-// plan runs inline, as one tree walk on the caller, instead. The df layer
+// how many right rows each inner/left join builds its one hash table over
+// (other joins gather), and how many groups each groupby is expected to
+// yield. A last line says when the plan runs inline, as one tree walk on
+// the caller, instead. The df layer
 // appends this to Query.Explain when the session engine is MODIN.
 func (e *Engine) DescribePhysical(n algebra.Node) string {
 	desc := e.DescribeStrategy(n)
@@ -52,12 +53,7 @@ func (e *Engine) describeNode(n algebra.Node, uses map[algebra.Node]int, b *stri
 			fmt.Fprintf(b, "JOIN strategy=gather-exchange\n")
 			return
 		}
-		choice := e.chooseJoinStrategy(node)
-		strategy := "broadcast"
-		if choice.shuffled {
-			strategy = "shuffle"
-		}
-		fmt.Fprintf(b, "JOIN strategy=%s (build≈%s rows)\n", strategy, approx(choice.buildRows))
+		fmt.Fprintf(b, "JOIN strategy=broadcast (build≈%s rows)\n", approx(optimizer.EstimateNode(node.Right).Rows))
 	case *algebra.GroupBy:
 		fmt.Fprintf(b, "GROUPBY strategy=hash-shuffle (groups≈%s)\n", approx(optimizer.EstimateNode(node).Rows))
 	case *algebra.Scan:

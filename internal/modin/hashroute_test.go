@@ -11,10 +11,10 @@ import (
 )
 
 // TestShuffleRoutingUnderForcedCollisions narrows every row-key hash to a
-// single bit, so the groupby shuffle's merges and the key-shuffled join's
-// bucket tables see constant hash collisions between distinct keys: the
-// exemplar verification must still keep every key apart and both engines
-// must agree exactly (group order, aggregates, row labels).
+// single bit, so the groupby shuffle's merges and the join's one hash table
+// see constant hash collisions between distinct keys: the exemplar
+// verification must still keep every key apart and both engines must agree
+// exactly (group order, aggregates, row labels).
 func TestShuffleRoutingUnderForcedCollisions(t *testing.T) {
 	restore := algebra.SetRowHashMaskForTesting(0x1)
 	defer restore()
@@ -36,14 +36,10 @@ func TestShuffleRoutingUnderForcedCollisions(t *testing.T) {
 		On:    []string{"dept"},
 	}
 	bothEngines(t, join)
-	// The 9-row build side broadcasts above; a zero limit routes both
-	// sides' keys through the collided hash instead.
+	// The default engine runs the small join inline; at 2 and 7 bands every
+	// left band probes the one collided table.
 	for _, bands := range []int{2, 7} {
-		e := New(WithBands(bands), withBuildLimit(0))
-		if !e.chooseJoinStrategy(join).shuffled {
-			t.Fatalf("bands %d: expected the key-shuffled join", bands)
-		}
-		assertEngineAgreesWithEager(t, e, join)
+		assertEngineAgreesWithEager(t, New(WithBands(bands)), join)
 	}
 }
 

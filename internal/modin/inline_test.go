@@ -205,15 +205,14 @@ func scheduledTasks(sched *physical.Scheduler) int64 {
 }
 
 // TestInlineMatchesTaskDAG runs every operator over small frames inline (the
-// default engine) and on the task DAG at 1, 2 and 7 bands, with the
-// key-shuffled join at 7, and requires identical results.
+// default engine) and on the task DAG at 1, 2 and 7 bands, and requires
+// identical results.
 func TestInlineMatchesTaskDAG(t *testing.T) {
 	taxi, dim, raw := inlineFrames(60)
 	dags := map[string]*Engine{
-		"bands=1":          New(WithBands(1)),
-		"bands=2":          New(WithBands(2)),
-		"bands=7":          New(WithBands(7)),
-		"bands=7/shuffled": New(WithBands(7), withBuildLimit(0)),
+		"bands=1": New(WithBands(1)),
+		"bands=2": New(WithBands(2)),
+		"bands=7": New(WithBands(7)),
 	}
 	for name, plan := range inlinePlans(taxi, dim, raw) {
 		t.Run(name, func(t *testing.T) {

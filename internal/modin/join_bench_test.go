@@ -15,8 +15,7 @@ import (
 // shuffledJoinPlan is paperbench's shuffle_wide join at full size: a
 // 75,000-row fact frame drawing its keys from a 26,500-key space, inner
 // joined on "key" to a 70,000-row dimension holding every key once, in
-// shuffled order. The dimension is above the default broadcast limit, so on
-// two or more bands the join is key-shuffled.
+// shuffled order.
 func shuffledJoinPlan() *algebra.Join { return factDimJoin(70_000) }
 
 // factDimJoin is shuffledJoinPlan's join against a dimension of dimRows
@@ -68,34 +67,27 @@ func factDimJoin(dimRows int) *algebra.Join {
 	}
 }
 
-// BenchmarkShuffledJoin times the key-shuffled join at shuffle_wide's shape
-// on the default pool (at least two bands), on a one-worker pool at two
-// bands — whose time over eager's is the join's work ratio — and eager. The
-// dim1k cases join the same fact frame to a 1,000-row dimension, under the
-// broadcast limit, by both strategies on the default pool: the gap between
-// them is why the engine keeps the broadcast join.
+// BenchmarkJoin times the join at shuffle_wide's shape on the default pool
+// (at least two bands), on a one-worker pool at two bands — whose time over
+// eager's is the join's work ratio — and eager. The dim1k case joins the
+// same fact frame to a 1,000-row dimension on the default pool.
 //
-//	go test -run '^$' -bench ShuffledJoin -benchmem ./internal/modin
-func BenchmarkShuffledJoin(b *testing.B) {
-	plan, small := shuffledJoinPlan(), factDimJoin(1_000)
+//	go test -run '^$' -bench '^BenchmarkJoin$' -benchmem ./internal/modin
+func BenchmarkJoin(b *testing.B) {
+	plan := shuffledJoinPlan()
 	one := exec.NewPool(1)
 	defer one.Close()
 	bands := max(2, exec.Default.Workers())
 	for _, c := range []struct {
-		name     string
-		plan     *algebra.Join
-		e        algebra.Engine
-		shuffled bool
+		name string
+		plan *algebra.Join
+		e    algebra.Engine
 	}{
-		{"shuffled", plan, New(WithBands(bands)), true},
-		{"shuffled-1worker", plan, New(WithPool(one), WithBands(2)), true},
-		{"eager", plan, eager.New(), false},
-		{"dim1k-broadcast", small, New(WithBands(bands)), false},
-		{"dim1k-shuffled", small, New(WithBands(bands), withBuildLimit(0)), true},
+		{"dim70k", plan, New(WithBands(bands))},
+		{"dim70k-1worker", plan, New(WithPool(one), WithBands(2))},
+		{"dim70k-eager", plan, eager.New()},
+		{"dim1k", factDimJoin(1_000), New(WithBands(bands))},
 	} {
-		if m, ok := c.e.(*Engine); ok && m.chooseJoinStrategy(c.plan).shuffled != c.shuffled {
-			b.Fatalf("%s: key-shuffled = %v, want %v", c.name, !c.shuffled, c.shuffled)
-		}
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {

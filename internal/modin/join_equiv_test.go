@@ -92,12 +92,11 @@ func stringKeyed(t *testing.T, df *core.DataFrame, dict bool, nulls int) *core.D
 	return out
 }
 
-// TestShuffledJoinMatchesBroadcastAndEagerCellForCell runs every inner and
-// left join shape through the key-shuffled plan and the broadcast plan on
-// every engine shape — bands 1, 2 and 7, a one-worker pool, and a one-cell
-// spill budget — and requires both to equal the eager join cell for cell.
-// At one band no join shuffles by key; at two or more every case does.
-func TestShuffledJoinMatchesBroadcastAndEagerCellForCell(t *testing.T) {
+// TestShuffledJoinMatchesEagerCellForCell runs every inner and left join
+// shape through the anchored probe on every engine shape — bands 1, 2 and
+// 7, a one-worker pool, and a one-cell spill budget — and requires it to
+// equal the eager join cell for cell.
+func TestShuffledJoinMatchesEagerCellForCell(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
 	one := exec.NewPool(1)
@@ -151,25 +150,16 @@ func TestShuffledJoinMatchesBroadcastAndEagerCellForCell(t *testing.T) {
 			}
 			for _, eng := range engines {
 				t.Run(fmt.Sprintf("%s %v %s", s.name, kind, eng.name), func(t *testing.T) {
-					shuffled := New(append(eng.opts, withBuildLimit(10))...)
-					broadcast := New(append(eng.opts, withBuildLimit(1<<30))...)
-					if got := shuffled.chooseJoinStrategy(plan).shuffled; got != (shuffled.bands >= 2) {
-						t.Fatalf("key-shuffled = %v at %d bands", got, shuffled.bands)
-					}
-					for _, e := range []struct {
-						name string
-						e    *Engine
-					}{{"shuffled", shuffled}, {"broadcast", broadcast}} {
-						withDeadline(t, 30*time.Second, func() {
-							got, err := e.e.Execute(plan)
-							if err != nil {
-								t.Fatalf("%s: %v", e.name, err)
-							}
-							assertIdentical(t, e.name, want, got)
-						})
-						if err := e.e.ReleaseSpill(); err != nil {
+					e := New(eng.opts...)
+					withDeadline(t, 30*time.Second, func() {
+						got, err := e.Execute(plan)
+						if err != nil {
 							t.Fatal(err)
 						}
+						assertIdentical(t, "shuffled", want, got)
+					})
+					if err := e.ReleaseSpill(); err != nil {
+						t.Fatal(err)
 					}
 				})
 			}
@@ -180,13 +170,11 @@ func TestShuffledJoinMatchesBroadcastAndEagerCellForCell(t *testing.T) {
 	}
 }
 
-// TestStreamedLeftOfKeyShuffledJoinStaysResident joins a CSV file scan,
-// streamed in 16-row bands, to an in-memory right side above the build
-// limit under a one-cell spill budget. The assembly re-reads every left
-// band after the probe shuffle routed its keys, so the scan is compiled as
-// a shared stream: no band is released, the routed key pieces spill, and
-// the result equals the eager and broadcast joins cell for cell.
-func TestStreamedLeftOfKeyShuffledJoinStaysResident(t *testing.T) {
+// TestStreamedLeftJoinMatchesEager joins a CSV file scan, streamed in
+// 16-row bands, to an in-memory right side under a one-cell spill budget:
+// every streamed band probes the one table, and the result equals the eager
+// join cell for cell.
+func TestStreamedLeftJoinMatchesEager(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
 	lf, rf, _ := joinEquivFrames()
@@ -219,26 +207,12 @@ func TestStreamedLeftOfKeyShuffledJoinStaysResident(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := New(WithBands(3), withBuildLimit(10), WithShuffleSpillBudget(1))
-		if !e.chooseJoinStrategy(plan).shuffled {
-			t.Fatal("expected the key-shuffled join")
-		}
+		e := New(WithBands(3), WithShuffleSpillBudget(1))
 		got, err := e.Execute(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertIdentical(t, "shuffled", want, got)
-		broadcast, err := New(WithBands(3), WithShuffleSpillBudget(1)).Execute(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertIdentical(t, "broadcast", want, broadcast)
-		if n := e.Stats().StreamReleasedBands.Load(); n != 0 {
-			t.Errorf("%d scan bands released before the assembly read them", n)
-		}
-		if e.Stats().SpilledPieces.Load() == 0 {
-			t.Error("expected spilled key pieces under a one-cell budget")
-		}
 		if err := e.ReleaseSpill(); err != nil {
 			t.Fatal(err)
 		}

@@ -24,8 +24,7 @@ func zipfKeys(n, keys int, seed int64) []int64 {
 }
 
 // skewJoinFrames builds a probe side with Zipf-skewed keys (some null) and
-// a build side with duplicate keys, both large enough to cross the test
-// broadcast limit.
+// a build side with duplicate keys.
 func skewJoinFrames(t *testing.T, probeRows, buildRows, keys int) (left, right *core.DataFrame) {
 	t.Helper()
 	lk := zipfKeys(probeRows, keys, 1)
@@ -50,15 +49,10 @@ func skewJoinFrames(t *testing.T, probeRows, buildRows, keys int) (left, right *
 		core.MustFromRecords([]string{"k", "rv"}, rrec)
 }
 
-// withBuildLimit sets the engine's broadcast limit, so a test reaches the
-// key-shuffled join on small inputs (or forces the broadcast on large ones).
-func withBuildLimit(rows int) Option { return func(e *Engine) { e.broadcastLimit = rows } }
-
-// TestShuffledJoinMatchesBroadcastAndEager drives Zipf-skewed inner and
-// left joins through the key-shuffled strategy and requires its output to
-// equal both the eager engine and the default broadcast plan, row-for-row
-// and label-for-label.
-func TestShuffledJoinMatchesBroadcastAndEager(t *testing.T) {
+// TestShuffledJoinMatchesEager drives Zipf-skewed inner and left joins
+// through the anchored probe at four bands and requires its output to equal
+// the eager engine's, row-for-row and label-for-label.
+func TestShuffledJoinMatchesEager(t *testing.T) {
 	left, right := skewJoinFrames(t, 700, 600, 40)
 	for _, kind := range []expr.JoinKind{expr.JoinInner, expr.JoinLeft} {
 		plan := &algebra.Join{
@@ -67,33 +61,22 @@ func TestShuffledJoinMatchesBroadcastAndEager(t *testing.T) {
 			Kind:  kind,
 			On:    []string{"k"},
 		}
-		e := New(WithBands(4), withBuildLimit(100))
-		if !e.chooseJoinStrategy(plan).shuffled {
-			t.Fatalf("kind %v: expected the shuffled strategy to fire", kind)
-		}
-		shuffled, err := e.Execute(plan)
+		got, err := New(WithBands(4)).Execute(plan)
 		if err != nil {
-			t.Fatalf("kind %v shuffled: %v", kind, err)
-		}
-		broadcast, err := New(WithBands(4)).Execute(plan)
-		if err != nil {
-			t.Fatalf("kind %v broadcast: %v", kind, err)
+			t.Fatalf("kind %v: %v", kind, err)
 		}
 		base, err := eager.New().Execute(plan)
 		if err != nil {
 			t.Fatalf("kind %v eager: %v", kind, err)
 		}
-		if !base.Equal(shuffled) {
-			t.Fatalf("kind %v: shuffled join disagrees with eager:\neager:\n%s\nshuffled:\n%s", kind, base, shuffled)
-		}
-		if !base.Equal(broadcast) {
-			t.Fatalf("kind %v: broadcast join disagrees with eager", kind)
+		if !sameFrame(base, got) {
+			t.Fatalf("kind %v: shuffled join disagrees with eager:\neager:\n%s\nshuffled:\n%s", kind, base, got)
 		}
 	}
 }
 
 // TestShuffledJoinCompositeKey covers multi-column join keys through the
-// shuffled path.
+// anchored probe.
 func TestShuffledJoinCompositeKey(t *testing.T) {
 	rows := 500
 	lrec := make([][]any, rows)
@@ -110,11 +93,7 @@ func TestShuffledJoinCompositeKey(t *testing.T) {
 		Kind:  expr.JoinInner,
 		On:    []string{"a", "b"},
 	}
-	e := New(WithBands(3), withBuildLimit(50))
-	if !e.chooseJoinStrategy(plan).shuffled {
-		t.Fatal("expected the shuffled strategy to fire")
-	}
-	got, err := e.Execute(plan)
+	got, err := New(WithBands(3)).Execute(plan)
 	if err != nil {
 		t.Fatalf("shuffled: %v", err)
 	}
@@ -122,7 +101,7 @@ func TestShuffledJoinCompositeKey(t *testing.T) {
 	if err != nil {
 		t.Fatalf("eager: %v", err)
 	}
-	if !want.Equal(got) {
+	if !sameFrame(want, got) {
 		t.Fatalf("composite-key shuffled join disagrees with eager:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
@@ -158,33 +137,9 @@ func TestGroupBySkewZipf(t *testing.T) {
 	assertEngineAgreesWithEager(t, New(WithBands(4)), plan)
 }
 
-// TestChooseJoinStrategyFallbacks pins the broadcast fallbacks: every gate
-// failure degrades to broadcast.
-func TestChooseJoinStrategyFallbacks(t *testing.T) {
-	left, right := skewJoinFrames(t, 300, 300, 20)
-	plan := &algebra.Join{
-		Left:  &algebra.Source{DF: left},
-		Right: &algebra.Source{DF: right},
-		Kind:  expr.JoinInner,
-		On:    []string{"k"},
-	}
-	if New(WithBands(1), withBuildLimit(10)).chooseJoinStrategy(plan).shuffled {
-		t.Error("single band must broadcast")
-	}
-	if New(WithBands(4)).chooseJoinStrategy(plan).shuffled {
-		t.Error("build under the default limit must broadcast")
-	}
-	lab := &algebra.Join{Left: plan.Left, Right: plan.Right, Kind: expr.JoinInner, OnLabels: true}
-	if New(WithBands(4), withBuildLimit(10)).chooseJoinStrategy(lab).shuffled {
-		t.Error("label join must broadcast")
-	}
-	if c := New(WithBands(4), withBuildLimit(10)).chooseJoinStrategy(plan); !c.shuffled || c.buildRows != 300 {
-		t.Errorf("expected shuffled with buildRows=300, got %+v", c)
-	}
-}
-
-// TestExplainPhysicalStrategy checks the strategy rendering: joins report
-// the build size that decided them, groupbys their strategy.
+// TestExplainPhysicalStrategy checks the strategy rendering: an inner or
+// left join, on columns or labels, reports the build size of its one table;
+// other joins gather; groupbys report their strategy.
 func TestExplainPhysicalStrategy(t *testing.T) {
 	rows := 2000
 	rec := make([][]any, rows)
@@ -192,18 +147,19 @@ func TestExplainPhysicalStrategy(t *testing.T) {
 		rec[i] = []any{int(int64(i % 700)), i}
 	}
 	df := core.MustFromRecords([]string{"k", "v"}, rec)
-	join := &algebra.Join{
-		Left:  &algebra.Source{DF: df},
-		Right: &algebra.Source{DF: df},
-		Kind:  expr.JoinInner,
-		On:    []string{"k"},
-	}
-	e := New(WithBands(4), withBuildLimit(1000))
-	if out := e.DescribePhysical(join); out != "JOIN strategy=shuffle (build≈2k rows)\n" {
-		t.Errorf("shuffle strategy line:\n%s", out)
-	}
-	if out := New(WithBands(4)).DescribePhysical(join); out != "JOIN strategy=broadcast (build≈2k rows)\n" {
-		t.Errorf("broadcast strategy line:\n%s", out)
+	e := New(WithBands(4))
+	for _, c := range []struct {
+		join *algebra.Join
+		want string
+	}{
+		{&algebra.Join{Kind: expr.JoinInner, On: []string{"k"}}, "JOIN strategy=broadcast (build≈2k rows)\n"},
+		{&algebra.Join{Kind: expr.JoinLeft, OnLabels: true}, "JOIN strategy=broadcast (build≈2k rows)\n"},
+		{&algebra.Join{Kind: expr.JoinOuter, On: []string{"k"}}, "JOIN strategy=gather-exchange\n"},
+	} {
+		c.join.Left, c.join.Right = &algebra.Source{DF: df}, &algebra.Source{DF: df}
+		if out := e.DescribePhysical(c.join); out != c.want {
+			t.Errorf("%v join strategy line:\n%s", c.join.Kind, out)
+		}
 	}
 	gb := &algebra.GroupBy{
 		Input: &algebra.Source{DF: df},
@@ -217,27 +173,20 @@ func TestExplainPhysicalStrategy(t *testing.T) {
 	}
 }
 
-// TestJoinOverGroupedBuildSide covers the one plan shape whose strategy is
-// sized by the zero-stats model rather than a base frame: a build side that
-// is a GROUPBY over a source. Its rows are estimated as a tenth of the
-// source's, so a low limit shuffles by key and a high one broadcasts; both
-// must equal the eager engine, for inner and left joins whose keys repeat
-// on both sides and are null on both sides.
+// TestJoinOverGroupedBuildSide covers a build side sized by the zero-stats
+// model rather than a base frame: a GROUPBY over a source, estimated at a
+// tenth of the source's rows. Inner and left joins whose keys repeat on
+// both sides and are null on both sides must equal the eager engine.
 func TestJoinOverGroupedBuildSide(t *testing.T) {
 	grouped := groupedBuildSide()
 	left, _ := skewJoinFrames(t, 500, 1, 120)
 	for _, kind := range []expr.JoinKind{expr.JoinInner, expr.JoinLeft} {
 		plan := &algebra.Join{Left: &algebra.Source{DF: left}, Right: grouped, Kind: kind, On: []string{"k"}}
-		for _, c := range []struct {
-			limit    int
-			shuffled bool
-		}{{100, true}, {1 << 30, false}} {
-			e := New(WithBands(4), withBuildLimit(c.limit))
-			if got := e.chooseJoinStrategy(plan); got.shuffled != c.shuffled || got.buildRows != 200 {
-				t.Fatalf("kind %v limit %d: strategy %+v, want shuffled=%v over 200 build rows", kind, c.limit, got, c.shuffled)
-			}
-			assertEngineAgreesWithEager(t, e, plan)
+		e := New(WithBands(4))
+		if out := e.DescribePhysical(plan); !strings.HasSuffix(out, "JOIN strategy=broadcast (build≈200 rows)\n") {
+			t.Errorf("kind %v: explain does not size the build at 200 rows:\n%s", kind, out)
 		}
+		assertEngineAgreesWithEager(t, e, plan)
 	}
 }
 
@@ -262,13 +211,12 @@ func groupedBuildSide() *algebra.GroupBy {
 	}
 }
 
-// TestJoinBuildRowsThroughUnaryOperators pins the build size a join is
-// decided on when its build side reaches a GROUPBY through the operators
-// that keep or shrink its rows: the base frame is exact, the GROUPBY a tenth
-// of it, a filter halves it, a sort, projection or schema induction passes
-// it through, and a limit or top-k caps it. Against a limit of 150 each shape lands on its own
-// side, the rendered strategy names that size, and the join equals the
-// eager one either way.
+// TestJoinBuildRowsThroughUnaryOperators pins the build size a join's
+// explain line reports when its build side reaches a GROUPBY through the
+// operators that keep or shrink its rows: the base frame is exact, the
+// GROUPBY a tenth of it, a filter halves it, a sort, projection or schema
+// induction passes it through, and a limit or top-k caps it. The join equals
+// the eager one at every shape.
 func TestJoinBuildRowsThroughUnaryOperators(t *testing.T) {
 	grouped := groupedBuildSide()
 	order := expr.SortOrder{{Col: "total", Desc: true}}
@@ -289,16 +237,8 @@ func TestJoinBuildRowsThroughUnaryOperators(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			plan := &algebra.Join{Left: &algebra.Source{DF: left}, Right: c.right, Kind: expr.JoinLeft, On: []string{"k"}}
-			e := New(WithBands(4), withBuildLimit(150))
-			got := e.chooseJoinStrategy(plan)
-			if got.buildRows != c.rows || got.shuffled != (c.rows > 150) {
-				t.Fatalf("strategy %+v, want %v build rows", got, c.rows)
-			}
-			strategy := "broadcast"
-			if got.shuffled {
-				strategy = "shuffle"
-			}
-			want := "JOIN strategy=" + strategy + " (build≈" + approx(c.rows) + " rows)\n"
+			e := New(WithBands(4))
+			want := "JOIN strategy=broadcast (build≈" + approx(c.rows) + " rows)\n"
 			if out := e.DescribePhysical(plan); !strings.HasSuffix(out, want) {
 				t.Errorf("explain does not end in %q:\n%s", want, out)
 			}
@@ -307,18 +247,13 @@ func TestJoinBuildRowsThroughUnaryOperators(t *testing.T) {
 	}
 }
 
-// TestKeyShuffledJoinCountsNoRows pins the key-shuffled join's schedule:
-// both sides route by band position, so at two bands the join runs no
-// row-count summary task and two plan tasks, the probe's and the
-// assembly's, whose side inputs they gather.
-func TestKeyShuffledJoinCountsNoRows(t *testing.T) {
-	left, right := skewJoinFrames(t, 300, 200, 20)
-	plan := &algebra.Join{Left: &algebra.Source{DF: left}, Right: &algebra.Source{DF: right}, Kind: expr.JoinInner, On: []string{"k"}}
-	e := New(WithBands(2), withBuildLimit(10))
-	if !e.chooseJoinStrategy(plan).shuffled {
-		t.Fatal("expected the key-shuffled join")
-	}
-	res, sched, err := e.Schedule(plan)
+// TestLargeRightSideBuildsOneTable joins shuffle_wide's 75,000-row fact
+// frame to its 70,000-row dimension on two bands: whatever the right side's
+// size, the join builds its one table in one plan task, routes no rows (no
+// partition task), and equals the eager join cell for cell.
+func TestLargeRightSideBuildsOneTable(t *testing.T) {
+	plan := shuffledJoinPlan()
+	res, sched, err := New(WithBands(2)).Schedule(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,13 +269,14 @@ func TestKeyShuffledJoinCountsNoRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameFrame(want, got) {
-		t.Fatalf("key-shuffled join differs from eager:\neager:\n%s\nmodin:\n%s", want, got)
+	assertIdentical(t, "2-band join", want, got)
+	if n := sched.Stats.ShufflePlanTasks.Load(); n != 1 {
+		t.Errorf("%d plan tasks, want 1", n)
 	}
-	if n := sched.Stats.ShuffleSummaryTasks.Load(); n != 0 {
-		t.Errorf("%d summary tasks, want 0", n)
+	if n := sched.Stats.ShufflePartitionTasks.Load(); n != 0 {
+		t.Errorf("%d partition tasks, want 0", n)
 	}
-	if n := sched.Stats.ShufflePlanTasks.Load(); n != 2 {
-		t.Errorf("%d plan tasks, want 2", n)
+	if n := sched.Stats.ShuffleSummaryTasks.Load(); n != 2 {
+		t.Errorf("%d summary tasks, want 2 (the renumber pass's band counts)", n)
 	}
 }

@@ -58,18 +58,18 @@ func lateWiredPlans() map[string]latePlan {
 			Input: &algebra.Transpose{Input: &algebra.Transpose{Input: matrix}},
 			Spec:  expr.GroupBySpec{Keys: []string{"a"}, Aggs: []expr.AggSpec{{Col: "b", Agg: expr.AggSum, As: "s"}}},
 		}, 0},
-		// Keyed: the build side shuffles over the source, the probe side —
-		// with the built buckets as its side input — behind the groupby's
-		// restore exchange.
-		"groupby → join": {&algebra.Join{Left: groupByPlan(src), Right: src, Kind: expr.JoinInner, On: []string{"dept"}}, 2},
+		// The probe and its renumber pass are two anchored shuffles behind
+		// the groupby's restore exchange; the source is the probe's side
+		// input.
+		"groupby → join": {&algebra.Join{Left: groupByPlan(src), Right: src, Kind: expr.JoinInner, On: []string{"dept"}}, 0},
 	}
 }
 
 // TestLateWiredShufflesMatchEager: a shuffle downstream of an exchange is
 // wired late — counted as a fallback, yet lowered to real per-band partition
-// tasks — and agrees with the eager engine at every band count, including on
-// a one-worker pool, where a worker parked on an unfinished task would hang
-// the run.
+// and merge tasks — and agrees with the eager engine at every band count,
+// including on a one-worker pool, where a worker parked on an unfinished
+// task would hang the run.
 func TestLateWiredShufflesMatchEager(t *testing.T) {
 	one := exec.NewPool(1)
 	defer one.Close()
@@ -77,26 +77,27 @@ func TestLateWiredShufflesMatchEager(t *testing.T) {
 		for _, bands := range []int{1, 2, 7} {
 			for _, pool := range []*exec.Pool{exec.Default, one} {
 				t.Run(fmt.Sprintf("%s bands %d workers %d", name, bands, pool.Workers()), func(t *testing.T) {
-					e := New(WithBands(bands), WithPool(pool), withBuildLimit(10))
+					e := New(WithBands(bands), WithPool(pool))
 					withDeadline(t, 30*time.Second, func() {
 						stats := assertAgreesWithEager(t, e, c.plan)
-						wantFallbacks, known, routed := int64(1), c.known*int64(bands), true
-						if _, join := c.plan.(*algebra.Join); join && bands == 1 {
-							// One band never shuffles a join by key: the build
-							// side broadcasts, and the probe and its renumber
-							// pass are two anchored shuffles behind the exchange.
-							wantFallbacks, known, routed = 2, int64(bands), false
-						} else if join {
-							// The keyed join reads its left input twice behind
-							// the exchange: the probe shuffle routes its keys,
-							// and the anchored assembly builds each output band
-							// from its left band.
-							wantFallbacks = 2
+						if _, join := c.plan.(*algebra.Join); join {
+							// The probe and its renumber pass are two
+							// anchored shuffles behind the exchange: they
+							// route nothing, and each merges once per band
+							// of the restored groupby (at least one) beside
+							// the groupby's own merge per band.
+							if stats.fallbacks != 2 {
+								t.Errorf("fallbacks = %d, want 2", stats.fallbacks)
+							}
+							if grouped := int64(bands); stats.mergeTasks < grouped+2 {
+								t.Errorf("merge tasks = %d, %d of them the groupby's: the late-wired join scheduled fewer than 2", stats.mergeTasks, grouped)
+							}
+							return
 						}
-						if stats.fallbacks != wantFallbacks {
-							t.Errorf("fallbacks = %d, want %d", stats.fallbacks, wantFallbacks)
+						if stats.fallbacks != 1 {
+							t.Errorf("fallbacks = %d, want 1", stats.fallbacks)
 						}
-						if stats.partitionTasks <= known && routed {
+						if known := c.known * int64(bands); stats.partitionTasks <= known {
 							t.Errorf("partition tasks = %d, %d of them over shape-known inputs: the late-wired shuffle scheduled none", stats.partitionTasks, known)
 						}
 					})
@@ -106,11 +107,10 @@ func TestLateWiredShufflesMatchEager(t *testing.T) {
 	}
 }
 
-// TestSpilledKeyedJoinWithDuplicateAndNullKeys: the keyed join's left
-// ordinals ride through the shuffle as the row labels of every routed key
-// piece, so they spill and come back with the keys they number — duplicate
-// keys fan out, null keys never match, and the assembled order is the left
-// input's.
+// TestSpilledKeyedJoinWithDuplicateAndNullKeys runs a keyed join under a
+// one-cell spill budget: duplicate keys fan out, null keys never match, the
+// output order is the left input's, and the run leaves no spill directory
+// behind.
 func TestSpilledKeyedJoinWithDuplicateAndNullKeys(t *testing.T) {
 	lrec := make([][]any, 90)
 	for i := range lrec {
@@ -130,14 +130,8 @@ func TestSpilledKeyedJoinWithDuplicateAndNullKeys(t *testing.T) {
 	t.Setenv("TMPDIR", dir)
 	for _, kind := range []expr.JoinKind{expr.JoinInner, expr.JoinLeft} {
 		plan := &algebra.Join{Left: left, Right: right, Kind: kind, On: []string{"k"}}
-		e := New(WithBands(3), withBuildLimit(10), WithShuffleSpillBudget(1))
-		if !e.chooseJoinStrategy(plan).shuffled {
-			t.Fatal("expected the shuffled join strategy")
-		}
+		e := New(WithBands(3), WithShuffleSpillBudget(1))
 		assertEngineAgreesWithEager(t, e, plan)
-		if e.Stats().SpilledPieces.Load() == 0 {
-			t.Error("expected spilled join pieces under a one-cell budget")
-		}
 		if err := e.ReleaseSpill(); err != nil {
 			t.Fatal(err)
 		}
@@ -230,19 +224,16 @@ func TestErrorTextIsPinned(t *testing.T) {
 			modin: `SORT(ghost): modin: sort on unknown column "ghost"`,
 		},
 		{
-			// Two bands, so the join shuffles by key; a one-row build side,
-			// so only its band 0 exists to fail.
-			name:  "keyed join partition",
-			plan:  &algebra.Join{Left: src, Right: &algebra.Source{DF: testFrame(1)}, Kind: expr.JoinInner, On: []string{"ghost"}},
-			opts:  []Option{WithBands(2), withBuildLimit(0)},
-			eager: `JOIN(inner, on=ghost): algebra: join key "ghost" missing from left input`,
-			modin: `physical: shuffle join-build partition band 0: JOIN(inner, on=ghost): algebra: key column "ghost" missing`,
-		},
-		{
 			name:  "groupby merge",
 			plan:  &algebra.GroupBy{Input: src, Spec: expr.GroupBySpec{Keys: []string{"dept"}, Aggs: sum("ghost")}},
 			eager: `GROUPBY(keys=[dept], aggs=[sum(ghost)]): algebra: groupby aggregate column "ghost" not found`,
 			modin: `physical: shuffle groupby merge band 0: GROUPBY(keys=[dept], aggs=[sum(ghost)]): algebra: groupby aggregate column "ghost" not found`,
+		},
+		{
+			name:  "join key missing from right",
+			plan:  &algebra.Join{Left: src, Right: &algebra.Projection{Input: src, Cols: []string{"id", "val"}}, Kind: expr.JoinInner, On: []string{"dept"}},
+			eager: `JOIN(inner, on=dept): algebra: join key "dept" missing from right input`,
+			modin: `physical: shuffle join merge band 0: JOIN(inner, on=dept): algebra: join key "dept" missing from right input`,
 		},
 		{
 			name:  "broadcast join merge",

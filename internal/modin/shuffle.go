@@ -12,7 +12,7 @@ import (
 // This file builds the engine's shuffle stages: the two-phase
 // partition→route→merge lowerings of GROUPBY (key shuffle, routed by key
 // hash with no summary or plan, its order restored from row positions),
-// JOIN (anchored broadcast probe + renumber), and — in sort.go — SORT
+// inner/left JOIN (anchored probe of one shared hash table + renumber), and — in sort.go — SORT
 // (range shuffle). Each produces one independent output-band future per
 // bucket, so downstream fused stages start as soon as the band that feeds
 // them lands.
@@ -83,23 +83,29 @@ func (e *Engine) groupRestoreExchange(node *algebra.GroupBy, shuffled *physical.
 }
 
 // joinProbeShuffle lowers an inner/left join to an anchored shuffle: the
-// probe side's bands pass through unshuffled (preserving left row order
-// exactly), while the build side is resolved once by the plan task and
-// broadcast to every per-band probe merge. Band b's join lands as soon as
-// band b's input and the build side exist — other probe bands may still be
-// computing.
+// left side's bands pass through unshuffled (preserving left row order
+// exactly), while the plan task gathers the right side once and builds the
+// one algebra.JoinTable over it that every band's merge probes, read-only.
+// Band b's join lands as soon as band b's input and the table exist — other
+// left bands may still be computing. A right side missing a key column
+// fails at the merges, after the left band's keys are checked, as the
+// single-node join fails.
 func (e *Engine) joinProbeShuffle(node *algebra.Join) *physical.Shuffle {
 	return &physical.Shuffle{
 		Name: "join",
 		Plan: func(_ []any, sides []*partition.Frame) (any, error) {
-			return sides[0].ToFrame()
+			right, err := sides[0].ToFrame()
+			if err != nil {
+				return nil, err
+			}
+			return algebra.BuildJoinTable(right, node.On, node.OnLabels), nil
 		},
 		Merge: func(_ int, pieces []physical.Piece, plan any) (*core.DataFrame, error) {
 			band, err := pieces[0].Frame()
 			if err != nil {
 				return nil, err
 			}
-			return algebra.JoinFrames(band, plan.(*core.DataFrame), node.Kind, node.On, node.OnLabels)
+			return plan.(*algebra.JoinTable).Join(band, node.Kind)
 		},
 	}
 }

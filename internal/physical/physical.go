@@ -75,13 +75,13 @@ type Exchange struct {
 // when the whole shuffle does. (Contrast Exchange, which funnels everything
 // through one coordinating task: the fallback for shape-opaque operators.)
 //
-// An optional summarize→plan pre-phase computes shared routing state from
-// small per-band summaries (sampled range bounds for SORT, band row counts
-// for relabeling); side inputs (e.g. a join's build side) are resolved
-// whole and handed to Plan. A shuffle without a plan — GROUPBY's and the
-// join's build side, which route by key hash alone — partitions each band
-// the moment it exists, and a run with a piece store releases a transient
-// band as soon as it is routed.
+// An optional summarize→plan pre-phase computes shared state from small
+// per-band summaries (sampled range bounds for SORT, band row counts for
+// relabeling); side inputs are resolved whole and handed to Plan (a join's
+// right side, over which Plan builds the one hash table every anchored
+// probe merge reads). A shuffle without a plan — GROUPBY's, which routes by
+// key hash alone — partitions each band the moment it exists, and a run
+// with a piece store releases a transient band as soon as it is routed.
 type Shuffle struct {
 	// Name labels the stage in plan renderings ("groupby", "sort", ...).
 	Name string
