@@ -118,11 +118,14 @@
 // — each fallback's reason is tallied in cluster Stats and reported by
 // Query.Explain — and remote application errors re-run locally so
 // callers always see the local results and error chains. Each query runs as
-// self-contained attempts: an attempt deals the bands round-robin to the
-// live workers and places each shuffle merge on the band owner holding the
-// most bytes of its bucket; a worker lost mid-attempt is marked dead and
-// the whole attempt re-runs its deterministic lineage (scan byte ranges +
-// stage descriptors) on the survivors under a retry budget. The df layer
+// self-contained attempts of two rounds: an attempt deals the bands
+// round-robin to the live workers, then merges bucket b on band owner b
+// mod owners (a sort's workers cut their held bands by the bounds the
+// first merge or peer fetch carries); a worker lost mid-attempt is marked
+// dead and the whole attempt re-runs its deterministic lineage (scan byte
+// ranges + stage descriptors) on the survivors under a retry budget. A
+// worker drops a query's state on Release or when the coordinator
+// connection that installed it closes. The df layer
 // selects the backend from the environment (DF_CLUSTER_WORKERS=n for
 // in-process workers, DF_CLUSTER_ADDRS=a,b for external dfworker
 // processes), so the whole suite runs both ways.

@@ -195,9 +195,8 @@ func sameBits(a, b *core.DataFrame) bool {
 // the merges tag. Over a high-cardinality key whose groups first appear in
 // every band, float SUM and MEAN, the state path and AsLabels come back
 // bit-identical to the local engine and to eager on three workers — and
-// still so when a worker is killed after the band stage or before the
-// merges fetch its pieces, and the attempt re-runs on the survivors (the
-// later statements then run on two workers).
+// still so when a worker is killed after the band stage, and the attempt
+// re-runs on the survivors (the later statements then run on two workers).
 func TestDistributedGroupOrderFromPositions(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("k,amount,tag\n")
@@ -210,7 +209,7 @@ func TestDistributedGroupOrderFromPositions(t *testing.T) {
 		{Keys: []string{"tag", "k"}, Aggs: []expr.AggSpec{{Agg: expr.AggSize}, {Col: "amount", Agg: expr.AggMax}}},
 		{Keys: []string{"k"}, Aggs: []expr.AggSpec{{Col: "amount", Agg: expr.AggSum}}, AsLabels: true},
 	}
-	for _, kill := range []string{"", "bands", "partitioned"} {
+	for _, kill := range []string{"", "bands"} {
 		s, workers := startCluster(t, 3)
 		killed := false
 		s.OnPhase = func(phase string) {
@@ -493,10 +492,11 @@ func TestControlMessagesCarrySpecs(t *testing.T) {
 	}
 	tuples := [][]types.Value{{types.String("a"), types.IntValue(1)}, {types.Null(), types.BoolValue(true)}}
 	roundTrip(&RunBandsResp{Results: []BandResult{
-		{Sizes: []int64{10, 0, 3}},
+		{Block: []byte{1, 2}},
 		{Sort: tuples},
 	}}, &RunBandsResp{})
-	roundTrip(&PartitionReq{QID: "q", Bands: []int{0, 2}, Bounds: tuples}, &PartitionReq{})
+	roundTrip(&MergeReq{QID: "q", Bucket: 1, Pieces: []PieceRef{{Band: 0}, {Band: 1, Addr: "peer"}}, Bounds: tuples, Timeout: time.Minute}, &MergeReq{})
+	roundTrip(&FetchReq{QID: "q", Band: 1, Bucket: 2, Bounds: tuples}, &FetchReq{})
 }
 
 // kernelNames lists a chain's kernels by name and operator, leaf first.
@@ -653,22 +653,24 @@ func TestWorkerLossAfterBands(t *testing.T) {
 	}
 }
 
-// Killing a worker after partition (pieces routed, merges not yet run)
-// exercises the fetch-failure attribution path.
-func TestWorkerLossAfterPartition(t *testing.T) {
+// Killing a worker after the sort's band stage loses its held sort bands
+// before any merge has cut them: the survivor's merge fails fetching from
+// the dead holder, the failure is pinned on the holder (the survivor stays
+// live), and the re-run on the survivor returns the local result.
+func TestWorkerLossHoldingUncutSortBands(t *testing.T) {
 	s, workers := startCluster(t, 2)
 	scan := csvScan(t, genCSV(1200), 80)
 	plan := &algebra.Sort{Input: scan, Order: expr.SortOrder{{Col: "v"}, {Col: "k", Desc: true}}}
 	killed := false
 	s.OnPhase = func(phase string) {
-		if phase == "partitioned" && !killed {
+		if phase == "bands" && !killed {
 			killed = true
 			workers[1].Close()
 		}
 	}
 	checkSame(t, s, plan)
-	if s.ClusterStats().ResubmittedBands == 0 {
-		t.Fatalf("expected resubmitted bands, stats %+v", s.ClusterStats())
+	if st := s.ClusterStats(); st.ResubmittedBands == 0 || st.DeadWorkers != 1 {
+		t.Fatalf("expected resubmitted bands and one dead worker, stats %+v", st)
 	}
 }
 
@@ -756,22 +758,135 @@ func TestOneBandOnThreeWorkers(t *testing.T) {
 	}
 }
 
-// Merge placement must follow the reported piece bytes: the worker holding
-// the most bytes of a bucket hosts its merge.
-func TestMergePlacementFollowsBytes(t *testing.T) {
-	wa := &workerRef{addr: "a"}
-	wb := &workerRef{addr: "b"}
-	owners := []*workerRef{wa, wb}
-	sizes := [][]int64{
-		{100, 5},  // band 0 on a
-		{10, 900}, // band 1 on b
-		{50, 10},  // band 2 on a
+// Every group and sort attempt is two rounds — bands, then merges — and
+// nothing else: the phase hook sees exactly those two boundaries.
+func TestShuffleAttemptsAreTwoRounds(t *testing.T) {
+	s, _ := startCluster(t, 2)
+	scan := csvScan(t, genCSV(500), 60)
+	for _, plan := range []algebra.Node{
+		&algebra.GroupBy{Input: scan, Spec: expr.GroupBySpec{Keys: []string{"k"}, Aggs: []expr.AggSpec{{Col: "v", Agg: expr.AggSum}}}},
+		&algebra.Sort{Input: scan, Order: expr.SortOrder{{Col: "v"}, {Col: "name", Desc: true}}},
+	} {
+		var phases []string
+		s.OnPhase = func(phase string) { phases = append(phases, phase) }
+		checkSame(t, s, plan)
+		if want := []string{"bands", "merged"}; !slices.Equal(phases, want) {
+			t.Errorf("%s: phases %v, want %v", plan.Describe(), phases, want)
+		}
 	}
-	if got := placeMerge(owners, sizes, 0); got != wa {
-		t.Fatalf("bucket 0 placed on %s, want a (150 bytes vs 10)", got.addr)
+}
+
+// A sort whose keys are all equal routes every row to one bucket: the other
+// buckets' pieces are empty on every band, the lazy cut produces them all
+// the same, and the result matches the local engine cell for cell.
+func TestDistributedSortOfEqualKeys(t *testing.T) {
+	s, _ := startCluster(t, 3)
+	var b strings.Builder
+	b.WriteString("k,v,name\n")
+	for i := 0; i < 900; i++ {
+		fmt.Fprintf(&b, "7,%d,item-%d\n", i*13%101, i%17)
 	}
-	if got := placeMerge(owners, sizes, 1); got != wb {
-		t.Fatalf("bucket 1 placed on %s, want b (900 bytes vs 15)", got.addr)
+	scan := csvScan(t, b.String(), 70)
+	checkSame(t, s, &algebra.Sort{Input: scan, Order: expr.SortOrder{{Col: "k"}}})
+	checkSame(t, s, &algebra.Sort{Input: scan, Order: expr.SortOrder{{Col: "k", Desc: true}}})
+}
+
+// installGroupQuery runs band 0 of a two-bucket groupby over conn under qid,
+// installing the query on the worker at the other end.
+func installGroupQuery(t *testing.T, conn net.Conn, qid string) {
+	t.Helper()
+	plan := &algebra.GroupBy{Input: csvScan(t, genCSV(300), 50), Spec: expr.GroupBySpec{
+		Keys: []string{"k"}, Aggs: []expr.AggSpec{{Col: "v", Agg: expr.AggSum}},
+	}}
+	cut, _ := cutPlan(plan)
+	tasks, ok := planBands(cut, 2)
+	data, leaves, err := algebra.EncodePlan(plan)
+	if !ok || err != nil {
+		t.Fatalf("band the plan: ok=%v err=%v", ok, err)
+	}
+	req := &RunBandsReq{QID: qid, Plan: PlanSpec{Scan: leaves[0].(*algebra.Scan), Buckets: 2, Plan: data}, Bands: tasks[:1]}
+	if err := call(conn, 5*time.Second, mRunBands, req, &RunBandsResp{}); err != nil {
+		t.Fatalf("run bands: %v", err)
+	}
+}
+
+// queryCount reads how many queries w holds state for.
+func queryCount(w *Worker) int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.queries)
+}
+
+// A worker's query state lives only as long as the coordinator connection
+// whose RunBands installed it: a coordinator that dies mid-query, before its
+// Release, leaves nothing behind.
+func TestQueryStateDiesWithItsConnection(t *testing.T) {
+	w, err := NewWorker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	conn, err := net.Dial("tcp", w.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	installGroupQuery(t, conn, "orphan")
+	if n := queryCount(w); n != 1 {
+		t.Fatalf("worker holds %d queries after RunBands, want 1", n)
+	}
+	conn.Close()
+	for deadline := time.Now().Add(5 * time.Second); queryCount(w) != 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker still holds %d queries after their connection closed", queryCount(w))
+		}
+	}
+}
+
+// A peer that accepts a connection and never answers must not hang a merge
+// until the coordinator's deadline: the merge bounds its peer fetches by the
+// timeout it carries and fails with a fetchError naming the hung peer, so
+// the coordinator blames the holder, not the merging worker.
+func TestHungPeerFetchFailsByDeadline(t *testing.T) {
+	hung, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { hung.Close() })
+	go func() {
+		var held []net.Conn // accepted, never read or answered
+		defer func() {
+			for _, c := range held {
+				c.Close()
+			}
+		}()
+		for {
+			c, err := hung.Accept()
+			if err != nil {
+				return
+			}
+			held = append(held, c)
+		}
+	}()
+	w, err := NewWorker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	conn, err := net.Dial("tcp", w.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	installGroupQuery(t, conn, "q")
+	req := &MergeReq{QID: "q", Bucket: 0, Pieces: []PieceRef{{Band: 0}, {Band: 1, Addr: hung.Addr().String()}}, Timeout: 300 * time.Millisecond}
+	start := time.Now()
+	err = call(conn, 10*time.Second, mMerge, req, &MergeResp{})
+	fe, ok := err.(*fetchError)
+	if !ok || fe.addr != hung.Addr().String() {
+		t.Fatalf("merge with a hung peer: got %v, want a fetchError naming %s", err, hung.Addr())
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("merge took %v to give up on a hung peer", took)
 	}
 }
 

@@ -25,12 +25,13 @@ import (
 // operands, sort samples and bounds) are types.Values, which marshal
 // themselves.
 //
-// One distributed attempt is, under one query id:
+// One distributed attempt is two rounds under one query id:
 //
 //	RunBands (one per band owner; carries the plan, so the first request
-//	          for a query id installs the worker's state)
-//	Partition (sort plans only) · Merge (one per bucket, on a band owner;
-//	          peers serve it pieces through Fetch) · Release (every worker)
+//	          for a query id installs the worker's state, which lives as
+//	          long as the connection that sent it)
+//	Merge (bucket b on owner b mod owners; sort merges carry the range
+//	          bounds, peers serve pieces through Fetch) · Release (every worker)
 //
 // A worker that fails mid-attempt loses the whole attempt: the coordinator
 // re-runs it under a fresh query id on the survivors.
@@ -39,7 +40,6 @@ import (
 const (
 	mPing byte = iota
 	mRunBands
-	mPartition
 	mMerge
 	mFetch
 	mRelease
@@ -72,34 +72,15 @@ type RunBandsReq struct {
 // BandResult is one band's stage output: the chained block itself for
 // plans without a shuffle, or the band's sort sample. Group bands route
 // themselves the moment they run (bucket = key hash % plan.Buckets, a pure
-// function of the key) and report only the per-bucket routed piece sizes
-// the coordinator needs for merge placement — there is no summary and no
-// separate partition RPC on the group path.
+// function of the key) and report nothing.
 type BandResult struct {
 	Block []byte
 	Sort  [][]types.Value
-	Sizes []int64
 }
 
 // RunBandsResp returns the bands' results, in request order.
 type RunBandsResp struct {
 	Results []BandResult
-}
-
-// PartitionReq routes the listed (already-run) sort bands into the plan's
-// buckets by the folded range bounds. Group bands never see this request —
-// they route incrementally at band time by stable key hash.
-type PartitionReq struct {
-	QID    string
-	Bands  []int
-	Bounds [][]types.Value
-}
-
-// PartitionResp reports each requested band's per-bucket routed piece
-// sizes in bytes, in request order — the signal the coordinator uses for
-// locality-aware merge placement.
-type PartitionResp struct {
-	Sizes [][]int64
 }
 
 // PieceRef locates one routed piece: band it came from and the address of
@@ -112,11 +93,16 @@ type PieceRef struct {
 // MergeReq merges one bucket's routed pieces (in band order); sort merges
 // also apply the plan's post-shuffle chain (group merges tag each group
 // with its first position and leave the chain to the coordinator, which
-// applies it after the global order restore).
+// applies it after the global order restore). Bounds are a sort's folded
+// range bounds, by which the worker cuts its held sort bands the first time
+// a piece is needed; Timeout is the coordinator's deadline for this merge,
+// which bounds the merge's peer fetches.
 type MergeReq struct {
-	QID    string
-	Bucket int
-	Pieces []PieceRef
+	QID     string
+	Bucket  int
+	Pieces  []PieceRef
+	Bounds  [][]types.Value
+	Timeout time.Duration
 }
 
 // MergeResp returns the merged bucket block.
@@ -125,11 +111,12 @@ type MergeResp struct {
 }
 
 // FetchReq asks a worker for one routed piece (peer-to-peer, during a
-// remote merge).
+// remote merge); Bounds cut the holder's sort bands if no merge has yet.
 type FetchReq struct {
 	QID    string
 	Band   int
 	Bucket int
+	Bounds [][]types.Value
 }
 
 // FetchResp returns the piece block.

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,9 +40,10 @@ type Scheduler struct {
 
 	stats Stats // guarded by mu
 
-	// OnPhase, when set, is called at each attempt's phase boundaries
-	// ("bands", "partitioned", "merged") — the deterministic hook
-	// fault-injection tests use to kill a worker mid-query.
+	// OnPhase, when set, is called after each round of a shuffle attempt
+	// ("bands", then "merged"; a plan without a shuffle has only "bands") —
+	// the deterministic hook fault-injection tests use to kill a worker
+	// mid-query.
 	OnPhase func(phase string)
 }
 
@@ -436,8 +438,9 @@ func (e *workerFailure) Error() string {
 
 // attempt is one self-contained distributed run of a query under its own
 // query id: band i runs on owners[i % len(owners)], the first workers of
-// the attempt, and the shuffle has one bucket per worker. Nothing in it
-// outlives the attempt; a retry builds a new one.
+// the attempt, the shuffle has one bucket per worker, and bucket b merges
+// on owners[b % len(owners)]. Nothing in it outlives the attempt; a retry
+// builds a new one.
 type attempt struct {
 	s       *Scheduler
 	qid     string
@@ -448,7 +451,6 @@ type attempt struct {
 
 	samples [][][]types.Value // sort: per band
 	blocks  []*core.DataFrame // no shuffle: per band
-	sizes   [][]int64         // shuffle: per band, routed bytes per bucket
 }
 
 // owners returns the attempt's band owners: every worker, or the first
@@ -474,11 +476,11 @@ func (a *attempt) hook(phase string) {
 	}
 }
 
-// run executes the attempt straight through: bands → (sort) fold and
-// partition → merge → restore or stack.
+// run executes the attempt straight through: bands → merge → restore or
+// stack.
 func (a *attempt) run() (*core.DataFrame, error) {
 	n := len(a.tasks)
-	a.samples, a.blocks, a.sizes = make([][][]types.Value, n), make([]*core.DataFrame, n), make([][]int64, n)
+	a.samples, a.blocks = make([][][]types.Value, n), make([]*core.DataFrame, n)
 	if err := a.runBands(); err != nil {
 		return nil, err
 	}
@@ -489,13 +491,13 @@ func (a *attempt) run() (*core.DataFrame, error) {
 	// Group bands routed themselves; a sort folds its samples into the same
 	// range bounds the local engine picks, over the same band-ordered
 	// samples, which is what makes the distributed result cell-identical.
+	// The merges carry the bounds, and each worker cuts its held sort bands
+	// by them when a merge first needs a piece.
+	var bounds [][]types.Value
 	if a.cut.sort != nil {
-		if err := a.partition(); err != nil {
-			return nil, err
-		}
+		bounds = modin.PlanSortBounds(slices.Concat(a.samples...), a.spec.Buckets, a.cut.sort)
 	}
-	a.hook("partitioned")
-	merged, err := a.merge()
+	merged, err := a.merge(bounds)
 	if err != nil {
 		return nil, err
 	}
@@ -581,19 +583,13 @@ func (a *attempt) runBands() error {
 	})
 }
 
-// record stores band i's stage output coordinator-side.
+// record stores band i's stage output coordinator-side. A group band
+// routed itself on its worker and reports nothing.
 func (a *attempt) record(i int, res BandResult) error {
 	switch {
-	case a.cut.group != nil:
-		// The band routed itself on its worker (hash % Buckets) and reported
-		// the per-bucket piece sizes; there is no partition phase to wait for.
-		if len(res.Sizes) != a.spec.Buckets {
-			return fmt.Errorf("cluster: band %d reported %d piece sizes, want %d buckets", i, len(res.Sizes), a.spec.Buckets)
-		}
-		a.sizes[i] = res.Sizes
 	case a.cut.sort != nil:
 		a.samples[i] = res.Sort
-	default:
+	case a.cut.group == nil:
 		df, err := decodeBlock(res.Block, "band")
 		if err != nil {
 			return err
@@ -603,60 +599,15 @@ func (a *attempt) record(i int, res BandResult) error {
 	return nil
 }
 
-// partition folds the sort samples into range bounds and has every owner
-// route its sort bands by them. Group bands routed themselves at band time.
-func (a *attempt) partition() error {
-	var all [][]types.Value
-	for _, s := range a.samples {
-		all = append(all, s...)
-	}
-	bounds := modin.PlanSortBounds(all, a.spec.Buckets, a.cut.sort)
-	owners := a.owners()
-	return fanOut(len(owners), func(j int) error {
-		w := owners[j]
-		req := &PartitionReq{QID: a.qid, Bands: a.bandsOf(w), Bounds: bounds}
-		var resp PartitionResp
-		if err := w.call(a.s.rpcTimeout, mPartition, req, &resp); err != nil {
-			return a.classify(w, err)
-		}
-		if len(resp.Sizes) != len(req.Bands) {
-			return fmt.Errorf("cluster: worker %s reported sizes for %d bands, want %d", w.addr, len(resp.Sizes), len(req.Bands))
-		}
-		for k, i := range req.Bands {
-			if len(resp.Sizes[k]) != a.spec.Buckets {
-				return fmt.Errorf("cluster: band %d reported %d piece sizes, want %d buckets", i, len(resp.Sizes[k]), a.spec.Buckets)
-			}
-			a.sizes[i] = resp.Sizes[k]
-		}
-		return nil
-	})
-}
-
-// placeMerge picks the band owner holding the most bytes of the bucket's
-// routed pieces (band i lives on owners[i % len(owners)]; ties go to the
-// earlier owner, so placement is deterministic).
-func placeMerge(owners []*workerRef, sizes [][]int64, bucket int) *workerRef {
-	held := make([]int64, len(owners))
-	for i, s := range sizes {
-		held[i%len(owners)] += s[bucket]
-	}
-	best := 0
-	for j := range held {
-		if held[j] > held[best] {
-			best = j
-		}
-	}
-	return owners[best]
-}
-
-// merge runs every bucket's merge on its placed owner, in parallel, and
-// returns the merged buckets.
-func (a *attempt) merge() ([]*core.DataFrame, error) {
+// merge runs bucket b's merge on owners[b % len(owners)], every bucket in
+// parallel, and returns the merged buckets. A sort's merges carry its range
+// bounds.
+func (a *attempt) merge(bounds [][]types.Value) ([]*core.DataFrame, error) {
 	owners := a.owners()
 	merged := make([]*core.DataFrame, a.spec.Buckets)
 	err := fanOut(len(merged), func(b int) error {
-		target := placeMerge(owners, a.sizes, b)
-		req := &MergeReq{QID: a.qid, Bucket: b}
+		target := owners[b%len(owners)]
+		req := &MergeReq{QID: a.qid, Bucket: b, Bounds: bounds, Timeout: a.s.rpcTimeout}
 		for i := range a.tasks {
 			ref := PieceRef{Band: i}
 			if holder := owners[i%len(owners)]; holder != target {

@@ -4,16 +4,17 @@
 // wire format serialized straight from internal/vector typed storage, while
 // a coordinator-side Scheduler implements the df-facing engine surface. Each
 // query runs as self-contained attempts: an attempt deals the query's bands
-// round-robin to the live workers, places shuffle merges where their
-// bucket's bytes landed, and runs straight through; a worker lost mid-way
-// fails the attempt, and the next one re-runs the whole band lineage on the
-// survivors. A scan band's lineage is a core.BandRange: the coordinator cuts
-// the input with the same boundary pass a local stream runs
-// (core.CSVInput.FindBands), and a worker parses its range with the same
-// ranged reader (core.CSVInput.ReadBand), so a band holds the same rows,
-// labels and error text wherever it runs. The in-process MODIN engine
-// remains the degenerate backend (Local) and the fallback for plans whose
-// operators cannot cross a process boundary (opaque Go closures).
+// round-robin to the live workers, merges bucket b on band owner b mod
+// owners, and runs straight through in two rounds (bands, then merges); a
+// worker lost mid-way fails the attempt, and the next one re-runs the whole
+// band lineage on the survivors. A scan band's lineage is a
+// core.BandRange: the coordinator cuts the input with the same boundary
+// pass a local stream runs (core.CSVInput.FindBands), and a worker parses
+// its range with the same ranged reader (core.CSVInput.ReadBand), so a band
+// holds the same rows, labels and error text wherever it runs. The
+// in-process MODIN engine remains the degenerate backend (Local) and the
+// fallback for plans whose operators cannot cross a process boundary
+// (opaque Go closures).
 //
 // The package speaks two wire forms and owns one: dataframes travel in the
 // block format internal/core defines (the spill format too); control
@@ -28,7 +29,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/vector"
 )
 
 // EncodeFrame serializes df onto buf in the block format (core.EncodeFrame)
@@ -54,37 +54,4 @@ func decodeBlock(block []byte, what string) (*core.DataFrame, error) {
 		return nil, fmt.Errorf("cluster: %d trailing bytes after %s block", len(rest), what)
 	}
 	return df, nil
-}
-
-// frameBytes estimates a frame's wire footprint without encoding it —
-// workers report per-bucket routed sizes through this, and the coordinator
-// places each merge on the worker holding the most bytes of its bucket.
-func frameBytes(df *core.DataFrame) int64 {
-	var total int64
-	for j := 0; j < df.NCols(); j++ {
-		total += vectorBytes(df.Col(j))
-	}
-	total += vectorBytes(df.RowLabels())
-	return total
-}
-
-func vectorBytes(v vector.Vector) int64 {
-	switch t := v.(type) {
-	case *vector.Object:
-		var b int64
-		for _, s := range t.RawData() {
-			b += int64(len(s)) + 4
-		}
-		return b
-	case *vector.Bool:
-		return int64(t.Len())
-	case *vector.Dict:
-		var b int64 = int64(t.Len()) * 4
-		for _, s := range t.Categories() {
-			b += int64(len(s)) + 4
-		}
-		return b
-	default:
-		return int64(v.Len()) * 8
-	}
 }

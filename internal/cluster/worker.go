@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/core"
@@ -11,14 +12,15 @@ import (
 	"repro/internal/modin"
 	"repro/internal/physical"
 	"repro/internal/schema"
+	"repro/internal/types"
 )
 
 // Worker executes shipped stage plans: it parses or decodes bands, runs the
 // pre-shuffle chain through the same typed kernels the in-process engine
-// uses, routes rows with the coordinator's folded tables, merges buckets
-// with the shared modin merge helpers, and serves routed pieces to peer
-// workers. One process hosts one Worker; the dfworker command is a thin
-// main around it.
+// uses, routes rows by key hash or the coordinator's sort bounds, merges
+// buckets with the shared modin merge helpers, and serves routed pieces to
+// peer workers. One process hosts one Worker; the dfworker command is a
+// thin main around it.
 type Worker struct {
 	pool *exec.Pool
 	ls   net.Listener
@@ -38,15 +40,24 @@ type peerLink struct {
 }
 
 // workerQuery is one query attempt's worker-side state, installed by the
-// first RunBands for its id whose plan decoded; the plan never changes
-// after. Sort band frames live here between RunBands and Partition (group
-// bands route themselves inside RunBands and hold nothing but pieces);
-// routed pieces stay until Release, for the merges that fetch them.
+// first RunBands for its id whose plan decoded (the plan never changes
+// after) and kept until Release or until owner, the connection that sent
+// that RunBands, closes. Sort bands wait here for the cut; group bands
+// route themselves inside RunBands. Routed pieces stay for the merges.
 type workerQuery struct {
 	plan   *workerPlan
+	owner  net.Conn
 	mu     sync.Mutex
-	bands  map[int]*core.DataFrame
+	bands  []heldBand
 	pieces map[[2]int]*core.DataFrame
+	cut    sync.Once
+	cutErr error
+}
+
+// heldBand is a sort band's frame waiting for the cut.
+type heldBand struct {
+	band int
+	df   *core.DataFrame
 }
 
 // NewWorker starts a worker listening on addr (e.g. "127.0.0.1:0") and
@@ -101,7 +112,9 @@ func (w *Worker) serve() {
 	}
 }
 
-// serveConn handles one connection's serial request stream.
+// serveConn handles one connection's serial request stream. The queries the
+// connection installed die with it, so a coordinator lost mid-query leaves
+// no state behind.
 func (w *Worker) serveConn(conn net.Conn) {
 	w.mu.Lock()
 	if w.closed {
@@ -114,6 +127,11 @@ func (w *Worker) serveConn(conn net.Conn) {
 	defer func() {
 		w.mu.Lock()
 		delete(w.conns, conn)
+		for qid, q := range w.queries {
+			if q.owner == conn {
+				delete(w.queries, qid)
+			}
+		}
 		w.mu.Unlock()
 		conn.Close()
 	}()
@@ -122,15 +140,15 @@ func (w *Worker) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		resp, err := w.handle(kind, payload)
+		resp, err := w.handle(conn, kind, payload)
 		if err := respond(conn, resp, err); err != nil {
 			return
 		}
 	}
 }
 
-// handle decodes and executes one request.
-func (w *Worker) handle(kind byte, payload []byte) (any, error) {
+// handle decodes and executes one request arriving on conn.
+func (w *Worker) handle(conn net.Conn, kind byte, payload []byte) (any, error) {
 	switch kind {
 	case mPing:
 		return emptyResp{OK: true}, nil
@@ -139,13 +157,7 @@ func (w *Worker) handle(kind byte, payload []byte) (any, error) {
 		if err := decodePayload(payload, &req); err != nil {
 			return nil, err
 		}
-		return w.runBands(&req)
-	case mPartition:
-		var req PartitionReq
-		if err := decodePayload(payload, &req); err != nil {
-			return nil, err
-		}
-		return w.partition(&req)
+		return w.runBands(conn, &req)
 	case mMerge:
 		var req MergeReq
 		if err := decodePayload(payload, &req); err != nil {
@@ -182,11 +194,11 @@ func (w *Worker) query(qid string) (*workerQuery, error) {
 	return nil, fmt.Errorf("cluster: unknown query %q", qid)
 }
 
-// runBands installs the query on the first request for its id, then
-// executes the pre-shuffle stage for the requested bands in parallel on the
-// worker's pool. A plan that does not decode is refused in-band and leaves
-// no state behind.
-func (w *Worker) runBands(req *RunBandsReq) (any, error) {
+// runBands installs the query on the first request for its id, owned by
+// conn, then executes the pre-shuffle stage for the requested bands in
+// parallel on the worker's pool. A plan that does not decode is refused
+// in-band and leaves no state behind.
+func (w *Worker) runBands(conn net.Conn, req *RunBandsReq) (any, error) {
 	plan, err := preparePlan(req.Plan)
 	if err != nil {
 		return nil, err
@@ -196,7 +208,7 @@ func (w *Worker) runBands(req *RunBandsReq) (any, error) {
 	if q == nil {
 		q = &workerQuery{
 			plan:   plan,
-			bands:  make(map[int]*core.DataFrame),
+			owner:  conn,
 			pieces: make(map[[2]int]*core.DataFrame),
 		}
 		w.queries[req.QID] = q
@@ -219,8 +231,7 @@ func (w *Worker) runBands(req *RunBandsReq) (any, error) {
 
 // runBand produces one band: materialize its rows with global labels, run
 // the shipped chain, then return the block (no shuffle), route the band
-// and report its piece sizes (group), or hold the frame and report its key
-// sample (sort).
+// (group), or hold the frame and report its key sample (sort).
 func (w *Worker) runBand(q *workerQuery, task *BandTask) (*BandResult, error) {
 	plan := q.plan
 	df, err := buildBand(plan.Scan, plan.keep, task)
@@ -246,14 +257,9 @@ func (w *Worker) runBand(q *workerQuery, task *BandTask) (*BandResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Sizes = make([]int64, plan.Buckets)
-		for b, view := range views {
-			views[b] = view.Compact()
-			res.Sizes[b] = frameBytes(views[b])
-		}
 		q.mu.Lock()
-		for b, piece := range views {
-			q.pieces[[2]int{task.Band, b}] = piece
+		for b, view := range views {
+			q.pieces[[2]int{task.Band, b}] = view.Compact()
 		}
 		q.mu.Unlock()
 	case plan.sort != nil:
@@ -262,7 +268,7 @@ func (w *Worker) runBand(q *workerQuery, task *BandTask) (*BandResult, error) {
 			return nil, err
 		}
 		q.mu.Lock()
-		q.bands[task.Band] = df
+		q.bands = append(q.bands, heldBand{task.Band, df})
 		q.mu.Unlock()
 	default:
 		res.Block, err = EncodeFrame(nil, df)
@@ -295,55 +301,48 @@ func buildBand(scan *algebra.Scan, keep []string, task *BandTask) (*core.DataFra
 	return band.WithCache(schema.NewCache()), nil
 }
 
-// partition routes the listed sort bands into buckets by the folded range
-// bounds and reports per-bucket piece sizes. Sort pieces are contiguous
-// slices that together cover exactly the sorted copy, so retaining them
-// retains no dead rows. Group bands never arrive here — they routed
-// themselves in runBand.
-func (w *Worker) partition(req *PartitionReq) (any, error) {
-	q, err := w.query(req.QID)
-	if err != nil {
-		return nil, err
-	}
-	plan := q.plan
-	sizes := make([][]int64, len(req.Bands))
-	err = w.pool.ForEach(len(req.Bands), func(i int) error {
-		band := req.Bands[i]
+// cutSortBands routes the query's held sort bands into bucket pieces by the
+// folded range bounds, once: the first local merge or peer fetch that needs
+// a piece runs the cut, and later ones wait for it and share its error.
+// Sort pieces are contiguous slices that together cover exactly the sorted
+// copy, so retaining them retains no dead rows. A group query holds no bands.
+func (w *Worker) cutSortBands(q *workerQuery, bounds [][]types.Value) error {
+	q.cut.Do(func() {
 		q.mu.Lock()
-		df := q.bands[band]
+		held := q.bands
+		q.bands = nil
 		q.mu.Unlock()
-		if df == nil {
-			return fmt.Errorf("cluster: band %d not resident for partition", band)
-		}
-		if plan.sort == nil {
-			return fmt.Errorf("cluster: plan has no range shuffle to partition")
-		}
-		views, err := modin.PartitionSortedBand(df, plan.sort, req.Bounds, plan.Buckets)
-		if err != nil {
-			return err
-		}
-		sizes[i] = make([]int64, len(views))
-		q.mu.Lock()
-		for b, piece := range views {
-			q.pieces[[2]int{band, b}] = piece
-			sizes[i][b] = frameBytes(piece)
-		}
-		delete(q.bands, band)
-		q.mu.Unlock()
-		return nil
+		q.cutErr = w.pool.ForEach(len(held), func(i int) error {
+			views, err := modin.PartitionSortedBand(held[i].df, q.plan.sort, bounds, q.plan.Buckets)
+			if err != nil {
+				return err
+			}
+			q.mu.Lock()
+			for b, piece := range views {
+				q.pieces[[2]int{held[i].band, b}] = piece
+			}
+			q.mu.Unlock()
+			return nil
+		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &PartitionResp{Sizes: sizes}, nil
+	return q.cutErr
 }
 
 // merge folds one bucket's routed pieces — fetching remote ones from their
 // holders — through the shared modin merge helpers, then applies the
-// post-shuffle chain.
+// post-shuffle chain. Peer fetches must end within nine tenths of the
+// coordinator's timeout for the merge, so a hung peer fails the merge as
+// that peer's fetchError while the coordinator still waits for the answer.
 func (w *Worker) merge(req *MergeReq) (any, error) {
 	q, err := w.query(req.QID)
 	if err != nil {
+		return nil, err
+	}
+	var deadline time.Time
+	if req.Timeout > 0 {
+		deadline = time.Now().Add(req.Timeout - req.Timeout/10)
+	}
+	if err := w.cutSortBands(q, req.Bounds); err != nil {
 		return nil, err
 	}
 	plan := q.plan
@@ -360,7 +359,7 @@ func (w *Worker) merge(req *MergeReq) (any, error) {
 			frames[i] = df
 			return nil
 		}
-		df, err := w.fetchPeer(ref.Addr, req.QID, ref.Band, req.Bucket)
+		df, err := w.fetchPeer(ref.Addr, &FetchReq{QID: req.QID, Band: ref.Band, Bucket: req.Bucket, Bounds: req.Bounds}, deadline)
 		if err != nil {
 			return err
 		}
@@ -401,10 +400,14 @@ func (w *Worker) merge(req *MergeReq) (any, error) {
 	return &MergeResp{Block: block}, nil
 }
 
-// fetch serves one resident routed piece to a peer.
+// fetch serves one routed piece to a peer, cutting the held sort bands
+// first if no merge here has yet.
 func (w *Worker) fetch(req *FetchReq) (any, error) {
 	q, err := w.query(req.QID)
 	if err != nil {
+		return nil, err
+	}
+	if err := w.cutSortBands(q, req.Bounds); err != nil {
 		return nil, err
 	}
 	q.mu.Lock()
@@ -420,17 +423,19 @@ func (w *Worker) fetch(req *FetchReq) (any, error) {
 	return &FetchResp{Block: block}, nil
 }
 
-// fetchPeer retrieves one routed piece from the worker at addr. Transport
-// failures surface as fetchError so the coordinator can attribute them to
-// the piece holder rather than this worker.
-func (w *Worker) fetchPeer(addr, qid string, band, bucket int) (*core.DataFrame, error) {
+// fetchPeer retrieves one routed piece from the worker at addr by deadline
+// (zero: none). Transport failures and timeouts surface as fetchError so
+// the coordinator can attribute them to the piece holder rather than this
+// worker.
+func (w *Worker) fetchPeer(addr string, req *FetchReq, deadline time.Time) (*core.DataFrame, error) {
 	link, err := w.peerLink(addr)
 	if err != nil {
 		return nil, &fetchError{addr: addr, msg: err.Error()}
 	}
 	link.mu.Lock()
+	link.conn.SetDeadline(deadline) // past due fails at once
 	var resp FetchResp
-	err = call(link.conn, 0, mFetch, &FetchReq{QID: qid, Band: band, Bucket: bucket}, &resp)
+	err = call(link.conn, 0, mFetch, req, &resp)
 	link.mu.Unlock()
 	if err != nil {
 		w.dropPeer(addr, link)
