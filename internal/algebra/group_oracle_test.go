@@ -15,8 +15,10 @@ import (
 
 // oracleKeyKinds are the key shapes the oracle tests group on. The Dict
 // kinds differ in where each frame's category table comes from: one table
-// shared by every frame, or a table (in its own order) per frame.
-var oracleKeyKinds = []string{"dict-shared", "dict-own", "int", "float", "object", "datetime", "bool", "int+object", "none"}
+// shared by every frame, or a table (in its own order) per frame. The last
+// two change the key's storage between frames: Int in even frames and Float
+// (some integral) in odd ones, or Object in even frames and Dict in odd ones.
+var oracleKeyKinds = []string{"dict-shared", "dict-own", "int", "float", "object", "datetime", "bool", "int+object", "none", "int-float", "object-dict"}
 
 // oracleAggs covers every typed kind over Int, Float, Int-then-Float ("mv"),
 // Object, Bool and Datetime storage and over the whole row, plus a kind
@@ -81,6 +83,9 @@ func oracleFrames(r *rand.Rand, kind string, frames, maxRows int, views bool) ([
 			ki[i] = int64(r.Intn(4))
 			kf[i] = []float64{0.5, 1, math.Copysign(0, -1), math.NaN()}[r.Intn(4)]
 			kb[i] = r.Intn(2) == 0
+			if kind == "int-float" {
+				kf[i] = []float64{0, 1, 2.5, 3}[r.Intn(4)]
+			}
 			ks[i] = pool[r.Intn(len(pool))]
 			codes[i] = int32(r.Intn(len(table)))
 		}
@@ -106,6 +111,18 @@ func oracleFrames(r *rand.Rand, kind string, frames, maxRows int, views bool) ([
 			names, cols = append(names, "k"), append(cols, vector.NewDatetime(ki, nulls(base)))
 		case "bool":
 			names, cols = append(names, "k"), append(cols, vector.NewBool(kb, nulls(base)))
+		case "int-float":
+			k := vector.Vector(vector.NewInt(ki, nulls(base)))
+			if f%2 == 1 {
+				k = vector.NewFloat(kf, nulls(base))
+			}
+			names, cols = append(names, "k"), append(cols, k)
+		case "object-dict":
+			k := vector.Vector(vector.NewObject(ks, nulls(base)))
+			if f%2 == 1 {
+				k = vector.NewDict(codes, table, nulls(base))
+			}
+			names, cols = append(names, "k"), append(cols, k)
 		case "int+object":
 			names = append(names, "k", "k2")
 			cols = append(cols, vector.NewInt(ki, nulls(base)), vector.NewObject(ks, nulls(base)))
@@ -381,6 +398,8 @@ func FuzzGroupPartialMatchesOracle(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(4), uint8(30), false, false)
 	f.Add(int64(2), uint8(1), uint8(6), uint8(12), true, true)
 	f.Add(int64(3), uint8(7), uint8(3), uint8(50), true, false)
+	f.Add(int64(4), uint8(9), uint8(5), uint8(40), false, true)
+	f.Add(int64(5), uint8(10), uint8(6), uint8(40), true, false)
 	f.Fuzz(func(t *testing.T, seed int64, kind, frames, rows uint8, views, narrow bool) {
 		if narrow {
 			defer SetRowHashMaskForTesting(0x1)()

@@ -516,3 +516,48 @@ func TestJoinTableMatchesJoinFrames(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupKeysDoNotAllocatePerGroup guards the typed key identity: group
+// keys are verified against first rows and kept chunks, never boxed, so
+// grouping 25,000 distinct Int keys allocates a small constant more than
+// grouping 1,000, not one allocation per group (24,000 more). The constant
+// is the per-group slices' growth: append grows a large slice by about
+// 1.25×, a dozen more reallocations each. A partial folded from two frames
+// keeps one key row per group, not the frames' rows.
+func TestGroupKeysDoNotAllocatePerGroup(t *testing.T) {
+	spec := expr.GroupBySpec{Keys: []string{"k"}, Aggs: []expr.AggSpec{{Col: "v", Agg: expr.AggSum}, {Agg: expr.AggSize}}}
+	frame := func(keys, rows, offset int) *core.DataFrame {
+		k, v := make([]int64, rows), make([]float64, rows)
+		for i := range k {
+			k[i], v[i] = int64(offset+i%keys), float64(i)
+		}
+		return core.MustNew([]string{"k", "v"}, []vector.Vector{vector.NewInt(k, nil), vector.NewFloat(v, nil)})
+	}
+	allocs := func(keys int) float64 {
+		df := frame(keys, 2*keys, 0)
+		return testing.AllocsPerRun(3, func() {
+			out, err := GroupByFrame(df, spec)
+			if err != nil || out.NRows() != keys {
+				t.Fatalf("GroupByFrame: %v", err)
+			}
+		})
+	}
+	few, many := allocs(1_000), allocs(25_000)
+	if many-few > 100 {
+		t.Errorf("GroupByFrame allocates %.0f times for 1,000 keys, %.0f for 25,000: per-group allocation", few, many)
+	}
+
+	g := NewGroupPartial(spec)
+	for _, df := range []*core.DataFrame{frame(1_000, 3_000, 0), frame(1_000, 3_000, 500)} {
+		if err := g.AddFrame(df); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := 0
+	for _, c := range g.keys.chunks {
+		held += c.cols[0].Len()
+	}
+	if g.NumGroups() != 1_500 || held != g.NumGroups() {
+		t.Errorf("%d groups hold %d key rows in %d chunks, want one row per group", g.NumGroups(), held, len(g.keys.chunks))
+	}
+}

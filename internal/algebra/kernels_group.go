@@ -13,16 +13,18 @@ import (
 // Group identity is hash-based: every row's key columns are bulk-hashed to
 // one 64-bit hash (vector.HashRows, no per-row rendering or boxing), a
 // keyIndex maps the hash to the group's dense id, and the index confirms
-// every hash match by true key equality against the group's boxed exemplar
-// tuple — so two distinct keys that collide on the hash still land in
-// distinct groups. A single dictionary-coded key column takes the same
-// route once per distinct code instead of once per row: the code's id is
-// looked up by the code's value, so frames whose category tables differ
-// still agree on every group. The old representation rendered every row's
-// key into a string ("a\x1f5\x1f"), which allocated per row and conflated
-// values whose renderings agree (a null cell and the literal string "NA");
-// the hash path keeps them distinct because verification uses
-// types.Value.Equal.
+// every hash match by true key equality on typed storage (vector.EqualRows)
+// — so two distinct keys that collide on the hash still land in distinct
+// groups. Within one frame a key is the frame row that first carried it;
+// once the frame is folded, the keys it added live on in a typed key chunk,
+// one Take of the frame's key columns, against which later frames verify.
+// A single dictionary-coded key column takes the same route once per
+// distinct code instead of once per row: the code's id is looked up by the
+// code's value, so frames whose category tables differ still agree on every
+// group. The old representation rendered every row's key into a string
+// ("a\x1f5\x1f"), which allocated per row and conflated values whose
+// renderings agree (a null cell and the literal string "NA"); the hash path
+// keeps them distinct because verification compares typed cells.
 
 // rowHashSeed is the fixed seed of every row-key hash in the kernels. It
 // must be one process-wide constant: a shuffle routes rows by hash on one
@@ -82,21 +84,10 @@ func hashValues(vals []types.Value) uint64 {
 	return vector.HashRowValues(vals, rowHashSeed) & rowHashMask
 }
 
-// keysMatchRow verifies that row i of the key columns equals the boxed
-// exemplar tuple (the collision check behind every bucket probe).
-func keysMatchRow(exemplar []types.Value, cols []vector.Vector, i int) bool {
-	for k, c := range cols {
-		if !vector.EqualRowValue(c, i, exemplar[k]) {
-			return false
-		}
-	}
-	return true
-}
-
 // tuplesEqual reports whether two boxed key tuples are the same key under
-// vector.KeyEqual — the same equivalence the row-level checks verify with,
-// so partial merges, the shuffle routing fold and per-row lookups can never
-// disagree on group identity.
+// vector.KeyEqual, the equivalence vector.EqualRows verifies typed rows
+// with. Only the replay's GroupKeyFold compares boxed tuples; ROADMAP item
+// 3's benchmark follow-up deletes it.
 func tuplesEqual(a, b []types.Value) bool {
 	if len(a) != len(b) {
 		return false
@@ -110,49 +101,142 @@ func tuplesEqual(a, b []types.Value) bool {
 }
 
 // keyTable gives every distinct group key a dense id in first-appearance
-// order: a keyIndex over the keys' row hashes plus one boxed exemplar tuple
-// per id, against which every hash match is verified. GroupPartial and the
-// replay's key summaries and plan fold all assign group identity through
-// it.
+// order: a keyIndex over the keys' row hashes, verified on typed storage.
+// While a frame resolves (frameKeys), a key it added is its first row there;
+// once the frame is kept, the keys it added are one typed chunk, so the
+// table pins no frame or view it was handed. GroupPartial and the replay's
+// key summaries assign group identity through it.
 type keyTable struct {
-	index     keyIndex
-	exemplars [][]types.Value // by id
-	rows      []int32         // by id: the frame row that inserted the key, -1 for a tuple
+	index  keyIndex
+	rows   []int32    // by id: the row that inserted the key, -1 for a key Merge added
+	chunks []keyChunk // the kept frames' keys, in id order
 }
 
-// insertTuple returns the id of the boxed key tuple with hash h, adding it
-// when it is new.
-func (t *keyTable) insertTuple(h uint64, key []types.Value) (id int32, added bool) {
-	id, added = t.index.insert(h, func(id int32) bool { return tuplesEqual(t.exemplars[id], key) })
-	if added {
-		t.exemplars = append(t.exemplars, key)
-		t.rows = append(t.rows, -1)
-	}
-	return id, added
+// keyChunk holds the keys of ids lo, lo+1, … as rows 0, 1, … of typed key
+// columns, one Take of the frame that added them.
+type keyChunk struct {
+	lo   int32
+	cols []vector.Vector
 }
 
-// insertRow returns the id of row i of the key columns (hash h), boxing the
-// row as the exemplar when its key is new.
-func (t *keyTable) insertRow(h uint64, cols []vector.Vector, i int) int32 {
-	id, added := t.index.insert(h, func(id int32) bool { return keysMatchRow(t.exemplars[id], cols, i) })
+// insertRow returns the id of row i of the resolving frame (hash h),
+// recording the row when its key is new.
+func (t *keyTable) insertRow(h uint64, fk *frameKeys, i int) int32 {
+	id, added := t.index.insert(h, func(id int32) bool { return t.equalRow(id, fk, i) })
 	if added {
-		key := make([]types.Value, len(cols))
-		for k, c := range cols {
-			key[k] = c.Value(i)
-		}
-		t.exemplars = append(t.exemplars, key)
 		t.rows = append(t.rows, int32(i))
 	}
 	return id
 }
 
-// frameKeys is one frame's key columns prepared for keyTable.resolve. A
-// single Dict column keeps its codes and resolves each distinct code once;
-// any other key keeps one row hash per row.
+// equalRow verifies key id against row i of the resolving frame: at the
+// frame's own first row for a key the frame added, else in its kept chunk.
+func (t *keyTable) equalRow(id int32, fk *frameKeys, i int) bool {
+	if id >= fk.fresh {
+		return rowsEqualAt(fk.cols, int(t.rows[id]), fk.cols, i)
+	}
+	c := t.chunkOf(id)
+	return rowsEqualAt(c.cols, int(id-c.lo), fk.cols, i)
+}
+
+// chunkOf returns the kept chunk holding id.
+func (t *keyTable) chunkOf(id int32) *keyChunk {
+	lo, hi := 0, len(t.chunks) // the chunk is the last one starting at or before id
+	for hi-lo > 1 {
+		if m := (lo + hi) / 2; t.chunks[m].lo <= id {
+			lo = m
+		} else {
+			hi = m
+		}
+	}
+	return &t.chunks[lo]
+}
+
+// keep ends fk's resolution: one Take per key column copies the rows that
+// added keys into a typed chunk, and the table lets go of the frame.
+func (t *keyTable) keep(fk *frameKeys) {
+	n := int32(len(t.rows))
+	if n == fk.fresh {
+		return
+	}
+	first := make([]int, n-fk.fresh)
+	for r := range first {
+		first[r] = int(t.rows[fk.fresh+int32(r)])
+	}
+	c := keyChunk{lo: fk.fresh, cols: make([]vector.Vector, len(fk.cols))}
+	for k, col := range fk.cols {
+		c.cols[k] = col.Take(first)
+	}
+	t.chunks = append(t.chunks, c)
+}
+
+// merge resolves every key of o, chunk by chunk as if each were a frame,
+// and returns each o id's id here. The keys it adds have no row.
+func (t *keyTable) merge(o *keyTable) []int32 {
+	to := make([]int32, len(o.rows))
+	added := len(t.rows)
+	for c, chunk := range o.chunks {
+		hi := int32(len(o.rows))
+		if c+1 < len(o.chunks) {
+			hi = o.chunks[c+1].lo
+		}
+		fk := t.frame(chunk.cols, int(hi-chunk.lo), false)
+		t.resolve(fk, 0, to[chunk.lo:hi])
+		t.keep(fk)
+	}
+	for id := added; id < len(t.rows); id++ {
+		t.rows[id] = -1
+	}
+	return to
+}
+
+// key boxes key id's tuple from its chunk.
+func (t *keyTable) key(id int) []types.Value {
+	c := t.chunkOf(int32(id))
+	key := make([]types.Value, len(c.cols))
+	for k, col := range c.cols {
+		key[k] = col.Value(id - int(c.lo))
+	}
+	return key
+}
+
+// column is key column k over every id, typed as buildColumn types the
+// keys' values: the chunks joined when they share one typed storage (one
+// domain other than Composite) and hold a non-null key, else built from the
+// boxed keys (Int and Float chunks meet as Float, null keys alone are
+// Object).
+func (t *keyTable) column(k int) vector.Vector {
+	parts := make([]vector.Vector, len(t.chunks))
+	valued, typed := false, true
+	for c := range t.chunks {
+		parts[c] = t.chunks[c].cols[k]
+		valued = valued || vector.NullCount(parts[c]) < parts[c].Len()
+		typed = typed && parts[c].Domain() == parts[0].Domain() && parts[c].Domain() != types.Composite
+	}
+	if valued && typed {
+		if len(parts) == 1 {
+			return parts[0]
+		}
+		return vector.Concat(parts...)
+	}
+	vals := make([]types.Value, 0, len(t.rows))
+	for _, p := range parts {
+		for r := 0; r < p.Len(); r++ {
+			vals = append(vals, p.Value(r))
+		}
+	}
+	return buildColumn(vals)
+}
+
+// frameKeys is one frame's key columns prepared for keyTable.resolve, from
+// keyTable.frame until keyTable.keep. A single Dict column keeps its codes
+// and resolves each distinct code once; any other key keeps one row hash
+// per row.
 type frameKeys struct {
-	cols []vector.Vector
-	runs bool // input declared sorted: a row equal to its predecessor reuses its id
-	last int32
+	cols  []vector.Vector
+	fresh int32 // the first id this frame may add
+	runs  bool  // input declared sorted: a row equal to its predecessor reuses its id
+	last  int32
 
 	hashes []uint64
 
@@ -162,8 +246,9 @@ type frameKeys struct {
 	codeID []int32 // code → id, -1 until seen; the last slot is the null key
 }
 
-func newFrameKeys(cols []vector.Vector, n int, runs bool) *frameKeys {
-	fk := &frameKeys{cols: cols, runs: runs}
+// frame prepares the n-row key columns cols for resolve.
+func (t *keyTable) frame(cols []vector.Vector, n int, runs bool) *frameKeys {
+	fk := &frameKeys{cols: cols, fresh: int32(len(t.rows)), runs: runs}
 	if len(cols) == 1 {
 		if codes, dict, nulls, idx, ok := vector.DictData(cols[0]); ok {
 			fk.codes, fk.nulls, fk.idx = codes, nulls, idx
@@ -197,13 +282,13 @@ func (t *keyTable) resolve(fk *frameKeys, lo int, ids []int32) {
 			}
 			id := fk.codeID[c]
 			if id < 0 {
-				id = t.insertRow(hashValues([]types.Value{fk.cols[0].Value(i)}), fk.cols, i)
+				id = t.insertRow(hashValues([]types.Value{fk.cols[0].Value(i)}), fk, i)
 				fk.codeID[c] = id
 			}
 			ids[r] = id
 		}
 	case len(fk.cols) == 0: // no keys: every row is the whole-frame group
-		id := t.insertRow(hashValues(nil), nil, lo)
+		id := t.insertRow(hashValues(nil), fk, lo)
 		for r := range ids {
 			ids[r] = id
 		}
@@ -211,7 +296,7 @@ func (t *keyTable) resolve(fk *frameKeys, lo int, ids []int32) {
 		for r := range ids {
 			i := lo + r
 			if !fk.runs || i == 0 || !rowsEqualAt(fk.cols, i-1, fk.cols, i) {
-				fk.last = t.insertRow(fk.hashes[i], fk.cols, i)
+				fk.last = t.insertRow(fk.hashes[i], fk, i)
 			}
 			ids[r] = fk.last
 		}
@@ -288,7 +373,8 @@ func (g *GroupPartial) AddFrame(df *core.DataFrame) error {
 	if n == 0 {
 		return nil
 	}
-	fk := newFrameKeys(keyCols, n, g.spec.Sorted)
+	fk := g.keys.frame(keyCols, n, g.spec.Sorted)
+	defer g.keys.keep(fk)
 	ids := make([]int32, min(n, groupChunk))
 
 	// With no grouping keys there is exactly one group, and COUNT/SIZE read
@@ -370,10 +456,7 @@ func (g *GroupPartial) nonKeyColumns(df *core.DataFrame) []int {
 // Merge folds another partial (same spec) into g, preserving g's group
 // order first, then appending groups first seen in other.
 func (g *GroupPartial) Merge(other *GroupPartial) {
-	to := make([]int32, other.NumGroups())
-	for oi, key := range other.keys.exemplars {
-		to[oi], _ = g.keys.insertTuple(other.keys.index.hashes[oi], key)
-	}
+	to := g.keys.merge(&other.keys)
 	g.grow()
 	for k := range g.aggs {
 		for oi, id := range to {
@@ -388,7 +471,7 @@ func (g *GroupPartial) Merge(other *GroupPartial) {
 }
 
 // NumGroups returns the number of distinct groups seen so far.
-func (g *GroupPartial) NumGroups() int { return len(g.keys.exemplars) }
+func (g *GroupPartial) NumGroups() int { return len(g.keys.rows) }
 
 // FirstRow returns the row that inserted group id, a row of the frame
 // whose AddFrame or AddState call added the group, or -1 for a group Merge
@@ -404,22 +487,15 @@ func (g *GroupPartial) Finalize() (*core.DataFrame, error) {
 	var labels []types.Value
 	if !g.spec.AsLabels {
 		for k, name := range g.spec.Keys {
-			vals := make([]types.Value, n)
-			for id, key := range g.keys.exemplars {
-				vals[id] = key[k]
-			}
-			cols = append(cols, buildColumn(vals))
+			cols = append(cols, g.keys.column(k))
 			labels = append(labels, types.String(name))
 		}
 	}
 	for k, a := range g.spec.Aggs {
-		vals := make([]types.Value, n)
 		if a.Agg != expr.AggCollect {
-			for id := range vals {
-				vals[id] = g.aggs[k].result(id)
-			}
-			cols = append(cols, buildColumn(vals))
+			cols = append(cols, g.aggs[k].column(n))
 		} else {
+			vals := make([]types.Value, n)
 			for id := range vals {
 				sub, err := unionAll(g.collected[id])
 				if err != nil {
@@ -433,12 +509,16 @@ func (g *GroupPartial) Finalize() (*core.DataFrame, error) {
 	}
 
 	var rowLab vector.Vector
-	if g.spec.AsLabels {
-		// Implicit TOLABELS: key values become the row labels
-		// (composite for multiple keys).
+	switch {
+	case !g.spec.AsLabels:
+	case len(g.spec.Keys) == 1:
+		rowLab = g.keys.column(0)
+	default:
+		// Implicit TOLABELS: key values become the row labels (composite
+		// for several keys).
 		labs := make([]types.Value, n)
-		for id, key := range g.keys.exemplars {
-			labs[id] = core.CompositeLabel(key...)
+		for id := range labs {
+			labs[id] = core.CompositeLabel(g.keys.key(id)...)
 		}
 		rowLab = buildColumn(labs)
 	}
@@ -604,7 +684,9 @@ func (g *GroupPartial) AddState(df *core.DataFrame) error {
 		keyCols[k] = df.TypedCol(k)
 	}
 	ids := make([]int32, n)
-	g.keys.resolve(newFrameKeys(keyCols, n, false), 0, ids)
+	fk := g.keys.frame(keyCols, n, false)
+	g.keys.resolve(fk, 0, ids)
+	g.keys.keep(fk)
 	g.grow()
 	for k := range g.aggs {
 		g.aggs[k].addState(ids, df.TypedCol(nk+k))
@@ -954,6 +1036,35 @@ func (s *aggState) result(g int) types.Value {
 	return s.accs[g].Result()
 }
 
+// column is the aggregate's result over groups [0, n), typed as buildColumn
+// types the results: COUNT and SIZE as one Int vector, SUM and MEAN as one
+// Float vector, straight from the flat state. An empty MEAN is 0/0, a NaN,
+// which a Float reads as null. A column with no non-null result, and every
+// other kind, is built from the boxed results.
+func (s *aggState) column(n int) vector.Vector {
+	var col vector.Vector
+	switch s.kind {
+	case expr.AggCount, expr.AggSize:
+		col = vector.NewInt(slices.Clone(s.count[:n]), nil)
+	case expr.AggSum:
+		col = vector.NewFloat(slices.Clone(s.sum[:n]), nil)
+	case expr.AggMean:
+		mean := make([]float64, n)
+		for g := range mean {
+			mean[g] = s.sum[g] / float64(s.count[g])
+		}
+		col = vector.NewFloat(mean, nil)
+	}
+	if col != nil && vector.NullCount(col) < n {
+		return col
+	}
+	vals := make([]types.Value, n)
+	for g := range vals {
+		vals[g] = s.result(g)
+	}
+	return buildColumn(vals)
+}
+
 // unionAll concatenates frames in order (used to merge collected groups
 // across partitions).
 func unionAll(frames []*core.DataFrame) (*core.DataFrame, error) {
@@ -1017,9 +1128,9 @@ type GroupKeySummary struct {
 
 // SummarizeGroupKeys computes the GroupKeySummary of df over the named key
 // columns. Empty keys yield the whole-frame group: every row gets ordinal
-// 0. The ordinals are GroupPartial's own group ids over the frame. Only
-// paperbench's replay calls it; ROADMAP item 3's benchmark follow-up
-// deletes it.
+// 0. The ordinals are GroupPartial's own group ids over the frame; each
+// exemplar is boxed from the key's first row. Only paperbench's replay
+// calls it; ROADMAP item 3's benchmark follow-up deletes it.
 func SummarizeGroupKeys(df *core.DataFrame, keys []string) (*GroupKeySummary, error) {
 	cols, err := groupKeyCols(df, keys)
 	if err != nil {
@@ -1028,8 +1139,15 @@ func SummarizeGroupKeys(df *core.DataFrame, keys []string) (*GroupKeySummary, er
 	n := df.NRows()
 	s := &GroupKeySummary{Ordinals: make([]int32, n)}
 	var t keyTable
-	t.resolve(newFrameKeys(cols, n, false), 0, s.Ordinals)
-	s.Hashes, s.Exemplars = t.index.hashes, t.exemplars
+	t.resolve(t.frame(cols, n, false), 0, s.Ordinals)
+	s.Hashes, s.Exemplars = t.index.hashes, make([][]types.Value, len(t.rows))
+	for id, i := range t.rows {
+		key := make([]types.Value, len(cols))
+		for k, c := range cols {
+			key[k] = c.Value(int(i))
+		}
+		s.Exemplars[id] = key
+	}
 	return s, nil
 }
 
@@ -1042,11 +1160,11 @@ func SummarizeGroupKeys(df *core.DataFrame, keys []string) (*GroupKeySummary, er
 // modin.PlanGroupRouting); ROADMAP item 3's benchmark follow-up deletes it.
 type GroupKeyFold struct {
 	// Exemplars and Hashes are indexed by global id (= global
-	// first-appearance rank); they are the key table's own slices.
+	// first-appearance rank); Hashes is the index's own slice.
 	Exemplars [][]types.Value
 	Hashes    []uint64
 
-	keys keyTable
+	index keyIndex
 }
 
 // NewGroupKeyFold returns an empty fold.
@@ -1057,7 +1175,10 @@ func NewGroupKeyFold() *GroupKeyFold { return &GroupKeyFold{} }
 // for global ids to equal global first-appearance ranks.
 func (f *GroupKeyFold) AddBand(hashes []uint64, exemplars [][]types.Value) {
 	for d, h := range hashes {
-		f.keys.insertTuple(h, exemplars[d])
+		key := exemplars[d]
+		if _, added := f.index.insert(h, func(id int32) bool { return tuplesEqual(f.Exemplars[id], key) }); added {
+			f.Exemplars = append(f.Exemplars, key)
+		}
 	}
-	f.Exemplars, f.Hashes = f.keys.exemplars, f.keys.index.hashes
+	f.Hashes = f.index.hashes
 }

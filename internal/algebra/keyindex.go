@@ -12,9 +12,11 @@ import (
 // in first-insertion order, so callers keep per-key state in plain slices
 // indexed by id — by open addressing with linear probing over the stored
 // hashes. It never sees a key: the caller passes the equality check of its
-// own representation (keysMatchRow, rowsEqualAt or tuplesEqual), which runs
-// only on ids whose stored hash equals the probe's, so distinct keys that
-// collide on the hash keep distinct ids. The slot table doubles, re-placing
+// own representation — rowsEqualAt over typed rows (a frame's own first
+// rows, a group table's kept key chunks, a join build's first rows) or, in
+// the replay's key fold, tuplesEqual over boxed tuples — which runs only on
+// ids whose stored hash equals the probe's, so distinct keys that collide
+// on the hash keep distinct ids. The slot table doubles, re-placing
 // ids by their stored hashes, before it passes half full; a caller that
 // knows a bound on its key count (a join build of n rows holds at most n
 // keys) reserves it up front instead. The zero value is an empty index.

@@ -16,7 +16,7 @@ import (
 // nulls of every domain share one hash, Int/Bool/integral-Float values of
 // equal magnitude share one hash, and Object/Category share the string
 // hash. The matching verification predicate is KeyEqual (and its typed
-// forms EqualRows/EqualRowValue): KeyEqual(a, b) implies equal hashes, so
+// form EqualRows): KeyEqual(a, b) implies equal hashes, so
 // a hash-plus-verify table reproduces the rendered-key grouping semantics.
 // KeyEqual is types.Value.Equal except that cross-representation numeric
 // comparison is exact rather than in float64 space — see intFloatKeyEqual.
@@ -129,8 +129,8 @@ func hashBool(seed uint64, b bool) uint64 {
 }
 
 // HashValue hashes one boxed value under the canonicalization above. It is
-// the scalar companion of Hash, used for group exemplars and plan-side
-// verification.
+// the scalar companion of Hash: the hash of a Dict code's value, of a cell
+// in no typed storage, and of the replay's boxed key tuples.
 func HashValue(v types.Value, seed uint64) uint64 {
 	if v.IsNull() {
 		return hashWord(seed, tagNull, 0)
@@ -153,7 +153,8 @@ func HashValue(v types.Value, seed uint64) uint64 {
 
 // Hash writes the canonical hash of every entry of v into dst (which must
 // have length v.Len()), null-aware and without constructing types.Value. The
-// typed vectors hash their storage slices directly; Dict vectors hash each
+// typed vectors hash their storage slices directly, and a selection view
+// hashes its base's storage through its index; Dict vectors hash each
 // dictionary entry once and route codes through the precomputed table.
 func Hash(v Vector, seed uint64, dst []uint64) {
 	nullH := hashWord(seed, tagNull, 0)
@@ -211,9 +212,56 @@ func Hash(v Vector, seed uint64, dst []uint64) {
 				dst[i] = table[code]
 			}
 		}
+	case *view:
+		hashView(c, seed, dst)
 	default:
 		for i := 0; i < v.Len(); i++ {
 			dst[i] = HashValue(v.Value(i), seed)
+		}
+	}
+}
+
+// hashView is Hash over a selection view: it reads the base's typed storage
+// through the view's index, -1 hashing as null, without copying the view.
+func hashView(v *view, seed uint64, dst []uint64) {
+	nullH := hashWord(seed, tagNull, 0)
+	switch c := v.base.(type) {
+	case *Int:
+		hashAt(dst, v.idx, c.data, c.nulls, nullH, func(x int64) uint64 { return hashWord(seed, tagInt, uint64(x)) })
+	case *Float:
+		hashAt(dst, v.idx, c.data, c.nulls, nullH, func(x float64) uint64 {
+			if math.IsNaN(x) {
+				return nullH
+			}
+			return hashFloat(seed, x)
+		})
+	case *Bool:
+		hashAt(dst, v.idx, c.data, c.nulls, nullH, func(x bool) uint64 { return hashBool(seed, x) })
+	case *Datetime:
+		hashAt(dst, v.idx, c.data, c.nulls, nullH, func(x int64) uint64 { return hashWord(seed, tagTime, uint64(x)) })
+	case *Object:
+		hashAt(dst, v.idx, c.data, c.nulls, nullH, func(s string) uint64 { return hashString(seed, s) })
+	case *Dict:
+		table := make([]uint64, len(c.dict))
+		for k, s := range c.dict {
+			table[k] = hashString(seed, s)
+		}
+		hashAt(dst, v.idx, c.codes, c.nulls, nullH, func(code int32) uint64 { return table[code] })
+	default:
+		for i := range dst {
+			dst[i] = HashValue(v.Value(i), seed)
+		}
+	}
+}
+
+// hashAt writes h of storage cell idx[i] into dst[i]; a -1 index and a
+// masked cell hash as null.
+func hashAt[T any](dst []uint64, idx []int, data []T, nulls []bool, nullH uint64, h func(T) uint64) {
+	for i, j := range idx {
+		if j < 0 || (nulls != nil && nulls[j]) {
+			dst[i] = nullH
+		} else {
+			dst[i] = h(data[j])
 		}
 	}
 }
@@ -245,8 +293,9 @@ func HashRows(cols []Vector, seed uint64, dst []uint64) {
 }
 
 // HashRowValues is HashRows for one boxed key tuple: it produces the same
-// hash a row with these column values gets, letting plan-side code compare
-// exemplar tuples against storage-side row hashes.
+// hash a row with these column values gets, so a key hashed once from its
+// value (a Dict code's, the whole-frame group's) or a boxed tuple of the
+// replay's key fold meets the row hashes of typed storage.
 func HashRowValues(vals []types.Value, seed uint64) uint64 {
 	if len(vals) == 0 {
 		return mix64(seed ^ tagNull)
@@ -261,11 +310,18 @@ func HashRowValues(vals []types.Value, seed uint64) uint64 {
 // EqualRows reports whether entry i of a and entry j of b are the same group
 // key, under the equivalence of types.Value.Equal (nulls equal each other,
 // numerics compare across domains, Object and Category compare by content).
-// Same-representation pairs compare on the storage slices without boxing.
+// Same-representation pairs compare on the storage slices without boxing; a
+// selection view compares its base's entry, which a non-null row always has.
 func EqualRows(a Vector, i int, b Vector, j int) bool {
 	an, bn := a.IsNull(i), b.IsNull(j)
 	if an || bn {
 		return an && bn
+	}
+	if v, ok := a.(*view); ok {
+		a, i = v.base, v.idx[i]
+	}
+	if v, ok := b.(*view); ok {
+		b, j = v.base, v.idx[j]
 	}
 	switch ca := a.(type) {
 	case *Int:
@@ -306,47 +362,4 @@ func EqualRows(a Vector, i int, b Vector, j int) bool {
 		}
 	}
 	return KeyEqual(a.Value(i), b.Value(j))
-}
-
-// EqualRowValue reports whether entry i of v equals the boxed value val
-// under the same equivalence as EqualRows. It is the verification step of
-// hash-table probes whose entries keep boxed exemplars.
-func EqualRowValue(v Vector, i int, val types.Value) bool {
-	vn := v.IsNull(i)
-	if vn || val.IsNull() {
-		return vn && val.IsNull()
-	}
-	switch c := v.(type) {
-	case *Int:
-		switch val.Domain() {
-		case types.Int:
-			return c.data[i] == val.Int()
-		case types.Float:
-			return intFloatKeyEqual(c.data[i], val.Float())
-		}
-	case *Float:
-		switch val.Domain() {
-		case types.Float:
-			return c.data[i] == val.Float()
-		case types.Int:
-			return intFloatKeyEqual(val.Int(), c.data[i])
-		}
-	case *Bool:
-		if val.Domain() == types.Bool {
-			return c.data[i] == val.Bool()
-		}
-	case *Datetime:
-		if val.Domain() == types.Datetime {
-			return c.data[i] == val.Int()
-		}
-	case *Object:
-		if d := val.Domain(); d == types.Object || d == types.Category {
-			return c.data[i] == val.Str()
-		}
-	case *Dict:
-		if d := val.Domain(); d == types.Object || d == types.Category {
-			return c.dict[c.codes[i]] == val.Str()
-		}
-	}
-	return KeyEqual(v.Value(i), val)
 }

@@ -94,17 +94,48 @@ func TestEqualRowsAgreesWithValueEqual(t *testing.T) {
 	}
 }
 
-func TestEqualRowValueAgreesWithValueEqual(t *testing.T) {
-	operands := []types.Value{
-		types.IntValue(5), types.FloatValue(5), types.FloatValue(-1.5),
-		types.BoolValue(true), types.String("a"), types.CategoryValue("a"),
-		types.DatetimeFromNanos(5), types.Null(),
+// TestViewHashAndEqualityMatchMaterialized checks the view cases of Hash and
+// EqualRows, which read a selection view's base storage through its index
+// instead of copying it: hashing a view equals hashing its materialized
+// copy, and EqualRows over views agrees with KeyEqual on the boxed cells —
+// across -1 entries, Dict against Object, Int against Float, NaN, null and
+// -0.
+func TestViewHashAndEqualityMatchMaterialized(t *testing.T) {
+	const seed = 3
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	bases := map[string]Vector{
+		"int":      NewInt([]int64{5, -1, 0, 5, 2}, []bool{false, false, true, false, false}),
+		"float":    NewFloat([]float64{5, -1.5, nan, negZero, 0, 2.5}, []bool{false, false, false, false, false, true}),
+		"bool":     NewBool([]bool{true, false, true}, []bool{false, false, true}),
+		"datetime": NewDatetime([]int64{5, 0, 7}, []bool{false, true, false}),
+		"object":   NewObject([]string{"a", "b", "", "NA"}, []bool{false, false, true, false}),
+		"dict":     NewDict([]int32{1, 0, 2, 0}, []string{"a", "b", "NA"}, []bool{false, false, false, true}),
 	}
-	for name, v := range mixedVectors() {
-		for i := 0; i < v.Len(); i++ {
-			for _, o := range operands {
-				if got, want := EqualRowValue(v, i, o), v.Value(i).Equal(o); got != want {
-					t.Errorf("EqualRowValue(%s[%d], %#v) = %v, want %v", name, i, o, got, want)
+	vs := map[string]Vector{}
+	for name, b := range bases {
+		// Every row of the base, backwards, between two -1 entries.
+		idx := []int{-1}
+		for i := b.Len() - 1; i >= 0; i-- {
+			idx = append(idx, i)
+		}
+		vs[name] = b
+		vs[name+" view"] = TakeView(b, append(idx, -1))
+	}
+	for name, v := range vs {
+		got, want := make([]uint64, v.Len()), make([]uint64, v.Len())
+		Hash(v, seed, got)
+		Hash(Materialize(v), seed, want)
+		if !slices.Equal(got, want) {
+			t.Errorf("Hash(%s) = %x, Hash of its materialized copy = %x", name, got, want)
+		}
+	}
+	for an, a := range vs {
+		for bn, b := range vs {
+			for i := 0; i < a.Len(); i++ {
+				for j := 0; j < b.Len(); j++ {
+					if got, want := EqualRows(a, i, b, j), KeyEqual(a.Value(i), b.Value(j)); got != want {
+						t.Errorf("EqualRows(%s[%d], %s[%d]) = %v, KeyEqual = %v", an, i, bn, j, got, want)
+					}
 				}
 			}
 		}
@@ -289,9 +320,8 @@ func TestFilterDictComparesPerDictionaryEntry(t *testing.T) {
 // invariant at the float64 precision boundary: types.Value.Equal compares
 // cross-domain numerics in float64 space, where 2^53+1 (int) "equals"
 // 2^53.0 (float) — but they must NOT be the same grouping key, because
-// their canonical hashes differ. KeyEqual (and the typed EqualRows /
-// EqualRowValue paths) use exact comparison, so KeyEqual ⇒ hash-equal
-// always holds.
+// their canonical hashes differ. KeyEqual (and the typed EqualRows path)
+// use exact comparison, so KeyEqual ⇒ hash-equal always holds.
 func TestKeyEqualExactAboveFloatPrecision(t *testing.T) {
 	const seed = 11
 	bigInt := types.IntValue(1<<53 + 1)
@@ -319,8 +349,8 @@ func TestKeyEqualExactAboveFloatPrecision(t *testing.T) {
 	if !EqualRows(iv, 1, fv, 1) {
 		t.Error("representable pair must stay equal")
 	}
-	if EqualRowValue(iv, 0, bigFloat) || !EqualRowValue(iv, 1, bigFloat) {
-		t.Error("EqualRowValue must match KeyEqual")
+	if view := TakeView(iv, []int{1, 0}); EqualRows(view, 1, fv, 0) || !EqualRows(view, 0, fv, 0) {
+		t.Error("EqualRows over a view must match KeyEqual")
 	}
 	// Huge integral floats beyond int64 fall back to bit hashing; equal
 	// payloads still share hash and key.
