@@ -469,6 +469,38 @@ func TestWindowHelpers(t *testing.T) {
 	}
 }
 
+// TestDiffAheadSpansBands: Diff(-1) subtracts the next row, also at the
+// band boundaries of a frame too large to run inline.
+func TestDiffAheadSpansBands(t *testing.T) {
+	const n = 5000
+	records := make([][]any, n)
+	for i := range records {
+		records[i] = []any{i * i}
+	}
+	d, err := New([]string{"x"}, records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	di, err := d.Diff(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		v, err := di.Iloc(i, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// (i² − (i+1)²) = −(2i+1); the last row has no next row.
+		if i == n-1 {
+			if !v.IsNull() {
+				t.Errorf("row %d = %v, want NA", i, v)
+			}
+		} else if v.IsNull() || v.Float() != float64(-(2*i+1)) {
+			t.Fatalf("row %d = %v, want %d", i, v, -(2*i + 1))
+		}
+	}
+}
+
 func TestGetDummiesAndCov(t *testing.T) {
 	d := MustNew([]string{"color", "x", "y"}, [][]any{
 		{"red", 1.0, 2.0}, {"blue", 2.0, 4.0}, {"red", 3.0, 6.0},

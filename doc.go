@@ -31,9 +31,11 @@
 // are the default), or compiled into a physical stage DAG (internal/physical) by the MODIN
 // engine (internal/modin) — embarrassingly-parallel operator chains fuse
 // into one task per partition band; the hot repartition points (GROUPBY,
-// SORT, inner/left JOIN) lower to two-phase shuffles
-// (summarize→plan→partition→merge; a groupby has no summary or plan: each
-// band routes by key hash alone) emitting one
+// SORT) lower to two-phase shuffles (summarize→plan→partition→merge; a
+// groupby has no summary or plan: each band routes by key hash alone) and
+// the ordered passes (inner/left JOIN and its renumber, FROMLABELS, bounded
+// WINDOWs) to anchored shuffles whose band b reads band b and at most the
+// bands before or after it, each emitting one
 // independent future per output band; every shape-opaque operator without
 // a partitioned lowering is one gather exchange that calls the same
 // algebra.Eval on its gathered inputs — and
@@ -155,7 +157,9 @@
 // one algebra.JoinTable over it, presized for its rows, and each left
 // band's merge joins against that shared, read-only table with the call
 // the eager engine's JoinFrames makes, so output band b lines up with left
-// band b and no row is routed; its explain line reports the build size (a
+// band b and no row is routed; a data-column join then renumbers band b
+// from the row counts of bands 0…b−1, which its merge reads directly; its
+// explain line reports the build size (a
 // base frame's exact row count, or optimizer.EstimateNode's zero-stats
 // model above one). A groupby
 // whose aggregates all combine exactly (COUNT, SIZE, MIN, MAX) folds each

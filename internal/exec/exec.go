@@ -402,23 +402,6 @@ func (p *Pool) trySubmit(fn func()) bool {
 	}
 }
 
-// MapParallel applies fn to every index and collects the results in order.
-func MapParallel[T any](p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := p.ForEach(n, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // NewPromise returns an unresolved future and the function that completes
 // it (first completion wins). It bridges externally-produced results into
 // the future graph without occupying a pool worker.

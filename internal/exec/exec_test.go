@@ -73,7 +73,7 @@ func TestDependencyFailurePropagates(t *testing.T) {
 	}
 }
 
-func TestForEachAndMapParallel(t *testing.T) {
+func TestForEach(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 	var sum atomic.Int64
@@ -87,14 +87,6 @@ func TestForEachAndMapParallel(t *testing.T) {
 		t.Errorf("sum = %d", sum.Load())
 	}
 
-	out, err := MapParallel(p, 10, func(i int) (int, error) { return i * i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[7] != 49 {
-		t.Error("MapParallel order wrong")
-	}
-
 	wantErr := errors.New("third")
 	if err := p.ForEach(5, func(i int) error {
 		if i == 3 {
@@ -103,9 +95,6 @@ func TestForEachAndMapParallel(t *testing.T) {
 		return nil
 	}); !errors.Is(err, wantErr) {
 		t.Errorf("ForEach error = %v", err)
-	}
-	if _, err := MapParallel(p, 3, func(i int) (int, error) { return 0, wantErr }); err == nil {
-		t.Error("MapParallel should propagate errors")
 	}
 	if err := p.ForEach(0, func(int) error { return nil }); err != nil {
 		t.Error("empty ForEach should be nil")

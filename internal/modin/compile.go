@@ -20,18 +20,21 @@ import (
 //     RENAME, TOLABELS, and TOPK's per-band pass) become kernels, and
 //     consecutive kernels over a single-use input fuse into ONE stage —
 //     one task per band, no inter-operator barrier.
-//   - The hot repartition points (GROUPBY, SORT, inner/left JOIN) become
-//     shuffle stages: a two-phase partition→route→merge lowering where each
-//     output band is its own future, so downstream fused stages start as
-//     soon as the band that feeds them lands (shuffle.go, sort.go).
-//   - TRANSPOSE (block transpose), bounded WINDOWs (boundary-row exchange)
-//     and LIMIT (boundary bands only) are exchange stages with partitioned
-//     bodies: explicit DAG dependencies on every input block, one
-//     coordinating task.
+//   - The hot repartition points (GROUPBY, SORT) become shuffle stages: a
+//     two-phase partition→route→merge lowering where each output band is
+//     its own future, so downstream fused stages start as soon as the band
+//     that feeds them lands (shuffle.go, sort.go).
+//   - The ordered passes (inner/left JOIN's probe and renumber, FROMLABELS,
+//     bounded WINDOWs) become anchored shuffles: no row is routed, and
+//     output band b's merge reads input band b plus, under a prefix or
+//     suffix reach, the bands before or after it.
+//   - TRANSPOSE (block transpose) and LIMIT (boundary bands only) are
+//     exchange stages with partitioned bodies: explicit DAG dependencies on
+//     every input block, one coordinating task.
 //   - Every other operator (UNION, DIFFERENCE, outer and cross JOIN,
-//     DROP-DUPLICATES, FROMLABELS, INDUCE, expanding WINDOW, TOPK's merge)
-//     is one gather exchange: gather the inputs, apply algebra.Eval — the
-//     eager engine's evaluator — and re-partition the result.
+//     DROP-DUPLICATES, INDUCE, expanding WINDOW, TOPK's merge) is one gather
+//     exchange: gather the inputs, apply algebra.Eval — the eager engine's
+//     evaluator — and re-partition the result.
 //
 // Shared sub-plans (a statement referencing an earlier handle twice)
 // compile to shared physical nodes, scheduled once; fusion never crosses a
@@ -332,11 +335,8 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 		return e.groupRestoreExchange(node, shuffled), nil
 
 	case *algebra.Window:
-		spec := node.Spec
-		if spec.Kind != expr.WindowExpanding {
-			return c.exchange(node, "window", func(in []*partition.Frame) (*partition.Frame, error) {
-				return e.executeWindow(spec, in[0])
-			}, node.Input)
+		if node.Spec.Kind != expr.WindowExpanding {
+			return c.shuffleStage(node, windowShuffle(node.Spec), node.Input)
 		}
 		// Every row of an expanding window reads all rows before it.
 		name = "window"
@@ -364,9 +364,9 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 			}
 			// Data-column joins reset row labels to one global positional
 			// sequence; the renumber pass is itself an anchored shuffle
-			// (only band counts cross bands), so the join's output bands
-			// stay independent futures.
-			renumber := e.renumberShuffle()
+			// (band b reads the row counts of the bands before it), so the
+			// join's output bands stay independent futures.
+			renumber := relabelShuffle("renumber", nil)
 			renumber.Desc = probe.Shuffle.Desc
 			return physical.NewShuffle(renumber, probe), nil
 		}
@@ -387,9 +387,12 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 	case *algebra.Difference:
 		name = "difference"
 	case *algebra.FromLabels:
-		// FROMLABELS resets row labels to global positional notation,
-		// which spans partitions.
-		name = "fromlabels"
+		// FROMLABELS moves each band's labels into a column, then relabels
+		// the band from the row count of the bands before it.
+		label := node.Label
+		return c.shuffleStage(node, relabelShuffle("fromlabels", func(df *core.DataFrame) (*core.DataFrame, error) {
+			return algebra.FromLabelsFrame(df, label)
+		}), node.Input)
 	case *algebra.DropDuplicates:
 		name = "dropduplicates"
 	case *algebra.Induce:

@@ -173,8 +173,6 @@ func TestGatheredOperatorsRender(t *testing.T) {
 			"EXCHANGE[union]\n  " + source + "  FUSED[selection]\n    " + source},
 		{"difference", &algebra.Difference{Left: src, Right: even},
 			"EXCHANGE[difference]\n  " + source + "  FUSED[selection]\n    " + source},
-		{"fromlabels", &algebra.FromLabels{Input: &algebra.ToLabels{Input: src, Col: "id"}, Label: "idx"},
-			"EXCHANGE[fromlabels]\n  FUSED[tolabels]\n    " + source},
 		{"dropduplicates", &algebra.DropDuplicates{Input: src, Subset: []string{"dept"}},
 			"EXCHANGE[dropduplicates]\n  " + source},
 		{"induce", &algebra.Induce{Input: src},
@@ -197,6 +195,48 @@ func TestGatheredOperatorsRender(t *testing.T) {
 				t.Errorf("rendered\n%s\nwant\n%s", got, c.want)
 			}
 			if phys.Exchange == nil || phys.Exchange.Desc != c.plan.Describe() {
+				t.Errorf("root stage does not carry %q", c.plan.Describe())
+			}
+			bothEngines(t, c.plan)
+		})
+	}
+}
+
+// TestAnchoredPassesRender pins the physical form of the ordered passes
+// that read neighbouring bands instead of gathering: FROMLABELS and the
+// bounded windows are one anchored shuffle under the operator's name, a
+// data-column join renumbers in a second one over its probe — each carrying
+// the operator's description and computing the eager engine's frame.
+func TestAnchoredPassesRender(t *testing.T) {
+	src := &algebra.Source{DF: testFrame(30), Name: "t"}
+	heads := &algebra.Source{DF: core.MustFromRecords([]string{"dept", "head"}, [][]any{{"eng", "grace"}, {"ops", "ada"}})}
+	const source = "SOURCE[4x1 bands]\n"
+	window := func(spec expr.WindowSpec) algebra.Node { return &algebra.Window{Input: src, Spec: spec} }
+	for _, c := range []struct {
+		name string
+		plan algebra.Node
+		want string
+	}{
+		{"fromlabels", &algebra.FromLabels{Input: &algebra.ToLabels{Input: src, Col: "id"}, Label: "idx"},
+			"SHUFFLE[fromlabels]\n  FUSED[tolabels]\n    " + source},
+		{"shift", window(expr.WindowSpec{Kind: expr.WindowShift, Offset: -2, Cols: []string{"val"}}),
+			"SHUFFLE[window]\n  " + source},
+		{"diff", window(expr.WindowSpec{Kind: expr.WindowDiff, Offset: 3, Reverse: true, Cols: []string{"id"}}),
+			"SHUFFLE[window]\n  " + source},
+		{"rolling", window(expr.WindowSpec{Kind: expr.WindowRolling, Size: 9, Agg: expr.AggSum, Cols: []string{"score"}}),
+			"SHUFFLE[window]\n  " + source},
+		{"join", &algebra.Join{Left: src, Right: heads, Kind: expr.JoinInner, On: []string{"dept"}},
+			"SHUFFLE[renumber]\n  SHUFFLE[join]\n    " + source + "    SOURCE[2x1 bands]\n"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			phys, err := New(WithBands(4)).Compile(c.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := physical.Render(phys); got != c.want {
+				t.Errorf("rendered\n%s\nwant\n%s", got, c.want)
+			}
+			if phys.Shuffle == nil || phys.Shuffle.Desc != c.plan.Describe() {
 				t.Errorf("root stage does not carry %q", c.plan.Describe())
 			}
 			bothEngines(t, c.plan)

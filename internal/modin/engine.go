@@ -6,11 +6,13 @@
 // Execution is compile-then-schedule: logical plans are lowered into a
 // physical stage DAG (compile.go), where chains of embarrassingly-parallel
 // operators fuse into one task per band, the hot repartition points
-// (groupby, sort, inner/left join) become two-phase shuffles with one
-// independent future per output band (shuffle.go, sort.go), and
+// (groupby, sort) become two-phase shuffles with one independent future
+// per output band (shuffle.go, sort.go), the ordered passes (join probe
+// and renumber, fromlabels, bounded windows) are anchored shuffles whose
+// band b reads its own band and at most the bands on one side of it, and
 // shape-opaque operators are exchange barriers — partitioned bodies for
-// transpose, bounded windows and limit, otherwise one gather exchange that
-// calls algebra.Eval; the physical scheduler then drains the DAG
+// transpose and limit, otherwise one gather exchange that calls
+// algebra.Eval; the physical scheduler then drains the DAG
 // asynchronously on the worker pool, handing back deferred partition frames
 // and futures (internal/physical).
 //
@@ -28,7 +30,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/expr"
 	"repro/internal/partition"
 	"repro/internal/physical"
 	"repro/internal/types"
@@ -255,82 +256,6 @@ func (e *Engine) run(plan *physical.Node) (*physical.Result, *physical.Scheduler
 // rePartition splits a kernel result back into row bands.
 func (e *Engine) rePartition(df *core.DataFrame) *partition.Frame {
 	return partition.New(df, partition.Rows, e.bands)
-}
-
-// executeWindow parallelizes direction-agnostic bounded windows (shift,
-// diff, rolling) with boundary-row exchange between bands; unbounded
-// (expanding) windows gather.
-func (e *Engine) executeWindow(spec expr.WindowSpec, in *partition.Frame) (*partition.Frame, error) {
-	boundary := 0
-	switch spec.Kind {
-	case expr.WindowShift, expr.WindowDiff:
-		boundary = spec.Offset
-		if boundary == 0 {
-			boundary = 1
-		}
-		if boundary < 0 {
-			boundary = -boundary
-		}
-	case expr.WindowRolling:
-		boundary = spec.Size - 1
-	}
-
-	full, err := in.EnsureSingleColBand()
-	if err != nil {
-		return nil, err
-	}
-	rb := full.RowBands()
-	bands := make([]*core.DataFrame, rb)
-	for r := 0; r < rb; r++ {
-		b, err := full.RowBand(r)
-		if err != nil {
-			return nil, err
-		}
-		bands[r] = b
-	}
-	results, err := exec.MapParallel(e.pool, rb, func(r int) (*core.DataFrame, error) {
-		band := bands[r]
-		lead := 0
-		if !spec.Reverse && r > 0 && boundary > 0 {
-			// Prepend the tail of the previous band.
-			prev := bands[r-1]
-			take := boundary
-			if take > prev.NRows() {
-				take = prev.NRows()
-			}
-			ext, err := algebra.VStackFrames(prev.SliceRows(prev.NRows()-take, prev.NRows()), band)
-			if err != nil {
-				return nil, err
-			}
-			band, lead = ext, take
-		}
-		trail := 0
-		if spec.Reverse && r < rb-1 && boundary > 0 {
-			next := bands[r+1]
-			take := boundary
-			if take > next.NRows() {
-				take = next.NRows()
-			}
-			ext, err := algebra.VStackFrames(band, next.SliceRows(0, take))
-			if err != nil {
-				return nil, err
-			}
-			band, trail = ext, take
-		}
-		out, err := algebra.WindowFrame(band, spec)
-		if err != nil {
-			return nil, err
-		}
-		return out.SliceRows(lead, out.NRows()-trail), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	grid := make([][]*core.DataFrame, rb)
-	for r := range results {
-		grid[r] = []*core.DataFrame{results[r]}
-	}
-	return partition.FromGrid(grid)
 }
 
 // executeTranspose repartitions to a block grid and transposes blocks in

@@ -234,6 +234,68 @@ func TestEnginesAgreeWindow(t *testing.T) {
 			bothEngines(t, &algebra.Window{Input: &algebra.Source{DF: df}, Spec: spec})
 		})
 	}
+
+	// Bounded windows that read ahead of the scan, or further back than
+	// the adjacent band holds, must equal eager cell for cell and in every
+	// domain: at 1, 2 and 7 bands and on a one-worker pool.
+	one := exec.NewPool(1)
+	defer one.Close()
+	engines := map[string]*Engine{
+		"bands=1": New(WithBands(1)), "bands=2": New(WithBands(2)), "bands=7": New(WithBands(7)),
+		"1worker": New(WithPool(one), WithBands(7)),
+	}
+	for _, c := range []struct {
+		name string
+		rows int
+		spec expr.WindowSpec
+	}{
+		{"shift -1", 90, expr.WindowSpec{Kind: expr.WindowShift, Offset: -1}},
+		{"diff -1", 90, expr.WindowSpec{Kind: expr.WindowDiff, Offset: -1}},
+		{"reverse diff -1", 90, expr.WindowSpec{Kind: expr.WindowDiff, Offset: -1, Reverse: true, Cols: []string{"id"}}},
+		{"shift 5", 20, expr.WindowSpec{Kind: expr.WindowShift, Offset: 5}},
+		{"diff 4", 20, expr.WindowSpec{Kind: expr.WindowDiff, Offset: 4}},
+		{"rolling 6", 20, expr.WindowSpec{Kind: expr.WindowRolling, Size: 6, MinPeriods: 2, Agg: expr.AggSum, Cols: []string{"id", "val"}}},
+		{"reverse shift 5", 20, expr.WindowSpec{Kind: expr.WindowShift, Offset: 5, Reverse: true}},
+		{"reverse shift -4", 20, expr.WindowSpec{Kind: expr.WindowShift, Offset: -4, Reverse: true}},
+		{"reverse rolling 6", 20, expr.WindowSpec{Kind: expr.WindowRolling, Size: 6, Reverse: true, Agg: expr.AggMax, Cols: []string{"score"}}},
+	} {
+		for name, e := range engines {
+			t.Run(fmt.Sprintf("%s over %d rows/%s", c.name, c.rows, name), func(t *testing.T) {
+				// A fresh input per run: a column another run induced on a
+				// shared frame changes what eager declares for it.
+				assertBitIdentical(t, e, &algebra.Window{Input: &algebra.Source{DF: testFrame(c.rows)}, Spec: c.spec})
+			})
+		}
+	}
+
+	// A selection that empties a middle band: band 3's shift reads past it
+	// into band 1, on a four-worker pool at its default four bands.
+	t.Run("emptied middle band", func(t *testing.T) {
+		four := exec.NewPool(4)
+		defer four.Close()
+		keep := func(r expr.Row) bool { id := r.ByName("id").Int(); return id < 4000 || id >= 6000 }
+		assertBitIdentical(t, New(WithPool(four)), &algebra.Window{
+			Input: &algebra.Selection{Input: &algebra.Source{DF: testFrame(8000)}, Pred: keep, Desc: "not the third quarter"},
+			Spec:  expr.WindowSpec{Kind: expr.WindowShift, Offset: 1},
+		})
+	})
+}
+
+// assertBitIdentical runs plan on e and on the eager engine and requires
+// bitDiff-identical results: cells, declared domains and row labels.
+func assertBitIdentical(t *testing.T, e *Engine, plan algebra.Node) {
+	t.Helper()
+	want, err := eager.New().Execute(plan)
+	if err != nil {
+		t.Fatalf("eager: %v", err)
+	}
+	got, err := e.Execute(plan)
+	if err != nil {
+		t.Fatalf("modin: %v", err)
+	}
+	if d := bitDiff(want, got, false); d != "" {
+		t.Fatalf("modin differs from eager: %s", d)
+	}
 }
 
 func TestEnginesAgreeJoin(t *testing.T) {
@@ -251,6 +313,21 @@ func TestEnginesAgreeJoin(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestAnchoredPassesOnOneWorker chains the three anchored passes that read
+// other bands — a data-column join's renumber, FROMLABELS and a shift — on
+// a one-worker pool at 7 bands, where a merge that waited on a band future
+// it does not depend on would hang, and requires eager's frame bit for bit.
+func TestAnchoredPassesOnOneWorker(t *testing.T) {
+	one := exec.NewPool(1)
+	defer one.Close()
+	heads := core.MustFromRecords([]string{"dept", "head"}, [][]any{{"eng", "grace"}, {"ops", "ada"}})
+	join := &algebra.Join{Left: &algebra.Source{DF: testFrame(60)}, Right: &algebra.Source{DF: heads}, Kind: expr.JoinInner, On: []string{"dept"}}
+	assertBitIdentical(t, New(WithPool(one), WithBands(7)), &algebra.Window{
+		Input: &algebra.FromLabels{Input: join, Label: "pos"},
+		Spec:  expr.WindowSpec{Kind: expr.WindowShift, Offset: 2},
+	})
 }
 
 // sortKeysFrame is a frame whose sort keys carry what the typed SORT kernel

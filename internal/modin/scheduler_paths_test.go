@@ -201,9 +201,15 @@ func TestErrorTextIsPinned(t *testing.T) {
 		},
 		{
 			name:  "exchange",
+			plan:  &algebra.Window{Input: src, Spec: expr.WindowSpec{Kind: expr.WindowExpanding, Agg: expr.AggMax, Cols: []string{"ghost"}}},
+			eager: `WINDOW(expanding, max): algebra: window over unknown column "ghost"`,
+			modin: `physical: exchange window: WINDOW(expanding, max): algebra: window over unknown column "ghost"`,
+		},
+		{
+			name:  "window merge",
 			plan:  &algebra.Window{Input: src, Spec: expr.WindowSpec{Kind: expr.WindowRolling, Size: 0}},
 			eager: `WINDOW(rolling 0, count): algebra: window over "id": rolling window requires positive size, got 0`,
-			modin: `physical: exchange window: WINDOW(rolling 0, count): algebra: window over "id": rolling window requires positive size, got 0`,
+			modin: `physical: shuffle window merge band 0: WINDOW(rolling 0, count): algebra: window over "id": rolling window requires positive size, got 0`,
 		},
 		{
 			name:  "gather exchange",
@@ -254,18 +260,18 @@ func TestErrorTextIsPinned(t *testing.T) {
 		})
 	}
 
-	// No operator fails in its plan or prefix-plan phase, so those texts are
-	// pinned on a synthetic shuffle carrying a description the way a compiled
-	// one does.
+	// No operator fails in its plan phase, so that text is pinned on a
+	// synthetic shuffle carrying a description the way a compiled one does,
+	// beside the other phases and a failing merge over a prefix reach.
 	boom := errors.New("boom")
 	pool := exec.NewPool(2)
 	defer pool.Close()
 	for phase, want := range map[string]string{
-		"summarize":   "OP(x): boom",
-		"plan":        "physical: shuffle syn plan: OP(x): boom",
-		"prefix plan": "physical: shuffle syn prefix plan band 0: OP(x): boom",
-		"partition":   "physical: shuffle syn partition band 0: OP(x): boom",
-		"merge":       "physical: shuffle syn merge band 0: OP(x): boom",
+		"summarize":    "OP(x): boom",
+		"plan":         "physical: shuffle syn plan: OP(x): boom",
+		"prefix reach": "physical: shuffle syn merge band 0: OP(x): boom",
+		"partition":    "physical: shuffle syn partition band 0: OP(x): boom",
+		"merge":        "physical: shuffle syn merge band 0: OP(x): boom",
 	} {
 		sh := &physical.Shuffle{
 			Name:      "syn",
@@ -283,9 +289,9 @@ func TestErrorTextIsPinned(t *testing.T) {
 			sh.Summarize = func(int, *core.DataFrame) (any, error) { return nil, boom }
 		case "plan":
 			sh.Plan = func([]any, []*partition.Frame) (any, error) { return nil, boom }
-		case "prefix plan":
-			sh.Plan, sh.Partition = nil, nil
-			sh.PrefixPlan = func([]any) (any, error) { return nil, boom }
+		case "prefix reach":
+			sh.Summarize, sh.Plan, sh.Partition, sh.Reach = nil, nil, nil, physical.ReachPrefix
+			sh.Merge = func(int, []physical.Piece, any) (*core.DataFrame, error) { return nil, boom }
 		case "partition":
 			sh.Partition = func(int, *core.DataFrame, any) ([]*core.DataFrame, error) { return nil, boom }
 		case "merge":

@@ -1,6 +1,8 @@
 package modin
 
 import (
+	"cmp"
+
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/expr"
@@ -11,11 +13,12 @@ import (
 
 // This file builds the engine's shuffle stages: the two-phase
 // partition→route→merge lowerings of GROUPBY (key shuffle, routed by key
-// hash with no summary or plan, its order restored from row positions),
-// inner/left JOIN (anchored probe of one shared hash table + renumber), and — in sort.go — SORT
-// (range shuffle). Each produces one independent output-band future per
-// bucket, so downstream fused stages start as soon as the band that feeds
-// them lands.
+// hash with no summary or plan, its order restored from row positions) and
+// — in sort.go — SORT (range shuffle), and the anchored passes that route
+// nothing: inner/left JOIN (probe of one shared hash table), the relabel
+// pass behind its renumber and FROMLABELS, and bounded WINDOWs. Each
+// produces one independent output-band future per band, so downstream fused
+// stages start as soon as the band that feeds them lands.
 
 // restoreMinBandRows is the smallest restored-groupby band worth its own
 // downstream task: outputs smaller than this per band stay in fewer bands.
@@ -110,32 +113,93 @@ func (e *Engine) joinProbeShuffle(node *algebra.Join) *physical.Shuffle {
 	}
 }
 
-// bandRows is the renumber pass's per-band summary: the band's row count.
-func bandRows(_ int, band *core.DataFrame) (any, error) { return band.NRows(), nil }
-
-// renumberShuffle resets row labels to one global positional sequence. It
-// is an anchored shuffle with a PREFIX plan: band b's offset is the sum of
-// the row counts of bands [0, b), so band b's relabel waits only on
-// earlier bands — band 0 relabels the moment its own probe lands, and a
-// data-column join keeps streaming through the relabel instead of
-// barriering on its slowest band.
-func (e *Engine) renumberShuffle() *physical.Shuffle {
+// relabelShuffle resets row labels to one global positional sequence after
+// applying fn (when set) to each band. It is an anchored shuffle over a
+// prefix reach: band b's offset is the row count of bands 0…b−1, so band b
+// waits only on earlier bands — band 0 relabels the moment its own input
+// lands, and the pass streams instead of barriering on its slowest band.
+// A data-column join renumbers through it, and FROMLABELS moves each band's
+// labels into a column first.
+func relabelShuffle(name string, fn func(*core.DataFrame) (*core.DataFrame, error)) *physical.Shuffle {
 	return &physical.Shuffle{
-		Name:      "renumber",
-		Summarize: bandRows,
-		PrefixPlan: func(prefix []any) (any, error) {
-			off := 0
-			for _, s := range prefix {
-				off += s.(int)
-			}
-			return off, nil
-		},
-		Merge: func(_ int, pieces []physical.Piece, plan any) (*core.DataFrame, error) {
-			df, err := pieces[0].Frame()
+		Name:  name,
+		Reach: physical.ReachPrefix,
+		Merge: func(b int, pieces []physical.Piece, _ any) (*core.DataFrame, error) {
+			frames, err := physical.Frames(pieces)
 			if err != nil {
 				return nil, err
 			}
-			return df.WithRowLabels(vector.Range(int64(plan.(int)), df.NRows()))
+			off := 0
+			for _, df := range frames[:b] {
+				off += df.NRows()
+			}
+			df := frames[b]
+			if fn != nil {
+				if df, err = fn(df); err != nil {
+					return nil, err
+				}
+			}
+			return df.WithRowLabels(vector.Range(int64(off), df.NRows()))
+		},
+	}
+}
+
+// windowShuffle lowers a bounded WINDOW (shift, diff, rolling) to an
+// anchored shuffle. A row reads k rows back in the window's scan order, or
+// k rows ahead for a negative shift or diff, and Reverse flips the scan
+// order; so band b reads the bands before it (prefix reach) or after it
+// (suffix reach), takes the k nearest rows from as many of them as hold
+// them, runs the window over the extended band and keeps its own rows.
+func windowShuffle(spec expr.WindowSpec) *physical.Shuffle {
+	k := max(spec.Size-1, 0)
+	if spec.Kind != expr.WindowRolling {
+		k = cmp.Or(spec.Offset, 1)
+	}
+	ahead := (k < 0) != spec.Reverse
+	k = max(k, -k)
+	reach := physical.ReachPrefix
+	if ahead {
+		reach = physical.ReachSuffix
+	}
+	return &physical.Shuffle{
+		Name:  "window",
+		Reach: reach,
+		Merge: func(_ int, pieces []physical.Piece, _ any) (*core.DataFrame, error) {
+			// The band itself, then its neighbours nearest first.
+			at, step := len(pieces)-1, -1
+			if ahead {
+				at, step = 0, 1
+			}
+			own, err := pieces[at].Frame()
+			if err != nil {
+				return nil, err
+			}
+			ext, lead := []*core.DataFrame{own}, 0
+			for i := at + step; lead < k && i >= 0 && i < len(pieces); i += step {
+				nb, err := pieces[i].Frame()
+				if err != nil {
+					return nil, err
+				}
+				take := min(k-lead, nb.NRows())
+				if ahead {
+					ext = append(ext, nb.SliceRows(0, take))
+				} else {
+					ext = append([]*core.DataFrame{nb.SliceRows(nb.NRows()-take, nb.NRows())}, ext...)
+				}
+				lead += take
+			}
+			band, err := algebra.VStackFrames(ext...)
+			if err != nil {
+				return nil, err
+			}
+			out, err := algebra.WindowFrame(band, spec)
+			if err != nil {
+				return nil, err
+			}
+			if ahead {
+				return out.SliceRows(0, own.NRows()), nil
+			}
+			return out.SliceRows(lead, out.NRows()), nil
 		},
 	}
 }

@@ -12,14 +12,17 @@
 //     no inter-operator barrier — band 3's map may run while band 7's
 //     filter is still queued.
 //
-//   - Shuffle stages are the streaming repartition points (groupby, sort,
-//     join): a two-phase partition→route→merge lowering where each OUTPUT
-//     band is its own task — downstream fused chains start as soon as the
-//     band that feeds them lands, not when the whole shuffle does.
+//   - Shuffle stages are the streaming repartition points (groupby, sort):
+//     a two-phase partition→route→merge lowering where each OUTPUT band is
+//     its own task — downstream fused chains start as soon as the band that
+//     feeds them lands, not when the whole shuffle does. An anchored
+//     shuffle (join probe, renumber, window) routes nothing: output band b
+//     merges the input bands its Reach names.
 //
 //   - Exchange stages are the gather barriers kept for shape-opaque
-//     operators (transpose, window, union, ...): they depend on every input
-//     block and run as a single coordinating task that may itself fan out.
+//     operators (transpose, expanding window, union, ...): they depend on
+//     every input block and run as a single coordinating task that may
+//     itself fan out.
 //
 // The scheduler returns deferred partition.Frames (future blocks) without
 // waiting, so callers — the opportunistic session regime in particular —
@@ -76,12 +79,12 @@ type Exchange struct {
 // through one coordinating task: the fallback for shape-opaque operators.)
 //
 // An optional summarize→plan pre-phase computes shared state from small
-// per-band summaries (sampled range bounds for SORT, band row counts for
-// relabeling); side inputs are resolved whole and handed to Plan (a join's
-// right side, over which Plan builds the one hash table every anchored
-// probe merge reads). A shuffle without a plan — GROUPBY's, which routes by
-// key hash alone — partitions each band the moment it exists, and a run
-// with a piece store releases a transient band as soon as it is routed.
+// per-band summaries (sampled range bounds for SORT); side inputs are
+// resolved whole and handed to Plan (a join's right side, over which Plan
+// builds the one hash table every anchored probe merge reads). A shuffle
+// without a plan — GROUPBY's, which routes by key hash alone — partitions
+// each band the moment it exists, and a run with a piece store releases a
+// transient band as soon as it is routed.
 type Shuffle struct {
 	// Name labels the stage in plan renderings ("groupby", "sort", ...).
 	Name string
@@ -90,21 +93,22 @@ type Shuffle struct {
 	Desc string
 	// Buckets is the number of output bands when Partition is set. When
 	// Partition is nil the shuffle is *anchored*: output band b is produced
-	// from input band b alone (no rows cross bands) and Buckets is ignored.
+	// from the input bands Reach names, no rows are routed, and Buckets is
+	// ignored.
 	Buckets int
-	// Summarize (optional) extracts a small per-band summary for Plan.
+	// Reach (anchored shuffles only) names the input bands output band b's
+	// merge reads: band b alone (ReachBand, the default), bands 0…b
+	// (ReachPrefix) or bands b…n−1 (ReachSuffix). The merge task depends on
+	// exactly those bands, so a prefix pass still streams band by band:
+	// band b never waits on a later band.
+	Reach Reach
+	// Summarize (optional) extracts a small per-band summary for Plan; it
+	// runs only when Plan is set.
 	Summarize func(band int, df *core.DataFrame) (any, error)
 	// Plan (optional) folds the band summaries — indexed by input band —
 	// and the materialized side inputs into routing state passed to every
 	// Partition and Merge call. Required when the stage has side inputs.
 	Plan func(summaries []any, sides []*partition.Frame) (any, error)
-	// PrefixPlan (optional; anchored shuffles only, mutually exclusive
-	// with Plan, requires Summarize) computes band b's routing state from
-	// the summaries of bands [0, b) ONLY — prefix state such as label
-	// offsets. Band b's merge then depends on earlier bands but never on
-	// later ones, so prefix-planned passes keep streaming band by band
-	// instead of barriering on the slowest band.
-	PrefixPlan func(prefix []any) (any, error)
 	// Partition splits input band `band` into exactly Buckets pieces;
 	// piece b is routed to output band b. Nil marks an anchored shuffle.
 	// When the run has a PieceStore the band may be released the moment the
@@ -113,15 +117,39 @@ type Shuffle struct {
 	Partition func(band int, df *core.DataFrame, plan any) ([]*core.DataFrame, error)
 	// Merge combines the pieces routed to output band `bucket` (one per
 	// input band, in band order) into that band's block. Anchored shuffles
-	// receive the input band itself as the only piece.
+	// receive the input bands their Reach names, in band order.
 	Merge func(bucket int, pieces []Piece, plan any) (*core.DataFrame, error)
 }
 
+// Reach is the span of input bands an anchored shuffle's merge reads.
+type Reach int
+
+const (
+	// ReachBand reads output band b's own input band.
+	ReachBand Reach = iota
+	// ReachPrefix reads input bands 0…b: band b is the last piece.
+	ReachPrefix
+	// ReachSuffix reads input bands b…n−1: band b is the first piece.
+	ReachSuffix
+)
+
+// bands returns the input bands [lo, hi) output band b reads out of n.
+func (r Reach) bands(b, n int) (lo, hi int) {
+	switch r {
+	case ReachPrefix:
+		return 0, b + 1
+	case ReachSuffix:
+		return b, n
+	}
+	return b, b + 1
+}
+
 // Piece is one routed frame on its way from a partition task to the merge
-// that consumes it: in memory, or held by the run's PieceStore.
+// that consumes it: in memory, or held by the run's PieceStore. An anchored
+// shuffle's merge gets its input bands as pieces read on demand.
 type Piece struct {
 	df   *core.DataFrame
-	take func() (*core.DataFrame, error) // set once the run's store admitted the piece
+	take func() (*core.DataFrame, error) // set once the run's store admitted the piece, or to read a band
 }
 
 // PiecesOf wraps frames already in memory as pieces.
@@ -618,8 +646,6 @@ func (sh *Shuffle) validate(sides int) error {
 		return fmt.Errorf("physical: shuffle %s has side inputs but no plan", sh.Name)
 	case sh.Partition != nil && sh.Buckets < 1:
 		return fmt.Errorf("physical: shuffle %s needs at least one bucket", sh.Name)
-	case sh.PrefixPlan != nil && (sh.Plan != nil || sh.Partition != nil || sh.Summarize == nil):
-		return fmt.Errorf("physical: shuffle %s prefix plan requires an anchored shuffle with summaries and no global plan", sh.Name)
 	}
 	return nil
 }
@@ -641,7 +667,7 @@ func (s *Scheduler) wireShuffle(sh *Shuffle, f *partition.Frame, sides []*Result
 	}
 
 	var sums []*exec.Future
-	if sh.Summarize != nil && (sh.Plan != nil || sh.PrefixPlan != nil) {
+	if sh.Summarize != nil && sh.Plan != nil {
 		sums = make([]*exec.Future, rb)
 		s.Stats.ShuffleSummaryTasks.Add(int64(rb))
 		for r := range sums {
@@ -658,21 +684,6 @@ func (s *Scheduler) wireShuffle(sh *Shuffle, f *partition.Frame, sides []*Result
 			}, bandDeps(f, r)...)
 		}
 	}
-	// summaries reads the first n band summaries; its callers depend on them.
-	summaries := func(n int) ([]any, error) {
-		out := make([]any, n)
-		if sums == nil {
-			return out, nil
-		}
-		for r := range out {
-			v, err := sums[r].Wait()
-			if err != nil {
-				return nil, err
-			}
-			out[r] = v
-		}
-		return out, nil
-	}
 
 	var planFut *exec.Future
 	if sh.Plan != nil {
@@ -682,9 +693,13 @@ func (s *Scheduler) wireShuffle(sh *Shuffle, f *partition.Frame, sides []*Result
 		}
 		s.Stats.ShufflePlanTasks.Add(1)
 		planFut = submit(func() (any, error) {
-			bandSums, err := summaries(rb)
-			if err != nil {
-				return nil, err
+			bandSums := make([]any, rb)
+			for r, sf := range sums {
+				v, err := sf.Wait()
+				if err != nil {
+					return nil, err
+				}
+				bandSums[r] = v
 			}
 			sideFrames, err := resultFrames(sides)
 			if err != nil {
@@ -712,42 +727,28 @@ func (s *Scheduler) wireShuffle(sh *Shuffle, f *partition.Frame, sides []*Result
 
 	var mergeFuts []*exec.Future
 	if sh.Partition == nil {
-		// Anchored: output band b depends only on input band b plus its
-		// routing state — the global plan, or (prefix plan) the summaries of
-		// EARLIER bands only, so the pass streams band by band and band 0
-		// needs nothing but itself. No rows cross bands, so band b's merge
-		// can land while other bands are still computing their inputs. Bands
-		// are never released here: band b's summary may feed later bands'
-		// prefix plans and may not have run yet.
+		// Anchored: output band b depends on the input bands its reach
+		// names plus the global plan, and on no later band under a prefix
+		// reach, so band b's merge can land while later bands are still
+		// computing their inputs. Bands are never released here: a band
+		// within another band's reach may be read after its own merge.
 		mergeFuts = make([]*exec.Future, rb)
 		s.Stats.ShuffleMergeTasks.Add(int64(rb))
 		for b := range mergeFuts {
-			deps, bandPlan := withPlan(bandDeps(f, b)), planVal
-			if sh.PrefixPlan != nil {
-				deps = append(deps, sums[:b]...)
-				bandPlan = func() (any, error) {
-					prefix, err := summaries(b)
-					if err != nil {
-						return nil, err
-					}
-					plan, err := sh.PrefixPlan(prefix)
-					if err != nil {
-						return nil, fmt.Errorf("physical: shuffle %s prefix plan band %d: %w", sh.Name, b, describe(sh.Desc, err))
-					}
-					return plan, nil
-				}
+			lo, hi := sh.Reach.bands(b, rb)
+			var deps []*exec.Future
+			var pieces []Piece
+			for r := lo; r < hi; r++ {
+				deps = append(deps, bandDeps(f, r)...)
+				pieces = append(pieces, Piece{take: func() (*core.DataFrame, error) { return f.RowBand(r) }})
 			}
 			mergeFuts[b] = submit(func() (any, error) {
-				band, err := f.RowBand(b)
+				plan, err := planVal()
 				if err != nil {
 					return nil, err
 				}
-				plan, err := bandPlan()
-				if err != nil {
-					return nil, err
-				}
-				return s.runMerge(sh, b, PiecesOf(band), plan)
-			}, deps...)
+				return s.runMerge(sh, b, pieces, plan)
+			}, withPlan(deps)...)
 		}
 	} else {
 		// A run with a piece store releases each transient band once it is

@@ -2,6 +2,7 @@ package physical
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -737,11 +738,10 @@ func TestShuffleSiblingFailureSkipsIndependentMerges(t *testing.T) {
 	}
 }
 
-// TestPrefixPlanShuffleStreamsBandByBand: a prefix-planned anchored
-// shuffle (the join renumber pass) must complete band 0 while band 1's
-// input is still gated — band b depends on earlier bands' summaries only,
-// never on later ones.
-func TestPrefixPlanShuffleStreamsBandByBand(t *testing.T) {
+// TestPrefixReachStreamsBandByBand: an anchored shuffle over a prefix
+// reach (the renumber pass) must complete band 0 while band 1's input is
+// still gated — band b's merge reads bands 0…b, never a later one.
+func TestPrefixReachStreamsBandByBand(t *testing.T) {
 	pool := exec.NewPool(4)
 	defer pool.Close()
 	df := testDF(20)
@@ -757,22 +757,13 @@ func TestPrefixPlanShuffleStreamsBandByBand(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := &Shuffle{
-		Name: "renumber",
-		Summarize: func(_ int, df *core.DataFrame) (any, error) {
-			return df.NRows(), nil
-		},
-		PrefixPlan: func(prefix []any) (any, error) {
-			off := 0
-			for _, s := range prefix {
-				off += s.(int)
+		Name:  "renumber",
+		Reach: ReachPrefix,
+		Merge: func(b int, pieces []Piece, _ any) (*core.DataFrame, error) {
+			if len(pieces) != b+1 {
+				return nil, fmt.Errorf("band %d read %d bands, want %d", b, len(pieces), b+1)
 			}
-			return off, nil
-		},
-		Merge: func(_ int, pieces []Piece, plan any) (*core.DataFrame, error) {
-			if plan.(int) < 0 {
-				return nil, errors.New("bad offset")
-			}
-			return pieces[0].Frame()
+			return pieces[b].Frame()
 		},
 	}
 	s := NewScheduler(pool)
@@ -788,7 +779,7 @@ func TestPrefixPlanShuffleStreamsBandByBand(t *testing.T) {
 	for !frame.BlockFuture(0, 0).Ready() {
 		select {
 		case <-deadline:
-			t.Fatal("band 0 never completed while band 1 was gated: prefix plan barriers on later bands")
+			t.Fatal("band 0 never completed while band 1 was gated: a prefix reach barriers on later bands")
 		default:
 			time.Sleep(time.Millisecond)
 		}
