@@ -661,8 +661,8 @@ func (q *Query) Count() (int, error) {
 }
 
 // First returns the result's first row as a 1-row dataframe, computing only
-// the ordered 1-prefix: under MODIN the LIMIT touches boundary partitions
-// only, and a trailing sort rewrites to TOPK(1).
+// the ordered 1-prefix: under MODIN the LIMIT cuts its boundary band only,
+// and a trailing sort rewrites to TOPK(1).
 func (q *Query) First() (*DataFrame, error) {
 	if q.err != nil {
 		return nil, q.err

@@ -75,6 +75,29 @@ func TestStreamedPipelinesMatchInMemory(t *testing.T) {
 	}
 }
 
+// TestStreamedHeadTailMatchInMemory: Head and Tail over a scan streamed in
+// 32-row bands — none, one, a band's worth, across a band boundary, all
+// rows and more, alone and after a filter — equal the whole-text read.
+func TestStreamedHeadTailMatchInMemory(t *testing.T) {
+	text := streamCSV(300)
+	for _, n := range []int{0, 1, 32, 45, 300, 310} {
+		for name, build := range map[string]func(*Query) *Query{
+			"head":        func(q *Query) *Query { return q.Head(n) },
+			"tail":        func(q *Query) *Query { return q.Tail(n) },
+			"filter-head": func(q *Query) *Query { return q.Where(Eq("dept", Str("ops"))).Head(n) },
+			"filter-tail": func(q *Query) *Query { return q.Where(Eq("dept", Str("ops"))).Tail(n) },
+		} {
+			t.Run(fmt.Sprintf("%s %d", name, n), func(t *testing.T) {
+				want := mustCollect(t, build(inMemory(t, text)))
+				got := mustCollect(t, build(ScanCSVString(text).WithScanBandRows(32)))
+				if !want.Equal(got) {
+					t.Errorf("streamed %s(%d) differs from in-memory:\n%s\nvs\n%s", name, n, got, want)
+				}
+			})
+		}
+	}
+}
+
 // TestIsNAAgreesAcrossEngines runs the isnull MAP — bulk on its own, boxed
 // once fused with another elementwise MAP — on the eager engine, MODIN at
 // several band counts and a seven-row streamed scan, and requires the same

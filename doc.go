@@ -34,11 +34,13 @@
 // SORT) lower to two-phase shuffles (summarize→plan→partition→merge; a
 // groupby has no summary or plan: each band routes by key hash alone) and
 // the ordered passes (inner/left JOIN and its renumber, FROMLABELS, bounded
-// WINDOWs) to anchored shuffles whose band b reads band b and at most the
-// bands before or after it, each emitting one
+// WINDOWs, LIMIT) to anchored shuffles whose band b reads band b and at most
+// the bands before or after it, each emitting one
 // independent future per output band; every shape-opaque operator without
 // a partitioned lowering is one gather exchange that calls the same
-// algebra.Eval on its gathered inputs — and
+// algebra.Eval on its gathered inputs and hands its output on as the
+// engine's band count, so every stage's bands are known when the plan is
+// scheduled — and
 // scheduled asynchronously on the task-parallel execution layer
 // (internal/exec). Partitioned frames (internal/partition) hold
 // future-valued blocks, so results stay deferred until gathered; the
@@ -181,18 +183,17 @@
 // physical.Piece handles; when the engine has a spill budget the scheduler
 // admits every routed piece through the engine's piece store (resident
 // under the budget, on disk past it) and releases each streamed input band
-// once it is routed. A stage downstream of an exchange, whose input shape
-// is unknown at schedule time, is wired late: once the input frame lands it
-// gets the same per-band tasks as any other stage, behind one future.
+// once it is routed. An exchange's task resolves one promise per band it
+// hands on, so a stage downstream of an exchange is wired when the plan is
+// scheduled, one task per band, like any other stage.
 //
 // Scheduler instrumentation: each run's physical.Scheduler exposes Stats
 // counters — FusedTasks/FusedStages for fused chains,
 // ExchangeTasks/ExchangeStages for gather barriers, and the shuffle-phase
 // counters ShuffleStages, ShuffleSummaryTasks, ShufflePlanTasks,
 // ShufflePartitionTasks (one per input band), ShuffleMergeTasks (one per
-// OUTPUT band; each backs its own block future) and ShuffleFallbacks
-// (shuffles wired late over a shape-opaque input: real per-band tasks,
-// but one output future, so still a barrier to their consumer).
+// OUTPUT band; each backs its own block future); every counter is final
+// when Run returns. ShuffleFallbacks is always 0.
 // modin.Engine.Stats() totals only released stream bands and spilled pieces.
 // See README.md for the full map.
 package repro

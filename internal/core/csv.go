@@ -97,10 +97,6 @@ func (df *DataFrame) WriteCSV(w io.Writer) error {
 // FromRecords builds a dataframe from row-oriented records of native Go
 // values, inducing each cell through types.FromGo.
 func FromRecords(names []string, records [][]any) (*DataFrame, error) {
-	builders := make([]*vector.Builder, len(names))
-	for j := range builders {
-		builders[j] = vector.NewObjectBuilder(len(records))
-	}
 	typed := make([][]types.Value, len(names))
 	for j := range typed {
 		typed[j] = make([]types.Value, 0, len(records))

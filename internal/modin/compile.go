@@ -25,16 +25,19 @@ import (
 //     its own future, so downstream fused stages start as soon as the band
 //     that feeds them lands (shuffle.go, sort.go).
 //   - The ordered passes (inner/left JOIN's probe and renumber, FROMLABELS,
-//     bounded WINDOWs) become anchored shuffles: no row is routed, and
-//     output band b's merge reads input band b plus, under a prefix or
+//     bounded WINDOWs, LIMIT) become anchored shuffles: no row is routed,
+//     and output band b's merge reads input band b plus, under a prefix or
 //     suffix reach, the bands before or after it.
-//   - TRANSPOSE (block transpose) and LIMIT (boundary bands only) are
-//     exchange stages with partitioned bodies: explicit DAG dependencies on
-//     every input block, one coordinating task.
+//   - TRANSPOSE (block transpose) is an exchange stage with a partitioned
+//     body: explicit DAG dependencies on every input block, one coordinating
+//     task.
 //   - Every other operator (UNION, DIFFERENCE, outer and cross JOIN,
 //     DROP-DUPLICATES, INDUCE, expanding WINDOW, TOPK's merge) is one gather
 //     exchange: gather the inputs, apply algebra.Eval — the eager engine's
 //     evaluator — and re-partition the result.
+//
+// Every exchange hands its output on as the engine's band count, so each
+// stage's bands are known when the plan is scheduled.
 //
 // Shared sub-plans (a statement referencing an earlier handle twice)
 // compile to shared physical nodes, scheduled once; fusion never crosses a
@@ -195,15 +198,9 @@ func BandKernel(n algebra.Node) (physical.Kernel, bool) {
 		}}
 	case *algebra.Map:
 		fn := node.Fn
-		k = physical.Kernel{
-			Name: "map(" + fn.Name + ")",
-			// Elementwise MAPs are partitioning-agnostic and may run per
-			// block; row UDFs need full-width bands.
-			Elementwise: fn.Elementwise != nil,
-			Fn: func(b *core.DataFrame) (*core.DataFrame, error) {
-				return algebra.MapFrame(b, fn)
-			},
-		}
+		k = physical.Kernel{Name: "map(" + fn.Name + ")", Fn: func(b *core.DataFrame) (*core.DataFrame, error) {
+			return algebra.MapFrame(b, fn)
+		}}
 	case *algebra.Rename:
 		mapping := node.Mapping
 		k = physical.Kernel{Name: "rename", Fn: func(b *core.DataFrame) (*core.DataFrame, error) {
@@ -234,22 +231,12 @@ func (c *compiler) compileAll(inputs []algebra.Node) ([]*physical.Node, error) {
 	return compiled, nil
 }
 
-// exchangeStage is physical.NewExchange carrying the logical operator's
-// description.
-func exchangeStage(name, desc string, run func([]*partition.Frame) (*partition.Frame, error), inputs ...*physical.Node) *physical.Node {
-	n := physical.NewExchange(name, run, inputs...)
+// exchangeStage is physical.NewExchange handing on the engine's band count
+// and carrying the logical operator's description.
+func (e *Engine) exchangeStage(name, desc string, run func([]*partition.Frame) (*partition.Frame, error), inputs ...*physical.Node) *physical.Node {
+	n := physical.NewExchange(name, e.bands, run, inputs...)
 	n.Exchange.Desc = desc
 	return n
-}
-
-// exchange compiles the inputs and wraps run as a barrier stage
-// implementing node n.
-func (c *compiler) exchange(n algebra.Node, name string, run func([]*partition.Frame) (*partition.Frame, error), inputs ...algebra.Node) (*physical.Node, error) {
-	compiled, err := c.compileAll(inputs)
-	if err != nil {
-		return nil, err
-	}
-	return exchangeStage(name, n.Describe(), run, compiled...), nil
 }
 
 // shuffleStage compiles the shuffled input (and whole-frame side inputs)
@@ -268,7 +255,7 @@ func (c *compiler) shuffleStage(n algebra.Node, sh *physical.Shuffle, input alge
 // (algebra.Eval) and re-partitions the result.
 func (c *compiler) gatherStage(n algebra.Node, name string, inputs ...*physical.Node) *physical.Node {
 	e := c.e
-	return exchangeStage(name, n.Describe(), func(in []*partition.Frame) (*partition.Frame, error) {
+	return e.exchangeStage(name, n.Describe(), func(in []*partition.Frame) (*partition.Frame, error) {
 		dfs := make([]*core.DataFrame, len(in))
 		for i, f := range in {
 			df, err := f.ToFrame()
@@ -345,10 +332,14 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 		return c.shuffleStage(node, e.sortShuffle(node), node.Input)
 
 	case *algebra.Transpose:
+		in, err := c.compile(node.Input)
+		if err != nil {
+			return nil, err
+		}
 		schema := node.Schema
-		return c.exchange(node, "transpose", func(in []*partition.Frame) (*partition.Frame, error) {
+		return e.exchangeStage("transpose", node.Describe(), func(in []*partition.Frame) (*partition.Frame, error) {
 			return e.executeTranspose(schema, in[0])
-		}, node.Input)
+		}, in), nil
 
 	case *algebra.Join:
 		if node.Kind == expr.JoinInner || node.Kind == expr.JoinLeft {
@@ -375,12 +366,9 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 		name = "join"
 
 	case *algebra.Limit:
-		// Prefix/suffix views only need the boundary partitions
-		// (Section 6.1.2): untouched bands are never gathered.
-		k := node.N
-		return c.exchange(node, "limit", func(in []*partition.Frame) (*partition.Frame, error) {
-			return e.limitPartitioned(in[0], k)
-		}, node.Input)
+		// Prefix/suffix views (Section 6.1.2): band b keeps its rows inside
+		// the first (or last) n, counting the bands before (or after) it.
+		return c.shuffleStage(node, limitShuffle(node.N), node.Input)
 
 	case *algebra.Union:
 		name = "union"

@@ -178,9 +178,9 @@ func TestGatheredOperatorsRender(t *testing.T) {
 		{"induce", &algebra.Induce{Input: src},
 			"EXCHANGE[induce]\n  " + source},
 		{"outer join", &algebra.Join{Left: src, Right: depts, Kind: expr.JoinOuter, On: []string{"dept"}},
-			"EXCHANGE[join]\n  " + source + "  FUSED[rename]\n    EXCHANGE[limit]\n      " + source},
+			"EXCHANGE[join]\n  " + source + "  FUSED[rename]\n    SHUFFLE[limit]\n      " + source},
 		{"cross join", &algebra.Join{Left: src, Right: scores, Kind: expr.JoinCross},
-			"EXCHANGE[join]\n  " + source + "  FUSED[rename]\n    EXCHANGE[limit]\n      FUSED[projection]\n        " + source},
+			"EXCHANGE[join]\n  " + source + "  FUSED[rename]\n    SHUFFLE[limit]\n      FUSED[projection]\n        " + source},
 		{"topk", &algebra.TopK{Input: src, Order: expr.SortOrder{{Col: "score", Desc: true}, {Col: "id"}}, N: 5},
 			"EXCHANGE[topk-merge]\n  FUSED[topk-partial]\n    " + source},
 		{"expanding window", &algebra.Window{Input: src, Spec: expr.WindowSpec{Kind: expr.WindowExpanding, Agg: expr.AggMax, Cols: []string{"val"}}},
@@ -203,8 +203,9 @@ func TestGatheredOperatorsRender(t *testing.T) {
 }
 
 // TestAnchoredPassesRender pins the physical form of the ordered passes
-// that read neighbouring bands instead of gathering: FROMLABELS and the
-// bounded windows are one anchored shuffle under the operator's name, a
+// that read neighbouring bands instead of gathering: FROMLABELS, the
+// bounded windows and LIMIT are one anchored shuffle under the operator's
+// name, a
 // data-column join renumbers in a second one over its probe — each carrying
 // the operator's description and computing the eager engine's frame.
 func TestAnchoredPassesRender(t *testing.T) {
@@ -227,6 +228,8 @@ func TestAnchoredPassesRender(t *testing.T) {
 			"SHUFFLE[window]\n  " + source},
 		{"join", &algebra.Join{Left: src, Right: heads, Kind: expr.JoinInner, On: []string{"dept"}},
 			"SHUFFLE[renumber]\n  SHUFFLE[join]\n    " + source + "    SOURCE[2x1 bands]\n"},
+		{"head", &algebra.Limit{Input: src, N: 12}, "SHUFFLE[limit]\n  " + source},
+		{"tail", &algebra.Limit{Input: src, N: -12}, "SHUFFLE[limit]\n  " + source},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			phys, err := New(WithBands(4)).Compile(c.plan)

@@ -8,13 +8,14 @@
 // operators fuse into one task per band, the hot repartition points
 // (groupby, sort) become two-phase shuffles with one independent future
 // per output band (shuffle.go, sort.go), the ordered passes (join probe
-// and renumber, fromlabels, bounded windows) are anchored shuffles whose
-// band b reads its own band and at most the bands on one side of it, and
-// shape-opaque operators are exchange barriers — partitioned bodies for
-// transpose and limit, otherwise one gather exchange that calls
-// algebra.Eval; the physical scheduler then drains the DAG
-// asynchronously on the worker pool, handing back deferred partition frames
-// and futures (internal/physical).
+// and renumber, fromlabels, bounded windows, limit) are anchored shuffles
+// whose band b reads its own band and at most the bands on one side of it,
+// and shape-opaque operators are exchange barriers — a partitioned body for
+// transpose, otherwise one gather exchange that calls algebra.Eval — that
+// hand their output on as the engine's band count. Every stage's bands are
+// thus known when the plan is scheduled; the physical scheduler wires the
+// whole DAG at once and drains it asynchronously on the worker pool,
+// handing back deferred partition frames and futures (internal/physical).
 //
 // A plan whose leaves are all in-memory sources holding at most inlineRows
 // rows between them, on an engine with the default band count, skips both
@@ -176,12 +177,10 @@ func (e *Engine) ExecuteAsync(n algebra.Node) *exec.Future {
 
 // ExecutePartitioned evaluates the plan, leaving the result partitioned so
 // downstream operators (or head/tail views) can consume blocks lazily. The
-// returned frame may be deferred (blocks still computing) when the plan's
-// root is a fused or shuffle stage — shuffle output bands resolve
-// independently as their merges land; root gather exchanges are waited for
-// so the result's band structure is real. Task errors in deferred blocks
-// surface at gather time — Resolve, ToFrame, or BlockErr — not from this
-// call.
+// returned frame is deferred: its band count is fixed, and each band
+// resolves independently as the task behind it lands — an exchange's bands
+// when the exchange has run. Task errors in deferred blocks surface at
+// gather time — Resolve, ToFrame, or BlockErr — not from this call.
 func (e *Engine) ExecutePartitioned(n algebra.Node) (*partition.Frame, error) {
 	res, _, err := e.Schedule(n)
 	if err != nil {
@@ -266,55 +265,4 @@ func (e *Engine) executeTranspose(schema []types.Domain, in *partition.Frame) (*
 		return nil, err
 	}
 	return blocks.Transpose(e.pool, schema)
-}
-
-// limitPartitioned takes the prefix (n>0) or suffix (n<0) touching only the
-// bands that contribute rows.
-func (e *Engine) limitPartitioned(in *partition.Frame, n int) (*partition.Frame, error) {
-	full, err := in.EnsureSingleColBand()
-	if err != nil {
-		return nil, err
-	}
-	var picked []*core.DataFrame
-	if n >= 0 {
-		remaining := n
-		for r := 0; r < full.RowBands() && remaining > 0; r++ {
-			band, err := full.RowBand(r)
-			if err != nil {
-				return nil, err
-			}
-			take := remaining
-			if take > band.NRows() {
-				take = band.NRows()
-			}
-			picked = append(picked, band.SliceRows(0, take))
-			remaining -= take
-		}
-	} else {
-		remaining := -n
-		var rev []*core.DataFrame
-		for r := full.RowBands() - 1; r >= 0 && remaining > 0; r-- {
-			band, err := full.RowBand(r)
-			if err != nil {
-				return nil, err
-			}
-			take := remaining
-			if take > band.NRows() {
-				take = band.NRows()
-			}
-			rev = append(rev, band.SliceRows(band.NRows()-take, band.NRows()))
-			remaining -= take
-		}
-		for i := len(rev) - 1; i >= 0; i-- {
-			picked = append(picked, rev[i])
-		}
-	}
-	if len(picked) == 0 {
-		picked = []*core.DataFrame{core.Empty()}
-	}
-	grid := make([][]*core.DataFrame, len(picked))
-	for r := range picked {
-		grid[r] = []*core.DataFrame{picked[r]}
-	}
-	return partition.FromGrid(grid)
 }

@@ -470,18 +470,34 @@ func TestEnginesAgreeComposedPipeline(t *testing.T) {
 	bothEngines(t, plan)
 }
 
+// TestModinPartitionedLimitTouchesOnlyBoundary: LIMIT keeps its input's
+// band count, and only the boundary band holds rows — band 0 for a head,
+// the last band for a tail.
 func TestModinPartitionedLimitTouchesOnlyBoundary(t *testing.T) {
 	df := testFrame(1000)
 	e := New(WithBands(8))
-	pf, err := e.ExecutePartitioned(&algebra.Limit{Input: &algebra.Source{DF: df}, N: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pf.NRows() != 5 {
-		t.Errorf("limit rows = %d", pf.NRows())
-	}
-	if pf.RowBands() != 1 {
-		t.Errorf("prefix should touch one band, got %d", pf.RowBands())
+	for _, c := range []struct {
+		n, full int
+	}{{5, 0}, {-5, 7}} {
+		pf, err := e.ExecutePartitioned(&algebra.Limit{Input: &algebra.Source{DF: df}, N: c.n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pf.Resolve(); err != nil {
+			t.Fatal(err)
+		}
+		if pf.RowBands() != 8 {
+			t.Errorf("limit %d: %d bands, want the input's 8", c.n, pf.RowBands())
+		}
+		for r := 0; r < pf.RowBands(); r++ {
+			want := 0
+			if r == c.full {
+				want = 5
+			}
+			if got := pf.Block(r, 0).NRows(); got != want {
+				t.Errorf("limit %d: band %d holds %d rows, want %d", c.n, r, got, want)
+			}
+		}
 	}
 }
 

@@ -37,68 +37,90 @@ func withDeadline(t *testing.T, d time.Duration, fn func()) {
 	}
 }
 
-// latePlan is a plan with one shuffle downstream of an exchange, whose input
-// shape is unknown when the plan is scheduled; known counts the partitioned
-// shuffles over shape-known inputs beside it.
-type latePlan struct {
-	plan  algebra.Node
-	known int64
+// exchangePlan is a plan with a stage over an exchange, and the partition
+// and merge tasks its run schedules per band. untyped marks a plan whose
+// stage induces a string column per band, the known divergence
+// TestUntypedStringDomainsDependOnBands pins: above one band its result is
+// compared as a streamed one, Object and Category alike.
+type exchangePlan struct {
+	plan               algebra.Node
+	partitions, merges int64
+	untyped            bool
 }
 
-func lateWiredPlans() map[string]latePlan {
+// exchangePlans covers a stage over every exchange kind: the groupby
+// restore, the transpose, the gather (outer join, union) and the topk merge.
+func exchangePlans() map[string]exchangePlan {
 	src := &algebra.Source{DF: algebra.InduceFrame(testFrame(90)), Name: "t"}
 	m := make([][]any, 24)
 	for i := range m {
 		m[i] = []any{i % 4, i * 2, i * 3}
 	}
 	matrix := &algebra.Source{DF: algebra.InduceFrame(core.MustFromRecords([]string{"a", "b", "c"}, m)), Name: "m"}
-	return map[string]latePlan{
-		"groupby → sort": {&algebra.Sort{Input: groupByPlan(src), Order: expr.SortOrder{{Col: "total", Desc: true}}}, 1},
+	heads := &algebra.Source{DF: algebra.InduceFrame(core.MustFromRecords([]string{"dept", "head"}, [][]any{{"eng", "grace"}, {"ops", "ada"}, {"hr", "edsger"}})), Name: "h"}
+	even := &algebra.Selection{Input: src, Pred: evenPred(), Desc: "even"}
+	return map[string]exchangePlan{
+		"groupby → sort": {&algebra.Sort{Input: groupByPlan(src), Order: expr.SortOrder{{Col: "total", Desc: true}}}, 2, 2, false},
 		"transpose → groupby": {&algebra.GroupBy{
 			Input: &algebra.Transpose{Input: &algebra.Transpose{Input: matrix}},
 			Spec:  expr.GroupBySpec{Keys: []string{"a"}, Aggs: []expr.AggSpec{{Col: "b", Agg: expr.AggSum, As: "s"}}},
-		}, 0},
-		// The probe and its renumber pass are two anchored shuffles behind
+		}, 1, 1, false},
+		// The probe and its renumber pass are two anchored shuffles over
 		// the groupby's restore exchange; the source is the probe's side
 		// input.
-		"groupby → join": {&algebra.Join{Left: groupByPlan(src), Right: src, Kind: expr.JoinInner, On: []string{"dept"}}, 0},
+		"groupby → join": {&algebra.Join{Left: groupByPlan(src), Right: src, Kind: expr.JoinInner, On: []string{"dept"}}, 1, 3, false},
+		"outer join → groupby": {&algebra.GroupBy{
+			Input: &algebra.Join{Left: src, Right: heads, Kind: expr.JoinOuter, On: []string{"dept"}},
+			Spec:  expr.GroupBySpec{Keys: []string{"head"}, Aggs: []expr.AggSpec{{Col: "val", Agg: expr.AggSum, As: "s"}}},
+		}, 1, 1, true},
+		"union → sort": {sortTestPlan(&algebra.Union{Left: src, Right: even}), 1, 1, false},
+		"topk → window": {&algebra.Window{
+			Input: &algebra.TopK{Input: src, Order: expr.SortOrder{{Col: "score", Desc: true}, {Col: "id"}}, N: 20},
+			Spec:  expr.WindowSpec{Kind: expr.WindowShift, Offset: 2, Cols: []string{"id"}},
+		}, 0, 1, false},
 	}
 }
 
-// TestLateWiredShufflesMatchEager: a shuffle downstream of an exchange is
-// wired late — counted as a fallback, yet lowered to real per-band partition
-// and merge tasks — and agrees with the eager engine at every band count,
-// including on a one-worker pool, where a worker parked on an unfinished
-// task would hang the run.
-func TestLateWiredShufflesMatchEager(t *testing.T) {
+// TestStagesOverExchangesMatchEager: a stage over an exchange is wired with
+// the rest of the plan — its partition and merge tasks are counted when
+// Schedule returns, one per band the exchange hands on — and agrees with
+// the eager engine cell for cell and in declared domains at every band
+// count, including on a one-worker pool, where a worker parked on an
+// unfinished task would hang the run.
+func TestStagesOverExchangesMatchEager(t *testing.T) {
 	one := exec.NewPool(1)
 	defer one.Close()
-	for name, c := range lateWiredPlans() {
+	for name, c := range exchangePlans() {
 		for _, bands := range []int{1, 2, 7} {
 			for _, pool := range []*exec.Pool{exec.Default, one} {
 				t.Run(fmt.Sprintf("%s bands %d workers %d", name, bands, pool.Workers()), func(t *testing.T) {
-					e := New(WithBands(bands), WithPool(pool))
+					// A fresh eager result each time: reading a frame's cells
+					// memoizes its declared domains.
+					want, err := eager.New().Execute(c.plan)
+					if err != nil {
+						t.Fatal(err)
+					}
 					withDeadline(t, 30*time.Second, func() {
-						stats := assertAgreesWithEager(t, e, c.plan)
-						if _, join := c.plan.(*algebra.Join); join {
-							// The probe and its renumber pass are two
-							// anchored shuffles behind the exchange: they
-							// route nothing, and each merges once per band
-							// of the restored groupby (at least one) beside
-							// the groupby's own merge per band.
-							if stats.fallbacks != 2 {
-								t.Errorf("fallbacks = %d, want 2", stats.fallbacks)
-							}
-							if grouped := int64(bands); stats.mergeTasks < grouped+2 {
-								t.Errorf("merge tasks = %d, %d of them the groupby's: the late-wired join scheduled fewer than 2", stats.mergeTasks, grouped)
-							}
+						res, sched, err := New(WithBands(bands), WithPool(pool)).Schedule(c.plan)
+						if err != nil {
+							t.Error(err)
 							return
 						}
-						if stats.fallbacks != 1 {
-							t.Errorf("fallbacks = %d, want 1", stats.fallbacks)
+						parts, merges := sched.Stats.ShufflePartitionTasks.Load(), sched.Stats.ShuffleMergeTasks.Load()
+						if parts != c.partitions*int64(bands) || merges != c.merges*int64(bands) {
+							t.Errorf("scheduled %d partition and %d merge tasks, want %d and %d", parts, merges, c.partitions*int64(bands), c.merges*int64(bands))
 						}
-						if known := c.known * int64(bands); stats.partitionTasks <= known {
-							t.Errorf("partition tasks = %d, %d of them over shape-known inputs: the late-wired shuffle scheduled none", stats.partitionTasks, known)
+						frame, _ := res.Frame()
+						got, err := frame.ToFrame()
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if d := bitDiff(want, got, c.untyped && bands > 1); d != "" {
+							t.Errorf("differs from eager: %s", d)
+						}
+						if sched.Stats.ShufflePartitionTasks.Load() != parts || sched.Stats.ShuffleMergeTasks.Load() != merges {
+							t.Error("task counters moved after Schedule returned")
 						}
 					})
 				})
@@ -308,6 +330,27 @@ func TestErrorTextIsPinned(t *testing.T) {
 		}
 		if _, err = f.ToFrame(); rootCause(err) != want || !errors.Is(err, boom) {
 			t.Errorf("%s:\n got %s\nwant %s", phase, rootCause(err), want)
+		}
+	}
+
+	// An exchange hands on the band count it promised when the plan was
+	// scheduled: at least one band, and Run may return no more than that.
+	three := physical.NewSource(partition.New(testFrame(9), partition.Rows, 3))
+	pass := func(in []*partition.Frame) (*partition.Frame, error) { return in[0], nil }
+	for name, c := range map[string]struct {
+		bands int
+		want  string
+	}{
+		"exchange returns more bands": {2, "physical: exchange syn returned 3 bands, want at most 2"},
+		"exchange promises no band":   {0, "physical: exchange syn hands on 0 bands, want at least 1"},
+	} {
+		res, err := physical.NewScheduler(pool).Run(physical.NewExchange("syn", c.bands, pass, three))
+		if err == nil {
+			f, _ := res.Frame()
+			_, err = f.ToFrame()
+		}
+		if rootCause(err) != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", name, rootCause(err), c.want)
 		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // hash with no summary or plan, its order restored from row positions) and
 // — in sort.go — SORT (range shuffle), and the anchored passes that route
 // nothing: inner/left JOIN (probe of one shared hash table), the relabel
-// pass behind its renumber and FROMLABELS, and bounded WINDOWs. Each
+// pass behind its renumber and FROMLABELS, bounded WINDOWs and LIMIT. Each
 // produces one independent output-band future per band, so downstream fused
 // stages start as soon as the band that feeds them lands.
 
@@ -58,7 +58,7 @@ func (e *Engine) groupByShuffle(spec expr.GroupBySpec) *physical.Shuffle {
 // coordinator.
 func (e *Engine) groupRestoreExchange(node *algebra.GroupBy, shuffled *physical.Node) *physical.Node {
 	asLabels := node.Spec.AsLabels
-	return exchangeStage("groupby-restore", shuffled.Shuffle.Desc, func(in []*partition.Frame) (*partition.Frame, error) {
+	return e.exchangeStage("groupby-restore", shuffled.Shuffle.Desc, func(in []*partition.Frame) (*partition.Frame, error) {
 		if in[0].RowBands() == 1 {
 			// One bucket: its merge already produced final order and labels,
 			// with no position column to strip.
@@ -200,6 +200,45 @@ func windowShuffle(spec expr.WindowSpec) *physical.Shuffle {
 				return out.SliceRows(0, own.NRows()), nil
 			}
 			return out.SliceRows(lead, out.NRows()), nil
+		},
+	}
+}
+
+// limitShuffle lowers LIMIT to an anchored pass that keeps its input's band
+// count. A head (n ≥ 0) is a prefix pass: band b keeps the rows of its band
+// that fall inside the first n, after the rows of bands 0…b−1. A tail
+// (n < 0) is a suffix pass counting the rows of the bands after b. A band
+// that keeps no rows is empty and detached, so it pins none of its input's
+// storage.
+func limitShuffle(n int) *physical.Shuffle {
+	reach, k := physical.ReachPrefix, n
+	if n < 0 {
+		reach, k = physical.ReachSuffix, -n
+	}
+	return &physical.Shuffle{
+		Name:  "limit",
+		Reach: reach,
+		Merge: func(_ int, pieces []physical.Piece, _ any) (*core.DataFrame, error) {
+			frames, err := physical.Frames(pieces)
+			if err != nil {
+				return nil, err
+			}
+			own, others := frames[len(frames)-1], frames[:len(frames)-1]
+			if n < 0 {
+				own, others = frames[0], frames[1:]
+			}
+			left := k
+			for _, df := range others {
+				left -= df.NRows()
+			}
+			keep := min(max(left, 0), own.NRows())
+			switch {
+			case keep == 0:
+				return own.SliceRows(0, 0).Detach(), nil
+			case n < 0:
+				return own.SliceRows(own.NRows()-keep, own.NRows()), nil
+			}
+			return own.SliceRows(0, keep), nil
 		},
 	}
 }

@@ -60,13 +60,12 @@ func assertAgreesWithEager(t *testing.T, e *Engine, plan algebra.Node) *physical
 		streamBands:    sched.Stats.StreamBands.Load(),
 		partitionTasks: sched.Stats.ShufflePartitionTasks.Load(),
 		mergeTasks:     sched.Stats.ShuffleMergeTasks.Load(),
-		fallbacks:      sched.Stats.ShuffleFallbacks.Load(),
 	}
 }
 
 type physicalStats struct {
 	shuffleStages, streamStages, streamBands int64
-	partitionTasks, mergeTasks, fallbacks    int64
+	partitionTasks, mergeTasks               int64
 }
 
 // TestGroupByShuffleEmitsPerBandFutures is the engine-level acceptance
@@ -81,9 +80,6 @@ func TestGroupByShuffleEmitsPerBandFutures(t *testing.T) {
 	}
 	if stats.mergeTasks <= 1 {
 		t.Errorf("merge tasks = %d, want > 1 (one independent future per output band)", stats.mergeTasks)
-	}
-	if stats.fallbacks != 0 {
-		t.Errorf("fallbacks = %d, want 0", stats.fallbacks)
 	}
 }
 
@@ -172,10 +168,10 @@ func TestShuffleWholeFrameAggregation(t *testing.T) {
 	})
 }
 
-// TestShuffleDownstreamOfExchangeFallsBack: a GROUPBY over a TRANSPOSE
-// output (shape-opaque) takes the coordinated fallback and still agrees
-// with eager.
-func TestShuffleDownstreamOfExchangeFallsBack(t *testing.T) {
+// TestShuffleDownstreamOfExchangeCountsItsTasks: a GROUPBY over a
+// TRANSPOSE output (shape-opaque) gets one partition task per band the
+// transpose hands on and one merge per bucket, and still agrees with eager.
+func TestShuffleDownstreamOfExchangeCountsItsTasks(t *testing.T) {
 	m := make([][]any, 24)
 	for i := range m {
 		m[i] = []any{i, i * 2, i * 3}
@@ -189,8 +185,8 @@ func TestShuffleDownstreamOfExchangeFallsBack(t *testing.T) {
 	}
 	e := New(WithBands(3))
 	stats := assertAgreesWithEager(t, e, plan)
-	if stats.fallbacks != 1 {
-		t.Errorf("fallbacks = %d, want 1 for a shuffle over an exchange output", stats.fallbacks)
+	if stats.partitionTasks != 3 || stats.mergeTasks != 3 {
+		t.Errorf("partition tasks = %d, merge tasks = %d; want 3 and 3 for a shuffle over a 3-band exchange", stats.partitionTasks, stats.mergeTasks)
 	}
 }
 

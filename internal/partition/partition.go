@@ -399,30 +399,6 @@ func (f *Frame) ToFrame() (*core.DataFrame, error) {
 	return algebra.VStackFrames(bands...)
 }
 
-// MapBlocksAsync schedules fn over every block as one task per block,
-// chained on the block's future, and returns the deferred result frame
-// immediately. Errors surface when the result is resolved; a failing block
-// cancels the group's remaining tasks.
-func (f *Frame) MapBlocksAsync(pool *exec.Pool, g *exec.Group, fn func(*core.DataFrame) (*core.DataFrame, error)) *Frame {
-	rb, cb := f.RowBands(), f.ColBands()
-	out := make([][]*exec.Future, rb)
-	for r := range out {
-		out[r] = make([]*exec.Future, cb)
-		for c := range out[r] {
-			r, c := r, c
-			in := f.grid[r][c]
-			out[r][c] = pool.SubmitIn(g, func() (any, error) {
-				blk, err := f.BlockErr(r, c)
-				if err != nil {
-					return nil, err
-				}
-				return fn(blk)
-			}, in)
-		}
-	}
-	return &Frame{grid: out}
-}
-
 // Transpose performs MODIN's communication-free transpose (Section 3.1):
 // each block is transposed independently in parallel, and the grid metadata
 // swaps block coordinates. No data moves between partitions. A declared
@@ -528,21 +504,4 @@ func SplitRows(df *core.DataFrame, assign []int, buckets int) ([]*core.DataFrame
 		out[b] = f
 	}
 	return out, nil
-}
-
-// EnsureSingleColBand returns a frame whose row bands are full width,
-// hstacking column bands when needed (used before row-wise UDFs).
-func (f *Frame) EnsureSingleColBand() (*Frame, error) {
-	if f.ColBands() <= 1 {
-		return f, nil
-	}
-	out := make([][]*core.DataFrame, f.RowBands())
-	for r := range f.grid {
-		band, err := f.RowBand(r)
-		if err != nil {
-			return nil, err
-		}
-		out[r] = []*core.DataFrame{band}
-	}
-	return FromGrid(out)
 }

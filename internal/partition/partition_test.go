@@ -7,7 +7,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/expr"
 	"repro/internal/schema"
 
 	"repro/internal/types"
@@ -81,40 +80,6 @@ func TestMoreBandsThanRowsClamps(t *testing.T) {
 	}
 }
 
-func TestMapBlocksAsyncOverBlockGrid(t *testing.T) {
-	df := frame(t, 16, 4)
-	pf := New(df, Blocks, 2)
-	pool := exec.NewPool(2)
-	defer pool.Close()
-	out := pf.MapBlocksAsync(pool, exec.NewGroup(), func(blk *core.DataFrame) (*core.DataFrame, error) {
-		return algebra.MapFrame(blk, algebra.IsNullFn())
-	})
-	got, err := out.ToFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NRows() != 16 || got.Value(0, 0).Bool() {
-		t.Error("mapblocks wrong")
-	}
-}
-
-func TestMapBlocksAsyncRowBandSelection(t *testing.T) {
-	df := frame(t, 30, 3)
-	pf := New(df, Rows, 5)
-	pool := exec.NewPool(4)
-	defer pool.Close()
-	out := pf.MapBlocksAsync(pool, exec.NewGroup(), func(band *core.DataFrame) (*core.DataFrame, error) {
-		return algebra.SelectRows(band, func(r expr.Row) bool { return r.Value(0).Int()%2 == 0 }), nil
-	})
-	got, err := out.ToFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NRows() != 15 {
-		t.Errorf("rows = %d", got.NRows())
-	}
-}
-
 func TestBlockTransposeMatchesKernel(t *testing.T) {
 	df := frame(t, 12, 7)
 	pool := exec.NewPool(4)
@@ -171,25 +136,16 @@ func TestFromGridValidation(t *testing.T) {
 	}
 }
 
-func TestRepartitionAndEnsureSingle(t *testing.T) {
+func TestRepartitionBlocksToRows(t *testing.T) {
 	df := frame(t, 24, 6)
 	pf := New(df, Blocks, 3)
 	rows, err := pf.Repartition(Rows, 4)
 	if err != nil || rows.ColBands() != 1 || rows.RowBands() != 4 {
 		t.Error("repartition wrong")
 	}
-	single, err := pf.EnsureSingleColBand()
-	if err != nil || single.ColBands() != 1 {
-		t.Error("ensure single col band wrong")
-	}
-	got, err := single.ToFrame()
+	got, err := rows.ToFrame()
 	if err != nil || !got.Equal(df) {
-		t.Error("ensure single round trip failed")
-	}
-	// Already single: identity.
-	same, err := single.EnsureSingleColBand()
-	if err != nil || same != single {
-		t.Error("already-single should pass through")
+		t.Error("repartition round trip failed")
 	}
 }
 
@@ -343,46 +299,6 @@ func TestDeferredShapeMismatchCaughtAtResolve(t *testing.T) {
 	}
 	if err := pf.Resolve(); err == nil {
 		t.Error("row-count mismatch should fail Resolve")
-	}
-}
-
-func TestMapBlocksAsyncPipelines(t *testing.T) {
-	df := frame(t, 16, 4)
-	pool := exec.NewPool(2)
-	defer pool.Close()
-	pf := New(df, Blocks, 2)
-	g := exec.NewGroup()
-	// Two chained async maps: no block waits for its sibling between the
-	// two stages.
-	step1 := pf.MapBlocksAsync(pool, g, func(blk *core.DataFrame) (*core.DataFrame, error) {
-		return algebra.MapFrame(blk, algebra.IsNullFn())
-	})
-	step2 := step1.MapBlocksAsync(pool, g, func(blk *core.DataFrame) (*core.DataFrame, error) {
-		return algebra.MapFrame(blk, algebra.IsNullFn())
-	})
-	got, err := step2.ToFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NRows() != 16 || got.Value(0, 0).Bool() {
-		t.Error("chained async maps wrong")
-	}
-}
-
-func TestMapBlocksAsyncErrorCancelsGroup(t *testing.T) {
-	df := frame(t, 8, 2)
-	pool := exec.NewPool(2)
-	defer pool.Close()
-	pf := New(df, Rows, 2)
-	g := exec.NewGroup()
-	out := pf.MapBlocksAsync(pool, g, func(blk *core.DataFrame) (*core.DataFrame, error) {
-		return nil, fmt.Errorf("block failure")
-	})
-	if _, err := out.ToFrame(); err == nil {
-		t.Error("async map error should surface at gather")
-	}
-	if g.Err() == nil {
-		t.Error("async map error should cancel the group")
 	}
 }
 

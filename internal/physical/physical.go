@@ -1,9 +1,9 @@
 // Package physical is the physical-plan layer between the dataframe algebra
 // and the task-parallel execution engine: logical plans are *compiled* into
 // a DAG of physical stages, and the scheduler lowers those stages onto
-// per-block tasks on an exec.Pool.
+// per-band tasks on an exec.Pool.
 //
-// Two stage shapes exist, mirroring the two communication regimes of the
+// Three stage shapes exist, mirroring the communication regimes of the
 // MODIN architecture (Petersohn et al., Section 3):
 //
 //   - Fused stages chain embarrassingly-parallel per-band kernels
@@ -22,17 +22,20 @@
 //   - Exchange stages are the gather barriers kept for shape-opaque
 //     operators (transpose, expanding window, union, ...): they depend on
 //     every input block and run as a single coordinating task that may
-//     itself fan out.
+//     itself fan out. The task hands its output on as a fixed number of row
+//     bands, each a promise it resolves, so the stages above an exchange
+//     are wired with the rest of the plan, one task per band.
 //
-// The scheduler returns deferred partition.Frames (future blocks) without
-// waiting, so callers — the opportunistic session regime in particular —
-// hold unresolved handles and only block at gather/render time. A failing
-// task cancels the plan's exec.Group, skipping the query's remaining tasks.
+// Every stage's bands are known when the plan is scheduled: the scheduler
+// wires the whole task DAG in Run and returns deferred partition.Frames
+// (future blocks) without waiting, so callers — the opportunistic session
+// regime in particular — hold unresolved handles and only block at
+// gather/render time. A failing task cancels the plan's exec.Group,
+// skipping the query's remaining tasks.
 package physical
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -42,7 +45,7 @@ import (
 )
 
 // Kernel is one embarrassingly-parallel operator lowered into a fused
-// stage: a pure per-band (or per-block) dataframe transform.
+// stage: a pure transform of one full-width row band.
 type Kernel struct {
 	// Name labels the kernel in plan renderings ("selection", "map", ...).
 	Name string
@@ -50,11 +53,7 @@ type Kernel struct {
 	// text); the scheduler puts it in front of the kernel's failures, so a
 	// deep chain's error names the operator that failed.
 	Desc string
-	// Elementwise marks kernels that are partitioning-agnostic (pure
-	// cell-level transforms): they may run per block under any scheme. A
-	// non-elementwise kernel needs full-width row bands.
-	Elementwise bool
-	// Fn transforms one band (or block).
+	// Fn transforms one band.
 	Fn func(*core.DataFrame) (*core.DataFrame, error)
 }
 
@@ -66,6 +65,11 @@ type Exchange struct {
 	Name string
 	// Desc is the logical operator's description, as on Kernel.
 	Desc string
+	// Bands is the number of row bands the exchange hands downstream, fixed
+	// when the plan is scheduled: band r is Run's row band r stacked to full
+	// width, and the bands past Run's last are empty, with band 0's columns
+	// and declared domains. Run may return at most Bands row bands.
+	Bands int
 	// Run produces the stage's (materialized) output frame.
 	Run func(inputs []*partition.Frame) (*partition.Frame, error)
 }
@@ -230,9 +234,10 @@ func (n *Node) Fuse(kernels ...Kernel) *Node {
 	return &Node{Kernels: append(append([]Kernel(nil), n.Kernels...), kernels...), Inputs: n.Inputs}
 }
 
-// NewExchange builds a barrier stage over the inputs.
-func NewExchange(name string, run func([]*partition.Frame) (*partition.Frame, error), inputs ...*Node) *Node {
-	return &Node{Exchange: &Exchange{Name: name, Run: run}, Inputs: inputs}
+// NewExchange builds a barrier stage over the inputs that hands its output
+// on as the given number of row bands.
+func NewExchange(name string, bands int, run func([]*partition.Frame) (*partition.Frame, error), inputs ...*Node) *Node {
+	return &Node{Exchange: &Exchange{Name: name, Bands: bands, Run: run}, Inputs: inputs}
 }
 
 // NewShuffle builds a two-phase repartition stage over input, with optional
@@ -329,10 +334,9 @@ type Stats struct {
 	ShufflePlanTasks      atomic.Int64
 	ShufflePartitionTasks atomic.Int64
 	ShuffleMergeTasks     atomic.Int64
-	// ShuffleFallbacks counts shuffles over shape-opaque inputs (downstream
-	// of an exchange). They are wired late: the same per-band tasks, counted
-	// above once the input frame lands, behind one output future — a
-	// barrier to the consumer, like an exchange.
+	// ShuffleFallbacks is always 0: every shuffle, an exchange's consumers
+	// included, is wired when the plan is scheduled. The field stays for
+	// callers that still report it.
 	ShuffleFallbacks atomic.Int64
 
 	// StreamStages counts morsel-driven source stages scheduled;
@@ -382,43 +386,21 @@ func NewScheduler(pool *exec.Pool) *Scheduler {
 // Group exposes the run's cancellation scope.
 func (s *Scheduler) Group() *exec.Group { return s.group }
 
-// Result is a scheduled stage's output handle. Stages whose output grid
-// shape is known at schedule time (sources, fused chains and shuffles over
-// them) carry a deferred frame with one future per block; an exchange, whose
-// shape depends on the data, and every stage downstream of one carry a
-// single future resolving to the whole frame.
+// Result is a scheduled stage's output handle: a deferred frame with one
+// future per block, whose band count was fixed when the stage was scheduled.
 type Result struct {
-	frame *partition.Frame // non-nil when the block grid shape is known
-	fut   *exec.Future     // otherwise: resolves to *partition.Frame
+	frame *partition.Frame
 }
 
 // Deferred reports whether the result still has in-flight work.
-func (r *Result) Deferred() bool {
-	if r.frame != nil {
-		return !r.frame.Ready()
-	}
-	return !r.fut.Ready()
-}
+func (r *Result) Deferred() bool { return !r.frame.Ready() }
 
-// Frame waits for the stage's output frame. For shape-known results this
-// returns immediately with the deferred frame (its blocks may still be
-// computing); for exchange results it blocks until the exchange ran.
-func (r *Result) Frame() (*partition.Frame, error) {
-	if r.frame != nil {
-		return r.frame, nil
-	}
-	v, err := r.fut.Wait()
-	if err != nil {
-		return nil, err
-	}
-	return v.(*partition.Frame), nil
-}
+// Frame returns the stage's deferred output frame at once; its blocks may
+// still be computing, and a task's failure surfaces when they are resolved.
+func (r *Result) Frame() (*partition.Frame, error) { return r.frame, nil }
 
 // blockDeps lists the futures downstream tasks must wait on.
 func (r *Result) blockDeps() []*exec.Future {
-	if r.frame == nil {
-		return []*exec.Future{r.fut}
-	}
 	var deps []*exec.Future
 	for br := 0; br < r.frame.RowBands(); br++ {
 		deps = append(deps, bandDeps(r.frame, br)...)
@@ -463,9 +445,7 @@ func (s *Scheduler) schedule(n *Node) (*Result, error) {
 			return nil, err
 		}
 		s.Stats.FusedStages.Add(1)
-		return s.wire(in, func(f *partition.Frame) (*partition.Frame, error) {
-			return s.wireFused(f, n.Kernels)
-		})
+		return s.wireFused(in.frame, n.Kernels)
 
 	case n.Shuffle != nil:
 		sh := n.Shuffle
@@ -483,14 +463,13 @@ func (s *Scheduler) schedule(n *Node) (*Result, error) {
 			}
 		}
 		s.Stats.ShuffleStages.Add(1)
-		if in.frame == nil {
-			s.Stats.ShuffleFallbacks.Add(1)
-		}
-		return s.wire(in, func(f *partition.Frame) (*partition.Frame, error) {
-			return s.wireShuffle(sh, f, sides)
-		})
+		return s.wireShuffle(sh, in.frame, sides)
 
 	case n.Exchange != nil:
+		ex := n.Exchange
+		if ex.Bands < 1 {
+			return nil, fmt.Errorf("physical: exchange %s hands on %d bands, want at least 1", ex.Name, ex.Bands)
+		}
 		inputs := make([]*Result, len(n.Inputs))
 		var deps []*exec.Future
 		for i, child := range n.Inputs {
@@ -503,35 +482,86 @@ func (s *Scheduler) schedule(n *Node) (*Result, error) {
 		}
 		s.Stats.ExchangeStages.Add(1)
 		s.Stats.ExchangeTasks.Add(1)
-		ex := n.Exchange
-		fut := s.pool.SubmitIn(s.group, func() (any, error) {
-			frames, err := resultFrames(inputs)
-			if err != nil {
-				return nil, err
-			}
-			out, err := ex.Run(frames)
-			if err != nil {
-				return nil, fmt.Errorf("physical: exchange %s: %w", ex.Name, describe(ex.Desc, err))
-			}
-			return out, nil
-		}, deps...)
-		return &Result{fut: fut}, nil
+		return s.wireExchange(ex, inputs, deps)
 	}
 	return nil, fmt.Errorf("physical: empty stage")
 }
 
-// resultFrames resolves each result's frame; called from tasks that depend
-// on every block of every result, so nothing here waits.
-func resultFrames(results []*Result) ([]*partition.Frame, error) {
-	frames := make([]*partition.Frame, len(results))
-	for i, r := range results {
-		f, err := r.Frame()
+// wireExchange submits the exchange's one task and hands its output on as
+// ex.Bands promises, one per row band, which the task resolves: a consumer's
+// per-band tasks chain on them like on any other stage's blocks. A skipped
+// or failed exchange settles every promise with its error, so no waiter
+// hangs.
+func (s *Scheduler) wireExchange(ex *Exchange, inputs []*Result, deps []*exec.Future) (*Result, error) {
+	grid := make([][]*exec.Future, ex.Bands)
+	resolve := make([]func(any, error), ex.Bands)
+	for r := range grid {
+		fut, res := exec.NewPromise()
+		grid[r], resolve[r] = []*exec.Future{fut}, res
+	}
+	task := s.pool.SubmitIn(s.group, func() (any, error) {
+		out, err := ex.Run(resultFrames(inputs))
+		if err != nil {
+			return nil, fmt.Errorf("physical: exchange %s: %w", ex.Name, describe(ex.Desc, err))
+		}
+		bands, err := ex.bandsOf(out)
 		if err != nil {
 			return nil, err
 		}
-		frames[i] = f
+		for r, band := range bands {
+			resolve[r](band, nil)
+		}
+		return nil, nil
+	}, deps...)
+	go func() {
+		if _, err := task.Wait(); err != nil {
+			for _, res := range resolve {
+				res(nil, err) // a band the task resolved keeps its value
+			}
+		}
+	}()
+	return deferred(grid)
+}
+
+// bandsOf cuts the exchange's output into the bands it hands on: row band r
+// stacked to full width, then empty bands up to Bands. An empty band keeps
+// band 0's columns and declared domains, so gathering it changes nothing,
+// and is detached, so it pins none of band 0's storage.
+func (ex *Exchange) bandsOf(out *partition.Frame) ([]*core.DataFrame, error) {
+	if out.RowBands() > ex.Bands {
+		return nil, fmt.Errorf("physical: exchange %s returned %d bands, want at most %d", ex.Name, out.RowBands(), ex.Bands)
 	}
-	return frames, nil
+	bands := make([]*core.DataFrame, ex.Bands)
+	for r := range bands {
+		if r >= out.RowBands() {
+			bands[r] = bands[0].SliceRows(0, 0).Detach()
+			continue
+		}
+		band, err := out.RowBand(r)
+		if err != nil {
+			return nil, err
+		}
+		bands[r] = band
+	}
+	return bands, nil
+}
+
+// deferred wraps a stage's one-column grid of band futures as its result.
+func deferred(grid [][]*exec.Future) (*Result, error) {
+	frame, err := partition.Deferred(grid)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{frame: frame}, nil
+}
+
+// resultFrames lists each result's frame.
+func resultFrames(results []*Result) []*partition.Frame {
+	frames := make([]*partition.Frame, len(results))
+	for i, r := range results {
+		frames[i] = r.frame
+	}
+	return frames
 }
 
 // describe puts the logical operator's description in front of a hook's
@@ -543,63 +573,10 @@ func describe(desc string, err error) error {
 	return fmt.Errorf("%s: %w", desc, err)
 }
 
-// wire lowers a stage onto its input's block grid. When the grid is known
-// the per-band tasks are wired now and the result is shape-known. When it
-// is not — the input is downstream of an exchange — the SAME tasks are
-// wired late, by a watcher goroutine, once the input frame has landed; the
-// stage's one future resolves from that watcher when the blocks have landed,
-// so the stage is a barrier to its consumer, and no pool worker ever waits
-// on an unfinished task (exec.SubmitIn's invariant; a one-worker pool hangs
-// the moment it is broken).
-func (s *Scheduler) wire(in *Result, lower func(*partition.Frame) (*partition.Frame, error)) (*Result, error) {
-	if in.frame != nil {
-		out, err := lower(in.frame)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{frame: out}, nil
-	}
-	fut, resolve := exec.NewPromise()
-	// The watcher ends when the input and then the stage's blocks have
-	// resolved, or the run is cancelled — every future of a run resolves.
-	go func() {
-		select {
-		case <-in.fut.Done():
-		case <-s.group.Done():
-			resolve(nil, s.group.Err())
-			return
-		}
-		f, err := in.Frame()
-		if err != nil {
-			resolve(nil, err)
-			return
-		}
-		out, err := lower(f)
-		if err != nil {
-			s.group.Cancel(err)
-			resolve(nil, err)
-			return
-		}
-		for _, blk := range (&Result{frame: out}).blockDeps() {
-			select {
-			case <-blk.Done():
-			case <-s.group.Done():
-			}
-		}
-		// A task of the run's group fails only by cancelling the group.
-		if err := s.group.Err(); err != nil {
-			resolve(nil, err)
-			return
-		}
-		resolve(out, nil)
-	}()
-	return &Result{fut: fut}, nil
-}
-
-// RunKernels applies a fused chain to one band (or block). Stage exit is
-// the one coalescing point for view-producing kernels (zero-copy selection
-// chains): the result is materialized once here instead of per kernel.
-// Cluster workers run their shipped chains through it too.
+// RunKernels applies a fused chain to one band. Stage exit is the one
+// coalescing point for view-producing kernels (zero-copy selection chains):
+// the result is materialized once here instead of per kernel. Cluster
+// workers run their shipped chains through it too.
 func RunKernels(kernels []Kernel, df *core.DataFrame) (*core.DataFrame, error) {
 	var err error
 	for _, k := range kernels {
@@ -611,18 +588,10 @@ func RunKernels(kernels []Kernel, df *core.DataFrame) (*core.DataFrame, error) {
 	return df.Compact(), nil
 }
 
-// wireFused chains the kernels over the input's grid: one task per block
-// running the whole chain, chained on the block's future — no barrier
-// between operators or bands. Row kernels over a block grid (more than one
-// column band) instead get one task per row band, over the band's blocks
-// stacked to full width.
-func (s *Scheduler) wireFused(f *partition.Frame, kernels []Kernel) (*partition.Frame, error) {
-	chain := func(df *core.DataFrame) (*core.DataFrame, error) { return RunKernels(kernels, df) }
-	rowKernel := slices.ContainsFunc(kernels, func(k Kernel) bool { return !k.Elementwise })
-	if !rowKernel || f.ColBands() == 1 {
-		s.Stats.FusedTasks.Add(int64(f.RowBands() * f.ColBands()))
-		return f.MapBlocksAsync(s.pool, s.group, chain), nil
-	}
+// wireFused chains the kernels over the input's grid: one task per row band
+// running the whole chain over the band's blocks stacked to full width,
+// chained on those blocks' futures — no barrier between operators or bands.
+func (s *Scheduler) wireFused(f *partition.Frame, kernels []Kernel) (*Result, error) {
 	s.Stats.FusedTasks.Add(int64(f.RowBands()))
 	grid := make([][]*exec.Future, f.RowBands())
 	for r := range grid {
@@ -631,10 +600,10 @@ func (s *Scheduler) wireFused(f *partition.Frame, kernels []Kernel) (*partition.
 			if err != nil {
 				return nil, err
 			}
-			return chain(band)
+			return RunKernels(kernels, band)
 		}, bandDeps(f, r)...)}
 	}
-	return partition.Deferred(grid)
+	return deferred(grid)
 }
 
 // validate rejects a malformed shuffle before anything is scheduled.
@@ -660,7 +629,7 @@ func (sh *Shuffle) validate(sides int) error {
 // the result is a deferred frame (Buckets×1): downstream fused stages chain
 // per band on the merge that feeds them — the no-barrier fast path —
 // instead of waiting for the whole repartition like an exchange.
-func (s *Scheduler) wireShuffle(sh *Shuffle, f *partition.Frame, sides []*Result) (*partition.Frame, error) {
+func (s *Scheduler) wireShuffle(sh *Shuffle, f *partition.Frame, sides []*Result) (*Result, error) {
 	rb := f.RowBands()
 	submit := func(fn func() (any, error), deps ...*exec.Future) *exec.Future {
 		return s.pool.SubmitIn(s.group, fn, deps...)
@@ -701,11 +670,7 @@ func (s *Scheduler) wireShuffle(sh *Shuffle, f *partition.Frame, sides []*Result
 				}
 				bandSums[r] = v
 			}
-			sideFrames, err := resultFrames(sides)
-			if err != nil {
-				return nil, err
-			}
-			out, err := sh.Plan(bandSums, sideFrames)
+			out, err := sh.Plan(bandSums, resultFrames(sides))
 			if err != nil {
 				return nil, fmt.Errorf("physical: shuffle %s plan: %w", sh.Name, describe(sh.Desc, err))
 			}
@@ -815,7 +780,7 @@ func (s *Scheduler) wireShuffle(sh *Shuffle, f *partition.Frame, sides []*Result
 	for b, mf := range mergeFuts {
 		grid[b] = []*exec.Future{mf}
 	}
-	return partition.Deferred(grid)
+	return deferred(grid)
 }
 
 // runPartition routes one band: the shuffle's partition hook, piece-count
@@ -857,11 +822,5 @@ func (s *Scheduler) runMerge(sh *Shuffle, b int, pieces []Piece, plan any) (*cor
 // dataframe, returning its future without blocking. This is the handle the
 // opportunistic session regime hands back to users.
 func (s *Scheduler) Gather(r *Result) *exec.Future {
-	return s.pool.SubmitIn(s.group, func() (any, error) {
-		f, err := r.Frame()
-		if err != nil {
-			return nil, err
-		}
-		return f.ToFrame()
-	}, r.blockDeps()...)
+	return s.pool.SubmitIn(s.group, func() (any, error) { return r.frame.ToFrame() }, r.blockDeps()...)
 }

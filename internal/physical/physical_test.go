@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -35,13 +36,9 @@ func selectEven() Kernel {
 }
 
 func isNull() Kernel {
-	return Kernel{
-		Name:        "map",
-		Elementwise: true,
-		Fn: func(b *core.DataFrame) (*core.DataFrame, error) {
-			return algebra.MapFrame(b, algebra.IsNullFn())
-		},
-	}
+	return Kernel{Name: "map", Fn: func(b *core.DataFrame) (*core.DataFrame, error) {
+		return algebra.MapFrame(b, algebra.IsNullFn())
+	}}
 }
 
 // TestFusedChainOneTaskPerBand is the acceptance test for fusion: a
@@ -141,7 +138,7 @@ func TestExchangeBarrierSeesAllInputs(t *testing.T) {
 	src := NewSource(partition.New(df, partition.Rows, 3))
 	fused := NewFused(src, selectEven())
 	var sawRows atomic.Int64
-	ex := NewExchange("count", func(in []*partition.Frame) (*partition.Frame, error) {
+	ex := NewExchange("count", 3, func(in []*partition.Frame) (*partition.Frame, error) {
 		sawRows.Store(int64(in[0].NRows()))
 		return in[0], nil
 	}, fused)
@@ -151,15 +148,15 @@ func TestExchangeBarrierSeesAllInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := res.Frame()
+	out, err := s.Gather(res).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sawRows.Load() != 15 {
 		t.Errorf("exchange saw %d rows, want all 15", sawRows.Load())
 	}
-	if frame.NRows() != 15 {
-		t.Errorf("frame rows = %d", frame.NRows())
+	if out.(*core.DataFrame).NRows() != 15 {
+		t.Errorf("gathered rows = %d", out.(*core.DataFrame).NRows())
 	}
 	if got := s.Stats.ExchangeStages.Load(); got != 1 {
 		t.Errorf("exchange stages = %d", got)
@@ -171,7 +168,7 @@ func TestFusedAfterExchangeRuns(t *testing.T) {
 	defer pool.Close()
 	df := testDF(24)
 	src := NewSource(partition.New(df, partition.Rows, 3))
-	plan := NewFused(identityExchange(src), isNull())
+	plan := NewFused(identityExchange(src, 3), isNull())
 
 	s := NewScheduler(pool)
 	res, err := s.Run(plan)
@@ -222,7 +219,7 @@ func TestSharedStageScheduledOnce(t *testing.T) {
 		return b, nil
 	}}
 	shared := NewFused(NewSource(partition.New(df, partition.Rows, 2)), counting)
-	union := NewExchange("pair", func(in []*partition.Frame) (*partition.Frame, error) {
+	union := NewExchange("pair", 2, func(in []*partition.Frame) (*partition.Frame, error) {
 		return in[0], nil
 	}, shared, shared)
 
@@ -242,7 +239,7 @@ func TestSharedStageScheduledOnce(t *testing.T) {
 func TestRenderAndStages(t *testing.T) {
 	df := testDF(10)
 	src := NewSource(partition.New(df, partition.Rows, 2))
-	plan := NewExchange("groupby", func(in []*partition.Frame) (*partition.Frame, error) {
+	plan := NewExchange("groupby", 2, func(in []*partition.Frame) (*partition.Frame, error) {
 		return in[0], nil
 	}, NewFused(src, selectEven(), isNull()))
 	text := Render(plan)
@@ -458,72 +455,89 @@ func withDeadline(t *testing.T, d time.Duration, fn func()) {
 	}
 }
 
-func identityExchange(in *Node) *Node {
-	return NewExchange("identity", func(in []*partition.Frame) (*partition.Frame, error) {
+// identityExchange hands its input on unchanged as the given number of
+// bands.
+func identityExchange(in *Node, bands int) *Node {
+	return NewExchange("identity", bands, func(in []*partition.Frame) (*partition.Frame, error) {
 		return in[0], nil
 	}, in)
 }
 
-// TestShuffleOverOpaqueInputWiresLate: a shuffle whose input shape is
-// unknown at schedule time (downstream of a gather exchange) gets the same
-// per-band tasks as any other, wired once the input lands, behind ONE
-// future — and still counts as a fallback.
-func TestShuffleOverOpaqueInputWiresLate(t *testing.T) {
+// TestShuffleOverExchangeIsWiredWhenRunReturns: a shuffle over an exchange
+// gets its per-band tasks when the plan is scheduled, one partition task per
+// band the exchange hands on, while the exchange itself is still gated; the
+// fused stage above it is wired too, and every counter is final.
+func TestShuffleOverExchangeIsWiredWhenRunReturns(t *testing.T) {
 	pool := exec.NewPool(2)
 	defer pool.Close()
+	gate := make(chan struct{})
 	src := NewSource(partition.New(testDF(30), partition.Rows, 3))
+	ex := NewExchange("gated", 4, func(in []*partition.Frame) (*partition.Frame, error) {
+		<-gate
+		return in[0], nil
+	}, src)
 	s := NewScheduler(pool)
-	res, err := s.Run(NewShuffle(modShuffle(2, nil), identityExchange(src)))
+	res, err := s.Run(NewFused(NewShuffle(modShuffle(2, nil), ex), isNull()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.frame != nil {
-		t.Error("a late-wired stage must hand its consumer one future, not a block grid")
+	if got := ex.Exchange.Bands; s.Stats.ShufflePartitionTasks.Load() != int64(got) {
+		t.Errorf("partition tasks = %d, want %d (one per band the exchange hands on)", s.Stats.ShufflePartitionTasks.Load(), got)
 	}
-	if got := s.Stats.ShuffleFallbacks.Load(); got != 1 {
-		t.Errorf("fallbacks = %d, want 1", got)
+	if got := s.Stats.ShuffleMergeTasks.Load(); got != 2 {
+		t.Errorf("merge tasks = %d, want 2 (one per bucket)", got)
+	}
+	if got := s.Stats.FusedTasks.Load(); got != 2 {
+		t.Errorf("fused tasks = %d, want 2 (one per bucket)", got)
+	}
+	if got := s.Stats.ShuffleFallbacks.Load(); got != 0 {
+		t.Errorf("fallbacks = %d, want 0", got)
 	}
 	frame, err := res.Frame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Stats.ShufflePartitionTasks.Load(); got != 3 {
-		t.Errorf("partition tasks = %d, want 3 (one per band of the landed input)", got)
+	if frame.RowBands() != 2 || !res.Deferred() {
+		t.Errorf("result = %d bands, deferred %v; want 2 deferred bands while the exchange is gated", frame.RowBands(), res.Deferred())
 	}
-	if got := s.Stats.ShuffleMergeTasks.Load(); got != 2 {
-		t.Errorf("merge tasks = %d, want 2 (one per bucket)", got)
-	}
-	if !frame.Ready() {
-		t.Error("the late-wired stage resolved before its blocks landed")
-	}
-	if frame.RowBands() != 2 || frame.NRows() != 30 {
-		t.Errorf("late-wired shuffle output = %d bands, %d rows", frame.RowBands(), frame.NRows())
+	close(gate)
+	withDeadline(t, 10*time.Second, func() {
+		out, err := s.Gather(res).Wait()
+		if err != nil {
+			t.Error(err)
+		} else if out.(*core.DataFrame).NRows() != 30 {
+			t.Errorf("rows = %d, want 30", out.(*core.DataFrame).NRows())
+		}
+	})
+	if got := s.Stats.ShufflePartitionTasks.Load(); got != 4 {
+		t.Errorf("partition tasks after the run = %d, want the 4 counted at schedule time", got)
 	}
 }
 
-// TestLateWiredStageIsABarrier: bucket 0 of a late-wired shuffle merges
-// while bucket 1 is gated, but the stage's future — all its consumer can
-// chain on — stays unresolved until every block has landed.
-func TestLateWiredStageIsABarrier(t *testing.T) {
+// TestStageOverExchangeStreamsByBand: bucket 0 of a shuffle over an
+// exchange merges while bucket 1 is gated, and the fused band chained on it
+// lands before bucket 1 does — the stage above an exchange is no barrier.
+func TestStageOverExchangeStreamsByBand(t *testing.T) {
 	pool := exec.NewPool(4)
 	defer pool.Close()
 	gate := make(chan struct{})
-	merged0 := make(chan struct{})
 	sh := modShuffle(2, func(bucket int) {
-		if bucket == 0 {
-			close(merged0)
-		} else {
+		if bucket == 1 {
 			<-gate
 		}
 	})
 	s := NewScheduler(pool)
-	res, err := s.Run(NewFused(NewShuffle(sh, identityExchange(NewSource(partition.New(testDF(40), partition.Rows, 4)))), isNull()))
+	res, err := s.Run(NewFused(NewShuffle(sh, identityExchange(NewSource(partition.New(testDF(40), partition.Rows, 4)), 4)), isNull()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	withDeadline(t, 10*time.Second, func() { <-merged0 })
-	if !res.Deferred() {
-		t.Error("downstream of a late-wired shuffle finished while bucket 1's merge was gated")
+	frame, err := res.Frame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	withDeadline(t, 10*time.Second, func() { <-frame.BlockFuture(0, 0).Done() })
+	if frame.BlockFuture(1, 0).Ready() {
+		t.Error("bucket 1's band finished while its merge was gated")
 	}
 	close(gate)
 	withDeadline(t, 10*time.Second, func() {
@@ -535,17 +549,18 @@ func TestLateWiredStageIsABarrier(t *testing.T) {
 		}
 	})
 	if got := s.Stats.FusedTasks.Load(); got != 2 {
-		t.Errorf("fused tasks = %d, want 2 (one per bucket of the late-wired shuffle)", got)
+		t.Errorf("fused tasks = %d, want 2 (one per bucket)", got)
 	}
 }
 
-// TestLateWiringOnOneWorker: late wiring must never park a pool worker on
-// an unfinished task, and a one-worker pool is where that hangs.
-func TestLateWiringOnOneWorker(t *testing.T) {
+// TestStagesOverExchangesOnOneWorker: no pool worker may wait on an
+// unfinished task, and a one-worker pool is where that hangs — here through
+// two exchanges with fused and shuffle stages between them.
+func TestStagesOverExchangesOnOneWorker(t *testing.T) {
 	pool := exec.NewPool(1)
 	defer pool.Close()
 	src := NewSource(partition.New(testDF(60), partition.Rows, 5))
-	plan := NewFused(NewShuffle(modShuffle(3, nil), NewFused(identityExchange(NewFused(src, selectEven())), isNull())), isNull())
+	plan := identityExchange(NewFused(NewShuffle(modShuffle(3, nil), NewFused(identityExchange(NewFused(src, selectEven()), 5), isNull())), isNull()), 3)
 	withDeadline(t, 20*time.Second, func() {
 		s := NewScheduler(pool)
 		res, err := s.Run(plan)
@@ -562,30 +577,78 @@ func TestLateWiringOnOneWorker(t *testing.T) {
 	})
 }
 
-// TestLateWiringSurfacesFailures: a failing input and a failing late-wired
-// task both resolve the stage's future with the failure instead of hanging.
-func TestLateWiringSurfacesFailures(t *testing.T) {
-	pool := exec.NewPool(2)
+// TestStagesOverExchangeSurfaceFailures: a failing exchange, a skipped one
+// and a failing task above an exchange surface their failure from Gather and
+// from Resolve, on a one-worker pool, without hanging.
+func TestStagesOverExchangeSurfaceFailures(t *testing.T) {
+	pool := exec.NewPool(1)
 	defer pool.Close()
 	sentinel := errors.New("boom")
 	src := NewSource(partition.New(testDF(20), partition.Rows, 2))
-	failing := NewExchange("failing", func([]*partition.Frame) (*partition.Frame, error) { return nil, sentinel }, src)
+	failing := NewExchange("failing", 2, func([]*partition.Frame) (*partition.Frame, error) { return nil, sentinel }, src)
 	bad := Kernel{Name: "bad", Fn: func(*core.DataFrame) (*core.DataFrame, error) { return nil, sentinel }}
 	for name, plan := range map[string]*Node{
-		"input fails":  NewShuffle(modShuffle(2, nil), failing),
-		"kernel fails": NewFused(identityExchange(src), bad),
+		"exchange fails":       NewShuffle(modShuffle(2, nil), failing),
+		"exchange skipped":     NewFused(identityExchange(NewFused(src, bad), 2), isNull()),
+		"kernel over exchange": NewFused(identityExchange(src, 2), bad),
 	} {
-		withDeadline(t, 10*time.Second, func() {
-			s := NewScheduler(pool)
-			res, err := s.Run(plan)
-			if err != nil {
-				t.Errorf("%s: %v", name, err)
-				return
-			}
-			if _, err := res.Frame(); !errors.Is(err, sentinel) {
-				t.Errorf("%s: err = %v, want the failure", name, err)
-			}
-		})
+		for _, via := range []string{"Gather", "Resolve"} {
+			withDeadline(t, 10*time.Second, func() {
+				s := NewScheduler(pool)
+				res, err := s.Run(plan)
+				if err != nil {
+					t.Errorf("%s: %v", name, err)
+					return
+				}
+				if via == "Gather" {
+					_, err = s.Gather(res).Wait()
+				} else {
+					frame, _ := res.Frame()
+					err = frame.Resolve()
+				}
+				if !errors.Is(err, sentinel) {
+					t.Errorf("%s via %s: err = %v, want the failure", name, via, err)
+				}
+			})
+		}
+	}
+}
+
+// TestExchangeHandsOnItsBands: an exchange whose Run returns fewer bands
+// than it promised hands on empty bands past the last one, with band 0's
+// columns and declared domains and none of its storage; the gathered frame
+// is Run's frame.
+func TestExchangeHandsOnItsBands(t *testing.T) {
+	pool := exec.NewPool(2)
+	defer pool.Close()
+	df := testDF(12)
+	s := NewScheduler(pool)
+	res, err := s.Run(NewExchange("two", 5, func([]*partition.Frame) (*partition.Frame, error) {
+		return partition.New(df, partition.Blocks, 2), nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, _ := res.Frame()
+	if frame.RowBands() != 5 || frame.ColBands() != 1 {
+		t.Fatalf("grid = %dx%d, want 5x1", frame.RowBands(), frame.ColBands())
+	}
+	out, err := s.Gather(res).Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.(*core.DataFrame).Equal(df) {
+		t.Errorf("gathered\n%s\nwant\n%s", out, df)
+	}
+	band0 := frame.Block(0, 0)
+	for r := 2; r < 5; r++ {
+		pad := frame.Block(r, 0)
+		if pad.NRows() != 0 || !slices.Equal(pad.ColNames(), df.ColNames()) || !slices.Equal(pad.Domains(), band0.Domains()) {
+			t.Errorf("band %d = %dx%v %v, want 0 rows of %v %v", r, pad.NRows(), pad.ColNames(), pad.Domains(), df.ColNames(), band0.Domains())
+		}
+		if pad.Cache() != nil {
+			t.Errorf("band %d keeps band 0's cache", r)
+		}
 	}
 }
 
