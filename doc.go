@@ -141,11 +141,12 @@
 // key columns (vector.HashRows) with typed-equality verification on
 // collisions, and one GROUPBY kernel (algebra.GroupPartial) looks a
 // dictionary-coded key up once per distinct code, by value, and keeps flat
-// typed state for COUNT/SIZE/SUM/MEAN/MIN/MAX; SORT, TOPK and the range
-// shuffle's merge compare order-preserving uint64 words that
-// vector.NewSortKey reads from each key column's storage, falling back to
-// vector.CompareRows only for keys with no word form (Object strings,
-// boxed columns); and
+// typed state for COUNT/SIZE/SUM/MEAN/MIN/MAX; SORT (a radix sort,
+// vector.Order), TOPK and the range shuffle's run merge (vector.MergeRuns)
+// order rows by order-preserving uint64 words that vector.NewSortKey reads
+// from each key column's storage, falling back to vector.CompareRows only
+// for keys with no word form (Object strings, boxed columns) or runs whose
+// words do not compare; and
 // structured SELECTION predicates (expr.Where, built by df.Where) execute
 // through the typed filter kernels (vector.Filter*). Opaque func(Row) bool
 // predicates keep the row-at-a-time path, and expr.Where.Predicate() is the

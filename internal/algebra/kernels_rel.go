@@ -1,9 +1,7 @@
 package algebra
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dferrors"
@@ -234,41 +232,7 @@ func SortFrame(df *core.DataFrame, order expr.SortOrder, byLabels bool) (*core.D
 			return nil, err
 		}
 	}
-	n := df.NRows()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	// Each key column is encoded once into order-preserving words and the
-	// sort compares word tuples; row position breaks ties, which makes the
-	// unstable sort produce the stable order.
-	var cmpRows func(a, b int) int
-	if key, ok := vector.NewSortKey(keys, desc); ok {
-		m := key.Width()
-		words := make([]uint64, n*m)
-		key.Fill(words)
-		if m == 1 {
-			// The common single-word key compares words directly, without
-			// slicing tuples.
-			slices.SortFunc(idx, func(a, b int) int {
-				if c := cmp.Compare(words[a], words[b]); c != 0 {
-					return c
-				}
-				return cmp.Compare(a, b)
-			})
-			return df.TakeRows(idx), nil
-		}
-		cmpRows = func(a, b int) int { return slices.Compare(words[a*m:a*m+m], words[b*m:b*m+m]) }
-	} else {
-		cmpRows = vector.RowOrder(keys, desc)
-	}
-	slices.SortFunc(idx, func(a, b int) int {
-		if c := cmpRows(a, b); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	return df.TakeRows(idx), nil
+	return df.TakeRows(vector.Order(keys, desc, df.NRows())), nil
 }
 
 // sortKeys resolves an order's typed key columns and direction flags; op

@@ -304,8 +304,9 @@ func buildBand(scan *algebra.Scan, keep []string, task *BandTask) (*core.DataFra
 // cutSortBands routes the query's held sort bands into bucket pieces by the
 // folded range bounds, once: the first local merge or peer fetch that needs
 // a piece runs the cut, and later ones wait for it and share its error.
-// Sort pieces are contiguous slices that together cover exactly the sorted
-// copy, so retaining them retains no dead rows. A group query holds no bands.
+// Sort pieces are views over their band that together select each of its
+// rows once, so retaining them retains no dead rows. A group query holds no
+// bands.
 func (w *Worker) cutSortBands(q *workerQuery, bounds [][]types.Value) error {
 	q.cut.Do(func() {
 		q.mu.Lock()

@@ -340,6 +340,38 @@ func (df *DataFrame) TakeRows(idx []int) *DataFrame {
 	}
 }
 
+// ViewRows returns the frame at the given row positions as selection views
+// over df's storage, copying no cells; -1 reads as null. A column that is
+// already a view is re-selected over its base, so no view stacks on a view.
+// The result pins df's storage for its lifetime.
+func (df *DataFrame) ViewRows(idx []int) *DataFrame {
+	view := func(v vector.Vector) vector.Vector {
+		base, sel, ok := vector.ViewParts(v)
+		if !ok {
+			return vector.TakeView(v, idx)
+		}
+		composed := make([]int, len(idx))
+		for k, i := range idx {
+			composed[k] = -1
+			if i >= 0 {
+				composed[k] = sel[i]
+			}
+		}
+		return vector.TakeView(base, composed)
+	}
+	cols := make([]vector.Vector, len(df.cols))
+	for j, c := range df.cols {
+		cols[j] = view(c)
+	}
+	return &DataFrame{
+		cols:    cols,
+		rowLab:  view(df.rowLab),
+		colLab:  df.colLab,
+		domains: cloneDomains(df.domains),
+		cache:   df.cache,
+	}
+}
+
 // SliceRows returns the frame restricted to rows [lo, hi), sharing storage.
 func (df *DataFrame) SliceRows(lo, hi int) *DataFrame {
 	cols := make([]vector.Vector, len(df.cols))

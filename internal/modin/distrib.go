@@ -354,42 +354,45 @@ func PlanSortBounds(samples [][]types.Value, buckets int, node *algebra.Sort) []
 	return bounds
 }
 
-// PartitionSortedBand stably sorts the band and slices it into one
-// contiguous zero-copy run per bucket (binary-searching the first row past
-// each bound) — the partition phase both backends run.
+// PartitionSortedBand orders the resolved band by the sort keys
+// (vector.Order) and cuts that order at the bounds, binary-searching the
+// first position past each: bucket b's run is a selection view over the
+// band at its stretch of the order (core.DataFrame.ViewRows), the form
+// partition.SplitRows routes, so routing copies no cells. It is the
+// partition phase both backends run.
 func PartitionSortedBand(df *core.DataFrame, node *algebra.Sort, bounds [][]types.Value, buckets int) ([]*core.DataFrame, error) {
-	desc := sortDesc(node)
-	// The band's sample already resolved the key columns; sorting the
-	// resolved band cuts the runs from their typed form.
-	sorted, err := algebra.SortFrame(df.Resolved(), node.Order, node.ByLabels)
+	// The band's sample already resolved the key columns; the runs view the
+	// resolved band, so they carry the typed form.
+	df = df.Resolved()
+	keys, desc, err := sortKeyVecs(df, node)
 	if err != nil {
 		return nil, err
 	}
-	keys, _, err := sortKeyVecs(sorted, node)
-	if err != nil {
-		return nil, err
-	}
+	n := df.NRows()
+	order := vector.Order(keys, desc, n)
 	pieces := make([]*core.DataFrame, buckets)
-	n := sorted.NRows()
 	lo := 0
 	for b := 0; b < buckets; b++ {
 		hi := n
 		if b < len(bounds) {
 			bound := bounds[b]
 			hi = lo + sort.Search(n-lo, func(i int) bool {
-				return compareRowBound(keys, lo+i, bound, desc) > 0
+				return compareRowBound(keys, order[lo+i], bound, desc) > 0
 			})
 		}
-		pieces[b] = sorted.SliceRows(lo, hi)
+		pieces[b] = df.ViewRows(order[lo:hi])
 		lo = hi
 	}
 	return pieces, nil
 }
 
-// MergeSortBucket k-way merges one bucket's routed runs (in band order);
-// ties resolve toward the earlier run, reproducing the stable single-node
-// sort. An all-empty bucket returns the first piece so the output band
-// keeps the input's arity.
+// MergeSortBucket merges one bucket's routed runs (in band order) into one
+// band: vector.MergeRuns orders their rows, ties toward the earlier run,
+// which reproduces the stable single-node sort, and every column is one
+// vector.TakeRuns over the runs, so each row is copied once. The band holds
+// its own storage: a single run is taken through its view, and a bucket
+// that received no rows is an empty detached band with the input's
+// columns.
 func MergeSortBucket(pieces []*core.DataFrame, node *algebra.Sort) (*core.DataFrame, error) {
 	runs := make([]*core.DataFrame, 0, len(pieces))
 	for _, df := range pieces {
@@ -397,8 +400,48 @@ func MergeSortBucket(pieces []*core.DataFrame, node *algebra.Sort) (*core.DataFr
 			runs = append(runs, df)
 		}
 	}
-	if len(runs) == 0 {
-		return pieces[0], nil
+	switch len(runs) {
+	case 0:
+		return pieces[0].SliceRows(0, 0).Detach(), nil
+	case 1:
+		return runs[0].Compact(), nil
 	}
-	return mergeSortedRuns(runs, node)
+	first := runs[0]
+	keys := make([][]vector.Vector, len(runs))
+	lens := make([]int, len(runs))
+	for r, run := range runs {
+		if run.NCols() != first.NCols() {
+			return nil, fmt.Errorf("modin: sort runs of %d and %d columns", first.NCols(), run.NCols())
+		}
+		var err error
+		if keys[r], _, err = sortKeyVecs(run, node); err != nil {
+			return nil, err
+		}
+		lens[r] = run.NRows()
+	}
+	at := vector.MergeRuns(keys, lens, sortDesc(node))
+	take := func(col func(*core.DataFrame) vector.Vector) vector.Vector {
+		parts := make([]vector.Vector, len(runs))
+		for r, run := range runs {
+			parts[r] = col(run)
+		}
+		return vector.TakeRuns(parts, at)
+	}
+	// A column keeps the runs' one declared domain when its taken storage
+	// reads in it, as VStackFrames decides.
+	cols := make([]vector.Vector, first.NCols())
+	doms := make([]types.Domain, first.NCols())
+	for j := range cols {
+		cols[j] = take(func(df *core.DataFrame) vector.Vector { return df.Col(j) })
+		doms[j] = first.DeclaredDomain(j)
+		for _, run := range runs {
+			if run.DeclaredDomain(j) != doms[j] {
+				doms[j] = types.Unspecified
+			}
+		}
+		if cols[j].Domain() != doms[j] {
+			doms[j] = types.Unspecified
+		}
+	}
+	return core.Build(cols, take((*core.DataFrame).RowLabels), first.ColLabels(), doms, first.Cache())
 }

@@ -334,12 +334,18 @@ func TestAnchoredPassesOnOneWorker(t *testing.T) {
 // encodes specially: fk is Float with NaN payloads, -0, +0 and masked nulls;
 // ik is Int with nulls; mk holds whole numbers in its first half and
 // fractions after, so a streamed scan induces it Int in early bands and
-// Float in late ones; dept is Object strings, which have no word form.
+// Float in late ones; dept is Object strings, which have no word form; cat
+// is a Dict whose one category table every band shares; ts is Datetime
+// with nulls in its first eighth only, so some bands' runs can be null and
+// others not; flag is Bool with nulls; same is one value on every row, so
+// every row ties.
 func sortKeysFrame(rows int) *core.DataFrame {
-	id, ik := make([]int64, rows), make([]int64, rows)
+	id, ik, ts := make([]int64, rows), make([]int64, rows), make([]int64, rows)
 	fk, mk := make([]float64, rows), make([]float64, rows)
 	dept := make([]string, rows)
-	fnulls, inulls := make([]bool, rows), make([]bool, rows)
+	cat, same := make([]int32, rows), make([]int64, rows)
+	flag := make([]bool, rows)
+	fnulls, inulls, tnulls, bnulls := make([]bool, rows), make([]bool, rows), make([]bool, rows), make([]bool, rows)
 	for i := range id {
 		id[i], ik[i] = int64(i), int64(i%5-2)
 		fk[i] = []float64{1.5, math.Copysign(0, -1), 0, math.NaN(), -2, 0}[i%6]
@@ -349,10 +355,16 @@ func sortKeysFrame(rows int) *core.DataFrame {
 			mk[i] += 0.5
 		}
 		dept[i] = []string{"eng", "ops", "sales"}[i%3]
+		cat[i] = int32(i * 7 % 4)
+		ts[i], tnulls[i] = int64(i%6-3)*3_600_000_000_000, i < rows/8 && i%2 == 0
+		flag[i], bnulls[i] = i%3 == 0, i%11 == 5
+		same[i] = 42
 	}
-	return core.MustNew([]string{"id", "fk", "ik", "mk", "dept"}, []vector.Vector{
+	return core.MustNew([]string{"id", "fk", "ik", "mk", "dept", "cat", "ts", "flag", "same"}, []vector.Vector{
 		vector.NewInt(id, nil), vector.NewFloat(fk, fnulls), vector.NewInt(ik, inulls),
 		vector.NewFloat(mk, nil), vector.NewObject(dept, nil),
+		vector.NewDict(cat, []string{"plum", "fig", "apple", "kiwi"}, nil),
+		vector.NewDatetime(ts, tnulls), vector.NewBool(flag, bnulls), vector.NewInt(same, nil),
 	})
 }
 
@@ -363,13 +375,17 @@ var sortKeysOrders = []expr.SortOrder{
 	{{Col: "ik", Desc: true}, {Col: "fk"}},
 	{{Col: "mk"}, {Col: "id", Desc: true}},
 	{{Col: "dept"}, {Col: "fk", Desc: true}},
+	{{Col: "cat", Desc: true}, {Col: "ts"}},
+	{{Col: "ts", Desc: true}, {Col: "flag"}},
+	{{Col: "same"}},
 }
 
 // assertSortMatchesOracle runs the SORT plan on e and requires the frame the
 // definition gives: the plan's input, executed eagerly, stably sorted by
 // vector.CompareRows key by key. The eager engine runs the same SORT kernel
-// as MODIN's bands, so it cannot be the reference for it.
-func assertSortMatchesOracle(t *testing.T, e *Engine, plan *algebra.Sort) {
+// as MODIN's bands, so it cannot be the reference for it. It returns the
+// oracle's frame and e's.
+func assertSortMatchesOracle(t *testing.T, e *Engine, plan *algebra.Sort) (want, got *core.DataFrame) {
 	t.Helper()
 	in, err := eager.New().Execute(plan.Input)
 	if err != nil {
@@ -395,34 +411,49 @@ func assertSortMatchesOracle(t *testing.T, e *Engine, plan *algebra.Sort) {
 		}
 		return false
 	})
-	want := in.TakeRows(idx)
-	got, err := e.Execute(plan)
+	want = in.TakeRows(idx)
+	got, err = e.Execute(plan)
 	if err != nil {
 		t.Fatalf("modin: %v", err)
 	}
 	if !want.Equal(got) {
 		t.Fatalf("SORT%v differs from the oracle:\noracle:\n%s\nmodin:\n%s", plan.Order, want, got)
 	}
+	return want, got
 }
 
 func TestEnginesAgreeSortUnionDiffDropdup(t *testing.T) {
 	df := testFrame(70)
+	one := exec.NewPool(1)
+	defer one.Close()
+	// Each engine is made per case: a spill budget keeps per-engine state.
+	type engine struct {
+		name string
+		make func() *Engine
+	}
+	engines := []engine{{"bands=7/1worker", func() *Engine { return New(WithPool(one), WithBands(7)) }}}
+	for _, bands := range []int{1, 2, 7} {
+		engines = append(engines,
+			engine{fmt.Sprintf("bands=%d", bands), func() *Engine { return New(WithBands(bands)) }},
+			engine{fmt.Sprintf("bands=%d/spill", bands), func() *Engine { return New(WithBands(bands), WithShuffleSpillBudget(1)) }})
+	}
 	for _, in := range []*core.DataFrame{df, sortKeysFrame(90)} {
 		orders := sortKeysOrders
 		if in == df {
 			orders = []expr.SortOrder{{{Col: "dept"}, {Col: "id", Desc: true}}}
 		}
 		for _, order := range orders {
-			for _, bands := range []int{1, 2, 7} {
-				for _, spill := range []bool{false, true} {
-					opts := []Option{WithBands(bands)}
-					if spill {
-						opts = append(opts, WithShuffleSpillBudget(1))
+			for _, e := range engines {
+				t.Run(fmt.Sprintf("%v/%s", order, e.name), func(t *testing.T) {
+					want, got := assertSortMatchesOracle(t, e.make(), &algebra.Sort{Input: &algebra.Source{DF: in}, Order: order})
+					// testFrame's dept is untyped strings, whose declared
+					// domain depends on the rows it is induced over
+					// (TestUntypedStringDomainsDependOnBands); every column
+					// of sortKeysFrame is typed.
+					if d := bitDiff(want, got, false); in != df && d != "" {
+						t.Fatalf("SORT%v: %s", order, d)
 					}
-					t.Run(fmt.Sprintf("%v/bands=%d/spill=%v", order, bands, spill), func(t *testing.T) {
-						assertSortMatchesOracle(t, New(opts...), &algebra.Sort{Input: &algebra.Source{DF: in}, Order: order})
-					})
-				}
+				})
 			}
 		}
 	}

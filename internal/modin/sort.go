@@ -1,7 +1,6 @@
 package modin
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/algebra"
@@ -15,12 +14,14 @@ import (
 
 // SORT lowers to a range shuffle: each band contributes a small key sample
 // (summarize), the plan picks nb-1 range bounds from the pooled samples,
-// each partition task stably sorts its band and slices it into per-bucket
-// runs (contiguous, zero-copy), and each merge task k-way merges only the
-// runs routed to its bucket. Equal keys always route to one bucket and ties
-// break toward the earlier band, so the concatenated buckets reproduce the
-// stable single-node sort exactly — while every output band is its own
-// future.
+// each partition task radix-orders its band's key words (vector.Order) and
+// routes each bucket's stretch of that order as a selection view over the
+// band, copying no cells, and each merge task merges only the runs routed
+// to its bucket, comparing their words where they compare across runs, and
+// takes every output row straight from its run — the one copy a sorted row
+// costs. Equal keys always route to one bucket and ties break toward the
+// earlier band, so the concatenated buckets reproduce the stable
+// single-node sort exactly — while every output band is its own future.
 
 // sortSampleTarget bounds the per-band key samples contributed to the plan.
 const sortSampleTarget = 32
@@ -127,14 +128,14 @@ func (e *Engine) sortShuffle(node *algebra.Sort) *physical.Shuffle {
 			return &sortPlan{bounds: PlanSortBounds(all, nb, node)}, nil
 		},
 		Partition: func(_ int, df *core.DataFrame, plan any) ([]*core.DataFrame, error) {
-			// The band is sorted, so each bucket's rows are one contiguous
-			// run: binary-search the first row past each bound and slice —
-			// routing moves no cells (PartitionSortedBand, shared with the
-			// cluster workers).
+			// Each bucket's rows are one stretch of the band's sorted order:
+			// binary-search the first position past each bound and view the
+			// band there — routing moves no cells (PartitionSortedBand,
+			// shared with the cluster workers).
 			return PartitionSortedBand(df, node, plan.(*sortPlan).bounds, nb)
 		},
 		Merge: func(_ int, pieces []physical.Piece, _ any) (*core.DataFrame, error) {
-			// The k-way run merge needs every run at once.
+			// The run merge needs every run at once.
 			frames, err := physical.Frames(pieces)
 			if err != nil {
 				return nil, err
@@ -142,77 +143,4 @@ func (e *Engine) sortShuffle(node *algebra.Sort) *physical.Shuffle {
 			return MergeSortBucket(frames, node)
 		},
 	}
-}
-
-// mergeSortedRuns k-way merges stably-sorted runs into one frame. Ties
-// resolve toward the earlier run (and the earlier row within a run), which
-// reproduces the stable single-node sort when runs arrive in input-band
-// order.
-func mergeSortedRuns(runs []*core.DataFrame, node *algebra.Sort) (*core.DataFrame, error) {
-	if len(runs) == 1 {
-		return runs[0], nil
-	}
-	cat, err := algebra.VStackFrames(runs...)
-	if err != nil {
-		return nil, err
-	}
-	keys, desc, err := sortKeyVecs(cat, node)
-	if err != nil {
-		return nil, err
-	}
-	// less orders global positions over the concatenated runs by the keys'
-	// order-preserving words, read row by row as the heap asks (cells, for
-	// keys with no word form); ties resolve to the earlier position, which is
-	// the earlier run.
-	cmpRows := vector.RowOrder(keys, desc)
-	less := func(a, b int) bool {
-		if c := cmpRows(a, b); c != 0 {
-			return c < 0
-		}
-		return a < b
-	}
-
-	offsets := make([]int, len(runs)+1)
-	for r, run := range runs {
-		offsets[r+1] = offsets[r] + run.NRows()
-	}
-	mh := &mergeHeap{less: less}
-	for r := range runs {
-		if offsets[r] < offsets[r+1] {
-			mh.items = append(mh.items, mergeCursor{pos: offsets[r], end: offsets[r+1]})
-		}
-	}
-	heap.Init(mh)
-	perm := make([]int, 0, cat.NRows())
-	for mh.Len() > 0 {
-		cur := mh.items[0]
-		perm = append(perm, cur.pos)
-		cur.pos++
-		if cur.pos < cur.end {
-			mh.items[0] = cur
-			heap.Fix(mh, 0)
-		} else {
-			heap.Pop(mh)
-		}
-	}
-	return cat.TakeRows(perm), nil
-}
-
-// mergeCursor tracks one sorted run's next global position.
-type mergeCursor struct{ pos, end int }
-
-// mergeHeap orders run cursors by their head rows.
-type mergeHeap struct {
-	items []mergeCursor
-	less  func(a, b int) bool
-}
-
-func (h *mergeHeap) Len() int           { return len(h.items) }
-func (h *mergeHeap) Less(i, j int) bool { return h.less(h.items[i].pos, h.items[j].pos) }
-func (h *mergeHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *mergeHeap) Push(x any)         { h.items = append(h.items, x.(mergeCursor)) }
-func (h *mergeHeap) Pop() any {
-	last := h.items[len(h.items)-1]
-	h.items = h.items[:len(h.items)-1]
-	return last
 }

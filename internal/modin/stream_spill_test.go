@@ -64,8 +64,8 @@ func TestSpillGroupByMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestSpillSortMatchesInMemory spills sorted runs and re-resolves them at
-// the k-way merge.
+// TestSpillSortMatchesInMemory spills sorted runs, which the spill
+// materializes from their views, and re-resolves them at the run merge.
 func TestSpillSortMatchesInMemory(t *testing.T) {
 	e := New(WithBands(4), WithShuffleSpillBudget(1))
 	assertEngineAgreesWithEager(t, e, sortTestPlan(&algebra.Source{DF: testFrame(150)}))

@@ -456,8 +456,9 @@ func (f *Frame) Repartition(scheme Scheme, targetBands int) (*Frame, error) {
 // SplitRows routes df's rows into buckets per the selection vector assign
 // (assign[i] names row i's bucket), preserving input order within each
 // bucket. Bucket frames are zero-copy views over df's column storage
-// (vector.TakeView): the shuffle partition phase routes rows between bands
-// without copying cells — only the per-bucket index vectors are allocated.
+// (core.DataFrame.ViewRows): the shuffle partition phase routes rows
+// between bands without copying cells — only the per-bucket index vectors
+// are allocated.
 // Buckets receiving no rows come back as empty frames that keep df's
 // columns, so downstream merges see a uniform arity.
 //
@@ -489,19 +490,9 @@ func SplitRows(df *core.DataFrame, assign []int, buckets int) ([]*core.DataFrame
 	for i, b := range assign {
 		idx[b] = append(idx[b], i)
 	}
-	domains := append([]types.Domain(nil), df.Domains()...)
 	out := make([]*core.DataFrame, buckets)
 	for b := range out {
-		cols := make([]vector.Vector, df.NCols())
-		for j := range cols {
-			cols[j] = vector.TakeView(df.Col(j), idx[b])
-		}
-		f, err := core.Build(cols, vector.TakeView(df.RowLabels(), idx[b]),
-			df.ColLabels(), append([]types.Domain(nil), domains...), df.Cache())
-		if err != nil {
-			return nil, err
-		}
-		out[b] = f
+		out[b] = df.ViewRows(idx[b])
 	}
 	return out, nil
 }

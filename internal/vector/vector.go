@@ -113,27 +113,14 @@ func Concat(vs ...Vector) Vector {
 			return first
 		}
 	}
-	// An input of nulls only has no say either: a bucket whose one group
-	// has a null key finalizes that key as an untyped null.
-	dom := types.Unspecified
 	total := 0
 	for _, v := range vs {
 		total += v.Len()
-		switch {
-		case NullCount(v) == v.Len():
-		case dom == types.Unspecified:
-			dom = v.Domain()
-		case v.Domain() != dom:
-			dom = types.Object
-		}
-	}
-	if dom == types.Unspecified {
-		dom = vs[0].Domain()
 	}
 	if out, ok := concatTyped(vs, total); ok {
 		return out
 	}
-	b := NewBuilder(dom, total)
+	b := NewBuilder(concatDomain(vs), total)
 	for _, v := range vs {
 		for i := 0; i < v.Len(); i++ {
 			b.Append(v.Value(i))
