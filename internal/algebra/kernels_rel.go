@@ -109,24 +109,33 @@ func VStackFrames(frames ...*core.DataFrame) (*core.DataFrame, error) {
 	doms := make([]types.Domain, n)
 	for j := 0; j < n; j++ {
 		parts := make([]vector.Vector, len(frames))
-		dom := first.DeclaredDomain(j)
 		for k, f := range frames {
 			parts[k] = f.Col(j)
-			if f.DeclaredDomain(j) != dom {
-				dom = types.Unspecified
-			}
 		}
 		cols[j] = vector.Concat(parts...)
-		if cols[j].Domain() != dom {
-			dom = types.Unspecified
-		}
-		doms[j] = dom
+		doms[j] = StackedDomain(frames, j, cols[j])
 	}
 	labParts := make([]vector.Vector, len(frames))
 	for k, f := range frames {
 		labParts[k] = f.RowLabels()
 	}
 	return core.Build(cols, vector.Concat(labParts...), first.ColLabels(), doms, first.Cache())
+}
+
+// StackedDomain is the declared domain of column j of the frames stacked
+// into col: the frames' one declared domain when every frame declares it and
+// col's storage reads in it, Unspecified otherwise.
+func StackedDomain(frames []*core.DataFrame, j int, col vector.Vector) types.Domain {
+	dom := frames[0].DeclaredDomain(j)
+	for _, f := range frames[1:] {
+		if f.DeclaredDomain(j) != dom {
+			return types.Unspecified
+		}
+	}
+	if col.Domain() != dom {
+		return types.Unspecified
+	}
+	return dom
 }
 
 // DifferenceFrames implements DIFFERENCE: left rows whose full tuple does

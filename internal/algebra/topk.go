@@ -82,7 +82,7 @@ func TopKFrame(df *core.DataFrame, order expr.SortOrder, n int) (*core.DataFrame
 	key, words := vector.NewSortKey(keys, desc)
 	cmpRows := key.Compare
 	if !words {
-		cmpRows = vector.RowOrder(keys, desc)
+		cmpRows = vector.CellOrder(keys, desc)
 	}
 	less := func(a, b int) bool {
 		if c := cmpRows(a, b); c != 0 {

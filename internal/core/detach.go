@@ -8,12 +8,12 @@ import (
 
 // Detach deep-copies the frame's column and label storage so the result
 // shares no backing arrays with df. Compact only materializes view
-// (selection-vector) columns; a frame built from Slice windows — a sort
-// shuffle's routed runs in particular — still aliases the arrays of the
-// frame it was sliced from, pinning that frame in memory for as long as
-// the slice lives. Spill-aware shuffles detach routed pieces so a streamed
-// band is actually freed once it has been routed. The band's induction cache
-// is left behind too: its memo holds the band's own raw and typed columns.
+// (selection-vector) columns; a frame built from Slice windows still
+// aliases the arrays of the frame it was sliced from, pinning that frame in
+// memory for as long as the slice lives. Spill-aware shuffles detach routed
+// pieces, slices and views alike, so a streamed band is actually freed once
+// it has been routed. The band's induction cache is left behind too: its
+// memo holds the band's own raw and typed columns.
 func (df *DataFrame) Detach() *DataFrame {
 	cols := make([]vector.Vector, len(df.cols))
 	for j, c := range df.cols {

@@ -427,21 +427,11 @@ func MergeSortBucket(pieces []*core.DataFrame, node *algebra.Sort) (*core.DataFr
 		}
 		return vector.TakeRuns(parts, at)
 	}
-	// A column keeps the runs' one declared domain when its taken storage
-	// reads in it, as VStackFrames decides.
 	cols := make([]vector.Vector, first.NCols())
 	doms := make([]types.Domain, first.NCols())
 	for j := range cols {
 		cols[j] = take(func(df *core.DataFrame) vector.Vector { return df.Col(j) })
-		doms[j] = first.DeclaredDomain(j)
-		for _, run := range runs {
-			if run.DeclaredDomain(j) != doms[j] {
-				doms[j] = types.Unspecified
-			}
-		}
-		if cols[j].Domain() != doms[j] {
-			doms[j] = types.Unspecified
-		}
+		doms[j] = algebra.StackedDomain(runs, j, cols[j])
 	}
 	return core.Build(cols, take((*core.DataFrame).RowLabels), first.ColLabels(), doms, first.Cache())
 }

@@ -40,11 +40,11 @@ func orderKeys(r *rand.Rand, n int) map[string][]Vector {
 }
 
 // TestOrderMatchesStableWordSort holds Order to a stable sort of the rows'
-// filled word tuples, ascending and descending, at row counts either side
-// of radixMinRows, and to a stable sort over CompareRows for a key with no
-// word form.
+// filled word tuples, ascending and descending, from empty and one-row
+// inputs up, and to a stable sort over CompareRows for a key with no word
+// form.
 func TestOrderMatchesStableWordSort(t *testing.T) {
-	for _, n := range []int{0, 1, 2, radixMinRows - 1, radixMinRows, radixMinRows + 1, 1000} {
+	for _, n := range []int{0, 1, 2, 3, 64, 257, 1000} {
 		r := rand.New(rand.NewSource(int64(n)))
 		for name, keys := range orderKeys(r, n) {
 			for _, down := range []bool{false, true} {

@@ -222,19 +222,9 @@ func (k SortKey) Fill(dst []uint64) {
 	}
 }
 
-// RowOrder returns the comparison of rows i and j under the key columns,
-// descending where desc[k]: the words' Compare when every key has a word
-// form, CompareRows over the cells otherwise.
-func RowOrder(keys []Vector, desc []bool) func(i, j int) int {
-	if k, ok := NewSortKey(keys, desc); ok {
-		return k.Compare
-	}
-	return cellOrder(keys, desc)
-}
-
-// cellOrder compares rows i and j by CompareRows over the key columns, key
-// by key, negated where desc[k].
-func cellOrder(keys []Vector, desc []bool) func(i, j int) int {
+// CellOrder compares rows i and j by CompareRows over the key columns, key
+// by key, negated where desc[k]. It is the order of keys with no word form.
+func CellOrder(keys []Vector, desc []bool) func(i, j int) int {
 	return func(i, j int) int {
 		for k, v := range keys {
 			c := CompareRows(v, i, v, j)
@@ -249,35 +239,20 @@ func cellOrder(keys []Vector, desc []bool) func(i, j int) int {
 	}
 }
 
-// radixMinRows is the row count from which Order radix-sorts word tuples.
-// Below it a comparison sort of the filled words is faster than clearing
-// and summing the radix sort's byte histograms: on a single-word Float key
-// of random values the two tie at 80 rows: the comparison sort wins at 64,
-// the radix sort at 96 (2 cores, amd64).
-const radixMinRows = 80
-
 // Order returns the stable order of n rows under the key columns,
 // descending where desc[k]: entry p is the row that sorts p-th, and rows
 // with equal keys keep their relative order. Keys with a word form sort by
-// an LSD radix sort of their word tuples (a comparison sort of the filled
-// tuples below radixMinRows rows); keys without one sort by comparison over
-// CompareRows.
+// an LSD radix sort of their word tuples; keys without one sort by
+// comparison over CompareRows.
 func Order(keys []Vector, desc []bool, n int) []int {
-	k, words := NewSortKey(keys, desc)
-	if words && n >= radixMinRows {
+	if k, ok := NewSortKey(keys, desc); ok {
 		return k.radixOrder(n)
 	}
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	cmpRows := cellOrder(keys, desc)
-	if words {
-		m := k.Width()
-		tuples := make([]uint64, n*m)
-		k.Fill(tuples)
-		cmpRows = func(a, b int) int { return slices.Compare(tuples[a*m:a*m+m], tuples[b*m:b*m+m]) }
-	}
+	cmpRows := CellOrder(keys, desc)
 	// Row position breaks ties, which makes the unstable sort produce the
 	// stable order.
 	slices.SortFunc(idx, func(a, b int) int {
@@ -298,6 +273,9 @@ func (k SortKey) radixOrder(n int) []int {
 	idx, idxTo := make([]int, n), make([]int, n)
 	for i := range idx {
 		idx[i] = i
+	}
+	if n < 2 {
+		return idx
 	}
 	words, wordsTo := make([]uint64, n), make([]uint64, n)
 	for w := len(k.cols) - 1; w >= 0; w-- {

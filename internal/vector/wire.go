@@ -255,8 +255,8 @@ func boolByte(b bool) byte {
 // Clone deep-copies v's storage so the result shares nothing with v's
 // backing arrays. Views are materialized (already a copy); flat vectors
 // copy data and null masks. Dict clones share the immutable category
-// table. Spill-aware shuffles clone routed slice pieces so a piece stops
-// pinning the band it was sliced from.
+// table. Spill-aware shuffles clone routed pieces, slices and views alike,
+// so a piece stops pinning the band it was cut from.
 func Clone(v Vector) Vector {
 	m := Materialize(v)
 	if m != v {
