@@ -38,6 +38,11 @@ func BuildJoinTable(right *core.DataFrame, on []string, onLabels bool) *JoinTabl
 	if t.keys, t.err = joinKeys(right, on, onLabels, "right"); t.err != nil || len(t.keys) == 0 {
 		return t
 	}
+	// Every probe compares against these keys: a gathered right side's
+	// chunked keys are read from their flat copies, not piece by piece.
+	for k, key := range t.keys {
+		t.keys[k] = vector.Materialize(key)
+	}
 	n := right.NRows()
 	// A build of n rows holds at most n keys: size the index and the key
 	// slice for that once, instead of growing them by appends.

@@ -86,11 +86,15 @@ func UnionFrames(left, right *core.DataFrame) (*core.DataFrame, error) {
 }
 
 // VStackFrames concatenates frames that share a column structure,
-// positionally: column j of the result is the concatenation of every input's
-// column j, labels and declared domains taken from the first input (domains
+// positionally: column j of the result is every input's column j end to
+// end, labels and declared domains taken from the first input (domains
 // reset to unspecified where inputs disagree). It is the gather operation
-// for row partitions; unlike UNION it never realigns columns by label, so
-// duplicate or non-string labels pass through untouched.
+// for row partitions — a collected result, the cluster coordinator's
+// gathers, a join's right side, the gather exchange — and it copies no
+// cell: each column and the row labels are vector.Stack's chunks of the
+// inputs' storage, with only columns of mixed storage kinds copied. Unlike
+// UNION it never realigns columns by label, so duplicate or non-string
+// labels pass through untouched.
 func VStackFrames(frames ...*core.DataFrame) (*core.DataFrame, error) {
 	if len(frames) == 0 {
 		return core.Empty(), nil
@@ -107,19 +111,19 @@ func VStackFrames(frames ...*core.DataFrame) (*core.DataFrame, error) {
 	}
 	cols := make([]vector.Vector, n)
 	doms := make([]types.Domain, n)
+	parts := make([]vector.Vector, len(frames)) // Stack keeps none of it
 	for j := 0; j < n; j++ {
-		parts := make([]vector.Vector, len(frames))
 		for k, f := range frames {
 			parts[k] = f.Col(j)
 		}
-		cols[j] = vector.Concat(parts...)
+		cols[j] = vector.Stack(parts...)
 		doms[j] = StackedDomain(frames, j, cols[j])
 	}
 	labParts := make([]vector.Vector, len(frames))
 	for k, f := range frames {
 		labParts[k] = f.RowLabels()
 	}
-	return core.Build(cols, vector.Concat(labParts...), first.ColLabels(), doms, first.Cache())
+	return core.Build(cols, vector.Stack(labParts...), first.ColLabels(), doms, first.Cache())
 }
 
 // StackedDomain is the declared domain of column j of the frames stacked

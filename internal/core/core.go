@@ -120,12 +120,20 @@ func Empty() *DataFrame {
 // Compact materializes any view (selection-vector) columns into typed
 // storage, returning df itself when nothing is a view. Fused kernel chains
 // pass selections along as views and pay this one coalescing copy at stage
-// exit, so downstream stages always see flat storage.
+// exit, so downstream stages never read a view that pins a larger base.
+// Chunked columns are left as they are: flattening one would be the very
+// copy that stacking bands avoids.
 func (df *DataFrame) Compact() *DataFrame {
+	unview := func(v vector.Vector) vector.Vector {
+		if _, _, ok := vector.ViewParts(v); ok {
+			return vector.Materialize(v)
+		}
+		return v
+	}
 	changed := false
 	cols := df.cols
 	for j, c := range df.cols {
-		m := vector.Materialize(c)
+		m := unview(c)
 		if m != c {
 			if !changed {
 				cols = append([]vector.Vector(nil), df.cols...)
@@ -134,7 +142,7 @@ func (df *DataFrame) Compact() *DataFrame {
 			cols[j] = m
 		}
 	}
-	rowLab := vector.Materialize(df.rowLab)
+	rowLab := unview(df.rowLab)
 	if !changed && rowLab == df.rowLab {
 		return df
 	}

@@ -392,7 +392,10 @@ func PartitionSortedBand(df *core.DataFrame, node *algebra.Sort, bounds [][]type
 // vector.TakeRuns over the runs, so each row is copied once. The band holds
 // its own storage: a single run is taken through its view, and a bucket
 // that received no rows is an empty detached band with the input's
-// columns.
+// columns. A gathered result could keep a single run's view as a piece of
+// its chunks, saving that take, but the view would pin the whole input
+// band for the result's life; only an input already ordered by the key
+// routes one run per bucket, so the take stays.
 func MergeSortBucket(pieces []*core.DataFrame, node *algebra.Sort) (*core.DataFrame, error) {
 	runs := make([]*core.DataFrame, 0, len(pieces))
 	for _, df := range pieces {

@@ -156,7 +156,7 @@ func New(df *core.DataFrame, scheme Scheme, targetBands int) *Frame {
 		rowBands = bandCount(df.NRows(), targetBands)
 		colBands = bandCount(df.NCols(), targetBands)
 	}
-	rowCuts := cuts(df.NRows(), rowBands)
+	rowCuts := stackedCuts(df, rowBands)
 	colCuts := cuts(df.NCols(), colBands)
 
 	grid := make([][]*exec.Future, len(rowCuts)-1)
@@ -237,6 +237,22 @@ func cuts(n, bands int) []int {
 	out := make([]int, bands+1)
 	for i := 0; i <= bands; i++ {
 		out[i] = i * n / bands
+	}
+	return out
+}
+
+// stackedCuts returns the row band boundaries of df: the bands it was
+// stacked from (the pieces of its chunked row labels) when they are as many
+// as asked, so re-banding a collected result slices inside its pieces and
+// copies nothing; otherwise even cuts.
+func stackedCuts(df *core.DataFrame, bands int) []int {
+	pieces := vector.Pieces(df.RowLabels())
+	if len(pieces) != bands {
+		return cuts(df.NRows(), bands)
+	}
+	out := make([]int, bands+1)
+	for p, v := range pieces {
+		out[p+1] = out[p] + v.Len()
 	}
 	return out
 }
@@ -386,7 +402,9 @@ func (f *Frame) RowBand(r int) (*core.DataFrame, error) {
 // ToFrame gathers every block back into one dataframe in order, waiting for
 // any still-computing blocks. Bands stack positionally: gathering never
 // realigns columns by label, so transposed frames with numeric or duplicate
-// labels reassemble exactly.
+// labels reassemble exactly. The gather copies no cell
+// (algebra.VStackFrames): the result's columns are chunks of the bands'
+// storage, and New at the same band count cuts it back at those bands.
 func (f *Frame) ToFrame() (*core.DataFrame, error) {
 	bands := make([]*core.DataFrame, f.RowBands())
 	for r := range f.grid {

@@ -13,6 +13,7 @@ package schema
 
 import (
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -44,17 +45,10 @@ func InduceSample(v vector.Vector, sampleSize int) types.Domain {
 // induced domain and the typed vector. A column that induces Object is its
 // own typed form.
 func InduceAndParse(v vector.Vector) (types.Domain, vector.Vector) {
-	data, nulls, idx, ok := vector.ObjectData(v)
-	if !ok {
-		if v.Domain() != types.Object {
-			return v.Domain(), v
-		}
-		// A selection stacked on a selection of a raw column: flatten it.
-		if data, nulls, idx, ok = vector.ObjectData(vector.Materialize(v)); !ok {
-			return types.Object, v
-		}
+	var c cells
+	if !c.read(v) {
+		return v.Domain(), v
 	}
-	c := &cells{data: data, nulls: nulls, idx: idx, n: v.Len()}
 	typed := c.scalars()
 	if typed == nil {
 		typed = c.category()
@@ -65,19 +59,58 @@ func InduceAndParse(v vector.Vector) (types.Domain, vector.Vector) {
 	return typed.Domain(), typed
 }
 
-// cells reads a raw Σ* column — an *Object, or a selection view of one —
-// cell by cell.
+// cells reads a raw Σ* column — an *Object, a selection view of one, or a
+// chunk of such pieces, piece by piece — cell by cell.
 type cells struct {
-	data  []string
-	nulls []bool
-	idx   []int // nil reads data in place; -1 selects a null
-	n     int
+	rawPart           // the part the last read fell in
+	parts   []rawPart // a chunk's parts in row order; nil for one piece
+	n       int
+}
+
+// rawPart is rows [lo, hi) of a raw column: the storage ObjectData returns
+// for one piece.
+type rawPart struct {
+	data   []string
+	nulls  []bool
+	idx    []int // nil reads data in place; -1 selects a null
+	lo, hi int
+}
+
+// read points c at v's pieces as raw Σ* storage, reporting false when one
+// is not raw. A selection stacked on a selection of a raw column is
+// flattened.
+func (c *cells) read(v vector.Vector) bool {
+	pieces := vector.Pieces(v)
+	lo := 0
+	for _, piece := range pieces {
+		data, nulls, idx, ok := vector.ObjectData(piece)
+		if !ok && piece.Domain() == types.Object {
+			data, nulls, idx, ok = vector.ObjectData(vector.Materialize(piece))
+		}
+		if !ok {
+			return false
+		}
+		part := rawPart{data: data, nulls: nulls, idx: idx, lo: lo, hi: lo + piece.Len()}
+		if lo == 0 {
+			c.rawPart = part
+		}
+		if len(pieces) > 1 {
+			c.parts = append(c.parts, part)
+		}
+		lo = part.hi
+	}
+	c.n = lo
+	return true
 }
 
 // at returns cell i's text and whether the cell is null: masked, selected
 // from nowhere, or spelled as a null literal.
 func (c *cells) at(i int) (string, bool) {
-	if c.idx != nil {
+	if i < c.lo || i >= c.hi {
+		k := sort.Search(len(c.parts), func(k int) bool { return c.parts[k].hi > i })
+		c.rawPart = c.parts[k]
+	}
+	if i -= c.lo; c.idx != nil {
 		if i = c.idx[i]; i < 0 {
 			return "", true
 		}
@@ -223,14 +256,11 @@ func Parse(v vector.Vector, d types.Domain) vector.Vector {
 		return v
 	}
 	b := vector.NewBuilder(d, v.Len())
-	// A raw column, or a selection view of one, is read as the induction
-	// reads it — null literals are null — so a declared parse and an induced
-	// one agree cell for cell.
-	data, nulls, idx, ok := vector.ObjectData(v)
-	if !ok && v.Domain() == types.Object {
-		data, nulls, idx, ok = vector.ObjectData(vector.Materialize(v))
-	}
-	if !ok {
+	// A raw column, a selection view of one or a chunk of them is read as
+	// the induction reads it — null literals are null — so a declared parse
+	// and an induced one agree cell for cell.
+	var c cells
+	if !c.read(v) {
 		// Re-render through Σ* then parse: TRANSPOSE of heterogeneous
 		// data goes through this path.
 		for i := 0; i < v.Len(); i++ {
@@ -238,7 +268,6 @@ func Parse(v vector.Vector, d types.Domain) vector.Vector {
 		}
 		return b.Build()
 	}
-	c := &cells{data: data, nulls: nulls, idx: idx, n: v.Len()}
 	for i := 0; i < c.n; i++ {
 		if s, null := c.at(i); null {
 			b.AppendNull()

@@ -479,3 +479,42 @@ func TestCacheConcurrentAccess(t *testing.T) {
 		}
 	}
 }
+
+// Induction and a declared parse read a stacked raw column — a slice piece
+// and a view piece, -1 routing nulls — piece by piece: they agree with the
+// oracle as over flat cells, and flatten nothing.
+func TestInductionReadsChunkPieces(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	chunks := 0
+	for k := 0; k < 1000; k++ {
+		data := randomColumn(r)
+		if len(data) < 2 {
+			continue
+		}
+		obj := vector.NewObjectFromStrings(data)
+		cut := 1 + r.Intn(len(data)-1)
+		rest := make([]int, len(data)-cut)
+		for i := range rest {
+			rest[i] = cut + i
+			if r.Intn(10) == 0 {
+				rest[i] = -1
+			}
+		}
+		v := vector.Stack(obj.Slice(0, cut), vector.TakeView(obj, rest))
+		if _, ok := v.(*vector.Chunked); !ok {
+			continue
+		}
+		chunks++
+		before := vector.FlattenedRows()
+		checkAgainstOracle(t, v, fmt.Sprintf("case %d", k))
+		if n := vector.FlattenedRows() - before; n != 0 {
+			t.Fatalf("case %d: induction flattened %d rows", k, n)
+		}
+		if t.Failed() {
+			t.Fatalf("stopping at the first failing column")
+		}
+	}
+	if chunks == 0 {
+		t.Fatal("no column stacked as a chunk")
+	}
+}

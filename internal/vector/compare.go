@@ -44,9 +44,15 @@ func cmpBool(a, b bool) int {
 }
 
 // CompareRows orders entry i of a against entry j of b: -1, 0 or +1. The
-// common same-representation cases compare on the storage slices; everything
-// else falls back to the boxed comparison.
+// common same-representation cases compare on the storage slices (a chunk's
+// piece); everything else falls back to the boxed comparison.
 func CompareRows(a Vector, i int, b Vector, j int) int {
+	if c, ok := a.(*Chunked); ok {
+		a, i = c.at(i)
+	}
+	if c, ok := b.(*Chunked); ok {
+		b, j = c.at(j)
+	}
 	an, bn := a.IsNull(i), b.IsNull(j)
 	switch {
 	case an && bn:
@@ -101,6 +107,9 @@ func CompareRows(a Vector, i int, b Vector, j int) int {
 // the mixed form used when one side is already boxed (range bounds, sort
 // samples) and the other side is a storage row.
 func CompareRowValue(v Vector, i int, val types.Value) int {
+	if c, ok := v.(*Chunked); ok {
+		v, i = c.at(i)
+	}
 	vn, on := v.IsNull(i), val.IsNull()
 	switch {
 	case vn && on:

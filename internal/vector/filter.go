@@ -211,6 +211,7 @@ func nullMask(v Vector) ([]bool, bool) {
 
 // FilterNotNull returns the non-null positions among sel (nil = all).
 func FilterNotNull(v Vector, sel []int) []int {
+	v = flat(v)
 	if nulls, ok := nullMask(v); ok {
 		if nulls == nil {
 			if sel != nil {
@@ -241,6 +242,7 @@ func FilterNotNull(v Vector, sel []int) []int {
 
 // FilterNull returns the null positions among sel (nil = all).
 func FilterNull(v Vector, sel []int) []int {
+	v = flat(v)
 	out := make([]int, 0, selCap(v.Len(), sel))
 	if nulls, ok := nullMask(v); ok {
 		if nulls == nil {
@@ -263,16 +265,20 @@ func FilterNull(v Vector, sel []int) []int {
 
 // NullFlags returns a null-free Bool vector whose entry i is v.IsNull(i) —
 // the bulk form of the isnull MAP. Mask-described kinds copy their mask
-// (never alias it: the result is a new column); Float, views and Any go
-// through IsNull.
+// (never alias it: the result is a new column), a chunk piece by piece;
+// Float, views and Any go through IsNull.
 func NullFlags(v Vector) *Bool {
 	flags := make([]bool, v.Len())
-	if nulls, ok := nullMask(v); ok {
-		copy(flags, nulls)
-	} else {
-		for i := range flags {
-			flags[i] = v.IsNull(i)
+	at := flags
+	for _, piece := range Pieces(v) {
+		if nulls, ok := nullMask(piece); ok {
+			copy(at, nulls)
+		} else {
+			for i := range piece.Len() {
+				at[i] = piece.IsNull(i)
+			}
 		}
+		at = at[piece.Len():]
 	}
 	return NewBool(flags, nil)
 }
@@ -293,7 +299,7 @@ func Filter(v Vector, op CmpOp, operand types.Value, sel []int) ([]int, bool) {
 			return make([]int, 0), true
 		}
 	}
-	switch c := v.(type) {
+	switch c := flat(v).(type) {
 	case *Int:
 		switch operand.Domain() {
 		case types.Int:

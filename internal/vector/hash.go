@@ -153,9 +153,10 @@ func HashValue(v types.Value, seed uint64) uint64 {
 
 // Hash writes the canonical hash of every entry of v into dst (which must
 // have length v.Len()), null-aware and without constructing types.Value. The
-// typed vectors hash their storage slices directly, and a selection view
-// hashes its base's storage through its index; Dict vectors hash each
-// dictionary entry once and route codes through the precomputed table.
+// typed vectors hash their storage slices directly, a selection view
+// hashes its base's storage through its index, and a chunk hashes piece by
+// piece; Dict vectors hash each dictionary entry once and route codes
+// through the precomputed table.
 func Hash(v Vector, seed uint64, dst []uint64) {
 	nullH := hashWord(seed, tagNull, 0)
 	switch c := v.(type) {
@@ -214,6 +215,10 @@ func Hash(v Vector, seed uint64, dst []uint64) {
 		}
 	case *view:
 		hashView(c, seed, dst)
+	case *Chunked:
+		for p, piece := range c.pieces {
+			Hash(piece, seed, dst[c.offs[p]:c.offs[p+1]])
+		}
 	default:
 		for i := 0; i < v.Len(); i++ {
 			dst[i] = HashValue(v.Value(i), seed)
@@ -222,10 +227,11 @@ func Hash(v Vector, seed uint64, dst []uint64) {
 }
 
 // hashView is Hash over a selection view: it reads the base's typed storage
-// through the view's index, -1 hashing as null, without copying the view.
+// (a chunk's flat copy) through the view's index, -1 hashing as null,
+// without copying the view.
 func hashView(v *view, seed uint64, dst []uint64) {
 	nullH := hashWord(seed, tagNull, 0)
-	switch c := v.base.(type) {
+	switch c := flat(v.base).(type) {
 	case *Int:
 		hashAt(dst, v.idx, c.data, c.nulls, nullH, func(x int64) uint64 { return hashWord(seed, tagInt, uint64(x)) })
 	case *Float:
@@ -311,8 +317,15 @@ func HashRowValues(vals []types.Value, seed uint64) uint64 {
 // key, under the equivalence of types.Value.Equal (nulls equal each other,
 // numerics compare across domains, Object and Category compare by content).
 // Same-representation pairs compare on the storage slices without boxing; a
-// selection view compares its base's entry, which a non-null row always has.
+// selection view compares its base's entry, which a non-null row always has,
+// and a chunk its piece's.
 func EqualRows(a Vector, i int, b Vector, j int) bool {
+	if c, ok := a.(*Chunked); ok {
+		a, i = c.at(i)
+	}
+	if c, ok := b.(*Chunked); ok {
+		b, j = c.at(j)
+	}
 	an, bn := a.IsNull(i), b.IsNull(j)
 	if an || bn {
 		return an && bn

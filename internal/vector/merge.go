@@ -114,17 +114,16 @@ func mergeSegments(order []RunRow, lens []int, cmp func(a, b RunRow) int) []RunR
 }
 
 // cellCol reads a column's cells through at most one selection view: entry
-// i is base entry idx[i], -1 null, or base entry i when idx is nil.
+// i is base entry idx[i], -1 null, or base entry i when idx is nil. A chunk
+// reads its flat copy (unview).
 type cellCol struct {
 	base Vector
 	idx  []int
 }
 
 func cellColOf(v Vector) cellCol {
-	if vw, ok := v.(*view); ok {
-		return cellCol{vw.base, vw.idx}
-	}
-	return cellCol{base: v}
+	base, idx := unview(v)
+	return cellCol{base, idx}
 }
 
 // compare orders entry i of c against entry j of o as CompareRows orders

@@ -12,9 +12,9 @@ import (
 // then reads one or two uint64 words per row, such that comparing two rows'
 // word tuples as unsigned integers orders them exactly as CompareRows orders
 // their cells: nulls first, then by value, and a descending key reversed
-// (nulls last). Columns with no word form — Object strings, boxed columns,
-// selections stacked on selections — report ok=false, and their callers
-// compare cells with CompareRows instead.
+// (nulls last). A chunked key reads its flat copy. Columns with no word
+// form — Object strings, boxed columns, selections stacked on selections —
+// report ok=false, and their callers compare cells with CompareRows instead.
 
 // wordKind is how one word column reads its storage.
 type wordKind uint8
@@ -120,10 +120,8 @@ func runKeys(runs [][]Vector, desc []bool) ([]SortKey, bool) {
 		nullable := false
 		for r, keys := range runs {
 			c := wordCol{flip: flip}
-			v := keys[k]
-			if vw, ok := v.(*view); ok {
-				v, c.idx = vw.base, vw.idx
-			}
+			var v Vector
+			v, c.idx = unview(keys[k])
 			if r == 0 {
 				first = v
 			} else if v.Domain() != first.Domain() {

@@ -14,19 +14,16 @@ import (
 // materializing. Each accessor returns the base
 // storage plus an optional selection index: idx == nil means entry i reads
 // storage position i; otherwise entry i reads position idx[i], and idx[i] < 0
-// means null (mirroring Take).
+// means null (mirroring Take). A chunked vector, or a view over one, reads
+// the chunk's flat copy (Chunked.flatten).
 
 // ObjectData returns the raw Σ* storage behind v when v is an *Object or a
 // view of one, so schema induction reads routed or filtered raw columns
 // without rendering a cell.
 func ObjectData(v Vector) (data []string, nulls []bool, idx []int, ok bool) {
-	switch c := v.(type) {
-	case *Object:
-		return c.data, c.nulls, nil, true
-	case *view:
-		if b, bok := c.base.(*Object); bok {
-			return b.data, b.nulls, c.idx, true
-		}
+	base, idx := unview(v)
+	if c, ok := base.(*Object); ok {
+		return c.data, c.nulls, idx, true
 	}
 	return nil, nil, nil, false
 }
@@ -34,13 +31,9 @@ func ObjectData(v Vector) (data []string, nulls []bool, idx []int, ok bool) {
 // IntData returns the int64 storage behind v when v is an *Int or a view of
 // one. The nulls mask (may be nil) indexes the base storage, not the view.
 func IntData(v Vector) (data []int64, nulls []bool, idx []int, ok bool) {
-	switch c := v.(type) {
-	case *Int:
-		return c.data, c.nulls, nil, true
-	case *view:
-		if b, bok := c.base.(*Int); bok {
-			return b.data, b.nulls, c.idx, true
-		}
+	base, idx := unview(v)
+	if c, ok := base.(*Int); ok {
+		return c.data, c.nulls, idx, true
 	}
 	return nil, nil, nil, false
 }
@@ -48,13 +41,9 @@ func IntData(v Vector) (data []int64, nulls []bool, idx []int, ok bool) {
 // FloatData returns the float64 storage behind v when v is a *Float or a
 // view of one. Callers must treat NaN entries as null, like Float.Value.
 func FloatData(v Vector) (data []float64, nulls []bool, idx []int, ok bool) {
-	switch c := v.(type) {
-	case *Float:
-		return c.data, c.nulls, nil, true
-	case *view:
-		if b, bok := c.base.(*Float); bok {
-			return b.data, b.nulls, c.idx, true
-		}
+	base, idx := unview(v)
+	if c, ok := base.(*Float); ok {
+		return c.data, c.nulls, idx, true
 	}
 	return nil, nil, nil, false
 }
@@ -63,13 +52,9 @@ func FloatData(v Vector) (data []float64, nulls []bool, idx []int, ok bool) {
 // *Dict or a view of one. The returned dict slice is the category table
 // itself.
 func DictData(v Vector) (codes []int32, dict []string, nulls []bool, idx []int, ok bool) {
-	switch c := v.(type) {
-	case *Dict:
-		return c.codes, c.dict, c.nulls, nil, true
-	case *view:
-		if b, bok := c.base.(*Dict); bok {
-			return b.codes, b.dict, b.nulls, c.idx, true
-		}
+	base, idx := unview(v)
+	if c, ok := base.(*Dict); ok {
+		return c.codes, c.dict, c.nulls, idx, true
 	}
 	return nil, nil, nil, nil, false
 }
@@ -85,10 +70,10 @@ func sameDict(a, b []string) bool {
 
 // MinMax scans v once and returns its minimum and maximum non-null values
 // under types.Value.Compare. Both are null when v has no non-null entries.
-// Typed vectors compare on the storage slices; views and Composite fall back
-// to boxed comparison.
+// Typed vectors and chunks (flattened) compare on the storage slices; views
+// and Composite fall back to boxed comparison.
 func MinMax(v Vector) (types.Value, types.Value) {
-	switch c := v.(type) {
+	switch c := flat(v).(type) {
 	case *Int:
 		return minMaxInt64(c.data, c.nulls, types.Int, types.IntValue)
 	case *Datetime:

@@ -96,15 +96,23 @@ func FromValues(d types.Domain, vals []types.Value) Vector {
 	return b.Build()
 }
 
-// Concat concatenates the vectors in order. All inputs must share a domain
-// unless one of them is Object, in which case the result falls back to
-// Object. An empty or all-null input has no say: a shuffle bucket that
-// received no rows hands back untyped empty columns, and letting those drag
-// a Datetime column through its rendering would cut it to whole seconds.
-// Concat of zero vectors returns an empty Object vector.
+// Concat copies the vectors, in order, into one flat vector. All inputs must
+// share a domain unless one of them is Object, in which case the result
+// falls back to Object. An empty or all-null input has no say: a shuffle
+// bucket that received no rows hands back untyped empty columns, and letting
+// those drag a Datetime column through its rendering would cut it to whole
+// seconds. Concat of zero vectors returns an empty Object vector. Stacking
+// row bands goes through Stack, which copies only inputs of mixed kinds.
 func Concat(vs ...Vector) Vector {
 	if len(vs) == 0 {
 		return NewObjectBuilder(0).Build()
+	}
+	if slices.ContainsFunc(vs, func(v Vector) bool { _, ok := v.(*Chunked); return ok }) {
+		var pieces []Vector
+		for _, v := range vs {
+			pieces = append(pieces, Pieces(v)...)
+		}
+		vs = pieces
 	}
 	empty := func(v Vector) bool { return v.Len() == 0 }
 	if slices.ContainsFunc(vs, empty) {

@@ -61,15 +61,18 @@ func ViewParts(v Vector) (base Vector, idx []int, ok bool) {
 	return vw.base, vw.idx, true
 }
 
-// Materialize flattens a view into typed storage via its base's Take;
-// non-view vectors are returned unchanged. This is the single coalescing
+// Materialize flattens a view into typed storage via its base's Take, and a
+// chunked vector into its one flat copy (made once, then kept); other
+// vectors are returned unchanged. A view's take is the single coalescing
 // copy a fused stage pays at exit after chaining selections as views.
 func Materialize(v Vector) Vector {
-	vw, ok := v.(*view)
-	if !ok {
-		return v
+	switch c := v.(type) {
+	case *view:
+		return c.base.Take(c.idx)
+	case *Chunked:
+		return c.flatten()
 	}
-	return vw.base.Take(vw.idx)
+	return v
 }
 
 // Take composes the selection vectors and materializes through the base

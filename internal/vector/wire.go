@@ -25,8 +25,8 @@ import (
 // n×8 bytes of IEEE-754 bits; Bool is n bytes; Object is a string table
 // (u32 total byte length, n×u32 cell lengths, concatenated bytes); Dict is
 // n×4 little-endian int32 codes followed by the category table encoded as
-// a string table. Views are materialized before encoding, so decoded
-// vectors always own flat storage.
+// a string table. Views and chunks are materialized before encoding, so
+// decoded vectors always own flat storage.
 
 const (
 	wireObject = iota
@@ -253,8 +253,9 @@ func boolByte(b bool) byte {
 }
 
 // Clone deep-copies v's storage so the result shares nothing with v's
-// backing arrays. Views are materialized (already a copy); flat vectors
-// copy data and null masks. Dict clones share the immutable category
+// backing arrays. Views are materialized (already a copy), a chunk returns
+// its flat copy (made once, shared with the chunk); flat vectors copy data
+// and null masks. Dict clones share the immutable category
 // table. Spill-aware shuffles clone routed pieces, slices and views alike,
 // so a piece stops pinning the band it was cut from.
 func Clone(v Vector) Vector {
