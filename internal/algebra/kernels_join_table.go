@@ -40,8 +40,11 @@ func BuildJoinTable(right *core.DataFrame, on []string, onLabels bool) *JoinTabl
 	}
 	// Every probe compares against these keys: a gathered right side's
 	// chunked keys are read from their flat copies, not piece by piece.
+	// Other keys, a filtered side's views among them, are read as they are.
 	for k, key := range t.keys {
-		t.keys[k] = vector.Materialize(key)
+		if _, ok := key.(*vector.Chunked); ok {
+			t.keys[k] = vector.Materialize(key)
+		}
 	}
 	n := right.NRows()
 	// A build of n rows holds at most n keys: size the index and the key

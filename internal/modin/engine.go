@@ -142,7 +142,8 @@ func (e *Engine) Schedule(n algebra.Node) (*physical.Result, *physical.Scheduler
 // The gather runs on the calling goroutine (no extra task) since Execute is
 // synchronous anyway, and copies no cell: the result's columns keep the
 // bands' storage as chunks (partition.Frame.ToFrame), which a later
-// statement at the same band count re-bands without a copy.
+// statement at the same band count re-bands without a copy when the bands
+// are balanced.
 func (e *Engine) Execute(n algebra.Node) (*core.DataFrame, error) {
 	res, _, err := e.Schedule(n)
 	if err != nil {

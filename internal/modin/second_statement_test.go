@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/expr"
+	"repro/internal/partition"
 	"repro/internal/schema"
 	"repro/internal/vector"
 )
@@ -79,5 +80,77 @@ func TestSecondStatementOverCollectedResult(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSkewedResultIsCutEvenly re-bands a 7-band join result whose heavy
+// key put most rows in one band: the left input's first band holds only key
+// 0, which matches ten right rows, so that band's piece holds ten times
+// the rows of each other's. A second statement cuts the result into even
+// bands rather than inheriting the skew, and reads cell for cell as over a
+// flat copy.
+func TestSkewedResultIsCutEvenly(t *testing.T) {
+	const rows, keys, fanout = 7_000, 1_000, 10
+	key, val := make([]int64, rows), make([]float64, rows)
+	for i := range key {
+		if i >= rows/7 {
+			key[i] = 1 + int64(i%(keys-1))
+		}
+		val[i] = float64(i)
+	}
+	dimKey, weight := make([]int64, keys-1+fanout), make([]float64, keys-1+fanout)
+	for i := range dimKey {
+		dimKey[i], weight[i] = max(int64(i-fanout+1), 0), float64(i)/2
+	}
+	join := &algebra.Join{
+		Left:  &algebra.Source{DF: core.MustNew([]string{"key", "val"}, []vector.Vector{vector.NewInt(key, nil), vector.NewFloat(val, nil)}), Name: "fact"},
+		Right: &algebra.Source{DF: core.MustNew([]string{"key", "weight"}, []vector.Vector{vector.NewInt(dimKey, nil), vector.NewFloat(weight, nil)}), Name: "dim"},
+		Kind:  expr.JoinInner,
+		On:    []string{"key"},
+	}
+	one := exec.NewPool(1)
+	defer one.Close()
+	e := New(WithPool(one), WithBands(7))
+	res, err := e.Execute(join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, even := res.NRows(), res.NRows()/7
+	pieces := vector.Pieces(res.RowLabels())
+	most := 0
+	for _, p := range pieces {
+		most = max(most, p.Len())
+	}
+	if len(pieces) != 7 || most < 2*even {
+		t.Fatalf("result of %d rows in %d pieces, the largest %d: want 7 pieces, one of them skewed", n, len(pieces), most)
+	}
+	bands := partition.New(res, partition.Rows, 7)
+	for r := range bands.RowBands() {
+		band, err := bands.BlockErr(r, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l := band.NRows(); l < even || l > even+1 {
+			t.Errorf("band %d holds %d rows, want an even %d of %d", r, l, even, n)
+		}
+	}
+	cols := make([]vector.Vector, res.NCols())
+	for j := range cols {
+		cols[j] = vector.Concat(res.Col(j))
+	}
+	flat := core.MustBuild(cols, vector.Concat(res.RowLabels()), res.ColLabels(), res.Domains(), nil)
+	stmt := func(in algebra.Node) algebra.Node {
+		return &algebra.GroupBy{Input: in, Spec: expr.GroupBySpec{Keys: []string{"key"}, Aggs: []expr.AggSpec{{Col: "val", Agg: expr.AggSum}}}}
+	}
+	got, err := e.Execute(stmt(&algebra.Source{DF: res, Name: "res"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.Execute(stmt(&algebra.Source{DF: flat, Name: "flat"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := bitDiff(want.WithCache(schema.NewCache()), got.WithCache(schema.NewCache()), false); d != "" {
+		t.Fatal(d)
 	}
 }

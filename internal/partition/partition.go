@@ -243,15 +243,21 @@ func cuts(n, bands int) []int {
 
 // stackedCuts returns the row band boundaries of df: the bands it was
 // stacked from (the pieces of its chunked row labels) when they are as many
-// as asked, so re-banding a collected result slices inside its pieces and
-// copies nothing; otherwise even cuts.
+// as asked and each is within half an even band of an even band's length,
+// so re-banding a collected result slices inside its pieces and copies
+// nothing; otherwise even cuts, so a skewed result (a join's heavy key, a
+// sort's ties) does not hand its skew to the next statement. An even band
+// that crosses pieces reads them through a chunk of their slices.
 func stackedCuts(df *core.DataFrame, bands int) []int {
-	pieces := vector.Pieces(df.RowLabels())
+	n, pieces := df.NRows(), vector.Pieces(df.RowLabels())
 	if len(pieces) != bands {
-		return cuts(df.NRows(), bands)
+		return cuts(n, bands)
 	}
 	out := make([]int, bands+1)
 	for p, v := range pieces {
+		if d := 2 * (bands*v.Len() - n); d > n || -d > n {
+			return cuts(n, bands)
+		}
 		out[p+1] = out[p] + v.Len()
 	}
 	return out
@@ -404,7 +410,8 @@ func (f *Frame) RowBand(r int) (*core.DataFrame, error) {
 // realigns columns by label, so transposed frames with numeric or duplicate
 // labels reassemble exactly. The gather copies no cell
 // (algebra.VStackFrames): the result's columns are chunks of the bands'
-// storage, and New at the same band count cuts it back at those bands.
+// storage, and New at the same band count cuts it back at those bands
+// when they are balanced (stackedCuts).
 func (f *Frame) ToFrame() (*core.DataFrame, error) {
 	bands := make([]*core.DataFrame, f.RowBands())
 	for r := range f.grid {

@@ -17,14 +17,31 @@ import (
 // Row reads (Value, IsNull), Slice, Take, Hash, EqualRows and the schema
 // parse read through the pieces. Every other typed fast path — the *Data
 // accessors, the sort words, the filter kernels, the wire form, Clone —
-// reads one flat copy, made by the first such call and kept (flatten), so a
-// column is flattened at most once however many statements read it.
+// reads one flat copy, made by the first such call (flatten), which then
+// becomes the chunk's one piece: a column is flattened at most once however
+// many statements read it, and its bands are not held beside the copy.
 type Chunked struct {
+	st atomic.Pointer[chunks]
+	mu sync.Mutex // serialises flatten
+}
+
+// chunks is a chunk's storage: its pieces and their offsets. Stack and Slice
+// make chunks of two or more pieces; one piece is the flat copy.
+type chunks struct {
 	pieces []Vector // each non-empty; one storage type (storageType)
 	offs   []int    // offs[p] is piece p's first row; offs[len(pieces)] the length
+}
 
-	mu   sync.Mutex
-	flat atomic.Value // Vector: the flat copy, once made
+// locate returns the piece that holds row i: the number of piece starts
+// after the first at or below i. The sign bit of o-1-i is 1 exactly when
+// i >= o, so the count takes no branch per start, and rows read in an order
+// that jumps between pieces cost no mispredicted branch.
+func (s *chunks) locate(i int) int {
+	p := 0
+	for _, o := range s.offs[1:len(s.pieces)] {
+		p += int(uint(o-1-i) >> 63)
+	}
+	return p
 }
 
 // flattenedRows counts the rows copied by flattening chunked columns.
@@ -72,7 +89,7 @@ func Stack(vs ...Vector) Vector {
 	pieces := make([]Vector, 0, nonEmpty)
 	for _, v := range vs {
 		if c, ok := v.(*Chunked); ok {
-			pieces = append(pieces, c.pieces...)
+			pieces = append(pieces, c.st.Load().pieces...)
 		} else if v.Len() > 0 {
 			pieces = append(pieces, v)
 		}
@@ -92,59 +109,36 @@ func newChunked(pieces []Vector) *Chunked {
 	for p, v := range pieces {
 		offs[p+1] = offs[p] + v.Len()
 	}
-	return &Chunked{pieces: pieces, offs: offs}
+	c := &Chunked{}
+	c.st.Store(&chunks{pieces: pieces, offs: offs})
+	return c
 }
 
-// Pieces returns the pieces of a chunked vector, in row order, and v itself
-// as the one piece of any other vector.
+// Pieces returns the pieces of a chunked vector, in row order — its flat
+// copy alone once it has been flattened — and v itself as the one piece of
+// any other vector.
 func Pieces(v Vector) []Vector {
 	if c, ok := v.(*Chunked); ok {
-		return c.pieces
+		return c.st.Load().pieces
 	}
 	return []Vector{v}
 }
 
-// locate returns the piece that holds row i. Up to 8 pieces it counts the
-// piece starts at or below i (countStarts) rather than search them.
-func (c *Chunked) locate(i int) int {
-	if len(c.pieces) <= 8 {
-		return countStarts(c.offs[1:len(c.pieces)], i)
-	}
-	lo, hi := 0, len(c.pieces)-1
-	for lo < hi {
-		m := int(uint(lo+hi+1) >> 1)
-		if c.offs[m] <= i {
-			lo = m
-		} else {
-			hi = m - 1
-		}
-	}
-	return lo
-}
-
-// countStarts returns how many of the ascending starts are at or below i.
-// The sign bit of o-1-i is 1 exactly when i >= o, so the count takes no
-// branch per start, and rows read in an order that jumps between pieces
-// cost no mispredicted branch.
-func countStarts(starts []int, i int) int {
-	p := 0
-	for _, o := range starts {
-		p += int(uint(o-1-i) >> 63)
-	}
-	return p
-}
-
 // at returns the piece that holds row i and i's position in it.
 func (c *Chunked) at(i int) (Vector, int) {
-	p := c.locate(i)
-	return c.pieces[p], i - c.offs[p]
+	s := c.st.Load()
+	p := s.locate(i)
+	return s.pieces[p], i - s.offs[p]
 }
 
 // Len returns the number of entries.
-func (c *Chunked) Len() int { return c.offs[len(c.pieces)] }
+func (c *Chunked) Len() int {
+	s := c.st.Load()
+	return s.offs[len(s.pieces)]
+}
 
 // Domain returns the pieces' domain.
-func (c *Chunked) Domain() types.Domain { return c.pieces[0].Domain() }
+func (c *Chunked) Domain() types.Domain { return c.st.Load().pieces[0].Domain() }
 
 // IsNull reports whether entry i is null.
 func (c *Chunked) IsNull(i int) bool {
@@ -161,7 +155,7 @@ func (c *Chunked) Value(i int) types.Value {
 // NullCount sums the pieces' null counts.
 func (c *Chunked) NullCount() int {
 	n := 0
-	for _, v := range c.pieces {
+	for _, v := range c.st.Load().pieces {
 		n += NullCount(v)
 	}
 	return n
@@ -171,18 +165,16 @@ func (c *Chunked) NullCount() int {
 // lies inside it, else a chunk of the pieces' slices. Nothing is copied.
 func (c *Chunked) Slice(lo, hi int) Vector {
 	checkSlice(c.Len(), lo, hi)
-	if f, ok := c.flat.Load().(Vector); ok {
-		return f.Slice(lo, hi)
+	s := c.st.Load()
+	p := s.locate(lo)
+	if hi <= s.offs[p+1] {
+		return s.pieces[p].Slice(lo-s.offs[p], hi-s.offs[p])
 	}
-	p := c.locate(lo)
-	if hi <= c.offs[p+1] {
-		return c.pieces[p].Slice(lo-c.offs[p], hi-c.offs[p])
-	}
-	q := c.locate(hi - 1)
+	q := s.locate(hi - 1)
 	pieces := make([]Vector, 0, q-p+1)
 	for k := p; k <= q; k++ {
-		from, to := max(lo-c.offs[k], 0), min(hi, c.offs[k+1])-c.offs[k]
-		pieces = append(pieces, c.pieces[k].Slice(from, to))
+		from, to := max(lo-s.offs[k], 0), min(hi, s.offs[k+1])-s.offs[k]
+		pieces = append(pieces, s.pieces[k].Slice(from, to))
 	}
 	return newChunked(pieces)
 }
@@ -207,23 +199,24 @@ func (c *Chunked) Take(idx []int) Vector {
 // takeTyped is Take over pieces whose storage copies without boxing: Dict
 // pieces only when they share one category table.
 func (c *Chunked) takeTyped(idx []int) (Vector, bool) {
-	cols := make([]cellCol, len(c.pieces))
-	for p, v := range c.pieces {
+	s := c.st.Load()
+	cols := make([]cellCol, len(s.pieces))
+	for p, v := range s.pieces {
 		cols[p] = cellColOf(v)
 	}
 	switch first := cols[0].base.(type) {
 	case *Int:
-		return takeChunksAs(c, cols, idx, func(v *Int) ([]int64, []bool, bool) { return v.data, v.nulls, true }, NewInt)
+		return takeChunksAs(s, cols, idx, func(v *Int) ([]int64, []bool, bool) { return v.data, v.nulls, true }, NewInt)
 	case *Float:
-		return takeChunksAs(c, cols, idx, func(v *Float) ([]float64, []bool, bool) { return v.data, v.nulls, true }, NewFloat)
+		return takeChunksAs(s, cols, idx, func(v *Float) ([]float64, []bool, bool) { return v.data, v.nulls, true }, NewFloat)
 	case *Bool:
-		return takeChunksAs(c, cols, idx, func(v *Bool) ([]bool, []bool, bool) { return v.data, v.nulls, true }, NewBool)
+		return takeChunksAs(s, cols, idx, func(v *Bool) ([]bool, []bool, bool) { return v.data, v.nulls, true }, NewBool)
 	case *Datetime:
-		return takeChunksAs(c, cols, idx, func(v *Datetime) ([]int64, []bool, bool) { return v.data, v.nulls, true }, NewDatetime)
+		return takeChunksAs(s, cols, idx, func(v *Datetime) ([]int64, []bool, bool) { return v.data, v.nulls, true }, NewDatetime)
 	case *Object:
-		return takeChunksAs(c, cols, idx, func(v *Object) ([]string, []bool, bool) { return v.data, v.nulls, true }, NewObject)
+		return takeChunksAs(s, cols, idx, func(v *Object) ([]string, []bool, bool) { return v.data, v.nulls, true }, NewObject)
 	case *Dict:
-		return takeChunksAs(c, cols, idx,
+		return takeChunksAs(s, cols, idx,
 			func(v *Dict) ([]int32, []bool, bool) { return v.codes, v.nulls, sameDict(first.dict, v.dict) },
 			func(codes []int32, nulls []bool) *Dict { return NewDict(codes, first.dict, nulls) })
 	}
@@ -233,7 +226,7 @@ func (c *Chunked) takeTyped(idx []int) (Vector, bool) {
 // takeChunksAs gathers storage of type T from pieces whose bases are all V,
 // as takeRunsAs does from runs: entry k reads row idx[k] of the chunk, -1
 // null.
-func takeChunksAs[V Vector, T any](c *Chunked, cols []cellCol, idx []int, parts func(V) ([]T, []bool, bool), build func([]T, []bool) V) (Vector, bool) {
+func takeChunksAs[V Vector, T any](s *chunks, cols []cellCol, idx []int, parts func(V) ([]T, []bool, bool), build func([]T, []bool) V) (Vector, bool) {
 	data, nulls := make([][]T, len(cols)), make([][]bool, len(cols))
 	plain := true // no piece is a view or has a null mask
 	for p, col := range cols {
@@ -254,26 +247,24 @@ func takeChunksAs[V Vector, T any](c *Chunked, cols []cellCol, idx []int, parts 
 		}
 		mask[k] = true
 	}
-	if plain && len(c.pieces) <= 8 {
-		// The common case, with countStarts inlined: a groupby restore's
-		// take, whose indices jump between pieces, runs about twice as fast
-		// as through locate.
-		starts := c.offs[1:len(c.pieces)]
+	if plain {
+		// The common case skips the per-row view and mask checks: a random
+		// 80,000-row take over four Int pieces runs about a quarter faster.
 		for k, i := range idx {
 			if i < 0 {
 				null(k)
 				continue
 			}
-			p := countStarts(starts, i)
-			out[k] = data[p][i-c.offs[p]]
+			p := s.locate(i)
+			out[k] = data[p][i-s.offs[p]]
 		}
 		return build(out, mask), true
 	}
 	for k, i := range idx {
 		p := 0
 		if i >= 0 {
-			p = c.locate(i)
-			if i -= c.offs[p]; cols[p].idx != nil {
+			p = s.locate(i)
+			if i -= s.offs[p]; cols[p].idx != nil {
 				i = cols[p].idx[i]
 			}
 		}
@@ -288,24 +279,26 @@ func takeChunksAs[V Vector, T any](c *Chunked, cols []cellCol, idx []int, parts 
 	return build(out, mask), true
 }
 
-// flatten returns the chunk's flat copy, making it on the first call. Racing
-// callers wait for the one copy.
+// flatten returns the chunk's flat copy, making it on the first call and
+// keeping it as the chunk's one piece in place of the pieces it copied.
+// Racing callers wait for the one copy.
 func (c *Chunked) flatten() Vector {
-	if f, ok := c.flat.Load().(Vector); ok {
-		return f
+	if s := c.st.Load(); len(s.pieces) == 1 {
+		return s.pieces[0]
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if f, ok := c.flat.Load().(Vector); ok {
-		return f
+	s := c.st.Load()
+	if len(s.pieces) == 1 {
+		return s.pieces[0]
 	}
-	pieces := make([]Vector, len(c.pieces))
-	for p, v := range c.pieces {
+	pieces := make([]Vector, len(s.pieces))
+	for p, v := range s.pieces {
 		pieces[p] = Materialize(v)
 	}
 	f := Concat(pieces...)
 	flattenedRows.Add(int64(f.Len()))
-	c.flat.Store(f)
+	c.st.Store(&chunks{pieces: []Vector{f}, offs: []int{0, f.Len()}})
 	return f
 }
 

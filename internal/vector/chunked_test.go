@@ -234,6 +234,19 @@ func checkChunkedMatchesFlat(t *testing.T, r *rand.Rand, c, flat Vector) {
 		}
 		sameVector(t, "wire round trip", dec, flat)
 	}
+	// A flattened chunk keeps its flat copy as its one piece, in place of
+	// the pieces it copied, and reads as before.
+	if ch, ok := c.(*Chunked); ok {
+		f := Materialize(ch)
+		if p := Pieces(ch); len(p) != 1 || p[0] != f {
+			t.Fatalf("a flattened chunk holds %d pieces, want its flat copy alone", len(p))
+		}
+		sameVector(t, "rows after flattening", c, flat)
+		lo := r.Intn(n + 1)
+		hi := lo + r.Intn(n-lo+1)
+		sameVector(t, "slice after flattening", c.Slice(lo, hi), flat.Slice(lo, hi))
+		sameVector(t, "take after flattening", c.Take(idx), flat.Take(idx))
+	}
 }
 
 // FuzzChunkedMatchesFlat stacks random inputs of one storage kind — flat,
@@ -259,8 +272,8 @@ func FuzzChunkedMatchesFlat(f *testing.F) {
 		stacked := Stack(inputs...)
 		flat := flatOracle(inputs[0].Domain(), inputs)
 		if c, ok := stacked.(*Chunked); ok {
-			if stacked.Len() < stackCopyRows || len(c.pieces) < 2 {
-				t.Fatalf("chunk of %d rows in %d pieces", stacked.Len(), len(c.pieces))
+			if n := len(c.st.Load().pieces); stacked.Len() < stackCopyRows || n < 2 {
+				t.Fatalf("chunk of %d rows in %d pieces", stacked.Len(), n)
 			}
 		} else if nonEmpty := slices.DeleteFunc(slices.Clone(inputs), func(v Vector) bool { return v.Len() == 0 }); len(nonEmpty) > 1 && stacked.Len() >= stackCopyRows {
 			t.Fatalf("%d same-kind inputs of %d rows stacked as %T", len(nonEmpty), stacked.Len(), stacked)
@@ -297,10 +310,26 @@ func TestFlattenOnceUnderConcurrentReads(t *testing.T) {
 			Hash(c, 1, make([]uint64, c.Len()))
 			NewSortKey([]Vector{c}, []bool{false})
 		}()
+		// Readers through the pieces race the flattening readers.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < c.Len(); i += 37 {
+				if c.Value(i).Int() != int64(i) || c.Slice(i, min(i+150, c.Len())).Value(0).Int() != int64(i) {
+					t.Errorf("row %d read wrong while the chunk was flattened", i)
+				}
+			}
+			if c.Take([]int{399, 0}).Value(0).Int() != 399 {
+				t.Error("take read wrong while the chunk was flattened")
+			}
+		}()
 	}
 	wg.Wait()
 	if n := FlattenedRows() - before; n != int64(c.Len()) {
 		t.Fatalf("flattened %d rows, want one copy of %d", n, c.Len())
+	}
+	if p := Pieces(c); len(p) != 1 {
+		t.Fatalf("the flattened chunk holds %d pieces, want its flat copy alone", len(p))
 	}
 	for g := range got {
 		if &got[g][0] != &got[0][0] || got[g][399] != 399 {

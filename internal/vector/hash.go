@@ -216,8 +216,9 @@ func Hash(v Vector, seed uint64, dst []uint64) {
 	case *view:
 		hashView(c, seed, dst)
 	case *Chunked:
-		for p, piece := range c.pieces {
-			Hash(piece, seed, dst[c.offs[p]:c.offs[p+1]])
+		s := c.st.Load()
+		for p, piece := range s.pieces {
+			Hash(piece, seed, dst[s.offs[p]:s.offs[p+1]])
 		}
 	default:
 		for i := 0; i < v.Len(); i++ {

@@ -62,9 +62,10 @@ func ViewParts(v Vector) (base Vector, idx []int, ok bool) {
 }
 
 // Materialize flattens a view into typed storage via its base's Take, and a
-// chunked vector into its one flat copy (made once, then kept); other
-// vectors are returned unchanged. A view's take is the single coalescing
-// copy a fused stage pays at exit after chaining selections as views.
+// chunked vector into its one flat copy (made once, then kept in place of
+// its pieces); other vectors are returned unchanged. A view's take is the
+// single coalescing copy a fused stage pays at exit after chaining
+// selections as views.
 func Materialize(v Vector) Vector {
 	switch c := v.(type) {
 	case *view:
