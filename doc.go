@@ -43,7 +43,7 @@
 // scheduled — and
 // scheduled asynchronously on the task-parallel execution layer
 // (internal/exec). Partitioned frames (internal/partition) hold
-// future-valued blocks, so results stay deferred until gathered; the
+// future-valued row bands, so results stay deferred until gathered; the
 // session layer (internal/session) exploits this for the paper's
 // opportunistic evaluation regime.
 //

@@ -11,67 +11,190 @@ import (
 )
 
 // TransposeFrame implements TRANSPOSE: given DF = (Amn, Rm, Cn, Dn) it
-// returns (Aᵀnm, Cn, Rm, null). The output schema is left unspecified and
-// re-induced lazily, unless declared explicitly (the
-// TRANSPOSE(df, myschema) form of Section 5.1.2). For homogeneous inputs
-// the typed representation is preserved, so a double transpose recovers the
-// original Dn without re-induction.
+// returns (Aᵀnm, Cn, Rm, D'm). The output's domains are declared
+// explicitly (the TRANSPOSE(df, myschema) form of Section 5.1.2), or else
+// are the input's one storage domain when every column stores it, so a
+// double transpose of a typed frame recovers Dn without re-induction;
+// Object storage, and columns of mixed storage (built as Object), leave
+// them unspecified, induced lazily. It is TransposeBands over one band.
 func TransposeFrame(df *core.DataFrame, declared []types.Domain) (*core.DataFrame, error) {
-	m, n := df.NRows(), df.NCols()
+	return TransposeBands([]*core.DataFrame{df}, declared, serially)
+}
+
+// serially runs fn for 0…n-1 in order on the caller, stopping at the first
+// error: the sequential form of an exec.Pool's ForEach.
+func serially(n int, fn func(i int) error) error {
+	for i := range n {
+		if err := fn(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TransposeBands transposes a frame held as row bands (at least one), in
+// their order; declared, when set, holds a domain per row of the whole
+// frame. Band r's transpose is the output's column range r, so each band
+// is transposed on its own, by forEach(len(bands), fn) — an exec.Pool's
+// ForEach runs them in parallel — straight into its range of the output's
+// presized column, label and domain lists; no cell moves between bands and
+// the output is one frame. Its cells and domains are the same whatever the
+// bands.
+//
+// The storage the output is built in is decided over every band: the one
+// domain every column's storage joins to, a column's join ignoring the
+// bands where it holds no non-null cell, Int and Float joining to Float and
+// any other two domains to Object. TRANSPOSE swaps the stored array without
+// invoking the schema induction function S: inducing types on the few rows
+// of a band would mis-type data that only the full columns determine.
+//
+// A band that stores that domain — Int, Float, Bool, Datetime or Object —
+// in every column, and whose declared domains (if any) all equal it, is
+// cut from one backing array (vector.Transpose) and nothing is boxed; each
+// of its output columns pins that array for its lifetime. Any other band
+// (Dict or Composite storage, a band stored narrower than the join,
+// another declared domain) takes the boxed path, which builds each output
+// column cell by cell through a Builder and is the typed path's oracle.
+func TransposeBands(bands []*core.DataFrame, declared []types.Domain, forEach func(n int, fn func(i int) error) error) (*core.DataFrame, error) {
+	first := make([]int, len(bands)+1) // first[r]: band r's first row
+	for r, b := range bands {
+		first[r+1] = first[r] + b.NRows()
+	}
+	m := first[len(bands)]
 	if declared != nil && len(declared) != m {
 		return nil, fmt.Errorf("algebra: transpose declared schema has %d domains, want %d", len(declared), m)
 	}
-
-	// The output's column labels are the input's row labels and
-	// vice-versa: data and metadata swap axes.
-	outColLab := make([]types.Value, m)
-	rowLabels := df.RowLabels()
-	for i := 0; i < m; i++ {
-		outColLab[i] = rowLabels.Value(i)
-	}
-	// Labels live in Dom like data does: keep the narrowest domain so a
-	// double transpose recovers the original Rm exactly.
-	outRowLab := buildColumn(df.ColLabels())
-
-	// TRANSPOSE swaps the stored array without invoking the schema
-	// induction function S: inducing types on tiny sub-frames (as blocks
-	// of a partitioned transpose) would mis-type data that only the full
-	// columns determine. The typed fast path applies only when the stored
-	// representation is already homogeneous, which is what lets a double
-	// transpose of a typed frame recover Dn without re-induction.
-	storageHomogeneous := n > 0
-	var storageDom types.Domain
-	if n > 0 {
-		storageDom = df.Col(0).Domain()
-		for j := 1; j < n; j++ {
-			if df.Col(j).Domain() != storageDom {
-				storageHomogeneous = false
-				break
-			}
-		}
-	}
-
-	outCols := make([]vector.Vector, m)
-	outDoms := make([]types.Domain, m)
-	for i := 0; i < m; i++ {
-		dom := types.Object
-		outDoms[i] = types.Unspecified
+	storage := transposeStorage(bands)
+	out := transposed{cols: make([]vector.Vector, m), colLab: make([]types.Value, m), doms: make([]types.Domain, m)}
+	err := forEach(len(bands), func(r int) error {
+		band, part := bands[r], out.rows(first[r], first[r+1])
+		var schema []types.Domain
 		if declared != nil {
-			dom = declared[i]
-			outDoms[i] = dom
-		} else if storageHomogeneous {
-			dom = storageDom
-			if dom != types.Object {
-				outDoms[i] = dom
+			schema = declared[first[r]:first[r+1]]
+		}
+		if !transposeTyped(band, schema, storage, part) {
+			transposeBoxed(band, schema, storage, part)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Labels live in Dom like data does: the output's row labels keep the
+	// narrowest domain, so a double transpose recovers the original Rm.
+	return core.Build(out.cols, buildColumn(bands[0].ColLabels()), out.colLab, out.doms, bands[0].Cache())
+}
+
+// transposed is a transpose's output lists, or one band's range of them.
+type transposed struct {
+	cols   []vector.Vector
+	colLab []types.Value // the input's row labels: data and metadata swap axes
+	doms   []types.Domain
+}
+
+// rows returns the range of the output lists that input rows [lo, hi) fill.
+func (t transposed) rows(lo, hi int) transposed {
+	return transposed{cols: t.cols[lo:hi], colLab: t.colLab[lo:hi], doms: t.doms[lo:hi]}
+}
+
+// transposeStorage is the storage domain TransposeBands builds its output
+// in: the one domain every column's storage joins to over the bands, or
+// Unspecified when the columns' joins differ or there are no columns.
+func transposeStorage(bands []*core.DataFrame) types.Domain {
+	if bands[0].NCols() == 0 {
+		return types.Unspecified
+	}
+	storage := types.Unspecified
+	for j := range bands[0].NCols() {
+		col := types.Unspecified
+		for _, b := range bands {
+			v := b.Col(j)
+			switch d := v.Domain(); {
+			case d == col, allNull(v):
+			case col == types.Unspecified:
+				col = d
+			case col == types.Int && d == types.Float, col == types.Float && d == types.Int:
+				col = types.Float
+			default:
+				col = types.Object
 			}
 		}
-		b := vector.NewBuilder(dom, n)
-		for j := 0; j < n; j++ {
-			b.Append(df.Col(j).Value(i))
+		if col == types.Unspecified { // no band holds a non-null cell
+			col = bands[0].Col(j).Domain()
 		}
-		outCols[i] = b.Build()
+		if j > 0 && col != storage {
+			return types.Unspecified
+		}
+		storage = col
 	}
-	return core.Build(outCols, outRowLab, outColLab, outDoms, df.Cache())
+	return storage
+}
+
+// allNull reports whether v holds no non-null cell, reading up to its
+// first non-null one.
+func allNull(v vector.Vector) bool {
+	for i := range v.Len() {
+		if !v.IsNull(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// declaredIn is the declared domain of a column transposed in storage with
+// no schema: storage itself, unless it leaves the column to induction
+// (Object, or mixed storage).
+func declaredIn(storage types.Domain) types.Domain {
+	if storage == types.Object {
+		return types.Unspecified
+	}
+	return storage
+}
+
+// transposeTyped fills out with the band's transpose on the unboxed path,
+// reporting false, having written nothing, when the band does not qualify.
+func transposeTyped(band *core.DataFrame, declared []types.Domain, storage types.Domain, out transposed) bool {
+	for _, d := range declared {
+		if d != storage {
+			return false
+		}
+	}
+	for _, col := range band.Columns() {
+		if col.Domain() != storage {
+			return false
+		}
+	}
+	if !vector.Transpose(out.cols, band.Columns(), storage) {
+		return false
+	}
+	rowLabels := band.RowLabels()
+	for i := range out.cols {
+		out.colLab[i], out.doms[i] = rowLabels.Value(i), declaredIn(storage)
+		if declared != nil {
+			out.doms[i] = declared[i]
+		}
+	}
+	return true
+}
+
+// transposeBoxed fills out with the band's transpose on the boxed path:
+// every cell is read as a Value and appended to its output column's
+// Builder, in the declared domain or else in storage (a Builder in
+// Unspecified, for mixed storage, builds Object).
+func transposeBoxed(band *core.DataFrame, declared []types.Domain, storage types.Domain, out transposed) {
+	rowLabels := band.RowLabels()
+	for i := range out.cols {
+		dom := storage
+		out.doms[i] = declaredIn(storage)
+		if declared != nil {
+			dom, out.doms[i] = declared[i], declared[i]
+		}
+		b := vector.NewBuilder(dom, band.NCols())
+		for j := range band.NCols() {
+			b.Append(band.Col(j).Value(i))
+		}
+		out.cols[i], out.colLab[i] = b.Build(), rowLabels.Value(i)
+	}
 }
 
 // MapFrame implements MAP: fn applied uniformly to every row, producing an

@@ -312,9 +312,19 @@ func (df *DataFrame) Resolved() *DataFrame {
 
 // Value returns the cell at row i, column j, parsed per the column's
 // domain. This is the unique cell interpretation the data model guarantees:
-// cells are parsed by their column's schema.
+// cells are parsed by their column's schema. A frame without an induction
+// cache has nowhere to keep a column's parse, so only cell i is parsed:
+// TypedCol would parse the whole column on every call, and reading a
+// column cell by cell would be quadratic.
 func (df *DataFrame) Value(i, j int) types.Value {
-	return df.TypedCol(j).Value(i)
+	if df.cache != nil {
+		return df.TypedCol(j).Value(i)
+	}
+	col, d := df.cols[j], df.Domain(j)
+	if col.Domain() == d {
+		return col.Value(i)
+	}
+	return schema.Parse(col.Slice(i, i+1), d).Value(0)
 }
 
 // RawValue returns the cell at row i, column j from the stored

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/schema"
 	"repro/internal/types"
@@ -89,6 +91,42 @@ func TestValueParsesPerColumnDomain(t *testing.T) {
 	}
 	if df.Value(2, 2).Float() != 3.5 {
 		t.Error("parsed float wrong")
+	}
+}
+
+// TestValueReadsOneCellWithoutACache: cell-by-cell reads of a cache-less
+// frame's raw column that induces Category parse one cell per read, so the
+// 75,000 reads finish in linear time — a whole-column parse per read would
+// take minutes — and each equals the column's typed form, whether the
+// induction ran before the reads or from the first of them.
+func TestValueReadsOneCellWithoutACache(t *testing.T) {
+	const n = 75_000
+	raw := make([]string, n)
+	for i := range raw {
+		raw[i] = fmt.Sprintf("k%03d", i*7%100)
+		if i%13 == 0 {
+			raw[i] = "NA"
+		}
+	}
+	col := vector.NewObjectFromStrings(raw)
+	typed := MustNew([]string{"k"}, []vector.Vector{col}).TypedCol(0)
+	if typed.Domain() != types.Category {
+		t.Fatalf("column induces %v, want category", typed.Domain())
+	}
+	start := time.Now()
+	for _, warm := range []bool{false, true} {
+		df := MustNew([]string{"k"}, []vector.Vector{col})
+		if warm {
+			df.TypedCol(0)
+		}
+		for i := range n {
+			if got, want := df.Value(i, 0), typed.Value(i); got.IsNull() != want.IsNull() || got.Domain() != want.Domain() || !got.Equal(want) {
+				t.Fatalf("warm=%v cell %d = %#v, want %#v", warm, i, got, want)
+			}
+		}
+	}
+	if took := time.Since(start); took > 10*time.Second {
+		t.Errorf("reading 2×%d cells took %v: each read parses more than its cell", n, took)
 	}
 }
 

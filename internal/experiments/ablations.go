@@ -7,10 +7,8 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/eager"
-	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/modin"
-	"repro/internal/partition"
 	"repro/internal/schema"
 	"repro/internal/session"
 	"repro/internal/types"
@@ -79,11 +77,12 @@ func RunSchemaInduction(rows, cols int) (SchemaInductionResult, error) {
 }
 
 // TransposeAblation reports E9: physical single-threaded transpose vs
-// MODIN's parallel block transpose at one size.
+// MODIN's parallel row-band transpose at one size, each the best of three
+// runs.
 type TransposeAblation struct {
 	Rows, Cols int
 	Physical   time.Duration
-	Blocked    time.Duration
+	Banded     time.Duration
 	Speedup    float64
 }
 
@@ -99,17 +98,12 @@ func RunTransposeAblation(rows, cols, bands int) (TransposeAblation, error) {
 		return res, err
 	}
 
-	pool := exec.Default
-	start := time.Now()
-	for rep := 0; rep < 3; rep++ {
-		pf := partition.New(df, partition.Blocks, bands)
-		if _, err := pf.Transpose(pool, nil); err != nil {
-			return res, err
-		}
+	res.Banded, _, err = timeEngine(modin.New(modin.WithBands(bands)), plan, 3)
+	if err != nil {
+		return res, err
 	}
-	res.Blocked = time.Since(start) / 3
-	if res.Blocked > 0 {
-		res.Speedup = float64(res.Physical) / float64(res.Blocked)
+	if res.Banded > 0 {
+		res.Speedup = float64(res.Physical) / float64(res.Banded)
 	}
 	return res, nil
 }
@@ -171,7 +165,7 @@ func FormatAblations(si SchemaInductionResult, ta TransposeAblation, em []Evalua
 	out += fmt.Sprintf("  cached re-induction:     %v\n", si.CachedReuse)
 	out += "E9 — transpose strategy\n"
 	out += fmt.Sprintf("  physical single-thread (%dx%d): %v\n", ta.Rows, ta.Cols, ta.Physical)
-	out += fmt.Sprintf("  parallel block transpose:       %v (%.2fx)\n", ta.Blocked, ta.Speedup)
+	out += fmt.Sprintf("  parallel row-band transpose:    %v (%.2fx)\n", ta.Banded, ta.Speedup)
 	out += "E10 — evaluation modes (same scripted session)\n"
 	for _, r := range em {
 		out += fmt.Sprintf("  %-14s first-view=%v result=%v reuse-hits=%d\n",

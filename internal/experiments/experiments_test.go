@@ -207,7 +207,7 @@ func TestRunTransposeAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Physical == 0 || res.Blocked == 0 {
+	if res.Physical == 0 || res.Banded == 0 {
 		t.Error("both strategies should be timed")
 	}
 }

@@ -97,15 +97,12 @@ func measureTasksOnce(q Figure2Query, df *core.DataFrame, bands int) (tasks []ti
 	pf := partition.New(df, partition.Rows, bands)
 	switch q {
 	case QueryMap:
-		blocks := partition.New(df, partition.Blocks, bands)
-		for r := 0; r < blocks.RowBands(); r++ {
-			for c := 0; c < blocks.ColBands(); c++ {
-				start := time.Now()
-				if _, err := algebra.MapFrame(blocks.Block(r, c), algebra.IsNullFn()); err != nil {
-					return nil, 0, err
-				}
-				tasks = append(tasks, time.Since(start))
+		for r := 0; r < pf.RowBands(); r++ {
+			start := time.Now()
+			if _, err := algebra.MapFrame(pf.Band(r), algebra.IsNullFn()); err != nil {
+				return nil, 0, err
 			}
+			tasks = append(tasks, time.Since(start))
 		}
 		return tasks, 0, nil
 
@@ -144,19 +141,37 @@ func measureTasksOnce(q Figure2Query, df *core.DataFrame, bands int) (tasks []ti
 		return tasks, time.Since(start), nil
 
 	case QueryTranspose:
-		blocks := partition.New(df, partition.Blocks, bands)
-		for r := 0; r < blocks.RowBands(); r++ {
-			for c := 0; c < blocks.ColBands(); c++ {
+		// Band r's task transposes the band into the output's column range
+		// r, then maps that range.
+		bands := make([]*core.DataFrame, pf.RowBands())
+		first := make([]int, len(bands)+1)
+		for r := range bands {
+			bands[r] = pf.Band(r)
+			first[r+1] = first[r] + bands[r].NRows()
+		}
+		t, err := algebra.TransposeBands(bands, nil, func(n int, fn func(int) error) error {
+			for r := range n {
 				start := time.Now()
-				t, err := algebra.TransposeFrame(blocks.Block(r, c), nil)
-				if err != nil {
-					return nil, 0, err
-				}
-				if _, err := algebra.MapFrame(t, algebra.IsNullFn()); err != nil {
-					return nil, 0, err
+				if err := fn(r); err != nil {
+					return err
 				}
 				tasks = append(tasks, time.Since(start))
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, 0, err
+		}
+		for r := range bands {
+			cols := make([]int, first[r+1]-first[r])
+			for k := range cols {
+				cols[k] = first[r] + k
+			}
+			start := time.Now()
+			if _, err := algebra.MapFrame(t.SelectCols(cols), algebra.IsNullFn()); err != nil {
+				return nil, 0, err
+			}
+			tasks[r] += time.Since(start)
 		}
 		return tasks, 0, nil
 	}
@@ -171,11 +186,13 @@ type SimConfig struct {
 	BaselineTransposeBudget int
 }
 
-// DefaultSimConfig projects at the paper's scale points.
+// DefaultSimConfig projects at the paper's scale points, cutting one row
+// band per simulated worker at the largest point: a band is the unit of
+// parallelism, so fewer bands than workers would cap the projection.
 func DefaultSimConfig(rows int) SimConfig {
 	return SimConfig{
 		Rows:                    rows,
-		Bands:                   32,
+		Bands:                   128,
 		WorkerCounts:            []int{1, 4, 16, 128},
 		BaselineTransposeBudget: 0,
 	}

@@ -25,20 +25,25 @@ type allocRatioCase struct {
 //
 // Ratios (1-worker pool, 2 bands; Go 1.24, linux/amd64) — copied at
 // gather: read at d22990a, where the gather copied every band into one
-// array; kept: since results keep their bands (vector.Stack) — and the
-// ceilings they set:
+// array; kept: since results keep their bands (vector.Stack); banded: since
+// TRANSPOSE transposes each row band on its own — and the ceilings they
+// set:
 //
-//	statement        copied at gather   kept    ceiling
-//	groupby_hi       2.07               1.82    1.91
-//	sort             1.92               1.29    1.35
-//	join             1.83               1.12    1.18
-//	dropdup          2.37               1.00    1.05
-//	transpose_isna   2.32               2.22    2.33
+//	statement        copied at gather   kept    banded   ceiling
+//	groupby_hi       2.07               1.82    1.82     1.91
+//	sort             1.92               1.29    1.29     1.35
+//	join             1.83               1.12    1.12     1.18
+//	dropdup          2.37               1.00    1.00     1.05
+//	transpose_isna   2.32               2.22    1.16     1.22
+//	isna_transpose   —                  3.00    1.34     1.41
 //
-// transpose_isna is shuffle_wide's transpose_map, T then IsNA over the
-// fact frame's first 10,000 rows; its transposed result of 10,000 short
-// columns is below Stack's copy length and is still copied. The join keeps
-// a flat copy of its right side's key column for the table's probes.
+// transpose_isna is T then IsNA over the fact frame's first 10,000 rows,
+// whose mixed storage takes the boxed transpose; isna_transpose is
+// shuffle_wide's transpose_map in the order the optimizer gives it
+// (TransposePullUp), IsNA then T, whose Bool bands take the typed one.
+// MODIN's extra bytes there are column lists, not cells: the padding
+// band's and the gather's lists over the 10,000 output columns. The join
+// keeps a flat copy of its right side's key column for the table's probes.
 func allocRatioCases() []allocRatioCase {
 	join := shuffledJoinPlan()
 	fact := join.Left.(*algebra.Source)
@@ -50,7 +55,8 @@ func allocRatioCases() []allocRatioCase {
 		{"sort", &algebra.Sort{Input: fact, Order: expr.SortOrder{{Col: "amount"}}}, 1.35},
 		{"join", join, 1.18},
 		{"dropdup", &algebra.DropDuplicates{Input: fact, Subset: []string{"key"}}, 1.05},
-		{"transpose_isna", &algebra.Map{Input: &algebra.Transpose{Input: prefix}, Fn: algebra.IsNullFn()}, 2.33},
+		{"transpose_isna", &algebra.Map{Input: &algebra.Transpose{Input: prefix}, Fn: algebra.IsNullFn()}, 1.22},
+		{"isna_transpose", &algebra.Transpose{Input: &algebra.Map{Input: prefix, Fn: algebra.IsNullFn()}}, 1.41},
 	}
 }
 

@@ -28,9 +28,9 @@ import (
 //     bounded WINDOWs, LIMIT) become anchored shuffles: no row is routed,
 //     and output band b's merge reads input band b plus, under a prefix or
 //     suffix reach, the bands before or after it.
-//   - TRANSPOSE (block transpose) is an exchange stage with a partitioned
-//     body: explicit DAG dependencies on every input block, one coordinating
-//     task.
+//   - TRANSPOSE is an exchange stage that gathers nothing: it depends on
+//     every input band and transposes each band on its own, in parallel,
+//     its output one band of the band transposes side by side.
 //   - Every other operator (UNION, DIFFERENCE, outer and cross JOIN,
 //     DROP-DUPLICATES, INDUCE, expanding WINDOW, TOPK's merge) is one gather
 //     exchange: gather the inputs, apply algebra.Eval — the eager engine's
@@ -384,7 +384,7 @@ func (c *compiler) lower(n algebra.Node) (*physical.Node, error) {
 	case *algebra.DropDuplicates:
 		name = "dropduplicates"
 	case *algebra.Induce:
-		// Induction over blocks would mis-type columns that only full
+		// Induction over bands would mis-type columns that only full
 		// data determines.
 		name = "induce"
 

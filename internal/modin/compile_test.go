@@ -163,7 +163,7 @@ func TestGatheredOperatorsRender(t *testing.T) {
 	even := &algebra.Selection{Input: src, Pred: evenPred(), Desc: "even"}
 	depts := &algebra.Rename{Input: &algebra.Limit{Input: src, N: 3}, Mapping: map[string]string{"id": "id2", "val": "val2", "score": "score2"}}
 	scores := &algebra.Rename{Input: &algebra.Limit{Input: &algebra.Projection{Input: src, Cols: []string{"score"}}, N: 2}, Mapping: map[string]string{"score": "s2"}}
-	const source = "SOURCE[4x1 bands]\n"
+	const source = "SOURCE[4 bands]\n"
 	for _, c := range []struct {
 		name string
 		plan algebra.Node
@@ -211,7 +211,7 @@ func TestGatheredOperatorsRender(t *testing.T) {
 func TestAnchoredPassesRender(t *testing.T) {
 	src := &algebra.Source{DF: testFrame(30), Name: "t"}
 	heads := &algebra.Source{DF: core.MustFromRecords([]string{"dept", "head"}, [][]any{{"eng", "grace"}, {"ops", "ada"}})}
-	const source = "SOURCE[4x1 bands]\n"
+	const source = "SOURCE[4 bands]\n"
 	window := func(spec expr.WindowSpec) algebra.Node { return &algebra.Window{Input: src, Spec: spec} }
 	for _, c := range []struct {
 		name string
@@ -227,7 +227,7 @@ func TestAnchoredPassesRender(t *testing.T) {
 		{"rolling", window(expr.WindowSpec{Kind: expr.WindowRolling, Size: 9, Agg: expr.AggSum, Cols: []string{"score"}}),
 			"SHUFFLE[window]\n  " + source},
 		{"join", &algebra.Join{Left: src, Right: heads, Kind: expr.JoinInner, On: []string{"dept"}},
-			"SHUFFLE[renumber]\n  SHUFFLE[join]\n    " + source + "    SOURCE[2x1 bands]\n"},
+			"SHUFFLE[renumber]\n  SHUFFLE[join]\n    " + source + "    SOURCE[2 bands]\n"},
 		{"head", &algebra.Limit{Input: src, N: 12}, "SHUFFLE[limit]\n  " + source},
 		{"tail", &algebra.Limit{Input: src, N: -12}, "SHUFFLE[limit]\n  " + source},
 	} {

@@ -1,7 +1,8 @@
 // Package modin implements the MODIN engine of Section 3: parallel
-// execution of dataframe-algebra plans over row/column/block partitions,
-// scheduled on the task-parallel execution layer (internal/exec), with a
-// communication-free block transpose and partial-aggregation GROUPBY.
+// execution of dataframe-algebra plans over row-band partitions, scheduled
+// on the task-parallel execution layer (internal/exec), with a
+// communication-free band-by-band transpose and partial-aggregation
+// GROUPBY.
 //
 // Execution is compile-then-schedule: logical plans are lowered into a
 // physical stage DAG (compile.go), where chains of embarrassingly-parallel
@@ -10,8 +11,8 @@
 // per output band (shuffle.go, sort.go), the ordered passes (join probe
 // and renumber, fromlabels, bounded windows, limit) are anchored shuffles
 // whose band b reads its own band and at most the bands on one side of it,
-// and shape-opaque operators are exchange barriers — a partitioned body for
-// transpose, otherwise one gather exchange that calls algebra.Eval — that
+// and shape-opaque operators are exchange barriers — a band-by-band body
+// for transpose, otherwise one gather exchange that calls algebra.Eval — that
 // hand their output on as the engine's band count. Every stage's bands are
 // thus known when the plan is scheduled; the physical scheduler wires the
 // whole DAG at once and drains it asynchronously on the worker pool,
@@ -179,11 +180,11 @@ func (e *Engine) ExecuteAsync(n algebra.Node) *exec.Future {
 }
 
 // ExecutePartitioned evaluates the plan, leaving the result partitioned so
-// downstream operators (or head/tail views) can consume blocks lazily. The
+// downstream operators (or head/tail views) can consume bands lazily. The
 // returned frame is deferred: its band count is fixed, and each band
 // resolves independently as the task behind it lands — an exchange's bands
-// when the exchange has run. Task errors in deferred blocks surface at
-// gather time — Resolve, ToFrame, or BlockErr — not from this call.
+// when the exchange has run. Task errors in deferred bands surface at
+// gather time — Resolve, ToFrame, or RowBand — not from this call.
 func (e *Engine) ExecutePartitioned(n algebra.Node) (*partition.Frame, error) {
 	res, _, err := e.Schedule(n)
 	if err != nil {
@@ -252,7 +253,7 @@ func (e *Engine) run(plan *physical.Node) (*physical.Result, *physical.Scheduler
 // --- exchange implementations --------------------------------------------
 //
 // Each exchange receives its inputs as (possibly just-materialized)
-// partition frames; the physical scheduler guarantees every input block
+// partition frames; the physical scheduler guarantees every input band
 // exists before Run is called.
 
 // rePartition splits a kernel result back into row bands.
@@ -260,12 +261,23 @@ func (e *Engine) rePartition(df *core.DataFrame) *partition.Frame {
 	return partition.New(df, partition.Rows, e.bands)
 }
 
-// executeTranspose repartitions to a block grid and transposes blocks in
-// place (Section 3.1's communication-free transpose).
-func (e *Engine) executeTranspose(schema []types.Domain, in *partition.Frame) (*partition.Frame, error) {
-	blocks, err := in.Repartition(partition.Blocks, e.bands)
+// executeTranspose transposes each row band on its own, the bands in
+// parallel on the engine's pool (algebra.TransposeBands): band r's
+// transpose is the output's column range r, so no cell moves between bands
+// — Section 3.1's communication-free transpose — and the output is one
+// band. The storage it is built in is decided over every band, so its
+// domains do not depend on the band count.
+func (e *Engine) executeTranspose(declared []types.Domain, in *partition.Frame) (*partition.Frame, error) {
+	bands := make([]*core.DataFrame, in.RowBands())
+	for r := range bands {
+		var err error
+		if bands[r], err = in.RowBand(r); err != nil {
+			return nil, err
+		}
+	}
+	out, err := algebra.TransposeBands(bands, declared, e.pool.ForEach)
 	if err != nil {
 		return nil, err
 	}
-	return blocks.Transpose(e.pool, schema)
+	return partition.New(out, partition.Rows, 1), nil
 }

@@ -525,7 +525,7 @@ func TestModinPartitionedLimitTouchesOnlyBoundary(t *testing.T) {
 			if r == c.full {
 				want = 5
 			}
-			if got := pf.Block(r, 0).NRows(); got != want {
+			if got := pf.Band(r).NRows(); got != want {
 				t.Errorf("limit %d: band %d holds %d rows, want %d", c.n, r, got, want)
 			}
 		}

@@ -126,7 +126,7 @@ func TestSkewedResultIsCutEvenly(t *testing.T) {
 	}
 	bands := partition.New(res, partition.Rows, 7)
 	for r := range bands.RowBands() {
-		band, err := bands.BlockErr(r, 0)
+		band, err := bands.RowBand(r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,3 +51,16 @@ func BenchmarkShuffledSort(b *testing.B) {
 func BenchmarkShuffledDropDup(b *testing.B) {
 	benchShuffledPlan(b, &algebra.DropDuplicates{Input: shuffledJoinPlan().Left, Subset: []string{"key"}})
 }
+
+// BenchmarkTransposeMap times paperbench's shuffle_wide transpose_map in
+// the order the optimizer gives it (TransposePullUp): IsNA over the fact
+// frame's first 10,000 rows, then TRANSPOSE, through benchShuffledPlan.
+// MODIN transposes each band on its own, so allocs/op stays in the
+// hundreds, not one per output column:
+//
+//	go test -run '^$' -bench TransposeMap -benchmem ./internal/modin
+func BenchmarkTransposeMap(b *testing.B) {
+	fact := shuffledJoinPlan().Left.(*algebra.Source)
+	prefix := &algebra.Source{DF: fact.DF.SliceRows(0, 10_000).Compact(), Name: "prefix"}
+	benchShuffledPlan(b, &algebra.Transpose{Input: &algebra.Map{Input: prefix, Fn: algebra.IsNullFn()}})
+}

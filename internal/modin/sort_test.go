@@ -65,7 +65,7 @@ func TestSortBandsHoldOwnStorage(t *testing.T) {
 		}
 		empty := 0
 		for r := 0; r < pf.RowBands(); r++ {
-			band := pf.Block(r, 0)
+			band := pf.Band(r)
 			if band.NRows() == 0 {
 				empty++
 			}
@@ -121,7 +121,7 @@ func TestStreamedSortComparesAcrossTables(t *testing.T) {
 	}
 	var tables [][]string
 	for r := 0; r < pf.RowBands(); r++ {
-		_, dict, _, _, ok := vector.DictData(pf.Block(r, 0).TypedCol(1))
+		_, dict, _, _, ok := vector.DictData(pf.Band(r).TypedCol(1))
 		if !ok {
 			t.Fatalf("band %d: name is not induced as a category", r)
 		}

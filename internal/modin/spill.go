@@ -15,7 +15,7 @@ import (
 // routed-but-not-yet-merged shuffle piece through it. Pieces are accounted
 // against a resident-cell ceiling, and pieces past the ceiling are written
 // through internal/storage and re-read when their merge takes them. Combined
-// with the scheduler's band release (a transient input band's block future
+// with the scheduler's band release (a transient input band's future
 // is dropped once the band is routed), a GROUPBY or SORT over a streamed
 // input degrades to disk instead of accumulating the whole input in memory
 // between the partition and merge phases.

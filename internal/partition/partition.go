@@ -1,13 +1,14 @@
-// Package partition implements MODIN's flexible partitioning layer (Section
-// 3.1): a dataframe decomposed into a grid of blocks under row-based,
-// column-based, or block-based partitioning, with cheap movement between
-// schemes and the communication-free block transpose of Section 3.1
-// ("Supporting billions of columns").
+// Package partition implements MODIN's partitioning layer (Section 3.1): a
+// dataframe decomposed into row bands, each a contiguous run of full rows.
+// Every operator runs over row bands, TRANSPOSE included: transposing band
+// r gives the output's column range r, so each band transposes on its own
+// and no data moves between partitions — the paper's communication-free
+// transpose (algebra.TransposeBands).
 //
-// Blocks are held behind exec.Future handles, so a Frame may be *deferred*:
-// its blocks still being computed by the task DAG of the physical layer
+// Bands are held behind exec.Future handles, so a Frame may be *deferred*:
+// its bands still being computed by the task DAG of the physical layer
 // (internal/physical). Materialized frames simply hold already-resolved
-// futures; accessors that need block data resolve lazily, so a deferred
+// futures; accessors that need band data resolve lazily, so a deferred
 // frame is only waited on at gather/render time.
 package partition
 
@@ -18,46 +19,32 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/types"
 	"repro/internal/vector"
 )
 
-// Scheme selects how a dataframe is split into partitions.
+// Scheme selects how a dataframe is split into partitions. Rows is the one
+// scheme.
 type Scheme int
 
-const (
-	// Rows partitions into horizontal bands (each partition holds a
-	// contiguous run of full rows).
-	Rows Scheme = iota
-	// Cols partitions into vertical bands (full columns).
-	Cols
-	// Blocks partitions into a 2-D grid of row×column blocks, the layout
-	// that makes TRANSPOSE communication-free.
-	Blocks
-)
+// Rows partitions into horizontal bands (each partition holds a contiguous
+// run of full rows).
+const Rows Scheme = 0
 
 // String names the scheme.
 func (s Scheme) String() string {
-	switch s {
-	case Rows:
+	if s == Rows {
 		return "rows"
-	case Cols:
-		return "cols"
-	case Blocks:
-		return "blocks"
 	}
 	return fmt.Sprintf("scheme(%d)", int(s))
 }
 
-// Frame is a dataframe decomposed into a grid of blocks. grid[r][c] holds
-// the future of the block at row-band r and column-band c; every block in a
-// row band shares row labels, and every block in a column band shares
-// column labels. Blocks are plain core dataframes, so all algebra kernels
-// apply per block.
+// Frame is a dataframe decomposed into row bands: bands[r] holds the future
+// of row band r, and every band holds every column. Bands are plain core
+// dataframes, so all algebra kernels apply per band.
 type Frame struct {
-	grid [][]*exec.Future // each resolves to *core.DataFrame
+	bands []*exec.Future // each resolves to *core.DataFrame
 	// transient marks a single-consumer frame (a streaming scan's bands):
-	// the one stage that reads a block may ReleaseBand it afterwards so the
+	// the one stage that reads a band may ReleaseBand it afterwards so the
 	// band's cells do not stay resident for the life of the query.
 	transient bool
 	// Release notification: relCh[r] closes when band r is released, and
@@ -72,7 +59,7 @@ type Frame struct {
 	releasing bool
 }
 
-// MarkTransient flags the frame as single-consumer: its blocks may be
+// MarkTransient flags the frame as single-consumer: its bands may be
 // released (ReleaseBand) by the one stage that consumes them. Returns f for
 // chaining.
 func (f *Frame) MarkTransient() *Frame {
@@ -80,19 +67,16 @@ func (f *Frame) MarkTransient() *Frame {
 	return f
 }
 
-// Transient reports whether the frame's blocks may be released after their
+// Transient reports whether the frame's bands may be released after their
 // single consumer has read them.
 func (f *Frame) Transient() bool { return f.transient }
 
-// ReleaseBand drops the resolved block values of row band r (exec.Future
-// Forget), freeing the band's cells once its consumer is done with them.
-// Errors are retained so late waiters still observe failure. Only
-// meaningful on transient frames; callers promise no later task reads the
-// band.
+// ReleaseBand drops the resolved value of row band r (exec.Future Forget),
+// freeing the band's cells once its consumer is done with them. Errors are
+// retained so late waiters still observe failure. Only meaningful on
+// transient frames; callers promise no later task reads the band.
 func (f *Frame) ReleaseBand(r int) {
-	for _, fut := range f.grid[r] {
-		fut.Forget()
-	}
+	f.bands[r].Forget()
 	f.relMu.Lock()
 	ch := f.relChLocked(r)
 	select {
@@ -139,96 +123,37 @@ func (f *Frame) relChLocked(r int) chan struct{} {
 	return ch
 }
 
-// New partitions df under the given scheme, splitting so that roughly
-// targetBands partitions exist along each partitioned axis (typically the
-// worker count).
-func New(df *core.DataFrame, scheme Scheme, targetBands int) *Frame {
-	if targetBands <= 0 {
-		targetBands = 1
+// New partitions df into roughly targetBands row bands (typically the
+// worker count), never more bands than rows; Rows is the only scheme. One
+// band is df itself, so wrapping a wide result slices none of its columns.
+func New(df *core.DataFrame, _ Scheme, targetBands int) *Frame {
+	n := bandCount(df.NRows(), max(targetBands, 1))
+	if n == 1 {
+		return &Frame{bands: []*exec.Future{exec.Resolved(df)}}
 	}
-	rowBands, colBands := 1, 1
-	switch scheme {
-	case Rows:
-		rowBands = bandCount(df.NRows(), targetBands)
-	case Cols:
-		colBands = bandCount(df.NCols(), targetBands)
-	case Blocks:
-		rowBands = bandCount(df.NRows(), targetBands)
-		colBands = bandCount(df.NCols(), targetBands)
+	cut := stackedCuts(df, n)
+	bands := make([]*exec.Future, n)
+	for r := range bands {
+		bands[r] = exec.Resolved(df.SliceRows(cut[r], cut[r+1]))
 	}
-	rowCuts := stackedCuts(df, rowBands)
-	colCuts := cuts(df.NCols(), colBands)
-
-	grid := make([][]*exec.Future, len(rowCuts)-1)
-	for r := range grid {
-		band := df.SliceRows(rowCuts[r], rowCuts[r+1])
-		grid[r] = make([]*exec.Future, len(colCuts)-1)
-		for c := range grid[r] {
-			idx := make([]int, 0, colCuts[c+1]-colCuts[c])
-			for j := colCuts[c]; j < colCuts[c+1]; j++ {
-				idx = append(idx, j)
-			}
-			grid[r][c] = exec.Resolved(band.SelectCols(idx))
-		}
-	}
-	return &Frame{grid: grid}
+	return &Frame{bands: bands}
 }
 
-// FromGrid wraps an existing materialized block grid. Every row band must
-// have the same number of column bands, blocks in a row band the same row
-// count, and blocks in a column band the same column count.
-func FromGrid(grid [][]*core.DataFrame) (*Frame, error) {
-	if len(grid) == 0 {
-		return &Frame{grid: [][]*exec.Future{{exec.Resolved(core.Empty())}}}, nil
+// Deferred wraps in-flight band futures (each resolving to a
+// *core.DataFrame), in row order. Resolve (or any gathering accessor)
+// surfaces task errors; no bands at all make one empty band.
+func Deferred(bands []*exec.Future) *Frame {
+	if len(bands) == 0 {
+		bands = []*exec.Future{exec.Resolved(core.Empty())}
 	}
-	width := len(grid[0])
-	out := make([][]*exec.Future, len(grid))
-	for r, band := range grid {
-		if len(band) != width {
-			return nil, fmt.Errorf("partition: row band %d has %d blocks, want %d", r, len(band), width)
-		}
-		out[r] = make([]*exec.Future, width)
-		for c, blk := range band {
-			if blk.NRows() != band[0].NRows() {
-				return nil, fmt.Errorf("partition: block (%d,%d) has %d rows, band has %d", r, c, blk.NRows(), band[0].NRows())
-			}
-			if blk.NCols() != grid[0][c].NCols() {
-				return nil, fmt.Errorf("partition: block (%d,%d) has %d cols, column band has %d", r, c, blk.NCols(), grid[0][c].NCols())
-			}
-			out[r][c] = exec.Resolved(blk)
-		}
-	}
-	return &Frame{grid: out}, nil
-}
-
-// Deferred wraps a grid of in-flight block futures (each resolving to a
-// *core.DataFrame). Shape invariants cannot be checked until the blocks
-// exist; Resolve (or any gathering accessor) validates and surfaces task
-// errors.
-func Deferred(grid [][]*exec.Future) (*Frame, error) {
-	if len(grid) == 0 {
-		return &Frame{grid: [][]*exec.Future{{exec.Resolved(core.Empty())}}}, nil
-	}
-	width := len(grid[0])
-	for r, band := range grid {
-		if len(band) != width {
-			return nil, fmt.Errorf("partition: row band %d has %d blocks, want %d", r, len(band), width)
-		}
-	}
-	return &Frame{grid: grid}, nil
+	return &Frame{bands: bands}
 }
 
 func bandCount(n, target int) int {
 	if n <= 0 {
 		return 1
 	}
-	if target > n {
-		target = n
-	}
-	if target < 1 {
-		target = 1
-	}
-	return target
+	return min(target, n)
 }
 
 // cuts returns band boundaries splitting n items into bands roughly-equal
@@ -264,157 +189,91 @@ func stackedCuts(df *core.DataFrame, bands int) []int {
 }
 
 // RowBands returns the number of row bands.
-func (f *Frame) RowBands() int { return len(f.grid) }
+func (f *Frame) RowBands() int { return len(f.bands) }
 
-// ColBands returns the number of column bands.
-func (f *Frame) ColBands() int {
-	if len(f.grid) == 0 {
-		return 0
-	}
-	return len(f.grid[0])
-}
+// BandFuture returns the future handle of row band r without resolving it.
+// The physical scheduler chains downstream task dependencies on these
+// handles.
+func (f *Frame) BandFuture(r int) *exec.Future { return f.bands[r] }
 
-// BlockFuture returns the future handle of the block at (r, c) without
-// resolving it. The physical scheduler chains downstream task dependencies
-// on these handles.
-func (f *Frame) BlockFuture(r, c int) *exec.Future { return f.grid[r][c] }
-
-// BlockErr resolves the block at row band r, column band c, waiting if the
-// block is still being computed.
-func (f *Frame) BlockErr(r, c int) (*core.DataFrame, error) {
-	v, err := f.grid[r][c].Wait()
+// RowBand resolves row band r, waiting if the band is still being computed.
+func (f *Frame) RowBand(r int) (*core.DataFrame, error) {
+	v, err := f.bands[r].Wait()
 	if err != nil {
 		return nil, err
 	}
 	df, ok := v.(*core.DataFrame)
 	if !ok || df == nil {
-		return nil, fmt.Errorf("partition: block (%d,%d) task returned %T, want *core.DataFrame", r, c, v)
+		return nil, fmt.Errorf("partition: band %d task returned %T, want *core.DataFrame", r, v)
 	}
 	return df, nil
 }
 
-// Block resolves the block at (r, c), waiting if needed; a failed block
-// resolves to an empty frame (use BlockErr to observe task errors).
-func (f *Frame) Block(r, c int) *core.DataFrame {
-	df, err := f.BlockErr(r, c)
+// Band resolves row band r, waiting if needed; a failed band resolves to an
+// empty frame (use RowBand to observe task errors).
+func (f *Frame) Band(r int) *core.DataFrame {
+	df, err := f.RowBand(r)
 	if err != nil {
 		return core.Empty()
 	}
 	return df
 }
 
-// Ready reports whether every block has finished computing.
+// Ready reports whether every band has finished computing.
 func (f *Frame) Ready() bool {
-	for _, band := range f.grid {
-		for _, fut := range band {
-			if !fut.Ready() {
-				return false
-			}
+	for _, fut := range f.bands {
+		if !fut.Ready() {
+			return false
 		}
 	}
 	return true
 }
 
-// Resolve waits for every block and validates the frame's shape invariants,
-// returning the first task or shape error. After a nil return, all block
-// accessors are non-blocking.
+// Resolve waits for every band and checks that each holds band 0's
+// columns, returning the first task or shape error. After a nil return,
+// all band accessors are non-blocking.
 func (f *Frame) Resolve() error {
-	for r := range f.grid {
-		for c := range f.grid[r] {
-			blk, err := f.BlockErr(r, c)
-			if err != nil {
-				return err
-			}
-			first, err := f.BlockErr(r, 0)
-			if err != nil {
-				return err
-			}
-			if blk.NRows() != first.NRows() {
-				return fmt.Errorf("partition: block (%d,%d) has %d rows, band has %d", r, c, blk.NRows(), first.NRows())
-			}
-			top, err := f.BlockErr(0, c)
-			if err != nil {
-				return err
-			}
-			if blk.NCols() != top.NCols() {
-				return fmt.Errorf("partition: block (%d,%d) has %d cols, column band has %d", r, c, blk.NCols(), top.NCols())
-			}
+	first, err := f.RowBand(0)
+	if err != nil {
+		return err
+	}
+	for r := 1; r < len(f.bands); r++ {
+		band, err := f.RowBand(r)
+		if err != nil {
+			return err
+		}
+		if band.NCols() != first.NCols() {
+			return fmt.Errorf("partition: band %d has %d cols, band 0 has %d", r, band.NCols(), first.NCols())
 		}
 	}
 	return nil
 }
 
-// NRows returns the total row count, resolving the first column of blocks.
-// Like Block, this is a display-path accessor: a failed block counts as
-// empty. Use Resolve (or ToFrame) first when task errors must surface.
+// NRows returns the total row count, resolving every band. Like Band, this
+// is a display-path accessor: a failed band counts as empty. Use Resolve
+// (or ToFrame) first when task errors must surface.
 func (f *Frame) NRows() int {
 	n := 0
-	for r := range f.grid {
-		n += f.Block(r, 0).NRows()
+	for r := range f.bands {
+		n += f.Band(r).NRows()
 	}
 	return n
 }
 
-// NCols returns the total column count, resolving the first row of blocks,
-// with the same failed-block degradation as NRows.
-func (f *Frame) NCols() int {
-	if len(f.grid) == 0 {
-		return 0
-	}
-	n := 0
-	for c := range f.grid[0] {
-		n += f.Block(0, c).NCols()
-	}
-	return n
-}
+// NCols returns the column count, resolving band 0, with the same
+// failed-band degradation as NRows.
+func (f *Frame) NCols() int { return f.Band(0).NCols() }
 
-// HStack combines frames holding the same rows into one wider frame: column
-// vectors, labels, and domains concatenate; row labels come from the first.
-func HStack(frames ...*core.DataFrame) (*core.DataFrame, error) {
-	if len(frames) == 0 {
-		return core.Empty(), nil
-	}
-	if len(frames) == 1 {
-		return frames[0], nil
-	}
-	var cols []vector.Vector
-	var labels []types.Value
-	var doms []types.Domain
-	for _, fr := range frames {
-		if fr.NRows() != frames[0].NRows() {
-			return nil, fmt.Errorf("partition: hstack row mismatch: %d vs %d", fr.NRows(), frames[0].NRows())
-		}
-		cols = append(cols, fr.Columns()...)
-		labels = append(labels, fr.ColLabels()...)
-		doms = append(doms, fr.Domains()...)
-	}
-	return core.Build(cols, frames[0].RowLabels(), labels, doms, frames[0].Cache())
-}
-
-// RowBand gathers row band r into a single full-width frame, resolving its
-// blocks.
-func (f *Frame) RowBand(r int) (*core.DataFrame, error) {
-	blocks := make([]*core.DataFrame, len(f.grid[r]))
-	for c := range f.grid[r] {
-		blk, err := f.BlockErr(r, c)
-		if err != nil {
-			return nil, err
-		}
-		blocks[c] = blk
-	}
-	return HStack(blocks...)
-}
-
-// ToFrame gathers every block back into one dataframe in order, waiting for
-// any still-computing blocks. Bands stack positionally: gathering never
+// ToFrame gathers every band back into one dataframe in order, waiting for
+// any still-computing bands. Bands stack positionally: gathering never
 // realigns columns by label, so transposed frames with numeric or duplicate
 // labels reassemble exactly. The gather copies no cell
 // (algebra.VStackFrames): the result's columns are chunks of the bands'
 // storage, and New at the same band count cuts it back at those bands
 // when they are balanced (stackedCuts).
 func (f *Frame) ToFrame() (*core.DataFrame, error) {
-	bands := make([]*core.DataFrame, f.RowBands())
-	for r := range f.grid {
+	bands := make([]*core.DataFrame, len(f.bands))
+	for r := range bands {
 		b, err := f.RowBand(r)
 		if err != nil {
 			return nil, err
@@ -422,60 +281,6 @@ func (f *Frame) ToFrame() (*core.DataFrame, error) {
 		bands[r] = b
 	}
 	return algebra.VStackFrames(bands...)
-}
-
-// Transpose performs MODIN's communication-free transpose (Section 3.1):
-// each block is transposed independently in parallel, and the grid metadata
-// swaps block coordinates. No data moves between partitions. A declared
-// schema has one domain per input row; block (r, c) declares the slice for
-// row band r's rows, which become its output columns.
-func (f *Frame) Transpose(pool *exec.Pool, declared []types.Domain) (*Frame, error) {
-	rb, cb := f.RowBands(), f.ColBands()
-	first := make([]int, rb+1) // first[r]: row band r's first row
-	for r := 0; r < rb; r++ {
-		blk, err := f.BlockErr(r, 0)
-		if err != nil {
-			return nil, err
-		}
-		first[r+1] = first[r] + blk.NRows()
-	}
-	if declared != nil && len(declared) != first[rb] {
-		return nil, fmt.Errorf("partition: transpose declared schema has %d domains, want %d", len(declared), first[rb])
-	}
-	out := make([][]*core.DataFrame, cb)
-	for c := range out {
-		out[c] = make([]*core.DataFrame, rb)
-	}
-	err := pool.ForEach(rb*cb, func(i int) error {
-		r, c := i/cb, i%cb
-		blk, err := f.BlockErr(r, c)
-		if err != nil {
-			return err
-		}
-		var schema []types.Domain
-		if declared != nil {
-			schema = declared[first[r]:first[r+1]]
-		}
-		t, err := algebra.TransposeFrame(blk, schema)
-		if err != nil {
-			return err
-		}
-		out[c][r] = t // metadata swap: block (r,c) lands at (c,r)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return FromGrid(out)
-}
-
-// Repartition re-splits the gathered frame under a new scheme.
-func (f *Frame) Repartition(scheme Scheme, targetBands int) (*Frame, error) {
-	df, err := f.ToFrame()
-	if err != nil {
-		return nil, err
-	}
-	return New(df, scheme, targetBands), nil
 }
 
 // SplitRows routes df's rows into buckets per the selection vector assign

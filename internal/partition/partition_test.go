@@ -1,9 +1,9 @@
 package partition
 
 import (
+	"fmt"
 	"testing"
 
-	"fmt"
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -30,24 +30,21 @@ func frame(t *testing.T, rows, cols int) *core.DataFrame {
 	return core.MustFromRecords(names, records)
 }
 
-func TestSchemes(t *testing.T) {
+func TestRowBands(t *testing.T) {
 	df := frame(t, 20, 6)
 	rows := New(df, Rows, 4)
-	if rows.RowBands() != 4 || rows.ColBands() != 1 {
-		t.Errorf("rows scheme = %dx%d bands", rows.RowBands(), rows.ColBands())
-	}
-	cols := New(df, Cols, 3)
-	if cols.RowBands() != 1 || cols.ColBands() != 3 {
-		t.Errorf("cols scheme = %dx%d bands", cols.RowBands(), cols.ColBands())
-	}
-	blocks := New(df, Blocks, 3)
-	if blocks.RowBands() != 3 || blocks.ColBands() != 3 {
-		t.Errorf("blocks scheme = %dx%d bands", blocks.RowBands(), blocks.ColBands())
+	if rows.RowBands() != 4 {
+		t.Errorf("rows scheme = %d bands", rows.RowBands())
 	}
 	if rows.NRows() != 20 || rows.NCols() != 6 {
 		t.Error("shape wrong")
 	}
-	for _, s := range []Scheme{Rows, Cols, Blocks, Scheme(9)} {
+	for r := range 4 {
+		if b := rows.Band(r); b.NRows() != 5 || b.NCols() != 6 {
+			t.Errorf("band %d = %dx%d, want 5x6", r, b.NRows(), b.NCols())
+		}
+	}
+	for _, s := range []Scheme{Rows, Scheme(9)} {
 		if s.String() == "" {
 			t.Error("scheme name empty")
 		}
@@ -56,15 +53,22 @@ func TestSchemes(t *testing.T) {
 
 func TestGatherRoundTrip(t *testing.T) {
 	df := frame(t, 33, 5)
-	for _, scheme := range []Scheme{Rows, Cols, Blocks} {
-		pf := New(df, scheme, 4)
-		back, err := pf.ToFrame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !back.Equal(df) {
-			t.Errorf("scheme %v round trip failed", scheme)
-		}
+	pf := New(df, Rows, 4)
+	back, err := pf.ToFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !back.Equal(df) {
+		t.Error("round trip failed")
+	}
+}
+
+// TestOneBandIsTheFrame: a frame wrapped as one band is not sliced, so a
+// wide result's columns are not copied into new vectors.
+func TestOneBandIsTheFrame(t *testing.T) {
+	df := frame(t, 3, 7)
+	if got := New(df, Rows, 1).Band(0); got != df {
+		t.Error("one band should be the frame itself")
 	}
 }
 
@@ -80,132 +84,32 @@ func TestMoreBandsThanRowsClamps(t *testing.T) {
 	}
 }
 
-func TestBlockTransposeMatchesKernel(t *testing.T) {
-	df := frame(t, 12, 7)
-	pool := exec.NewPool(4)
-	defer pool.Close()
-	pf := New(df, Blocks, 3)
-	tp, err := pf.Transpose(pool, nil)
+func TestEmptyFrame(t *testing.T) {
+	pf := New(core.Empty(), Rows, 4)
+	if pf.RowBands() != 1 {
+		t.Errorf("empty frame should be a single band, got %d", pf.RowBands())
+	}
+	back, err := pf.ToFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := tp.ToFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := algebra.TransposeFrame(df, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Errorf("block transpose != kernel transpose:\n%s\nvs\n%s", got, want)
-	}
-	// Grid shape swaps.
-	if tp.RowBands() != pf.ColBands() || tp.ColBands() != pf.RowBands() {
-		t.Error("grid metadata should swap")
-	}
-}
-
-func TestHStackMismatch(t *testing.T) {
-	a := frame(t, 3, 2)
-	b := frame(t, 4, 2)
-	if _, err := HStack(a, b); err == nil {
-		t.Error("row mismatch should fail")
-	}
-	single, err := HStack(a)
-	if err != nil || single != a {
-		t.Error("single hstack should pass through")
-	}
-	empty, err := HStack()
-	if err != nil || empty.NRows() != 0 {
-		t.Error("empty hstack wrong")
-	}
-}
-
-func TestFromGridValidation(t *testing.T) {
-	a := frame(t, 3, 2)
-	if _, err := FromGrid([][]*core.DataFrame{{a}, {a, a}}); err == nil {
-		t.Error("ragged grid should fail")
-	}
-	if _, err := FromGrid([][]*core.DataFrame{{a, frame(t, 4, 2)}}); err == nil {
-		t.Error("row-count mismatch in band should fail")
-	}
-	empty, err := FromGrid(nil)
-	if err != nil || empty.NRows() != 0 {
-		t.Error("empty grid should wrap Empty frame")
-	}
-}
-
-func TestRepartitionBlocksToRows(t *testing.T) {
-	df := frame(t, 24, 6)
-	pf := New(df, Blocks, 3)
-	rows, err := pf.Repartition(Rows, 4)
-	if err != nil || rows.ColBands() != 1 || rows.RowBands() != 4 {
-		t.Error("repartition wrong")
-	}
-	got, err := rows.ToFrame()
-	if err != nil || !got.Equal(df) {
-		t.Error("repartition round trip failed")
-	}
-}
-
-func TestEmptyFrameAllSchemes(t *testing.T) {
-	empty := core.Empty()
-	for _, scheme := range []Scheme{Rows, Cols, Blocks} {
-		pf := New(empty, scheme, 4)
-		if pf.RowBands() != 1 || pf.ColBands() != 1 {
-			t.Errorf("scheme %v: empty frame should be a single band, got %dx%d", scheme, pf.RowBands(), pf.ColBands())
-		}
-		back, err := pf.ToFrame()
-		if err != nil {
-			t.Fatalf("scheme %v: %v", scheme, err)
-		}
-		if back.NRows() != 0 || back.NCols() != 0 {
-			t.Errorf("scheme %v: empty round trip = %dx%d", scheme, back.NRows(), back.NCols())
-		}
+	if back.NRows() != 0 || back.NCols() != 0 {
+		t.Errorf("empty round trip = %dx%d", back.NRows(), back.NCols())
 	}
 }
 
 func TestSingleRowAndSingleColumn(t *testing.T) {
-	row := frame(t, 1, 5)
-	col := frame(t, 7, 1)
-	for _, scheme := range []Scheme{Rows, Cols, Blocks} {
-		for _, df := range []*core.DataFrame{row, col} {
-			pf := New(df, scheme, 8)
-			if pf.RowBands() > df.NRows() || pf.ColBands() > df.NCols() {
-				t.Errorf("scheme %v: bands %dx%d exceed shape %dx%d",
-					scheme, pf.RowBands(), pf.ColBands(), df.NRows(), df.NCols())
-			}
-			back, err := pf.ToFrame()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !back.Equal(df) {
-				t.Errorf("scheme %v: single-row/col round trip failed", scheme)
-			}
-		}
-	}
-}
-
-func TestSchemeMovementRoundTrips(t *testing.T) {
-	df := frame(t, 18, 6)
-	// Rows → Cols → Blocks → Rows: every repartition preserves content.
-	pf := New(df, Rows, 3)
-	for _, step := range []struct {
-		scheme Scheme
-		bands  int
-	}{{Cols, 3}, {Blocks, 2}, {Rows, 4}, {Blocks, 3}, {Cols, 2}, {Rows, 1}} {
-		var err error
-		pf, err = pf.Repartition(step.scheme, step.bands)
-		if err != nil {
-			t.Fatalf("repartition to %v: %v", step.scheme, err)
+	for _, df := range []*core.DataFrame{frame(t, 1, 5), frame(t, 7, 1)} {
+		pf := New(df, Rows, 8)
+		if pf.RowBands() > df.NRows() {
+			t.Errorf("%d bands exceed %d rows", pf.RowBands(), df.NRows())
 		}
 		back, err := pf.ToFrame()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !back.Equal(df) {
-			t.Fatalf("content changed after moving to %v", step.scheme)
+			t.Error("single-row/col round trip failed")
 		}
 	}
 }
@@ -216,22 +120,18 @@ func TestDeferredFrameResolvesLazily(t *testing.T) {
 	defer pool.Close()
 	materialized := New(df, Rows, 3)
 	gate := make(chan struct{})
-	grid := make([][]*exec.Future, 3)
-	for r := range grid {
-		r := r
-		grid[r] = []*exec.Future{pool.Submit(func() (any, error) {
+	bands := make([]*exec.Future, 3)
+	for r := range bands {
+		bands[r] = pool.Submit(func() (any, error) {
 			<-gate
-			return materialized.Block(r, 0), nil
-		})}
+			return materialized.Band(r), nil
+		})
 	}
-	pf, err := Deferred(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pf := Deferred(bands)
 	if pf.Ready() {
 		t.Error("gated frame should not be ready")
 	}
-	if pf.RowBands() != 3 || pf.ColBands() != 1 {
+	if pf.RowBands() != 3 {
 		t.Error("deferred shape wrong")
 	}
 	close(gate)
@@ -253,52 +153,40 @@ func TestDeferredFrameResolvesLazily(t *testing.T) {
 func TestDeferredFrameErrorSurfacesAtResolve(t *testing.T) {
 	df := frame(t, 8, 2)
 	blk := New(df, Rows, 2)
-	grid := [][]*exec.Future{
-		{exec.Resolved(blk.Block(0, 0))},
-		{exec.Failed(fmt.Errorf("block task died"))},
-	}
-	pf, err := Deferred(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pf := Deferred([]*exec.Future{
+		exec.Resolved(blk.Band(0)),
+		exec.Failed(fmt.Errorf("band task died")),
+	})
 	if err := pf.Resolve(); err == nil {
-		t.Error("failed block should surface at Resolve")
+		t.Error("failed band should surface at Resolve")
 	}
 	if _, err := pf.ToFrame(); err == nil {
-		t.Error("failed block should surface at ToFrame")
+		t.Error("failed band should surface at ToFrame")
 	}
-	if _, err := pf.BlockErr(1, 0); err == nil {
-		t.Error("BlockErr should report the task error")
+	if _, err := pf.RowBand(1); err == nil {
+		t.Error("RowBand should report the task error")
 	}
-	if got := pf.Block(1, 0); got.NRows() != 0 {
-		t.Error("Block on failed future should degrade to empty")
+	if got := pf.Band(1); got.NRows() != 0 {
+		t.Error("Band on failed future should degrade to empty")
 	}
 }
 
-func TestDeferredRaggedGridRejected(t *testing.T) {
-	a := exec.Resolved(frame(t, 2, 2))
-	if _, err := Deferred([][]*exec.Future{{a}, {a, a}}); err == nil {
-		t.Error("ragged deferred grid should fail")
-	}
-	empty, err := Deferred(nil)
-	if err != nil || empty.NRows() != 0 {
-		t.Error("empty deferred grid should wrap Empty frame")
+func TestDeferredEmptyIsOneEmptyBand(t *testing.T) {
+	empty := Deferred(nil)
+	if empty.RowBands() != 1 || empty.NRows() != 0 {
+		t.Error("no bands should wrap one empty frame")
 	}
 }
 
 func TestDeferredShapeMismatchCaughtAtResolve(t *testing.T) {
-	// Blocks that disagree on row count within a band pass construction
-	// (futures are opaque) but must fail validation at Resolve.
-	grid := [][]*exec.Future{{
+	// Bands that disagree on their columns pass construction (futures are
+	// opaque) but must fail validation at Resolve.
+	pf := Deferred([]*exec.Future{
 		exec.Resolved(frame(t, 3, 1)),
-		exec.Resolved(frame(t, 4, 1)),
-	}}
-	pf, err := Deferred(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
+		exec.Resolved(frame(t, 4, 2)),
+	})
 	if err := pf.Resolve(); err == nil {
-		t.Error("row-count mismatch should fail Resolve")
+		t.Error("column-count mismatch should fail Resolve")
 	}
 }
 
@@ -391,7 +279,7 @@ func TestSplitRowsViewsShareStorage(t *testing.T) {
 }
 
 // TestSplitRowsValidation: bad assignments error instead of corrupting the
-// grid.
+// buckets.
 func TestSplitRowsValidation(t *testing.T) {
 	df := frame(t, 4, 1)
 	if _, err := SplitRows(df, []int{0, 1}, 2); err == nil {

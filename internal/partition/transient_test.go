@@ -22,15 +22,15 @@ func TestReleaseBandDropsBlockValues(t *testing.T) {
 	if err := f.Resolve(); err != nil {
 		t.Fatal(err)
 	}
-	if f.Block(1, 0) == nil {
-		t.Fatal("band 1 should hold a block before release")
+	if f.Band(1) == nil {
+		t.Fatal("band 1 should hold a frame before release")
 	}
 	f.ReleaseBand(1)
-	if v, err := f.BlockFuture(1, 0).Wait(); v != nil || err != nil {
+	if v, err := f.BandFuture(1).Wait(); v != nil || err != nil {
 		t.Errorf("released band still holds val=%v err=%v", v, err)
 	}
 	// Other bands stay resident.
-	if f.Block(0, 0) == nil || f.Block(2, 0) == nil {
+	if f.Band(0) == nil || f.Band(2) == nil {
 		t.Error("ReleaseBand must only drop the named band")
 	}
 }
@@ -38,18 +38,15 @@ func TestReleaseBandDropsBlockValues(t *testing.T) {
 func TestReleaseBandKeepsPendingAndErrors(t *testing.T) {
 	pending, resolve := exec.NewPromise()
 	failed := exec.Failed(errors.New("boom"))
-	f, err := Deferred([][]*exec.Future{{pending}, {failed}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := Deferred([]*exec.Future{pending, failed})
 	f.MarkTransient()
 	f.ReleaseBand(0) // pending: no-op
 	f.ReleaseBand(1) // failed: error retained
 	resolve("x", nil)
-	if v, _ := f.BlockFuture(0, 0).Wait(); v != "x" {
+	if v, _ := f.BandFuture(0).Wait(); v != "x" {
 		t.Errorf("pending band lost its value: %v", v)
 	}
-	if _, err := f.BlockFuture(1, 0).Wait(); err == nil {
+	if _, err := f.BandFuture(1).Wait(); err == nil {
 		t.Error("released band lost its error")
 	}
 }

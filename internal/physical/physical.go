@@ -21,14 +21,14 @@
 //
 //   - Exchange stages are the gather barriers kept for shape-opaque
 //     operators (transpose, expanding window, union, ...): they depend on
-//     every input block and run as a single coordinating task that may
+//     every input band and run as a single coordinating task that may
 //     itself fan out. The task hands its output on as a fixed number of row
 //     bands, each a promise it resolves, so the stages above an exchange
 //     are wired with the rest of the plan, one task per band.
 //
 // Every stage's bands are known when the plan is scheduled: the scheduler
 // wires the whole task DAG in Run and returns deferred partition.Frames
-// (future blocks) without waiting, so callers — the opportunistic session
+// (future bands) without waiting, so callers — the opportunistic session
 // regime in particular — hold unresolved handles and only block at
 // gather/render time. A failing task cancels the plan's exec.Group,
 // skipping the query's remaining tasks.
@@ -58,7 +58,7 @@ type Kernel struct {
 }
 
 // Exchange is a repartition point: a stage that must observe all of its
-// inputs' blocks before producing output. Run receives the materialized
+// inputs' bands before producing output. Run receives the materialized
 // input frames in input order.
 type Exchange struct {
 	// Name labels the exchange in plan renderings ("groupby", "sort", ...).
@@ -120,7 +120,7 @@ type Shuffle struct {
 	// store detaches or writes out what it admits.
 	Partition func(band int, df *core.DataFrame, plan any) ([]*core.DataFrame, error)
 	// Merge combines the pieces routed to output band `bucket` (one per
-	// input band, in band order) into that band's block. Anchored shuffles
+	// input band, in band order) into that output band. Anchored shuffles
 	// receive the input bands their Reach names, in band order.
 	Merge func(bucket int, pieces []Piece, plan any) (*core.DataFrame, error)
 }
@@ -250,7 +250,7 @@ func NewShuffle(sh *Shuffle, input *Node, sides ...*Node) *Node {
 func (n *Node) Describe() string {
 	switch {
 	case n.Source != nil:
-		return fmt.Sprintf("SOURCE[%dx%d bands]", n.Source.RowBands(), n.Source.ColBands())
+		return fmt.Sprintf("SOURCE[%d bands]", n.Source.RowBands())
 	case n.Stream != nil:
 		names := make([]string, 0, len(n.Stream.Kernels)+1)
 		names = append(names, n.Stream.Name)
@@ -328,7 +328,7 @@ type Stats struct {
 	// ShuffleStages counts shuffle stages scheduled. The per-phase task
 	// counters below record the streaming lowering: one summary/partition
 	// task per input band, one plan task per planned shuffle, and one merge
-	// task per OUTPUT band — each merge backs its own block future.
+	// task per OUTPUT band — each merge backs its own band future.
 	ShuffleStages         atomic.Int64
 	ShuffleSummaryTasks   atomic.Int64
 	ShufflePlanTasks      atomic.Int64
@@ -340,7 +340,7 @@ type Stats struct {
 	ShuffleFallbacks atomic.Int64
 
 	// StreamStages counts morsel-driven source stages scheduled;
-	// StreamBands counts the bands their output grids were sized to.
+	// StreamBands counts the bands their output frames were sized to.
 	// StreamReleasedBands counts transient input bands a shuffle released
 	// after routing them (runs with a PieceStore only).
 	StreamStages        atomic.Int64
@@ -387,7 +387,7 @@ func NewScheduler(pool *exec.Pool) *Scheduler {
 func (s *Scheduler) Group() *exec.Group { return s.group }
 
 // Result is a scheduled stage's output handle: a deferred frame with one
-// future per block, whose band count was fixed when the stage was scheduled.
+// future per band, whose band count was fixed when the stage was scheduled.
 type Result struct {
 	frame *partition.Frame
 }
@@ -395,24 +395,16 @@ type Result struct {
 // Deferred reports whether the result still has in-flight work.
 func (r *Result) Deferred() bool { return !r.frame.Ready() }
 
-// Frame returns the stage's deferred output frame at once; its blocks may
+// Frame returns the stage's deferred output frame at once; its bands may
 // still be computing, and a task's failure surfaces when they are resolved.
 func (r *Result) Frame() (*partition.Frame, error) { return r.frame, nil }
 
-// blockDeps lists the futures downstream tasks must wait on.
-func (r *Result) blockDeps() []*exec.Future {
-	var deps []*exec.Future
-	for br := 0; br < r.frame.RowBands(); br++ {
-		deps = append(deps, bandDeps(r.frame, br)...)
-	}
-	return deps
-}
-
-// bandDeps lists the block futures of row band r.
-func bandDeps(f *partition.Frame, r int) []*exec.Future {
-	deps := make([]*exec.Future, f.ColBands())
-	for c := range deps {
-		deps[c] = f.BlockFuture(r, c)
+// futures lists the futures of every band, which a task over the whole
+// result waits on.
+func (r *Result) futures() []*exec.Future {
+	deps := make([]*exec.Future, r.frame.RowBands())
+	for b := range deps {
+		deps[b] = r.frame.BandFuture(b)
 	}
 	return deps
 }
@@ -478,7 +470,7 @@ func (s *Scheduler) schedule(n *Node) (*Result, error) {
 				return nil, err
 			}
 			inputs[i] = r
-			deps = append(deps, r.blockDeps()...)
+			deps = append(deps, r.futures()...)
 		}
 		s.Stats.ExchangeStages.Add(1)
 		s.Stats.ExchangeTasks.Add(1)
@@ -489,15 +481,14 @@ func (s *Scheduler) schedule(n *Node) (*Result, error) {
 
 // wireExchange submits the exchange's one task and hands its output on as
 // ex.Bands promises, one per row band, which the task resolves: a consumer's
-// per-band tasks chain on them like on any other stage's blocks. A skipped
+// per-band tasks chain on them like on any other stage's bands. A skipped
 // or failed exchange settles every promise with its error, so no waiter
 // hangs.
 func (s *Scheduler) wireExchange(ex *Exchange, inputs []*Result, deps []*exec.Future) (*Result, error) {
-	grid := make([][]*exec.Future, ex.Bands)
+	futs := make([]*exec.Future, ex.Bands)
 	resolve := make([]func(any, error), ex.Bands)
-	for r := range grid {
-		fut, res := exec.NewPromise()
-		grid[r], resolve[r] = []*exec.Future{fut}, res
+	for r := range futs {
+		futs[r], resolve[r] = exec.NewPromise()
 	}
 	task := s.pool.SubmitIn(s.group, func() (any, error) {
 		out, err := ex.Run(resultFrames(inputs))
@@ -520,13 +511,15 @@ func (s *Scheduler) wireExchange(ex *Exchange, inputs []*Result, deps []*exec.Fu
 			}
 		}
 	}()
-	return deferred(grid)
+	return deferred(futs), nil
 }
 
-// bandsOf cuts the exchange's output into the bands it hands on: row band r
-// stacked to full width, then empty bands up to Bands. An empty band keeps
-// band 0's columns and declared domains, so gathering it changes nothing,
-// and is detached, so it pins none of band 0's storage.
+// bandsOf cuts the exchange's output into the bands it hands on: its row
+// bands, then empty bands up to Bands. An empty band keeps band 0's columns
+// and declared domains, so gathering it changes nothing, and shares one
+// fresh zero-row vector per storage domain across its columns
+// (core.DataFrame.EmptyLike), so it costs O(1) vectors and pins none of
+// band 0's storage.
 func (ex *Exchange) bandsOf(out *partition.Frame) ([]*core.DataFrame, error) {
 	if out.RowBands() > ex.Bands {
 		return nil, fmt.Errorf("physical: exchange %s returned %d bands, want at most %d", ex.Name, out.RowBands(), ex.Bands)
@@ -534,7 +527,7 @@ func (ex *Exchange) bandsOf(out *partition.Frame) ([]*core.DataFrame, error) {
 	bands := make([]*core.DataFrame, ex.Bands)
 	for r := range bands {
 		if r >= out.RowBands() {
-			bands[r] = bands[0].SliceRows(0, 0).Detach()
+			bands[r] = bands[0].EmptyLike()
 			continue
 		}
 		band, err := out.RowBand(r)
@@ -546,13 +539,9 @@ func (ex *Exchange) bandsOf(out *partition.Frame) ([]*core.DataFrame, error) {
 	return bands, nil
 }
 
-// deferred wraps a stage's one-column grid of band futures as its result.
-func deferred(grid [][]*exec.Future) (*Result, error) {
-	frame, err := partition.Deferred(grid)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{frame: frame}, nil
+// deferred wraps a stage's band futures as its result.
+func deferred(futs []*exec.Future) *Result {
+	return &Result{frame: partition.Deferred(futs)}
 }
 
 // resultFrames lists each result's frame.
@@ -588,22 +577,22 @@ func RunKernels(kernels []Kernel, df *core.DataFrame) (*core.DataFrame, error) {
 	return df.Compact(), nil
 }
 
-// wireFused chains the kernels over the input's grid: one task per row band
-// running the whole chain over the band's blocks stacked to full width,
-// chained on those blocks' futures — no barrier between operators or bands.
+// wireFused chains the kernels over the input's bands: one task per row
+// band running the whole chain over it, chained on the band's future — no
+// barrier between operators or bands.
 func (s *Scheduler) wireFused(f *partition.Frame, kernels []Kernel) (*Result, error) {
 	s.Stats.FusedTasks.Add(int64(f.RowBands()))
-	grid := make([][]*exec.Future, f.RowBands())
-	for r := range grid {
-		grid[r] = []*exec.Future{s.pool.SubmitIn(s.group, func() (any, error) {
+	futs := make([]*exec.Future, f.RowBands())
+	for r := range futs {
+		futs[r] = s.pool.SubmitIn(s.group, func() (any, error) {
 			band, err := f.RowBand(r)
 			if err != nil {
 				return nil, err
 			}
 			return RunKernels(kernels, band)
-		}, bandDeps(f, r)...)}
+		}, f.BandFuture(r))
 	}
-	return deferred(grid)
+	return deferred(futs), nil
 }
 
 // validate rejects a malformed shuffle before anything is scheduled.
@@ -625,8 +614,8 @@ func (sh *Shuffle) validate(sides int) error {
 //	input band r ──┼→ plan ──→ partition[r] ──→ merge[b] (one per OUTPUT band)
 //	side inputs  ──┘
 //
-// Every output band's merge is its own task and its own block future, so
-// the result is a deferred frame (Buckets×1): downstream fused stages chain
+// Every output band's merge is its own task and its own band future, so
+// the result is a deferred frame of Buckets bands: downstream fused stages chain
 // per band on the merge that feeds them — the no-barrier fast path —
 // instead of waiting for the whole repartition like an exchange.
 func (s *Scheduler) wireShuffle(sh *Shuffle, f *partition.Frame, sides []*Result) (*Result, error) {
@@ -650,7 +639,7 @@ func (s *Scheduler) wireShuffle(sh *Shuffle, f *partition.Frame, sides []*Result
 					return nil, describe(sh.Desc, err)
 				}
 				return v, nil
-			}, bandDeps(f, r)...)
+			}, f.BandFuture(r))
 		}
 	}
 
@@ -658,7 +647,7 @@ func (s *Scheduler) wireShuffle(sh *Shuffle, f *partition.Frame, sides []*Result
 	if sh.Plan != nil {
 		planDeps := append([]*exec.Future(nil), sums...)
 		for _, side := range sides {
-			planDeps = append(planDeps, side.blockDeps()...)
+			planDeps = append(planDeps, side.futures()...)
 		}
 		s.Stats.ShufflePlanTasks.Add(1)
 		planFut = submit(func() (any, error) {
@@ -704,7 +693,7 @@ func (s *Scheduler) wireShuffle(sh *Shuffle, f *partition.Frame, sides []*Result
 			var deps []*exec.Future
 			var pieces []Piece
 			for r := lo; r < hi; r++ {
-				deps = append(deps, bandDeps(f, r)...)
+				deps = append(deps, f.BandFuture(r))
 				pieces = append(pieces, Piece{take: func() (*core.DataFrame, error) { return f.RowBand(r) }})
 			}
 			mergeFuts[b] = submit(func() (any, error) {
@@ -754,7 +743,7 @@ func (s *Scheduler) wireShuffle(sh *Shuffle, f *partition.Frame, sides []*Result
 					}
 				}
 				return pieces, err
-			}, withPlan(bandDeps(f, r))...)
+			}, withPlan([]*exec.Future{f.BandFuture(r)})...)
 		}
 		mergeFuts = make([]*exec.Future, nb)
 		s.Stats.ShuffleMergeTasks.Add(int64(nb))
@@ -776,11 +765,7 @@ func (s *Scheduler) wireShuffle(sh *Shuffle, f *partition.Frame, sides []*Result
 			}, parts...)
 		}
 	}
-	grid := make([][]*exec.Future, len(mergeFuts))
-	for b, mf := range mergeFuts {
-		grid[b] = []*exec.Future{mf}
-	}
-	return deferred(grid)
+	return deferred(mergeFuts), nil
 }
 
 // runPartition routes one band: the shuffle's partition hook, piece-count
@@ -822,5 +807,5 @@ func (s *Scheduler) runMerge(sh *Shuffle, b int, pieces []Piece, plan any) (*cor
 // dataframe, returning its future without blocking. This is the handle the
 // opportunistic session regime hands back to users.
 func (s *Scheduler) Gather(r *Result) *exec.Future {
-	return s.pool.SubmitIn(s.group, func() (any, error) { return r.frame.ToFrame() }, r.blockDeps()...)
+	return s.pool.SubmitIn(s.group, func() (any, error) { return r.frame.ToFrame() }, r.futures()...)
 }

@@ -16,6 +16,8 @@ import (
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/partition"
+	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 func testDF(rows int) *core.DataFrame {
@@ -80,7 +82,7 @@ func TestFusedChainOneTaskPerBand(t *testing.T) {
 }
 
 // TestFusedStageIsPipelined proves there is no inter-operator barrier: the
-// chain over band 0 completes even while band 1's input block is still
+// chain over band 0 completes even while band 1's input band is still
 // being computed.
 func TestFusedStageIsPipelined(t *testing.T) {
 	pool := exec.NewPool(4)
@@ -89,15 +91,12 @@ func TestFusedStageIsPipelined(t *testing.T) {
 	halves := partition.New(df, partition.Rows, 2)
 
 	gate := make(chan struct{})
-	blk0 := exec.Resolved(halves.Block(0, 0))
+	blk0 := exec.Resolved(halves.Band(0))
 	blk1 := pool.Submit(func() (any, error) {
 		<-gate // band 1 stalls until released
-		return halves.Block(1, 0), nil
+		return halves.Band(1), nil
 	})
-	src, err := partition.Deferred([][]*exec.Future{{blk0}, {blk1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := partition.Deferred([]*exec.Future{blk0, blk1})
 
 	s := NewScheduler(pool)
 	res, err := s.Run(NewFused(NewSource(src), selectEven(), isNull()))
@@ -110,7 +109,7 @@ func TestFusedStageIsPipelined(t *testing.T) {
 	}
 	// Band 0's fused chain must complete while band 1 is stalled.
 	deadline := time.After(5 * time.Second)
-	for !frame.BlockFuture(0, 0).Ready() {
+	for !frame.BandFuture(0).Ready() {
 		select {
 		case <-deadline:
 			t.Fatal("band 0 never completed while band 1 stalled: barrier between operators")
@@ -118,7 +117,7 @@ func TestFusedStageIsPipelined(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	if frame.BlockFuture(1, 0).Ready() {
+	if frame.BandFuture(1).Ready() {
 		t.Fatal("band 1 finished while its input was stalled")
 	}
 	close(gate)
@@ -309,8 +308,8 @@ func TestShuffleSchedulesPerBandTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frame.RowBands() != 3 || frame.ColBands() != 1 {
-		t.Errorf("shuffle output grid = %dx%d, want 3x1 (one band per bucket)", frame.RowBands(), frame.ColBands())
+	if frame.RowBands() != 3 {
+		t.Errorf("shuffle output has %d bands, want 3 (one band per bucket)", frame.RowBands())
 	}
 	if got := s.Stats.ShuffleStages.Load(); got != 1 {
 		t.Errorf("shuffle stages = %d", got)
@@ -325,7 +324,7 @@ func TestShuffleSchedulesPerBandTasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for b := 0; b < 3; b++ {
-		blk, err := frame.BlockErr(b, 0)
+		blk, err := frame.RowBand(b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,12 +358,12 @@ func TestShuffleDownstreamStartsBeforeShuffleCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := res.Frame() // shape-known: one block per bucket
+	frame, err := res.Frame() // shape-known: one band per bucket
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.After(5 * time.Second)
-	for !frame.BlockFuture(0, 0).Ready() {
+	for !frame.BandFuture(0).Ready() {
 		select {
 		case <-deadline:
 			t.Fatal("downstream band 0 never completed while bucket 1's merge was gated: the shuffle is still a barrier")
@@ -372,7 +371,7 @@ func TestShuffleDownstreamStartsBeforeShuffleCompletes(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	if frame.BlockFuture(1, 0).Ready() {
+	if frame.BandFuture(1).Ready() {
 		t.Fatal("bucket 1 finished while its merge was gated")
 	}
 	close(gate)
@@ -535,8 +534,8 @@ func TestStageOverExchangeStreamsByBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withDeadline(t, 10*time.Second, func() { <-frame.BlockFuture(0, 0).Done() })
-	if frame.BlockFuture(1, 0).Ready() {
+	withDeadline(t, 10*time.Second, func() { <-frame.BandFuture(0).Done() })
+	if frame.BandFuture(1).Ready() {
 		t.Error("bucket 1's band finished while its merge was gated")
 	}
 	close(gate)
@@ -616,22 +615,26 @@ func TestStagesOverExchangeSurfaceFailures(t *testing.T) {
 
 // TestExchangeHandsOnItsBands: an exchange whose Run returns fewer bands
 // than it promised hands on empty bands past the last one, with band 0's
-// columns and declared domains and none of its storage; the gathered frame
-// is Run's frame.
+// columns and declared domains and none of its storage — one shared
+// zero-row vector per storage domain, however wide the band; the gathered
+// frame is Run's frame.
 func TestExchangeHandsOnItsBands(t *testing.T) {
 	pool := exec.NewPool(2)
 	defer pool.Close()
-	df := testDF(12)
+	df, err := testDF(12).AppendColumn(types.String("f"), vector.NewFloat(make([]float64, 12), nil), types.Float)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := NewScheduler(pool)
 	res, err := s.Run(NewExchange("two", 5, func([]*partition.Frame) (*partition.Frame, error) {
-		return partition.New(df, partition.Blocks, 2), nil
+		return partition.New(df, partition.Rows, 2), nil
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	frame, _ := res.Frame()
-	if frame.RowBands() != 5 || frame.ColBands() != 1 {
-		t.Fatalf("grid = %dx%d, want 5x1", frame.RowBands(), frame.ColBands())
+	if frame.RowBands() != 5 {
+		t.Fatalf("%d bands, want 5", frame.RowBands())
 	}
 	out, err := s.Gather(res).Wait()
 	if err != nil {
@@ -640,46 +643,24 @@ func TestExchangeHandsOnItsBands(t *testing.T) {
 	if !out.(*core.DataFrame).Equal(df) {
 		t.Errorf("gathered\n%s\nwant\n%s", out, df)
 	}
-	band0 := frame.Block(0, 0)
+	band0 := frame.Band(0)
 	for r := 2; r < 5; r++ {
-		pad := frame.Block(r, 0)
+		pad := frame.Band(r)
 		if pad.NRows() != 0 || !slices.Equal(pad.ColNames(), df.ColNames()) || !slices.Equal(pad.Domains(), band0.Domains()) {
 			t.Errorf("band %d = %dx%v %v, want 0 rows of %v %v", r, pad.NRows(), pad.ColNames(), pad.Domains(), df.ColNames(), band0.Domains())
 		}
 		if pad.Cache() != nil {
 			t.Errorf("band %d keeps band 0's cache", r)
 		}
-	}
-}
-
-// TestRowKernelOverBlockGrid: a row kernel over a grid with several column
-// bands runs once per ROW band, over the band stacked to full width.
-func TestRowKernelOverBlockGrid(t *testing.T) {
-	pool := exec.NewPool(2)
-	defer pool.Close()
-	df := testDF(12)
-	var widths atomic.Int64
-	wide := Kernel{Name: "wide", Fn: func(b *core.DataFrame) (*core.DataFrame, error) {
-		widths.Add(int64(b.NCols()))
-		return b, nil
-	}}
-	s := NewScheduler(pool)
-	res, err := s.Run(NewFused(NewSource(partition.New(df, partition.Blocks, 2)), wide))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := s.Gather(res).Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.(*core.DataFrame).Equal(df) {
-		t.Error("row kernel over a block grid changed the frame")
-	}
-	if got := s.Stats.FusedTasks.Load(); got != 2 {
-		t.Errorf("fused tasks = %d, want 2 (one per row band)", got)
-	}
-	if got := widths.Load(); got != 4 {
-		t.Errorf("kernel saw %d columns over 2 bands, want full width (2) each", got)
+		// id and grp store Int, f Float: two vectors, neither band 0's.
+		if pad.Col(0) != pad.Col(1) || pad.Col(0) == pad.Col(2) || pad.Col(0).Domain() != types.Int || pad.Col(2).Domain() != types.Float {
+			t.Errorf("band %d columns %T %T %T: want one zero-row vector per storage domain", r, pad.Col(0), pad.Col(1), pad.Col(2))
+		}
+		for j := range pad.NCols() {
+			if pad.Col(j) == band0.Col(j) {
+				t.Errorf("band %d column %d is band 0's vector", r, j)
+			}
+		}
 	}
 }
 
@@ -764,13 +745,10 @@ func TestShuffleSiblingFailureSkipsIndependentMerges(t *testing.T) {
 	sentinel := errors.New("band 1 input failed")
 	blk0 := pool.Submit(func() (any, error) {
 		<-gate // band 0's input never resolves during the test window
-		return halves.Block(0, 0), nil
+		return halves.Band(0), nil
 	})
 	blk1 := pool.Submit(func() (any, error) { return nil, sentinel })
-	src, err := partition.Deferred([][]*exec.Future{{blk0}, {blk1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := partition.Deferred([]*exec.Future{blk0, blk1})
 	var merges atomic.Int64
 	sh := &Shuffle{
 		Name: "anchored",
@@ -790,7 +768,7 @@ func TestShuffleSiblingFailureSkipsIndependentMerges(t *testing.T) {
 	}
 	// Band 0's merge must resolve (skipped) even though its own input is
 	// still gated: the group cancellation from band 1 reaches it mid-wait.
-	if _, err := frame.BlockErr(0, 0); !errors.Is(err, sentinel) {
+	if _, err := frame.RowBand(0); !errors.Is(err, sentinel) {
 		t.Fatalf("band 0 merge err = %v, want the sibling failure", err)
 	}
 	if merges.Load() != 0 {
@@ -810,15 +788,12 @@ func TestPrefixReachStreamsBandByBand(t *testing.T) {
 	df := testDF(20)
 	halves := partition.New(df, partition.Rows, 2)
 	gate := make(chan struct{})
-	blk0 := exec.Resolved(halves.Block(0, 0))
+	blk0 := exec.Resolved(halves.Band(0))
 	blk1 := pool.Submit(func() (any, error) {
 		<-gate
-		return halves.Block(1, 0), nil
+		return halves.Band(1), nil
 	})
-	src, err := partition.Deferred([][]*exec.Future{{blk0}, {blk1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := partition.Deferred([]*exec.Future{blk0, blk1})
 	sh := &Shuffle{
 		Name:  "renumber",
 		Reach: ReachPrefix,
@@ -839,7 +814,7 @@ func TestPrefixReachStreamsBandByBand(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.After(5 * time.Second)
-	for !frame.BlockFuture(0, 0).Ready() {
+	for !frame.BandFuture(0).Ready() {
 		select {
 		case <-deadline:
 			t.Fatal("band 0 never completed while band 1 was gated: a prefix reach barriers on later bands")
@@ -847,7 +822,7 @@ func TestPrefixReachStreamsBandByBand(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	if frame.BlockFuture(1, 0).Ready() {
+	if frame.BandFuture(1).Ready() {
 		t.Fatal("band 1 finished while its input was gated")
 	}
 	close(gate)
@@ -897,7 +872,7 @@ func TestShuffleValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := frame.BlockErr(0, 0); err == nil {
+	if _, err := frame.RowBand(0); err == nil {
 		t.Error("wrong piece count should fail the merge")
 	}
 }

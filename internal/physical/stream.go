@@ -15,7 +15,7 @@ type Band func() (*core.DataFrame, error)
 // StreamSource is a morsel-driven leaf stage: the input is cut into an
 // exact list of bands when the stage is scheduled, each band is parsed and
 // pushed through the stage's fused kernel chain inside its own pool task,
-// and the stage's output frame holds one promise-backed block future per
+// and the stage's output frame holds one promise-backed band future per
 // band — so bands parse in parallel under a bounded window, a downstream
 // shuffle consumes band 0 while band N is still being parsed, and no point
 // in the pipeline ever holds the whole input.
@@ -48,7 +48,7 @@ func FuseStream(n *Node, kernels ...Kernel) *Node {
 }
 
 // scheduleStream lowers a stream stage. Open runs here, synchronously, so
-// an input that cannot be opened fails Run and the band grid is exact; a
+// an input that cannot be opened fails Run and the band count is exact; a
 // producer goroutine then submits one task per band. First-band latency is
 // the boundary pass over the input plus one band's parse.
 func (s *Scheduler) scheduleStream(n *Node) (*Result, error) {
@@ -62,16 +62,10 @@ func (s *Scheduler) scheduleStream(n *Node) (*Result, error) {
 
 	futs := make([]*exec.Future, len(bands))
 	resolve := make([]func(any, error), len(bands))
-	grid := make([][]*exec.Future, len(bands))
 	for i := range futs {
 		futs[i], resolve[i] = exec.NewPromise()
-		grid[i] = []*exec.Future{futs[i]}
 	}
-	frame, err := partition.Deferred(grid)
-	if err != nil {
-		input.Close()
-		return nil, err
-	}
+	frame := partition.Deferred(futs)
 	if st.SingleUse {
 		frame.MarkTransient()
 	}
