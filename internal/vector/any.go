@@ -32,14 +32,4 @@ func (v *Any) Slice(lo, hi int) Vector {
 }
 
 // Take returns the entries at idx, with -1 yielding null.
-func (v *Any) Take(idx []int) Vector {
-	data := make([]types.Value, len(idx))
-	for j, i := range idx {
-		if i >= 0 {
-			data[j] = v.data[i]
-		} else {
-			data[j] = types.NullValue(types.Composite)
-		}
-	}
-	return &Any{data: data}
-}
+func (v *Any) Take(idx []int) Vector { return take(v, idx) }

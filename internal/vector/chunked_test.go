@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -135,6 +136,129 @@ func sameVector(t *testing.T, what string, got, want Vector) {
 	}
 }
 
+// cellRef names row i of a flat or viewed input; a nil v names a null.
+type cellRef struct {
+	v Vector
+	i int
+}
+
+// refsOf names every row of the inputs, end to end.
+func refsOf(inputs ...Vector) []cellRef {
+	var refs []cellRef
+	for _, v := range inputs {
+		for i := range v.Len() {
+			refs = append(refs, cellRef{v, i})
+		}
+	}
+	return refs
+}
+
+// stored returns row i of a flat or viewed vector as its storage holds it —
+// a Float's bits, a Dict's label, an Any's value — and whether its null
+// mask or a -1 selection marks it.
+func stored(v Vector, i int) (any, bool) {
+	if vw, ok := v.(*view); ok {
+		if vw.idx[i] < 0 {
+			return nil, true
+		}
+		return stored(vw.base, vw.idx[i])
+	}
+	masked := func(nulls []bool) bool { return nulls != nil && nulls[i] }
+	switch c := v.(type) {
+	case *Int:
+		return c.data[i], masked(c.nulls)
+	case *Float:
+		return math.Float64bits(c.data[i]), masked(c.nulls)
+	case *Bool:
+		return c.data[i], masked(c.nulls)
+	case *Datetime:
+		return c.data[i], masked(c.nulls)
+	case *Object:
+		return c.data[i], masked(c.nulls)
+	case *Dict:
+		if masked(c.nulls) {
+			return nil, true // the code of a null may index no label
+		}
+		return c.dict[c.codes[i]], false
+	}
+	return v.Value(i), v.IsNull(i)
+}
+
+// sameStorage checks a gather's output against the rows it copied, bit for
+// bit: it is flat storage of the oracle's kind, a masked or -1 row is
+// masked, and an unmasked row keeps its stored bits (NaN payloads, -0) —
+// or is masked where it reads null, as a Float NaN built boxed is.
+func sameStorage(t *testing.T, what string, got Vector, want []cellRef, oracle Vector) {
+	t.Helper()
+	if reflect.TypeOf(got) != reflect.TypeOf(oracle) || got.Len() != len(want) {
+		t.Fatalf("%s: %T of %d rows, want %T of %d", what, got, got.Len(), oracle, len(want))
+	}
+	for p, ref := range want {
+		gx, gm := stored(got, p)
+		var wx any
+		wm, reads := true, true
+		if ref.v != nil {
+			wx, wm = stored(ref.v, ref.i)
+			reads = ref.v.IsNull(ref.i)
+		}
+		same := gm || gx == wx
+		if g, ok := gx.(types.Value); ok && !gm {
+			same = sameCell(g, wx.(types.Value))
+		}
+		if wm && !gm || gm && !reads || !same {
+			t.Fatalf("%s: row %d holds %v (masked %v), want %v (masked %v)", what, p, gx, gm, wx, wm)
+		}
+	}
+}
+
+// checkGathers reads the inputs of one storage kind through every gather
+// shape — Concat, Clone, a take of a view over their chunk with -1 entries,
+// and TakeRuns over runs mixing flat, viewed, chunked and view-over-chunk
+// inputs — and checks each output against the rows it copied.
+func checkGathers(t *testing.T, r *rand.Rand, inputs []Vector, oracle Vector) {
+	chunk, all := Stack(inputs...), refsOf(inputs...)
+	if len(all) == 0 {
+		return
+	}
+	sel := make([]int, r.Intn(2*len(all)+1))
+	selRefs := make([]cellRef, len(sel))
+	for k := range sel {
+		if sel[k] = r.Intn(len(all)+1) - 1; sel[k] >= 0 {
+			selRefs[k] = all[sel[k]]
+		}
+	}
+	over := TakeView(chunk, sel)
+	for name, got := range map[string]Vector{"concat": Concat(inputs...), "clone": Clone(chunk)} {
+		sameVector(t, name, got, oracle)
+		sameStorage(t, name, got, all, oracle)
+	}
+	sameStorage(t, "clone of a view over the chunk", Clone(over), selRefs, oracle)
+	idx := make([]int, r.Intn(len(sel)+2))
+	idxRefs := make([]cellRef, len(idx))
+	for k := range idx {
+		if idx[k] = r.Intn(len(sel)+1) - 1; idx[k] >= 0 {
+			idxRefs[k] = selRefs[idx[k]]
+		}
+	}
+	sameStorage(t, "take of a view over the chunk", over.Take(idx), idxRefs, oracle)
+	runs := append(slices.Clone(inputs), chunk, over)
+	runRefs := make([][]cellRef, len(runs))
+	for k, v := range inputs {
+		runRefs[k] = refsOf(v)
+	}
+	runRefs[len(inputs)], runRefs[len(inputs)+1] = all, selRefs
+	var at []RunRow
+	var atRefs []cellRef
+	for range r.Intn(3 * len(all)) {
+		k := r.Intn(len(runs))
+		if n := len(runRefs[k]); n > 0 {
+			i := r.Intn(n)
+			at, atRefs = append(at, RunRow{int32(k), int32(i)}), append(atRefs, runRefs[k][i])
+		}
+	}
+	sameStorage(t, "takeruns", TakeRuns(runs, at), atRefs, oracle)
+}
+
 // checkChunkedMatchesFlat compares every method of c, and every kernel that
 // reads it, with the same call on its flat oracle.
 func checkChunkedMatchesFlat(t *testing.T, r *rand.Rand, c, flat Vector) {
@@ -252,7 +376,8 @@ func checkChunkedMatchesFlat(t *testing.T, r *rand.Rand, c, flat Vector) {
 // FuzzChunkedMatchesFlat stacks random inputs of one storage kind — flat,
 // sliced and viewed, empty ones and null masks on some only, Dict inputs
 // on one category table or each on its own — and checks the chunk against
-// a flat copy of its values on every method and kernel.
+// a flat copy of its values on every method and kernel, and every gather
+// shape over the inputs against the cells they copy.
 func FuzzChunkedMatchesFlat(f *testing.F) {
 	for seed := range int64(16) {
 		f.Add(seed, uint8(seed))
@@ -278,6 +403,7 @@ func FuzzChunkedMatchesFlat(f *testing.F) {
 		} else if nonEmpty := slices.DeleteFunc(slices.Clone(inputs), func(v Vector) bool { return v.Len() == 0 }); len(nonEmpty) > 1 && stacked.Len() >= stackCopyRows {
 			t.Fatalf("%d same-kind inputs of %d rows stacked as %T", len(nonEmpty), stacked.Len(), stacked)
 		}
+		checkGathers(t, r, inputs, flat)
 		checkChunkedMatchesFlat(t, r, stacked, flat)
 	})
 }

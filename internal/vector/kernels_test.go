@@ -2,6 +2,7 @@ package vector
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -445,22 +446,42 @@ func TestNullFlagsCopiesTheMask(t *testing.T) {
 
 // TestTakeAllNegative locks the edge case the kernel rewrite must preserve:
 // Take over only -1 positions yields an all-null vector of the same domain
-// (Composite for Any), regardless of representation.
+// (Composite for Any), regardless of representation — flat, viewed,
+// chunked, a view over a chunk or a chunk of views. Take of no positions,
+// nil or empty, yields zero rows of the input's storage kind.
 func TestTakeAllNegative(t *testing.T) {
+	ints := func(from int64) Vector {
+		data := make([]int64, 64)
+		for i := range data {
+			data[i] = from + int64(i)
+		}
+		return NewInt(data, nil)
+	}
+	all := make([]int, 128)
+	for i := range all {
+		all[i] = 127 - i
+	}
+	chunk := Stack(ints(0), ints(64))
 	vectors := map[string]Vector{
-		"int":      NewInt([]int64{1, 2}, nil),
-		"float":    NewFloat([]float64{1, 2}, nil),
-		"bool":     NewBool([]bool{true, false}, nil),
-		"datetime": NewDatetime([]int64{1, 2}, nil),
-		"object":   NewObject([]string{"a", "b"}, nil),
-		"dict":     NewDictFromStrings([]string{"a", "b"}),
-		"any":      NewAny([]types.Value{types.IntValue(1), types.String("x")}),
-		"view":     TakeView(NewInt([]int64{1, 2}, nil), []int{0, 1}),
+		"int":            NewInt([]int64{1, 2}, nil),
+		"float":          NewFloat([]float64{1, 2}, nil),
+		"bool":           NewBool([]bool{true, false}, nil),
+		"datetime":       NewDatetime([]int64{1, 2}, nil),
+		"object":         NewObject([]string{"a", "b"}, nil),
+		"dict":           NewDictFromStrings([]string{"a", "b"}),
+		"any":            NewAny([]types.Value{types.IntValue(1), types.String("x")}),
+		"view":           TakeView(NewInt([]int64{1, 2}, nil), []int{0, 1}),
+		"chunk":          chunk,
+		"view of chunk":  TakeView(chunk, all),
+		"chunk of views": Stack(TakeView(ints(0), all[64:]), TakeView(ints(64), all[64:])),
+	}
+	if _, ok := chunk.(*Chunked); !ok {
+		t.Fatalf("two 64-row pieces stacked as %T", chunk)
 	}
 	for name, v := range vectors {
 		got := v.Take([]int{-1, -1, -1})
-		if got.Len() != 3 {
-			t.Fatalf("%s: Take len = %d, want 3", name, got.Len())
+		if got.Len() != 3 || got.Domain() != v.Domain() {
+			t.Fatalf("%s: Take len = %d domain %v, want 3 %v", name, got.Len(), got.Domain(), v.Domain())
 		}
 		for i := 0; i < 3; i++ {
 			if !got.IsNull(i) {
@@ -468,6 +489,12 @@ func TestTakeAllNegative(t *testing.T) {
 			}
 			if !got.Value(i).IsNull() {
 				t.Errorf("%s: Take(-1)[%d].Value should be null", name, i)
+			}
+		}
+		kind := reflect.TypeOf(NewBuilder(v.Domain(), 0).Build())
+		for _, idx := range [][]int{nil, {}} {
+			if got := v.Take(idx); got.Len() != 0 || reflect.TypeOf(got) != kind {
+				t.Errorf("%s: Take(%#v) = %T of %d rows, want %v of none", name, idx, got, got.Len(), kind)
 			}
 		}
 	}

@@ -59,7 +59,7 @@ func runOrder(runs [][]Vector, lens []int, desc []bool) func(a, b RunRow) int {
 	for r, keys := range runs {
 		cells[r] = make([]cellCol, len(keys))
 		for k, v := range keys {
-			cells[r][k] = cellColOf(v)
+			cells[r][k].base, cells[r][k].idx = unview(v)
 		}
 	}
 	return func(a, b RunRow) int {
@@ -121,11 +121,6 @@ type cellCol struct {
 	idx  []int
 }
 
-func cellColOf(v Vector) cellCol {
-	base, idx := unview(v)
-	return cellCol{base, idx}
-}
-
 // compare orders entry i of c against entry j of o as CompareRows orders
 // the cells, reading both from their bases.
 func (c cellCol) compare(i int, o cellCol, j int) int {
@@ -148,79 +143,12 @@ func (c cellCol) compare(i int, o cellCol, j int) int {
 }
 
 // TakeRuns returns the vector whose entry p is entry at[p].Row of
-// vs[at[p].Run], reading views through their bases. When every input's
-// storage is one kind — a Dict's one category table — it copies storage
-// with no boxing; otherwise it builds boxed cells in the domain Concat
-// gives the inputs.
+// vs[at[p].Run], reading views and chunks through their storage. When every
+// input's storage is one kind — a Dict's one category table — it copies
+// storage with no boxing; otherwise it builds boxed cells in the domain
+// Concat gives the inputs.
 func TakeRuns(vs []Vector, at []RunRow) Vector {
-	cols := make([]cellCol, len(vs))
-	for r, v := range vs {
-		cols[r] = cellColOf(v)
-	}
-	if out, ok := takeRunsTyped(cols, at); ok {
-		return out
-	}
-	b := NewBuilder(concatDomain(vs), len(at))
-	for _, rr := range at {
-		b.Append(vs[rr.Run].Value(int(rr.Row)))
-	}
-	return b.Build()
-}
-
-// takeRunsTyped is TakeRuns over inputs of one storage kind.
-func takeRunsTyped(cols []cellCol, at []RunRow) (Vector, bool) {
-	switch first := cols[0].base.(type) {
-	case *Int:
-		return takeRunsAs(cols, at, func(c *Int) ([]int64, []bool, bool) { return c.data, c.nulls, true }, NewInt)
-	case *Float:
-		return takeRunsAs(cols, at, func(c *Float) ([]float64, []bool, bool) { return c.data, c.nulls, true }, NewFloat)
-	case *Bool:
-		return takeRunsAs(cols, at, func(c *Bool) ([]bool, []bool, bool) { return c.data, c.nulls, true }, NewBool)
-	case *Datetime:
-		return takeRunsAs(cols, at, func(c *Datetime) ([]int64, []bool, bool) { return c.data, c.nulls, true }, NewDatetime)
-	case *Object:
-		return takeRunsAs(cols, at, func(c *Object) ([]string, []bool, bool) { return c.data, c.nulls, true }, NewObject)
-	case *Dict:
-		return takeRunsAs(cols, at,
-			func(c *Dict) ([]int32, []bool, bool) { return c.codes, c.nulls, sameDict(first.dict, c.dict) },
-			func(codes []int32, nulls []bool) *Dict { return NewDict(codes, first.dict, nulls) })
-	}
-	return nil, false
-}
-
-// takeRunsAs gathers storage of type T from inputs whose bases are all V,
-// reporting ok=false when some base is not, or when parts refuses one. The
-// null mask stays nil while no taken entry is null.
-func takeRunsAs[V Vector, T any](cols []cellCol, at []RunRow, parts func(V) ([]T, []bool, bool), build func([]T, []bool) V) (Vector, bool) {
-	data, nulls := make([][]T, len(cols)), make([][]bool, len(cols))
-	for r, c := range cols {
-		v, ok := c.base.(V)
-		if !ok {
-			return nil, false
-		}
-		if data[r], nulls[r], ok = parts(v); !ok {
-			return nil, false
-		}
-	}
-	out := make([]T, len(at))
-	var mask []bool
-	for p, rr := range at {
-		i := int(rr.Row)
-		if idx := cols[rr.Run].idx; idx != nil {
-			i = idx[i]
-		}
-		if i < 0 || (nulls[rr.Run] != nil && nulls[rr.Run][i]) {
-			if mask == nil {
-				mask = make([]bool, len(at))
-			}
-			mask[p] = true
-			if i < 0 {
-				continue
-			}
-		}
-		out[p] = data[rr.Run][i]
-	}
-	return build(out, mask), true
+	return (&gather{vs: vs, mode: runs, at: at}).run()
 }
 
 // concatDomain is the domain Concat builds its inputs in when their storage
@@ -229,6 +157,9 @@ func takeRunsAs[V Vector, T any](cols []cellCol, at []RunRow, parts func(V) ([]T
 // input of nulls only has no say: a bucket whose one group has a null key
 // finalizes that key as an untyped null.
 func concatDomain(vs []Vector) types.Domain {
+	if len(vs) == 1 {
+		return vs[0].Domain() // without counting the nulls of a Take's one input
+	}
 	dom := types.Unspecified
 	for _, v := range vs {
 		switch {

@@ -63,15 +63,7 @@ func (v *Object) Slice(lo, hi int) Vector {
 }
 
 // Take returns the entries at idx, with -1 yielding null.
-func (v *Object) Take(idx []int) Vector {
-	data := make([]string, len(idx))
-	for j, i := range idx {
-		if i >= 0 {
-			data[j] = v.data[i]
-		}
-	}
-	return &Object{data: data, nulls: takeNulls(v.nulls, idx)}
-}
+func (v *Object) Take(idx []int) Vector { return take(v, idx) }
 
 // Int is a vector in the int domain.
 type Int struct {
@@ -110,15 +102,7 @@ func (v *Int) Slice(lo, hi int) Vector {
 }
 
 // Take returns the entries at idx, with -1 yielding null.
-func (v *Int) Take(idx []int) Vector {
-	data := make([]int64, len(idx))
-	for j, i := range idx {
-		if i >= 0 {
-			data[j] = v.data[i]
-		}
-	}
-	return &Int{data: data, nulls: takeNulls(v.nulls, idx)}
-}
+func (v *Int) Take(idx []int) Vector { return take(v, idx) }
 
 // Float is a vector in the float domain.
 type Float struct {
@@ -162,15 +146,7 @@ func (v *Float) Slice(lo, hi int) Vector {
 }
 
 // Take returns the entries at idx, with -1 yielding null.
-func (v *Float) Take(idx []int) Vector {
-	data := make([]float64, len(idx))
-	for j, i := range idx {
-		if i >= 0 {
-			data[j] = v.data[i]
-		}
-	}
-	return &Float{data: data, nulls: takeNulls(v.nulls, idx)}
-}
+func (v *Float) Take(idx []int) Vector { return take(v, idx) }
 
 // Bool is a vector in the bool domain.
 type Bool struct {
@@ -209,15 +185,7 @@ func (v *Bool) Slice(lo, hi int) Vector {
 }
 
 // Take returns the entries at idx, with -1 yielding null.
-func (v *Bool) Take(idx []int) Vector {
-	data := make([]bool, len(idx))
-	for j, i := range idx {
-		if i >= 0 {
-			data[j] = v.data[i]
-		}
-	}
-	return &Bool{data: data, nulls: takeNulls(v.nulls, idx)}
-}
+func (v *Bool) Take(idx []int) Vector { return take(v, idx) }
 
 // Datetime is a vector of timestamps stored as Unix nanoseconds.
 type Datetime struct {
@@ -257,15 +225,7 @@ func (v *Datetime) Slice(lo, hi int) Vector {
 }
 
 // Take returns the entries at idx, with -1 yielding null.
-func (v *Datetime) Take(idx []int) Vector {
-	data := make([]int64, len(idx))
-	for j, i := range idx {
-		if i >= 0 {
-			data[j] = v.data[i]
-		}
-	}
-	return &Datetime{data: data, nulls: takeNulls(v.nulls, idx)}
-}
+func (v *Datetime) Take(idx []int) Vector { return take(v, idx) }
 
 // Dict is a dictionary-encoded vector in the category domain: each entry is
 // a code into a shared dictionary of distinct strings.
@@ -333,15 +293,7 @@ func (v *Dict) Slice(lo, hi int) Vector {
 }
 
 // Take returns the entries at idx, with -1 yielding null.
-func (v *Dict) Take(idx []int) Vector {
-	codes := make([]int32, len(idx))
-	for j, i := range idx {
-		if i >= 0 {
-			codes[j] = v.codes[i]
-		}
-	}
-	return &Dict{codes: codes, dict: v.dict, nulls: takeNulls(v.nulls, idx)}
-}
+func (v *Dict) Take(idx []int) Vector { return take(v, idx) }
 
 // NullCount returns the number of null entries, scanning only the null
 // mask (zero when the vector has none).

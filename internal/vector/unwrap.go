@@ -8,14 +8,14 @@ import (
 
 // This file exposes typed storage through at most one level of selection
 // view. The shuffle partition phase routes rows with zero-copy views
-// (TakeView), which hides the concrete column type from downstream typed
-// kernels — the GROUPBY kernel's key codes and aggregate columns, schema
-// induction and the statistics collector need the raw slices back without
-// materializing. Each accessor returns the base
-// storage plus an optional selection index: idx == nil means entry i reads
-// storage position i; otherwise entry i reads position idx[i], and idx[i] < 0
-// means null (mirroring Take). A chunked vector, or a view over one, reads
-// the chunk's flat copy (Chunked.flatten).
+// (TakeView), which hides the concrete column type from the downstream
+// typed kernels that need the raw slices back without materializing: the
+// GROUPBY kernel's key codes and aggregate columns, the restore of group
+// order from carried positions, and schema induction. Each accessor returns
+// the base storage plus an optional selection index: idx == nil means entry
+// i reads storage position i; otherwise entry i reads position idx[i], and
+// idx[i] < 0 means null (mirroring Take). A chunked vector, or a view over
+// one, reads the chunk's flat copy (Chunked.flatten).
 
 // ObjectData returns the raw Σ* storage behind v when v is an *Object or a
 // view of one, so schema induction reads routed or filtered raw columns

@@ -96,23 +96,19 @@ func FromValues(d types.Domain, vals []types.Value) Vector {
 	return b.Build()
 }
 
-// Concat copies the vectors, in order, into one flat vector. All inputs must
-// share a domain unless one of them is Object, in which case the result
-// falls back to Object. An empty or all-null input has no say: a shuffle
-// bucket that received no rows hands back untyped empty columns, and letting
-// those drag a Datetime column through its rendering would cut it to whole
-// seconds. Concat of zero vectors returns an empty Object vector. Stacking
-// row bands goes through Stack, which copies only inputs of mixed kinds.
+// Concat copies the vectors, in order, into one flat vector. Inputs that
+// store one kind (Dict inputs on one category table), flat, viewed or
+// chunked, are copied as stored; inputs of differing kinds are built boxed
+// in concatDomain's domain: the one domain of the inputs that hold a
+// non-null cell, Object when they disagree. An empty or all-null input has
+// no say: a shuffle bucket that received no rows hands back untyped empty
+// columns, and letting those drag a Datetime column through its rendering
+// would cut it to whole seconds. Concat of zero vectors returns an empty
+// Object vector, of empty ones the first. Stacking row bands goes through
+// Stack, which copies only inputs of mixed kinds.
 func Concat(vs ...Vector) Vector {
 	if len(vs) == 0 {
 		return NewObjectBuilder(0).Build()
-	}
-	if slices.ContainsFunc(vs, func(v Vector) bool { _, ok := v.(*Chunked); return ok }) {
-		var pieces []Vector
-		for _, v := range vs {
-			pieces = append(pieces, Pieces(v)...)
-		}
-		vs = pieces
 	}
 	empty := func(v Vector) bool { return v.Len() == 0 }
 	if slices.ContainsFunc(vs, empty) {
@@ -121,131 +117,7 @@ func Concat(vs ...Vector) Vector {
 			return first
 		}
 	}
-	total := 0
-	for _, v := range vs {
-		total += v.Len()
-	}
-	if out, ok := concatTyped(vs, total); ok {
-		return out
-	}
-	b := NewBuilder(concatDomain(vs), total)
-	for _, v := range vs {
-		for i := 0; i < v.Len(); i++ {
-			b.Append(v.Value(i))
-		}
-	}
-	return b.Build()
-}
-
-// concatTyped concatenates same-representation inputs by copying storage
-// slices — no boxing. It covers the homogeneous cases the shuffle merge and
-// gather paths produce (including Dict inputs sharing one category table);
-// anything mixed, viewed, or composite reports !ok and takes the builder
-// path.
-func concatTyped(vs []Vector, total int) (Vector, bool) {
-	switch vs[0].(type) {
-	case *Int:
-		data := make([]int64, 0, total)
-		var nulls []bool
-		for _, v := range vs {
-			c, ok := v.(*Int)
-			if !ok {
-				return nil, false
-			}
-			nulls = appendMask(nulls, c.nulls, len(data), c.Len())
-			data = append(data, c.data...)
-		}
-		return NewInt(data, padMask(nulls, total)), true
-	case *Float:
-		data := make([]float64, 0, total)
-		var nulls []bool
-		for _, v := range vs {
-			c, ok := v.(*Float)
-			if !ok {
-				return nil, false
-			}
-			nulls = appendMask(nulls, c.nulls, len(data), c.Len())
-			data = append(data, c.data...)
-		}
-		return NewFloat(data, padMask(nulls, total)), true
-	case *Bool:
-		data := make([]bool, 0, total)
-		var nulls []bool
-		for _, v := range vs {
-			c, ok := v.(*Bool)
-			if !ok {
-				return nil, false
-			}
-			nulls = appendMask(nulls, c.nulls, len(data), c.Len())
-			data = append(data, c.data...)
-		}
-		return NewBool(data, padMask(nulls, total)), true
-	case *Datetime:
-		data := make([]int64, 0, total)
-		var nulls []bool
-		for _, v := range vs {
-			c, ok := v.(*Datetime)
-			if !ok {
-				return nil, false
-			}
-			nulls = appendMask(nulls, c.nulls, len(data), c.Len())
-			data = append(data, c.data...)
-		}
-		return NewDatetime(data, padMask(nulls, total)), true
-	case *Object:
-		data := make([]string, 0, total)
-		var nulls []bool
-		for _, v := range vs {
-			c, ok := v.(*Object)
-			if !ok {
-				return nil, false
-			}
-			nulls = appendMask(nulls, c.nulls, len(data), c.Len())
-			data = append(data, c.data...)
-		}
-		return NewObject(data, padMask(nulls, total)), true
-	case *Dict:
-		first := vs[0].(*Dict)
-		codes := make([]int32, 0, total)
-		var nulls []bool
-		for _, v := range vs {
-			c, ok := v.(*Dict)
-			if !ok || !sameDict(first.dict, c.dict) {
-				return nil, false
-			}
-			nulls = appendMask(nulls, c.nulls, len(codes), c.Len())
-			codes = append(codes, c.codes...)
-		}
-		return NewDict(codes, first.dict, padMask(nulls, total)), true
-	}
-	return nil, false
-}
-
-// appendMask accumulates a concatenated null mask lazily: nil until the
-// first non-nil input mask, then padded to stay aligned with the data.
-func appendMask(acc, mask []bool, off, n int) []bool {
-	if mask == nil {
-		if acc != nil {
-			acc = append(acc, make([]bool, n)...)
-		}
-		return acc
-	}
-	if acc == nil {
-		acc = make([]bool, off, off+n)
-	}
-	return append(acc, mask...)
-}
-
-// padMask extends a partial mask to the full length (nil stays nil: no
-// nulls anywhere).
-func padMask(mask []bool, total int) []bool {
-	if mask == nil {
-		return nil
-	}
-	for len(mask) < total {
-		mask = append(mask, false)
-	}
-	return mask
+	return (&gather{vs: vs, mode: allRows}).run()
 }
 
 // Equal reports whether two vectors have the same length, and pairwise-equal
@@ -293,21 +165,6 @@ func checkSlice(length, lo, hi int) {
 	if lo < 0 || hi > length || lo > hi {
 		panic(fmt.Sprintf("vector: slice [%d:%d) out of range for length %d", lo, hi, length))
 	}
-}
-
-// takeNulls computes the null mask for a Take over the given mask, treating
-// index -1 as null.
-func takeNulls(nulls []bool, idx []int) []bool {
-	var out []bool
-	for j, i := range idx {
-		if i == -1 || (nulls != nil && nulls[i]) {
-			if out == nil {
-				out = make([]bool, len(idx))
-			}
-			out[j] = true
-		}
-	}
-	return out
 }
 
 func sliceNulls(nulls []bool, lo, hi int) []bool {

@@ -76,16 +76,5 @@ func Materialize(v Vector) Vector {
 	return v
 }
 
-// Take composes the selection vectors and materializes through the base
-// (views are for transient routing; a take of a take flattens the chain).
-func (v *view) Take(idx []int) Vector {
-	composed := make([]int, len(idx))
-	for j, i := range idx {
-		if i < 0 || v.idx[i] < 0 {
-			composed[j] = -1
-		} else {
-			composed[j] = v.idx[i]
-		}
-	}
-	return v.base.Take(composed)
-}
+// Take returns the entries at idx, -1 yielding null, read through the view.
+func (v *view) Take(idx []int) Vector { return take(v, idx) }

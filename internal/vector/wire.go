@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/types"
 )
 
 // Columnar wire format: typed storage serialized as length-prefixed raw
@@ -253,39 +251,11 @@ func boolByte(b bool) byte {
 }
 
 // Clone deep-copies v's storage so the result shares nothing with v's
-// backing arrays. Views are materialized (already a copy), a chunk returns
-// its flat copy (made once, shared with the chunk); flat vectors copy data
-// and null masks. Dict clones share the immutable category
-// table. Spill-aware shuffles clone routed pieces, slices and views alike,
-// so a piece stops pinning the band it was cut from.
+// backing arrays: a flat vector, every row of a view, and a chunk's pieces
+// end to end (the chunk is not flattened) are copied into one flat vector.
+// Dict clones share the immutable category table. Spill-aware shuffles
+// clone routed pieces, slices and views alike, so a piece stops pinning the
+// band it was cut from.
 func Clone(v Vector) Vector {
-	m := Materialize(v)
-	if m != v {
-		return m // materialization already produced owned storage
-	}
-	switch t := v.(type) {
-	case *Object:
-		return &Object{data: append([]string(nil), t.data...), nulls: cloneMask(t.nulls)}
-	case *Int:
-		return &Int{data: append([]int64(nil), t.data...), nulls: cloneMask(t.nulls)}
-	case *Float:
-		return &Float{data: append([]float64(nil), t.data...), nulls: cloneMask(t.nulls)}
-	case *Bool:
-		return &Bool{data: append([]bool(nil), t.data...), nulls: cloneMask(t.nulls)}
-	case *Datetime:
-		return &Datetime{data: append([]int64(nil), t.data...), nulls: cloneMask(t.nulls)}
-	case *Dict:
-		return &Dict{codes: append([]int32(nil), t.codes...), dict: t.dict, nulls: cloneMask(t.nulls)}
-	case *Any:
-		return &Any{data: append([]types.Value(nil), t.data...)}
-	default:
-		return v
-	}
-}
-
-func cloneMask(nulls []bool) []bool {
-	if nulls == nil {
-		return nil
-	}
-	return append([]bool(nil), nulls...)
+	return (&gather{vs: []Vector{v}, mode: allRows}).run()
 }
