@@ -45,17 +45,71 @@ func SetRowHashMaskForTesting(mask uint64) (restore func()) {
 	return func() { rowHashMask = old }
 }
 
-// rowHashes bulk-hashes the rows of the key columns.
-func rowHashes(cols []vector.Vector, n int) []uint64 {
-	dst := make([]uint64, n)
-	hashRowsInto(cols, dst)
-	return dst
+// rowHashes is the row hashes of key columns, read by row (at) and made
+// one chunk of rows at a time into one reused buffer: a keyed kernel holds a
+// chunk's hashes, not one per input row. A chunk is groupChunk rows, or the
+// longest category table a key column reads when that is longer, since
+// hashing a Dict's rows hashes its whole table (vector.DictTableLen); a
+// chunked key is hashed piece by piece, never flattened for it. Rows may be
+// read in any order: reading a row outside the buffered chunk hashes its
+// chunk, so a kernel that reads its rows in order, forwards (a probe) or
+// backwards (a join build), hashes each row once.
+type rowHashes struct {
+	cols   []vector.Vector
+	n      int
+	chunk  int
+	lo     int      // buf holds the hashes of rows [lo, lo+len(buf))
+	buf    []uint64 // the chunk's hashes
+	tmp    []uint64 // a composite key's scratch (vector.HashRowsScratch)
+	sliced []vector.Vector
 }
 
-// hashRowsInto writes the row hashes of the key columns into dst, which
-// has their length.
-func hashRowsInto(cols []vector.Vector, dst []uint64) {
-	vector.HashRows(cols, rowHashSeed, dst)
+// newRowHashes prepares the row hashes of the n-row key columns cols.
+func newRowHashes(cols []vector.Vector, n int) *rowHashes {
+	chunk := groupChunk
+	for _, c := range cols {
+		chunk = max(chunk, vector.DictTableLen(c))
+	}
+	chunk = max(min(chunk, n), 1)
+	h := &rowHashes{cols: cols, n: n, chunk: chunk, buf: make([]uint64, 0, chunk)}
+	if len(cols) > 1 {
+		h.tmp = make([]uint64, chunk)
+	}
+	return h
+}
+
+// at returns row i's hash.
+func (h *rowHashes) at(i int) uint64 {
+	if uint(i-h.lo) >= uint(len(h.buf)) {
+		h.fill(i)
+	}
+	return h.buf[i-h.lo]
+}
+
+// fill hashes the chunk of rows that holds row i and returns its hashes,
+// valid until the next fill.
+func (h *rowHashes) fill(i int) []uint64 {
+	lo := i - i%h.chunk
+	h.lo, h.buf = lo, h.buf[:min(h.chunk, h.n-lo)]
+	cols := h.cols
+	if hi := lo + len(h.buf); lo > 0 || hi < h.n {
+		if h.sliced == nil {
+			h.sliced = make([]vector.Vector, len(cols))
+		}
+		for k, c := range cols {
+			h.sliced[k] = c.Slice(lo, hi)
+		}
+		cols = h.sliced
+	}
+	hashRowsInto(cols, h.buf, h.tmp)
+	return h.buf
+}
+
+// hashRowsInto writes the row hashes of the key columns, under the
+// process-wide seed and the test mask, into dst, which has their length;
+// tmp is a composite key's scratch (nil: made when needed).
+func hashRowsInto(cols []vector.Vector, dst, tmp []uint64) {
+	vector.HashRowsScratch(cols, rowHashSeed, dst, tmp)
 	if rowHashMask != ^uint64(0) {
 		for i := range dst {
 			dst[i] &= rowHashMask
@@ -76,7 +130,9 @@ func RowKeyHashes(df *core.DataFrame, cols []string) ([]uint64, error) {
 		}
 		ks[k] = df.TypedCol(j)
 	}
-	return rowHashes(ks, df.NRows()), nil
+	dst := make([]uint64, df.NRows())
+	hashRowsInto(ks, dst, nil)
+	return dst, nil
 }
 
 // hashValues hashes one boxed key tuple under the same seed and mask.
@@ -124,7 +180,7 @@ type keyChunk struct {
 func (t *keyTable) insertRow(h uint64, fk *frameKeys, i int) int32 {
 	id, added := t.index.insert(h, func(id int32) bool { return t.equalRow(id, fk, i) })
 	if added {
-		t.rows = append(t.rows, int32(i))
+		t.rows = push(t.rows, int32(i))
 	}
 	return id
 }
@@ -229,16 +285,17 @@ func (t *keyTable) column(k int) vector.Vector {
 }
 
 // frameKeys is one frame's key columns prepared for keyTable.resolve, from
-// keyTable.frame until keyTable.keep. A single Dict column keeps its codes
-// and resolves each distinct code once; any other key keeps one row hash
-// per row.
+// keyTable.frame until keyTable.keep. A single Dict column (flat or viewed;
+// a chunk's pieces may hold tables of their own) keeps its codes and
+// resolves each distinct code once; any other key hashes its rows a chunk
+// at a time.
 type frameKeys struct {
 	cols  []vector.Vector
 	fresh int32 // the first id this frame may add
 	runs  bool  // input declared sorted: a row equal to its predecessor reuses its id
 	last  int32
 
-	hashes []uint64
+	hashes *rowHashes
 
 	codes  []int32
 	nulls  []bool
@@ -260,7 +317,7 @@ func (t *keyTable) frame(cols []vector.Vector, n int, runs bool) *frameKeys {
 		}
 	}
 	if len(cols) > 0 {
-		fk.hashes = rowHashes(cols, n)
+		fk.hashes = newRowHashes(cols, n)
 	}
 	return fk
 }
@@ -296,7 +353,7 @@ func (t *keyTable) resolve(fk *frameKeys, lo int, ids []int32) {
 		for r := range ids {
 			i := lo + r
 			if !fk.runs || i == 0 || !rowsEqualAt(fk.cols, i-1, fk.cols, i) {
-				fk.last = t.insertRow(fk.hashes[i], fk, i)
+				fk.last = t.insertRow(fk.hashes.at(i), fk, i)
 			}
 			ids[r] = fk.last
 		}
@@ -347,8 +404,8 @@ func (g *GroupPartial) grow() {
 	for k := range g.aggs {
 		g.aggs[k].grow(n)
 	}
-	for g.collect && len(g.collected) < n {
-		g.collected = append(g.collected, nil)
+	if g.collect {
+		g.collected = extend(g.collected, n)
 	}
 }
 
@@ -709,11 +766,12 @@ func collects(spec expr.GroupBySpec) bool {
 // rows: it cuts df, band `band` of the shuffle's input, into one piece per
 // hash bucket as HashRoute assigns them, the bucket StateFrames routes the
 // key's state to. Each piece holds its rows in band-row order as zero-copy
-// views, labelled with their band positions, from which the merge takes
-// each group's first position; a spec with a COLLECT aggregate also carries
-// df's own labels as a trailing GroupLabelCol column (RoutedRows restores
-// them). The key and aggregate columns leave typed, so no merge, spill or
-// wire parses them again.
+// views, labelled with their band positions — a view, through the same
+// take index, over the band's position sequence band<<32 + row (vector.
+// Range) — from which the merge reads each group's first position; a spec
+// with a COLLECT aggregate also carries df's own labels as a trailing
+// GroupLabelCol column (RoutedRows restores them). The key and aggregate
+// columns leave typed, so no merge, spill or wire parses them again.
 func RouteGroupRows(df *core.DataFrame, spec expr.GroupBySpec, band, buckets int) ([]*core.DataFrame, error) {
 	if buckets < 1 {
 		return nil, fmt.Errorf("algebra: groupby routes into %d buckets", buckets)
@@ -729,14 +787,15 @@ func RouteGroupRows(df *core.DataFrame, spec expr.GroupBySpec, band, buckets int
 	}
 	df = df.Resolved()
 	n := df.NRows()
+	positions := vector.Range(int64(band)<<32, n)
 	if buckets == 1 {
-		piece, err := routedPiece(df, spec, nil, vector.Range(int64(band)<<32, n))
+		piece, err := routedPiece(df, spec, nil, positions)
 		return []*core.DataFrame{piece}, err
 	}
-	rows, pos := HashRoute(keyCols, n, band, buckets)
+	rows := HashRoute(keyCols, n, buckets)
 	out := make([]*core.DataFrame, buckets)
 	for b := range out {
-		if out[b], err = routedPiece(df, spec, rows[b], vector.NewInt(pos[b], nil)); err != nil {
+		if out[b], err = routedPiece(df, spec, rows[b], vector.TakeView(positions, rows[b])); err != nil {
 			return nil, err
 		}
 	}
@@ -745,15 +804,13 @@ func RouteGroupRows(df *core.DataFrame, spec expr.GroupBySpec, band, buckets int
 
 // HashRoute is the one hash router of every key shuffle: the groupby's
 // routed rows and states (a join routes nothing). It sends row i of the n-row
-// key columns, band `band` of a shuffle's input, to bucket
-// (key hash of row i) % buckets — RowKeyHashes' hash — and lays out, in one
-// pass, each bucket's take index and its rows' positions band<<32 | i, both
-// in band-row order. Callers resolve their own key columns, so each keeps
-// its own error text.
+// key columns to bucket (key hash of row i) % buckets — RowKeyHashes' hash —
+// and lays out each bucket's take index, in band-row order. Callers resolve
+// their own key columns, so each keeps its own error text.
 //
-// Nothing per row outlives the call but the indexes and positions: a single
-// Dict key is hashed once per code, any other key in groupChunk-row pieces.
-func HashRoute(keys []vector.Vector, n, band, buckets int) (rows [][]int, pos [][]int64) {
+// Nothing per row outlives the call but the indexes: a single Dict key is
+// hashed once per code, any other key a chunk of rows at a time (rowHashes).
+func HashRoute(keys []vector.Vector, n, buckets int) (rows [][]int) {
 	into := make([]int32, n) // row → bucket
 	counts := make([]int, buckets)
 	nb := uint64(buckets)
@@ -778,41 +835,24 @@ func HashRoute(keys []vector.Vector, n, band, buckets int) (rows [][]int, pos []
 			counts[into[i]]++
 		}
 	} else {
-		// Each chunk's hash of a Dict column hashes its whole table: a chunk
-		// at least that long keeps the table's share of the work bounded.
-		chunk := groupChunk
-		for _, c := range keys {
-			if _, dict, _, _, ok := vector.DictData(c); ok {
-				chunk = max(chunk, len(dict))
-			}
-		}
-		hashes := make([]uint64, min(n, chunk))
-		sliced := make([]vector.Vector, len(keys))
-		for lo := 0; lo < n; lo += len(hashes) {
-			hashes = hashes[:min(len(hashes), n-lo)]
-			for k, c := range keys {
-				sliced[k] = c.Slice(lo, lo+len(hashes))
-			}
-			hashRowsInto(sliced, hashes)
-			for r, h := range hashes {
-				into[lo+r] = int32(h % nb)
+		h := newRowHashes(keys, n)
+		for lo := 0; lo < n; lo += h.chunk {
+			for r, x := range h.fill(lo) {
+				into[lo+r] = int32(x % nb)
 				counts[into[lo+r]]++
 			}
 		}
 	}
 
-	rows, pos = make([][]int, buckets), make([][]int64, buckets)
-	rowBacking, posBacking := make([]int, n), make([]int64, n)
+	rows = make([][]int, buckets)
+	backing := make([]int, n)
 	for b, c := range counts {
-		rows[b], rowBacking = rowBacking[:0:c], rowBacking[c:]
-		pos[b], posBacking = posBacking[:0:c], posBacking[c:]
+		rows[b], backing = backing[:0:c], backing[c:]
 	}
-	base := int64(band) << 32
 	for i, b := range into {
 		rows[b] = append(rows[b], i)
-		pos[b] = append(pos[b], base|int64(i))
 	}
-	return rows, pos
+	return rows
 }
 
 // singleDictKey unwraps a key that is one dictionary-coded column.
@@ -888,16 +928,21 @@ func (s *aggState) typed() bool {
 
 // grow extends the state to n groups.
 func (s *aggState) grow(n int) {
-	for len(s.count) < n {
-		s.count = append(s.count, 0)
-		switch s.kind {
-		case expr.AggSum, expr.AggMean:
-			s.sum = append(s.sum, 0)
-		case expr.AggMin, expr.AggMax:
-			s.ext = append(s.ext, types.Value{})
-		case expr.AggCount, expr.AggSize, expr.AggCollect:
-		default:
-			s.accs = append(s.accs, expr.NewAccumulator(s.kind))
+	old := len(s.count)
+	if n <= old {
+		return
+	}
+	s.count = extend(s.count, n)
+	switch s.kind {
+	case expr.AggSum, expr.AggMean:
+		s.sum = extend(s.sum, n)
+	case expr.AggMin, expr.AggMax:
+		s.ext = extend(s.ext, n)
+	case expr.AggCount, expr.AggSize, expr.AggCollect:
+	default:
+		s.accs = extend(s.accs, n)
+		for g := old; g < n; g++ {
+			s.accs[g] = expr.NewAccumulator(s.kind)
 		}
 	}
 }

@@ -52,7 +52,7 @@ func BuildJoinTable(right *core.DataFrame, on []string, onLabels bool) *JoinTabl
 	t.index.reserve(n)
 	t.firstRow = make([]int32, 0, n)
 	t.nextRow = make([]int32, n)
-	hashes := rowHashes(t.keys, n)
+	hashes := newRowHashes(t.keys, n)
 	nonNull := 0
 	// Rows go in last to first, each pushed onto its key's chain, so every
 	// chain ends up in right order with no per-key tail to track.
@@ -62,7 +62,7 @@ func BuildJoinTable(right *core.DataFrame, on []string, onLabels bool) *JoinTabl
 			continue
 		}
 		nonNull++
-		e, added := t.index.insert(hashes[i], func(e int32) bool { return rowsEqualAt(t.keys, i, t.keys, int(t.firstRow[e])) })
+		e, added := t.index.insert(hashes.at(i), func(e int32) bool { return rowsEqualAt(t.keys, i, t.keys, int(t.firstRow[e])) })
 		if added {
 			t.firstRow = append(t.firstRow, int32(i))
 			continue
@@ -117,11 +117,11 @@ func (t *JoinTable) probe(n int, keys []vector.Vector, kind expr.JoinKind) (left
 		// At most one pair per probe row: size the output once.
 		leftIdx, rightIdx = make([]int, 0, n), make([]int, 0, n)
 	}
-	hashes := rowHashes(keys, n)
+	hashes := newRowHashes(keys, n)
 	for i := 0; i < n; i++ {
 		e := int32(-1)
 		if !anyNullAt(keys, i) {
-			e = t.index.find(hashes[i], func(e int32) bool { return rowsEqualAt(keys, i, t.keys, int(t.firstRow[e])) })
+			e = t.index.find(hashes.at(i), func(e int32) bool { return rowsEqualAt(keys, i, t.keys, int(t.firstRow[e])) })
 		}
 		if e < 0 {
 			if keepUnmatched {

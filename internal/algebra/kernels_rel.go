@@ -144,9 +144,9 @@ func StackedDomain(frames []*core.DataFrame, j int, col vector.Vector) types.Dom
 
 // DifferenceFrames implements DIFFERENCE: left rows whose full tuple does
 // not appear in right, in left order. Schemas must agree on labels. Tuple
-// membership is hash-based: right rows bulk-hash into a key index over one
-// anchor row per distinct tuple, and left probes verify with the typed
-// equality kernels.
+// membership is hash-based: right rows, hashed a chunk at a time, go into a
+// key index over one anchor row per distinct tuple, and left probes verify
+// with the typed equality kernels.
 func DifferenceFrames(left, right *core.DataFrame) (*core.DataFrame, error) {
 	if left.NCols() != right.NCols() {
 		return nil, fmt.Errorf("algebra: difference arity mismatch: %d vs %d", left.NCols(), right.NCols())
@@ -160,22 +160,22 @@ func DifferenceFrames(left, right *core.DataFrame) (*core.DataFrame, error) {
 	for j := range rcols {
 		rcols[j] = aligned.TypedCol(j)
 	}
-	rh := rowHashes(rcols, aligned.NRows())
+	rh := newRowHashes(rcols, aligned.NRows())
 	var present keyIndex
 	var anchors []int // key id → first right row carrying the tuple
 	for i := 0; i < aligned.NRows(); i++ {
-		if _, added := present.insert(rh[i], func(a int32) bool { return rowsEqualAt(rcols, i, rcols, anchors[a]) }); added {
-			anchors = append(anchors, i)
+		if _, added := present.insert(rh.at(i), func(a int32) bool { return rowsEqualAt(rcols, i, rcols, anchors[a]) }); added {
+			anchors = push(anchors, i)
 		}
 	}
 	lcols := make([]vector.Vector, left.NCols())
 	for j := range lcols {
 		lcols[j] = left.TypedCol(j)
 	}
-	lh := rowHashes(lcols, left.NRows())
+	lh := newRowHashes(lcols, left.NRows())
 	keep := make([]int, 0, left.NRows())
 	for i := 0; i < left.NRows(); i++ {
-		if present.find(lh[i], func(a int32) bool { return rowsEqualAt(lcols, i, rcols, anchors[a]) }) < 0 {
+		if present.find(lh.at(i), func(a int32) bool { return rowsEqualAt(lcols, i, rcols, anchors[a]) }) < 0 {
 			keep = append(keep, i)
 		}
 	}
@@ -203,12 +203,12 @@ func DropDuplicatesFrame(df *core.DataFrame, subset []string) (*core.DataFrame, 
 			cols[k] = df.TypedCol(j)
 		}
 	}
-	hashes := rowHashes(cols, df.NRows())
+	hashes := newRowHashes(cols, df.NRows())
 	var seen keyIndex
-	keep := make([]int, 0, df.NRows()) // key id → first row carrying the tuple
+	var keep []int // key id → first row carrying the tuple
 	for i := 0; i < df.NRows(); i++ {
-		if _, added := seen.insert(hashes[i], func(a int32) bool { return rowsEqualAt(cols, i, cols, keep[a]) }); added {
-			keep = append(keep, i)
+		if _, added := seen.insert(hashes.at(i), func(a int32) bool { return rowsEqualAt(cols, i, cols, keep[a]) }); added {
+			keep = push(keep, i)
 		}
 	}
 	return df.TakeRows(keep), nil

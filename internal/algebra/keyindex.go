@@ -17,9 +17,13 @@ import (
 // the replay's key fold, tuplesEqual over boxed tuples — which runs only on
 // ids whose stored hash equals the probe's, so distinct keys that collide
 // on the hash keep distinct ids. The slot table doubles, re-placing
-// ids by their stored hashes, before it passes half full; a caller that
-// knows a bound on its key count (a join build of n rows holds at most n
-// keys) reserves it up front instead. The zero value is an empty index.
+// ids by their stored hashes, before it passes half full, and the id-indexed
+// hashes double with it (push), as every caller's id-indexed state does
+// (extend): the index and its state grow with the keys, not the rows. Only
+// BuildJoinTable, which knows a bound on its key count (a build of n rows
+// holds at most n keys) and keeps an n-row chain besides, reserves it up
+// front instead. The probing rows' hashes are a chunk at a time
+// (rowHashes). The zero value is an empty index.
 type keyIndex struct {
 	slots  []int32  // slot → id, -1 empty; power-of-two length
 	hashes []uint64 // id → hash
@@ -47,7 +51,7 @@ func (x *keyIndex) insert(h uint64, eq func(id int32) bool) (id int32, added boo
 	}
 	id = int32(len(x.hashes))
 	x.slots[s] = id
-	x.hashes = append(x.hashes, h)
+	x.hashes = push(x.hashes, h)
 	return id, true
 }
 
@@ -97,4 +101,30 @@ func (x *keyIndex) resize(n int) {
 		}
 		x.slots[s] = int32(id)
 	}
+}
+
+// extend returns s extended to n entries, the new ones zero. When s must
+// move it moves to at least twice its capacity: append grows a long slice
+// by about a quarter at a time, so state grown one key at a time by append
+// allocates about five times its final size, and by doubling about twice.
+func extend[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	if n > cap(s) {
+		t := make([]T, n, max(n, 2*cap(s)))
+		copy(t, s)
+		return t
+	}
+	old := len(s)
+	s = s[:n]
+	clear(s[old:])
+	return s
+}
+
+// push appends v to s, growing s as extend does.
+func push[T any](s []T, v T) []T {
+	s = extend(s, len(s)+1)
+	s[len(s)-1] = v
+	return s
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/expr"
 	"repro/internal/types"
 	"repro/internal/vector"
 )
@@ -79,10 +80,12 @@ func objectCopy(v vector.Vector) vector.Vector {
 	return vector.NewObject(data, nulls)
 }
 
-// checkRoute requires HashRoute's layout over n rows of band `band` to send
-// every row to exactly one bucket, the one RowKeyHashes names, and to give
-// each bucket its rows in band-row order with positions band<<32 | row.
-func checkRoute(t *testing.T, keys []vector.Vector, n, band, buckets int) ([][]int, [][]int64) {
+// checkRoute requires HashRoute's layout over n rows to send every row to
+// exactly one bucket, the one RowKeyHashes names, and to give each bucket
+// its rows in band-row order; and RouteGroupRows, over the same keys as band
+// `band`, to cut each bucket's piece at those rows, labelled with positions
+// band<<32 | row.
+func checkRoute(t *testing.T, keys []vector.Vector, n, band, buckets int) [][]int {
 	t.Helper()
 	// Declared domains, so the key columns hash as stored: induction would
 	// re-read a low-cardinality Object column, and "NA" in it as null.
@@ -99,14 +102,19 @@ func checkRoute(t *testing.T, keys []vector.Vector, n, band, buckets int) ([][]i
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, pos := HashRoute(keys, n, band, buckets)
-	if len(rows) != buckets || len(pos) != buckets {
-		t.Fatalf("%d row lists and %d position lists for %d buckets", len(rows), len(pos), buckets)
+	rows := HashRoute(keys, n, buckets)
+	if len(rows) != buckets {
+		t.Fatalf("%d row lists for %d buckets", len(rows), buckets)
+	}
+	pieces, err := RouteGroupRows(df, expr.GroupBySpec{Keys: names, Aggs: []expr.AggSpec{{Agg: expr.AggSize}}}, band, buckets)
+	if err != nil {
+		t.Fatal(err)
 	}
 	seen := make([]bool, n)
 	for b := range rows {
-		if len(pos[b]) != len(rows[b]) {
-			t.Fatalf("bucket %d: %d rows but %d positions", b, len(rows[b]), len(pos[b]))
+		pos := pieces[b].RowLabels()
+		if pos.Len() != len(rows[b]) {
+			t.Fatalf("bucket %d: %d rows but %d positions", b, len(rows[b]), pos.Len())
 		}
 		for k, i := range rows[b] {
 			if i < 0 || i >= n || seen[i] {
@@ -116,18 +124,18 @@ func checkRoute(t *testing.T, keys []vector.Vector, n, band, buckets int) ([][]i
 			if want := int(hashes[i] % uint64(buckets)); b != want {
 				t.Fatalf("row %d routed to bucket %d, its hash names %d", i, b, want)
 			}
-			if pos[b][k] != int64(band)<<32|int64(i) {
-				t.Fatalf("bucket %d: row %d at position %#x, want band %d row %d", b, i, pos[b][k], band, i)
+			if k > 0 && i <= rows[b][k-1] {
+				t.Fatalf("bucket %d: rows %d then %d do not ascend", b, rows[b][k-1], i)
 			}
-			if k > 0 && pos[b][k] <= pos[b][k-1] {
-				t.Fatalf("bucket %d: positions %#x then %#x do not ascend", b, pos[b][k-1], pos[b][k])
+			if p := pos.Value(k); p.IsNull() || p.Int() != int64(band)<<32|int64(i) {
+				t.Fatalf("bucket %d: row %d at position %v, want band %d row %d", b, i, p, band, i)
 			}
 		}
 	}
 	if i := slices.Index(seen, false); i >= 0 {
 		t.Fatalf("row %d routed to no bucket", i)
 	}
-	return rows, pos
+	return rows
 }
 
 // FuzzHashRoute drives the shuffle router over one to three Int, Float,
@@ -159,13 +167,13 @@ func FuzzHashRoute(f *testing.F) {
 				copied[k], dict = objectCopy(keys[k]), true
 			}
 		}
-		rows1, pos1 := checkRoute(t, keys, n, int(band), nb)
+		rows1 := checkRoute(t, keys, n, int(band), nb)
 		if !dict {
 			return
 		}
-		rows2, pos2 := checkRoute(t, copied, n, int(band), nb)
+		rows2 := checkRoute(t, copied, n, int(band), nb)
 		for b := range rows1 {
-			if !slices.Equal(rows1[b], rows2[b]) || !slices.Equal(pos1[b], pos2[b]) {
+			if !slices.Equal(rows1[b], rows2[b]) {
 				t.Fatalf("bucket %d: Dict keys route rows %v, their Object copy %v", b, rows1[b], rows2[b])
 			}
 		}

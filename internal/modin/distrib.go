@@ -92,7 +92,8 @@ func mergeGroupBucket(pieces []physical.Piece, spec expr.GroupBySpec, tag bool) 
 // groupby's merge phase O(one piece + accumulator state). routed pieces
 // come from PartitionGroupBand: the fold restores a collecting spec's input
 // labels and returns each group's first position, the row label of the
-// row or state that added the group.
+// row or state that added the group, read as one cell (a routed piece's
+// labels are a view over its band's position sequence).
 func foldGroupPieces(pieces []physical.Piece, spec expr.GroupBySpec, routed bool) (*core.DataFrame, []int64, error) {
 	g := algebra.NewGroupPartial(spec)
 	var first []int64
@@ -113,11 +114,13 @@ func foldGroupPieces(pieces []physical.Piece, spec expr.GroupBySpec, routed bool
 		if err != nil {
 			return nil, nil, err
 		}
-		if routed && g.NumGroups() > seen {
-			pos := ordColumn(positions)
-			for id := seen; id < g.NumGroups(); id++ {
-				first = append(first, pos[g.FirstRow(id)])
-			}
+		if n := g.NumGroups(); routed && n > cap(first) {
+			// Double, as the partial's own per-group state does: append
+			// would grow a long list a quarter at a time.
+			first = append(make([]int64, 0, max(n, 2*cap(first))), first...)
+		}
+		for id := seen; routed && id < g.NumGroups(); id++ {
+			first = append(first, positions.Value(g.FirstRow(id)).Int())
 		}
 	}
 	out, err := g.Finalize()
@@ -225,16 +228,24 @@ func RestoreGroupOrder(frames []*core.DataFrame, positions [][]int64, asLabels b
 	if err != nil {
 		return nil, err
 	}
+	identity := true
 	for i, p := range perm {
-		if i != p {
-			out = out.TakeRows(perm)
-			break
-		}
+		identity = identity && i == p
 	}
-	if asLabels {
+	switch {
+	case asLabels && identity:
 		return out, nil
+	case asLabels:
+		return out.TakeRows(perm), nil
+	case identity:
+		return out.WithRowLabels(vector.Range(0, total))
 	}
-	return out.WithRowLabels(vector.Range(0, out.NRows()))
+	// Positional labels replace the buckets': take the columns alone.
+	cols := make([]vector.Vector, out.NCols())
+	for j := range cols {
+		cols[j] = out.Col(j).Take(perm)
+	}
+	return core.Build(cols, vector.Range(0, total), out.ColLabels(), out.Domains(), out.Cache())
 }
 
 // The replay's group protocol. cmd/paperbench's replay times the groupby

@@ -167,7 +167,8 @@ func cuts(n, bands int) []int {
 }
 
 // stackedCuts returns the row band boundaries of df: the bands it was
-// stacked from (the pieces of its chunked row labels) when they are as many
+// stacked from (the pieces of its chunked row labels, or of its first
+// column when the labels are one positional sequence) when they are as many
 // as asked and each is within half an even band of an even band's length,
 // so re-banding a collected result slices inside its pieces and copies
 // nothing; otherwise even cuts, so a skewed result (a join's heavy key, a
@@ -175,6 +176,9 @@ func cuts(n, bands int) []int {
 // that crosses pieces reads them through a chunk of their slices.
 func stackedCuts(df *core.DataFrame, bands int) []int {
 	n, pieces := df.NRows(), vector.Pieces(df.RowLabels())
+	if len(pieces) == 1 && df.NCols() > 0 {
+		pieces = vector.Pieces(df.Col(0))
+	}
 	if len(pieces) != bands {
 		return cuts(n, bands)
 	}

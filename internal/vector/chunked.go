@@ -46,12 +46,13 @@ func (s *chunks) locate(i int) int {
 	return p
 }
 
-// flattenedRows counts the rows copied by flattening chunked columns.
+// flattenedRows counts the rows copied by flattening chunks and sequences.
 var flattenedRows atomic.Int64
 
 // FlattenedRows returns the number of rows copied so far, process-wide, by
-// flattening chunked columns into one array. Tests read it to check that a
-// column is flattened at most once.
+// flattening chunked columns and sequences into one array. Tests read it to
+// check that a column is flattened at most once, and a sequence only by a
+// typed accessor.
 func FlattenedRows() int64 { return flattenedRows.Load() }
 
 // storageType is the type of the storage v reads, seen through one
@@ -73,7 +74,8 @@ const stackCopyRows = 64
 // storage is one type: the non-empty inputs, chunked inputs spliced piece by
 // piece, become the pieces of a Chunked vector. A Dict piece keeps its own
 // category table. Inputs of mixed storage types, and stacks shorter than
-// stackCopyRows, are Concat's copy, with Concat's domain rule. Stack of one
+// stackCopyRows, are Concat's copy, with Concat's domain rule. Sequences
+// that continue one another (Range) stack into one sequence. Stack of one
 // non-empty input returns it; of zero inputs, an empty Object vector.
 func Stack(vs ...Vector) Vector {
 	n, last, nonEmpty := 0, 0, 0
@@ -81,6 +83,9 @@ func Stack(vs ...Vector) Vector {
 		if l := v.Len(); l > 0 {
 			n, last, nonEmpty = n+l, k, nonEmpty+1
 		}
+	}
+	if s, ok := continuing(vs); ok && nonEmpty > 1 {
+		return s
 	}
 	switch {
 	case nonEmpty == 1:
@@ -204,10 +209,13 @@ func (c *Chunked) flatten() Vector {
 	return f
 }
 
-// flat returns v's flat storage: a chunk's flat copy, any other vector
-// itself.
+// flat returns v's flat storage: a chunk's or a sequence's flat copy, any
+// other vector itself.
 func flat(v Vector) Vector {
-	if c, ok := v.(*Chunked); ok {
+	switch c := v.(type) {
+	case *Chunked:
+		return c.flatten()
+	case *sequence:
 		return c.flatten()
 	}
 	return v

@@ -165,6 +165,8 @@ func stored(v Vector, i int) (any, bool) {
 	}
 	masked := func(nulls []bool) bool { return nulls != nil && nulls[i] }
 	switch c := v.(type) {
+	case *sequence:
+		return c.start + int64(i), false
 	case *Int:
 		return c.data[i], masked(c.nulls)
 	case *Float:

@@ -11,7 +11,9 @@ import (
 // out of flat, viewed and chunked inputs through it. Each input is resolved
 // once to its storage (cells); the row loops then read it with no boxing,
 // specialized by the input's shape so that a flat vector or a view over
-// one never pays a chunk's piece lookup.
+// one never pays a chunk's piece lookup. A sequence (Range), or a view over
+// one, has no storage: its cells are computed, start+row, never copied
+// from a flat copy.
 
 // gather names the cells a copy reads from vs.
 type gather struct {
@@ -91,20 +93,23 @@ func (g *gather) len() int {
 func (g *gather) typed(d types.Domain) (Vector, bool) {
 	switch d {
 	case types.Int:
+		if s, ok := g.vs[0].(*sequence); ok && g.mode == positions {
+			return s.take(g.idx), true
+		}
 		return gatherAs(g, func(v *Int) ([]int64, []bool, bool) { return v.data, v.nulls, true },
-			func(data []int64, nulls []bool) Int { return Int{data, nulls} })
+			func(data []int64, nulls []bool) Int { return Int{data, nulls} }, seqCells)
 	case types.Float:
 		return gatherAs(g, func(v *Float) ([]float64, []bool, bool) { return v.data, v.nulls, true },
-			func(data []float64, nulls []bool) Float { return Float{data, nulls} })
+			func(data []float64, nulls []bool) Float { return Float{data, nulls} }, nil)
 	case types.Bool:
 		return gatherAs(g, func(v *Bool) ([]bool, []bool, bool) { return v.data, v.nulls, true },
-			func(data []bool, nulls []bool) Bool { return Bool{data, nulls} })
+			func(data []bool, nulls []bool) Bool { return Bool{data, nulls} }, nil)
 	case types.Datetime:
 		return gatherAs(g, func(v *Datetime) ([]int64, []bool, bool) { return v.data, v.nulls, true },
-			func(data []int64, nulls []bool) Datetime { return Datetime{data, nulls} })
+			func(data []int64, nulls []bool) Datetime { return Datetime{data, nulls} }, nil)
 	case types.Object:
 		return gatherAs(g, func(v *Object) ([]string, []bool, bool) { return v.data, v.nulls, true },
-			func(data []string, nulls []bool) Object { return Object{data, nulls} })
+			func(data []string, nulls []bool) Object { return Object{data, nulls} }, nil)
 	case types.Category:
 		var table []string
 		first := true
@@ -113,26 +118,40 @@ func (g *gather) typed(d types.Domain) (Vector, bool) {
 				table, first = v.dict, false
 			}
 			return v.codes, v.nulls, sameDict(table, v.dict)
-		}, func(codes []int32, nulls []bool) Dict { return Dict{codes, table, nulls} })
+		}, func(codes []int32, nulls []bool) Dict { return Dict{codes, table, nulls} }, nil)
 	}
 	return nil, false
 }
 
+// seqCells is the Int gather's reading of a sequence: position i of the
+// sequence that starts at start is start+i.
+func seqCells(start int64) func(int) int64 {
+	return func(i int) int64 { return start + int64(i) }
+}
+
 // gatherAs is the gather over storage of element type T held by vectors
 // *V: parts reads a flat vector's storage (false refuses it), build wraps
-// the output.
+// the output, and seq, for the one kind a sequence reads as, computes a
+// sequence's cells (nil: a sequence is refused).
 func gatherAs[T, V any, PV interface {
 	*V
 	Vector
-}](g *gather, parts func(PV) ([]T, []bool, bool), build func([]T, []bool) V) (Vector, bool) {
+}](g *gather, parts func(PV) ([]T, []bool, bool), build func([]T, []bool) V, seq func(int64) func(int) T) (Vector, bool) {
 	var buf [4]cells[T]
 	cs := buf[:0]
 	for _, v := range g.vs {
-		c, ok := resolve(v, parts)
+		c, ok := resolve(v, parts, seq)
 		if !ok {
 			return nil, false
 		}
 		cs = append(cs, c)
+	}
+	if c := &cs[0]; g.mode == allRows && len(cs) == 1 && c.ch == nil && c.sel == nil && c.seq == nil {
+		// A clone of flat storage: copying into a zeroed array costs a
+		// fifth more than cloning.
+		v := PV(new(V))
+		*v = build(slices.Clone(c.data), slices.Clone(c.nulls))
+		return v, true
 	}
 	d := gathered[T]{data: make([]T, g.len()), stride: 1}
 	switch g.mode {
@@ -169,11 +188,14 @@ func gatherAs[T, V any, PV interface {
 }
 
 // piece is flat storage read through an optional selection: row k is
-// storage position k, or sel[k] when sel is set (-1 null).
+// storage position k, or sel[k] when sel is set (-1 null). A sequence's
+// piece has no storage: position i is seq(i), of n positions.
 type piece[T any] struct {
 	data  []T
 	nulls []bool // nil: no nulls
 	sel   []int
+	seq   func(int) T
+	n     int
 }
 
 // cells is one input resolved to its storage: a flat vector or a view over
@@ -186,8 +208,8 @@ type cells[T any] struct {
 }
 
 // resolve returns v's storage when every flat vector it reads is a PV that
-// parts accepts.
-func resolve[T any, PV Vector](v Vector, parts func(PV) ([]T, []bool, bool)) (c cells[T], ok bool) {
+// parts accepts, or a sequence that seq reads.
+func resolve[T any, PV Vector](v Vector, parts func(PV) ([]T, []bool, bool), seq func(int64) func(int) T) (c cells[T], ok bool) {
 	if vw, viewed := v.(*view); viewed {
 		v, c.sel = vw.base, vw.idx
 	}
@@ -198,7 +220,7 @@ func resolve[T any, PV Vector](v Vector, parts func(PV) ([]T, []bool, bool)) (c 
 		} else {
 			c.ch, c.pieces = s, make([]piece[T], len(s.pieces))
 			for p, pv := range s.pieces {
-				pc, ok := resolve(pv, parts)
+				pc, ok := resolve(pv, parts, seq)
 				if !ok || pc.ch != nil {
 					return c, false
 				}
@@ -206,6 +228,13 @@ func resolve[T any, PV Vector](v Vector, parts func(PV) ([]T, []bool, bool)) (c 
 			}
 			return c, true
 		}
+	}
+	if s, ok := v.(*sequence); ok {
+		if seq == nil {
+			return c, false
+		}
+		c.seq, c.n = seq(s.start), s.n
+		return c, true
 	}
 	flat, ok := v.(PV)
 	if ok {
@@ -216,8 +245,11 @@ func resolve[T any, PV Vector](v Vector, parts func(PV) ([]T, []bool, bool)) (c 
 
 // len is the number of rows of a piece.
 func (p *piece[T]) len() int {
-	if p.sel != nil {
+	switch {
+	case p.sel != nil:
 		return len(p.sel)
+	case p.seq != nil:
+		return p.n
 	}
 	return len(p.data)
 }
@@ -234,10 +266,25 @@ func (p *piece[T]) cell(i int) (v T, null bool) {
 	return p.data[i], p.nulls != nil && p.nulls[i]
 }
 
+// seqCell is cell for a sequence's piece, kept apart so that cell, which
+// the storage loops inline, stays small.
+func (p *piece[T]) seqCell(i int) (v T, null bool) {
+	if i >= 0 && p.sel != nil {
+		i = p.sel[i]
+	}
+	if i < 0 {
+		return v, true
+	}
+	return p.seq(i), false
+}
+
 // cell returns row i of the input, -1 null, and whether it is null. It is
 // too large to inline: the loops over one piece's rows call piece.cell.
 func (c *cells[T]) cell(i int) (v T, null bool) {
 	if c.ch == nil {
+		if c.seq != nil {
+			return c.piece.seqCell(i)
+		}
 		return c.piece.cell(i)
 	}
 	if i >= 0 && c.sel != nil {
@@ -247,6 +294,9 @@ func (c *cells[T]) cell(i int) (v T, null bool) {
 		return v, true
 	}
 	p := c.ch.locate(i)
+	if pc := &c.pieces[p]; pc.seq != nil {
+		return pc.seqCell(i - c.ch.offs[p])
+	}
 	return c.pieces[p].cell(i - c.ch.offs[p])
 }
 
@@ -269,13 +319,14 @@ func (d *gathered[T]) mask() []bool {
 func (d *gathered[T]) null(k int) { d.mask()[d.off+k*d.stride] = true }
 
 // take copies rows idx of c into entries 0, 1, …. A flat input, and a chunk
-// whose pieces have no selection and no nulls (takePlain), have loops of
-// their own that skip the per-row checks; a view over flat storage and a
-// chunk with views or nulls read each row through cells.cell.
+// whose pieces have no selection, no nulls and no sequence (takePlain), have
+// loops of their own that skip the per-row checks; a view over flat storage
+// or a sequence, and any other chunk, read each row through cells.cell. (A
+// take of a sequence itself is sequence.take.)
 func (d *gathered[T]) take(c *cells[T], idx []int) {
 	out, s := d.data[d.off:], d.stride
 	switch {
-	case c.ch == nil && c.sel == nil && s == 1:
+	case c.ch == nil && c.sel == nil && c.seq == nil && s == 1:
 		data, nulls := c.data, c.nulls
 		for k, i := range idx {
 			if i < 0 || nulls != nil && nulls[i] {
@@ -286,7 +337,7 @@ func (d *gathered[T]) take(c *cells[T], idx []int) {
 			}
 			out[k] = data[i]
 		}
-	case s == 1 && c.ch != nil && c.sel == nil && !slices.ContainsFunc(c.pieces, func(p piece[T]) bool { return p.sel != nil || p.nulls != nil }):
+	case s == 1 && c.ch != nil && c.sel == nil && !slices.ContainsFunc(c.pieces, func(p piece[T]) bool { return p.sel != nil || p.nulls != nil || p.seq != nil }):
 		if takePlain(out[:len(idx)], c.ch, c.pieces, idx) {
 			for k, i := range idx {
 				if i < 0 {
@@ -325,10 +376,10 @@ func takePlain[T any](out []T, ch *chunks, pieces []piece[T], idx []int) bool {
 }
 
 // runs copies rows at of the runs cs into entries 0, 1, …. Runs that are
-// each one piece, as a sort merge's views over their bands are, skip the
-// chunk lookup.
+// each one piece of storage, as a sort merge's views over their bands are,
+// skip the chunk lookup.
 func (d *gathered[T]) runs(cs []cells[T], at []RunRow) {
-	if !slices.ContainsFunc(cs, func(c cells[T]) bool { return c.ch != nil }) {
+	if !slices.ContainsFunc(cs, func(c cells[T]) bool { return c.ch != nil || c.seq != nil }) {
 		for k, rr := range at {
 			v, null := cs[rr.Run].piece.cell(int(rr.Row))
 			d.data[k] = v
@@ -367,16 +418,26 @@ func (d *gathered[T]) all(c *cells[T]) {
 
 // copy copies every row of p into entries 0, 1, …: its storage and mask
 // with the builtin copy when p has no selection and the entries are
-// adjacent.
+// adjacent; a sequence's cells are computed.
 func (d *gathered[T]) copy(p piece[T]) {
-	if p.sel == nil && d.stride == 1 {
-		copy(d.data[d.off:], p.data)
+	out, s := d.data[d.off:], d.stride
+	switch {
+	case p.seq != nil:
+		for k := range p.len() {
+			v, null := p.seqCell(k)
+			out[k*s] = v
+			if null {
+				d.null(k)
+			}
+		}
+		return
+	case p.sel == nil && s == 1:
+		copy(out, p.data)
 		if p.nulls != nil {
 			copy(d.mask()[d.off:], p.nulls)
 		}
 		return
 	}
-	out, s := d.data[d.off:], d.stride
 	for k := range p.len() {
 		v, null := p.cell(k)
 		out[k*s] = v

@@ -7,8 +7,9 @@ import (
 
 // BenchmarkGather times the copy paths at the engine's shapes: a random
 // flat take, a chunk's take across four pieces with and without nulls,
-// a sort merge's take over seven bucket views, a concat of four bands and
-// a clone. It uses only exported API.
+// a sort merge's take over seven bucket views, a concat of four bands, a
+// clone, and a take of positional labels (a sequence). It uses only
+// exported API.
 func BenchmarkGather(b *testing.B) {
 	const n = 80_000
 	r := rand.New(rand.NewSource(1))
@@ -55,7 +56,7 @@ func BenchmarkGather(b *testing.B) {
 		at[p] = RunRow{Run: k, Row: next[k]}
 		next[k]++
 	}
-	flat, four, fourNulls := ints(n, false), Stack(bands(false)...), Stack(bands(true)...)
+	flat, four, fourNulls, labels := ints(n, false), Stack(bands(false)...), Stack(bands(true)...), Range(0, n)
 	cases := []struct {
 		name string
 		fn   func() Vector
@@ -66,6 +67,7 @@ func BenchmarkGather(b *testing.B) {
 		{"takeruns/views", func() Vector { return TakeRuns(runs, at) }},
 		{"concat/bands", func() Vector { return Concat(Pieces(four)...) }},
 		{"clone/flat", func() Vector { return Clone(flat) }},
+		{"take/seq", func() Vector { return labels.Take(idx) }},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

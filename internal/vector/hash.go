@@ -213,6 +213,10 @@ func Hash(v Vector, seed uint64, dst []uint64) {
 				dst[i] = table[code]
 			}
 		}
+	case *sequence:
+		for i := range dst {
+			dst[i] = hashWord(seed, tagInt, uint64(c.start+int64(i)))
+		}
 	case *view:
 		hashView(c, seed, dst)
 	case *Chunked:
@@ -228,11 +232,20 @@ func Hash(v Vector, seed uint64, dst []uint64) {
 }
 
 // hashView is Hash over a selection view: it reads the base's typed storage
-// (a chunk's flat copy) through the view's index, -1 hashing as null,
-// without copying the view.
+// through the view's index, -1 hashing as null, without copying the view.
+// A chunk of several pieces is read in its pieces, as the gather reads
+// them, so hashing a few rows never flattens it; a chunk's pieces, a
+// sequence and boxed storage are hashed a cell at a time (hashCell).
 func hashView(v *view, seed uint64, dst []uint64) {
 	nullH := hashWord(seed, tagNull, 0)
-	switch c := flat(v.base).(type) {
+	base := v.base
+	var ch *chunks
+	if c, ok := base.(*Chunked); ok {
+		if ch = c.st.Load(); len(ch.pieces) == 1 {
+			base, ch = ch.pieces[0], nil // a flattened chunk: its flat copy
+		}
+	}
+	switch c := base.(type) {
 	case *Int:
 		hashAt(dst, v.idx, c.data, c.nulls, nullH, func(x int64) uint64 { return hashWord(seed, tagInt, uint64(x)) })
 	case *Float:
@@ -255,10 +268,61 @@ func hashView(v *view, seed uint64, dst []uint64) {
 		}
 		hashAt(dst, v.idx, c.codes, c.nulls, nullH, func(code int32) uint64 { return table[code] })
 	default:
-		for i := range dst {
-			dst[i] = HashValue(v.Value(i), seed)
+		for i, j := range v.idx {
+			switch {
+			case j < 0:
+				dst[i] = nullH
+			case ch != nil:
+				p := ch.locate(j)
+				dst[i] = hashCell(ch.pieces[p], j-ch.offs[p], seed, nullH)
+			default:
+				dst[i] = hashCell(base, j, seed, nullH)
+			}
 		}
 	}
+}
+
+// hashCell is Hash of row i of v — flat storage, a view over it, a
+// sequence, or boxed cells — read in place; a Dict cell hashes its label.
+func hashCell(v Vector, i int, seed, nullH uint64) uint64 {
+	if vw, ok := v.(*view); ok {
+		if i = vw.idx[i]; i < 0 {
+			return nullH
+		}
+		v = vw.base
+	}
+	masked := func(nulls []bool) bool { return nulls != nil && nulls[i] }
+	switch c := v.(type) {
+	case *sequence:
+		return hashWord(seed, tagInt, uint64(c.start+int64(i)))
+	case *Int:
+		if !masked(c.nulls) {
+			return hashWord(seed, tagInt, uint64(c.data[i]))
+		}
+	case *Float:
+		if x := c.data[i]; !masked(c.nulls) && !math.IsNaN(x) {
+			return hashFloat(seed, x)
+		}
+	case *Bool:
+		if !masked(c.nulls) {
+			return hashBool(seed, c.data[i])
+		}
+	case *Datetime:
+		if !masked(c.nulls) {
+			return hashWord(seed, tagTime, uint64(c.data[i]))
+		}
+	case *Object:
+		if !masked(c.nulls) {
+			return hashString(seed, c.data[i])
+		}
+	case *Dict:
+		if !masked(c.nulls) {
+			return hashString(seed, c.dict[c.codes[i]])
+		}
+	default:
+		return HashValue(v.Value(i), seed)
+	}
+	return nullH
 }
 
 // hashAt writes h of storage cell idx[i] into dst[i]; a -1 index and a
@@ -279,6 +343,13 @@ func hashAt[T any](dst []uint64, idx []int, data []T, nulls []bool, nullH uint64
 // the same constant (the whole-frame group). The combination is
 // order-sensitive, so ("a","b") and ("b","a") key rows differently.
 func HashRows(cols []Vector, seed uint64, dst []uint64) {
+	HashRowsScratch(cols, seed, dst, nil)
+}
+
+// HashRowsScratch is HashRows hashing the second and later columns into
+// tmp, the caller's scratch of dst's length, so a caller that hashes many
+// row ranges reuses one; a nil tmp is made when a second column needs it.
+func HashRowsScratch(cols []Vector, seed uint64, dst, tmp []uint64) {
 	if len(cols) == 0 {
 		base := mix64(seed ^ tagNull)
 		for i := range dst {
@@ -290,7 +361,10 @@ func HashRows(cols []Vector, seed uint64, dst []uint64) {
 	if len(cols) == 1 {
 		return
 	}
-	tmp := make([]uint64, len(dst))
+	if tmp == nil {
+		tmp = make([]uint64, len(dst))
+	}
+	tmp = tmp[:len(dst)]
 	for _, c := range cols[1:] {
 		Hash(c, seed, tmp)
 		for i := range dst {

@@ -15,7 +15,8 @@ import (
 // the base storage plus an optional selection index: idx == nil means entry
 // i reads storage position i; otherwise entry i reads position idx[i], and
 // idx[i] < 0 means null (mirroring Take). A chunked vector, or a view over
-// one, reads the chunk's flat copy (Chunked.flatten).
+// one, reads the chunk's flat copy (Chunked.flatten); a sequence (Range), or
+// a view over one, its flat copy, made once (sequence.flatten).
 
 // ObjectData returns the raw Σ* storage behind v when v is an *Object or a
 // view of one, so schema induction reads routed or filtered raw columns
@@ -50,13 +51,44 @@ func FloatData(v Vector) (data []float64, nulls []bool, idx []int, ok bool) {
 
 // DictData returns the code and dictionary storage behind v when v is a
 // *Dict or a view of one. The returned dict slice is the category table
-// itself.
+// itself. Unlike the other accessors it does not flatten a chunk: a chunk's
+// Dict pieces may each hold their own table, and its callers, the keyed
+// kernels, hash a chunk piece by piece instead (DictTableLen).
 func DictData(v Vector) (codes []int32, dict []string, nulls []bool, idx []int, ok bool) {
-	base, idx := unview(v)
+	base := v
+	if vw, viewed := v.(*view); viewed {
+		base, idx = vw.base, vw.idx
+	}
+	if c, chunked := base.(*Chunked); chunked {
+		if s := c.st.Load(); len(s.pieces) == 1 {
+			base = s.pieces[0]
+		}
+	}
 	if c, ok := base.(*Dict); ok {
 		return c.codes, c.dict, c.nulls, idx, true
 	}
 	return nil, nil, nil, nil, false
+}
+
+// DictTableLen returns the length of the longest category table v reads —
+// a Dict's, a view's base's, a chunk's pieces' — without flattening it, and
+// 0 when v holds no Dict storage. Hash hashes a Dict's whole table once per
+// call, so a caller hashing v a range of rows at a time keeps its ranges at
+// least this long.
+func DictTableLen(v Vector) int {
+	if vw, ok := v.(*view); ok {
+		v = vw.base
+	}
+	n := 0
+	for _, p := range Pieces(v) {
+		if vw, ok := p.(*view); ok {
+			p = vw.base
+		}
+		if c, ok := p.(*Dict); ok {
+			n = max(n, len(c.dict))
+		}
+	}
+	return n
 }
 
 // sameDict reports whether two category tables are the same backing array,

@@ -152,15 +152,6 @@ func Nulls(d types.Domain, n int) Vector {
 	return b.Build()
 }
 
-// Range returns an Int vector [start, start+n).
-func Range(start int64, n int) Vector {
-	data := make([]int64, n)
-	for i := range data {
-		data[i] = start + int64(i)
-	}
-	return NewInt(data, nil)
-}
-
 func checkSlice(length, lo, hi int) {
 	if lo < 0 || hi > length || lo > hi {
 		panic(fmt.Sprintf("vector: slice [%d:%d) out of range for length %d", lo, hi, length))

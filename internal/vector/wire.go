@@ -45,6 +45,12 @@ func AppendWire(buf []byte, v Vector) ([]byte, error) {
 	v = Materialize(v)
 	n := v.Len()
 	switch t := v.(type) {
+	case *sequence: // the Int it reads as
+		buf = wireHeader(buf, wireInt, n, nil)
+		for i := range int64(n) {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(t.start+i))
+		}
+		return buf, nil
 	case *Object:
 		buf = wireHeader(buf, wireObject, n, t.nulls)
 		return appendStringTable(buf, t.data), nil
