@@ -305,3 +305,27 @@ func BenchmarkJoinTableBuild(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkJoinTableProbe times the probe of shuffle_wide's join without
+// assembling its output: the 75,000 fact keys, drawn from 26,500, against
+// the table over the 70,000-row dimension's unique keys, inner and left.
+// The keys are non-null Ints, so no hash match is checked (hashIsKey).
+//
+//	go test -run '^$' -bench JoinTableProbe -benchmem ./internal/algebra
+func BenchmarkJoinTableProbe(b *testing.B) {
+	t := BuildJoinTable(joinBuildFrame(70_000, 70_000), []string{"key"}, false)
+	r := rand.New(rand.NewSource(7))
+	fact := make([]int64, 75_000)
+	for i := range fact {
+		fact[i] = int64(r.Intn(26_500))
+	}
+	keys := []vector.Vector{vector.NewInt(fact, nil)}
+	for _, kind := range []expr.JoinKind{expr.JoinInner, expr.JoinLeft} {
+		b.Run(kind.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				t.probe(len(fact), keys, kind)
+			}
+		})
+	}
+}

@@ -12,10 +12,12 @@ import (
 
 // Group identity is hash-based: every row's key columns are bulk-hashed to
 // one 64-bit hash (vector.HashRows, no per-row rendering or boxing), a
-// keyIndex maps the hash to the group's dense id, and the index confirms
-// every hash match by true key equality on typed storage (vector.EqualRows)
-// — so two distinct keys that collide on the hash still land in distinct
-// groups. Within one frame a key is the frame row that first carried it;
+// keyIndex maps the hash to the group's dense id, and the index confirms a
+// hash match by true key equality on typed storage (vector.EqualRows) — so
+// two distinct keys that collide on the hash still land in distinct groups
+// — unless the hash is the key: while every key a table has seen is one
+// non-null Int column (hashIsKey), equal hashes are equal keys and no match
+// is checked. Within one frame a key is the frame row that first carried it;
 // once the frame is folded, the keys it added live on in a typed key chunk,
 // one Take of the frame's key columns, against which later frames verify.
 // A single dictionary-coded key column takes the same route once per
@@ -55,13 +57,12 @@ func SetRowHashMaskForTesting(mask uint64) (restore func()) {
 // chunk, so a kernel that reads its rows in order, forwards (a probe) or
 // backwards (a join build), hashes each row once.
 type rowHashes struct {
-	cols   []vector.Vector
-	n      int
-	chunk  int
-	lo     int      // buf holds the hashes of rows [lo, lo+len(buf))
-	buf    []uint64 // the chunk's hashes
-	tmp    []uint64 // a composite key's scratch (vector.HashRowsScratch)
-	sliced []vector.Vector
+	cols  []vector.Vector
+	n     int
+	chunk int
+	lo    int      // buf holds the hashes of rows [lo, lo+len(buf))
+	buf   []uint64 // the chunk's hashes
+	tmp   []uint64 // a composite key's scratch (vector.HashRowsRange)
 }
 
 // newRowHashes prepares the row hashes of the n-row key columns cols.
@@ -91,25 +92,16 @@ func (h *rowHashes) at(i int) uint64 {
 func (h *rowHashes) fill(i int) []uint64 {
 	lo := i - i%h.chunk
 	h.lo, h.buf = lo, h.buf[:min(h.chunk, h.n-lo)]
-	cols := h.cols
-	if hi := lo + len(h.buf); lo > 0 || hi < h.n {
-		if h.sliced == nil {
-			h.sliced = make([]vector.Vector, len(cols))
-		}
-		for k, c := range cols {
-			h.sliced[k] = c.Slice(lo, hi)
-		}
-		cols = h.sliced
-	}
-	hashRowsInto(cols, h.buf, h.tmp)
+	hashRowsInto(h.cols, lo, h.buf, h.tmp)
 	return h.buf
 }
 
-// hashRowsInto writes the row hashes of the key columns, under the
-// process-wide seed and the test mask, into dst, which has their length;
-// tmp is a composite key's scratch (nil: made when needed).
-func hashRowsInto(cols []vector.Vector, dst, tmp []uint64) {
-	vector.HashRowsScratch(cols, rowHashSeed, dst, tmp)
+// hashRowsInto writes the hashes of rows [lo, lo+len(dst)) of the key
+// columns, under the process-wide seed and the test mask, into dst, reading
+// the columns in place; tmp is a composite key's scratch (nil: made when
+// needed).
+func hashRowsInto(cols []vector.Vector, lo int, dst, tmp []uint64) {
+	vector.HashRowsRange(cols, rowHashSeed, lo, dst, tmp)
 	if rowHashMask != ^uint64(0) {
 		for i := range dst {
 			dst[i] &= rowHashMask
@@ -131,8 +123,15 @@ func RowKeyHashes(df *core.DataFrame, cols []string) ([]uint64, error) {
 		ks[k] = df.TypedCol(j)
 	}
 	dst := make([]uint64, df.NRows())
-	hashRowsInto(ks, dst, nil)
+	hashRowsInto(ks, 0, dst, nil)
 	return dst, nil
+}
+
+// hashIsKey reports whether the row hashes of key columns cols are their
+// keys — one column of non-null Int words (vector.HashIsKey) under the
+// full-width hash — so two rows whose hashes match need no equality check.
+func hashIsKey(cols []vector.Vector) bool {
+	return len(cols) == 1 && rowHashMask == ^uint64(0) && vector.HashIsKey(cols[0])
 }
 
 // hashValues hashes one boxed key tuple under the same seed and mask.
@@ -163,9 +162,10 @@ func tuplesEqual(a, b []types.Value) bool {
 // table pins no frame or view it was handed. GroupPartial and the replay's
 // key summaries assign group identity through it.
 type keyTable struct {
-	index  keyIndex
-	rows   []int32    // by id: the row that inserted the key, -1 for a key Merge added
-	chunks []keyChunk // the kept frames' keys, in id order
+	index   keyIndex
+	rows    []int32    // by id: the row that inserted the key, -1 for a key Merge added
+	chunks  []keyChunk // the kept frames' keys, in id order
+	inexact bool       // some frame's keys were not hashIsKey: every hash match is checked
 }
 
 // keyChunk holds the keys of ids lo, lo+1, … as rows 0, 1, … of typed key
@@ -178,7 +178,7 @@ type keyChunk struct {
 // insertRow returns the id of row i of the resolving frame (hash h),
 // recording the row when its key is new.
 func (t *keyTable) insertRow(h uint64, fk *frameKeys, i int) int32 {
-	id, added := t.index.insert(h, func(id int32) bool { return t.equalRow(id, fk, i) })
+	id, added := t.index.insert(h, verifyUnless(!t.inexact, func(id int32) bool { return t.equalRow(id, fk, i) }))
 	if added {
 		t.rows = push(t.rows, int32(i))
 	}
@@ -303,8 +303,12 @@ type frameKeys struct {
 	codeID []int32 // code → id, -1 until seen; the last slot is the null key
 }
 
-// frame prepares the n-row key columns cols for resolve.
+// frame prepares the n-row key columns cols for resolve. The table checks
+// hash matches from the first frame whose keys are not hashIsKey on: until
+// then every key it holds, and every key it is probed with, is an Int whose
+// hash is the key.
 func (t *keyTable) frame(cols []vector.Vector, n int, runs bool) *frameKeys {
+	t.inexact = t.inexact || !hashIsKey(cols)
 	fk := &frameKeys{cols: cols, fresh: int32(len(t.rows)), runs: runs}
 	if len(cols) == 1 {
 		if codes, dict, nulls, idx, ok := vector.DictData(cols[0]); ok {
@@ -809,9 +813,18 @@ func RouteGroupRows(df *core.DataFrame, spec expr.GroupBySpec, band, buckets int
 // their own key columns, so each keeps its own error text.
 //
 // Nothing per row outlives the call but the indexes: a single Dict key is
-// hashed once per code, any other key a chunk of rows at a time (rowHashes).
+// hashed once per code, any other key a chunk of rows at a time (rowHashes),
+// and each row's bucket is one byte when there are at most 256 buckets.
 func HashRoute(keys []vector.Vector, n, buckets int) (rows [][]int) {
-	into := make([]int32, n) // row → bucket
+	if buckets <= 256 {
+		return hashRoute[uint8](keys, n, buckets)
+	}
+	return hashRoute[int32](keys, n, buckets)
+}
+
+// hashRoute is HashRoute with each row's bucket held as a B.
+func hashRoute[B uint8 | int32](keys []vector.Vector, n, buckets int) (rows [][]int) {
+	into := make([]B, n) // row → bucket
 	counts := make([]int, buckets)
 	nb := uint64(buckets)
 	if codes, dict, nulls, idx, ok := singleDictKey(keys); ok {
@@ -831,14 +844,14 @@ func HashRoute(keys []vector.Vector, n, buckets int) (rows [][]int) {
 			if codeBucket[c] < 0 {
 				codeBucket[c] = int32(hashValues([]types.Value{keys[0].Value(i)}) % nb)
 			}
-			into[i] = codeBucket[c]
+			into[i] = B(codeBucket[c])
 			counts[into[i]]++
 		}
 	} else {
 		h := newRowHashes(keys, n)
 		for lo := 0; lo < n; lo += h.chunk {
 			for r, x := range h.fill(lo) {
-				into[lo+r] = int32(x % nb)
+				into[lo+r] = B(x % nb)
 				counts[into[lo+r]]++
 			}
 		}

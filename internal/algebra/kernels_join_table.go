@@ -26,6 +26,7 @@ type JoinTable struct {
 	firstRow []int32 // key id → first right row with this key (the collision-check anchor)
 	nextRow  []int32 // right row → next row with the same key, -1 ends
 	unique   bool    // every non-null right row is its own key: a probe row matches at most once
+	exact    bool    // the keys are hashIsKey: a probe whose keys are too checks no match and no null
 }
 
 // BuildJoinTable indexes the right input of a join on its key columns on,
@@ -53,16 +54,17 @@ func BuildJoinTable(right *core.DataFrame, on []string, onLabels bool) *JoinTabl
 	t.firstRow = make([]int32, 0, n)
 	t.nextRow = make([]int32, n)
 	hashes := newRowHashes(t.keys, n)
+	t.exact = hashIsKey(t.keys)
 	nonNull := 0
 	// Rows go in last to first, each pushed onto its key's chain, so every
 	// chain ends up in right order with no per-key tail to track.
 	for i := n - 1; i >= 0; i-- {
 		t.nextRow[i] = -1
-		if anyNullAt(t.keys, i) {
+		if !t.exact && anyNullAt(t.keys, i) {
 			continue
 		}
 		nonNull++
-		e, added := t.index.insert(hashes.at(i), func(e int32) bool { return rowsEqualAt(t.keys, i, t.keys, int(t.firstRow[e])) })
+		e, added := t.index.insert(hashes.at(i), verifyUnless(t.exact, func(e int32) bool { return rowsEqualAt(t.keys, i, t.keys, int(t.firstRow[e])) }))
 		if added {
 			t.firstRow = append(t.firstRow, int32(i))
 			continue
@@ -118,10 +120,11 @@ func (t *JoinTable) probe(n int, keys []vector.Vector, kind expr.JoinKind) (left
 		leftIdx, rightIdx = make([]int, 0, n), make([]int, 0, n)
 	}
 	hashes := newRowHashes(keys, n)
+	exact := t.exact && hashIsKey(keys)
 	for i := 0; i < n; i++ {
 		e := int32(-1)
-		if !anyNullAt(keys, i) {
-			e = t.index.find(hashes.at(i), func(e int32) bool { return rowsEqualAt(keys, i, t.keys, int(t.firstRow[e])) })
+		if exact || !anyNullAt(keys, i) {
+			e = t.index.find(hashes.at(i), verifyUnless(exact, func(e int32) bool { return rowsEqualAt(keys, i, t.keys, int(t.firstRow[e])) }))
 		}
 		if e < 0 {
 			if keepUnmatched {

@@ -161,10 +161,11 @@ func DifferenceFrames(left, right *core.DataFrame) (*core.DataFrame, error) {
 		rcols[j] = aligned.TypedCol(j)
 	}
 	rh := newRowHashes(rcols, aligned.NRows())
+	rexact := hashIsKey(rcols)
 	var present keyIndex
 	var anchors []int // key id → first right row carrying the tuple
 	for i := 0; i < aligned.NRows(); i++ {
-		if _, added := present.insert(rh.at(i), func(a int32) bool { return rowsEqualAt(rcols, i, rcols, anchors[a]) }); added {
+		if _, added := present.insert(rh.at(i), verifyUnless(rexact, func(a int32) bool { return rowsEqualAt(rcols, i, rcols, anchors[a]) })); added {
 			anchors = push(anchors, i)
 		}
 	}
@@ -173,9 +174,10 @@ func DifferenceFrames(left, right *core.DataFrame) (*core.DataFrame, error) {
 		lcols[j] = left.TypedCol(j)
 	}
 	lh := newRowHashes(lcols, left.NRows())
+	exact := rexact && hashIsKey(lcols)
 	keep := make([]int, 0, left.NRows())
 	for i := 0; i < left.NRows(); i++ {
-		if present.find(lh.at(i), func(a int32) bool { return rowsEqualAt(lcols, i, rcols, anchors[a]) }) < 0 {
+		if present.find(lh.at(i), verifyUnless(exact, func(a int32) bool { return rowsEqualAt(lcols, i, rcols, anchors[a]) })) < 0 {
 			keep = append(keep, i)
 		}
 	}
@@ -204,10 +206,11 @@ func DropDuplicatesFrame(df *core.DataFrame, subset []string) (*core.DataFrame, 
 		}
 	}
 	hashes := newRowHashes(cols, df.NRows())
+	exact := hashIsKey(cols)
 	var seen keyIndex
 	var keep []int // key id → first row carrying the tuple
 	for i := 0; i < df.NRows(); i++ {
-		if _, added := seen.insert(hashes.at(i), func(a int32) bool { return rowsEqualAt(cols, i, cols, keep[a]) }); added {
+		if _, added := seen.insert(hashes.at(i), verifyUnless(exact, func(a int32) bool { return rowsEqualAt(cols, i, cols, keep[a]) })); added {
 			keep = push(keep, i)
 		}
 	}

@@ -16,10 +16,18 @@ import (
 // rows, a group table's kept key chunks, a join build's first rows) or, in
 // the replay's key fold, tuplesEqual over boxed tuples — which runs only on
 // ids whose stored hash equals the probe's, so distinct keys that collide
-// on the hash keep distinct ids. The slot table doubles, re-placing
-// ids by their stored hashes, before it passes half full, and the id-indexed
-// hashes double with it (push), as every caller's id-indexed state does
-// (extend): the index and its state grow with the keys, not the rows. Only
+// on the hash keep distinct ids. A nil check means the hash is the key: the
+// caller passes one only when every key stored and every key probed is a
+// single non-null Int column under the full-width hash (hashIsKey). An Int's
+// hash is a bijection of its word, so equal hashes are equal keys there,
+// and the check — interface reads and type switches on every match, about
+// half a keyed kernel's time — is skipped. A Float, a null (whose hash is
+// one Int's), a composite or any other domain, and every hash narrowed by
+// SetRowHashMaskForTesting keep the check. The slot table doubles,
+// re-placing ids by their stored hashes, before it passes half full, and
+// the id-indexed hashes double with it (push), as every caller's id-indexed
+// state does (extend): the index and its state grow with the keys, not the
+// rows. Only
 // BuildJoinTable, which knows a bound on its key count (a build of n rows
 // holds at most n keys) and keeps an n-row chain besides, reserves it up
 // front instead. The probing rows' hashes are a chunk at a time
@@ -30,7 +38,8 @@ type keyIndex struct {
 	shift  uint     // 64 − log2(len(slots))
 }
 
-// find returns the id of the key with hash h that eq accepts, or -1.
+// find returns the id of the key with hash h that eq accepts (any, for a
+// nil eq), or -1.
 func (x *keyIndex) find(h uint64, eq func(id int32) bool) int32 {
 	if len(x.hashes) == 0 {
 		return -1
@@ -55,15 +64,23 @@ func (x *keyIndex) insert(h uint64, eq func(id int32) bool) (id int32, added boo
 	return id, true
 }
 
-// probe walks h's run of slots to the id eq accepts, or to the empty slot
-// that ends the run (id -1).
+// probe walks h's run of slots to the id eq accepts — the first id stored
+// under h, for a nil eq — or to the empty slot that ends the run (id -1).
 func (x *keyIndex) probe(h uint64, eq func(id int32) bool) (slot int, id int32) {
 	mask := len(x.slots) - 1
 	for s := x.home(h); ; s = (s + 1) & mask {
-		if id := x.slots[s]; id < 0 || x.hashes[id] == h && eq(id) {
+		if id := x.slots[s]; id < 0 || x.hashes[id] == h && (eq == nil || eq(id)) {
 			return s, id
 		}
 	}
+}
+
+// verifyUnless returns eq, or nil — the hash is the key — when exact.
+func verifyUnless(exact bool, eq func(id int32) bool) func(id int32) bool {
+	if exact {
+		return nil
+	}
+	return eq
 }
 
 // home is h's first slot. Fibonacci hashing reads the top bits of h times
@@ -104,15 +121,16 @@ func (x *keyIndex) resize(n int) {
 }
 
 // extend returns s extended to n entries, the new ones zero. When s must
-// move it moves to at least twice its capacity: append grows a long slice
-// by about a quarter at a time, so state grown one key at a time by append
-// allocates about five times its final size, and by doubling about twice.
+// move it moves to at least twice its capacity, and at least 8 entries:
+// append grows a long slice by about a quarter at a time, so state grown one
+// key at a time by append allocates about five times its final size, and by
+// doubling about twice; starting at 8 skips the doublings through 1, 2 and 4.
 func extend[T any](s []T, n int) []T {
 	if n <= len(s) {
 		return s
 	}
 	if n > cap(s) {
-		t := make([]T, n, max(n, 2*cap(s)))
+		t := make([]T, n, max(n, 2*cap(s), 8))
 		copy(t, s)
 		return t
 	}

@@ -138,9 +138,19 @@ func checkRoute(t *testing.T, keys []vector.Vector, n, band, buckets int) [][]in
 	return rows
 }
 
+// TestHashRoutePastAByte routes 3,000 distinct keys into bucket counts
+// either side of 256, the last whose rows' buckets HashRoute holds in a
+// byte, so every bucket past it is reached.
+func TestHashRoutePastAByte(t *testing.T) {
+	for _, nb := range []int{255, 256, 257, 263, 1000} {
+		checkRoute(t, []vector.Vector{vector.Range(0, 3000)}, 3000, 1, nb)
+	}
+}
+
 // FuzzHashRoute drives the shuffle router over one to three Int, Float,
 // Object and Dict key columns (nulls and views included), a band index and
-// one to nine buckets, under the full and a narrowed hash. Besides
+// one to nine buckets — or 256 to 263, either side of the last count whose
+// rows' buckets fit a byte — under the full and a narrowed hash. Besides
 // checkRoute's layout, every Dict key must route as its Object copy does:
 // the groupby routes a Dict key once per code and the join may meet it
 // against Object keys on the other side.
@@ -156,6 +166,9 @@ func FuzzHashRoute(f *testing.F) {
 		}
 		r := rand.New(rand.NewSource(seed))
 		n, nb := int(rows), 1+int(buckets)%9
+		if buckets >= 248 {
+			nb = int(buckets) + 8
+		}
 		keys := make([]vector.Vector, 1+int(ncols)%3)
 		copied := make([]vector.Vector, len(keys))
 		dict := false

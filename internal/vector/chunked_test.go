@@ -287,6 +287,17 @@ func checkChunkedMatchesFlat(t *testing.T, r *rand.Rand, c, flat Vector) {
 	if !slices.Equal(hc, hf) {
 		t.Fatalf("hashes differ")
 	}
+	for range 8 {
+		lo := r.Intn(n + 1)
+		hi := lo + r.Intn(n-lo+1)
+		h := make([]uint64, hi-lo)
+		if HashRange(c, 9, lo, h); !slices.Equal(h, hf[lo:hi]) {
+			t.Fatalf("HashRange [%d:%d) differs", lo, hi)
+		}
+	}
+	if HashIsKey(c) && (flat.Domain() != types.Int || NullCount(flat) > 0) {
+		t.Fatalf("HashIsKey holds over %v rows with %d nulls", flat.Domain(), NullCount(flat))
+	}
 	for range 32 {
 		if n == 0 {
 			break

@@ -2,6 +2,7 @@ package vector
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/types"
 )
@@ -152,25 +153,32 @@ func HashValue(v types.Value, seed uint64) uint64 {
 }
 
 // Hash writes the canonical hash of every entry of v into dst (which must
-// have length v.Len()), null-aware and without constructing types.Value. The
-// typed vectors hash their storage slices directly, a selection view
-// hashes its base's storage through its index, and a chunk hashes piece by
-// piece; Dict vectors hash each dictionary entry once and route codes
-// through the precomputed table.
-func Hash(v Vector, seed uint64, dst []uint64) {
+// have length v.Len()), null-aware and without constructing types.Value.
+func Hash(v Vector, seed uint64, dst []uint64) { HashRange(v, seed, 0, dst) }
+
+// HashRange writes the canonical hash of entries [lo, lo+len(dst)) of v into
+// dst, read in place: the typed vectors hash their storage slices directly,
+// a selection view hashes its base's storage through its index, and a chunk
+// hashes the pieces the range covers; Dict vectors hash each dictionary
+// entry once and route codes through the precomputed table. A keyed kernel
+// hashes its rows a range at a time without slicing its key columns.
+func HashRange(v Vector, seed uint64, lo int, dst []uint64) {
 	nullH := hashWord(seed, tagNull, 0)
+	hi := lo + len(dst)
 	switch c := v.(type) {
 	case *Int:
-		for i, x := range c.data {
-			if c.nulls != nil && c.nulls[i] {
+		nulls := sliceNulls(c.nulls, lo, hi)
+		for i, x := range c.data[lo:hi] {
+			if nulls != nil && nulls[i] {
 				dst[i] = nullH
 			} else {
 				dst[i] = hashWord(seed, tagInt, uint64(x))
 			}
 		}
 	case *Float:
-		for i, x := range c.data {
-			if (c.nulls != nil && c.nulls[i]) || math.IsNaN(x) {
+		nulls := sliceNulls(c.nulls, lo, hi)
+		for i, x := range c.data[lo:hi] {
+			if (nulls != nil && nulls[i]) || math.IsNaN(x) {
 				// Unmasked NaN reads as null, like Float.Value.
 				dst[i] = nullH
 			} else {
@@ -178,24 +186,27 @@ func Hash(v Vector, seed uint64, dst []uint64) {
 			}
 		}
 	case *Bool:
-		for i, x := range c.data {
-			if c.nulls != nil && c.nulls[i] {
+		nulls := sliceNulls(c.nulls, lo, hi)
+		for i, x := range c.data[lo:hi] {
+			if nulls != nil && nulls[i] {
 				dst[i] = nullH
 			} else {
 				dst[i] = hashBool(seed, x)
 			}
 		}
 	case *Datetime:
-		for i, x := range c.data {
-			if c.nulls != nil && c.nulls[i] {
+		nulls := sliceNulls(c.nulls, lo, hi)
+		for i, x := range c.data[lo:hi] {
+			if nulls != nil && nulls[i] {
 				dst[i] = nullH
 			} else {
 				dst[i] = hashWord(seed, tagTime, uint64(x))
 			}
 		}
 	case *Object:
-		for i, s := range c.data {
-			if c.nulls != nil && c.nulls[i] {
+		nulls := sliceNulls(c.nulls, lo, hi)
+		for i, s := range c.data[lo:hi] {
+			if nulls != nil && nulls[i] {
 				dst[i] = nullH
 			} else {
 				dst[i] = hashString(seed, s)
@@ -206,39 +217,82 @@ func Hash(v Vector, seed uint64, dst []uint64) {
 		for k, s := range c.dict {
 			table[k] = hashString(seed, s)
 		}
-		for i, code := range c.codes {
-			if c.nulls != nil && c.nulls[i] {
+		nulls := sliceNulls(c.nulls, lo, hi)
+		for i, code := range c.codes[lo:hi] {
+			if nulls != nil && nulls[i] {
 				dst[i] = nullH
 			} else {
 				dst[i] = table[code]
 			}
 		}
 	case *sequence:
+		checkSlice(c.n, lo, hi)
 		for i := range dst {
-			dst[i] = hashWord(seed, tagInt, uint64(c.start+int64(i)))
+			dst[i] = hashWord(seed, tagInt, uint64(c.start+int64(lo+i)))
 		}
 	case *view:
-		hashView(c, seed, dst)
+		hashView(c.base, c.idx[lo:hi], seed, dst)
 	case *Chunked:
 		s := c.st.Load()
-		for p, piece := range s.pieces {
-			Hash(piece, seed, dst[s.offs[p]:s.offs[p+1]])
+		for p := s.locate(lo); len(dst) > 0; p++ {
+			n := min(hi, s.offs[p+1]) - lo
+			HashRange(s.pieces[p], seed, lo-s.offs[p], dst[:n])
+			dst, lo = dst[n:], lo+n
 		}
 	default:
-		for i := 0; i < v.Len(); i++ {
-			dst[i] = HashValue(v.Value(i), seed)
+		for i := range dst {
+			dst[i] = HashValue(v.Value(lo+i), seed)
 		}
 	}
 }
 
-// hashView is Hash over a selection view: it reads the base's typed storage
-// through the view's index, -1 hashing as null, without copying the view.
+// HashIsKey reports whether v's hash is its key: every entry of v is a
+// non-null Int word x, which hashes to hashWord(seed, tagInt, x), a
+// bijection of x — mix64's xor-shifts and odd multipliers each invert — so
+// two such entries hash equal exactly when they are the same key, and a
+// probe between such keys needs no equality check. It holds for a flat Int
+// with no null, a sequence, and views and chunks over those with no -1
+// entry, read in place. Every other vector keeps its check: a Float hashes
+// its integral values as Ints and the rest under tagFlt, which may meet an
+// Int's hash with no equal key; a null hashes as exactly one Int does; and
+// the other domains are left to EqualRows.
+func HashIsKey(v Vector) bool {
+	switch c := v.(type) {
+	case *Int:
+		return !slices.Contains(c.nulls, true)
+	case *sequence:
+		return true
+	case *Chunked:
+		for _, p := range c.st.Load().pieces {
+			if !HashIsKey(p) {
+				return false
+			}
+		}
+		return true
+	case *view:
+		var nulls []bool
+		if b, ok := c.base.(*Int); ok {
+			nulls = b.nulls
+		} else if !HashIsKey(c.base) {
+			return false
+		}
+		for _, j := range c.idx {
+			if j < 0 || nulls != nil && nulls[j] {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// hashView is Hash over the selection idx of base: it reads the base's
+// typed storage through the index, -1 hashing as null, without copying.
 // A chunk of several pieces is read in its pieces, as the gather reads
 // them, so hashing a few rows never flattens it; a chunk's pieces, a
 // sequence and boxed storage are hashed a cell at a time (hashCell).
-func hashView(v *view, seed uint64, dst []uint64) {
+func hashView(base Vector, idx []int, seed uint64, dst []uint64) {
 	nullH := hashWord(seed, tagNull, 0)
-	base := v.base
 	var ch *chunks
 	if c, ok := base.(*Chunked); ok {
 		if ch = c.st.Load(); len(ch.pieces) == 1 {
@@ -247,28 +301,28 @@ func hashView(v *view, seed uint64, dst []uint64) {
 	}
 	switch c := base.(type) {
 	case *Int:
-		hashAt(dst, v.idx, c.data, c.nulls, nullH, func(x int64) uint64 { return hashWord(seed, tagInt, uint64(x)) })
+		hashAt(dst, idx, c.data, c.nulls, nullH, func(x int64) uint64 { return hashWord(seed, tagInt, uint64(x)) })
 	case *Float:
-		hashAt(dst, v.idx, c.data, c.nulls, nullH, func(x float64) uint64 {
+		hashAt(dst, idx, c.data, c.nulls, nullH, func(x float64) uint64 {
 			if math.IsNaN(x) {
 				return nullH
 			}
 			return hashFloat(seed, x)
 		})
 	case *Bool:
-		hashAt(dst, v.idx, c.data, c.nulls, nullH, func(x bool) uint64 { return hashBool(seed, x) })
+		hashAt(dst, idx, c.data, c.nulls, nullH, func(x bool) uint64 { return hashBool(seed, x) })
 	case *Datetime:
-		hashAt(dst, v.idx, c.data, c.nulls, nullH, func(x int64) uint64 { return hashWord(seed, tagTime, uint64(x)) })
+		hashAt(dst, idx, c.data, c.nulls, nullH, func(x int64) uint64 { return hashWord(seed, tagTime, uint64(x)) })
 	case *Object:
-		hashAt(dst, v.idx, c.data, c.nulls, nullH, func(s string) uint64 { return hashString(seed, s) })
+		hashAt(dst, idx, c.data, c.nulls, nullH, func(s string) uint64 { return hashString(seed, s) })
 	case *Dict:
 		table := make([]uint64, len(c.dict))
 		for k, s := range c.dict {
 			table[k] = hashString(seed, s)
 		}
-		hashAt(dst, v.idx, c.codes, c.nulls, nullH, func(code int32) uint64 { return table[code] })
+		hashAt(dst, idx, c.codes, c.nulls, nullH, func(code int32) uint64 { return table[code] })
 	default:
-		for i, j := range v.idx {
+		for i, j := range idx {
 			switch {
 			case j < 0:
 				dst[i] = nullH
@@ -343,13 +397,14 @@ func hashAt[T any](dst []uint64, idx []int, data []T, nulls []bool, nullH uint64
 // the same constant (the whole-frame group). The combination is
 // order-sensitive, so ("a","b") and ("b","a") key rows differently.
 func HashRows(cols []Vector, seed uint64, dst []uint64) {
-	HashRowsScratch(cols, seed, dst, nil)
+	HashRowsRange(cols, seed, 0, dst, nil)
 }
 
-// HashRowsScratch is HashRows hashing the second and later columns into
-// tmp, the caller's scratch of dst's length, so a caller that hashes many
-// row ranges reuses one; a nil tmp is made when a second column needs it.
-func HashRowsScratch(cols []Vector, seed uint64, dst, tmp []uint64) {
+// HashRowsRange is HashRows of rows [lo, lo+len(dst)), read in place
+// (HashRange), hashing the second and later columns into tmp, the caller's
+// scratch of dst's length, so a caller that hashes many row ranges reuses
+// one; a nil tmp is made when a second column needs it.
+func HashRowsRange(cols []Vector, seed uint64, lo int, dst, tmp []uint64) {
 	if len(cols) == 0 {
 		base := mix64(seed ^ tagNull)
 		for i := range dst {
@@ -357,7 +412,7 @@ func HashRowsScratch(cols []Vector, seed uint64, dst, tmp []uint64) {
 		}
 		return
 	}
-	Hash(cols[0], seed, dst)
+	HashRange(cols[0], seed, lo, dst)
 	if len(cols) == 1 {
 		return
 	}
@@ -366,7 +421,7 @@ func HashRowsScratch(cols []Vector, seed uint64, dst, tmp []uint64) {
 	}
 	tmp = tmp[:len(dst)]
 	for _, c := range cols[1:] {
-		Hash(c, seed, tmp)
+		HashRange(c, seed, lo, tmp)
 		for i := range dst {
 			dst[i] = mix64(dst[i]*mixA ^ tmp[i])
 		}
