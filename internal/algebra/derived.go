@@ -93,19 +93,10 @@ func DistinctValues(df *core.DataFrame, col string) ([]types.Value, error) {
 		return nil, fmt.Errorf("algebra: distinct over %w %q", dferrors.ErrUnknownColumn, col)
 	}
 	v := df.TypedCol(j)
-	seen := make(map[string]struct{})
-	var out []types.Value
-	for i := 0; i < v.Len(); i++ {
-		val := v.Value(i)
-		if val.IsNull() {
-			continue
-		}
-		k := val.Key()
-		if _, ok := seen[k]; ok {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, val)
+	first := new(keyIndex).firstRows([]vector.Vector{v}, v.Len(), true)
+	out := make([]types.Value, len(first))
+	for d, i := range first {
+		out[d] = v.Value(int(i))
 	}
 	return out, nil
 }
@@ -282,24 +273,19 @@ func AggAll(df *core.DataFrame, kinds []expr.AggKind, cols []string) (*core.Data
 // Algebraically: FROMLABELS both → INNER JOIN on labels (reference left) →
 // MAP projecting target attributes → TOLABELS.
 func ReindexLike(target, reference *core.DataFrame) (*core.DataFrame, error) {
-	// Row alignment: reference label order, positions into target.
-	pos := make(map[string]int, target.NRows())
-	tl := target.RowLabels()
-	for i := 0; i < tl.Len(); i++ {
-		key := tl.Value(i).Key()
-		if _, ok := pos[key]; !ok {
-			pos[key] = i
-		}
-	}
-	rl := reference.RowLabels()
+	// Row alignment: reference label order, each label's first target row.
+	var x keyIndex
+	tl, rl := []vector.Vector{target.RowLabels()}, reference.RowLabels()
+	first := x.firstRows(tl, target.NRows(), false)
 	idx := make([]int, rl.Len())
-	for i := range idx {
-		if p, ok := pos[rl.Value(i).Key()]; ok {
-			idx[i] = p
-		} else {
-			idx[i] = -1
+	probe := x.bind([]vector.Vector{rl}, len(idx), nil, func(a int32) ([]vector.Vector, int) { return tl, int(first[a]) })
+	probe.each(func(lo int, ids []int32) {
+		for r, a := range ids {
+			if idx[lo+r] = -1; a >= 0 {
+				idx[lo+r] = int(first[a])
+			}
 		}
-	}
+	})
 	aligned := target.TakeRows(idx)
 	aligned, err := aligned.WithRowLabels(rl)
 	if err != nil {

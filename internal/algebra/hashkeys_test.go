@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -452,7 +453,9 @@ func TestKeylessCountSizeBulkPath(t *testing.T) {
 // joins three left bands against it at once, as MODIN's probe bands do:
 // stacked, with data joins' positional labels renumbered, the bands must
 // equal JoinFrames over the whole left input for inner and left joins on
-// duplicate and null keys, and on row labels.
+// duplicate and null keys, on row labels, and on a Dict key with nulls
+// whose sides hold their own category tables — each band's probe keeps its
+// own per-code memo, which the race detector checks is not the table's.
 func TestJoinTableMatchesJoinFrames(t *testing.T) {
 	n := 300
 	lrec := make([][]any, n)
@@ -471,10 +474,38 @@ func TestJoinTableMatchesJoinFrames(t *testing.T) {
 		}
 		rrec[i] = []any{k, i * 2}
 	}
-	left := core.MustFromRecords([]string{"k", "x"}, lrec)
-	right := core.MustFromRecords([]string{"k", "y"}, rrec)
-	bands := []*core.DataFrame{left.SliceRows(0, 90), left.SliceRows(90, 90), left.SliceRows(90, n)}
-	for _, onLabels := range []bool{false, true} {
+	// dictSide is a side's records with its keys as a Dict column over a
+	// table of its own: the labels k12, k11, …, k0, or their reverse.
+	dictSide := func(recs [][]any, other string, reversed bool) *core.DataFrame {
+		table := make([]string, 13)
+		for c := range table {
+			if table[c] = fmt.Sprint("k", 12-c); reversed {
+				table[c] = fmt.Sprint("k", c)
+			}
+		}
+		codes, nulls, payload := make([]int32, len(recs)), make([]bool, len(recs)), make([]int64, len(recs))
+		for i, rec := range recs {
+			if rec[0] == nil {
+				nulls[i] = true
+			} else if codes[i] = int32(12 - rec[0].(int)); reversed {
+				codes[i] = int32(rec[0].(int))
+			}
+			payload[i] = int64(rec[1].(int))
+		}
+		return core.MustBuild([]vector.Vector{vector.NewDict(codes, table, nulls), vector.NewInt(payload, nil)}, nil,
+			[]types.Value{types.String("k"), types.String(other)}, []types.Domain{types.Category, types.Int}, nil)
+	}
+	for _, c := range []struct {
+		name        string
+		left, right *core.DataFrame
+		onLabels    bool
+	}{
+		{"int", core.MustFromRecords([]string{"k", "x"}, lrec), core.MustFromRecords([]string{"k", "y"}, rrec), false},
+		{"labels", core.MustFromRecords([]string{"k", "x"}, lrec), core.MustFromRecords([]string{"k", "y"}, rrec), true},
+		{"dict", dictSide(lrec, "x", false), dictSide(rrec, "y", true), false},
+	} {
+		left, right, onLabels := c.left, c.right, c.onLabels
+		bands := []*core.DataFrame{left.SliceRows(0, 90), left.SliceRows(90, 90), left.SliceRows(90, n)}
 		on := []string{"k"}
 		if onLabels {
 			on = nil
@@ -511,7 +542,7 @@ func TestJoinTableMatchesJoinFrames(t *testing.T) {
 				}
 			}
 			if !want.Equal(got) {
-				t.Fatalf("labels %v kind %v: banded joins disagree with JoinFrames:\nwant:\n%s\ngot:\n%s", onLabels, kind, want, got)
+				t.Fatalf("%s kind %v: banded joins disagree with JoinFrames:\nwant:\n%s\ngot:\n%s", c.name, kind, want, got)
 			}
 		}
 	}

@@ -309,7 +309,7 @@ func BenchmarkJoinTableBuild(b *testing.B) {
 // BenchmarkJoinTableProbe times the probe of shuffle_wide's join without
 // assembling its output: the 75,000 fact keys, drawn from 26,500, against
 // the table over the 70,000-row dimension's unique keys, inner and left.
-// The keys are non-null Ints, so no hash match is checked (hashIsKey).
+// The keys are non-null Ints, so no hash match is checked (an exact key).
 //
 //	go test -run '^$' -bench JoinTableProbe -benchmem ./internal/algebra
 func BenchmarkJoinTableProbe(b *testing.B) {
@@ -325,6 +325,32 @@ func BenchmarkJoinTableProbe(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				t.probe(len(fact), keys, kind)
+			}
+		})
+	}
+}
+
+// BenchmarkHashRoute times the key-shuffle router over the 50,000 taxi
+// rows into 7 buckets on the key shapes the groupby routes by: a Dict key
+// (vendor_id, routed once per code), a nullable Int key (passenger_count)
+// and a composite key of both.
+//
+//	go test -run '^$' -bench HashRoute -benchmem ./internal/algebra
+func BenchmarkHashRoute(b *testing.B) {
+	taxi := benchTaxi()
+	col := func(name string) vector.Vector { return taxi.TypedCol(taxi.ColIndex(name)) }
+	for _, c := range []struct {
+		name string
+		keys []vector.Vector
+	}{
+		{"dict", []vector.Vector{col("vendor_id")}},
+		{"int", []vector.Vector{col("passenger_count")}},
+		{"composite", []vector.Vector{col("vendor_id"), col("passenger_count")}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				HashRoute(c.keys, taxi.NRows(), 7)
 			}
 		})
 	}

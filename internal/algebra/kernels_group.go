@@ -10,23 +10,15 @@ import (
 	"repro/internal/vector"
 )
 
-// Group identity is hash-based: every row's key columns are bulk-hashed to
-// one 64-bit hash (vector.HashRows, no per-row rendering or boxing), a
-// keyIndex maps the hash to the group's dense id, and the index confirms a
-// hash match by true key equality on typed storage (vector.EqualRows) — so
-// two distinct keys that collide on the hash still land in distinct groups
-// — unless the hash is the key: while every key a table has seen is one
-// non-null Int column (hashIsKey), equal hashes are equal keys and no match
-// is checked. Within one frame a key is the frame row that first carried it;
-// once the frame is folded, the keys it added live on in a typed key chunk,
-// one Take of the frame's key columns, against which later frames verify.
-// A single dictionary-coded key column takes the same route once per
-// distinct code instead of once per row: the code's id is looked up by the
-// code's value, so frames whose category tables differ still agree on every
-// group. The old representation rendered every row's key into a string
-// ("a\x1f5\x1f"), which allocated per row and conflated values whose
-// renderings agree (a null cell and the literal string "NA"); the hash path
-// keeps them distinct because verification compares typed cells.
+// Group identity is key identity, resolved by the key-id resolver (keyRows,
+// keyindex.go) in one of three representations picked once per frame: a
+// single Dict column by code (each code once, by its value's hash, so
+// frames whose category tables differ agree on every group), an exact key
+// whose row hash is the key, or row hashes verified by typed equality. No
+// key is rendered or boxed per row, and keys that collide on the hash land
+// in distinct groups. A key the resolving frame added is anchored at the
+// frame's row that first carried it; once the frame is folded, its keys
+// live on in a typed key chunk, one Take of its key columns.
 
 // rowHashSeed is the fixed seed of every row-key hash in the kernels. It
 // must be one process-wide constant: a shuffle routes rows by hash on one
@@ -52,10 +44,9 @@ func SetRowHashMaskForTesting(mask uint64) (restore func()) {
 // chunk's hashes, not one per input row. A chunk is groupChunk rows, or the
 // longest category table a key column reads when that is longer, since
 // hashing a Dict's rows hashes its whole table (vector.DictTableLen); a
-// chunked key is hashed piece by piece, never flattened for it. Rows may be
-// read in any order: reading a row outside the buffered chunk hashes its
-// chunk, so a kernel that reads its rows in order, forwards (a probe) or
-// backwards (a join build), hashes each row once.
+// chunked key is hashed piece by piece, never flattened for it. Reading a
+// row outside the buffered chunk hashes its chunk, so rows read in order
+// are hashed once each.
 type rowHashes struct {
 	cols  []vector.Vector
 	n     int
@@ -65,9 +56,13 @@ type rowHashes struct {
 	tmp   []uint64 // a composite key's scratch (vector.HashRowsRange)
 }
 
-// newRowHashes prepares the row hashes of the n-row key columns cols.
+// newRowHashes prepares the row hashes of the n-row key columns cols. With
+// no column every row is the one key, whose hash is read a row at a time.
 func newRowHashes(cols []vector.Vector, n int) *rowHashes {
 	chunk := groupChunk
+	if len(cols) == 0 {
+		chunk = 1
+	}
 	for _, c := range cols {
 		chunk = max(chunk, vector.DictTableLen(c))
 	}
@@ -127,13 +122,6 @@ func RowKeyHashes(df *core.DataFrame, cols []string) ([]uint64, error) {
 	return dst, nil
 }
 
-// hashIsKey reports whether the row hashes of key columns cols are their
-// keys — one column of non-null Int words (vector.HashIsKey) under the
-// full-width hash — so two rows whose hashes match need no equality check.
-func hashIsKey(cols []vector.Vector) bool {
-	return len(cols) == 1 && rowHashMask == ^uint64(0) && vector.HashIsKey(cols[0])
-}
-
 // hashValues hashes one boxed key tuple under the same seed and mask.
 func hashValues(vals []types.Value) uint64 {
 	return vector.HashRowValues(vals, rowHashSeed) & rowHashMask
@@ -156,16 +144,15 @@ func tuplesEqual(a, b []types.Value) bool {
 }
 
 // keyTable gives every distinct group key a dense id in first-appearance
-// order: a keyIndex over the keys' row hashes, verified on typed storage.
-// While a frame resolves (frameKeys), a key it added is its first row there;
-// once the frame is kept, the keys it added are one typed chunk, so the
-// table pins no frame or view it was handed. GroupPartial and the replay's
-// key summaries assign group identity through it.
+// order through the key-id resolver, and keeps the keys: while a frame
+// resolves, a key it added is its first row there (rows); once the frame is
+// kept, the keys it added are one typed chunk, so the table pins no frame or
+// view it was handed. GroupPartial and the replay's key summaries assign
+// group identity through it.
 type keyTable struct {
-	index   keyIndex
-	rows    []int32    // by id: the row that inserted the key, -1 for a key Merge added
-	chunks  []keyChunk // the kept frames' keys, in id order
-	inexact bool       // some frame's keys were not hashIsKey: every hash match is checked
+	index  keyIndex
+	rows   []int32    // by id: the row that inserted the key, -1 for a key Merge added
+	chunks []keyChunk // the kept frames' keys, in id order
 }
 
 // keyChunk holds the keys of ids lo, lo+1, … as rows 0, 1, … of typed key
@@ -173,26 +160,6 @@ type keyTable struct {
 type keyChunk struct {
 	lo   int32
 	cols []vector.Vector
-}
-
-// insertRow returns the id of row i of the resolving frame (hash h),
-// recording the row when its key is new.
-func (t *keyTable) insertRow(h uint64, fk *frameKeys, i int) int32 {
-	id, added := t.index.insert(h, verifyUnless(!t.inexact, func(id int32) bool { return t.equalRow(id, fk, i) }))
-	if added {
-		t.rows = push(t.rows, int32(i))
-	}
-	return id
-}
-
-// equalRow verifies key id against row i of the resolving frame: at the
-// frame's own first row for a key the frame added, else in its kept chunk.
-func (t *keyTable) equalRow(id int32, fk *frameKeys, i int) bool {
-	if id >= fk.fresh {
-		return rowsEqualAt(fk.cols, int(t.rows[id]), fk.cols, i)
-	}
-	c := t.chunkOf(id)
-	return rowsEqualAt(c.cols, int(id-c.lo), fk.cols, i)
 }
 
 // chunkOf returns the kept chunk holding id.
@@ -210,7 +177,7 @@ func (t *keyTable) chunkOf(id int32) *keyChunk {
 
 // keep ends fk's resolution: one Take per key column copies the rows that
 // added keys into a typed chunk, and the table lets go of the frame.
-func (t *keyTable) keep(fk *frameKeys) {
+func (t *keyTable) keep(fk *keyRows) {
 	n := int32(len(t.rows))
 	if n == fk.fresh {
 		return
@@ -236,9 +203,9 @@ func (t *keyTable) merge(o *keyTable) []int32 {
 		if c+1 < len(o.chunks) {
 			hi = o.chunks[c+1].lo
 		}
-		fk := t.frame(chunk.cols, int(hi-chunk.lo), false)
-		t.resolve(fk, 0, to[chunk.lo:hi])
-		t.keep(fk)
+		fk := t.frame(chunk.cols, int(hi-chunk.lo))
+		fk.ids(0, to[chunk.lo:hi])
+		t.keep(&fk)
 	}
 	for id := added; id < len(t.rows); id++ {
 		t.rows[id] = -1
@@ -284,84 +251,13 @@ func (t *keyTable) column(k int) vector.Vector {
 	return buildColumn(vals)
 }
 
-// frameKeys is one frame's key columns prepared for keyTable.resolve, from
-// keyTable.frame until keyTable.keep. A single Dict column (flat or viewed;
-// a chunk's pieces may hold tables of their own) keeps its codes and
-// resolves each distinct code once; any other key hashes its rows a chunk
-// at a time.
-type frameKeys struct {
-	cols  []vector.Vector
-	fresh int32 // the first id this frame may add
-	runs  bool  // input declared sorted: a row equal to its predecessor reuses its id
-	last  int32
-
-	hashes *rowHashes
-
-	codes  []int32
-	nulls  []bool
-	idx    []int   // selection view over codes; -1 reads as null
-	codeID []int32 // code → id, -1 until seen; the last slot is the null key
-}
-
-// frame prepares the n-row key columns cols for resolve. The table checks
-// hash matches from the first frame whose keys are not hashIsKey on: until
-// then every key it holds, and every key it is probed with, is an Int whose
-// hash is the key.
-func (t *keyTable) frame(cols []vector.Vector, n int, runs bool) *frameKeys {
-	t.inexact = t.inexact || !hashIsKey(cols)
-	fk := &frameKeys{cols: cols, fresh: int32(len(t.rows)), runs: runs}
-	if len(cols) == 1 {
-		if codes, dict, nulls, idx, ok := vector.DictData(cols[0]); ok {
-			fk.codes, fk.nulls, fk.idx = codes, nulls, idx
-			fk.codeID = make([]int32, len(dict)+1)
-			for c := range fk.codeID {
-				fk.codeID[c] = -1
-			}
-			return fk
-		}
-	}
-	if len(cols) > 0 {
-		fk.hashes = newRowHashes(cols, n)
-	}
-	return fk
-}
-
-// resolve writes the group id of rows [lo, lo+len(ids)) into ids, adding
-// the keys the table has not seen. It is the one row → id routine behind
-// every grouping kernel, so they all agree on group identity and order.
-func (t *keyTable) resolve(fk *frameKeys, lo int, ids []int32) {
-	switch {
-	case fk.codeID != nil:
-		null := int32(len(fk.codeID) - 1)
-		for r := range ids {
-			i, j, c := lo+r, lo+r, null
-			if fk.idx != nil {
-				j = fk.idx[i]
-			}
-			if j >= 0 && (fk.nulls == nil || !fk.nulls[j]) {
-				c = fk.codes[j]
-			}
-			id := fk.codeID[c]
-			if id < 0 {
-				id = t.insertRow(hashValues([]types.Value{fk.cols[0].Value(i)}), fk, i)
-				fk.codeID[c] = id
-			}
-			ids[r] = id
-		}
-	case len(fk.cols) == 0: // no keys: every row is the whole-frame group
-		id := t.insertRow(hashValues(nil), fk, lo)
-		for r := range ids {
-			ids[r] = id
-		}
-	default:
-		for r := range ids {
-			i := lo + r
-			if !fk.runs || i == 0 || !rowsEqualAt(fk.cols, i-1, fk.cols, i) {
-				fk.last = t.insertRow(fk.hashes.at(i), fk, i)
-			}
-			ids[r] = fk.last
-		}
-	}
+// frame binds a frame's n-row key columns to the table, anchoring earlier
+// keys in their chunks.
+func (t *keyTable) frame(cols []vector.Vector, n int) keyRows {
+	return t.index.bind(cols, n, &t.rows, func(id int32) ([]vector.Vector, int) {
+		c := t.chunkOf(id)
+		return c.cols, int(id - c.lo)
+	})
 }
 
 // groupKeyCols resolves the typed key columns of df.
@@ -434,15 +330,16 @@ func (g *GroupPartial) AddFrame(df *core.DataFrame) error {
 	if n == 0 {
 		return nil
 	}
-	fk := g.keys.frame(keyCols, n, g.spec.Sorted)
-	defer g.keys.keep(fk)
-	ids := make([]int32, min(n, groupChunk))
+	fk := g.keys.frame(keyCols, n)
+	fk.runs = fk.runs || g.spec.Sorted
+	defer g.keys.keep(&fk)
 
 	// With no grouping keys there is exactly one group, and COUNT/SIZE read
 	// straight off the column length and null count; visit lists the
 	// aggregates that read rows.
 	if len(keyCols) == 0 {
-		g.keys.resolve(fk, 0, ids[:1])
+		var id [1]int32
+		fk.ids(0, id[:])
 		g.grow()
 	}
 	var visit []int
@@ -468,9 +365,7 @@ func (g *GroupPartial) AddFrame(df *core.DataFrame) error {
 	}
 
 	var members [][]int // by group: this frame's rows, for collect aggregates
-	for lo := 0; lo < n; lo += len(ids) {
-		ids = ids[:min(len(ids), n-lo)]
-		g.keys.resolve(fk, lo, ids)
+	fk.each(func(lo int, ids []int32) {
 		g.grow()
 		for _, k := range visit {
 			g.aggs[k].add(ids, aggCols[k], lo)
@@ -483,7 +378,7 @@ func (g *GroupPartial) AddFrame(df *core.DataFrame) error {
 				members[id] = append(members[id], lo+r)
 			}
 		}
-	}
+	})
 	if g.collect {
 		nonKey := g.nonKeyColumns(df)
 		for id, rows := range members {
@@ -745,9 +640,9 @@ func (g *GroupPartial) AddState(df *core.DataFrame) error {
 		keyCols[k] = df.TypedCol(k)
 	}
 	ids := make([]int32, n)
-	fk := g.keys.frame(keyCols, n, false)
-	g.keys.resolve(fk, 0, ids)
-	g.keys.keep(fk)
+	fk := g.keys.frame(keyCols, n)
+	fk.ids(0, ids)
+	g.keys.keep(&fk)
 	g.grow()
 	for k := range g.aggs {
 		g.aggs[k].addState(ids, df.TypedCol(nk+k))
@@ -813,8 +708,9 @@ func RouteGroupRows(df *core.DataFrame, spec expr.GroupBySpec, band, buckets int
 // their own key columns, so each keeps its own error text.
 //
 // Nothing per row outlives the call but the indexes: a single Dict key is
-// hashed once per code, any other key a chunk of rows at a time (rowHashes),
-// and each row's bucket is one byte when there are at most 256 buckets.
+// read by the key-id resolver's code reader (dictCodes) and hashed once per
+// code, any other key a chunk of rows at a time (rowHashes), and each row's
+// bucket is one byte when there are at most 256 buckets.
 func HashRoute(keys []vector.Vector, n, buckets int) (rows [][]int) {
 	if buckets <= 256 {
 		return hashRoute[uint8](keys, n, buckets)
@@ -827,24 +723,14 @@ func hashRoute[B uint8 | int32](keys []vector.Vector, n, buckets int) (rows [][]
 	into := make([]B, n) // row → bucket
 	counts := make([]int, buckets)
 	nb := uint64(buckets)
-	if codes, dict, nulls, idx, ok := singleDictKey(keys); ok {
-		codeBucket := make([]int32, len(dict)+1) // -1 until seen; the last slot is the null key
-		for c := range codeBucket {
-			codeBucket[c] = -1
-		}
-		null := int32(len(dict))
+	if d, ok := dictKey(keys); ok {
+		bucket := slices.Repeat([]int32{unseen}, int(d.null)+1)
 		for i := range into {
-			j, c := i, null
-			if idx != nil {
-				j = idx[i]
+			c := d.code(i)
+			if bucket[c] == unseen {
+				bucket[c] = int32(hashValues([]types.Value{keys[0].Value(i)}) % nb)
 			}
-			if j >= 0 && (nulls == nil || !nulls[j]) {
-				c = codes[j]
-			}
-			if codeBucket[c] < 0 {
-				codeBucket[c] = int32(hashValues([]types.Value{keys[0].Value(i)}) % nb)
-			}
-			into[i] = B(codeBucket[c])
+			into[i] = B(bucket[c])
 			counts[into[i]]++
 		}
 	} else {
@@ -866,14 +752,6 @@ func hashRoute[B uint8 | int32](keys []vector.Vector, n, buckets int) (rows [][]
 		rows[b] = append(rows[b], i)
 	}
 	return rows
-}
-
-// singleDictKey unwraps a key that is one dictionary-coded column.
-func singleDictKey(cols []vector.Vector) (codes []int32, dict []string, nulls []bool, idx []int, ok bool) {
-	if len(cols) != 1 {
-		return nil, nil, nil, nil, false
-	}
-	return vector.DictData(cols[0])
 }
 
 // routedPiece is the view of df's rows (all of them when rows is nil)
@@ -1197,7 +1075,8 @@ func SummarizeGroupKeys(df *core.DataFrame, keys []string) (*GroupKeySummary, er
 	n := df.NRows()
 	s := &GroupKeySummary{Ordinals: make([]int32, n)}
 	var t keyTable
-	t.resolve(t.frame(cols, n, false), 0, s.Ordinals)
+	fk := t.frame(cols, n)
+	fk.ids(0, s.Ordinals)
 	s.Hashes, s.Exemplars = t.index.hashes, make([][]types.Value, len(t.rows))
 	for id, i := range t.rows {
 		key := make([]types.Value, len(cols))

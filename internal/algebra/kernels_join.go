@@ -26,17 +26,6 @@ func JoinFrames(left, right *core.DataFrame, kind expr.JoinKind, on []string, on
 	return BuildJoinTable(right, on, onLabels).Join(left, kind)
 }
 
-// rowsEqualAt verifies column-wise key equality between row i of cols a and
-// row j of cols b.
-func rowsEqualAt(a []vector.Vector, i int, b []vector.Vector, j int) bool {
-	for k := range a {
-		if !vector.EqualRows(a[k], i, b[k], j) {
-			return false
-		}
-	}
-	return true
-}
-
 // crossProduct yields the ordered cross product: each left tuple paired, in
 // order, with every right tuple.
 func crossProduct(left, right *core.DataFrame) (*core.DataFrame, error) {
@@ -50,15 +39,6 @@ func crossProduct(left, right *core.DataFrame) (*core.DataFrame, error) {
 		}
 	}
 	return assembleJoin(left, right, nil, false, leftIdx, rightIdx)
-}
-
-func anyNullAt(cols []vector.Vector, i int) bool {
-	for _, c := range cols {
-		if c.IsNull(i) {
-			return true
-		}
-	}
-	return false
 }
 
 // assembleJoin materializes the joined frame from matched row index pairs

@@ -11,11 +11,11 @@ import (
 // JoinTable is the hash index over a join's right input behind every
 // keyed JOIN: JoinFrames builds one and probes it with its left input, and
 // MODIN builds one per inner/left join, once, and probes it from every left
-// band. A keyIndex gives each distinct non-null right key a dense id, and
-// flat int32 chains list each key's right rows in right order (id → first
-// row, row → next row with the same key), so a build allocates O(rows) once
-// and a probe emits matches in JoinFrames order. A built table is read-only:
-// any number of goroutines may Join against it at once.
+// band. The key-id resolver gives each distinct non-null right key a dense
+// id, and flat int32 chains list each key's right rows in right order (id →
+// first row, row → next row with the same key), so a build allocates
+// O(rows) once and a probe emits matches in JoinFrames order. A built table
+// is read-only: any number of goroutines may Join against it at once.
 type JoinTable struct {
 	right    *core.DataFrame
 	on       []string
@@ -26,7 +26,6 @@ type JoinTable struct {
 	firstRow []int32 // key id → first right row with this key (the collision-check anchor)
 	nextRow  []int32 // right row → next row with the same key, -1 ends
 	unique   bool    // every non-null right row is its own key: a probe row matches at most once
-	exact    bool    // the keys are hashIsKey: a probe whose keys are too checks no match and no null
 }
 
 // BuildJoinTable indexes the right input of a join on its key columns on,
@@ -53,23 +52,21 @@ func BuildJoinTable(right *core.DataFrame, on []string, onLabels bool) *JoinTabl
 	t.index.reserve(n)
 	t.firstRow = make([]int32, 0, n)
 	t.nextRow = make([]int32, n)
-	hashes := newRowHashes(t.keys, n)
-	t.exact = hashIsKey(t.keys)
+	// Each row's key id goes into its chain slot first (-1 for a null key);
+	// then rows go on their key's chain last to first, so every chain ends up
+	// in right order with no per-key tail to track.
+	build := t.index.bind(t.keys, n, &t.firstRow, nil)
+	build.nullsApart = true
+	build.ids(0, t.nextRow)
+	for e := range t.firstRow {
+		t.firstRow[e] = -1
+	}
 	nonNull := 0
-	// Rows go in last to first, each pushed onto its key's chain, so every
-	// chain ends up in right order with no per-key tail to track.
 	for i := n - 1; i >= 0; i-- {
-		t.nextRow[i] = -1
-		if !t.exact && anyNullAt(t.keys, i) {
-			continue
+		if e := t.nextRow[i]; e >= 0 {
+			nonNull++
+			t.nextRow[i], t.firstRow[e] = t.firstRow[e], int32(i)
 		}
-		nonNull++
-		e, added := t.index.insert(hashes.at(i), verifyUnless(t.exact, func(e int32) bool { return rowsEqualAt(t.keys, i, t.keys, int(t.firstRow[e])) }))
-		if added {
-			t.firstRow = append(t.firstRow, int32(i))
-			continue
-		}
-		t.nextRow[i], t.firstRow[e] = t.firstRow[e], int32(i)
 	}
 	t.unique = len(t.firstRow) == nonNull
 	return t
@@ -119,23 +116,22 @@ func (t *JoinTable) probe(n int, keys []vector.Vector, kind expr.JoinKind) (left
 		// At most one pair per probe row: size the output once.
 		leftIdx, rightIdx = make([]int, 0, n), make([]int, 0, n)
 	}
-	hashes := newRowHashes(keys, n)
-	exact := t.exact && hashIsKey(keys)
-	for i := 0; i < n; i++ {
-		e := int32(-1)
-		if exact || !anyNullAt(keys, i) {
-			e = t.index.find(hashes.at(i), verifyUnless(exact, func(e int32) bool { return rowsEqualAt(keys, i, t.keys, int(t.firstRow[e])) }))
-		}
-		if e < 0 {
-			if keepUnmatched {
-				leftIdx = append(leftIdx, i)
-				rightIdx = append(rightIdx, -1)
+	k := t.index.bind(keys, n, nil, func(e int32) ([]vector.Vector, int) { return t.keys, int(t.firstRow[e]) })
+	k.nullsApart = true
+	ids := make([]int32, min(n, groupChunk))
+	for lo := 0; lo < n; lo += len(ids) { // not k.each: the index lists stay in registers
+		ids = ids[:min(len(ids), n-lo)]
+		k.ids(lo, ids)
+		for r, e := range ids {
+			if e < 0 {
+				if keepUnmatched {
+					leftIdx, rightIdx = append(leftIdx, lo+r), append(rightIdx, -1)
+				}
+				continue
 			}
-			continue
-		}
-		for r := t.firstRow[e]; r >= 0; r = t.nextRow[r] {
-			leftIdx = append(leftIdx, i)
-			rightIdx = append(rightIdx, int(r))
+			for j := t.firstRow[e]; j >= 0; j = t.nextRow[j] {
+				leftIdx, rightIdx = append(leftIdx, lo+r), append(rightIdx, int(j))
+			}
 		}
 	}
 	return leftIdx, rightIdx

@@ -144,9 +144,9 @@ func StackedDomain(frames []*core.DataFrame, j int, col vector.Vector) types.Dom
 
 // DifferenceFrames implements DIFFERENCE: left rows whose full tuple does
 // not appear in right, in left order. Schemas must agree on labels. Tuple
-// membership is hash-based: right rows, hashed a chunk at a time, go into a
-// key index over one anchor row per distinct tuple, and left probes verify
-// with the typed equality kernels.
+// membership is key identity: the right rows' tuples get ids through the
+// key-id resolver, anchored at their first rows, and the left rows only find
+// theirs.
 func DifferenceFrames(left, right *core.DataFrame) (*core.DataFrame, error) {
 	if left.NCols() != right.NCols() {
 		return nil, fmt.Errorf("algebra: difference arity mismatch: %d vs %d", left.NCols(), right.NCols())
@@ -156,45 +156,29 @@ func DifferenceFrames(left, right *core.DataFrame) (*core.DataFrame, error) {
 	if err != nil {
 		return nil, fmt.Errorf("algebra: difference schema mismatch: %w", err)
 	}
-	rcols := make([]vector.Vector, aligned.NCols())
-	for j := range rcols {
-		rcols[j] = aligned.TypedCol(j)
-	}
-	rh := newRowHashes(rcols, aligned.NRows())
-	rexact := hashIsKey(rcols)
+	rcols := typedCols(aligned)
 	var present keyIndex
-	var anchors []int // key id → first right row carrying the tuple
-	for i := 0; i < aligned.NRows(); i++ {
-		if _, added := present.insert(rh.at(i), verifyUnless(rexact, func(a int32) bool { return rowsEqualAt(rcols, i, rcols, anchors[a]) })); added {
-			anchors = push(anchors, i)
+	anchors := present.firstRows(rcols, aligned.NRows(), false)
+	var keep []int
+	probe := present.bind(typedCols(left), left.NRows(), nil, func(a int32) ([]vector.Vector, int) { return rcols, int(anchors[a]) })
+	probe.each(func(lo int, ids []int32) {
+		for r, id := range ids {
+			if id < 0 {
+				keep = append(keep, lo+r)
+			}
 		}
-	}
-	lcols := make([]vector.Vector, left.NCols())
-	for j := range lcols {
-		lcols[j] = left.TypedCol(j)
-	}
-	lh := newRowHashes(lcols, left.NRows())
-	exact := rexact && hashIsKey(lcols)
-	keep := make([]int, 0, left.NRows())
-	for i := 0; i < left.NRows(); i++ {
-		if present.find(lh.at(i), verifyUnless(exact, func(a int32) bool { return rowsEqualAt(lcols, i, rcols, anchors[a]) })) < 0 {
-			keep = append(keep, i)
-		}
-	}
+	})
 	return left.TakeRows(keep), nil
 }
 
 // DropDuplicatesFrame implements DROP-DUPLICATES: first occurrence of each
 // distinct tuple (over subset columns, or all columns when nil), in input
-// order. Distinctness is hash-based with typed-kernel verification, through
-// the same key index as GROUPBY.
+// order. Distinctness is key identity, through the key-id resolver GROUPBY
+// uses: the rows that add keys are the rows kept.
 func DropDuplicatesFrame(df *core.DataFrame, subset []string) (*core.DataFrame, error) {
 	var cols []vector.Vector
 	if len(subset) == 0 {
-		cols = make([]vector.Vector, df.NCols())
-		for j := range cols {
-			cols[j] = df.TypedCol(j)
-		}
+		cols = typedCols(df)
 	} else {
 		cols = make([]vector.Vector, len(subset))
 		for k, name := range subset {
@@ -205,16 +189,21 @@ func DropDuplicatesFrame(df *core.DataFrame, subset []string) (*core.DataFrame, 
 			cols[k] = df.TypedCol(j)
 		}
 	}
-	hashes := newRowHashes(cols, df.NRows())
-	exact := hashIsKey(cols)
-	var seen keyIndex
-	var keep []int // key id → first row carrying the tuple
-	for i := 0; i < df.NRows(); i++ {
-		if _, added := seen.insert(hashes.at(i), verifyUnless(exact, func(a int32) bool { return rowsEqualAt(cols, i, cols, keep[a]) })); added {
-			keep = push(keep, i)
-		}
+	first := new(keyIndex).firstRows(cols, df.NRows(), false)
+	keep := make([]int, len(first))
+	for a, i := range first {
+		keep[a] = int(i)
 	}
 	return df.TakeRows(keep), nil
+}
+
+// typedCols resolves every typed column of df.
+func typedCols(df *core.DataFrame) []vector.Vector {
+	cols := make([]vector.Vector, df.NCols())
+	for j := range cols {
+		cols[j] = df.TypedCol(j)
+	}
+	return cols
 }
 
 // RenameFrame implements RENAME: relabel columns per mapping.

@@ -29,19 +29,21 @@ type allocRatioCase struct {
 // TRANSPOSE transposes each row band on its own; keyed: since the keyed
 // kernels hash a chunk of rows at a time, grow their per-key state by
 // doubling, and positional labels are sequences (vector.Range); routed:
-// since the groupby router keeps each row's bucket in one byte — and the
+// since the groupby router keeps each row's bucket in one byte; first:
+// since a bucket merge reads its groups' first positions into one exact
+// slice, and every keyed kernel resolves ids through keyRows — and the
 // ceilings they set:
 //
-//	statement        copied at gather   kept    banded   keyed   routed   ceiling
-//	groupby_hi       2.07               1.82    1.82     1.77    1.70     1.79
-//	sort             1.92               1.29    1.29     1.29    1.29     1.35
-//	join             1.83               1.12    1.12     1.07    1.07     1.12
-//	dropdup          2.37               1.00    1.00     1.00    1.00     1.05
-//	transpose_isna   2.32               2.22    1.16     1.16    1.16     1.22
-//	isna_transpose   —                  3.00    1.34     1.34    1.34     1.41
+//	statement        copied at gather   kept    banded   keyed   routed   first   ceiling
+//	groupby_hi       2.07               1.82    1.82     1.77    1.70     1.60    1.68
+//	sort             1.92               1.29    1.29     1.29    1.29     1.29    1.35
+//	join             1.83               1.12    1.12     1.07    1.07     1.08    1.12
+//	dropdup          2.37               1.00    1.00     1.00    1.00     1.00    1.05
+//	transpose_isna   2.32               2.22    1.16     1.16    1.16     1.16    1.22
+//	isna_transpose   —                  3.00    1.34     1.34    1.34     1.34    1.41
 //
-// At routed, groupby_hi reads MODIN 5.04 MB over eager 2.97 MB, join 8.64
-// over 8.04, dropdup 2.94 over 2.94.
+// At first, groupby_hi reads MODIN 4.76 MB over eager 2.97 MB, join 8.65
+// over 8.04, dropdup 2.89 over 2.88.
 //
 // transpose_isna is T then IsNA over the fact frame's first 10,000 rows,
 // whose mixed storage takes the boxed transpose; isna_transpose is
@@ -57,7 +59,7 @@ func allocRatioCases() []allocRatioCase {
 	return []allocRatioCase{
 		{"groupby_hi", &algebra.GroupBy{Input: fact, Spec: expr.GroupBySpec{
 			Keys: []string{"key"}, Aggs: []expr.AggSpec{{Col: "amount", Agg: expr.AggSum}},
-		}}, 1.79},
+		}}, 1.68},
 		{"sort", &algebra.Sort{Input: fact, Order: expr.SortOrder{{Col: "amount"}}}, 1.35},
 		{"join", join, 1.12},
 		{"dropdup", &algebra.DropDuplicates{Input: fact, Subset: []string{"key"}}, 1.05},

@@ -91,12 +91,13 @@ func mergeGroupBucket(pieces []physical.Piece, spec expr.GroupBySpec, tag bool) 
 // a spilled bucket never re-materializes whole — what keeps a pass-through
 // groupby's merge phase O(one piece + accumulator state). routed pieces
 // come from PartitionGroupBand: the fold restores a collecting spec's input
-// labels and returns each group's first position, the row label of the
-// row or state that added the group, read as one cell (a routed piece's
-// labels are a view over its band's position sequence).
+// labels and returns each group's first position, the row label of the row
+// or state that added the group, read into one exact slice at the end — so
+// a piece that added groups keeps its position labels until then.
 func foldGroupPieces(pieces []physical.Piece, spec expr.GroupBySpec, routed bool) (*core.DataFrame, []int64, error) {
 	g := algebra.NewGroupPartial(spec)
-	var first []int64
+	var from []int            // by piece that added groups: its first group
+	var added []vector.Vector // and its positions
 	for _, p := range pieces {
 		f, err := p.Frame()
 		if err != nil {
@@ -114,13 +115,18 @@ func foldGroupPieces(pieces []physical.Piece, spec expr.GroupBySpec, routed bool
 		if err != nil {
 			return nil, nil, err
 		}
-		if n := g.NumGroups(); routed && n > cap(first) {
-			// Double, as the partial's own per-group state does: append
-			// would grow a long list a quarter at a time.
-			first = append(make([]int64, 0, max(n, 2*cap(first))), first...)
+		if routed && g.NumGroups() > seen {
+			from, added = append(from, seen), append(added, positions)
 		}
-		for id := seen; routed && id < g.NumGroups(); id++ {
-			first = append(first, positions.Value(g.FirstRow(id)).Int())
+	}
+	var first []int64
+	if routed {
+		first = make([]int64, g.NumGroups())
+	}
+	from = append(from, len(first))
+	for a, positions := range added {
+		for id := from[a]; id < from[a+1]; id++ {
+			first[id] = positions.Value(g.FirstRow(id)).Int()
 		}
 	}
 	out, err := g.Finalize()
